@@ -115,13 +115,15 @@ class Tracer:
             try:
                 result = fn(*args, **kwargs)
             except Exception:
-                tracer.counts[name + ".raised"] += 1
+                with tracer._lock:      # --batch runs jobs on a thread pool
+                    tracer.counts[name + ".raised"] += 1
                 raise
             finally:
                 span[2] = time.perf_counter()
                 stack.pop()
             if hook is not None:
-                hook(tracer.counts, result)
+                with tracer._lock:
+                    hook(tracer.counts, result)
             return result
 
         return wrapper
