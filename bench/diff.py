@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Print a results file's metrics against the latest committed results.
 
-    python3 bench/diff.py NEW.json [--against OLD.json]
+    python3 bench/diff.py NEW.json
 
-Without ``--against`` the baseline is the results file (``BENCH_*.json`` at
-the repository root or under ``bench/results/``) with the latest
+The baseline is the results file under ``bench/results/`` with the latest
 ``recorded_at``, other than NEW itself.  The diff reports; it never fails a
 build: the exit code is 0 whenever both files could be read.
 """
@@ -26,8 +25,7 @@ def load(path):
 
 def latest_results(exclude=None):
     """Path of the newest committed results file, or None."""
-    paths = glob.glob(os.path.join(ROOT, "BENCH_*.json"))
-    paths += glob.glob(os.path.join(BENCH_DIR, "results", "BENCH_*.json"))
+    paths = glob.glob(os.path.join(BENCH_DIR, "results", "BENCH_*.json"))
     skip = os.path.abspath(exclude) if exclude else None
     dated = []
     for path in paths:
@@ -80,9 +78,8 @@ def diff_lines(old, new):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("new")
-    parser.add_argument("--against", help="baseline results file")
     args = parser.parse_args(argv)
-    against = args.against or latest_results(exclude=args.new)
+    against = latest_results(exclude=args.new)
     if against is None:
         print("no committed results file to compare with")
         return 0

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run the benchmark over several seeds and write one results file.
 
-    python3 bench/record.py --label NAME [--runs 10] [--workloads a,b]
+    python3 bench/record.py --label NAME
 
-For each workload, ``--runs`` timed runs (seeds ``--seed-base`` upward) and
-one traced run go through ``bench/run.py``.  Each end-to-end metric gets its
-median, quartiles and spread (quartile distance over the median), checked
-against a third of its bound from BENCHMARK.json.  The file goes to
-``bench/results/BENCH_<label>.json`` (or ``--out``), and its metrics are then
+For each workload of BENCHMARK.json, ten timed runs on seeds 1 to 10 and
+one traced run on seed 1 go through ``bench/run.py``.  Each end-to-end
+metric gets its median, quartiles and spread (quartile distance over the
+median), checked against a third of its bound from BENCHMARK.json.  The
+file goes to ``bench/results/BENCH_<label>.json``, and its metrics are then
 printed against the latest committed results file.
 """
 
@@ -20,14 +20,12 @@ import subprocess
 import sys
 
 import diff
+from run import bench_spec
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
-
-
-def bench_spec():
-    with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
-        return json.load(handle)
+SEEDS = list(range(1, 11))
+TRACE_SEED = 1
 
 
 def run_once(workload, seed, seconds, trace):
@@ -48,12 +46,12 @@ def spread_stats(values):
             "spread": (q3 - q1) / med if med else float("inf"), "values": values}
 
 
-def record_workload(spec, workload, seeds, trace_seed):
+def record_workload(spec, workload):
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     values = {name: [] for name in metrics}
     totals = {"attempted": 0, "failed": 0, "correct": True, "latency_samples": []}
     machine = None
-    for seed in seeds:
+    for seed in SEEDS:
         info, result = run_once(workload, seed, spec["run_seconds"], 0)
         machine = info["machine"]
         totals["attempted"] += result["attempted"]
@@ -65,15 +63,18 @@ def record_workload(spec, workload, seeds, trace_seed):
         print("  %s seed %d: %s" % (workload, seed, " ".join(
             "%s=%.4g" % (k, v["value"]) for k, v in result["metrics"].items())),
             flush=True)
-    entry = {"seeds": seeds, "end_to_end": {}, **totals,
+        print("    wall clock: %s" % " ".join(
+            "%s=%.4g" % item for item in sorted(info["wall_clock_metrics"].items())),
+            flush=True)
+    entry = {"seeds": SEEDS, "end_to_end": {}, **totals,
              "fail_share": totals["failed"] / totals["attempted"]}
     for name, m in metrics.items():
         stats = spread_stats(values[name])
         stats.update(unit=m["unit"], better=m["better"], bound=m["bound"])
         entry["end_to_end"][name] = stats
-    info, result = run_once(workload, trace_seed, spec["run_seconds"], 1)
+    info, result = run_once(workload, TRACE_SEED, spec["run_seconds"], 1)
     entry["per_layer"] = result["metrics"]
-    entry["trace_seed"] = trace_seed
+    entry["trace_seed"] = TRACE_SEED
     entry["trace_correct"] = result["correct"]
     return entry, machine
 
@@ -81,33 +82,23 @@ def record_workload(spec, workload, seeds, trace_seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--workloads", help="comma-separated subset")
-    parser.add_argument("--out", help="results path")
     args = parser.parse_args(argv)
     spec = bench_spec()
-    names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = [w for w in args.workloads.split(",") if w in names]
-    seeds = list(range(args.seed_base, args.seed_base + args.runs))
     results = {"label": args.label,
                "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-               "run_seconds": spec["run_seconds"], "runs": args.runs, "workloads": {}}
+               "run_seconds": spec["run_seconds"], "runs": len(SEEDS), "workloads": {}}
     steady = True
-    for workload in names:
-        entry, machine = record_workload(spec, workload, seeds, args.trace_seed)
+    for workload in [w["name"] for w in spec["workloads"]]:
+        entry, machine = record_workload(spec, workload)
         results["machine"] = machine
         results["workloads"][workload] = entry
         for name, m in entry["end_to_end"].items():
-            ok = m["spread"] < m["bound"] / 3 or name == "setup_s"
+            ok = m["spread"] < m["bound"] / 3
             steady &= ok
             print("%-20s %-18s median %-12.6g spread %.3f bound %.2f %s" % (
                 workload, name, m["median"], m["spread"], m["bound"],
                 "" if ok else "SPREAD ABOVE A THIRD OF THE BOUND"), flush=True)
-    out = args.out or os.path.join(BENCH_DIR, "results", "BENCH_%s.json" % args.label)
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    out = os.path.join(BENCH_DIR, "results", "BENCH_%s.json" % args.label)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
         handle.write("\n")

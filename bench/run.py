@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """eqconn benchmark: one workload, one seed, one closed-loop client.
 
-    python3 bench/run.py --workload tensor-decompose --seed 1 --seconds 36 --trace 0
+    python3 bench/run.py --workload tensor-decompose --seed 1 --seconds 30 --trace 0
 
 Run from anywhere inside a checkout; eqconn is imported from its ``src/``
 and the input generators from ``tests/util.py``.  The client is a single
 process that sends one job at a time and the next only when the last has
-returned.  Each job's output goes through an oracle (untimed).
+returned.  Each job's output goes through an oracle (untimed).  The
+workloads and the metrics with their units are those of BENCHMARK.json.
 
 ``--trace 0`` prints the end-to-end metrics: closed-loop throughput and
 latency over ``--seconds`` of job time, with cold starts and ``--batch``
-runs of the CLI taken in between, and peak memory.  ``--trace 1`` runs one
-round of the workload twice, untraced and then traced, and prints the
-per-layer metrics and the tracing overhead; spans go to
+runs of the CLI taken in between, and peak memory.  ``--trace 1`` runs a
+fixed number of the seed's rounds twice, untraced and then traced, and
+prints the per-layer metrics and the tracing overhead; spans go to
 ``.bench_build/spans-<workload>-<seed>.jsonl``.
 
 stdout ends with one JSON line ``{"correct", "attempted", "failed",
@@ -39,18 +40,25 @@ ROOT = os.path.dirname(BENCH_DIR)
 SRC = os.path.join(ROOT, "src")
 TESTS = os.path.join(ROOT, "tests")
 WORK_ROOT = os.path.join(ROOT, ".bench_build")
-SETUP_REPEATS = 5
-BATCH_REPEATS = 5
+# The time of one probe() on a quiet core of the 2-core Xeon VM the
+# benchmark was set up on (Python 3.11, NumPy 2.4, SciPy 1.17, one OpenBLAS
+# thread): about the fastest probe seen there over many minutes.
+PROBE_REF_S = 0.40e-3
+PROBE_INPUTS = []
+SETUP_REPEATS = 9
+BATCH_REPEATS = 9
 PROCESS_TIMEOUT = 120
-WORKLOAD_NAMES = ("normalize-scrambled", "tensor-decompose")
-END_TO_END_UNITS = {"setup_s": "s", "jobs_per_s": "1/s", "job_p50_ms": "ms",
-                    "job_p90_ms": "ms", "peak_rss_mb": "MB",
-                    "batch_jobs_per_s": "1/s"}
 
 
-def parse_args(argv):
+def bench_spec():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def parse_args(argv, spec):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True,
                         help="closed-loop job time to measure")
@@ -94,6 +102,47 @@ def run_process(cmd):
     proc = subprocess.run(cmd, cwd=ROOT, env=child_env(), capture_output=True,
                           text=True, timeout=PROCESS_TIMEOUT)
     return proc.returncode, proc.stdout, time.perf_counter() - start
+
+
+def probe():
+    """Seconds taken by a fixed piece of work made like eqconn's jobs: small
+    LAPACK calls, small products and an interpreter loop.
+
+    A shared 2-core VM runs the same code up to twice as slowly for seconds
+    to minutes at a time, as other tenants load the machine; raw times of
+    one seed then differ by a third from run to run.  The probe runs next
+    to every measured piece of work, and ``at_reference_speed`` scales that
+    work's time by how much slower than ``PROBE_REF_S`` the probes around it
+    ran.
+    """
+    import numpy
+
+    if not PROBE_INPUTS:
+        PROBE_INPUTS.extend(numpy.random.default_rng(0).standard_normal((2, 16, 16)))
+    a, b = PROBE_INPUTS
+    start = time.perf_counter()
+    for _ in range(3):
+        numpy.linalg.eig(a)
+        a @ b
+    total = 0
+    for i in range(2000):
+        total += i * i
+    return time.perf_counter() - start
+
+
+def at_reference_speed(seconds, probes):
+    """``seconds`` measured while ``probes`` ran around it, as the time it
+    would take where a probe takes ``PROBE_REF_S``."""
+    return seconds * PROBE_REF_S / statistics.median(probes)
+
+
+def run_probed(cmd):
+    """``run_process`` between three probes before and three after; returns
+    ``(exit code, stdout, seconds, seconds at reference speed)``."""
+    before = [probe() for _ in range(3)]
+    code, text, elapsed = run_process(cmd)
+    probes = before + [probe() for _ in range(3)]
+    return code, text, elapsed, at_reference_speed(elapsed, probes)
 
 
 def cli_cmd(argv):
@@ -248,38 +297,50 @@ def harrell_davis(values, q):
 
 class SideSamples:
     """Cold starts and ``--batch`` runs, taken between rounds at evenly
-    spaced points of the job time, so that they sample the same stretch of
-    the machine's wandering speed as the closed loop does."""
+    spaced points of the job time."""
 
     def __init__(self, wl, plan, seconds, tally):
         self.wl, self.plan, self.seconds, self.tally = wl, plan, seconds, tally
         self.setup_cmd = ([sys.executable, os.path.join(BENCH_DIR, "setup_job.py")]
                           + plan.setup_args)
         self.batch_cmd = cli_cmd(["--batch", write_manifest(plan), "--json"])
-        self.setup_times, self.batch_rates = [], []
+        self.setup_times, self.batch_times = [], []   # (raw, at reference speed)
 
     def take_due(self, job_seconds, refs):
         while len(self.setup_times) < SETUP_REPEATS and job_seconds >= \
                 len(self.setup_times) * self.seconds / SETUP_REPEATS:
-            code, _, elapsed = run_process(self.setup_cmd)
+            code, _, elapsed, scaled = run_probed(self.setup_cmd)
             if code != 0:
                 raise RuntimeError("set-up job %s exited %d" % (self.setup_cmd[1:], code))
-            self.setup_times.append(elapsed)
-        while len(self.batch_rates) < BATCH_REPEATS and job_seconds >= \
-                len(self.batch_rates) * self.seconds / BATCH_REPEATS:
-            code, text, elapsed = run_process(self.batch_cmd)
+            self.setup_times.append((elapsed, scaled))
+        while len(self.batch_times) < BATCH_REPEATS and job_seconds >= \
+                len(self.batch_times) * self.seconds / BATCH_REPEATS:
+            code, text, elapsed, scaled = run_probed(self.batch_cmd)
             check_batch(self.wl, self.plan, self.tally, code, text, refs)
-            self.batch_rates.append(len(self.plan.batch) / elapsed)
+            self.batch_times.append((elapsed, scaled))
+
+
+def end_metrics(latencies, passed, setup_times, batch_times, batch_jobs):
+    return {
+        "setup_s": statistics.median(setup_times),
+        "jobs_per_s": passed / sum(latencies),
+        "job_p50_ms": harrell_davis(latencies, 50) * 1e3,
+        "job_p90_ms": harrell_davis(latencies, 90) * 1e3,
+        "batch_jobs_per_s": batch_jobs / statistics.median(batch_times),
+    }
 
 
 def end_to_end(wl, plan, seconds, tally):
-    """Whole rounds of library calls until ``seconds`` of job time, with
-    the cold starts and batch runs in between."""
+    """The seed's rounds in order, each job once, until ``seconds`` of job
+    time, with the cold starts and batch runs in between.  A probe runs
+    before every job and after the last; a job's time at reference speed
+    uses the six probes around it."""
     side = SideSamples(wl, plan, seconds, tally)
-    latencies, passed, refs = [], 0, []
+    latencies, probes, passed, refs = [], [], 0, []
     rounds = 0
     while sum(latencies) < seconds:
-        for job in plan.rounds[rounds % len(plan.rounds)]:
+        for job in plan.round(rounds):
+            probes.append(probe())
             ok, out, elapsed = run_library_job(wl, job, tally)
             latencies.append(elapsed)
             passed += ok
@@ -287,20 +348,24 @@ def end_to_end(wl, plan, seconds, tally):
                 refs.append(out)
         rounds += 1
         side.take_due(sum(latencies), refs)
+    probes.append(probe())
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     side.take_due(float("inf"), refs)
-    metrics = {
-        "setup_s": statistics.median(side.setup_times),
-        "jobs_per_s": passed / sum(latencies),
-        "job_p50_ms": harrell_davis(latencies, 50) * 1e3,
-        "job_p90_ms": harrell_davis(latencies, 90) * 1e3,
-        "peak_rss_mb": rss_kb / 1024.0,
-        "batch_jobs_per_s": statistics.median(side.batch_rates),
-    }
+    scaled = [at_reference_speed(t, probes[max(0, i - 2):i + 4])
+              for i, t in enumerate(latencies)]
+    metrics = end_metrics(scaled, passed, [s for _, s in side.setup_times],
+                          [s for _, s in side.batch_times], len(plan.batch))
+    metrics["peak_rss_mb"] = rss_kb / 1024.0
+    wall = end_metrics(latencies, passed, [t for t, _ in side.setup_times],
+                       [t for t, _ in side.batch_times], len(plan.batch))
     info = {"rounds": rounds, "latency_samples": len(latencies),
             "job_seconds": sum(latencies), "round_jobs": len(plan.rounds[0]),
             "batch_jobs": len(plan.batch), "batch_runs": BATCH_REPEATS,
-            "setup_runs": SETUP_REPEATS}
+            "setup_runs": SETUP_REPEATS, "wall_clock_metrics": wall,
+            "setup_samples_s": side.setup_times, "batch_samples_s": side.batch_times,
+            "probe_ms": {"reference": PROBE_REF_S * 1e3,
+                         "median": statistics.median(probes) * 1e3,
+                         "min": min(probes) * 1e3}}
     return metrics, info
 
 
@@ -327,16 +392,18 @@ def input_bytes(argv):
 
 
 def fixed_pass(wl, plan, tally, tracer=None):
-    """One round through the library, then its batch jobs through
-    ``eqconn.cli.main`` one at a time and as one ``--batch``, all in this
-    process.  Returns (job seconds, I/O byte counts)."""
+    """The workload's ``TRACE_ROUNDS`` first rounds through the library,
+    then round 0's batch jobs through ``eqconn.cli.main`` one at a time and
+    as one ``--batch``, all in this process.  Returns (job seconds, I/O byte
+    counts)."""
     total, io_bytes, refs = 0.0, Counter(), []
-    for i, job in enumerate(plan.rounds[0]):
+    jobs = [job for r in range(wl.TRACE_ROUNDS[plan.workload]) for job in plan.round(r)]
+    for i, job in enumerate(jobs):
         if tracer:
             tracer.job = i
         _, out, elapsed = run_library_job(wl, job, tally, tracer)
         total += elapsed
-        if job.in_batch:
+        if i < len(plan.rounds[0]) and job.in_batch:
             refs.append(out)
     for i, (job, ref) in enumerate(zip(plan.batch, refs)):
         if tracer:
@@ -408,30 +475,21 @@ def traced(wl, tracing, plan, tally):
         "serialize.bytes_out": io_bytes["out"],
         "cli.batch.speedup": batch_speedup(tracer),
         "fail_share": tally.failed / tally.attempted,
-        "trace.jobs": len(plan.rounds[0]) + 2 * len(plan.batch),
+        "trace.jobs": wl.TRACE_ROUNDS[plan.workload] * len(plan.rounds[0])
+                      + 2 * len(plan.batch),
         "trace.spans": len(tracer.spans),
         "trace.untraced_ms": untraced_s * 1e3,
         "trace.traced_ms": traced_s * 1e3,
         "trace.overhead_ms": (traced_s - untraced_s) * 1e3,
     })
-    return metrics, {"round_jobs": len(plan.rounds[0]), "batch_jobs": len(plan.batch)}
-
-
-def unit_of(name):
-    if name in END_TO_END_UNITS:
-        return END_TO_END_UNITS[name]
-    if name.endswith("_ms") or name.endswith(".ms"):
-        return "ms"
-    if name.startswith("serialize.bytes"):
-        return "bytes"
-    if name.endswith(("share", "speedup")):
-        return "ratio"
-    return "count"
+    return metrics, {"rounds": wl.TRACE_ROUNDS[plan.workload],
+                     "round_jobs": len(plan.rounds[0]), "batch_jobs": len(plan.batch)}
 
 
 def main(argv=None):
-    args = parse_args(argv)
     locate_sources()
+    spec = bench_spec()
+    args = parse_args(argv, spec)
     pin_blas_threads()
     import warnings
 
@@ -462,10 +520,11 @@ def main(argv=None):
                  "failures": dict(tally.failures), "rejections": tally.rejections,
                  "machine": machine()})
     print(json.dumps({"info": info}, sort_keys=True))
+    listed = spec["per_layer" if args.trace else "end_to_end"]
     print(json.dumps({"correct": tally.correct, "attempted": tally.attempted,
                       "failed": tally.failed,
-                      "metrics": {name: {"value": value, "unit": unit_of(name)}
-                                  for name, value in metrics.items()}}))
+                      "metrics": {m["name"]: {"value": metrics[m["name"]], "unit": m["unit"]}
+                                  for m in listed}}))
     return 0
 
 

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ from util import random_normal_form  # noqa: E402
 
 
 def spec():
-    with open(os.path.join(run.ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return run.bench_spec()
 
 
 def plan(workload, seed, tmp_path, name="a"):
@@ -51,8 +51,9 @@ def encoded(value):
 
 
 def fingerprint(p):
-    """Every input of every round, serialized, plus the files written."""
-    rounds = [[[encoded(v) for v in job.inputs] for job in r] for r in p.rounds]
+    """Every input of the first three rounds, serialized, plus the files
+    written."""
+    rounds = [[[encoded(v) for v in job.inputs] for job in p.round(r)] for r in range(3)]
     files = {}
     for path in sorted(glob.glob(os.path.join(p.workdir, "*"))):
         with open(path, "rb") as handle:
@@ -72,11 +73,16 @@ def traced_metrics(p):
 # inputs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("workload", run.WORKLOAD_NAMES)
+@pytest.mark.parametrize("workload", [w["name"] for w in spec()["workloads"]])
 def test_same_seed_gives_identical_inputs(workload, tmp_path):
     first = fingerprint(plan(workload, 5, tmp_path, "a"))
     assert first == fingerprint(plan(workload, 5, tmp_path, "b"))
     assert first != fingerprint(plan(workload, 6, tmp_path, "c"))
+    # a round does not depend on how many rounds were generated before it
+    late = plan(workload, 5, tmp_path, "d")
+    assert [encoded(v) for job in late.round(2) for v in job.inputs] == \
+        [encoded(v) for job in plan(workload, 5, tmp_path, "e").round(2)
+         for v in job.inputs]
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +112,23 @@ def test_tensor_oracle_rejects_perturbed_a0(tmp_path):
         job.check(dict(out, t=perturbed(out["t"])))
     with pytest.raises(wl.OracleError):
         job.check(dict(out, hom=out["hom"] + 1))
+
+
+@pytest.mark.parametrize("seed, round_, index", [(4, 7, 5), (10, 4, 19)])
+def test_k0_oracle_tells_unmerged_keys_from_wrong_labels(seed, round_, index, tmp_path):
+    """Two tensors whose dilations have labels of size 1e4 to 1e8.  Every
+    label eqconn returns is right to rounding, but K0Class's absolute merge
+    radius leaves a label off by 4e-7 (seed 4) or one label split in two
+    (seed 10): a failure of the program, counted; a label off by one part
+    in a million is a wrong output."""
+    job = plan("tensor-decompose", seed, tmp_path).round(round_)[index]
+    out = job.run()
+    with pytest.raises(wl.JobFailed):
+        job.check(out)
+    k0 = out["k0"]
+    bad = wl.K0Class(k0.transversal, [(b * (1 + 1e-6), zp, m) for b, zp, m in k0.entries])
+    with pytest.raises(wl.OracleError):
+        job.check(dict(out, k0=bad))
 
 
 def test_roundtrip_oracle_rejects_perturbed_monodromy(tmp_path):
@@ -188,6 +211,20 @@ def test_tensor_square_at_dim_144_makes_3003_sylvester_solves():
     assert metrics["numkit.fold_sylvester_solves"] == 3003
 
 
+def test_normalize_fail_share_counts_residual_failures():
+    """normalize returns a residual above the limit without raising; the
+    traced run counts that as a failure as well as a raised error."""
+    tracer = tracing.Tracer()
+    result = types.SimpleNamespace(diagnostics={
+        "shear_passes": 2, "gauge_residual": 3e-8, "b_residual": 1e-12})
+    wrapped = tracer.wrap("category.normalize", lambda: result)
+    wrapped()
+    wrapped()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["category.normalize.shear_passes"] == 4
+    assert metrics["category.normalize.fail_share"] == 1.0
+
+
 def test_uninstall_restores_every_function():
     from eqconn import category, laurent, numkit
 
@@ -216,10 +253,3 @@ def test_run_fails_without_the_program(tmp_path):
     assert proc.returncode != 0
     assert proc.stdout == ""
 
-
-def test_benchmark_json_matches_the_runner():
-    s = spec()
-    assert [w["name"] for w in s["workloads"]] == list(run.WORKLOAD_NAMES)
-    assert {m["name"]: m["unit"] for m in s["end_to_end"]} == run.END_TO_END_UNITS
-    for m in s["per_layer"]:
-        assert run.unit_of(m["name"]) == m["unit"]

@@ -25,6 +25,7 @@ import numpy.linalg
 import scipy.linalg
 
 from eqconn import category, cli, laurent, numkit, serialize, torus
+from workloads import RESIDUAL_LIMIT
 
 # (span name, module, attribute); serialize's encoders and decoders are
 # grouped under two names, all but the per-scalar ones
@@ -212,7 +213,13 @@ def _fold_hook(counts, result):
 
 
 def _normalize_hook(counts, result):
-    counts["shear_passes"] += result.diagnostics["shear_passes"]
+    """Shear passes, and results whose own residuals miss the accuracy
+    asked for: normalize returns those without raising."""
+    diagnostics = result.diagnostics
+    counts["shear_passes"] += diagnostics["shear_passes"]
+    counts["normalize_residual_failed"] += not (
+        diagnostics["gauge_residual"] < RESIDUAL_LIMIT
+        and diagnostics["b_residual"] < RESIDUAL_LIMIT)
 
 
 HOOKS = {"numkit.reduce_to_transversal": _fold_hook,
@@ -257,6 +264,6 @@ def layer_metrics(tracer):
     m["numkit.fold_sylvester_solves"] = made
     m["numkit.sylvester_needed_share"] = c["fold_needed_solves"] / made if made else 0.0
     m["category.normalize.shear_passes"] = c["shear_passes"]
-    m["category.normalize.fail_share"] = (
-        c["category.normalize.raised"] / normalize_calls if normalize_calls else 0.0)
+    failed = c["category.normalize.raised"] + c["normalize_residual_failed"]
+    m["category.normalize.fail_share"] = failed / normalize_calls if normalize_calls else 0.0
     return m
