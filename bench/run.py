@@ -10,8 +10,9 @@ returned.  Each job's output goes through an oracle (untimed).  The
 workloads and the metrics with their units are those of BENCHMARK.json.
 
 ``--trace 0`` prints the end-to-end metrics: closed-loop throughput and
-latency over ``--seconds`` of job time, with cold starts and ``--batch``
-runs of the CLI taken in between, and peak memory.  ``--trace 1`` runs a
+latency over a fixed number of the seed's rounds, about ``--seconds`` of
+job time on a 2-core Xeon VM, with cold starts and ``--batch`` runs of the
+CLI taken in between, and peak memory.  ``--trace 1`` runs a
 fixed number of the seed's rounds twice, untraced and then traced, and
 prints the per-layer metrics and the tracing overhead; spans go to
 ``.bench_build/spans-<workload>-<seed>.jsonl``.
@@ -61,7 +62,8 @@ def parse_args(argv, spec):
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True,
-                        help="closed-loop job time to measure")
+                        help="closed-loop job time to measure; sets the number "
+                        "of rounds, so the jobs of a run do not depend on speed")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
@@ -297,24 +299,24 @@ def harrell_davis(values, q):
 
 class SideSamples:
     """Cold starts and ``--batch`` runs, taken between rounds at evenly
-    spaced points of the job time."""
+    spaced points of the run's ``rounds``."""
 
-    def __init__(self, wl, plan, seconds, tally):
-        self.wl, self.plan, self.seconds, self.tally = wl, plan, seconds, tally
+    def __init__(self, wl, plan, rounds, tally):
+        self.wl, self.plan, self.rounds, self.tally = wl, plan, rounds, tally
         self.setup_cmd = ([sys.executable, os.path.join(BENCH_DIR, "setup_job.py")]
                           + plan.setup_args)
         self.batch_cmd = cli_cmd(["--batch", write_manifest(plan), "--json"])
         self.setup_times, self.batch_times = [], []   # (raw, at reference speed)
 
-    def take_due(self, job_seconds, refs):
-        while len(self.setup_times) < SETUP_REPEATS and job_seconds >= \
-                len(self.setup_times) * self.seconds / SETUP_REPEATS:
+    def take_due(self, rounds_done, refs):
+        while len(self.setup_times) < SETUP_REPEATS and rounds_done >= \
+                len(self.setup_times) * self.rounds / SETUP_REPEATS:
             code, _, elapsed, scaled = run_probed(self.setup_cmd)
             if code != 0:
                 raise RuntimeError("set-up job %s exited %d" % (self.setup_cmd[1:], code))
             self.setup_times.append((elapsed, scaled))
-        while len(self.batch_times) < BATCH_REPEATS and job_seconds >= \
-                len(self.batch_times) * self.seconds / BATCH_REPEATS:
+        while len(self.batch_times) < BATCH_REPEATS and rounds_done >= \
+                len(self.batch_times) * self.rounds / BATCH_REPEATS:
             code, text, elapsed, scaled = run_probed(self.batch_cmd)
             check_batch(self.wl, self.plan, self.tally, code, text, refs)
             self.batch_times.append((elapsed, scaled))
@@ -331,23 +333,24 @@ def end_metrics(latencies, passed, setup_times, batch_times, batch_jobs):
 
 
 def end_to_end(wl, plan, seconds, tally):
-    """The seed's rounds in order, each job once, until ``seconds`` of job
-    time, with the cold starts and batch runs in between.  A probe runs
-    before every job and after the last; a job's time at reference speed
-    uses the six probes around it."""
-    side = SideSamples(wl, plan, seconds, tally)
+    """The seed's first ``wl.timed_rounds(workload, seconds)`` rounds in
+    order, each job once, with the cold starts and batch runs in between.
+    The number of jobs is fixed by the seed and ``seconds``, not by the
+    machine's speed, so a run of the same seed attempts, and fails, the
+    same jobs every time.  A probe runs before every job and after the
+    last; a job's time at reference speed uses the six probes around it."""
+    rounds = wl.timed_rounds(plan.workload, seconds)
+    side = SideSamples(wl, plan, rounds, tally)
     latencies, probes, passed, refs = [], [], 0, []
-    rounds = 0
-    while sum(latencies) < seconds:
-        for job in plan.round(rounds):
+    for r in range(rounds):
+        for job in plan.round(r):
             probes.append(probe())
             ok, out, elapsed = run_library_job(wl, job, tally)
             latencies.append(elapsed)
             passed += ok
-            if rounds == 0 and job.in_batch:
+            if r == 0 and job.in_batch:
                 refs.append(out)
-        rounds += 1
-        side.take_due(sum(latencies), refs)
+        side.take_due(r + 1, refs)
     probes.append(probe())
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     side.take_due(float("inf"), refs)

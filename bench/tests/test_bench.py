@@ -253,3 +253,15 @@ def test_run_fails_without_the_program(tmp_path):
     assert proc.returncode != 0
     assert proc.stdout == ""
 
+
+
+def test_timed_run_attempts_a_number_of_jobs_fixed_by_the_seed():
+    proc = subprocess.run(spec()["command"] + ["--workload", "normalize-scrambled",
+                                               "--seed", "1", "--seconds", "1",
+                                               "--trace", "0"],
+                          cwd=run.ROOT, capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    info = json.loads(proc.stdout.splitlines()[-2])["info"]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert info["rounds"] == wl.timed_rounds("normalize-scrambled", 1) == 1
+    assert result["attempted"] == info["round_jobs"] + run.BATCH_REPEATS * info["batch_jobs"]

@@ -55,7 +55,12 @@ NORMALIZE_ROUND = ((2, (0, 1, 2, 0, 1, 2)), (4, (0, 1, 2, 0, 1, 2)), (8, (0, 1, 
 TENSOR_ROUND = (("xy", 2, 12), ("xy", 4, 2), ("xy", 8, 1),
                 ("xx", 4, 5), ("xx", 8, 2), ("xx", 12, 1),
                 ("rt", 4, 8), ("rt", 8, 14), ("rt", 12, 5))
-# Rounds in the traced run: about as many as one timed run takes per pass.
+# Job seconds of one round, untraced, on the 2-core Xeon VM the benchmark
+# was set up on: a timed run of ``--seconds s`` takes ceil(s / this) rounds.
+# Fixed here rather than measured, so that the jobs a run attempts, and the
+# failures among them, are the same on every run of a seed.
+ROUND_SECONDS = {"normalize-scrambled": 3.0, "tensor-decompose": 5.0}
+# Rounds in the traced run.
 TRACE_ROUNDS = {"normalize-scrambled": 4, "tensor-decompose": 3}
 HOM_MAX_DIM = 16         # the Kronecker system of hom_basis grows as dim**6
 EXTENSION_MAX_DIM = 4    # extension residuals multiply dim**3 algebra elements
@@ -311,6 +316,11 @@ def tensor_round(rng, files=None):
                 y = x if kind == "xx" else random_normal_form(rng, n)
                 jobs.append(tensor_job(x, y, kind, files))
     return jobs
+
+
+def timed_rounds(workload, seconds):
+    """Rounds in a timed run of about ``seconds`` of job time."""
+    return max(1, math.ceil(seconds / ROUND_SECONDS[workload]))
 
 
 class Plan:
