@@ -658,8 +658,10 @@ class K0Class:
     """Formal integer combination of simple labels ``(b, z')`` with ``z'``
     reduced into the ambient strip.
 
-    Keys within ``eps_key`` merge; keys hugging the right strip edge fold to
-    the left edge so equal cosets always collide.
+    Keys within ``eps_key`` merge, the radius scaled by the size of each part
+    of the key above 1, so labels carrying rounding at their own scale still
+    collide; keys hugging the right strip edge fold to the left edge so equal
+    cosets always collide.
     """
 
     def __init__(self, transversal, entries=(), tol=None):
@@ -680,8 +682,10 @@ class K0Class:
         return rep
 
     def _accumulate(self, merged, b, zp, mult):
+        eps = self.tol.eps_key
         for i, (b0, zp0, m0) in enumerate(merged):
-            if abs(b - b0) <= self.tol.eps_key and abs(zp - zp0) <= self.tol.eps_key:
+            if (abs(b - b0) <= eps * max(1.0, abs(b0))
+                    and abs(zp - zp0) <= eps * max(1.0, abs(zp0))):
                 merged[i] = (b0, zp0, m0 + mult)
                 return
         merged.append((b, zp, mult))

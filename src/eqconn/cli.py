@@ -7,7 +7,8 @@ tolerances/parameters used, and residual diagnostics, and contain nothing
 nondeterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 2 when an input fails to parse or violates an
-invariant (the report names it), 1 on internal numerical failure.
+invariant (the report names it), 1 on internal numerical failure.  Inputs
+and reports are strict JSON: ``NaN`` and ``Infinity`` are refused.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 import numpy as np
 
@@ -28,15 +29,24 @@ DEFAULT_TAU = 1.0 - 1.0j
 DEFAULT_THETA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def parse_real(text):
+    """Parse a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
 def parse_complex(text):
     """Parse 're,im' (or a bare real) into a complex number."""
     parts = str(text).split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+        if len(parts) in (1, 2):
+            return complex(*(parse_real(part) for part in parts))
+    except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError("expected 're,im', got %r" % text)
 
@@ -47,15 +57,15 @@ def _add_knobs(parser, suppress):
     d = (lambda value: argparse.SUPPRESS) if suppress else (lambda value: value)
     parser.add_argument("--tau", type=parse_complex, default=d(DEFAULT_TAU),
                         help="modulus as 're,im' (default 1,-1)")
-    parser.add_argument("--theta", type=float, default=d(DEFAULT_THETA),
+    parser.add_argument("--theta", type=parse_real, default=d(DEFAULT_THETA),
                         help="dilation angle (default (sqrt 5 - 1)/2)")
-    parser.add_argument("--transversal-offset", type=float, default=d(0.0),
+    parser.add_argument("--transversal-offset", type=parse_real, default=d(0.0),
                         help="left edge of the strip in Re(z/tau) units")
     parser.add_argument("--truncation", type=int, default=d(16),
                         help="series gauge truncation order")
-    parser.add_argument("--tol-spec", type=float, default=d(1e-8))
-    parser.add_argument("--tol-res", type=float, default=d(1e-9))
-    parser.add_argument("--tol-key", type=float, default=d(1e-7))
+    parser.add_argument("--tol-spec", type=parse_real, default=d(1e-8))
+    parser.add_argument("--tol-res", type=parse_real, default=d(1e-9))
+    parser.add_argument("--tol-key", type=parse_real, default=d(1e-7))
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--d-max", type=int, default=d(64),
                         help="order bound for the finite-monodromy test")
@@ -128,6 +138,10 @@ def build_parser():
 # execution context
 # ---------------------------------------------------------------------------
 
+def _refuse_constant(token):
+    raise ValidationFailure("non-standard JSON token %s in input" % token)
+
+
 class Context:
     def __init__(self, args):
         self.args = args
@@ -144,7 +158,7 @@ class Context:
             except OSError as exc:
                 raise ValidationFailure("cannot read input %r: %s" % (spec, exc))
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ValidationFailure(
                 "malformed JSON in %r: %s (line %d, column %d)"
@@ -413,6 +427,10 @@ def execute(args):
     report = {"command": args.command, "params": ctx.params()}
     try:
         result = COMMANDS[args.command](ctx)
+        try:
+            json.dumps(result, allow_nan=False)
+        except ValueError as exc:
+            raise NumericFailure("result holds a non-finite number: %s" % exc)
         report["inputs_digest"] = ctx.digest()
         report["result"] = result
         return 0, report
@@ -432,7 +450,8 @@ def _render_text(report, stream):
             for key in sorted(value):
                 emit("%s%s." % (prefix, key) if prefix else key + ".", value[key])
         else:
-            stream.write("%s %s\n" % (prefix.rstrip("."), json.dumps(value)))
+            stream.write("%s %s\n" % (prefix.rstrip("."),
+                                       json.dumps(value, allow_nan=False)))
 
     stream.write("command: %s\n" % report["command"])
     stream.write("inputs: %s\n" % report.get("inputs_digest", "-"))
@@ -446,7 +465,8 @@ def _render_text(report, stream):
 def _emit(report, as_json, stream=None):
     stream = stream or sys.stdout
     if as_json:
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False))
         stream.write("\n")
     else:
         _render_text(report, stream)
@@ -461,7 +481,23 @@ def run_argv(argv):
     return execute(args)
 
 
+def _run_job(argv):
+    """Run one batch job; any failure becomes that job's error report, with
+    exit code 2 for bad input and 1 for anything else (its traceback goes to
+    stderr), so the jobs after it still run."""
+    try:
+        return run_argv(argv)
+    except (ValidationFailure, SystemExit) as exc:
+        code, error = 2, exc
+    except Exception as exc:
+        traceback.print_exc()
+        code, error = 1, exc
+    return code, {"command": argv[0] if argv else None,
+                  "error": {"kind": type(error).__name__, "message": str(error)}}
+
+
 def _run_batch(args):
+    """Run the manifest's jobs one after another, in manifest order."""
     with open(args.batch, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     jobs = manifest["jobs"] if isinstance(manifest, dict) else manifest
@@ -469,16 +505,7 @@ def _run_batch(args):
     for job in jobs:
         argv = job["argv"] if isinstance(job, dict) else list(job)
         argvs.append([str(a) for a in argv])
-
-    def run_one(argv):
-        try:
-            return run_argv(argv)
-        except (ValidationFailure, SystemExit) as exc:
-            return 2, {"command": argv[0] if argv else None,
-                       "error": {"kind": type(exc).__name__, "message": str(exc)}}
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(argvs)))) as pool:
-        results = list(pool.map(run_one, argvs))
+    results = [_run_job(argv) for argv in argvs]
     report = {"batch": [r for _, r in results]}
     _emit(report, args.json)
     return max((code for code, _ in results), default=0)

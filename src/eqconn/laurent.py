@@ -6,11 +6,12 @@ value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 ``z -> q z``.  Values are kept in canonical sparse form, meaning exact-zero
 coefficient matrices are never stored.
 
-Gauge transformations come in two flavours.  Exactly invertible gauges
-(constant invertible matrices and diagonal matrices of monomials) are applied
-in closed form; series gauges with invertible constant term are applied
-through a truncated inverse, and the result records the size of the first
-discarded order in its ``diagnostics`` mapping.
+A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
+one body does both.  Constant and diagonal monomial gauges are exact, the
+latter an array shift of entries; series gauges go through a truncated
+inverse and record the first discarded order in ``diagnostics``.  Products
+sum in ``terms`` order and normalization residuals sit near their limits, so
+the shift inserts output powers in the order a row-major pass reaches them.
 """
 
 from dataclasses import dataclass
@@ -71,13 +72,9 @@ class PolyMat:
     @classmethod
     def monomial_diag(cls, exponents, tau, q):
         """diag(z**k_1, ..., z**k_n)."""
-        exponents = [int(k) for k in exponents]
-        dim = len(exponents)
-        terms = {}
-        for i, k in enumerate(exponents):
-            coeff = terms.setdefault(k, np.zeros((dim, dim), dtype=complex))
-            coeff[i, i] = 1.0
-        return cls(dim, terms, tau, q)
+        exponents = np.array(exponents, dtype=int)
+        return cls(len(exponents), {k: np.diag((exponents == k).astype(complex))
+                                    for k in exponents.tolist()}, tau, q)
 
     # -- views ---------------------------------------------------------------
 
@@ -183,21 +180,6 @@ class PolyMat:
                 if k <= hi and (lo is None or k >= lo)}
         return PolyMat(self.dim, kept, self.tau, self.q)
 
-    def prune(self, threshold):
-        kept = {k: c for k, c in self.terms.items()
-                if np.linalg.norm(c) > threshold}
-        return PolyMat(self.dim, kept, self.tau, self.q)
-
-
-def delta_apply(f):
-    """Module-level alias for the derivation."""
-    return f.delta()
-
-
-def q_dilate(f):
-    """Module-level alias for the dilation substitution."""
-    return f.dilate()
-
 
 def truncated_inverse(f, order):
     """Series inverse of ``f`` through power ``order``.
@@ -226,47 +208,42 @@ def truncated_inverse(f, order):
 # gauge transformations
 # ---------------------------------------------------------------------------
 
-def _monomial_diag_data(p):
-    """Return ``(exponents, values)`` when p is diagonal with one monomial per
-    diagonal slot, else None."""
-    exps = [None] * p.dim
-    vals = [0.0j] * p.dim
-    for k, coeff in p.terms.items():
-        if np.any(coeff - np.diag(np.diag(coeff))):
-            return None
-        for i in range(p.dim):
-            v = coeff[i, i]
-            if v != 0.0:
-                if exps[i] is not None:
-                    return None
-                exps[i], vals[i] = k, v
-    if any(e is None for e in exps):
+def _monomial_gauge(p):
+    """Return ``(exponents, values)`` as arrays when p is diagonal with one
+    monomial per diagonal slot, else None."""
+    stack = np.array(list(p.terms.values()))
+    diags = np.diagonal(stack, axis1=1, axis2=2)
+    if np.any(stack - diags[:, :, None] * np.eye(p.dim)):
         return None
-    return exps, vals
+    hits = diags != 0
+    if np.any(hits.sum(axis=0) != 1):
+        return None
+    slot = hits.argmax(axis=0)
+    return np.fromiter(p.terms, dtype=int)[slot], diags[slot, np.arange(p.dim)]
 
 
-def _shift_entries(a, exps, left_vals, right_vals):
-    """Entrywise map A_ij(z) -> (1/l_i) A_ij(z) * r_j * z**(e_j - e_i)."""
-    terms = {}
-    for k, coeff in a.terms.items():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                v = coeff[i, j]
-                if v == 0.0:
-                    continue
-                kk = k + exps[j] - exps[i]
-                dest = terms.setdefault(kk, np.zeros((a.dim, a.dim), dtype=complex))
-                dest[i, j] += v * right_vals[j] / left_vals[i]
-    return PolyMat(a.dim, terms, a.tau, a.q)
+def _shift(a, exps, vals):
+    """Entrywise map ``A_ij(z) -> (A_ij(z) * v_j / v_i) * z**(e_j - e_i)``,
+    inserting output powers in the order a pass over the input powers,
+    row-major over nonzero entries, first reaches them."""
+    stack = np.array(list(a.terms.values()), dtype=complex).reshape(-1, a.dim, a.dim)
+    ks, rows, cols = np.nonzero(stack)
+    powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
+    found, first, slot = np.unique(powers, return_index=True, return_inverse=True)
+    v, r = stack[ks, rows, cols], vals[cols]
+    # formed part by part, as a scalar complex product is: numpy's vectorised
+    # complex product may round differently
+    moved = np.empty_like(v)
+    moved.real = v.real * r.real - v.imag * r.imag
+    moved.imag = v.real * r.imag + v.imag * r.real
+    out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
+    out[slot, rows, cols] += moved / vals[rows]   # onto zeros: a -0.0 part ends +0.0
+    return PolyMat(a.dim, {int(found[t]): out[t] for t in np.argsort(first)},
+                   a.tau, a.q)
 
 
-def gauge_transform(a, p, order=None):
-    """Connection-matrix transport ``P^-1 A P + P^-1 delta(P)``.
-
-    Exact for constant invertible gauges and for diagonal monomial gauges;
-    series gauges require a truncation ``order`` and the result is cut there,
-    recording the norm of the first discarded coefficient.
-    """
+def _transport(a, p, order, drift):
+    """``P^-1 A P``, plus ``P^-1 delta(P)`` when ``drift`` is set."""
     if a.dim != p.dim:
         raise ValidationFailure("gauge dimension mismatch")
     if p.is_constant():
@@ -276,57 +253,38 @@ def gauge_transform(a, p, order=None):
         c_inv = np.linalg.inv(c)
         return PolyMat(a.dim, {k: c_inv @ coeff @ c for k, coeff in a.terms.items()},
                        a.tau, a.q)
-    mono = _monomial_diag_data(p)
+    mono = _monomial_gauge(p)
     if mono is not None:
         exps, vals = mono
-        if any(v == 0.0 for v in vals):
-            raise ValidationFailure("monomial gauge has a zero diagonal entry")
-        out = _shift_entries(a, exps, vals, vals)
-        drift = np.diag([a.tau * e for e in exps]).astype(complex)
-        return out + PolyMat.constant(drift, a.tau, a.q)
+        out = _shift(a, exps, vals)
+        if drift:
+            out = out + PolyMat.constant(np.diag([a.tau * e for e in exps.tolist()]),
+                                         a.tau, a.q)
+        return out
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
     p_inv = truncated_inverse(p, order)
-    full = p_inv * (a * p) + p_inv * p.delta()
+    full = p_inv * (a * p)
+    if drift:
+        full = full + p_inv * p.delta()
     result = full.truncate(order)
     tail = full.terms.get(order + 1)
     result.diagnostics["truncation_residual"] = (
         float(np.linalg.norm(tail)) if tail is not None else 0.0)
     return result
+
+
+def gauge_transform(a, p, order=None):
+    """Connection-matrix transport ``P^-1 A P + P^-1 delta(P)``; a series
+    gauge needs a truncation ``order`` and the result is cut there."""
+    return _transport(a, p, order, drift=True)
 
 
 def dilation_transform(b, p, order=None):
-    """Dilation-matrix transport ``P(z)^-1 B(z) P(z)``: plain conjugation,
-    with no derivation drift.
-
-    This is the bookkeeping under which monomial shears leave the dilation
-    data of one-dimensional objects untouched, so strip-shifted presentations
-    of one object carry literally equal labels.
-    """
-    if b.dim != p.dim:
-        raise ValidationFailure("gauge dimension mismatch")
-    if p.is_constant():
-        c = p.term(0)
-        if abs(np.linalg.det(c)) == 0.0:
-            raise ValidationFailure("constant gauge is singular")
-        c_inv = np.linalg.inv(c)
-        return PolyMat(b.dim, {k: c_inv @ coeff @ c for k, coeff in b.terms.items()},
-                       b.tau, b.q)
-    mono = _monomial_diag_data(p)
-    if mono is not None:
-        exps, vals = mono
-        if any(v == 0.0 for v in vals):
-            raise ValidationFailure("monomial gauge has a zero diagonal entry")
-        return _shift_entries(b, exps, vals, vals)
-    if order is None:
-        raise ValidationFailure("series gauge needs an explicit truncation order")
-    p_inv = truncated_inverse(p, order)
-    full = p_inv * (b * p)
-    result = full.truncate(order)
-    tail = full.terms.get(order + 1)
-    result.diagnostics["truncation_residual"] = (
-        float(np.linalg.norm(tail)) if tail is not None else 0.0)
-    return result
+    """Dilation-matrix transport ``P^-1 B P``: no derivation drift, so monomial
+    shears leave the dilation data of one-dimensional objects untouched and
+    strip-shifted presentations of one object carry literally equal labels."""
+    return _transport(b, p, order, drift=False)
 
 
 # ---------------------------------------------------------------------------

@@ -292,13 +292,6 @@ class SpectralData:
     def eigenvalues(self):
         return [c.eigenvalue for c in self.clusters]
 
-    def block_ranges(self):
-        out, start = [], 0
-        for c in self.clusters:
-            out.append((start, start + c.multiplicity))
-            start += c.multiplicity
-        return out
-
 
 def _cluster_indices(values, radius):
     """Connected components of the proximity graph |v_i - v_j| <= radius,
@@ -443,6 +436,28 @@ def _atomic_log_series(block, lam):
     return out
 
 
+def _cluster_shifts(t, blocks, transversal, to_strip):
+    """One strip shift per cluster of the cluster-ordered triangular ``t``:
+    the shift that reduces ``to_strip`` of the cluster's mean eigenvalue.
+
+    A cluster whose members would individually reduce by other shifts is
+    flagged with a ``TransversalBranchWarning`` giving the boundary distance.
+    """
+    shifts = []
+    for (s0, s1, lam) in blocks:
+        _, shift = transversal.reduce(to_strip(lam))
+        shifts.append(shift)
+        if any(transversal.reduce(to_strip(member))[1] != shift
+               for member in np.diag(t)[s0:s1]):
+            warnings.warn(
+                "cluster at %s straddles a strip boundary; shift forced to %d "
+                "(boundary distance %.3e)"
+                % (lam, shift, transversal.boundary_distance(to_strip(lam))),
+                TransversalBranchWarning,
+            )
+    return shifts
+
+
 def log_transversal(m, transversal, tol=None):
     """Matrix A with ``exp(2*pi*i*A/tau) = m`` and spectrum inside the strip.
 
@@ -458,48 +473,31 @@ def log_transversal(m, transversal, tol=None):
     if smin <= tol.eps_res * mat_norm(m):
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     t, q, blocks = _clustered_schur(m, tol)
-
     scale = tau / TWO_PI_I
-    branch = {}
-    for (s0, s1, lam) in blocks:
-        _, shift = transversal.reduce(scale * cmath.log(lam))
-        branch[(s0, s1)] = shift
-        for member in np.diag(t)[s0:s1]:
-            _, member_shift = transversal.reduce(scale * cmath.log(member))
-            if member_shift != shift:
-                dist = transversal.boundary_distance(scale * cmath.log(lam))
-                warnings.warn(
-                    "cluster at %s straddles a strip boundary; branch forced "
-                    "to shift %d (boundary distance %.3e)" % (lam, shift, dist),
-                    TransversalBranchWarning,
-                )
-                break
-
-    def atomic_for(s0, s1, lam):
-        shift = branch[(s0, s1)]
-        w = cmath.log(lam) - TWO_PI_I * shift
-
-        def run(block, _lam):
-            return scale * (w * np.eye(block.shape[0])
-                            + _atomic_log_series(block, lam))
-
-        return run
-
-    f = _funm_with_block_atomics(t, blocks, atomic_for)
+    shifts = _cluster_shifts(t, blocks, transversal, lambda z: scale * cmath.log(z))
+    diagonal = [_log_atomic(t[s0:s1, s0:s1], lam, shift, scale)
+                for (s0, s1, lam), shift in zip(blocks, shifts)]
+    f = _funm_with_block_atomics(t, blocks, diagonal)
     return q @ f @ q.conj().T
 
 
-def _funm_with_block_atomics(t, blocks, atomic_for):
+def _log_atomic(block, lam, shift, scale):
+    """``scale`` times the branch of log(block) lowered by ``shift`` turns."""
+    w = cmath.log(lam) - TWO_PI_I * shift
+    return scale * (w * np.eye(block.shape[0]) + _atomic_log_series(block, lam))
+
+
+def _funm_with_block_atomics(t, blocks, diagonal):
     """Block Parlett recurrence on a cluster-ordered triangular matrix.
 
-    ``atomic_for(start, stop, lam)`` returns the evaluator for the diagonal
-    block on rows ``start:stop``; off-diagonal blocks follow from Sylvester
-    solves, which are well posed because distinct clusters are separated.
+    ``diagonal`` holds the function's value on each diagonal block;
+    off-diagonal blocks follow from Sylvester solves, which are well posed
+    because distinct clusters are separated.
     """
     n = t.shape[0]
     f = np.zeros((n, n), dtype=complex)
-    for (s0, s1, lam) in blocks:
-        f[s0:s1, s0:s1] = atomic_for(s0, s1, lam)(t[s0:s1, s0:s1], lam)
+    for (s0, s1, _), block in zip(blocks, diagonal):
+        f[s0:s1, s0:s1] = block
     nb = len(blocks)
     for gap in range(1, nb):
         for ib in range(nb - gap):
@@ -526,30 +524,11 @@ def reduce_to_transversal(a, transversal, tol=None):
     tol = tol or DEFAULT_TOL
     a = as_square_matrix(a)
     t, q, blocks = _clustered_schur(a, tol)
-    shifts = []
-    for (s0, s1, lam) in blocks:
-        _, shift = transversal.reduce(lam)
-        shifts.append((lam, shift))
-        for member in np.diag(t)[s0:s1]:
-            _, member_shift = transversal.reduce(member)
-            if member_shift != shift:
-                warnings.warn(
-                    "cluster at %s straddles a strip boundary; shift forced "
-                    "to %d (boundary distance %.3e)"
-                    % (lam, shift, transversal.boundary_distance(lam)),
-                    TransversalBranchWarning,
-                )
-                break
-    if all(s == 0 for _, s in shifts):
-        return a.copy(), shifts
-
-    def atomic_for(s0, s1, lam):
-        _, shift = transversal.reduce(lam)
-
-        def run(block, _lam):
-            return block - (shift * transversal.tau) * np.eye(block.shape[0])
-
-        return run
-
-    f = _funm_with_block_atomics(t, blocks, atomic_for)
-    return q @ f @ q.conj().T, shifts
+    shifts = _cluster_shifts(t, blocks, transversal, lambda z: z)
+    pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
+    if all(s == 0 for s in shifts):
+        return a.copy(), pairs
+    diagonal = [t[s0:s1, s0:s1] - (shift * transversal.tau) * np.eye(s1 - s0)
+                for (s0, s1, _), shift in zip(blocks, shifts)]
+    f = _funm_with_block_atomics(t, blocks, diagonal)
+    return q @ f @ q.conj().T, pairs

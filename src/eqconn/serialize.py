@@ -5,11 +5,13 @@ are row-major nested arrays of those.  Laurent matrices list their terms as
 ``{"pow": k, "coef": <matrix>}``; algebra elements list monomials as
 ``{"n1": ., "n2": ., "c": [re, im]}``; divisors list ``{"p": [re, im],
 "mult": k}``.  Decoders validate shape and raise ``ValidationFailure`` with
-a description of the offending field.
+a description of the offending field; numbers must be finite, integer fields
+take integers only, and booleans are not numbers.
 """
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -25,11 +27,22 @@ def encode_complex(z):
     return [z.real, z.imag]
 
 
+def _number(value, field, integer=False):
+    """A JSON number read as an int when ``integer`` is set, else as a finite
+    float; anything else, booleans included, raises ValidationFailure."""
+    if not isinstance(value, bool):
+        if isinstance(value, int) and (integer or abs(value) <= sys.float_info.max):
+            return value if integer else float(value)
+        if isinstance(value, float) and not integer and math.isfinite(value):
+            return value
+    raise ValidationFailure("%s must be %s, got %r" % (
+        field, "an integer" if integer else "a finite number", value))
+
+
 def decode_complex(data, field="complex value"):
-    if (not isinstance(data, (list, tuple)) or len(data) != 2
-            or not all(isinstance(x, (int, float)) for x in data)):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValidationFailure("%s must be a [re, im] pair, got %r" % (field, data))
-    return complex(data[0], data[1])
+    return complex(_number(data[0], field), _number(data[1], field))
 
 
 def encode_matrix(m):
@@ -70,14 +83,16 @@ def decode_polymat_terms(data, dim, tau, q, field="terms"):
     for entry in data:
         if not isinstance(entry, dict) or "pow" not in entry or "coef" not in entry:
             raise ValidationFailure("%s entries need 'pow' and 'coef'" % field)
-        terms[int(entry["pow"])] = decode_matrix(entry["coef"], field + " coef")
+        terms[_number(entry["pow"], field + " pow", integer=True)] = decode_matrix(
+            entry["coef"], field + " coef")
     return PolyMat(dim, terms, tau, q)
 
 
 def decode_polymat(data, tau, q):
     if not isinstance(data, dict) or "dim" not in data or "terms" not in data:
         raise ValidationFailure("Laurent matrix needs 'dim' and 'terms'")
-    return decode_polymat_terms(data["terms"], int(data["dim"]), tau, q)
+    return decode_polymat_terms(data["terms"], _number(data["dim"], "dim", integer=True),
+                                tau, q)
 
 
 # -- objects and normal forms -----------------------------------------------------
@@ -100,12 +115,12 @@ def decode_object(data):
         if key not in data:
             raise ValidationFailure("object is missing field %r" % key)
     tau = decode_complex(data["tau"], "tau")
-    theta = float(data["theta"])
-    dim = int(data["dim"])
+    theta = _number(data["theta"], "theta")
+    dim = _number(data["dim"], "dim", integer=True)
     q = theta_to_q(theta)
     a = decode_polymat_terms(data["A"], dim, tau, q, "A")
     b = decode_polymat_terms(data["B"], dim, tau, q, "B")
-    offset = float(data.get("transversal_offset", 0.0))
+    offset = _number(data.get("transversal_offset", 0.0), "transversal_offset")
     return EquivariantConnection(a, b, theta, tau, Transversal(tau, offset))
 
 
@@ -154,8 +169,9 @@ def decode_normal_form(data):
     return NormalForm(
         decode_matrix(data["A0"], "A0"),
         decode_matrix(data["B0"], "B0"),
-        Transversal(tau, float(data.get("transversal_offset", 0.0))),
-        float(data["theta"]),
+        Transversal(tau, _number(data.get("transversal_offset", 0.0),
+                                 "transversal_offset")),
+        _number(data["theta"], "theta"),
         tau,
     )
 
@@ -217,12 +233,13 @@ def decode_k0(data, tol=None):
         if key not in data:
             raise ValidationFailure("K-class is missing field %r" % key)
     tau = decode_complex(data["tau"], "tau")
-    strip = Transversal(tau, float(data.get("transversal_offset", 0.0)))
+    strip = Transversal(tau, _number(data.get("transversal_offset", 0.0),
+                                     "transversal_offset"))
     entries = []
     for term in data["terms"]:
         entries.append((decode_complex(term["b"], "b"),
                         decode_complex(term["zprime"], "zprime"),
-                        int(term["mult"])))
+                        _number(term["mult"], "mult", integer=True)))
     return K0Class(strip, entries, tol)
 
 
@@ -238,7 +255,7 @@ def decode_divisor(data, tol=None):
         if key not in data:
             raise ValidationFailure("divisor is missing field %r" % key)
     tau = decode_complex(data["tau"], "tau")
-    points = [(decode_complex(entry["p"], "p"), int(entry["mult"]))
+    points = [(decode_complex(entry["p"], "p"), _number(entry["mult"], "mult", integer=True))
               for entry in data["points"]]
     return Divisor(tau, points, tol)
 
@@ -258,8 +275,10 @@ def decode_torus_poly(data):
         raise ValidationFailure("algebra element needs 'theta' and 'coeffs'")
     coeffs = {}
     for entry in data["coeffs"]:
-        coeffs[(int(entry["n1"]), int(entry["n2"]))] = decode_complex(entry["c"], "c")
-    return TorusPoly(float(data["theta"]), coeffs)
+        key = (_number(entry["n1"], "n1", integer=True),
+               _number(entry["n2"], "n2", integer=True))
+        coeffs[key] = decode_complex(entry["c"], "c")
+    return TorusPoly(_number(data["theta"], "theta"), coeffs)
 
 
 def encode_free_bundle(fb):
@@ -276,4 +295,5 @@ def decode_free_bundle(data):
         if key not in data:
             raise ValidationFailure("bundle is missing field %r" % key)
     conn = [[decode_torus_poly(entry) for entry in row] for row in data["conn"]]
-    return FreeBundle(float(data["theta"]), decode_complex(data["tau"], "tau"), conn)
+    return FreeBundle(_number(data["theta"], "theta"), decode_complex(data["tau"], "tau"),
+                      conn)

@@ -145,14 +145,6 @@ class Omega:
             raise ValidationFailure("derivation direction must be nonzero")
 
 
-def delta_j(x, j):
-    return x.delta(j)
-
-
-def delta_omega(x, omega):
-    return x.delta_omega(omega)
-
-
 # ---------------------------------------------------------------------------
 # modular automorphisms
 # ---------------------------------------------------------------------------

@@ -398,6 +398,15 @@ def test_k0_arithmetic():
     assert s.total_degree() == 3
 
 
+def test_k0_keys_merge_at_the_scale_of_the_labels():
+    # rounding of large dilation labels exceeds the absolute key radius
+    assert K0Class(STRIP, [(9e7, 0.1, 1)]) == K0Class(STRIP, [(9e7 + 4e-7, 0.1, 1)])
+    cls = K0Class(STRIP, [(3e4, 0.1, 1), (3e4 + 1.2e-7, 0.1, 1)])
+    assert len(cls.entries) == 1 and cls.entries[0][2] == 2
+    # the radius stays absolute below 1
+    assert len(K0Class(STRIP, [(0.5, 0.1, 1), (0.5 + 2e-7, 0.1, 1)]).entries) == 2
+
+
 def test_operation_outputs_commute_posthoc():
     rng = np.random.default_rng(17)
     x = random_normal_form(rng, 2)

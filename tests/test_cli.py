@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eqconn import cli
 from eqconn.category import MonodromyPair
 from eqconn.cli import main, parse_complex
 from eqconn.serialize import (
@@ -224,3 +225,70 @@ def test_batch_mode(capsys, tmp_path):
     assert len(report["batch"]) == 3
     assert report["batch"][0]["result"]["wd"] == 2.0
     assert report["batch"][2]["result"]["phase"] == 0.5
+
+
+def scalar_object(pow_a=0, theta=0.5):
+    return {"tau": [1.0, -1.0], "theta": theta, "dim": 1,
+            "A": [{"pow": pow_a, "coef": [[[0.1, 0.0]]]}],
+            "B": [{"pow": 0, "coef": [[[1.0, 0.0]]]}]}
+
+
+def test_non_integer_power_exits_2(capsys):
+    code, report = run_json(capsys, ["normalize", json.dumps(scalar_object(pow_a="x"))])
+    assert code == 2
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert "pow" in report["error"]["message"]
+
+
+def test_non_finite_theta_in_object_exits_2(capsys):
+    code, report = run_json(capsys, ["normalize", json.dumps(scalar_object(theta="nan"))])
+    assert code == 2 and report["error"]["kind"] == "ValidationFailure"
+    # the bare token is not JSON either
+    text = json.dumps(scalar_object()).replace('"theta": 0.5', '"theta": NaN')
+    code, report = run_json(capsys, ["normalize", text])
+    assert code == 2 and "NaN" in report["error"]["message"]
+
+
+def test_non_finite_theta_option_exits_2(capsys):
+    for argv in (["--theta", "nan", "wd"], ["wd", "--theta", "inf"],
+                 ["--tau", "nan,1", "wd"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_result_is_a_numeric_failure(capsys, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "wd", lambda ctx: {"wd": float("nan")})
+    code, out = run(capsys, ["--json", "wd"])
+    assert code == 1
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
+
+
+def test_batch_reports_each_failing_job(capsys, tmp_path):
+    bad = json.dumps(scalar_object(pow_a="x"))
+    path = write(tmp_path, "manifest.json",
+                 [["wd", "--tau", "1,-1"], ["normalize", bad], ["wd", "--tau", "1,-1"]])
+    code, out = run(capsys, ["--json", "--batch", path])
+    assert code == 2
+    first, failed, last = json.loads(out)["batch"]
+    assert first["result"]["wd"] == last["result"]["wd"] == 2.0
+    assert failed["error"]["kind"] == "ValidationFailure"
+
+
+def test_batch_survives_an_unexpected_exception(capsys, tmp_path, monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "phase", boom)
+    path = write(tmp_path, "manifest.json",
+                 [["phase", "--m", "0", "--n", "2"], ["wd", "--tau", "1,-1"]])
+    code = main(["--json", "--batch", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "RuntimeError: boom" in captured.err
+    failed, ok = json.loads(captured.out)["batch"]
+    assert failed["command"] == "phase"
+    assert failed["error"] == {"kind": "RuntimeError", "message": "boom"}
+    assert ok["result"]["wd"] == 2.0

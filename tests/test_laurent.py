@@ -237,6 +237,154 @@ def test_dilation_transform_monomial_conjugation():
     assert recon.distance(direct) < 1e-10
 
 
+# --- reference: the per-entry transports ----------------------------------------------
+# The two transports as first written, one loop iteration per matrix entry; the
+# array shift must match them to the bit and in the order of the powers.
+
+def ref_monomial_diag_data(p):
+    exps = [None] * p.dim
+    vals = [0.0j] * p.dim
+    for k, coeff in p.terms.items():
+        if np.any(coeff - np.diag(np.diag(coeff))):
+            return None
+        for i in range(p.dim):
+            v = coeff[i, i]
+            if v != 0.0:
+                if exps[i] is not None:
+                    return None
+                exps[i], vals[i] = k, v
+    if any(e is None for e in exps):
+        return None
+    return exps, vals
+
+
+def ref_shift_entries(a, exps, left_vals, right_vals):
+    terms = {}
+    for k, coeff in a.terms.items():
+        for i in range(a.dim):
+            for j in range(a.dim):
+                v = coeff[i, j]
+                if v == 0.0:
+                    continue
+                kk = k + exps[j] - exps[i]
+                dest = terms.setdefault(kk, np.zeros((a.dim, a.dim), dtype=complex))
+                dest[i, j] += v * right_vals[j] / left_vals[i]
+    return PolyMat(a.dim, terms, a.tau, a.q)
+
+
+def ref_gauge_transform(a, p, order=None):
+    if p.is_constant():
+        c = p.term(0)
+        c_inv = np.linalg.inv(c)
+        return PolyMat(a.dim, {k: c_inv @ coeff @ c for k, coeff in a.terms.items()},
+                       a.tau, a.q)
+    mono = ref_monomial_diag_data(p)
+    if mono is not None:
+        exps, vals = mono
+        out = ref_shift_entries(a, exps, vals, vals)
+        drift = np.diag([a.tau * e for e in exps]).astype(complex)
+        return out + PolyMat.constant(drift, a.tau, a.q)
+    p_inv = truncated_inverse(p, order)
+    full = p_inv * (a * p) + p_inv * p.delta()
+    result = full.truncate(order)
+    tail = full.terms.get(order + 1)
+    result.diagnostics["truncation_residual"] = (
+        float(np.linalg.norm(tail)) if tail is not None else 0.0)
+    return result
+
+
+def ref_dilation_transform(b, p, order=None):
+    if p.is_constant():
+        c = p.term(0)
+        c_inv = np.linalg.inv(c)
+        return PolyMat(b.dim, {k: c_inv @ coeff @ c for k, coeff in b.terms.items()},
+                       b.tau, b.q)
+    mono = ref_monomial_diag_data(p)
+    if mono is not None:
+        exps, vals = mono
+        return ref_shift_entries(b, exps, vals, vals)
+    p_inv = truncated_inverse(p, order)
+    full = p_inv * (b * p)
+    result = full.truncate(order)
+    tail = full.terms.get(order + 1)
+    result.diagnostics["truncation_residual"] = (
+        float(np.linalg.norm(tail)) if tail is not None else 0.0)
+    return result
+
+
+def sparse_pm(rng, dim, powers):
+    """Random coefficients at ``powers`` (kept in the given, unsorted order)
+    with about a third of the entries exactly zero, some of them -0.0, and
+    some nonzero entries with a -0.0 part."""
+    terms = {}
+    for k in powers:
+        c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        c[rng.random(size=(dim, dim)) < 0.3] = 0.0
+        c[rng.random(size=(dim, dim)) < 0.1] = complex(-0.0, -0.0)
+        c[rng.random(size=(dim, dim)) < 0.1] = complex(-0.0, 0.5)
+        terms[k] = c
+    return PolyMat(dim, terms, TAU, Q)
+
+
+def seeded_gauges(rng, dim):
+    """A constant, a unit and a non-unit diagonal monomial, and a series gauge."""
+    exps = [int(e) for e in rng.integers(-2, 3, size=dim)]
+    if all(e == exps[0] for e in exps):
+        exps[0] += 1
+    vals = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    scaled = {}
+    for i, (e, v) in enumerate(zip(exps, vals)):
+        scaled.setdefault(e, np.zeros((dim, dim), dtype=complex))[i, i] = v
+    return {
+        "constant": PolyMat.constant(rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim),
+                                     TAU, Q),
+        "monomial": PolyMat.monomial_diag(exps, TAU, Q),
+        "scaled monomial": PolyMat(dim, scaled, TAU, Q),
+        "series": PolyMat(dim, {0: np.eye(dim), 1: 0.3 * rng.normal(size=(dim, dim)),
+                                2: 0.2 * rng.normal(size=(dim, dim))}, TAU, Q),
+    }
+
+
+def same_bits(x, y):
+    return (list(x.terms) == list(y.terms)
+            and all(x.terms[k].tobytes() == y.terms[k].tobytes() for k in x.terms)
+            and x.diagnostics == y.diagnostics)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transports_match_per_entry_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    dim = (1, 2, 3, 4, 5, 6)[seed]
+    a = sparse_pm(rng, dim, [1, -2, 3, 0, -1][:2 + seed % 4])
+    for kind, p in seeded_gauges(rng, dim).items():
+        for x in (a, PolyMat.zero(dim, TAU, Q)):
+            for new, ref in ((gauge_transform, ref_gauge_transform),
+                             (dilation_transform, ref_dilation_transform)):
+                assert same_bits(new(x, p, 6), ref(x, p, 6)), (kind, new.__name__)
+
+
+def test_monomial_diag_keeps_first_appearance_order():
+    p = PolyMat.monomial_diag([2, -1, 2, 0], TAU, Q)
+    assert list(p.terms) == [2, -1, 0]
+    assert np.array_equal(p.terms[2], np.diag([1.0, 0.0, 1.0, 0.0]))
+    assert ref_monomial_diag_data(p) == ([2, -1, 2, 0], [1.0] * 4)
+
+
+def test_transports_differ_by_the_drift():
+    rng = np.random.default_rng(12)
+    a = sparse_pm(rng, 3, [0, 2, 1])
+    for kind, p in seeded_gauges(rng, 3).items():
+        mono = ref_monomial_diag_data(p)
+        if p.is_constant():
+            drift = PolyMat.zero(3, TAU, Q)
+        elif mono is not None:
+            drift = PolyMat.constant(np.diag([TAU * e for e in mono[0]]), TAU, Q)
+        else:
+            drift = (truncated_inverse(p, 6) * p.delta()).truncate(6)
+        gap = gauge_transform(a, p, 6) - dilation_transform(a, p, 6)
+        assert gap.distance(drift) < 1e-12 * (1.0 + a.norm()), kind
+
+
 # --- shearing -----------------------------------------------------------------------
 
 def test_shear_zero_shifts_is_identity():

@@ -1,6 +1,7 @@
 """Tests for the dense-matrix kernel and lattice-strip utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eqconn.numkit import (
     SL2Z,
     Tolerances,
     Transversal,
+    TransversalBranchWarning,
     find_small_width,
     log_transversal,
     mat_exp,
@@ -262,6 +264,20 @@ def test_reduce_matrix_tensor_sum_of_scalars():
     out, shifts = reduce_to_transversal(a, t)
     assert abs(out[0, 0] - 0.3 * TAU) < 1e-12
     assert shifts[0][1] == 1
+
+
+def test_cluster_straddling_the_strip_edge_warns_once():
+    # one cluster whose members sit 1e-9 either side of Re(z/tau) = 0
+    t = Transversal(TAU)
+    z = 0.3j * TAU
+    a = np.diag([z - 1e-9 * TAU, z + 1e-9 * TAU])
+    for fn, arg in ((reduce_to_transversal, a),
+                    (log_transversal, mat_exp(TWO_PI_I * a / TAU))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(arg, t)
+        branch = [w for w in caught if issubclass(w.category, TransversalBranchWarning)]
+        assert len(branch) == 1, (fn.__name__, [str(w.message) for w in caught])
 
 
 # --- kernels -------------------------------------------------------------------
