@@ -44,6 +44,7 @@ from .laurent import (
 from .numkit import (
     DEFAULT_TOL,
     Transversal,
+    _clustered_schur,
     log_transversal,
     mat_exp,
     nullspace,
@@ -612,46 +613,28 @@ def _lex_key(z):
 
 
 def decompose(nf, tol=None):
-    """Composition series as the ordered list of simple labels ``(lam, b)``.
+    """Composition series as the list of simple labels ``(lam, b)``, sorted
+    lexicographically on (Re, Im) of ``lam``, then of ``b``.
 
-    Repeatedly extracts a joint eigenvector of the commuting pair (smallest
-    label in the lexicographic order on (Re, Im) for determinism) and passes
-    to the quotient; the resulting multiset is the joint spectrum with
-    multiplicity.
+    One clustered Schur form of A0 puts each eigenvalue cluster in a
+    contiguous diagonal block.  B0 commutes with A0, so in the same basis it
+    is block upper triangular on those clusters; a cluster's labels pair its
+    eigenvalue with each eigenvalue of its diagonal block of B0, and the
+    multiset of labels is the joint spectrum with multiplicity.  A part of
+    B0 below the blocks larger than ``eps_key`` relative to B0 means the pair
+    does not commute to that accuracy and raises ``NumericFailure``.
     """
     tol = tol or DEFAULT_TOL
-    a = nf.A0.copy()
-    b = nf.B0.copy()
-    out = []
-    while a.shape[0] > 0:
-        n = a.shape[0]
-        if n == 1:
-            out.append((complex(a[0, 0]), complex(b[0, 0])))
-            break
-        eigs = np.linalg.eigvals(a)
-        lam = min(eigs, key=_lex_key)
-        shifted = a - lam * np.eye(n)
-        space = nullspace(shifted, tol)
-        if space.shape[1] == 0:
-            # eigenvalues scattered beyond the kernel threshold; take the most
-            # singular direction instead
-            _, _, vh = np.linalg.svd(shifted)
-            space = vh[-1:].conj().T
-        b_small = space.conj().T @ b @ space
-        bvals, bvecs = np.linalg.eig(b_small)
-        pick = min(range(len(bvals)), key=lambda i: _lex_key(bvals[i]))
-        w = space @ bvecs[:, pick]
-        w = w / np.linalg.norm(w)
-        lam_w = complex(w.conj() @ a @ w)
-        b_w = complex(w.conj() @ b @ w)
-        out.append((lam_w, b_w))
-        comp = nullspace(w[None, :].conj(), tol)
-        if comp.shape[1] != n - 1:
-            raise NumericFailure("failed to split off a joint eigenvector; "
-                                 "tolerance breach in the commuting pair")
-        a = comp.conj().T @ a @ comp
-        b = comp.conj().T @ b @ comp
-    return out
+    t, q, blocks = _clustered_schur(nf.A0, tol)
+    b = q.conj().T @ nf.B0 @ q
+    cluster = np.repeat(np.arange(len(blocks)), [s1 - s0 for s0, s1, _ in blocks])
+    below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))
+    if below > tol.eps_key * max(1.0, float(np.linalg.norm(nf.B0))):
+        raise NumericFailure("dilation is not block triangular on the eigenvalue "
+                             "clusters of A0: below-block norm %.3e" % below)
+    labels = [(lam, complex(v)) for s0, s1, lam in blocks
+              for v in np.linalg.eigvals(b[s0:s1, s0:s1])]
+    return sorted(labels, key=lambda label: (_lex_key(label[0]), _lex_key(label[1])))
 
 
 class K0Class:

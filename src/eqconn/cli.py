@@ -496,15 +496,40 @@ def _run_job(argv):
                   "error": {"kind": type(error).__name__, "message": str(error)}}
 
 
-def _run_batch(args):
-    """Run the manifest's jobs one after another, in manifest order."""
-    with open(args.batch, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    jobs = manifest["jobs"] if isinstance(manifest, dict) else manifest
+def _read_manifest(path):
+    """The command lines of a batch manifest: a JSON array of jobs, or an
+    object holding one under ``"jobs"``; a job is an array of arguments, or
+    an object holding one under ``"argv"``.  Anything else, and a file that
+    cannot be read or parsed, raises ValidationFailure."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:   # JSON and decoding errors are ValueErrors
+        raise ValidationFailure("cannot read batch manifest %r: %s" % (path, exc))
+    if isinstance(manifest, dict):
+        manifest, = serialize.required_fields(manifest, ("jobs",), "batch manifest")
+    if not isinstance(manifest, list):
+        raise ValidationFailure("batch manifest must hold an array of jobs")
     argvs = []
-    for job in jobs:
-        argv = job["argv"] if isinstance(job, dict) else list(job)
-        argvs.append([str(a) for a in argv])
+    for job in manifest:
+        if isinstance(job, dict):
+            job, = serialize.required_fields(job, ("argv",), "batch job")
+        if not isinstance(job, list):
+            raise ValidationFailure("a batch job must be an array of arguments, "
+                                    "got %s" % type(job).__name__)
+        argvs.append([str(a) for a in job])
+    return argvs
+
+
+def _run_batch(args):
+    """Run the manifest's jobs one after another, in manifest order; a
+    manifest that cannot be read is one error report with exit code 2."""
+    try:
+        argvs = _read_manifest(args.batch)
+    except ValidationFailure as exc:
+        _emit({"command": "batch",
+               "error": {"kind": type(exc).__name__, "message": str(exc)}}, args.json)
+        return 2
     results = [_run_job(argv) for argv in argvs]
     report = {"batch": [r for _, r in results]}
     _emit(report, args.json)

@@ -432,8 +432,9 @@ def _atomic_log_series(block, lam):
         contrib = ((-1) ** (k + 1) / k) * term
         out += contrib
         if mat_norm(contrib) < 1e-18 * (1.0 + mat_norm(out)):
-            break
-    return out
+            return out
+    raise NumericFailure("log series of a %d x %d block at %s did not converge"
+                         % (n, n, lam))
 
 
 def _cluster_shifts(t, blocks, transversal, to_strip):
@@ -488,11 +489,11 @@ def _log_atomic(block, lam, shift, scale):
 
 
 def _funm_with_block_atomics(t, blocks, diagonal):
-    """Block Parlett recurrence on a cluster-ordered triangular matrix.
+    """Block Parlett recurrence on a block-ordered triangular matrix.
 
     ``diagonal`` holds the function's value on each diagonal block;
-    off-diagonal blocks follow from Sylvester solves, which are well posed
-    because distinct clusters are separated.
+    off-diagonal blocks follow from one Sylvester solve per pair of blocks,
+    well posed because distinct blocks hold distinct clusters.
     """
     n = t.shape[0]
     f = np.zeros((n, n), dtype=complex)
@@ -514,12 +515,39 @@ def _funm_with_block_atomics(t, blocks, diagonal):
     return f
 
 
+def _group_by_shift(t, q, blocks, shifts):
+    """Reorder the cluster-ordered Schur form ``q t q^H`` so that clusters
+    sharing a shift sit in one contiguous group, groups in increasing shift.
+
+    LAPACK's ``ztrsen`` moves the selected eigenvalues to the top keeping
+    their order, so selecting every group up to the next boundary, once per
+    boundary, leaves the groups in place.  Returns ``(t, q, groups)`` with
+    groups a list of ``(start, stop, shift)``.
+    """
+    member = np.repeat(shifts, [s1 - s0 for s0, s1, _ in blocks])
+    levels = sorted(set(shifts))
+    for level in levels[:-1]:
+        select = member <= level
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+        if info != 0:
+            raise NumericFailure("Schur reordering by shift failed (info %d)" % info)
+        member = np.concatenate([member[select], member[~select]])
+    groups, start = [], 0
+    for level in levels:
+        stop = start + int(np.count_nonzero(member == level))
+        groups.append((start, stop, level))
+        start = stop
+    return t, q, groups
+
+
 def reduce_to_transversal(a, transversal, tol=None):
     """Shift each eigenvalue cluster of ``a`` by an integer multiple of tau so
     that the full spectrum lands inside the strip.
 
     Returns ``(a_tilde, shifts)`` where shifts lists ``(cluster eigenvalue,
-    integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.
+    integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.  The
+    result is a constant shift on each group of clusters sharing a shift, so
+    the block recurrence runs over those groups, not over the clusters.
     """
     tol = tol or DEFAULT_TOL
     a = as_square_matrix(a)
@@ -528,7 +556,8 @@ def reduce_to_transversal(a, transversal, tol=None):
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
         return a.copy(), pairs
-    diagonal = [t[s0:s1, s0:s1] - (shift * transversal.tau) * np.eye(s1 - s0)
-                for (s0, s1, _), shift in zip(blocks, shifts)]
-    f = _funm_with_block_atomics(t, blocks, diagonal)
+    t, q, groups = _group_by_shift(t, q, blocks, shifts)
+    diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
+                for g0, g1, shift in groups]
+    f = _funm_with_block_atomics(t, groups, diagonal)
     return q @ f @ q.conj().T, pairs

@@ -5,8 +5,9 @@ are row-major nested arrays of those.  Laurent matrices list their terms as
 ``{"pow": k, "coef": <matrix>}``; algebra elements list monomials as
 ``{"n1": ., "n2": ., "c": [re, im]}``; divisors list ``{"p": [re, im],
 "mult": k}``.  Decoders validate shape and raise ``ValidationFailure`` with
-a description of the offending field; numbers must be finite, integer fields
-take integers only, and booleans are not numbers.
+a description of the offending field; every field an entry needs is read
+through ``required_fields``, numbers must be finite, integer fields take
+integers only, and booleans are not numbers.
 """
 
 import cmath
@@ -25,6 +26,25 @@ from .torus import Divisor, FreeBundle, TorusPoly
 def encode_complex(z):
     z = complex(z)
     return [z.real, z.imag]
+
+
+def required_fields(data, keys, what):
+    """The values of ``keys`` in the JSON object ``data``, in order; ``data``
+    that is not an object, or lacks one of the keys, raises ValidationFailure
+    naming ``what``."""
+    if not isinstance(data, dict):
+        raise ValidationFailure("%s must be an object, got %s"
+                                % (what, type(data).__name__))
+    for key in keys:
+        if key not in data:
+            raise ValidationFailure("%s is missing field %r" % (what, key))
+    return [data[key] for key in keys]
+
+
+def _array(data, what):
+    if not isinstance(data, list):
+        raise ValidationFailure("%s must be an array, got %s" % (what, type(data).__name__))
+    return data
 
 
 def _number(value, field, integer=False):
@@ -77,22 +97,17 @@ def encode_polymat(p):
 
 
 def decode_polymat_terms(data, dim, tau, q, field="terms"):
-    if not isinstance(data, list):
-        raise ValidationFailure("%s must be an array of {pow, coef} entries" % field)
     terms = {}
-    for entry in data:
-        if not isinstance(entry, dict) or "pow" not in entry or "coef" not in entry:
-            raise ValidationFailure("%s entries need 'pow' and 'coef'" % field)
-        terms[_number(entry["pow"], field + " pow", integer=True)] = decode_matrix(
-            entry["coef"], field + " coef")
+    for entry in _array(data, field):
+        power, coef = required_fields(entry, ("pow", "coef"), field + " entry")
+        terms[_number(power, field + " pow", integer=True)] = decode_matrix(
+            coef, field + " coef")
     return PolyMat(dim, terms, tau, q)
 
 
 def decode_polymat(data, tau, q):
-    if not isinstance(data, dict) or "dim" not in data or "terms" not in data:
-        raise ValidationFailure("Laurent matrix needs 'dim' and 'terms'")
-    return decode_polymat_terms(data["terms"], _number(data["dim"], "dim", integer=True),
-                                tau, q)
+    dim, terms = required_fields(data, ("dim", "terms"), "Laurent matrix")
+    return decode_polymat_terms(terms, _number(dim, "dim", integer=True), tau, q)
 
 
 # -- objects and normal forms -----------------------------------------------------
@@ -111,15 +126,14 @@ def encode_object(obj):
 def decode_object(data):
     from .category import EquivariantConnection, theta_to_q
 
-    for key in ("tau", "theta", "dim", "A", "B"):
-        if key not in data:
-            raise ValidationFailure("object is missing field %r" % key)
-    tau = decode_complex(data["tau"], "tau")
-    theta = _number(data["theta"], "theta")
-    dim = _number(data["dim"], "dim", integer=True)
+    tau, theta, dim, a, b = required_fields(data, ("tau", "theta", "dim", "A", "B"),
+                                            "object")
+    tau = decode_complex(tau, "tau")
+    theta = _number(theta, "theta")
+    dim = _number(dim, "dim", integer=True)
     q = theta_to_q(theta)
-    a = decode_polymat_terms(data["A"], dim, tau, q, "A")
-    b = decode_polymat_terms(data["B"], dim, tau, q, "B")
+    a = decode_polymat_terms(a, dim, tau, q, "A")
+    b = decode_polymat_terms(b, dim, tau, q, "B")
     offset = _number(data.get("transversal_offset", 0.0), "transversal_offset")
     return EquivariantConnection(a, b, theta, tau, Transversal(tau, offset))
 
@@ -162,16 +176,15 @@ def _encode_diag_value(value):
 
 
 def decode_normal_form(data):
-    for key in ("tau", "theta", "A0", "B0"):
-        if key not in data:
-            raise ValidationFailure("normal form is missing field %r" % key)
-    tau = decode_complex(data["tau"], "tau")
+    tau, theta, a0, b0 = required_fields(data, ("tau", "theta", "A0", "B0"),
+                                         "normal form")
+    tau = decode_complex(tau, "tau")
     return NormalForm(
-        decode_matrix(data["A0"], "A0"),
-        decode_matrix(data["B0"], "B0"),
+        decode_matrix(a0, "A0"),
+        decode_matrix(b0, "B0"),
         Transversal(tau, _number(data.get("transversal_offset", 0.0),
                                  "transversal_offset")),
-        _number(data["theta"], "theta"),
+        _number(theta, "theta"),
         tau,
     )
 
@@ -191,11 +204,8 @@ def encode_monodromy(rep):
 
 
 def decode_monodromy(data):
-    for key in ("M1", "M2"):
-        if key not in data:
-            raise ValidationFailure("representation is missing field %r" % key)
-    return MonodromyPair(decode_matrix(data["M1"], "M1"),
-                         decode_matrix(data["M2"], "M2"))
+    m1, m2 = required_fields(data, ("M1", "M2"), "representation")
+    return MonodromyPair(decode_matrix(m1, "M1"), decode_matrix(m2, "M2"))
 
 
 def encode_morphism(m):
@@ -207,12 +217,10 @@ def encode_morphism(m):
 
 
 def decode_morphism(data):
-    for key in ("source", "target", "phi"):
-        if key not in data:
-            raise ValidationFailure("morphism is missing field %r" % key)
-    source = decode_normal_form(data["source"])
-    target = decode_normal_form(data["target"])
-    phi = (decode_matrix(data["phi"], "phi") if data["phi"]
+    source, target, phi = required_fields(data, ("source", "target", "phi"), "morphism")
+    source = decode_normal_form(source)
+    target = decode_normal_form(target)
+    phi = (decode_matrix(phi, "phi") if phi
            else np.zeros((target.n, source.n), dtype=complex))
     return Morphism(source, target, phi)
 
@@ -229,17 +237,15 @@ def encode_k0(cls):
 
 
 def decode_k0(data, tol=None):
-    for key in ("tau", "terms"):
-        if key not in data:
-            raise ValidationFailure("K-class is missing field %r" % key)
-    tau = decode_complex(data["tau"], "tau")
+    tau, terms = required_fields(data, ("tau", "terms"), "K-class")
+    tau = decode_complex(tau, "tau")
     strip = Transversal(tau, _number(data.get("transversal_offset", 0.0),
                                      "transversal_offset"))
     entries = []
-    for term in data["terms"]:
-        entries.append((decode_complex(term["b"], "b"),
-                        decode_complex(term["zprime"], "zprime"),
-                        _number(term["mult"], "mult", integer=True)))
+    for term in _array(terms, "K-class terms"):
+        b, zprime, mult = required_fields(term, ("b", "zprime", "mult"), "K-class term")
+        entries.append((decode_complex(b, "b"), decode_complex(zprime, "zprime"),
+                        _number(mult, "mult", integer=True)))
     return K0Class(strip, entries, tol)
 
 
@@ -251,12 +257,12 @@ def encode_divisor(div):
 
 
 def decode_divisor(data, tol=None):
-    for key in ("tau", "points"):
-        if key not in data:
-            raise ValidationFailure("divisor is missing field %r" % key)
-    tau = decode_complex(data["tau"], "tau")
-    points = [(decode_complex(entry["p"], "p"), _number(entry["mult"], "mult", integer=True))
-              for entry in data["points"]]
+    tau, entries = required_fields(data, ("tau", "points"), "divisor")
+    tau = decode_complex(tau, "tau")
+    points = []
+    for entry in _array(entries, "divisor points"):
+        p, mult = required_fields(entry, ("p", "mult"), "divisor point")
+        points.append((decode_complex(p, "p"), _number(mult, "mult", integer=True)))
     return Divisor(tau, points, tol)
 
 
@@ -271,14 +277,13 @@ def encode_torus_poly(x):
 
 
 def decode_torus_poly(data):
-    if not isinstance(data, dict) or "theta" not in data or "coeffs" not in data:
-        raise ValidationFailure("algebra element needs 'theta' and 'coeffs'")
+    theta, entries = required_fields(data, ("theta", "coeffs"), "algebra element")
     coeffs = {}
-    for entry in data["coeffs"]:
-        key = (_number(entry["n1"], "n1", integer=True),
-               _number(entry["n2"], "n2", integer=True))
-        coeffs[key] = decode_complex(entry["c"], "c")
-    return TorusPoly(_number(data["theta"], "theta"), coeffs)
+    for entry in _array(entries, "algebra element coeffs"):
+        n1, n2, c = required_fields(entry, ("n1", "n2", "c"), "algebra coefficient")
+        coeffs[(_number(n1, "n1", integer=True), _number(n2, "n2", integer=True))] = \
+            decode_complex(c, "c")
+    return TorusPoly(_number(theta, "theta"), coeffs)
 
 
 def encode_free_bundle(fb):
@@ -291,9 +296,7 @@ def encode_free_bundle(fb):
 
 
 def decode_free_bundle(data):
-    for key in ("theta", "tau", "conn"):
-        if key not in data:
-            raise ValidationFailure("bundle is missing field %r" % key)
-    conn = [[decode_torus_poly(entry) for entry in row] for row in data["conn"]]
-    return FreeBundle(_number(data["theta"], "theta"), decode_complex(data["tau"], "tau"),
-                      conn)
+    theta, tau, conn = required_fields(data, ("theta", "tau", "conn"), "bundle")
+    conn = [[decode_torus_poly(entry) for entry in _array(row, "bundle row")]
+            for row in _array(conn, "bundle connection")]
+    return FreeBundle(_number(theta, "theta"), decode_complex(tau, "tau"), conn)

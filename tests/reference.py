@@ -1,0 +1,153 @@
+"""Slow, self-contained references for the fast paths of eqconn.
+
+``reference_fold`` is the cluster-by-cluster fold of a spectrum into a strip:
+a complex Schur form sorted by eigenvalue cluster through adjacent Givens
+swaps, then one Sylvester solve per pair of clusters.  The test generators
+fold with it, so their inputs do not move when the library's fold does, and
+the fold tests use it as the oracle.
+
+``reference_decompose`` peels joint eigenvectors off a commuting pair one at
+a time; the ``decompose`` tests match the library's labels to it.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from eqconn.numkit import nullspace
+
+
+def _cluster_indices(values, radius):
+    """Connected components of |v_i - v_j| <= radius, labelled in order of
+    first appearance."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    labels, seen = [], {}
+    for i in range(n):
+        r = find(i)
+        if r not in seen:
+            seen[r] = len(seen)
+        labels.append(seen[r])
+    return labels
+
+
+def _swap_adjacent(t, q, i):
+    """Unitary similarity swapping diagonal entries i, i+1 of triangular t."""
+    a, b, d = t[i, i], t[i, i + 1], t[i + 1, i + 1]
+    v = np.array([b, d - a], dtype=complex)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return
+    u = v / nv
+    g = np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=complex)
+    t[i:i + 2, :] = g.conj().T @ t[i:i + 2, :]
+    t[:, i:i + 2] = t[:, i:i + 2] @ g
+    q[:, i:i + 2] = q[:, i:i + 2] @ g
+    t[i + 1, i] = 0.0
+    t[i, i], t[i + 1, i + 1] = d, a
+
+
+def _clustered_schur(m, eps_spec):
+    """Schur form ``q t q^H = m`` with clusters contiguous; blocks are
+    ``(start, stop, mean eigenvalue)``."""
+    t, q = scipy.linalg.schur(m, output="complex")
+    n = m.shape[0]
+    labels = _cluster_indices(list(np.diag(t)), eps_spec)
+    for pos in range(n):
+        best = min(range(pos, n), key=lambda idx: (labels[idx], idx))
+        for j in range(best, pos, -1):
+            _swap_adjacent(t, q, j - 1)
+            labels[j - 1], labels[j] = labels[j], labels[j - 1]
+    blocks, start = [], 0
+    while start < n:
+        stop = start
+        while stop < n and labels[stop] == labels[start]:
+            stop += 1
+        blocks.append((start, stop, complex(np.mean(np.diag(t)[start:stop]))))
+        start = stop
+    return t, q, blocks
+
+
+def _parlett(t, blocks, diagonal):
+    """Block Parlett recurrence, one Sylvester solve per pair of blocks."""
+    n = t.shape[0]
+    f = np.zeros((n, n), dtype=complex)
+    for (s0, s1, _), block in zip(blocks, diagonal):
+        f[s0:s1, s0:s1] = block
+    nb = len(blocks)
+    for gap in range(1, nb):
+        for ib in range(nb - gap):
+            jb = ib + gap
+            i0, i1, _ = blocks[ib]
+            j0, j1, _ = blocks[jb]
+            rhs = f[i0:i1, i0:i1] @ t[i0:i1, j0:j1] - t[i0:i1, j0:j1] @ f[j0:j1, j0:j1]
+            for kb in range(ib + 1, jb):
+                k0, k1, _ = blocks[kb]
+                rhs += f[i0:i1, k0:k1] @ t[k0:k1, j0:j1]
+                rhs -= t[i0:i1, k0:k1] @ f[k0:k1, j0:j1]
+            f[i0:i1, j0:j1] = scipy.linalg.solve_sylvester(
+                t[i0:i1, i0:i1], -t[j0:j1, j0:j1], rhs)
+    return f
+
+
+def reference_fold(a, transversal, eps_spec=1e-8):
+    """Shift each eigenvalue cluster of ``a`` by the integer multiple of tau
+    that brings its mean eigenvalue into the strip.
+
+    Returns ``(a_tilde, [(cluster eigenvalue, shift), ...])`` like
+    ``eqconn.numkit.reduce_to_transversal``, without its warnings.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    t, q, blocks = _clustered_schur(a, eps_spec)
+    pairs = [(lam, transversal.reduce(lam)[1]) for _, _, lam in blocks]
+    if all(s == 0 for _, s in pairs):
+        return a.copy(), pairs
+    diagonal = [t[s0:s1, s0:s1] - (shift * transversal.tau) * np.eye(s1 - s0)
+                for (s0, s1, _), (_, shift) in zip(blocks, pairs)]
+    f = _parlett(t, blocks, diagonal)
+    return q @ f @ q.conj().T, pairs
+
+
+def _lex_key(z):
+    return (round(z.real, 9), round(z.imag, 9))
+
+
+def reference_decompose(a, b, tol):
+    """Joint spectrum ``[(lam, b), ...]`` of a commuting pair, peeled off one
+    joint eigenvector at a time (smallest label first)."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    out = []
+    while a.shape[0] > 0:
+        n = a.shape[0]
+        if n == 1:
+            out.append((complex(a[0, 0]), complex(b[0, 0])))
+            break
+        lam = min(np.linalg.eigvals(a), key=_lex_key)
+        shifted = a - lam * np.eye(n)
+        space = nullspace(shifted, tol)
+        if space.shape[1] == 0:
+            _, _, vh = np.linalg.svd(shifted)
+            space = vh[-1:].conj().T
+        bvals, bvecs = np.linalg.eig(space.conj().T @ b @ space)
+        pick = min(range(len(bvals)), key=lambda i: _lex_key(bvals[i]))
+        w = space @ bvecs[:, pick]
+        w = w / np.linalg.norm(w)
+        out.append((complex(w.conj() @ a @ w), complex(w.conj() @ b @ w)))
+        comp = nullspace(w[None, :].conj(), tol)
+        assert comp.shape[1] == n - 1, "failed to split off a joint eigenvector"
+        a = comp.conj().T @ a @ comp
+        b = comp.conj().T @ b @ comp
+    return out

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqconn.category import (
     EquivariantConnection,
@@ -35,12 +36,14 @@ from eqconn.category import (
 )
 from eqconn.exceptions import (
     EquivarianceViolation,
+    NumericFailure,
     RegularityViolation,
     SingularB,
     TransversalMismatch,
 )
 from eqconn.laurent import PolyMat
-from eqconn.numkit import Transversal
+from eqconn.numkit import DEFAULT_TOL, Transversal
+from reference import reference_decompose
 from util import Q, STRIP, TAU, THETA, random_commuting_pair, random_normal_form, scramble
 
 TWO_PI_I = 2j * math.pi
@@ -364,6 +367,65 @@ def test_decompose_tensor_matches_joint_spectrum_oracle():
     # oracle: scalar product/sum reduced into the strip
     assert abs(lam - 0.3 * TAU) < 1e-10
     assert abs(b - 2.0j) < 1e-10
+
+
+def similar_pair(rng, a, b):
+    """``(S a S^-1, S b S^-1)`` for a seeded well-conditioned ``S``."""
+    n = a.shape[0]
+    s = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    s_inv = np.linalg.inv(s)
+    return NormalForm(s @ a @ s_inv, s @ b @ s_inv, STRIP, THETA, TAU)
+
+
+def nilpotent_pair(rng):
+    # kept triangular: rounding in a similarity would split the Jordan
+    # block's eigenvalue by about 1e-5 (the cube root of the unit roundoff)
+    n = np.eye(3, k=1, dtype=complex)
+    b = 2.0 * np.eye(3) + n + 0.3 * n @ n
+    return NormalForm(scipy.linalg.block_diag(n, [[0.5 * TAU]]),
+                      scipy.linalg.block_diag(b, [[3.0]]), STRIP, THETA, TAU)
+
+
+def split_cluster_pair(rng):
+    # one eigenvalue of A0 twice, which B0 splits into 2 and 5
+    return similar_pair(rng, np.diag([0.3 * TAU, 0.3 * TAU, 0.7 * TAU]),
+                        np.diag([2.0, 5.0, 3.0j]))
+
+
+def tensor_square_pair(rng):
+    x = random_normal_form(rng, 3)
+    return tensor(x, x)
+
+
+def tensor_pair(n):
+    def make(rng):
+        return tensor(random_normal_form(rng, n), random_normal_form(rng, n))
+    make.__name__ = "tensor_pair_%d" % (n * n)
+    return make
+
+
+@pytest.mark.parametrize("make", [nilpotent_pair, split_cluster_pair, tensor_square_pair,
+                                  tensor_pair(2), tensor_pair(4), tensor_pair(8)],
+                         ids=lambda make: make.__name__)
+def test_decompose_matches_the_peel_off_reference(make):
+    nf = make(np.random.default_rng(17))
+    got = decompose(nf)
+    assert got == sorted(got, key=lambda p: (round(p[0].real, 9), round(p[0].imag, 9),
+                                              round(p[1].real, 9), round(p[1].imag, 9)))
+    rest = reference_decompose(nf.A0, nf.B0, DEFAULT_TOL)
+    assert len(got) == len(rest) == nf.n
+    tol = 1e-7 * max(1.0, np.linalg.norm(nf.A0), np.linalg.norm(nf.B0))
+    for lam, b in got:
+        i = min(range(len(rest)), key=lambda k: abs(rest[k][0] - lam) + abs(rest[k][1] - b))
+        assert abs(rest[i][0] - lam) + abs(rest[i][1] - b) < tol, (lam, b, rest[i])
+        rest.pop(i)
+
+
+def test_decompose_of_a_non_commuting_pair_raises():
+    nf = NormalForm(np.diag([0.1 * TAU, 0.6 * TAU]), np.array([[1.0, 1.0], [1.0, 2.0]]),
+                    STRIP, THETA, TAU)
+    with pytest.raises(NumericFailure):
+        decompose(nf)
 
 
 # --- K classes and flat sections -------------------------------------------------------

@@ -292,3 +292,36 @@ def test_batch_survives_an_unexpected_exception(capsys, tmp_path, monkeypatch):
     assert failed["command"] == "phase"
     assert failed["error"] == {"kind": "RuntimeError", "message": "boom"}
     assert ok["result"]["wd"] == 2.0
+
+
+def test_k0_term_without_b_exits_2(capsys):
+    payload = {"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "mult": 1}]}
+    code, out = run(capsys, ["--json", "kmap", json.dumps(payload)])
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert code == 2
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert "'b'" in report["error"]["message"]
+
+
+def test_divisor_point_without_p_exits_2(capsys, tmp_path):
+    good = write(tmp_path, "good.json", {"tau": [1.0, -1.0],
+                                         "points": [{"p": [0.1, 0.0], "mult": 1}]})
+    bad = write(tmp_path, "bad.json", {"tau": [1.0, -1.0], "points": [{"mult": 1}]})
+    code, out = run(capsys, ["--json", "divisor-eq", bad, good])
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert code == 2
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert "'p'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("text", [None, "{not json", '{"jobs": 5}', '[{"args": ["wd"]}]'],
+                         ids=["missing-file", "not-json", "jobs-not-array", "job-without-argv"])
+def test_malformed_batch_manifest_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    code, out = run(capsys, ["--json", "--batch", str(path)])
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert code == 2
+    assert report["command"] == "batch"
+    assert report["error"]["kind"] == "ValidationFailure"

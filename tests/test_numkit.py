@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from eqconn.exceptions import SpectrumCollision, ValidationFailure
+from eqconn.exceptions import NumericFailure, SpectrumCollision, ValidationFailure
 from eqconn.numkit import (
     SL2Z,
     Tolerances,
     Transversal,
     TransversalBranchWarning,
+    _atomic_log_series,
     find_small_width,
     log_transversal,
     mat_exp,
@@ -23,6 +25,8 @@ from eqconn.numkit import (
     spectral,
     wd,
 )
+from reference import reference_fold
+from util import random_normal_form
 
 TAU = 1.0 - 1.0j
 TWO_PI_I = 2j * math.pi
@@ -278,6 +282,113 @@ def test_cluster_straddling_the_strip_edge_warns_once():
             fn(arg, t)
         branch = [w for w in caught if issubclass(w.category, TransversalBranchWarning)]
         assert len(branch) == 1, (fn.__name__, [str(w.message) for w in caught])
+
+
+def conjugated(rng, blocks):
+    """``(S D S^-1, S (D - K tau) S^-1)`` for the block diagonal ``D`` of
+    ``blocks`` (one eigenvalue cluster each), a seeded well-conditioned
+    ``S``, and ``K`` the shift of each block's mean eigenvalue: the input and
+    its exact fold."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    d = scipy.linalg.block_diag(*blocks)
+    k = [Transversal(TAU).reduce(np.trace(b) / len(b))[1] for b in blocks
+         for _ in range(len(b))]
+    n = d.shape[0]
+    s = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    s_inv = np.linalg.inv(s)
+    return s @ d @ s_inv, s @ (d - np.diag(k) * TAU) @ s_inv
+
+
+def jordan_input(rng):
+    """Jordan blocks of sizes 3 and 2 with shifts 1 and -1, and a 1x1 block
+    inside the strip."""
+    return conjugated(rng, [np.eye(3, k=1) + (1.3 * TAU + 0.1) * np.eye(3),
+                            np.eye(2, k=1) - 0.6 * TAU * np.eye(2), [[0.4 * TAU]]])
+
+
+def groups_input(rng):
+    """Eight eigenvalues in five shift groups, -2 to 2, the groups
+    interleaved."""
+    positions = [2.3, -0.7, 0.2, 1.6, -1.4, 2.8, 0.5, -0.2]
+    return conjugated(rng, [[[p * TAU + 0.05j * k]] for k, p in enumerate(positions)])
+
+
+def straddle_input(rng):
+    """A cluster 1e-9 either side of the strip's left edge, and one
+    eigenvalue with shift 1."""
+    z = 0.3j * TAU
+    return conjugated(rng, [np.diag([z - 1e-9 * TAU, z + 1e-9 * TAU]), [[1.5 * TAU]]])
+
+
+def tensor_square_input(rng):
+    """x (x) x at dim 144; its exact fold is not known."""
+    x = random_normal_form(rng, 12)
+    return np.kron(x.A0, np.eye(12)) + np.kron(np.eye(12), x.A0), None
+
+
+@pytest.mark.parametrize("make", [jordan_input, groups_input, straddle_input,
+                                  tensor_square_input])
+def test_fold_matches_the_cluster_by_cluster_reference(make):
+    a, exact = make(np.random.default_rng(29))
+    t = Transversal(TAU)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransversalBranchWarning)
+        out, shifts = reduce_to_transversal(a, t)
+    want, want_shifts = reference_fold(a, t)
+    assert shifts == want_shifts
+    # The reference solves between the clusters a Jordan block splits into
+    # under rounding (1e-5 apart), and loses 5e-7 doing so; the fold never
+    # solves inside a shift group.  Where the exact fold is known, it is
+    # the oracle.
+    if exact is not None:
+        want = exact
+    assert np.linalg.norm(out - want) < 1e-10 * max(1.0, np.linalg.norm(a))
+    e1 = mat_exp(TWO_PI_I * a / TAU)
+    e2 = mat_exp(TWO_PI_I * out / TAU)
+    assert np.linalg.norm(e1 - e2) < 1e-8 * np.linalg.norm(e1)
+    for lam in np.linalg.eigvals(out):
+        assert t.contains(lam, margin=1e-7)
+
+
+def test_fold_by_shift_group_warns_once_on_a_straddling_cluster():
+    t = Transversal(TAU)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, shifts = reduce_to_transversal(straddle_input(np.random.default_rng(3))[0], t)
+    assert len({s for _, s in shifts}) == 2
+    branch = [w for w in caught if issubclass(w.category, TransversalBranchWarning)]
+    assert len(branch) == 1
+
+
+def test_fold_with_no_shift_returns_a_copy():
+    a, _ = conjugated(np.random.default_rng(5), [[[0.2 * TAU]], [[0.5 * TAU]], [[0.8 * TAU]]])
+    out, shifts = reduce_to_transversal(a, Transversal(TAU))
+    assert all(s == 0 for _, s in shifts)
+    assert np.array_equal(out, a) and out is not a
+
+
+def test_fold_of_two_shift_groups_makes_one_sylvester_solve(monkeypatch):
+    # four clusters, two per shift: one solve between the two groups where
+    # a solve per pair of clusters would make six
+    a, _ = conjugated(np.random.default_rng(11),
+                      [[[0.2 * TAU]], [[1.3 * TAU]], [[0.6 * TAU]], [[1.8 * TAU]]])
+    solve = scipy.linalg.solve_sylvester
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", counting)
+    _, shifts = reduce_to_transversal(a, Transversal(TAU))
+    assert sorted(s for _, s in shifts) == [0, 0, 1, 1]
+    assert calls == [(2, 2)]
+
+
+def test_log_series_that_does_not_converge_raises():
+    # log(1 + 2) is outside the radius of convergence of the series at 1
+    with pytest.raises(NumericFailure):
+        _atomic_log_series(np.diag([1.0, 3.0]).astype(complex), 1.0)
 
 
 # --- kernels -------------------------------------------------------------------
