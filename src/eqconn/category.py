@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     EquivarianceViolation,
@@ -514,7 +515,16 @@ def _data_scale(x, y):
 
 
 def _nullspace_scaled(m, scale, tol):
-    _, s, vh = np.linalg.svd(m)
+    try:
+        _, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError:
+        # the divide-and-conquer SVD can fail to converge where plain QR
+        # iteration does not
+        try:
+            _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure("SVD of the intertwining system did not "
+                                 "converge: %s" % exc)
     rank = int(np.sum(s > tol.eps_res * scale))
     return vh[rank:].conj().T
 

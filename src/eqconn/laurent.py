@@ -6,12 +6,22 @@ value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 ``z -> q z``.  Values are kept in canonical sparse form, meaning exact-zero
 coefficient matrices are never stored.
 
+Arithmetic runs on ``(K, n, n)`` stacks of coefficients: a product makes one
+stacked matmul per left-hand power, a constant gauge conjugates the whole
+stack at once, and every result goes through one internal constructor that
+drops exact-zero coefficients with a single ``np.any`` over its stack (the
+public constructor checks each coefficient of user input).  Normalization
+residuals sit near their limits, so results are those of the pairwise loops
+to the bit: each power sums its contributions in the left operand's ``terms``
+order, and output powers are inserted in the order a row-major pass over
+the pairs of powers first reaches them.
+
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
 one body does both.  Constant and diagonal monomial gauges are exact, the
 latter an array shift of entries; series gauges go through a truncated
-inverse and record the first discarded order in ``diagnostics``.  Products
-sum in ``terms`` order and normalization residuals sit near their limits, so
-the shift inserts output powers in the order a row-major pass reaches them.
+inverse and record the first discarded order in ``diagnostics``.  A constant
+gauge or series lead term whose 1-norm reciprocal condition number is below
+machine epsilon is refused as singular.
 """
 
 from dataclasses import dataclass
@@ -22,6 +32,10 @@ from .exceptions import RegularityViolation, ValidationFailure
 from .numkit import DEFAULT_TOL
 
 _PARAM_TOL = 1e-12
+_MACHINE_EPS = np.finfo(float).eps
+# the additive identity of IEEE arithmetic, -0.0 + x == x for every x
+# (+0.0 included): sums that start from it keep their first term's bits
+_NEG_ZERO = complex(-0.0, -0.0)
 
 
 def _clean_terms(dim, terms):
@@ -36,6 +50,21 @@ def _clean_terms(dim, terms):
         if np.any(arr):
             out[int(k)] = arr
     return out
+
+
+def _checked_inverse(c, what):
+    """Inverse of ``c``, refused when the 1-norm reciprocal condition number
+    it gives is below machine epsilon."""
+    try:
+        c_inv = np.linalg.inv(c)
+    except np.linalg.LinAlgError:
+        c_inv = None
+    rcond = (0.0 if c_inv is None
+             else 1.0 / (np.linalg.norm(c, 1) * np.linalg.norm(c_inv, 1)))
+    if not rcond >= _MACHINE_EPS:
+        raise ValidationFailure("%s is singular to working precision "
+                                "(reciprocal condition number %.1e)" % (what, rcond))
+    return c_inv
 
 
 class PolyMat:
@@ -53,6 +82,43 @@ class PolyMat:
         self.tau = complex(tau)
         self.q = complex(q)
         self.diagnostics = dict(diagnostics or {})
+
+    # -- stacks: the (K, dim, dim) arrays the arithmetic runs on --------------
+
+    def _derive(self, powers, stack):
+        """A value built by this one's arithmetic: ``stack[i]`` is the
+        coefficient of ``powers[i]``, in insertion order.  Exact-zero slices
+        are dropped; nothing else is checked."""
+        out = PolyMat.__new__(PolyMat)
+        out.dim, out.tau, out.q, out.diagnostics = self.dim, self.tau, self.q, {}
+        kept = np.any(stack, axis=(1, 2)).tolist()
+        out.terms = {int(k): c for k, c, keep in zip(powers, stack, kept) if keep}
+        return out
+
+    def _stack(self, powers=None):
+        """The coefficients of ``powers`` (by default all, in ``terms`` order)
+        as one ``(K, dim, dim)`` array."""
+        coeffs = self.terms.values() if powers is None else [self.terms[k] for k in powers]
+        return np.array(list(coeffs), dtype=complex).reshape(-1, self.dim, self.dim)
+
+    def _summed(self, powers, blocks):
+        """Sum stacks of contributions into one value.
+
+        ``blocks[r]`` is a ``(len(powers[r]), n, n)`` stack adding to the
+        powers ``powers[r]``, which are distinct within a row.  Each power
+        sums its contributions in row order, the first kept as it is, and
+        powers are inserted in the order a pass over the rows first reaches
+        them.
+        """
+        flat = np.concatenate(powers) if powers else np.zeros(0, dtype=int)
+        found, first, slot = np.unique(flat, return_index=True, return_inverse=True)
+        out = np.full((len(found), self.dim, self.dim), _NEG_ZERO)
+        stop = 0
+        for row, block in zip(powers, blocks):
+            start, stop = stop, stop + len(row)
+            out[slot[start:stop]] += block
+        order = np.argsort(first)
+        return self._derive(found[order], out[order])
 
     # -- constructors -------------------------------------------------------
 
@@ -108,8 +174,7 @@ class PolyMat:
         return max(float(np.linalg.norm(c)) for c in self.terms.values())
 
     def copy(self):
-        return PolyMat(self.dim, {k: c.copy() for k, c in self.terms.items()},
-                       self.tau, self.q)
+        return self._derive(list(self.terms), self._stack())
 
     def __repr__(self):
         return "PolyMat(dim=%d, powers=%s)" % (self.dim, self.powers())
@@ -125,60 +190,54 @@ class PolyMat:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = {k: c.copy() for k, c in self.terms.items()}
-        for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c.copy()
-        return PolyMat(self.dim, terms, self.tau, self.q)
+        return self._summed([np.fromiter(self.terms, dtype=int),
+                             np.fromiter(other.terms, dtype=int)],
+                            [self._stack(), other._stack()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PolyMat(self.dim, {k: -c for k, c in self.terms.items()},
-                       self.tau, self.q)
+        return self._derive(list(self.terms), -self._stack())
 
     def __mul__(self, other):
-        if isinstance(other, PolyMat):
-            self._check_compatible(other)
-            terms = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = k1 + k2
-                    prod = c1 @ c2
-                    terms[k] = terms[k] + prod if k in terms else prod
-            return PolyMat(self.dim, terms, self.tau, self.q)
-        return self.scale(other)
+        if not isinstance(other, PolyMat):
+            return self.scale(other)
+        self._check_compatible(other)
+        # one row of products per left-hand power: the full (Ka, Kb, n, n)
+        # stack of products is never held at once
+        right_powers = np.fromiter(other.terms, dtype=int)
+        right = other._stack()
+        return self._summed([k + right_powers for k in self.terms],
+                            (c @ right for c in self.terms.values()))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def scale(self, scalar):
-        scalar = complex(scalar)
-        return PolyMat(self.dim, {k: scalar * c for k, c in self.terms.items()},
-                       self.tau, self.q)
+        return self._derive(list(self.terms), complex(scalar) * self._stack())
 
     def distance(self, other):
         return (self - other).norm()
 
     # -- calculus --------------------------------------------------------------
 
+    def _by_power(self, factors):
+        return self._derive(list(self.terms),
+                            np.array(factors, dtype=complex)[:, None, None] * self._stack())
+
     def delta(self):
         """Apply the derivation tau * z * d/dz (power k scales by tau*k)."""
-        return PolyMat(self.dim,
-                       {k: (self.tau * k) * c for k, c in self.terms.items()},
-                       self.tau, self.q)
+        return self._by_power([self.tau * k for k in self.terms])
 
     def dilate(self):
         """Substitute z -> q z (power k scales by q**k)."""
-        return PolyMat(self.dim,
-                       {k: (self.q ** k) * c for k, c in self.terms.items()},
-                       self.tau, self.q)
+        return self._by_power([self.q ** k for k in self.terms])
 
     def truncate(self, hi, lo=None):
         """Keep powers k with lo <= k <= hi (lo unbounded when omitted)."""
-        kept = {k: c for k, c in self.terms.items()
-                if k <= hi and (lo is None or k >= lo)}
-        return PolyMat(self.dim, kept, self.tau, self.q)
+        kept = [k for k in self.terms if k <= hi and (lo is None or k >= lo)]
+        return self._derive(kept, self._stack(kept))
 
 
 def truncated_inverse(f, order):
@@ -189,19 +248,17 @@ def truncated_inverse(f, order):
     """
     if f.is_zero() or f.min_power < 0:
         raise ValidationFailure("series inverse needs lowest power at 0")
-    c0 = f.term(0)
-    if abs(np.linalg.det(c0)) == 0.0:
-        raise ValidationFailure("constant term is singular; no series inverse")
-    c0_inv = np.linalg.inv(c0)
-    coeffs = {0: c0_inv}
+    c0_inv = _checked_inverse(f.term(0), "constant term of the series")
+    coeffs = np.empty((max(order, 0) + 1, f.dim, f.dim), dtype=complex)
+    coeffs[0] = c0_inv
     for k in range(1, order + 1):
         acc = np.zeros((f.dim, f.dim), dtype=complex)
         for j in range(1, k + 1):
             fj = f.terms.get(j)
-            if fj is not None and (k - j) in coeffs:
+            if fj is not None:
                 acc += fj @ coeffs[k - j]
         coeffs[k] = -c0_inv @ acc
-    return PolyMat(f.dim, coeffs, f.tau, f.q)
+    return f._derive(range(len(coeffs)), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +268,7 @@ def truncated_inverse(f, order):
 def _monomial_gauge(p):
     """Return ``(exponents, values)`` as arrays when p is diagonal with one
     monomial per diagonal slot, else None."""
-    stack = np.array(list(p.terms.values()))
+    stack = p._stack()
     diags = np.diagonal(stack, axis1=1, axis2=2)
     if np.any(stack - diags[:, :, None] * np.eye(p.dim)):
         return None
@@ -226,7 +283,7 @@ def _shift(a, exps, vals):
     """Entrywise map ``A_ij(z) -> (A_ij(z) * v_j / v_i) * z**(e_j - e_i)``,
     inserting output powers in the order a pass over the input powers,
     row-major over nonzero entries, first reaches them."""
-    stack = np.array(list(a.terms.values()), dtype=complex).reshape(-1, a.dim, a.dim)
+    stack = a._stack()
     ks, rows, cols = np.nonzero(stack)
     powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
     found, first, slot = np.unique(powers, return_index=True, return_inverse=True)
@@ -238,8 +295,8 @@ def _shift(a, exps, vals):
     moved.imag = v.real * r.imag + v.imag * r.real
     out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
     out[slot, rows, cols] += moved / vals[rows]   # onto zeros: a -0.0 part ends +0.0
-    return PolyMat(a.dim, {int(found[t]): out[t] for t in np.argsort(first)},
-                   a.tau, a.q)
+    order = np.argsort(first)
+    return a._derive(found[order], out[order])
 
 
 def _transport(a, p, order, drift):
@@ -248,11 +305,8 @@ def _transport(a, p, order, drift):
         raise ValidationFailure("gauge dimension mismatch")
     if p.is_constant():
         c = p.term(0)
-        if abs(np.linalg.det(c)) == 0.0:
-            raise ValidationFailure("constant gauge is singular")
-        c_inv = np.linalg.inv(c)
-        return PolyMat(a.dim, {k: c_inv @ coeff @ c for k, coeff in a.terms.items()},
-                       a.tau, a.q)
+        c_inv = _checked_inverse(c, "constant gauge")
+        return a._derive(list(a.terms), c_inv @ a._stack() @ c)
     mono = _monomial_gauge(p)
     if mono is not None:
         exps, vals = mono
@@ -357,7 +411,6 @@ def invert_shear(a, step):
 
 def _checked_regular(a, tol, scale):
     threshold = tol.eps_res * (scale + 1.0)
-    kept = {}
     for k, coeff in a.terms.items():
         if k < 0:
             size = float(np.linalg.norm(coeff))
@@ -365,9 +418,7 @@ def _checked_regular(a, tol, scale):
                 raise RegularityViolation(
                     "shear would create a pole: coefficient of z**%d has "
                     "norm %.3e" % (k, size))
-            continue
-        kept[k] = coeff
-    return PolyMat(a.dim, kept, a.tau, a.q)
+    return a.truncate(a.max_power, lo=0)
 
 
 def apply_gauge_record(a, b, record, tol=None):

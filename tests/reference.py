@@ -8,12 +8,22 @@ the fold tests use it as the oracle.
 
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
+
+``reference_spectral`` is ``eqconn.numkit.spectral`` as it stands on the
+Givens-sorted Schur form above: ``scramble`` takes its shears from it, so the
+scrambled inputs do not move when the library's spectral code does.
+
+``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
+are the Laurent arithmetic one coefficient at a time: a matmul per pair of
+powers, a conjugation per coefficient, and a check per coefficient.  The
+stacked arithmetic of ``eqconn.laurent`` must match them to the bit, the
+order of the powers included.
 """
 
 import numpy as np
 import scipy.linalg
 
-from eqconn.numkit import nullspace
+from eqconn.numkit import SpectralCluster, SpectralData, nullspace
 
 
 def _cluster_indices(values, radius):
@@ -151,3 +161,64 @@ def reference_decompose(a, b, tol):
         a = comp.conj().T @ a @ comp
         b = comp.conj().T @ b @ comp
     return out
+
+
+def reference_spectral(m, eps_spec=1e-8):
+    """Clustered block diagonalization of ``m``: the Schur form above, then
+    one Sylvester solve per pair of clusters.  Returns ``SpectralData``
+    without diagnostics."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    t, q, blocks = _clustered_schur(m, eps_spec)
+    n = m.shape[0]
+    r_total = np.eye(n, dtype=complex)
+    t = t.copy()
+    for jb in range(1, len(blocks)):
+        j0, j1, _ = blocks[jb]
+        for ib in range(jb - 1, -1, -1):
+            i0, i1, _ = blocks[ib]
+            x = scipy.linalg.solve_sylvester(t[i0:i1, i0:i1], -t[j0:j1, j0:j1],
+                                             -t[i0:i1, j0:j1])
+            r = np.eye(n, dtype=complex)
+            r[i0:i1, j0:j1] = x
+            rinv = np.eye(n, dtype=complex)
+            rinv[i0:i1, j0:j1] = -x
+            t = rinv @ t @ r
+            t[i0:i1, j0:j1] = 0.0
+            r_total = r_total @ r
+    similarity = q @ r_total
+    clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
+                     for start, stop, lam in blocks)
+    return SpectralData(clusters, similarity, t)
+
+
+def reference_clean_terms(dim, terms):
+    """``{power: coefficient}`` with each coefficient made a complex array,
+    its shape checked, and exact zeros dropped, one at a time."""
+    out = {}
+    for k, coeff in terms.items():
+        arr = np.asarray(coeff, dtype=complex)
+        assert arr.shape == (dim, dim)
+        if np.any(arr):
+            out[int(k)] = arr
+    return out
+
+
+def reference_product(x, y):
+    """Terms of the product of two ``PolyMat``: a matmul per pair of powers,
+    each output power summed in the order of ``x.terms``, the first product
+    kept as it is."""
+    terms = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            k = k1 + k2
+            prod = c1 @ c2
+            terms[k] = terms[k] + prod if k in terms else prod
+    return reference_clean_terms(x.dim, terms)
+
+
+def reference_conjugate(a, c):
+    """Terms of ``c^-1 a c`` for a constant invertible ``c``, one
+    coefficient at a time."""
+    c_inv = np.linalg.inv(c)
+    return reference_clean_terms(a.dim, {k: c_inv @ coeff @ c
+                                         for k, coeff in a.terms.items()})

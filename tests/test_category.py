@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import eqconn.category
+import eqconn.numkit
+import util
 from eqconn.category import (
     EquivariantConnection,
     K0Class,
@@ -42,8 +45,8 @@ from eqconn.exceptions import (
     TransversalMismatch,
 )
 from eqconn.laurent import PolyMat
-from eqconn.numkit import DEFAULT_TOL, Transversal
-from reference import reference_decompose
+from eqconn.numkit import DEFAULT_TOL, Transversal, spectral
+from reference import reference_decompose, reference_spectral
 from util import Q, STRIP, TAU, THETA, random_commuting_pair, random_normal_form, scramble
 
 TWO_PI_I = 2j * math.pi
@@ -123,6 +126,43 @@ def test_normalize_scramble_recovery():
         iso = is_isomorphic(seed_nf, nf, seed=1)
         assert iso is not None and iso.is_valid()
         assert len(hom_basis(seed_nf, nf)) == len(hom_basis(seed_nf, seed_nf))
+
+
+def test_scramble_does_not_call_the_library_spectral(monkeypatch):
+    """The benchmark draws its scrambled inputs from ``scramble``; with the
+    shears' spectral data from ``reference_spectral`` they stay the same to
+    the bit when ``eqconn.numkit.spectral`` changes."""
+    seed_nf = random_normal_form(np.random.default_rng(43), 4)
+    want = scramble(seed_nf, np.random.default_rng(44), shears=2)
+
+    def no_spectral(*args, **kwargs):
+        raise AssertionError("scramble called the library's spectral")
+
+    for module in (eqconn.numkit, eqconn.category, util):
+        if hasattr(module, "spectral"):
+            monkeypatch.setattr(module, "spectral", no_spectral)
+    got = scramble(seed_nf, np.random.default_rng(44), shears=2)
+    for g, w in ((got.A, want.A), (got.B, want.B)):
+        assert list(g.terms) == list(w.terms)
+        assert all(g.terms[k].tobytes() == w.terms[k].tobytes() for k in w.terms)
+
+
+def test_reference_spectral_agrees_with_the_library():
+    rng = np.random.default_rng(45)
+    repeated = np.diag([0.3 * TAU, 0.3 * TAU, 0.1, 0.1 + 1e-12, -0.4, 0.5j])
+    s = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+    for m in (s @ repeated @ np.linalg.inv(s), random_normal_form(rng, 8).A0,
+              np.array([[0.2 + 0.1j]])):
+        ref, lib = reference_spectral(m), spectral(m)
+        assert [c.multiplicity for c in ref.clusters] == [c.multiplicity for c in lib.clusters]
+        assert np.allclose(ref.similarity, lib.similarity, rtol=1e-10, atol=1e-12)
+        blocks = np.linalg.solve(ref.similarity, m @ ref.similarity)
+        start = 0
+        for c in ref.clusters:
+            stop = start + c.multiplicity
+            blocks[start:stop, start:stop] = 0.0
+            start = stop
+        assert np.linalg.norm(blocks) < 1e-10 * np.linalg.norm(m)
 
 
 def test_normalize_rejects_wrong_strip_modulus():
@@ -299,6 +339,33 @@ def test_hom_mode_scan_is_empty():
     assert set(dims.values()) == {0}
     dims_self = hom_mode_dims(x, x, k_range=4)
     assert set(dims_self.values()) == {0}
+
+
+def _svd_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_hom_retries_a_failed_svd_with_qr_iteration(monkeypatch):
+    rng = np.random.default_rng(40)
+    x = random_normal_form(rng, 2)
+    xx = tensor(x, x)
+    want = hom_basis(xx, xx)
+    monkeypatch.setattr(np.linalg, "svd", _svd_fails)
+    got = hom_basis(xx, xx)
+    assert len(got) == len(want) > 0
+    assert all(m.is_valid() for m in got)
+    # the same space: each new basis vector lies in the span of the old ones
+    old = np.array([m.phi.ravel() for m in want]).T
+    new = np.array([m.phi.ravel() for m in got]).T
+    assert np.linalg.norm(new - old @ (old.conj().T @ new)) < 1e-10
+
+
+def test_hom_reports_an_svd_that_fails_twice(monkeypatch):
+    x = one_dim(0.2 * TAU, 2.0)
+    monkeypatch.setattr(np.linalg, "svd", _svd_fails)
+    monkeypatch.setattr(scipy.linalg, "svd", _svd_fails)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        hom_basis(x, x)
 
 
 # --- kernels, cokernels, composition series ----------------------------------------------

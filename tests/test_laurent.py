@@ -18,6 +18,7 @@ from eqconn.laurent import (
     truncated_inverse,
 )
 from eqconn.numkit import spectral
+from reference import reference_clean_terms, reference_conjugate, reference_product
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -383,6 +384,121 @@ def test_transports_differ_by_the_drift():
             drift = (truncated_inverse(p, 6) * p.delta()).truncate(6)
         gap = gauge_transform(a, p, 6) - dilation_transform(a, p, 6)
         assert gap.distance(drift) < 1e-12 * (1.0 + a.norm()), kind
+
+
+# --- stacked arithmetic against the per-coefficient reference ------------------------
+# Products, constant conjugations and the results' construction run on (K, n, n)
+# stacks; tests/reference.py keeps them one coefficient at a time.  Values, signed
+# zeros and the insertion order of the powers must match.
+
+def negative_zeros(terms):
+    return sum(int(np.sum((c.real == 0) & np.signbit(c.real))
+                   + np.sum((c.imag == 0) & np.signbit(c.imag))) for c in terms.values())
+
+
+def assert_same_terms(got, want):
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+# unsorted, negative and gapped powers; outputs reached by one pair or many
+PRODUCT_POWERS = (([3, -2, 0, 7], [-5, 1, 0, 2]),
+                  ([0, 1, 2, 3], [2, 1, 0]),
+                  ([-4, 6], [10, -1, 4, 0, -7, 3]),
+                  ([5], [-3]))
+
+
+def test_products_match_pairwise_reference():
+    signed = 0
+    for dim in (1, 2, 3, 12):
+        rng = np.random.default_rng(300 + dim)
+        for left, right in PRODUCT_POWERS:
+            x, y = sparse_pm(rng, dim, left), sparse_pm(rng, dim, right)
+            for a, b in ((x, y), (y, x), (x, x)):
+                want = reference_product(a, b)
+                assert_same_terms((a * b).terms, want)
+                signed += negative_zeros(want)
+    # the -0.0 parts of first contributions were exercised, not just present
+    assert signed > 0
+
+
+def test_product_drops_a_coefficient_that_cancels_exactly():
+    rng = np.random.default_rng(310)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x = PolyMat(4, {0: np.eye(4), 1: np.eye(4)}, TAU, Q)
+    y = PolyMat(4, {1: -m, 0: m}, TAU, Q)
+    # power 1, reached first, sums I @ (-m) and I @ m, which cancel exactly
+    want = reference_product(x, y)
+    assert list(want) == [0, 2]
+    assert_same_terms((x * y).terms, want)
+    assert (x - x).terms == {} and x.scale(0.0).terms == {}
+
+
+def test_products_with_an_empty_operand():
+    rng = np.random.default_rng(311)
+    for dim in (1, 12):
+        x, zero = sparse_pm(rng, dim, [2, -1]), PolyMat.zero(dim, TAU, Q)
+        for a, b in ((x, zero), (zero, x), (zero, zero)):
+            assert (a * b).terms == {} == reference_product(a, b)
+            assert (a * b).dim == dim
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_constant_gauge_matches_per_coefficient_conjugation(dim):
+    rng = np.random.default_rng(320 + dim)
+    a = sparse_pm(rng, dim, [2, -1, 0, 5, -3])
+    c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+    p = PolyMat.constant(c, TAU, Q)
+    for transport in (gauge_transform, dilation_transform):
+        assert_same_terms(transport(a, p).terms, reference_conjugate(a, c))
+        assert transport(PolyMat.zero(dim, TAU, Q), p).terms == {}
+
+
+def test_derived_values_match_per_coefficient_construction():
+    rng = np.random.default_rng(330)
+    for dim in (1, 2, 12):
+        x, y = sparse_pm(rng, dim, [3, 0, -2, 1]), sparse_pm(rng, dim, [1, 4, -2])
+        summed = {k: c.copy() for k, c in x.terms.items()}
+        for k, c in y.terms.items():
+            summed[k] = summed[k] + c if k in summed else c.copy()
+        cases = [
+            (x + y, summed),
+            (-x, {k: -c for k, c in x.terms.items()}),
+            (x.scale(0.5 - 2j), {k: (0.5 - 2j) * c for k, c in x.terms.items()}),
+            (x.delta(), {k: (TAU * k) * c for k, c in x.terms.items()}),
+            (x.dilate(), {k: (Q ** k) * c for k, c in x.terms.items()}),
+            (x.truncate(2, lo=-1), {k: c for k, c in x.terms.items() if -1 <= k <= 2}),
+            (x.copy(), x.terms),
+        ]
+        for got, terms in cases:
+            assert_same_terms(got.terms, reference_clean_terms(dim, terms))
+    copied = x.copy()
+    assert all(copied.terms[k] is not x.terms[k] for k in x.terms)
+
+
+def test_constant_gauge_refuses_a_near_singular_matrix():
+    a = rand_pm(np.random.default_rng(340), 2, [0, 1])
+    for c in (np.diag([1.0, 1e-20]), np.array([[1.0, 1e8], [0.0, 1e-9]]),
+              np.ones((2, 2))):
+        for transport in (gauge_transform, dilation_transform):
+            with pytest.raises(ValidationFailure, match="singular"):
+                transport(a, PolyMat.constant(c, TAU, Q))
+    # badly scaled but well above machine epsilon: still accepted
+    out = gauge_transform(a, PolyMat.constant(np.diag([1.0, 1e-10]), TAU, Q))
+    assert out.powers() == [0, 1]
+
+
+def test_truncated_inverse_refuses_a_near_singular_lead_term():
+    rng = np.random.default_rng(341)
+    for c0 in (np.diag([1.0, 1e-20]), np.ones((2, 2))):
+        f = PolyMat(2, {0: c0, 1: rng.normal(size=(2, 2))}, TAU, Q)
+        with pytest.raises(ValidationFailure, match="singular"):
+            truncated_inverse(f, 4)
+        with pytest.raises(ValidationFailure, match="singular"):
+            gauge_transform(rand_pm(rng, 2, [0]), f, 4)
+    f = PolyMat(2, {0: np.diag([1.0, 1e-10]), 1: rng.normal(size=(2, 2))}, TAU, Q)
+    assert np.allclose(truncated_inverse(f, 4).term(0), np.diag([1.0, 1e10]))
 
 
 # --- shearing -----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 normal forms, and gauge scrambles used by the recovery tests.
 
 The benchmark draws its inputs from these generators too.  They fold with
-``reference_fold`` rather than the library's fold, so a change to the fold
-does not change the inputs it is measured on.
+``reference_fold`` and take the shears' spectral data from
+``reference_spectral`` rather than from the library, so a change to the
+library's fold or spectral code does not change the inputs it is measured on.
 """
 
 import math
@@ -11,9 +12,15 @@ import math
 import numpy as np
 
 from eqconn.category import EquivariantConnection, NormalForm
-from eqconn.laurent import PolyMat, dilation_transform, gauge_transform, shear
-from eqconn.numkit import Transversal, mat_exp, spectral
-from reference import reference_fold
+from eqconn.laurent import (
+    PolyMat,
+    apply_shear_dilation,
+    dilation_transform,
+    gauge_transform,
+    shear,
+)
+from eqconn.numkit import Transversal, mat_exp
+from reference import reference_fold, reference_spectral
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -68,12 +75,11 @@ def scramble(nf, rng, shears=2, degree=3, order=48):
     a = PolyMat.constant(nf.A0, nf.tau, q)
     b = PolyMat.constant(nf.B0, nf.tau, q)
     for _ in range(shears):
-        sd = spectral(a.term(0))
+        sd = reference_spectral(a.term(0))
         shifts = [int(rng.integers(-1, 2)) for _ in sd.clusters]
         if all(s == 0 for s in shifts):
             shifts[int(rng.integers(0, len(shifts)))] = 1
         a, step = shear(a, sd, shifts)
-        from eqconn.laurent import apply_shear_dilation
         b = apply_shear_dilation(b, step)
     n = nf.n
     terms = {0: np.eye(n, dtype=complex)}
