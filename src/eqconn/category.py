@@ -45,12 +45,15 @@ from .laurent import (
 from .numkit import (
     DEFAULT_TOL,
     Transversal,
+    _check_separated,
     _clustered_schur,
+    _schur,
+    _svd_split,
+    _sylvester,
+    as_square_matrix,
     log_transversal,
     mat_exp,
-    nullspace,
     reduce_to_transversal,
-    solve_sylvester,
     spectral,
 )
 
@@ -317,6 +320,7 @@ def _series_gauge(a, a0, transversal, order, tol):
     n = a.dim
     coeffs = {0: np.eye(n, dtype=complex)}
     eye = np.eye(n, dtype=complex)
+    right = None        # the spectrum and Schur form of A0, shared by every order
     for k in range(1, order + 1):
         rhs = np.zeros((n, n), dtype=complex)
         for j in range(1, k + 1):
@@ -328,7 +332,12 @@ def _series_gauge(a, a0, transversal, order, tol):
             continue
         # spectra of A0 + tau k and A0 are disjoint once the spectrum sits in
         # one strip, so each order has a unique solution
-        coeffs[k] = solve_sylvester(a0 + (transversal.tau * k) * eye, a0, rhs, tol)
+        shifted = as_square_matrix(a0 + (transversal.tau * k) * eye, "A")
+        if right is None:
+            a0 = as_square_matrix(a0, "B")
+            right = np.linalg.eigvals(a0), _schur(-a0.conj().T)
+        _check_separated(np.linalg.eigvals(shifted), right[0], tol)
+        coeffs[k] = _sylvester(shifted, a0, rhs, right[1])
     return PolyMat(n, coeffs, a.tau, a.q)
 
 
@@ -577,41 +586,60 @@ def is_isomorphic(x, y, tol=None, seed=0, trials=32):
 
 
 def kernel(m, tol=None):
-    """Kernel object and its inclusion into the source."""
+    """Kernel object and its inclusion into the source.
+
+    The object's diagnostics record the rank decision on ``phi`` and how
+    far the kernel is from invariant (see ``_subobject``).
+    """
     tol = tol or DEFAULT_TOL
-    v = nullspace(m.phi, tol) if m.phi.size else np.eye(m.source.n, dtype=complex)
-    a0 = v.conj().T @ m.source.A0 @ v
-    b0 = v.conj().T @ m.source.B0 @ v
-    ker = NormalForm(a0, b0, m.source.transversal, m.source.theta, m.source.tau)
+    v, _, s, rank = _svd_split(m.phi, tol)
+    ker = _subobject(m.source, v, s, rank)
     return ker, Morphism(ker, m.source, v)
 
 
 def cokernel(m, tol=None):
-    """Cokernel object and the projection from the target."""
+    """Cokernel object and the projection from the target, with the
+    diagnostics of ``kernel``."""
     tol = tol or DEFAULT_TOL
-    w = nullspace(m.phi.conj().T, tol) if m.phi.size else np.eye(m.target.n, dtype=complex)
-    a0 = w.conj().T @ m.target.A0 @ w
-    b0 = w.conj().T @ m.target.B0 @ w
-    cok = NormalForm(a0, b0, m.target.transversal, m.target.theta, m.target.tau)
+    w, _, s, rank = _svd_split(m.phi.conj().T, tol)
+    cok = _subobject(m.target, w, s, rank, quotient=True)
     return cok, Morphism(m.target, cok, w.conj().T)
 
 
 def image(m, tol=None):
-    """Image object inside the target, with its inclusion."""
+    """Image object inside the target, with its inclusion and the
+    diagnostics of ``kernel``."""
     tol = tol or DEFAULT_TOL
-    if m.phi.size == 0:
-        img = NormalForm(np.zeros((0, 0), dtype=complex),
-                         np.zeros((0, 0), dtype=complex),
-                         m.target.transversal, m.target.theta, m.target.tau)
-        return img, Morphism(img, m.target, np.zeros((m.target.n, 0), dtype=complex))
-    u, s, _ = np.linalg.svd(m.phi)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol.eps_res * smax)) if smax else 0
-    basis = u[:, :rank]
-    a0 = basis.conj().T @ m.target.A0 @ basis
-    b0 = basis.conj().T @ m.target.B0 @ basis
-    img = NormalForm(a0, b0, m.target.transversal, m.target.theta, m.target.tau)
+    _, u, s, rank = _svd_split(m.phi, tol)
+    basis = u[:, :rank] if m.phi.size else np.zeros((m.target.n, 0), dtype=complex)
+    img = _subobject(m.target, basis, s, rank)
     return img, Morphism(img, m.target, basis)
+
+
+def _subobject(nf, v, s, rank, quotient=False):
+    """``nf`` compressed to the orthonormal columns of ``v``, the kernel,
+    image or cokernel of a map ``phi`` with singular values ``s`` of which
+    ``rank`` are kept.
+
+    Diagnostics: ``phi_rank``; the largest dropped and the smallest kept
+    singular value, each over the largest (0.0 where there is none); and
+    the invariance residual ``||A0 v - v a0|| / max(1, ||A0||)``, for a
+    quotient ``||a0 v^H - v^H A0|| / max(1, ||A0||)``, the projection's.
+    """
+    a0 = v.conj().T @ nf.A0 @ v
+    b0 = v.conj().T @ nf.B0 @ v
+    smax = s[0] if s.size else 0.0
+    if quotient:
+        residual = np.linalg.norm(a0 @ v.conj().T - v.conj().T @ nf.A0)
+    else:
+        residual = np.linalg.norm(nf.A0 @ v - v @ a0)
+    diagnostics = {
+        "phi_rank": rank,
+        "dropped_singular_ratio": float(s[rank] / smax) if rank < s.size and smax else 0.0,
+        "kept_singular_ratio": float(s[rank - 1] / smax) if rank else 0.0,
+        "invariance_residual": float(residual) / max(1.0, float(np.linalg.norm(nf.A0))),
+    }
+    return NormalForm(a0, b0, nf.transversal, nf.theta, nf.tau, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ gauge or series lead term whose 1-norm reciprocal condition number is below
 machine epsilon is refused as singular.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,10 +169,19 @@ class PolyMat:
         return not self.terms
 
     def norm(self):
-        """Largest coefficient Frobenius norm."""
+        """Largest coefficient Frobenius norm.
+
+        Each square is summed as ``np.linalg.norm`` sums it, one strided dot
+        per part, and one square root is taken, of the largest: sqrt is
+        monotone and correctly rounded, so the result is the same to the bit.
+        """
         if not self.terms:
             return 0.0
-        return max(float(np.linalg.norm(c)) for c in self.terms.values())
+        squares = []
+        for c in self.terms.values():
+            x = c.ravel(order="K")
+            squares.append(x.real.dot(x.real) + x.imag.dot(x.imag))
+        return math.sqrt(max(squares))
 
     def copy(self):
         return self._derive(list(self.terms), self._stack())

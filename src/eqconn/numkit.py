@@ -11,7 +11,10 @@ supplies the primitives the rest of the package leans on:
   diagonalization);
 * Sylvester solves, the matrix exponential, and a matrix logarithm whose
   branch is chosen per eigenvalue cluster so that the result's spectrum lands
-  inside a prescribed transversal;
+  inside a prescribed transversal.  Every Sylvester solve goes through one
+  kernel that calls LAPACK (zgees, ztrsyl) directly, as
+  ``scipy.linalg.solve_sylvester`` calls it, with the same bits; it skips
+  the Schur forms LAPACK would return unchanged, those of triangular blocks;
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
@@ -22,6 +25,7 @@ functions are pure.
 """
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -229,16 +233,25 @@ def mat_exp(m):
 def nullspace(m, tol=None):
     """Orthonormal basis of the kernel, rank decided by a relative
     singular-value threshold."""
-    tol = tol or DEFAULT_TOL
+    return _svd_split(m, tol or DEFAULT_TOL)[0]
+
+
+def _svd_split(m, tol):
+    """``(kernel basis, u, s, rank)`` of a matrix, from its full SVD
+    ``u s vh``: the rank counts the singular values above eps_res times the
+    largest, and the kernel basis is the trailing rows of ``vh`` made
+    columns, or the identity when the rank is 0.  An empty matrix has
+    ``u = None`` and no singular values.
+    """
     arr = np.atleast_2d(np.asarray(m, dtype=complex))
     if arr.size == 0:
-        return np.eye(arr.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(arr)
+        return np.eye(arr.shape[1], dtype=complex), None, np.zeros(0), 0
+    u, s, vh = np.linalg.svd(arr)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
-        return np.eye(arr.shape[1], dtype=complex)
+        return np.eye(arr.shape[1], dtype=complex), u, s, 0
     rank = int(np.sum(s > tol.eps_res * smax))
-    return vh[rank:].conj().T
+    return vh[rank:].conj().T, u, s, rank
 
 
 def solve_sylvester(a, b, c, tol=None):
@@ -255,13 +268,92 @@ def solve_sylvester(a, b, c, tol=None):
         raise ValidationFailure(
             "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
         )
-    eig_a = np.linalg.eigvals(a)
-    eig_b = np.linalg.eigvals(b)
+    _check_separated(np.linalg.eigvals(a), np.linalg.eigvals(b), tol)
+    return _sylvester(a, b, c)
+
+
+def _check_separated(eig_a, eig_b, tol):
+    """Raise ``SpectrumCollision`` for the closest pair of eigenvalues of
+    the two spectra when it lies within eps_spec."""
     gaps = np.abs(eig_a[:, None] - eig_b[None, :])
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[i, j] <= tol.eps_spec:
         raise SpectrumCollision(eig_a[i], eig_b[j], float(gaps[i, j]))
-    return scipy.linalg.solve_sylvester(a, -b, c)
+
+
+# zgees scales a matrix whose largest entry lies outside about [1e-138, 1e138]
+# (LAPACK's SMLNUM and BIGNUM), and the scaling moves the bits; inside that
+# range it returns an upper triangular input, and identity Schur vectors, as
+# they are.
+_UNSCALED = (1e-130, 1e130)
+
+
+def _no_sort(_):
+    return None
+
+
+def _schur(m):
+    """Complex Schur form ``(t, z)``, ``z t z^H = m``, as
+    ``scipy.linalg.schur`` computes it: LAPACK's zgees after its workspace
+    query.  An upper triangular ``m`` of moderate size comes back as
+    ``(m, None)``, where ``None`` stands for the identity: zgees would return
+    both bit for bit.
+    """
+    if m.shape[0] == 1 or not np.tril(m, -1).any():
+        largest = np.abs(m).max()
+        if largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]:
+            return m, None
+    lwork = scipy.linalg.lapack.zgees(_no_sort, m, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, _, z, _, info = scipy.linalg.lapack.zgees(_no_sort, m, lwork=lwork)
+    if info != 0:
+        raise NumericFailure("Schur iteration failed to converge (zgees info %d)" % info)
+    return t, z
+
+
+def _sylvester(a, b, c, schur_b=None):
+    """Solve ``A X - X B = C`` by Bartels-Stewart, with the LAPACK calls of
+    ``scipy.linalg.solve_sylvester(a, -b, c)`` and so its result to the bit:
+    Schur forms ``a = u r u^H`` and ``-b^H = v s v^H``, ztrsyl on
+    ``f = u^H c v``, then ``x = u y v^H``.
+
+    ``schur_b``, when given, is ``_schur(-b.conj().T)``, for a caller that
+    solves against one B many times.  Raises ``NumericFailure`` when a Schur
+    form does not converge, or when ztrsyl had to perturb eigenvalues of A
+    and B that are too close.
+    """
+    r, u = _schur(a)
+    s, v = _schur(-b.conj().T) if schur_b is None else schur_b
+    f = _sandwich(u, c, v, adjoint_u=True)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
+    if info != 0:
+        raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
+                             % info)
+    return _sandwich(u, scale * y, v, adjoint_u=False)
+
+
+def _sandwich(u, x, v, adjoint_u):
+    """The products around scipy's ztrsyl call: ``(u^H x) v`` if
+    ``adjoint_u``, else ``(u x) v^H``; a C-ordered array, as ``np.dot`` makes.
+
+    ``None`` stands for the identity Schur vectors of a triangular form.  A
+    product with them is skipped when it keeps every bit of the other factor,
+    that is when each real and imaginary part of it is finite and nonzero:
+    BLAS may flip the sign of a zero part.
+    """
+    safe = None
+    for z, left, adjoint in ((u, True, adjoint_u), (v, False, not adjoint_u)):
+        if z is None:
+            if safe is None:
+                safe = bool(np.isfinite(x).all() and x.real.all() and x.imag.all())
+            if safe:
+                x = np.ascontiguousarray(x)
+                continue
+            z = np.eye(x.shape[0] if left else x.shape[1], dtype=complex)
+        if adjoint:
+            z = z.conj().transpose()
+        x = np.dot(z, x) if left else np.dot(x, z)
+        safe = None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +370,37 @@ class SpectralCluster:
 @dataclass(frozen=True)
 class SpectralData:
     """Clustered spectral decomposition ``similarity^-1 M similarity = block_form``
-    with one diagonal block per eigenvalue cluster."""
+    with one diagonal block per eigenvalue cluster.
+
+    ``matrix`` is M, kept for ``diagnostics``: the residual of each cluster's
+    invariant subspace and of the reassembled M, both relative to ``||M||``,
+    computed on first read.
+    """
 
     clusters: tuple
     similarity: np.ndarray
     block_form: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    matrix: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.similarity.shape[0]
+
+    @functools.cached_property
+    def diagnostics(self):
+        if self.matrix is None:
+            return {}
+        m, s, t = self.matrix, self.similarity, self.block_form
+        norm_m = mat_norm(m)
+        residuals, start = [], 0
+        for c in self.clusters:
+            stop = start + c.multiplicity
+            res = mat_norm(m @ c.basis - c.basis @ t[start:stop, start:stop])
+            residuals.append(res / norm_m if norm_m else res)
+            start = stop
+        res = mat_norm(s @ t @ np.linalg.inv(s) - m)
+        return {"subspace_residuals": residuals,
+                "reassembly_residual": res / norm_m if norm_m else res}
 
     def eigenvalues(self):
         return [c.eigenvalue for c in self.clusters]
@@ -378,43 +491,27 @@ def spectral(m, tol=None):
     n = m.shape[0]
     # Peel off the coupling between distinct clusters with Sylvester solves;
     # the result of the accumulated (non-unitary) similarity is block diagonal.
+    # r and rinv are identities with one block set for each pair's products.
     r_total = np.eye(n, dtype=complex)
+    r = np.eye(n, dtype=complex)
+    rinv = np.eye(n, dtype=complex)
     t = t.copy()
     for jb in range(1, len(blocks)):
         j0, j1, _ = blocks[jb]
         for ib in range(jb - 1, -1, -1):
             i0, i1, _ = blocks[ib]
-            x = scipy.linalg.solve_sylvester(t[i0:i1, i0:i1], -t[j0:j1, j0:j1],
-                                             -t[i0:i1, j0:j1])
-            r = np.eye(n, dtype=complex)
+            x = _sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], -t[i0:i1, j0:j1])
             r[i0:i1, j0:j1] = x
-            rinv = np.eye(n, dtype=complex)
             rinv[i0:i1, j0:j1] = -x
             t = rinv @ t @ r
             t[i0:i1, j0:j1] = 0.0
             r_total = r_total @ r
+            r[i0:i1, j0:j1] = 0.0
+            rinv[i0:i1, j0:j1] = 0.0
     similarity = q @ r_total
-    clusters = []
-    norm_m = mat_norm(m)
-    residuals = []
-    for (start, stop, lam) in blocks:
-        basis = similarity[:, start:stop]
-        block = t[start:stop, start:stop]
-        res = mat_norm(m @ basis - basis @ block)
-        residuals.append(res / norm_m if norm_m else res)
-        clusters.append(SpectralCluster(lam, stop - start, basis))
-    diag = {
-        "subspace_residuals": residuals,
-        "reassembly_residual": _reassembly_residual(m, similarity, t),
-    }
-    return SpectralData(tuple(clusters), similarity, t, diag)
-
-
-def _reassembly_residual(m, s, block):
-    rebuilt = s @ block @ np.linalg.inv(s)
-    norm_m = mat_norm(m)
-    res = mat_norm(rebuilt - m)
-    return res / norm_m if norm_m else res
+    clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
+                     for start, stop, lam in blocks)
+    return SpectralData(clusters, similarity, t, m.copy(order="K"))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +607,7 @@ def _funm_with_block_atomics(t, blocks, diagonal):
                 k0, k1, _ = blocks[kb]
                 rhs += f[i0:i1, k0:k1] @ t[k0:k1, j0:j1]
                 rhs -= t[i0:i1, k0:k1] @ f[k0:k1, j0:j1]
-            f[i0:i1, j0:j1] = scipy.linalg.solve_sylvester(
-                t[i0:i1, i0:i1], -t[j0:j1, j0:j1], rhs)
+            f[i0:i1, j0:j1] = _sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], rhs)
     return f
 
 

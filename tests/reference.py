@@ -12,6 +12,13 @@ a time; the ``decompose`` tests match the library's labels to it.
 ``reference_spectral`` is ``eqconn.numkit.spectral`` as it stands on the
 Givens-sorted Schur form above: ``scramble`` takes its shears from it, so the
 scrambled inputs do not move when the library's spectral code does.
+``reference_spectral_diagnostics`` computes the residuals ``spectral`` once
+computed eagerly.
+
+``reference_sylvester`` is ``scipy.linalg.solve_sylvester`` for
+``A X - X B = C``; the folds and ``reference_spectral`` solve with it, and
+the library's LAPACK kernel ``eqconn.numkit._sylvester`` must match it to
+the bit.
 
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
@@ -23,7 +30,7 @@ order of the powers included.
 import numpy as np
 import scipy.linalg
 
-from eqconn.numkit import SpectralCluster, SpectralData, nullspace
+from eqconn.numkit import SpectralCluster, SpectralData, mat_norm, nullspace
 
 
 def _cluster_indices(values, radius):
@@ -51,6 +58,11 @@ def _cluster_indices(values, radius):
             seen[r] = len(seen)
         labels.append(seen[r])
     return labels
+
+
+def reference_sylvester(a, b, c):
+    """Solve ``A X - X B = C`` with scipy's Bartels-Stewart solver."""
+    return scipy.linalg.solve_sylvester(a, -b, c)
 
 
 def _swap_adjacent(t, q, i):
@@ -107,8 +119,7 @@ def _parlett(t, blocks, diagonal):
                 k0, k1, _ = blocks[kb]
                 rhs += f[i0:i1, k0:k1] @ t[k0:k1, j0:j1]
                 rhs -= t[i0:i1, k0:k1] @ f[k0:k1, j0:j1]
-            f[i0:i1, j0:j1] = scipy.linalg.solve_sylvester(
-                t[i0:i1, i0:i1], -t[j0:j1, j0:j1], rhs)
+            f[i0:i1, j0:j1] = reference_sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], rhs)
     return f
 
 
@@ -176,8 +187,7 @@ def reference_spectral(m, eps_spec=1e-8):
         j0, j1, _ = blocks[jb]
         for ib in range(jb - 1, -1, -1):
             i0, i1, _ = blocks[ib]
-            x = scipy.linalg.solve_sylvester(t[i0:i1, i0:i1], -t[j0:j1, j0:j1],
-                                             -t[i0:i1, j0:j1])
+            x = reference_sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], -t[i0:i1, j0:j1])
             r = np.eye(n, dtype=complex)
             r[i0:i1, j0:j1] = x
             rinv = np.eye(n, dtype=complex)
@@ -189,6 +199,25 @@ def reference_spectral(m, eps_spec=1e-8):
     clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
                      for start, stop, lam in blocks)
     return SpectralData(clusters, similarity, t)
+
+
+def reference_spectral_diagnostics(m, sd):
+    """The residuals of ``SpectralData.diagnostics`` for ``sd = spectral(m)``,
+    computed as ``spectral`` once computed them before returning."""
+    t, similarity = sd.block_form, sd.similarity
+    norm_m = mat_norm(m)
+    residuals, start = [], 0
+    for c in sd.clusters:
+        stop = start + c.multiplicity
+        basis = similarity[:, start:stop]
+        block = t[start:stop, start:stop]
+        res = mat_norm(m @ basis - basis @ block)
+        residuals.append(res / norm_m if norm_m else res)
+        start = stop
+    rebuilt = similarity @ t @ np.linalg.inv(similarity)
+    res = mat_norm(rebuilt - m)
+    return {"subspace_residuals": residuals,
+            "reassembly_residual": res / norm_m if norm_m else res}
 
 
 def reference_clean_terms(dim, terms):

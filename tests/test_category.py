@@ -46,7 +46,8 @@ from eqconn.exceptions import (
 )
 from eqconn.laurent import PolyMat
 from eqconn.numkit import DEFAULT_TOL, Transversal, spectral
-from reference import reference_decompose, reference_spectral
+from eqconn.torus import is_nori_finite
+from reference import reference_decompose, reference_spectral, reference_sylvester
 from util import Q, STRIP, TAU, THETA, random_commuting_pair, random_normal_form, scramble
 
 TWO_PI_I = 2j * math.pi
@@ -145,6 +146,39 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
     for g, w in ((got.A, want.A), (got.B, want.B)):
         assert list(g.terms) == list(w.terms)
         assert all(g.terms[k].tobytes() == w.terms[k].tobytes() for k in w.terms)
+
+
+def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
+    """normalize, tensor, from_monodromy and is_nori_finite give the same bits
+    when every Sylvester solve goes through scipy's solver instead of the
+    LAPACK kernel."""
+    rng = np.random.default_rng(48)
+    objs = [scramble(random_normal_form(rng, n), rng, shears=s)
+            for n, s in ((2, 1), (4, 2), (8, 1))]
+    x, y = random_normal_form(rng, 3), random_normal_form(rng, 4)
+    reps = [MonodromyPair(*random_commuting_pair(rng, n)) for n in (4, 6)]
+    s = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    roots = s @ np.diag(np.exp(TWO_PI_I * np.array([0.2, 0.4, 0.4, 0.5]))) @ np.linalg.inv(s)
+
+    def run():
+        forms = [normalize(obj, STRIP) for obj in objs]
+        forms += [tensor(x, y), tensor(x, x)]
+        forms += [from_monodromy(rep, STRIP, THETA) for rep in reps]
+        bits = [(nf.A0.tobytes(), nf.B0.tobytes(), nf.diagnostics) for nf in forms]
+        bits += [[c.tobytes() for c in nf.gauge.series.terms.values()] for nf in forms[:3]]
+        return bits, [is_nori_finite(m) for m in (roots, reps[0])]
+
+    want = run()
+    calls = []
+
+    def reference(a, b, c, schur_b=None):
+        calls.append(a.shape)
+        return reference_sylvester(a, b, c)
+
+    for module in (eqconn.numkit, eqconn.category):
+        monkeypatch.setattr(module, "_sylvester", reference)
+    assert run() == want
+    assert want[1] == [True, False] and len(calls) > 100
 
 
 def test_reference_spectral_agrees_with_the_library():
@@ -406,6 +440,38 @@ def test_kernel_cokernel_rank_one_map():
     # K-classes add along the two exact sequences
     assert k0_class(src) == k0_class(ker) + k0_class(img)
     assert k0_class(tgt) == k0_class(img) + k0_class(cok)
+
+
+def test_kernel_cokernel_image_report_the_rank_split():
+    src = NormalForm(np.diag([0.1 * TAU, 0.5 * TAU, 0.7 * TAU]), np.diag([2.0, 3.0, 5.0]),
+                     STRIP, THETA, TAU)
+    tgt = NormalForm(np.diag([0.1 * TAU, 0.5 * TAU, 0.8 * TAU]), np.diag([2.0, 3.0, 7.0]),
+                     STRIP, THETA, TAU)
+    phi = np.diag([2.0, 0.5, 0.0]).astype(complex)
+    phi[2, 2] = 1e-12       # below eps_res times the largest: dropped
+    m = Morphism(src, tgt, phi)
+    for fn in (kernel, cokernel, image):
+        obj, _ = fn(m)
+        d = obj.diagnostics
+        assert d["phi_rank"] == 2
+        assert d["kept_singular_ratio"] == 0.25
+        assert d["dropped_singular_ratio"] == 0.5e-12
+        assert d["invariance_residual"] < 1e-15
+    assert kernel(m)[0].n == 1 and cokernel(m)[0].n == 1 and image(m)[0].n == 2
+
+
+def test_kernel_diagnostics_of_the_zero_map_and_a_non_invariant_subspace():
+    x = NormalForm(np.array([[0.1 * TAU, 0.3], [0.0, 0.5 * TAU]]), np.eye(2, dtype=complex),
+                   STRIP, THETA, TAU)
+    zero = kernel(Morphism(x, x, np.zeros((2, 2), dtype=complex)))[0].diagnostics
+    assert zero == {"phi_rank": 0, "dropped_singular_ratio": 0.0,
+                    "kept_singular_ratio": 0.0, "invariance_residual": 0.0}
+    # phi is no morphism: its kernel, the second axis, is not A0-invariant
+    phi = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    d = kernel(Morphism(x, x, phi))[0].diagnostics
+    want = 0.3 / max(1.0, np.linalg.norm(x.A0))
+    assert abs(d["invariance_residual"] - want) < 1e-15
+    assert cokernel(Morphism(x, x, phi))[0].diagnostics["invariance_residual"] < 1e-15
 
 
 def test_decompose_diagonal_and_nilpotent():

@@ -135,6 +135,25 @@ def test_kernel_cokernel_commands(capsys, tmp_path):
     assert code == 0 and report["result"]["object"]["dim"] == 2
 
 
+def test_kernel_reports_its_rank_split_in_strict_json(capsys, tmp_path):
+    x = random_normal_form(np.random.default_rng(5), 3)
+    from eqconn.category import Morphism
+    from eqconn.serialize import encode_morphism
+    for phi in (np.zeros((3, 3)), np.eye(3), np.diag([1.0, 1e-13, 0.0])):
+        mp = write(tmp_path, "m.json", encode_morphism(Morphism(x, x, phi.astype(complex))))
+        for command in ("kernel", "cokernel"):
+            code, out = run(capsys, ["--json", command, mp])
+            assert code == 0
+            report = json.loads(out, parse_constant=_refuse)
+            diagnostics = report["result"]["object"]["diagnostics"]
+            assert sorted(diagnostics) == ["dropped_singular_ratio", "invariance_residual",
+                                           "kept_singular_ratio", "phi_rank"]
+
+
+def _refuse(token):
+    raise AssertionError("non-standard JSON constant %s" % token)
+
+
 def test_kmap_and_divisor_eq(capsys, tmp_path):
     cls = K0Class(STRIP, [(2.0, 0.25 * TAU + 0.1, 1)])
     kp = write(tmp_path, "k.json", encode_k0(cls))

@@ -37,6 +37,28 @@ def rand_pm(rng, dim, powers):
 
 # --- arithmetic ----------------------------------------------------------------
 
+def test_norm_is_the_largest_coefficient_norm_to_the_bit():
+    rng = np.random.default_rng(61)
+    signed = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    signed.real[0] = -0.0
+    signed.imag[:, 1] = -0.0
+    extremes = np.full((2, 2), 1e-150 + 1e-150j)
+    extremes[0, 1] = 1e150 - 3e149j
+    cases = [PolyMat(3, {0: signed, 2: -signed}, TAU, Q),
+             PolyMat(2, {0: extremes, 1: np.full((2, 2), 1e-150j)}, TAU, Q),
+             PolyMat(2, {5: np.full((2, 2), 1e-150 - 0.0j)}, TAU, Q),
+             rand_pm(rng, 1, range(-2, 3)),
+             rand_pm(rng, 12, range(0, 17)),
+             rand_pm(rng, 12, [0, 3]) * rand_pm(rng, 12, [-1, 1, 4])]
+    # Fortran-ordered coefficients: the sums must run in memory order
+    cases += [PolyMat(12, {1: np.asfortranarray(rng.normal(size=(12, 12)) + 1j)}, TAU, Q)
+              for _ in range(8)]
+    for p in cases:
+        want = max(float(np.linalg.norm(c)) for c in p.terms.values())
+        assert type(p.norm()) is float and p.norm() == want
+    assert PolyMat(3, {}, TAU, Q).norm() == 0.0
+
+
 def test_add_zero_and_monomial_cancellation():
     rng = np.random.default_rng(0)
     f = rand_pm(rng, 2, [-1, 0, 2])

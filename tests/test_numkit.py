@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from eqconn import numkit
 from eqconn.exceptions import NumericFailure, SpectrumCollision, ValidationFailure
 from eqconn.numkit import (
     SL2Z,
@@ -25,7 +26,12 @@ from eqconn.numkit import (
     spectral,
     wd,
 )
-from reference import reference_fold
+from reference import (
+    reference_fold,
+    reference_spectral,
+    reference_spectral_diagnostics,
+    reference_sylvester,
+)
 from util import random_normal_form
 
 TAU = 1.0 - 1.0j
@@ -169,6 +175,117 @@ def test_sylvester_collision_names_pair():
     with pytest.raises(SpectrumCollision) as err:
         solve_sylvester(a, b, np.ones((2, 2)))
     assert "2" in str(err.value)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def sylvester_cases(rng):
+    """``(a, b, c)`` for the kernel: triangular and full A, 1x1 and k x k B,
+    rectangular C, exact zeros, -0.0 parts and repeated diagonals, and
+    triangular blocks small or large enough for zgees to scale them."""
+    def full(n, m=None):
+        m = n if m is None else m
+        return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+
+    for n, m in ((1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 5)):
+        for triangular in (True, False):
+            a = np.triu(full(n)) if triangular else full(n)
+            b = np.triu(full(m)) + 4.0 * np.eye(m)
+            c = full(n, m)
+            yield a, b, c
+            yield a, b, c.real + 0j                      # zero imaginary parts
+            yield a.real + 0j, b.real + 0j, c.real + 0j  # a real equation
+            zeros = c.copy()
+            zeros[rng.random((n, m)) < 0.5] = 0.0
+            zeros.real[rng.random((n, m)) < 0.5] = -0.0
+            yield a, b, zeros
+            repeated = a.copy()
+            np.fill_diagonal(repeated, a[0, 0])
+            yield repeated, b, c
+            signed = a.copy()
+            signed[np.tril(np.ones((n, n), dtype=bool), -1)] = complex(-0.0, -0.0)
+            yield signed, b, c
+    for scale in (1e-140, 1e-100, 1e100, 1e140):
+        a = np.triu(full(3)) * scale
+        yield a, np.triu(full(2)) * scale + 2.0 * scale * np.eye(2), full(3, 2)
+        yield a[:1, :1], a[1:2, 1:2], full(1, 1)
+
+
+def test_sylvester_kernel_matches_the_reference_to_the_bit():
+    for a, b, c in sylvester_cases(np.random.default_rng(31)):
+        assert same_bits(numkit._sylvester(a, b, c), reference_sylvester(a, b, c))
+        schur_b = numkit._schur(-b.conj().T)
+        assert same_bits(numkit._sylvester(a, b, c, schur_b), reference_sylvester(a, b, c))
+
+
+def test_schur_returns_a_triangular_matrix_as_zgees_does():
+    rng = np.random.default_rng(32)
+    for n in range(1, 13):
+        m = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        m[rng.random((n, n)) < 0.3] = 0.0
+        m.imag[rng.random((n, n)) < 0.3] = -0.0
+        m[np.tril(np.ones((n, n), dtype=bool), -1)] = -0.0
+        for case in (m, np.diag(np.diag(m)), np.zeros((n, n), dtype=complex), m * 1e-140):
+            t, z = scipy.linalg.schur(case, output="complex")
+            fast, eye = numkit._schur(case)
+            assert same_bits(fast, t)
+            assert same_bits(np.eye(n, dtype=complex) if eye is None else eye, z)
+
+
+def test_sylvester_kernel_raises_when_the_schur_form_fails(monkeypatch):
+    zgees = scipy.linalg.lapack.zgees
+
+    def failing(*args, **kwargs):
+        out = zgees(*args, **kwargs)
+        return out[:-1] + (2,)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
+    a = np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex)
+    with pytest.raises(NumericFailure, match="zgees info 2"):
+        numkit._sylvester(a, np.eye(2), np.ones((2, 2)))
+
+
+def test_sylvester_kernel_raises_when_lapack_perturbs_the_spectra(monkeypatch):
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+
+    def perturbing(*args, **kwargs):
+        y, scale, _ = ztrsyl(*args, **kwargs)
+        return y, scale, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", perturbing)
+    with pytest.raises(NumericFailure, match="ztrsyl info 1"):
+        numkit._sylvester(np.array([[1.0 + 0j]]), np.array([[1.0 + 1e-14j]]),
+                          np.array([[1.0 + 0j]]))
+
+
+def spectral_inputs(rng):
+    for n in range(1, 13):
+        yield rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    yield jordan_input(rng)[0]
+    yield straddle_input(rng)[0]
+    yield groups_input(rng)[0]
+    yield random_normal_form(rng, 8).A0
+
+
+def test_spectral_matches_the_reference_to_the_bit():
+    for m in spectral_inputs(np.random.default_rng(33)):
+        got, want = spectral(m), reference_spectral(m)
+        assert same_bits(got.similarity, want.similarity)
+        assert same_bits(got.block_form, want.block_form)
+        assert len(got.clusters) == len(want.clusters)
+        for g, w in zip(got.clusters, want.clusters):
+            assert g.eigenvalue == w.eigenvalue and g.multiplicity == w.multiplicity
+            assert same_bits(g.basis, w.basis)
+
+
+def test_spectral_diagnostics_on_first_read_equal_the_eager_values():
+    for m in spectral_inputs(np.random.default_rng(34)):
+        sd = spectral(m)
+        assert "diagnostics" not in vars(sd)
+        assert sd.diagnostics == reference_spectral_diagnostics(m, sd)
+        assert sd.diagnostics is sd.diagnostics
 
 
 # --- exponential and branch-selected logarithm --------------------------------
@@ -372,14 +489,14 @@ def test_fold_of_two_shift_groups_makes_one_sylvester_solve(monkeypatch):
     # a solve per pair of clusters would make six
     a, _ = conjugated(np.random.default_rng(11),
                       [[[0.2 * TAU]], [[1.3 * TAU]], [[0.6 * TAU]], [[1.8 * TAU]]])
-    solve = scipy.linalg.solve_sylvester
+    solve = numkit._sylvester
     calls = []
 
     def counting(*args):
         calls.append(args[0].shape)
         return solve(*args)
 
-    monkeypatch.setattr(scipy.linalg, "solve_sylvester", counting)
+    monkeypatch.setattr(numkit, "_sylvester", counting)
     _, shifts = reduce_to_transversal(a, Transversal(TAU))
     assert sorted(s for _, s in shifts) == [0, 0, 1, 1]
     assert calls == [(2, 2)]
