@@ -45,12 +45,9 @@ from .laurent import (
 from .numkit import (
     DEFAULT_TOL,
     Transversal,
-    _check_separated,
     _clustered_schur,
-    _schur,
     _svd_split,
-    _sylvester,
-    as_square_matrix,
+    _sylvester_against,
     log_transversal,
     mat_exp,
     reduce_to_transversal,
@@ -320,7 +317,7 @@ def _series_gauge(a, a0, transversal, order, tol):
     n = a.dim
     coeffs = {0: np.eye(n, dtype=complex)}
     eye = np.eye(n, dtype=complex)
-    right = None        # the spectrum and Schur form of A0, shared by every order
+    solve = None        # against A0, whose spectrum and Schur form every order shares
     for k in range(1, order + 1):
         rhs = np.zeros((n, n), dtype=complex)
         for j in range(1, k + 1):
@@ -332,12 +329,9 @@ def _series_gauge(a, a0, transversal, order, tol):
             continue
         # spectra of A0 + tau k and A0 are disjoint once the spectrum sits in
         # one strip, so each order has a unique solution
-        shifted = as_square_matrix(a0 + (transversal.tau * k) * eye, "A")
-        if right is None:
-            a0 = as_square_matrix(a0, "B")
-            right = np.linalg.eigvals(a0), _schur(-a0.conj().T)
-        _check_separated(np.linalg.eigvals(shifted), right[0], tol)
-        coeffs[k] = _sylvester(shifted, a0, rhs, right[1])
+        if solve is None:
+            solve = _sylvester_against(a0, tol)
+        coeffs[k] = solve(a0 + (transversal.tau * k) * eye, rhs)
     return PolyMat(n, coeffs, a.tau, a.q)
 
 

@@ -14,7 +14,8 @@ supplies the primitives the rest of the package leans on:
   inside a prescribed transversal.  Every Sylvester solve goes through one
   kernel that calls LAPACK (zgees, ztrsyl) directly, as
   ``scipy.linalg.solve_sylvester`` calls it, with the same bits; it skips
-  the Schur forms LAPACK would return unchanged, those of triangular blocks;
+  the Schur forms LAPACK would return unchanged, those of triangular blocks,
+  and takes them once for many solves against one B;
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
@@ -260,16 +261,29 @@ def solve_sylvester(a, b, c, tol=None):
     Raises ``SpectrumCollision`` naming the offending eigenvalue pair when
     the spectra of A and B overlap within the clustering tolerance.
     """
-    tol = tol or DEFAULT_TOL
-    a = as_square_matrix(a, "A")
+    return _sylvester_against(b, tol or DEFAULT_TOL)(a, c)
+
+
+def _sylvester_against(b, tol):
+    """``solve(a, c)``, solving ``A X - X B = C`` with the checks of
+    ``solve_sylvester``, for a caller that solves against one B many times:
+    B's spectrum and Schur form are taken once.
+    """
     b = as_square_matrix(b, "B")
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise ValidationFailure(
-            "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
-        )
-    _check_separated(np.linalg.eigvals(a), np.linalg.eigvals(b), tol)
-    return _sylvester(a, b, c)
+    eig_b = np.linalg.eigvals(b)
+    schur_b = _schur(-b.conj().T)
+
+    def solve(a, c):
+        a = as_square_matrix(a, "A")
+        c = np.atleast_2d(np.asarray(c, dtype=complex))
+        if c.shape != (a.shape[0], b.shape[0]):
+            raise ValidationFailure(
+                "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
+            )
+        _check_separated(np.linalg.eigvals(a), eig_b, tol)
+        return _bartels_stewart(_schur(a), schur_b, c)
+
+    return solve
 
 
 def _check_separated(eig_a, eig_b, tol):
@@ -296,13 +310,12 @@ def _schur(m):
     """Complex Schur form ``(t, z)``, ``z t z^H = m``, as
     ``scipy.linalg.schur`` computes it: LAPACK's zgees after its workspace
     query.  An upper triangular ``m`` of moderate size comes back as
-    ``(m, None)``, where ``None`` stands for the identity: zgees would return
-    both bit for bit.
+    ``(m, I)`` without a call, as zgees would return both bit for bit.
     """
     if m.shape[0] == 1 or not np.tril(m, -1).any():
         largest = np.abs(m).max()
         if largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]:
-            return m, None
+            return m, np.eye(m.shape[0], dtype=complex, order="F")
     lwork = scipy.linalg.lapack.zgees(_no_sort, m, lwork=-1)[-2][0].real.astype(np.int_)
     t, _, _, z, _, info = scipy.linalg.lapack.zgees(_no_sort, m, lwork=lwork)
     if info != 0:
@@ -310,50 +323,26 @@ def _schur(m):
     return t, z
 
 
-def _sylvester(a, b, c, schur_b=None):
-    """Solve ``A X - X B = C`` by Bartels-Stewart, with the LAPACK calls of
-    ``scipy.linalg.solve_sylvester(a, -b, c)`` and so its result to the bit:
-    Schur forms ``a = u r u^H`` and ``-b^H = v s v^H``, ztrsyl on
-    ``f = u^H c v``, then ``x = u y v^H``.
+def _sylvester(a, b, c):
+    """Solve ``A X - X B = C`` with the LAPACK calls of
+    ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its result to the bit.
 
-    ``schur_b``, when given, is ``_schur(-b.conj().T)``, for a caller that
-    solves against one B many times.  Raises ``NumericFailure`` when a Schur
-    form does not converge, or when ztrsyl had to perturb eigenvalues of A
-    and B that are too close.
+    Raises ``NumericFailure`` when a Schur form does not converge, or when
+    ztrsyl had to perturb eigenvalues of A and B that are too close.
     """
-    r, u = _schur(a)
-    s, v = _schur(-b.conj().T) if schur_b is None else schur_b
-    f = _sandwich(u, c, v, adjoint_u=True)
+    return _bartels_stewart(_schur(a), _schur(-b.conj().T), c)
+
+
+def _bartels_stewart(schur_a, schur_b, c):
+    """Bartels-Stewart on ``a = u r u^H`` and ``-b^H = v s v^H``: ztrsyl on
+    ``f = u^H c v``, then ``x = u y v^H``, with scipy's products."""
+    (r, u), (s, v) = schur_a, schur_b
+    f = np.dot(np.dot(u.conj().T, c), v)
     y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
     if info != 0:
         raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
                              % info)
-    return _sandwich(u, scale * y, v, adjoint_u=False)
-
-
-def _sandwich(u, x, v, adjoint_u):
-    """The products around scipy's ztrsyl call: ``(u^H x) v`` if
-    ``adjoint_u``, else ``(u x) v^H``; a C-ordered array, as ``np.dot`` makes.
-
-    ``None`` stands for the identity Schur vectors of a triangular form.  A
-    product with them is skipped when it keeps every bit of the other factor,
-    that is when each real and imaginary part of it is finite and nonzero:
-    BLAS may flip the sign of a zero part.
-    """
-    safe = None
-    for z, left, adjoint in ((u, True, adjoint_u), (v, False, not adjoint_u)):
-        if z is None:
-            if safe is None:
-                safe = bool(np.isfinite(x).all() and x.real.all() and x.imag.all())
-            if safe:
-                x = np.ascontiguousarray(x)
-                continue
-            z = np.eye(x.shape[0] if left else x.shape[1], dtype=complex)
-        if adjoint:
-            z = z.conj().transpose()
-        x = np.dot(z, x) if left else np.dot(x, z)
-        safe = None
-    return x
+    return np.dot(np.dot(u, scale * y), v.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +369,7 @@ class SpectralData:
     clusters: tuple
     similarity: np.ndarray
     block_form: np.ndarray
-    matrix: np.ndarray = field(default=None, repr=False, compare=False)
+    matrix: np.ndarray = field(default=None, repr=False, compare=False, kw_only=True)
 
     @property
     def dim(self):
@@ -511,7 +500,7 @@ def spectral(m, tol=None):
     similarity = q @ r_total
     clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
                      for start, stop, lam in blocks)
-    return SpectralData(clusters, similarity, t, m.copy(order="K"))
+    return SpectralData(clusters, similarity, t, matrix=m.copy(order="K"))
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,13 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
     want = run()
     calls = []
 
-    def reference(a, b, c, schur_b=None):
+    def reference(a, b, c):
         calls.append(a.shape)
         return reference_sylvester(a, b, c)
 
-    for module in (eqconn.numkit, eqconn.category):
-        monkeypatch.setattr(module, "_sylvester", reference)
+    monkeypatch.setattr(eqconn.numkit, "_sylvester", reference)
+    monkeypatch.setattr(eqconn.category, "_sylvester_against",
+                        lambda b, tol: lambda a, c: reference(a, b, c))
     assert run() == want
     assert want[1] == [True, False] and len(calls) > 100
 
@@ -472,6 +473,19 @@ def test_kernel_diagnostics_of_the_zero_map_and_a_non_invariant_subspace():
     want = 0.3 / max(1.0, np.linalg.norm(x.A0))
     assert abs(d["invariance_residual"] - want) < 1e-15
     assert cokernel(Morphism(x, x, phi))[0].diagnostics["invariance_residual"] < 1e-15
+
+
+def test_subobjects_of_a_real_map_are_those_of_the_same_complex_map():
+    # kernel, cokernel and image all take the SVD of phi in complex arithmetic
+    src = NormalForm(np.diag([0.1 * TAU, 0.5 * TAU, 0.7 * TAU]), np.diag([2.0, 3.0, 5.0]),
+                     STRIP, THETA, TAU)
+    phi = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    for fn in (kernel, cokernel, image):
+        got, inc = fn(Morphism(src, src, phi))
+        want, want_inc = fn(Morphism(src, src, phi.astype(complex)))
+        assert got.A0.tobytes() == want.A0.tobytes() and got.B0.tobytes() == want.B0.tobytes()
+        assert inc.phi.tobytes() == want_inc.phi.tobytes()
+        assert got.diagnostics == want.diagnostics and got.diagnostics["phi_rank"] == 2
 
 
 def test_decompose_diagonal_and_nilpotent():

@@ -10,7 +10,9 @@ import scipy.linalg
 from eqconn import numkit
 from eqconn.exceptions import NumericFailure, SpectrumCollision, ValidationFailure
 from eqconn.numkit import (
+    DEFAULT_TOL,
     SL2Z,
+    SpectralData,
     Tolerances,
     Transversal,
     TransversalBranchWarning,
@@ -215,9 +217,28 @@ def sylvester_cases(rng):
 
 def test_sylvester_kernel_matches_the_reference_to_the_bit():
     for a, b, c in sylvester_cases(np.random.default_rng(31)):
-        assert same_bits(numkit._sylvester(a, b, c), reference_sylvester(a, b, c))
-        schur_b = numkit._schur(-b.conj().T)
-        assert same_bits(numkit._sylvester(a, b, c, schur_b), reference_sylvester(a, b, c))
+        want = reference_sylvester(a, b, c)
+        assert same_bits(numkit._sylvester(a, b, c), want)
+        # a radius the blocks scaled by 1e-140 clear, so the checks pass them
+        tight = Tolerances(eps_spec=1e-300)
+        assert same_bits(numkit._sylvester_against(b, tight)(a, c), want)
+        assert same_bits(numkit.solve_sylvester(a, b, c, tight), want)
+
+
+def test_sylvester_against_one_b_solves_each_a_with_the_checks():
+    rng = np.random.default_rng(34)
+    b = np.triu(rng.normal(size=(3, 3))) + 2.0 * np.eye(3)
+    solve = numkit._sylvester_against(b, DEFAULT_TOL)
+    for k in range(1, 5):
+        a = rng.normal(size=(2, 2)) + (1.0 - 1.0j) * k * np.eye(2)
+        c = rng.normal(size=(2, 3))
+        assert same_bits(solve(a, c), reference_sylvester(a, b, c))
+    with pytest.raises(SpectrumCollision):
+        solve(b[:2, :2], np.ones((2, 3)))
+    with pytest.raises(ValidationFailure, match="C must be 2 x 3"):
+        solve(np.eye(2), np.ones((3, 2)))
+    with pytest.raises(ValidationFailure, match="A must be square"):
+        solve(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_schur_returns_a_triangular_matrix_as_zgees_does():
@@ -231,7 +252,7 @@ def test_schur_returns_a_triangular_matrix_as_zgees_does():
             t, z = scipy.linalg.schur(case, output="complex")
             fast, eye = numkit._schur(case)
             assert same_bits(fast, t)
-            assert same_bits(np.eye(n, dtype=complex) if eye is None else eye, z)
+            assert same_bits(eye, z) and eye.flags.f_contiguous == z.flags.f_contiguous
 
 
 def test_sylvester_kernel_raises_when_the_schur_form_fails(monkeypatch):
@@ -278,6 +299,13 @@ def test_spectral_matches_the_reference_to_the_bit():
         for g, w in zip(got.clusters, want.clusters):
             assert g.eigenvalue == w.eigenvalue and g.multiplicity == w.multiplicity
             assert same_bits(g.basis, w.basis)
+
+
+def test_spectral_data_takes_its_matrix_by_keyword_only():
+    sd = spectral(np.diag([1.0, 2.0]))
+    with pytest.raises(TypeError):
+        SpectralData(sd.clusters, sd.similarity, sd.block_form, {"reassembly_residual": 0.0})
+    assert SpectralData(sd.clusters, sd.similarity, sd.block_form).diagnostics == {}
 
 
 def test_spectral_diagnostics_on_first_read_equal_the_eager_values():
