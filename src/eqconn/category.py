@@ -20,6 +20,7 @@ All operations are pure; randomized searches take explicit seeds.
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,9 @@ from .numkit import (
     DEFAULT_TOL,
     Transversal,
     _clustered_schur,
+    _connected_components,
+    _decouple,
+    _group_blocks,
     _svd_split,
     _sylvester_against,
     log_transversal,
@@ -172,7 +176,10 @@ def validate(obj, tol=None, strict=True):
 @dataclass(frozen=True)
 class NormalForm:
     """Constant commuting presentation of an object: ``nabla = delta + A0``,
-    dilation ``B0``, with ``spec(A0)`` inside ``transversal``."""
+    dilation ``B0``, with ``spec(A0)`` inside ``transversal``.
+
+    The Schur form of A0 is kept once taken (``schur_form``), and A0 is made
+    read-only then, so that an in-place change cannot leave it stale."""
 
     A0: np.ndarray
     B0: np.ndarray
@@ -181,10 +188,29 @@ class NormalForm:
     tau: complex
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
+    # the Schur forms of A0, per Tolerances, computed on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
         return self.A0.shape[0]
+
+    def schur_form(self, tol=None):
+        """Clustered Schur form ``(t, q, blocks)`` of A0 from
+        ``numkit._clustered_schur``: ``q t q^H = A0``, each eigenvalue
+        cluster a contiguous diagonal block ``(start, stop, mean)``.
+
+        It is computed once per ``Tolerances`` and shared by ``decompose``,
+        ``hom_basis``, ``hom_mode_dims`` and ``torus.psi_star``.  Its arrays
+        are read-only, and so is A0 from then on.
+        """
+        tol = tol or DEFAULT_TOL
+        form = self._memo.get(tol)
+        if form is None:
+            t, q, blocks = _clustered_schur(self.A0, tol)
+            t.flags.writeable = q.flags.writeable = self.A0.flags.writeable = False
+            form = self._memo[tol] = (t, q, tuple(blocks))
+        return form
 
     @property
     def q(self):
@@ -493,23 +519,42 @@ class Morphism:
 def hom_basis(x, y, tol=None):
     """Orthonormal basis of the space of morphisms ``x -> y``.
 
-    Both arguments must be normalized to the same strip; the space is the
-    joint kernel of the two intertwining systems, computed by a stacked
-    vectorized solve.  Completeness of constant intertwiners is exactly the
-    mode-exclusion argument checked by ``hom_mode_dims``.
+    Both arguments must be normalized to the same strip.  A morphism maps
+    each generalized eigenspace of ``x.A0`` into the one of ``y.A0`` with the
+    same eigenvalue and vanishes between different eigenvalues, whose
+    Sylvester equation is uniquely solvable; so the space is solved one
+    eigenvalue component at a time on the shared Schur forms of both objects
+    (``_hom_components``), and the morphisms of all components are
+    orthonormalized together by one QR factorization.  Completeness of
+    constant intertwiners is exactly the mode-exclusion argument checked by
+    ``hom_mode_dims``.
     """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
     if x.n == 0 or y.n == 0:
         return []
-    eye_x, eye_y = np.eye(x.n), np.eye(y.n)
-    top = np.kron(x.A0.T, eye_y) - np.kron(eye_x, y.A0)
-    bot = np.kron(x.B0.T, eye_y) - np.kron(eye_x, y.B0)
-    # the kernel decision is scaled by the object data, not by the stacked
-    # matrix itself, which is pure noise for numerically equal objects
-    basis = _nullspace_scaled(np.vstack([top, bot]), _data_scale(x, y), tol)
-    return [Morphism(x, y, basis[:, i].reshape((y.n, x.n), order="F"))
-            for i in range(basis.shape[1])]
+    side_x = _hom_side(x, tol)
+    side_y = side_x if y is x else _hom_side(y, tol)
+    phis = [y_basis @ kernel @ x_left for y_basis, kernel, x_left
+            in _hom_components(x, side_x, y, side_y, 0, tol)]
+    if not phis:
+        return []
+    phis = np.concatenate(phis)
+    basis = np.linalg.qr(phis.reshape(phis.shape[0], -1).T)[0]
+    return [Morphism(x, y, phi) for phi in basis.T.reshape(-1, y.n, x.n)]
+
+
+# Eigenvalues of the two objects of a Hom whose clusters, or whose groups
+# (``_projector_groups``), lie within this radius of each other, relative to
+# their data scale, are solved together as one component.
+_COMPONENT_RADIUS = 1e-4
+# Clusters of one object are grouped until each group's spectral projector
+# has norm at most this.  Rounding splits a Jordan block of size m by about
+# u^(1/m), 1e-2 for the block of size 7 in J4 (x) J4: beyond the radius, but
+# the projectors of its pieces reach 1e8 and more, while well separated
+# eigenvalues keep theirs near 1.  The mean eigenvalue of a group is as
+# accurate as its projector is small.
+_PROJECTOR_BOUND = 1e4
 
 
 def _data_scale(x, y):
@@ -517,41 +562,261 @@ def _data_scale(x, y):
                np.linalg.norm(x.B0), np.linalg.norm(y.B0))
 
 
+class _HomSide(namedtuple("_HomSide", "values means group start size u lh ab")):
+    """What ``_hom_components`` reads of one object: per cluster of its
+    shared Schur form, the eigenvalue, the mean eigenvalue of its group and
+    the group (``_projector_groups``); per group g, the ``size[g]`` columns
+    of ``u`` from ``start[g]`` on, an orthonormal basis of its invariant
+    subspace, and those rows of ``lh``, the left factor of its spectral
+    projector; and ``ab = [lh A0 u, lh B0 u]``, which holds the groups'
+    blocks on its diagonal."""
+
+
+def _hom_side(nf, tol):
+    """The ``_HomSide`` of a normal form, from its shared Schur form."""
+    t, q, blocks = nf.schur_form(tol)
+    group, t, q, runs, u, lh = _projector_groups(t, q, blocks)
+    ab = lh @ np.stack([t, q.conj().T @ nf.B0 @ q]) @ u
+    values = np.array([lam for _, _, lam in blocks], dtype=complex)
+    group = np.array(group, dtype=int)
+    start, stop = np.array(runs, dtype=int).reshape(-1, 2).T
+    means = values
+    if len(runs) < len(blocks):
+        sizes = np.array([b1 - b0 for b0, b1, _ in blocks], dtype=float)
+        means = (np.bincount(group, values.real * sizes)
+                 + 1j * np.bincount(group, values.imag * sizes))[group] / (stop - start)[group]
+    return _HomSide(values, means, group, start, stop - start, q @ u, lh @ q.conj().T, ab)
+
+
+def _hom_components(x, side_x, y, side_y, k, tol):
+    """The intertwiners of mode ``k``, ``phi A_x = (A_y + k tau) phi`` and
+    ``phi B_x = q^k B_y phi``, one eigenvalue component at a time, from the
+    ``_hom_side`` data of both objects.
+
+    The components are the connected parts of one graph over the clusters
+    of both Schur forms: an edge joins two clusters whose eigenvalues, or
+    whose groups' mean eigenvalues, lie within ``_COMPONENT_RADIUS`` times
+    the data scale.  So a component is a union of groups, each of bounded
+    spectral projector, and the pieces of a Jordan block that rounding split
+    apart meet the eigenvalue they came from.  A component holding
+    eigenvalues of one side only carries no intertwiner.  On the others both
+    sides are restricted to orthonormal bases of their invariant subspaces
+    (``_component_bases``), and the kernel of that small Kronecker system,
+    ranked by ``_nullspace_scaled`` as the whole system would be, is the
+    component's part of the space.  With a single component this is the
+    whole system.
+
+    Returns stacks ``(y_basis, kernel, x_left)``, one per shape of the
+    components' systems: the morphisms are ``y_basis[j] @ kernel[j] @
+    x_left[j]``, ``y_basis[j]`` an orthonormal basis on y's side and
+    ``x_left[j]`` the left factor of x's spectral projector.
+    """
+    scale = _data_scale(x, y) + abs(x.tau) * abs(k)
+    shift = x.tau * k
+    radius = _COMPONENT_RADIUS * scale
+    values = np.concatenate([side_x.values, side_y.values + shift])
+    near = np.abs(values[:, None] - values) <= radius
+    if side_x.means is not side_x.values or side_y.means is not side_y.values:
+        means = np.concatenate([side_x.means, side_y.means + shift])
+        near |= np.abs(means[:, None] - means) <= radius
+    component = _connected_components(near)
+    split = len(side_x.values)
+    live = set(component[:split]) & set(component[split:])
+    if not live:
+        return []
+    keys_x, index_x = _side_keys(component[:split], live)
+    keys_y, index_y = _side_keys(component[split:], live)
+    _, lhx, abx, x_at, x_size = _component_bases(side_x, keys_x)
+    uy, _, aby, y_at, y_size = _component_bases(side_y, keys_y)
+    classes = {}
+    for c in sorted(live):
+        i, j = index_x[c], index_y[c]
+        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
+    out = []
+    for (mx, my), starts in sorted(classes.items()):
+        starts = np.array(starts)
+        ix = starts[:, :1] + np.arange(mx)
+        iy = starts[:, 1:] + np.arange(my)
+        diag_y = _blocks(aby, iy)
+        if k:
+            diag_y[:, 0] += shift * np.eye(my)
+            diag_y[:, 1] *= x.q ** k
+        # the rows of phi A_x - A_y phi, then those of phi B_x - B_y phi
+        system = (_kron(_blocks(abx, ix).transpose(0, 1, 3, 2), np.eye(my))
+                  - _kron(np.eye(mx), diag_y))
+        which, kernel = _nullspace_scaled(system.reshape(len(starts), -1, mx * my),
+                                          scale, tol)
+        if len(kernel):
+            # phi vectorized in column-major order
+            kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
+            out.append((uy[:, iy[which]].transpose(1, 0, 2), kernel, lhx[ix[which]]))
+    return out
+
+
+def _projector_groups(t, q, blocks):
+    """Group the clusters of a Schur form until the spectral projector of
+    each group has Frobenius norm at most ``_PROJECTOR_BOUND``: a group
+    whose projector exceeds it is joined to the nearest cluster outside it,
+    its clusters are made one contiguous block by ztrsen, and the groups
+    are split apart again by ``_decouple``.
+
+    Every cluster is its own group unless rounding split an eigenvalue into
+    clusters with ill conditioned projectors.  Returns ``(group, t, q, runs,
+    u, lh)``: the group of each cluster, numbered in order, the Schur form
+    with the block ``runs[g] = (start, stop)`` of each group g, and, in its
+    basis, orthonormal bases ``u`` of the groups' invariant subspaces side
+    by side and the left factors ``lh`` of their projectors, ``lh u = I``.
+    Each group's right factor from ``_decouple`` is orthonormalized by the
+    Cholesky factor of its Gram matrix, which is well conditioned: the
+    factor holds an identity block.
+    """
+    n = t.shape[0]
+    if len(blocks) < 2:
+        eye = np.eye(n, dtype=complex)
+        return [0] * len(blocks), t, q, [(0, n)] * len(blocks), eye, eye
+    form = t, q
+    runs = [(start, stop) for start, stop, _ in blocks]
+    group = list(range(len(blocks)))
+    near = None
+    while True:
+        v, w = _decouple(t, runs)
+        # the projector on group g is v[:, g] w[g]; its Frobenius norm is at
+        # most the product of theirs
+        starts = [start for start, _ in runs]
+        within = (np.add.reduceat(np.einsum("ij,ij->j", v.conj(), v).real, starts)
+                  * np.add.reduceat(np.einsum("ij,ij->i", w.conj(), w).real, starts)
+                  <= _PROJECTOR_BOUND ** 2)
+        if within.all() or len(runs) == 1:
+            owner = np.repeat(np.arange(len(runs)), np.diff(starts + [n]))
+            rho, rho_inv = _cholesky_pair(v, owner)
+            return group, t, q, runs, v @ rho_inv, rho @ w
+        if near is None:
+            values = np.array([lam for _, _, lam in blocks], dtype=complex)
+            near = np.eye(len(blocks), dtype=bool)
+        ill = np.flatnonzero(~within)
+        group = np.array(group)
+        for g in ill:
+            inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
+            gaps = np.abs(values[inside, None] - values[outside])
+            i, j = np.unravel_index(gaps.argmin(), gaps.shape)
+            near[inside[i], outside[j]] = near[outside[j], inside[i]] = True
+        group = _connected_components(near)
+        t, q, runs = _group_blocks(*form, blocks, group)
+        runs = [(start, stop) for start, stop, _ in runs]
+
+
+def _cholesky_pair(v, owner):
+    """``(rho, rho^-1)`` for the Cholesky factor ``rho`` of the Gram matrix
+    of ``v`` restricted to the blocks of columns with equal ``owner``: each
+    block of ``v rho^-1`` is orthonormal."""
+    gram = (v.conj().T @ v) * (owner[:, None] == owner)
+    rho, info = scipy.linalg.lapack.zpotrf(gram)
+    if info != 0:
+        raise NumericFailure("invariant subspace basis is degenerate (zpotrf info %d)"
+                             % info)
+    return rho, scipy.linalg.lapack.ztrtri(rho)[0]
+
+
+def _side_keys(component, live):
+    """Per cluster of one side, its live component numbered in order of
+    first appearance on that side, or -1; and that numbering."""
+    index = {}
+    keys = tuple(index.setdefault(c, len(index)) if c in live else -1
+                 for c in component)
+    return keys, index
+
+
+def _blocks(ab, rows):
+    """The diagonal blocks ``ab[:, r][:, :, r]`` for each row ``r`` of
+    ``rows``, stacked: shape ``(len(rows), 2, m, m)``."""
+    return ab[:, rows[:, :, None], rows[:, None, :]].transpose(1, 0, 2, 3)
+
+
+def _kron(a, b):
+    """``np.kron`` of the matrices in the last two axes, broadcast over the
+    others."""
+    p, s = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * s, p * s))
+
+
+def _component_bases(side, keys):
+    """One side of ``_hom_components``: for the components numbered 0, 1,
+    ... by ``keys`` (one per cluster, -1 for none), orthonormal bases ``u``
+    of their invariant subspaces, the left factors ``lh`` of their spectral
+    projectors, and ``ab``, A0 and B0 on them.
+
+    A component is a union of groups.  When each is a single group, these
+    are the side's own arrays; otherwise the factors of each component's
+    groups are taken side by side and orthonormalized together.
+
+    Returns ``(u, lh, ab, at, size)``: component i has the ``size[i]``
+    columns of ``u`` from ``at[i]`` on, and ``ab = [lh A0 u, lh B0 u]``
+    holds its blocks on the diagonal.
+    """
+    count = max(keys) + 1
+    key_of = np.full(len(side.start), -1)
+    key_of[side.group] = keys
+    live = np.flatnonzero(key_of >= 0)
+    if len(live) == count:
+        at, size = np.empty(count, dtype=int), np.empty(count, dtype=int)
+        at[key_of[live]], size[key_of[live]] = side.start[live], side.size[live]
+        return side.u, side.lh, side.ab, at.tolist(), size.tolist()
+    live = live[np.argsort(key_of[live], kind="stable")]
+    cols = np.concatenate([np.arange(side.start[g], side.start[g] + side.size[g])
+                           for g in live])
+    owner = np.repeat(key_of[live], side.size[live])
+    rho, rho_inv = _cholesky_pair(side.u[:, cols], owner)
+    u, lh = side.u[:, cols] @ rho_inv, rho @ side.lh[cols]
+    size = np.bincount(owner, minlength=count)
+    at = np.cumsum(size) - size
+    return u, lh, rho @ side.ab[:, cols[:, None], cols] @ rho_inv, at.tolist(), size.tolist()
+
+
 def _nullspace_scaled(m, scale, tol):
+    """Kernels of a stack of matrices: ``(which, rows)``, the kernel basis
+    vectors as rows, ``which[j]`` the matrix of row j.
+
+    Singular values above ``eps_res * scale`` count to each rank: the
+    decision is scaled by the object data, not by the matrices themselves,
+    which are pure noise for numerically equal objects.
+    """
     try:
         _, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError:
         # the divide-and-conquer SVD can fail to converge where plain QR
         # iteration does not
         try:
-            _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
+            parts = [scipy.linalg.svd(mk, lapack_driver="gesvd") for mk in m]
         except np.linalg.LinAlgError as exc:
             raise NumericFailure("SVD of the intertwining system did not "
                                  "converge: %s" % exc)
-    rank = int(np.sum(s > tol.eps_res * scale))
-    return vh[rank:].conj().T
+        s = np.array([part[1] for part in parts])
+        vh = np.array([part[2] for part in parts])
+    rank = (s > tol.eps_res * scale).sum(axis=-1)
+    null = np.arange(vh.shape[-1]) >= rank[:, None]
+    return np.nonzero(null)[0], vh[null].conj()
 
 
 def hom_mode_dims(x, y, k_range=8, tol=None):
     """Dimensions of would-be intertwiners carried by each power of z.
 
-    For presentations sharing one strip every nonzero mode must vanish; this
-    scan makes that exclusion checkable rather than assumed.
+    Mode k compares the labels of x with those of y shifted by ``(k tau,
+    q^k)``, one eigenvalue component at a time as in ``hom_basis``.  For
+    presentations sharing one strip no eigenvalues meet, so every nonzero
+    mode vanishes without a solve; the scan makes that exclusion checkable
+    rather than assumed.
     """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
-    q = x.q
-    eye_x, eye_y = np.eye(x.n), np.eye(y.n)
-    out = {}
-    for k in range(-k_range, k_range + 1):
-        if k == 0:
-            continue
-        top = np.kron(x.A0.T, eye_y) - np.kron(eye_x, y.A0 + (x.tau * k) * eye_y)
-        bot = np.kron(x.B0.T, eye_y) - (q ** k) * np.kron(eye_x, y.B0)
-        out[k] = _nullspace_scaled(np.vstack([top, bot]),
-                                   _data_scale(x, y) + abs(x.tau) * abs(k),
-                                   tol).shape[1]
-    return out
+    modes = [k for k in range(-k_range, k_range + 1) if k != 0]
+    if x.n == 0 or y.n == 0:
+        return dict.fromkeys(modes, 0)
+    side_x = _hom_side(x, tol)
+    side_y = side_x if y is x else _hom_side(y, tol)
+    return {k: sum(len(kernel) for _, kernel, _
+                   in _hom_components(x, side_x, y, side_y, k, tol))
+            for k in modes}
 
 
 def is_isomorphic(x, y, tol=None, seed=0, trials=32):
@@ -648,8 +913,8 @@ def decompose(nf, tol=None):
     """Composition series as the list of simple labels ``(lam, b)``, sorted
     lexicographically on (Re, Im) of ``lam``, then of ``b``.
 
-    One clustered Schur form of A0 puts each eigenvalue cluster in a
-    contiguous diagonal block.  B0 commutes with A0, so in the same basis it
+    The shared clustered Schur form of A0 (``NormalForm.schur_form``) puts
+    each eigenvalue cluster in a contiguous diagonal block.  B0 commutes with A0, so in the same basis it
     is block upper triangular on those clusters; a cluster's labels pair its
     eigenvalue with each eigenvalue of its diagonal block of B0, and the
     multiset of labels is the joint spectrum with multiplicity.  A part of
@@ -657,7 +922,7 @@ def decompose(nf, tol=None):
     does not commute to that accuracy and raises ``NumericFailure``.
     """
     tol = tol or DEFAULT_TOL
-    t, q, blocks = _clustered_schur(nf.A0, tol)
+    t, q, blocks = nf.schur_form(tol)
     b = q.conj().T @ nf.B0 @ q
     cluster = np.repeat(np.arange(len(blocks)), [s1 - s0 for s0, s1, _ in blocks])
     below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))

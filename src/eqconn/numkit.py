@@ -398,28 +398,26 @@ class SpectralData:
 def _cluster_indices(values, radius):
     """Connected components of the proximity graph |v_i - v_j| <= radius,
     labelled in order of first appearance."""
-    n = len(values)
-    parent = list(range(n))
+    values = np.asarray(values, dtype=complex)
+    return _connected_components(np.abs(values[:, None] - values[None, :]) <= radius)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    labels, seen = [], {}
-    for i in range(n):
-        r = find(i)
-        if r not in seen:
-            seen[r] = len(seen)
-        labels.append(seen[r])
-    return labels
+def _connected_components(near):
+    """Connected components of the graph with symmetric adjacency matrix
+    ``near`` (its diagonal set), labelled in order of first appearance."""
+    n = near.shape[0]
+    if np.count_nonzero(near) == n:
+        return list(range(n))
+    root = near.argmax(axis=1)
+    while True:
+        # each vertex takes the smallest root among its neighbours; the fixed
+        # point is each component's first index
+        new = np.where(near, root[None, :], n).min(axis=1)
+        if (new == root).all():
+            break
+        root = new
+    first = root == np.arange(n)
+    return (np.cumsum(first) - 1)[root].tolist()
 
 
 def _swap_adjacent(t, q, i):
@@ -600,22 +598,23 @@ def _funm_with_block_atomics(t, blocks, diagonal):
     return f
 
 
-def _group_by_shift(t, q, blocks, shifts):
+def _group_blocks(t, q, blocks, keys):
     """Reorder the cluster-ordered Schur form ``q t q^H`` so that clusters
-    sharing a shift sit in one contiguous group, groups in increasing shift.
+    sharing an integer key (a shift, a group of clusters) sit in one contiguous
+    group, groups in increasing key.
 
     LAPACK's ``ztrsen`` moves the selected eigenvalues to the top keeping
     their order, so selecting every group up to the next boundary, once per
     boundary, leaves the groups in place.  Returns ``(t, q, groups)`` with
-    groups a list of ``(start, stop, shift)``.
+    groups a list of ``(start, stop, key)``.
     """
-    member = np.repeat(shifts, [s1 - s0 for s0, s1, _ in blocks])
-    levels = sorted(set(shifts))
+    member = np.repeat(keys, [s1 - s0 for s0, s1, _ in blocks])
+    levels = sorted(set(keys))
     for level in levels[:-1]:
         select = member <= level
         t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
         if info != 0:
-            raise NumericFailure("Schur reordering by shift failed (info %d)" % info)
+            raise NumericFailure("Schur reordering failed (info %d)" % info)
         member = np.concatenate([member[select], member[~select]])
     groups, start = [], 0
     for level in levels:
@@ -623,6 +622,34 @@ def _group_by_shift(t, q, blocks, shifts):
         groups.append((start, stop, level))
         start = stop
     return t, q, groups
+
+
+def _decouple(t, bounds):
+    """Block diagonalize the upper triangular ``t`` on the contiguous
+    diagonal blocks ``bounds = [(start, stop), ...]`` that cover it in order.
+
+    Returns ``(v, w)`` with ``w = v^-1`` and ``w t v`` block diagonal, equal
+    to ``t`` on the blocks: columns i of ``v`` and rows i of ``w`` are the
+    right and left factors of the spectral projector on block i.  Row block i
+    of ``w`` is ``[0, I, -r_i]``, where ``t_ii r_i - r_i t_rest = -t_(i,
+    rest)`` splits block i from all the blocks after it; a split leaves the
+    blocks after it unchanged, so each is one ztrsyl call on ``t`` itself.
+    Blocks too close to split (ztrsyl info 1, which perturbs the coinciding
+    eigenvalues) give factors of huge norm: callers check the norms.
+    """
+    n = t.shape[0]
+    w = np.eye(n, dtype=complex)
+    for start, stop in bounds[:-1]:
+        y, scale, info = scipy.linalg.lapack.ztrsyl(
+            t[start:stop, start:stop], t[stop:, stop:], t[start:stop, stop:], isgn=-1)
+        if info < 0:
+            raise NumericFailure("ztrsyl rejected argument %d" % -info)
+        w[start:stop, stop:] = y if scale == 1.0 else y / scale
+    v, info = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
+    if info != 0:
+        raise NumericFailure("inverting the projector factors failed (ztrtri info %d)"
+                             % info)
+    return v, w
 
 
 def reduce_to_transversal(a, transversal, tol=None):
@@ -641,7 +668,7 @@ def reduce_to_transversal(a, transversal, tol=None):
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
         return a.copy(), pairs
-    t, q, groups = _group_by_shift(t, q, blocks, shifts)
+    t, q, groups = _group_blocks(t, q, blocks, shifts)
     diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
                 for g0, g1, shift in groups]
     f = _funm_with_block_atomics(t, groups, diagonal)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
@@ -317,14 +316,15 @@ class FreeBundle:
 def psi_star(nf):
     """Push a normal form to a free holomorphic bundle.
 
-    The connection matrix is first brought to upper-triangular form by a
-    constant unitary similarity, then rescaled by ``2 pi i``; the dilation
-    matrix is forgotten.
+    The connection matrix is brought to upper-triangular form by a constant
+    unitary similarity, the normal form's shared clustered Schur form at the
+    default tolerances (``NormalForm.schur_form``), then rescaled by ``2 pi
+    i``; the dilation matrix is forgotten.
     """
     theta, tau = nf.theta, nf.tau
     if nf.n == 0:
         return FreeBundle(theta, tau, [])
-    t, _ = scipy.linalg.schur(np.asarray(nf.A0, dtype=complex), output="complex")
+    t, _, _ = nf.schur_form()
     conn = [[TorusPoly(theta, {(0, 0): TWO_PI_I * t[i, j]}) if j >= i
              else TorusPoly(theta)
              for j in range(nf.n)] for i in range(nf.n)]

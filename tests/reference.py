@@ -20,6 +20,11 @@ computed eagerly.
 the library's LAPACK kernel ``eqconn.numkit._sylvester`` must match it to
 the bit.
 
+``reference_hom_basis`` and ``reference_hom_mode_dims`` take the kernel of
+the whole stacked Kronecker system of the intertwining equations, one SVD
+per Hom or mode; the library's Hom by eigenvalue component must match their
+dimensions and spaces.
+
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
@@ -251,3 +256,37 @@ def reference_conjugate(a, c):
     c_inv = np.linalg.inv(c)
     return reference_clean_terms(a.dim, {k: c_inv @ coeff @ c
                                          for k, coeff in a.terms.items()})
+
+
+def _kronecker_kernel(x, y, shift, factor, scale, eps_res):
+    """Kernel of ``phi A_x - (A_y + shift) phi`` and ``phi B_x - factor B_y
+    phi`` as one stacked Kronecker system, ranked by ``eps_res * scale``."""
+    eye_x, eye_y = np.eye(x.n), np.eye(y.n)
+    top = np.kron(x.A0.T, eye_y) - np.kron(eye_x, y.A0 + shift * eye_y)
+    bot = np.kron(x.B0.T, eye_y) - factor * np.kron(eye_x, y.B0)
+    _, s, vh = np.linalg.svd(np.vstack([top, bot]))
+    rank = int(np.sum(s > eps_res * scale))
+    return vh[rank:].conj().T
+
+
+def _data_scale(x, y):
+    return max(1.0, np.linalg.norm(x.A0), np.linalg.norm(y.A0),
+               np.linalg.norm(x.B0), np.linalg.norm(y.B0))
+
+
+def reference_hom_basis(x, y, eps_res=1e-9):
+    """Orthonormal basis of the intertwiners ``x -> y``, as ``y.n x x.n``
+    matrices, from the SVD of the whole Kronecker system."""
+    if x.n == 0 or y.n == 0:
+        return []
+    basis = _kronecker_kernel(x, y, 0.0, 1.0, _data_scale(x, y), eps_res)
+    return [basis[:, i].reshape((y.n, x.n), order="F") for i in range(basis.shape[1])]
+
+
+def reference_hom_mode_dims(x, y, k_range=8, eps_res=1e-9):
+    """``{k: dim}`` of the intertwiners of mode k, ``phi A_x = (A_y + k tau)
+    phi`` and ``phi B_x = q^k B_y phi``, one SVD per mode."""
+    return {k: _kronecker_kernel(x, y, x.tau * k, x.q ** k,
+                                 _data_scale(x, y) + abs(x.tau) * abs(k),
+                                 eps_res).shape[1]
+            for k in range(-k_range, k_range + 1) if k != 0}

@@ -47,7 +47,13 @@ from eqconn.exceptions import (
 from eqconn.laurent import PolyMat
 from eqconn.numkit import DEFAULT_TOL, Transversal, spectral
 from eqconn.torus import is_nori_finite
-from reference import reference_decompose, reference_spectral, reference_sylvester
+from reference import (
+    reference_decompose,
+    reference_hom_basis,
+    reference_hom_mode_dims,
+    reference_spectral,
+    reference_sylvester,
+)
 from util import Q, STRIP, TAU, THETA, random_commuting_pair, random_normal_form, scramble
 
 TWO_PI_I = 2j * math.pi
@@ -401,6 +407,246 @@ def test_hom_reports_an_svd_that_fails_twice(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "svd", _svd_fails)
     with pytest.raises(NumericFailure, match="did not converge"):
         hom_basis(x, x)
+
+
+def span_distance(basis, other):
+    """Spectral-norm distance of the orthogonal projectors onto the spans of
+    two orthonormal lists of matrices (in the Frobenius inner product)."""
+    p, q = (np.array([m.ravel() for m in ms]).T for ms in (basis, other))
+    return float(np.linalg.norm(p @ p.conj().T - q @ q.conj().T, 2))
+
+
+def assert_hom_matches_oracle(x, y, span_tol=1e-10):
+    """Hom by component against the whole Kronecker system: the same
+    dimension, the same space, an orthonormal basis of valid morphisms."""
+    got = hom_basis(x, y)
+    want = reference_hom_basis(x, y)
+    assert len(got) == len(want)
+    phis = [m.phi for m in got]
+    assert all(m.is_valid() for m in got)
+    gram = np.array([[np.vdot(a, b) for b in phis] for a in phis])
+    assert np.allclose(gram, np.eye(len(phis)), atol=1e-12)
+    assert not want or span_distance(phis, want) <= span_tol
+    return got
+
+
+def test_hom_matches_the_dense_oracle_on_random_normal_forms():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            x = random_normal_form(rng, n)
+            y = random_normal_form(rng, n)
+            xs = util.conjugate(x, util.well_conditioned(rng, n))
+            assert_hom_matches_oracle(x, y)
+            assert_hom_matches_oracle(x, x)
+            assert len(assert_hom_matches_oracle(x, xs)) == len(hom_basis(x, x)) > 0
+            assert_hom_matches_oracle(direct_sum(x, y), x)
+            assert_hom_matches_oracle(x, direct_sum(y, x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hom_matches_the_dense_oracle_on_tensor_swaps(n):
+    rng = np.random.default_rng(42 + n)
+    x = random_normal_form(rng, n)
+    y = random_normal_form(rng, n)
+    xy, yx = tensor(x, y), tensor(y, x)
+    assert len(assert_hom_matches_oracle(xy, yx)) == len(hom_basis(xy, xy)) == n * n
+    assert_hom_matches_oracle(yx, xy)
+    assert_hom_matches_oracle(xy, xy)
+
+
+def test_hom_matches_the_dense_oracle_on_a_normalize_output():
+    rng = np.random.default_rng(45)
+    for n in (2, 3):
+        seed_nf = random_normal_form(rng, n)
+        nf = normalize(scramble(seed_nf, rng, shears=1, degree=2), STRIP)
+        assert len(assert_hom_matches_oracle(seed_nf, nf)) == n
+        assert_hom_matches_oracle(nf, seed_nf)
+
+
+def rounded_jordan_3():
+    """The 3 x 3 Jordan block at 0.3 tau with B0 = 2 + N + 0.3 N^2, whose
+    eigenvalue rounding splits into three clusters about 7e-6 apart once
+    conjugated."""
+    return util.jordan_normal_form([(0.3 * TAU, (3,), (2.0, 1.0, 0.3))])
+
+
+def test_hom_matches_the_dense_oracle_on_defective_forms():
+    rng = np.random.default_rng(46)
+    plain = rounded_jordan_3()
+    s = util.well_conditioned(np.random.default_rng(7), 3)
+    conj = util.conjugate(plain, s)
+    assert len(conj.schur_form()[2]) > 1      # the rounding split it
+    for x, y in ((plain, conj), (conj, plain), (conj, conj)):
+        assert len(assert_hom_matches_oracle(x, y)) == 3
+    for groups in (1, 2, 2, 3):
+        x = util.random_defective_normal_form(rng, groups)
+        y = util.conjugate(x, util.well_conditioned(rng, x.n))
+        dim = len(assert_hom_matches_oracle(x, x))
+        assert len(assert_hom_matches_oracle(x, y)) == dim
+        assert len(assert_hom_matches_oracle(y, x)) == dim
+        assert_hom_matches_oracle(x, direct_sum(plain, x))
+
+
+@pytest.mark.parametrize("patterns", [((4,),), ((3, 1),), ((3,), (1,))])
+def test_hom_of_tensors_of_defective_forms_matches_the_dense_oracle(patterns):
+    # J4 (x) J4 holds Jordan blocks of sizes 7, 5, 3 and 1 at one
+    # eigenvalue, and rounding splits the one of size 7 by about 1e-3 of the
+    # data, ten times the component radius; J3 (x) J3 holds sizes 5, 3, 1.
+    # The projectors splitting a nearly defective block from the rest are
+    # conditioned by the Sylvester separation, not by the eigenvalue gap, so
+    # the spaces agree to about 1e-9 here, the residuals staying near 1e-11
+    # of the data scale
+    rng = np.random.default_rng(53)
+    x = util.random_defective_normal_form(rng, patterns=patterns)
+    xx = tensor(x, x)
+    xs = tensor(x, util.conjugate(x, util.well_conditioned(rng, x.n)))
+    dim = len(assert_hom_matches_oracle(xx, xx, span_tol=1e-8))
+    assert len(assert_hom_matches_oracle(xx, xs, span_tol=1e-8)) == dim
+    assert len(assert_hom_matches_oracle(xs, xx, span_tol=1e-8)) == dim
+    iso = is_isomorphic(xx, xs)
+    assert iso is not None and iso.is_valid()
+    assert is_isomorphic(xx, NormalForm(xs.A0, xs.B0 * 1.5, STRIP, THETA, TAU)) is None
+
+
+def split_cluster_form(gap, t13):
+    """Two clusters ``gap`` apart at 0.3 tau either side of 0.6 tau in the
+    Schur form; ``t13`` couples them."""
+    lam = 0.3 * TAU
+    a0 = np.array([[lam, 1.0, t13], [0, 0.6 * TAU, 1.0], [0, 0, lam + gap]])
+    return NormalForm(a0, np.eye(3, dtype=complex), STRIP, THETA, TAU)
+
+
+def test_hom_solves_a_component_split_across_the_schur_form(monkeypatch):
+    # with this coupling the eigenvectors are well conditioned, so the two
+    # clusters are groups of their own, but one component: its basis is
+    # taken from both groups' projector factors, with no reordering
+    lam = 0.3 * TAU
+    x = split_cluster_form(1e-5, -1.0 / (lam + 1e-5 - 0.6 * TAU))
+    assert [lam for _, _, lam in x.schur_form()[2]] == [lam, 0.6 * TAU, lam + 1e-5]
+    calls = []
+    reorder = eqconn.category._group_blocks
+    monkeypatch.setattr(eqconn.category, "_group_blocks",
+                        lambda *args: calls.append(1) or reorder(*args))
+    assert list(eqconn.category._hom_side(x, DEFAULT_TOL).group) == [0, 1, 2]
+    y = one_dim(lam, 1.0)
+    assert len(assert_hom_matches_oracle(x, y)) == 1
+    assert len(assert_hom_matches_oracle(y, x)) == 1
+    assert len(assert_hom_matches_oracle(x, x)) == 3
+    assert not calls
+
+
+def test_hom_groups_clusters_with_ill_conditioned_projectors(monkeypatch):
+    # coupled, the two clusters are the split of one nearly defective
+    # eigenvalue: their projectors have norm about 1e6, so they form one
+    # group, made one block of the Schur form, and a conjugate of the
+    # object, split otherwise by rounding, still meets it
+    x = split_cluster_form(1e-6, 0.5)
+    group, t, q, runs, v, w = eqconn.category._projector_groups(*x.schur_form())
+    assert group == [0, 1, 0] and runs == [(0, 2), (2, 3)]
+    assert np.allclose(q @ t @ q.conj().T, x.A0, atol=1e-14)
+    block = w @ t @ v
+    assert np.linalg.norm(block[:2, 2:]) + np.linalg.norm(block[2:, :2]) < 1e-13
+    side = eqconn.category._hom_side(x, DEFAULT_TOL)
+    assert list(side.group) == [0, 1, 0]
+    assert np.allclose(side.means, [0.3 * TAU + 5e-7, 0.6 * TAU, 0.3 * TAU + 5e-7], atol=1e-12)
+    assert len(assert_hom_matches_oracle(x, x)) == 3
+    assert len(assert_hom_matches_oracle(x, one_dim(0.3 * TAU, 1.0))) == 1
+    y = util.conjugate(x, util.well_conditioned(np.random.default_rng(52), 3))
+    assert len(assert_hom_matches_oracle(x, y)) == len(assert_hom_matches_oracle(y, x)) == 3
+
+
+def test_hom_restricts_both_sides_to_orthonormal_bases():
+    # components of several sizes: each basis block is orthonormal, the left
+    # factor inverts it, and A0 on it is the compression u^H A0 u
+    rng = np.random.default_rng(51)
+    x = util.random_defective_normal_form(rng, 3)
+    side = eqconn.category._hom_side(x, DEFAULT_TOL)
+    keys = tuple(eqconn.numkit._cluster_indices(
+        side.means, 1e-4 * eqconn.category._data_scale(x, x)))
+    # components of one group each, and a component of all groups
+    for keys in (keys, (0,) * len(keys)):
+        u, lh, ab, at, size = eqconn.category._component_bases(side, keys)
+        assert max(size) > 1
+        for start, m in zip(at, size):
+            block = slice(start, start + m)
+            ub = u[:, block]
+            assert np.allclose(ub.conj().T @ ub, np.eye(m), atol=1e-12)
+            assert np.allclose(lh[block] @ ub, np.eye(m), atol=1e-10)
+            assert np.allclose(ab[0][block, block], ub.conj().T @ x.A0 @ ub, atol=1e-10)
+            assert np.allclose(ab[1][block, block], ub.conj().T @ x.B0 @ ub, atol=1e-10)
+
+
+def test_hom_mode_dims_match_the_dense_oracle():
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        x = random_normal_form(rng, n)
+        y = random_normal_form(rng, n)
+        for a, b in ((x, y), (x, x)):
+            assert hom_mode_dims(a, b, k_range=2) == reference_hom_mode_dims(a, b, 2)
+        # a presentation of x shifted one strip to the left: mode 1 carries
+        # all of End(x), and no other mode
+        shifted = NormalForm(x.A0 - TAU * np.eye(n), x.B0 / Q, STRIP, THETA, TAU)
+        dims = hom_mode_dims(x, shifted, k_range=2)
+        assert dims == reference_hom_mode_dims(x, shifted, 2)
+        assert dims[1] == len(hom_basis(x, x)) and dims[-1] == 0
+        assert hom_mode_dims(shifted, x, k_range=2)[-1] == dims[1]
+
+
+def test_hom_with_the_zero_object_is_zero():
+    zero = NormalForm(np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
+                      STRIP, THETA, TAU)
+    x = random_normal_form(np.random.default_rng(54), 2)
+    assert hom_basis(zero, x) == hom_basis(x, zero) == hom_basis(zero, zero) == []
+    assert set(hom_mode_dims(zero, x, k_range=2).values()) == {0}
+
+
+def test_hom_mode_scan_of_separated_spectra_makes_no_svd(monkeypatch):
+    rng = np.random.default_rng(48)
+    x = tensor(random_normal_form(rng, 2), random_normal_form(rng, 2))
+    monkeypatch.setattr(np.linalg, "svd", _svd_fails)
+    assert set(hom_mode_dims(x, x).values()) == {0}
+
+
+def test_is_isomorphic_on_a_conjugated_normal_form():
+    rng = np.random.default_rng(49)
+    for x in (tensor(random_normal_form(rng, 3), random_normal_form(rng, 4)),
+              tensor(random_normal_form(rng, 4), random_normal_form(rng, 4))):
+        y = util.conjugate(x, util.well_conditioned(rng, x.n))
+        iso = is_isomorphic(x, y)
+        assert iso is not None and iso.is_valid()
+        assert np.linalg.cond(iso.phi) < 1e8
+        other = NormalForm(y.A0, y.B0 * 1.5, STRIP, THETA, TAU)
+        assert is_isomorphic(x, other) is None
+
+
+def test_schur_form_is_computed_once_and_shared(monkeypatch):
+    rng = np.random.default_rng(50)
+    nf = tensor(random_normal_form(rng, 3), random_normal_form(rng, 3))
+    want = eqconn.numkit._clustered_schur(nf.A0, DEFAULT_TOL)
+    calls = []
+    original = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    labels = decompose(nf)
+    t, q, blocks = nf.schur_form()
+    hom_basis(nf, nf)
+    hom_mode_dims(nf, nf, k_range=1)
+    assert decompose(nf) == labels and k0_class(nf) == k0_class(nf)
+    assert len(calls) == 1
+    assert np.array_equal(t, want[0]) and np.array_equal(q, want[1])
+    assert list(blocks) == want[2]
+    assert not t.flags.writeable and not q.flags.writeable
+    # A0 cannot change under the kept form
+    with pytest.raises(ValueError):
+        nf.A0[0, 0] += 1.0
+    # a Tolerances of its own gets a form of its own
+    nf.schur_form(eqconn.numkit.Tolerances(eps_spec=1e-6))
+    assert len(calls) == 2
 
 
 # --- kernels, cokernels, composition series ----------------------------------------------

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from eqconn import cli
-from eqconn.category import MonodromyPair
+from eqconn.category import MonodromyPair, tensor
 from eqconn.cli import main, parse_complex
 from eqconn.serialize import (
     encode_divisor,
     encode_k0,
     encode_matrix,
     encode_monodromy,
+    encode_normal_form,
     encode_object,
     encode_free_bundle,
 )
 from eqconn.category import K0Class
 from eqconn.torus import Divisor, psi_star
+from reference import reference_hom_basis
 from util import STRIP, TAU, random_commuting_pair, random_normal_form, scramble
 
 
@@ -120,6 +122,26 @@ def test_hom_and_tensor_commands(capsys, tmp_path):
     assert len(report["result"]["factors"]) == 2
     code, report = run_json(capsys, ["k0", xp])
     assert sum(t["mult"] for t in report["result"]["terms"]) == 2
+
+
+def test_hom_report_is_strict_json_spanning_the_dense_oracle(capsys, tmp_path):
+    rng = np.random.default_rng(64)
+    x, y = random_normal_form(rng, 2), random_normal_form(rng, 2)
+    xy, yx = tensor(x, y), tensor(y, x)
+    paths = [write(tmp_path, "%s.json" % name, encode_normal_form(nf))
+             for name, nf in (("xy", xy), ("yx", yx))]
+    code, out = run(capsys, ["--json", "hom"] + paths)
+    assert code == 0
+    result = json.loads(out, parse_constant=pytest.fail)["result"]
+    want = reference_hom_basis(xy, yx)
+    assert result["dim"] == len(want) == len(result["basis"]) == 4
+    got = np.array([[complex(re, im) for row in m for re, im in row]
+                    for m in result["basis"]]).T
+    ref = np.array([m.ravel() for m in want]).T
+    assert np.allclose(got.conj().T @ got, np.eye(4), atol=1e-12)
+    assert np.linalg.norm(got @ got.conj().T - ref @ ref.conj().T, 2) < 1e-10
+    code, again = run(capsys, ["--json", "hom"] + paths)
+    assert again == out
 
 
 def test_kernel_cokernel_commands(capsys, tmp_path):

@@ -29,6 +29,7 @@ from eqconn.numkit import (
     wd,
 )
 from reference import (
+    _cluster_indices as reference_cluster_indices,
     reference_fold,
     reference_spectral,
     reference_spectral_diagnostics,
@@ -609,3 +610,42 @@ def test_tolerances_validation():
         Tolerances(eps_spec=-1.0)
     with pytest.raises(ValidationFailure):
         Tolerances(eps_spec=0.5)
+
+
+# --- components, projector factors --------------------------------------------
+
+def test_cluster_indices_match_the_pairwise_loop():
+    rng = np.random.default_rng(60)
+    chain = [0.0, 0.9e-8, 1.8e-8, 5.0, 2.7e-8, 5.0 + 1e-9, 3.0j]
+    cases = [[], [1.0], chain, list(reversed(chain)), [0.1] * 4]
+    for n in (3, 8, 40):
+        base = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cases.append(list(np.concatenate([base, base + 1e-9 * rng.normal(size=n)])))
+        cases.append(list(rng.permutation(np.repeat(base[:3], 4))))
+    for values in cases:
+        for radius in (1e-8, 1e-4, 0.0):
+            assert numkit._cluster_indices(values, radius) == \
+                reference_cluster_indices(values, radius)
+
+
+def test_decouple_block_diagonalizes_a_triangular_matrix():
+    rng = np.random.default_rng(61)
+    t = np.triu(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    t[np.arange(7), np.arange(7)] = [0.1, 0.1 + 1e-9, 0.5j, 1.0, 1.0, -2.0, 3.0]
+    bounds = [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    v, w = numkit._decouple(t, bounds)
+    assert np.allclose(v @ w, np.eye(7), atol=1e-13)
+    d = w @ t @ v
+    for start, stop in bounds:
+        assert np.allclose(d[start:stop, start:stop], t[start:stop, start:stop], atol=1e-13)
+        d[start:stop, start:stop] = 0.0
+    assert np.linalg.norm(d) < 1e-12 * np.linalg.norm(t)
+    v1, w1 = numkit._decouple(t, [(0, 7)])
+    assert np.array_equal(v1, np.eye(7)) and np.array_equal(w1, np.eye(7))
+
+
+def test_decouple_shows_blocks_that_share_an_eigenvalue_by_the_factor_norms():
+    t = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    v, w = numkit._decouple(t, [(0, 1), (1, 2)])
+    assert np.linalg.norm(v) * np.linalg.norm(w) > 1e12
+

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqconn.category import K0Class, MonodromyPair, k0_class, tensor, unit_object
 from eqconn.exceptions import ValidationFailure
@@ -191,6 +192,26 @@ def test_psi_star_unit_and_nilpotent():
     assert fb.n == 2
     assert all(abs(d) < 1e-12 for d in fb.diagonal())
     assert fb.conn[1][0].is_zero()
+
+
+def test_psi_star_reads_the_shared_schur_form(monkeypatch):
+    rng = np.random.default_rng(63)
+    x = random_normal_form(rng, 12)
+    t = tensor(x, x)
+    k0_class(t)
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *args, **kwargs: calls.append(1) or schur(*args, **kwargs))
+    fb = psi_star(t)
+    assert t.n == 144 and fb.n == 144 and calls == []
+    tri = t.schur_form()[0]
+    assert all(fb.conn[i][j].coeffs.get((0, 0), 0.0) == TWO_PI_I * tri[i, j]
+               for i in range(t.n) for j in range(i, t.n))
+    assert all(fb.conn[i][j].is_zero() for i in range(t.n) for j in range(i))
+    again = psi_star(t)
+    assert all(again.conn[i][j].coeffs == fb.conn[i][j].coeffs
+               for i in range(t.n) for j in range(t.n))
 
 
 def test_free_bundle_rejects_bad_shapes():

@@ -1,5 +1,6 @@
 """Shared generators for the test suite: seeded commuting pairs, seeded
-normal forms, and gauge scrambles used by the recovery tests.
+normal forms, defective normal forms, and gauge scrambles used by the
+recovery tests.
 
 The benchmark draws its inputs from these generators too.  They fold with
 ``reference_fold`` and take the shears' spectral data from
@@ -10,6 +11,7 @@ library's fold or spectral code does not change the inputs it is measured on.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from eqconn.category import EquivariantConnection, NormalForm
 from eqconn.laurent import (
@@ -63,6 +65,67 @@ def random_normal_form(rng, n, transversal=STRIP, theta=THETA, margin=1e-3):
         if abs(np.linalg.det(b0)) < 1e-6:
             continue
         return NormalForm(a0, b0, transversal, theta, transversal.tau)
+
+
+# Jordan block sizes at one eigenvalue: single blocks of size 2-4, and
+# nested ones, several blocks sharing the eigenvalue and its dilation label
+JORDAN_PATTERNS = ((2,), (3,), (4,), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2))
+
+
+def jordan_normal_form(groups, transversal=STRIP, theta=THETA):
+    """The normal form with, per group ``(lam, sizes, coeffs)``, Jordan
+    blocks of the given sizes at ``lam`` and the dilation ``p(N)`` on them,
+    ``N`` their nilpotent part and ``p`` the polynomial with coefficients
+    ``coeffs`` (constant term first), so that B0 commutes with A0."""
+    blocks_a, blocks_b = [], []
+    for lam, sizes, coeffs in groups:
+        m = sum(sizes)
+        nil = np.zeros((m, m), dtype=complex)
+        start = 0
+        for size in sizes:
+            nil[start:start + size - 1, start + 1:start + size] += np.eye(size - 1)
+            start += size
+        power = np.eye(m, dtype=complex)
+        b = np.zeros((m, m), dtype=complex)
+        for c in coeffs:
+            b += c * power
+            power = power @ nil
+        blocks_a.append(lam * np.eye(m) + nil)
+        blocks_b.append(b)
+    return NormalForm(scipy.linalg.block_diag(*blocks_a), scipy.linalg.block_diag(*blocks_b),
+                      transversal, theta, transversal.tau)
+
+
+def conjugate(nf, s):
+    """The normal form ``(s A0 s^-1, s B0 s^-1)``, isomorphic to ``nf``."""
+    s_inv = np.linalg.inv(s)
+    return NormalForm(s @ nf.A0 @ s_inv, s @ nf.B0 @ s_inv, nf.transversal,
+                      nf.theta, nf.tau)
+
+
+def well_conditioned(rng, n, spread=0.3):
+    """A random invertible ``I + spread * G / sqrt(n)``, G complex Gaussian."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.eye(n) + spread * g / math.sqrt(n)
+
+
+def random_defective_normal_form(rng, groups=2, transversal=STRIP, theta=THETA,
+                                 patterns=None):
+    """A seeded normal form made of Jordan blocks at ``groups`` eigenvalues
+    inside the strip, conjugated by a well conditioned random similarity, so
+    rounding splits each defective eigenvalue into a small cluster.  The
+    block sizes at each eigenvalue are drawn from ``JORDAN_PATTERNS``, or
+    taken from ``patterns``, one tuple of sizes per group."""
+    spec = []
+    for g in range(groups if patterns is None else len(patterns)):
+        lam = transversal.tau * complex(rng.uniform(0.15, 0.85), rng.uniform(-0.5, 0.5))
+        sizes = (JORDAN_PATTERNS[int(rng.integers(len(JORDAN_PATTERNS)))]
+                 if patterns is None else patterns[g])
+        coeffs = [np.exp(0.3 * complex(rng.normal(), rng.normal()))]
+        coeffs += list(rng.normal(size=3) + 1j * rng.normal(size=3))
+        spec.append((lam, sizes, coeffs))
+    nf = jordan_normal_form(spec, transversal, theta)
+    return conjugate(nf, well_conditioned(rng, nf.n))
 
 
 def scramble(nf, rng, shears=2, degree=3, order=48):
