@@ -127,9 +127,9 @@ def equivariance_residual(a, b):
     with the honest ``sigma . nabla = nabla . sigma`` expansion for constant
     connection matrices.
     """
-    r = b.delta() + a * b - b * a
     lo = min(b.min_power, 0)
     hi = max(a.max_power, b.max_power, 0)
+    r = b.delta() + a._product(b, lo, hi) - b._product(a, lo, hi)
     return r.truncate(hi, lo=lo)
 
 

@@ -213,13 +213,24 @@ class PolyMat:
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
             return self.scale(other)
+        return self._product(other)
+
+    def _product(self, other, lo=None, hi=None):
+        """``self * other``; given ``lo`` and ``hi``, only its powers k with
+        ``lo <= k <= hi``, and only the products that land there are formed.
+        Each power sums the same products in the same order either way, so
+        the powers kept are those of the full product to the bit."""
         self._check_compatible(other)
         # one row of products per left-hand power: the full (Ka, Kb, n, n)
         # stack of products is never held at once
         right_powers = np.fromiter(other.terms, dtype=int)
         right = other._stack()
-        return self._summed([k + right_powers for k in self.terms],
-                            (c @ right for c in self.terms.values()))
+        if lo is None:
+            return self._summed([k + right_powers for k in self.terms],
+                                (c @ right for c in self.terms.values()))
+        inside = [(lo <= k + right_powers) & (k + right_powers <= hi) for k in self.terms]
+        return self._summed([k + right_powers[keep] for k, keep in zip(self.terms, inside)],
+                            (c @ right[keep] for c, keep in zip(self.terms.values(), inside)))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)

@@ -7,8 +7,8 @@ supplies the primitives the rest of the package leans on:
 * ``Transversal`` -- a half-open strip ``{z : a <= Re(z/tau) < a+1}`` carrying
   exactly one representative of each coset of ``tau*Z`` in the complex plane,
   plus reduction into it;
-* clustered spectral data (Schur form, greedy eigenvalue clustering, block
-  diagonalization);
+* clustered spectral data (Schur form, eigenvalue clustering by proximity,
+  clusters made contiguous by LAPACK's ztrsen, block diagonalization);
 * Sylvester solves, the matrix exponential, and a matrix logarithm whose
   branch is chosen per eigenvalue cluster so that the result's spectrum lands
   inside a prescribed transversal.  Every Sylvester solve goes through one
@@ -19,10 +19,11 @@ supplies the primitives the rest of the package leans on:
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
-Matrix functions are evaluated by triangularization plus a block recurrence,
-never by diagonalization, so non-diagonalizable inputs are handled exactly as
-well as generic ones.  All values are immutable after construction and all
-functions are pure.
+Matrix functions are evaluated on the clustered Schur form ``t``, never by
+diagonalization, so non-diagonalizable inputs are handled exactly as well as
+generic ones: ``f(t) = V diag(f(t_ii)) V^-1`` for the ``V`` that block
+diagonalizes ``t`` with one ztrsyl call per block (Bavely & Stewart, SIAM J.
+Numer. Anal. 1979).  All values are immutable and all functions are pure.
 """
 
 import cmath
@@ -312,8 +313,8 @@ def _schur(m):
     query.  An upper triangular ``m`` of moderate size comes back as
     ``(m, I)`` without a call, as zgees would return both bit for bit.
     """
-    if m.shape[0] == 1 or not np.tril(m, -1).any():
-        largest = np.abs(m).max()
+    if m.shape[0] <= 1 or not np.tril(m, -1).any():
+        largest = np.abs(m).max(initial=0.0)
         if largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]:
             return m, np.eye(m.shape[0], dtype=complex, order="F")
     lwork = scipy.linalg.lapack.zgees(_no_sort, m, lwork=-1)[-2][0].real.astype(np.int_)
@@ -420,57 +421,30 @@ def _connected_components(near):
     return (np.cumsum(first) - 1)[root].tolist()
 
 
-def _swap_adjacent(t, q, i):
-    """Unitary similarity swapping diagonal entries i, i+1 of triangular t."""
-    a, b, d = t[i, i], t[i, i + 1], t[i + 1, i + 1]
-    v = np.array([b, d - a], dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return
-    u = v / nv
-    g = np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=complex)
-    t[i:i + 2, :] = g.conj().T @ t[i:i + 2, :]
-    t[:, i:i + 2] = t[:, i:i + 2] @ g
-    q[:, i:i + 2] = q[:, i:i + 2] @ g
-    t[i + 1, i] = 0.0
-    t[i, i], t[i + 1, i + 1] = d, a
-
-
 def _clustered_schur(m, tol):
     """Complex Schur form with eigenvalue clusters contiguous on the diagonal.
 
     Returns ``(t, q, blocks)`` where blocks is a list of (start, stop, mean
-    eigenvalue) and ``q t q^H = m``.
+    eigenvalue) and ``q t q^H = m``.  ``_group_blocks`` orders the clusters
+    by first appearance on zgees's diagonal: nothing moves unless one has
+    members apart.
     """
-    try:
-        t, q = scipy.linalg.schur(m, output="complex")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - QR rarely fails
-        raise NumericFailure("Schur iteration failed to converge: %s" % exc)
-    n = m.shape[0]
-    labels = _cluster_indices(list(np.diag(t)), tol.eps_spec)
-    # selection sort on cluster labels, realized through adjacent swaps so
-    # that the triangular form is maintained exactly
-    for pos in range(n):
-        best = min(range(pos, n), key=lambda idx: (labels[idx], idx))
-        for j in range(best, pos, -1):
-            _swap_adjacent(t, q, j - 1)
-            labels[j - 1], labels[j] = labels[j], labels[j - 1]
-    blocks, start = [], 0
-    while start < n:
-        stop = start
-        while stop < n and labels[stop] == labels[start]:
-            stop += 1
-        blocks.append((start, stop, complex(np.mean(np.diag(t)[start:stop]))))
-        start = stop
-    return t, q, blocks
+    t, q = _schur(m)
+    if t is m:
+        t = np.array(m, dtype=complex)
+    labels = _cluster_indices(np.diag(t), tol.eps_spec)
+    t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(m))], labels)
+    diag = np.diag(t)
+    return t, q, [(start, stop, complex(np.mean(diag[start:stop])))
+                  for start, stop, _ in groups]
 
 
 def spectral(m, tol=None):
     """Cluster the spectrum of a square matrix and block-diagonalize it.
 
-    Eigenvalues within eps_spec of each other are merged greedily into one
-    cluster; the returned similarity carries each cluster's generalized
-    eigenspace in contiguous columns.
+    Eigenvalues joined by a chain of gaps within eps_spec form one cluster;
+    the returned similarity carries each cluster's generalized eigenspace in
+    contiguous columns.
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
@@ -502,7 +476,7 @@ def spectral(m, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# matrix functions through the block recurrence
+# matrix functions on the block diagonalized Schur form
 # ---------------------------------------------------------------------------
 
 def _atomic_log_series(block, lam):
@@ -550,52 +524,22 @@ def log_transversal(m, transversal, tol=None):
     structure is never torn across a branch cut.  Eigenvalue clusters whose
     members would individually reduce to different strip representatives are
     flagged with a ``TransversalBranchWarning`` carrying a condition estimate.
+    ``NumericFailure`` is raised where ztrsyl finds two clusters too close
+    to split.
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
-    tau = transversal.tau
     smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if m.size else 0.0
     if smin <= tol.eps_res * mat_norm(m):
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     t, q, blocks = _clustered_schur(m, tol)
-    scale = tau / TWO_PI_I
+    scale = transversal.tau / TWO_PI_I
     shifts = _cluster_shifts(t, blocks, transversal, lambda z: scale * cmath.log(z))
-    diagonal = [_log_atomic(t[s0:s1, s0:s1], lam, shift, scale)
+    # on each block, scale times the branch of its log lowered by shift turns
+    diagonal = [scale * ((cmath.log(lam) - TWO_PI_I * shift) * np.eye(s1 - s0)
+                         + _atomic_log_series(t[s0:s1, s0:s1], lam))
                 for (s0, s1, lam), shift in zip(blocks, shifts)]
-    f = _funm_with_block_atomics(t, blocks, diagonal)
-    return q @ f @ q.conj().T
-
-
-def _log_atomic(block, lam, shift, scale):
-    """``scale`` times the branch of log(block) lowered by ``shift`` turns."""
-    w = cmath.log(lam) - TWO_PI_I * shift
-    return scale * (w * np.eye(block.shape[0]) + _atomic_log_series(block, lam))
-
-
-def _funm_with_block_atomics(t, blocks, diagonal):
-    """Block Parlett recurrence on a block-ordered triangular matrix.
-
-    ``diagonal`` holds the function's value on each diagonal block;
-    off-diagonal blocks follow from one Sylvester solve per pair of blocks,
-    well posed because distinct blocks hold distinct clusters.
-    """
-    n = t.shape[0]
-    f = np.zeros((n, n), dtype=complex)
-    for (s0, s1, _), block in zip(blocks, diagonal):
-        f[s0:s1, s0:s1] = block
-    nb = len(blocks)
-    for gap in range(1, nb):
-        for ib in range(nb - gap):
-            jb = ib + gap
-            i0, i1, _ = blocks[ib]
-            j0, j1, _ = blocks[jb]
-            rhs = f[i0:i1, i0:i1] @ t[i0:i1, j0:j1] - t[i0:i1, j0:j1] @ f[j0:j1, j0:j1]
-            for kb in range(ib + 1, jb):
-                k0, k1, _ = blocks[kb]
-                rhs += f[i0:i1, k0:k1] @ t[k0:k1, j0:j1]
-                rhs -= t[i0:i1, k0:k1] @ f[k0:k1, j0:j1]
-            f[i0:i1, j0:j1] = _sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], rhs)
-    return f
+    return q @ _block_function(t, blocks, diagonal)[0] @ q.conj().T
 
 
 def _group_blocks(t, q, blocks, keys):
@@ -605,26 +549,24 @@ def _group_blocks(t, q, blocks, keys):
 
     LAPACK's ``ztrsen`` moves the selected eigenvalues to the top keeping
     their order, so selecting every group up to the next boundary, once per
-    boundary, leaves the groups in place.  Returns ``(t, q, groups)`` with
-    groups a list of ``(start, stop, key)``.
+    boundary, leaves the groups in place.  Keys that already increase along
+    the diagonal need no call, and ``t``, ``q`` come back as they are.
+    Returns ``(t, q, groups)`` with groups a list of ``(start, stop, key)``.
     """
     member = np.repeat(keys, [s1 - s0 for s0, s1, _ in blocks])
-    levels = sorted(set(keys))
-    for level in levels[:-1]:
-        select = member <= level
-        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-        if info != 0:
-            raise NumericFailure("Schur reordering failed (info %d)" % info)
-        member = np.concatenate([member[select], member[~select]])
-    groups, start = [], 0
-    for level in levels:
-        stop = start + int(np.count_nonzero(member == level))
-        groups.append((start, stop, level))
-        start = stop
-    return t, q, groups
+    if (np.diff(member) < 0).any():
+        for level in sorted(set(keys))[:-1]:
+            select = member <= level
+            t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+            if info != 0:
+                raise NumericFailure("Schur reordering failed (info %d)" % info)
+            member = np.concatenate([member[select], member[~select]])
+    levels, counts = np.unique(member, return_counts=True)
+    stops = np.cumsum(counts)
+    return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))
 
 
-def _decouple(t, bounds):
+def _decouple(t, bounds, strict=False):
     """Block diagonalize the upper triangular ``t`` on the contiguous
     diagonal blocks ``bounds = [(start, stop), ...]`` that cover it in order.
 
@@ -635,15 +577,16 @@ def _decouple(t, bounds):
     rest)`` splits block i from all the blocks after it; a split leaves the
     blocks after it unchanged, so each is one ztrsyl call on ``t`` itself.
     Blocks too close to split (ztrsyl info 1, which perturbs the coinciding
-    eigenvalues) give factors of huge norm: callers check the norms.
+    eigenvalues) give factors of huge norm: callers check the norms, or pass
+    ``strict`` to have ``NumericFailure`` raised.
     """
     n = t.shape[0]
     w = np.eye(n, dtype=complex)
     for start, stop in bounds[:-1]:
         y, scale, info = scipy.linalg.lapack.ztrsyl(
             t[start:stop, start:stop], t[stop:, stop:], t[start:stop, stop:], isgn=-1)
-        if info < 0:
-            raise NumericFailure("ztrsyl rejected argument %d" % -info)
+        if info < 0 or (strict and info):
+            raise NumericFailure("Sylvester solve failed (ztrsyl info %d)" % info)
         w[start:stop, stop:] = y if scale == 1.0 else y / scale
     v, info = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
     if info != 0:
@@ -652,14 +595,33 @@ def _decouple(t, bounds):
     return v, w
 
 
+def _block_function(t, blocks, diagonal):
+    """``(f(t), v, w)`` from ``diagonal = [f(t_ii), ...]`` on the ``blocks``
+    of the triangular ``t``: ``f(t) = v diag(f(t_ii)) w`` for ``(v, w) =
+    _decouple(t, ...)``; the mean of ``f(t_ii)`` is added after the products,
+    which then round with the spread of the values, not their size.
+    """
+    v, w = _decouple(t, [(s0, s1) for s0, s1, _ in blocks], strict=True)
+    d = np.zeros(t.shape, dtype=complex)
+    for (s0, s1, _), block in zip(blocks, diagonal):
+        d[s0:s1, s0:s1] = block
+    mean = np.trace(d) / len(d)
+    d[np.diag_indices_from(d)] -= mean
+    f = v @ d @ w
+    f[np.diag_indices_from(f)] += mean
+    return f, v, w
+
+
 def reduce_to_transversal(a, transversal, tol=None):
     """Shift each eigenvalue cluster of ``a`` by an integer multiple of tau so
     that the full spectrum lands inside the strip.
 
     Returns ``(a_tilde, shifts)`` where shifts lists ``(cluster eigenvalue,
     integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.  The
-    result is a constant shift on each group of clusters sharing a shift, so
-    the block recurrence runs over those groups, not over the clusters.
+    result is a constant shift on each group of clusters sharing a shift:
+    the Schur form is made block diagonal over those groups, not over the
+    clusters.  Raises ``NumericFailure`` when a group's projector norm tops
+    eps_res over the unit roundoff, as for a Jordan block split by the edge.
     """
     tol = tol or DEFAULT_TOL
     a = as_square_matrix(a)
@@ -671,5 +633,9 @@ def reduce_to_transversal(a, transversal, tol=None):
     t, q, groups = _group_blocks(t, q, blocks, shifts)
     diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
                 for g0, g1, shift in groups]
-    f = _funm_with_block_atomics(t, groups, diagonal)
+    f, v, w = _block_function(t, groups, diagonal)
+    # |v_g|_F |w_g|_F bounds the norm of group g's spectral projector
+    norm = max(np.linalg.norm(v[:, a:b]) * np.linalg.norm(w[a:b]) for a, b, _ in groups)
+    if norm * np.finfo(float).eps / 2 > tol.eps_res:
+        raise NumericFailure("projector norm %.1e: shift groups too close" % norm)
     return q @ f @ q.conj().T, pairs

@@ -1,10 +1,16 @@
 """Slow, self-contained references for the fast paths of eqconn.
 
-``reference_fold`` is the cluster-by-cluster fold of a spectrum into a strip:
-a complex Schur form sorted by eigenvalue cluster through adjacent Givens
-swaps, then one Sylvester solve per pair of clusters.  The test generators
-fold with it, so their inputs do not move when the library's fold does, and
-the fold tests use it as the oracle.
+``_clustered_schur`` is a complex Schur form sorted by eigenvalue cluster
+through adjacent Givens swaps, a selection sort; the library's, made
+contiguous by LAPACK's ztrsen, must give the same blocks.  ``_parlett`` is
+the block Parlett recurrence on it, one Sylvester solve per pair of
+blocks, where the library block diagonalizes the Schur form instead.
+
+``reference_fold`` is the cluster-by-cluster fold of a spectrum into a strip
+on these two.  The test generators fold with it, so their inputs do not
+move when the library's fold does, and the fold tests use it as the oracle.
+``reference_log_transversal`` is the branch-chosen logarithm on them, with
+``scipy.linalg.logm`` on each cluster's block.
 
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
@@ -31,6 +37,8 @@ powers, a conjugation per coefficient, and a check per coefficient.  The
 stacked arithmetic of ``eqconn.laurent`` must match them to the bit, the
 order of the powers included.
 """
+
+import cmath
 
 import numpy as np
 import scipy.linalg
@@ -144,6 +152,24 @@ def reference_fold(a, transversal, eps_spec=1e-8):
                 for (s0, s1, _), (_, shift) in zip(blocks, pairs)]
     f = _parlett(t, blocks, diagonal)
     return q @ f @ q.conj().T, pairs
+
+
+def reference_log_transversal(m, transversal, eps_spec=1e-8):
+    """Matrix A with ``exp(2*pi*i*A/tau) = m`` and spectrum inside the strip:
+    on the Schur form above, one branch per cluster, chosen by the cluster's
+    mean eigenvalue, the principal logarithm of each diagonal block from
+    ``scipy.linalg.logm``, and the off-diagonal blocks from the block Parlett
+    recurrence.  Like ``eqconn.numkit.log_transversal``, without its checks
+    and warnings."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    t, q, blocks = _clustered_schur(m, eps_spec)
+    scale = transversal.tau / (2j * np.pi)
+    diagonal = []
+    for s0, s1, lam in blocks:
+        shift = transversal.reduce(scale * cmath.log(lam))[1]
+        block = scipy.linalg.logm(t[s0:s1, s0:s1]) - 2j * np.pi * shift * np.eye(s1 - s0)
+        diagonal.append(scale * block)
+    return q @ _parlett(t, blocks, diagonal) @ q.conj().T
 
 
 def _lex_key(z):

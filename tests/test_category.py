@@ -78,6 +78,19 @@ def test_validate_scalar_object_clean():
     assert diag["equivariance_residual"] == 0.0
 
 
+def test_equivariance_residual_forms_only_the_kept_powers_to_the_bit():
+    rng = np.random.default_rng(73)
+    for n, shears in ((2, 1), (4, 2), (8, 2)):
+        obj = scramble(random_normal_form(rng, n), rng, shears=shears, degree=3)
+        for a, b in ((obj.A, obj.B), (obj.B, obj.A), (obj.A, obj.A)):
+            lo = min(b.min_power, 0)
+            hi = max(a.max_power, b.max_power, 0)
+            want = (b.delta() + a * b - b * a).truncate(hi, lo=lo)
+            got = eqconn.category.equivariance_residual(a, b)
+            assert list(got.terms) == list(want.terms) and len(want.terms) > 1
+            assert all(got.terms[k].tobytes() == want.terms[k].tobytes() for k in want.terms)
+
+
 def test_validate_regularity_violation():
     a = PolyMat(1, {-1: np.eye(1)}, TAU, Q)
     b = PolyMat.identity(1, TAU, Q)
@@ -620,18 +633,28 @@ def test_is_isomorphic_on_a_conjugated_normal_form():
         assert is_isomorphic(x, other) is None
 
 
+def test_tensor_of_a_jordan_block_split_across_the_strip_edge_raises():
+    # rounding splits the square's Jordan cluster into pieces on both sides
+    # of the edge, which take different shifts; the fold's projectors then
+    # have norm near 1e10, and it used to return an A0 of that norm
+    for seed in range(3):
+        x = util.straddling_jordan_form(np.random.default_rng(seed))
+        with pytest.raises(NumericFailure, match="projector"):
+            tensor(x, x)
+
+
 def test_schur_form_is_computed_once_and_shared(monkeypatch):
     rng = np.random.default_rng(50)
     nf = tensor(random_normal_form(rng, 3), random_normal_form(rng, 3))
     want = eqconn.numkit._clustered_schur(nf.A0, DEFAULT_TOL)
     calls = []
-    original = scipy.linalg.schur
+    original = eqconn.numkit._schur
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(eqconn.numkit, "_schur", counting)
     labels = decompose(nf)
     t, q, blocks = nf.schur_form()
     hom_basis(nf, nf)

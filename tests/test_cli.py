@@ -20,7 +20,14 @@ from eqconn.serialize import (
 from eqconn.category import K0Class
 from eqconn.torus import Divisor, psi_star
 from reference import reference_hom_basis
-from util import STRIP, TAU, random_commuting_pair, random_normal_form, scramble
+from util import (
+    STRIP,
+    TAU,
+    random_commuting_pair,
+    random_normal_form,
+    scramble,
+    straddling_jordan_form,
+)
 
 
 def run(capsys, argv):
@@ -302,6 +309,15 @@ def test_non_finite_theta_option_exits_2(capsys):
 def test_non_finite_result_is_a_numeric_failure(capsys, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "wd", lambda ctx: {"wd": float("nan")})
     code, out = run(capsys, ["--json", "wd"])
+    assert code == 1
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
+
+
+def test_tensor_of_a_jordan_block_split_across_the_strip_edge_exits_1(capsys, tmp_path):
+    x = straddling_jordan_form(np.random.default_rng(0))
+    path = write(tmp_path, "x.json", encode_normal_form(x))
+    code, out = run(capsys, ["--json", "tensor", path, path])
     assert code == 1
     report = json.loads(out, parse_constant=pytest.fail)
     assert report["error"]["kind"] == "NumericFailure"

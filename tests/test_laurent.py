@@ -445,6 +445,16 @@ def test_products_match_pairwise_reference():
     assert signed > 0
 
 
+def test_product_within_a_window_is_the_full_product_truncated_to_the_bit():
+    rng = np.random.default_rng(312)
+    for dim in (1, 3):
+        for left, right in PRODUCT_POWERS:
+            x, y = sparse_pm(rng, dim, left), sparse_pm(rng, dim, right)
+            for lo, hi in ((-3, 4), (0, 0), (-20, 20), (8, 2)):
+                want = (x * y).truncate(hi, lo=lo).terms
+                assert_same_terms(x._product(y, lo, hi).terms, want)
+
+
 def test_product_drops_a_coefficient_that_cancels_exactly():
     rng = np.random.default_rng(310)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -28,9 +28,12 @@ from eqconn.numkit import (
     spectral,
     wd,
 )
+import util
 from reference import (
     _cluster_indices as reference_cluster_indices,
+    _clustered_schur as reference_clustered_schur,
     reference_fold,
+    reference_log_transversal,
     reference_spectral,
     reference_spectral_diagnostics,
     reference_sylvester,
@@ -371,6 +374,46 @@ def test_log_roundtrip_random_invertible():
                 assert t.contains(lam, margin=1e-10)
 
 
+def clustered_monodromy(rng, n):
+    """``exp(2 pi i A / tau)`` for a diagonalizable A whose eigenvalues come
+    in equal pairs spread over three strips: clusters of two, with shifts."""
+    k = (n + 1) // 2
+    lam = TAU * (rng.uniform(-1.0, 2.0, size=k) + 0.4j * rng.normal(size=k))
+    s = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    return s @ np.diag(np.exp(TWO_PI_I * np.repeat(lam, 2)[:n] / TAU)) @ np.linalg.inv(s)
+
+
+def test_log_matches_the_parlett_reference():
+    rng = np.random.default_rng(71)
+    t = Transversal(TAU)
+    for n in range(2, 13):
+        generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        for m in (generic, clustered_monodromy(rng, n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TransversalBranchWarning)
+                got, want = log_transversal(m, t), reference_log_transversal(m, t)
+            assert np.linalg.norm(got - want) < 1e-11 * np.linalg.norm(want)
+
+
+def test_log_of_a_conjugated_jordan_block_is_no_worse_than_the_reference():
+    # rounding splits the block's eigenvalue, and both logs lose about the
+    # square root (J2) to the fourth root (J4) of the unit roundoff
+    t = Transversal(TAU)
+    lam = 0.3 * TAU + 0.1j
+    for size, limit in ((2, 1e-7), (3, 1e-5), (4, 1e-3)):
+        errors = []
+        for seed in range(10):
+            s = util.well_conditioned(np.random.default_rng(seed), size)
+            jordan = lam * np.eye(size) + np.eye(size, k=1)
+            exact = s @ jordan @ np.linalg.inv(s)
+            m = s @ scipy.linalg.expm(TWO_PI_I * jordan / TAU) @ np.linalg.inv(s)
+            errors.append([np.linalg.norm(log(m, t) - exact) / np.linalg.norm(exact)
+                           for log in (log_transversal, reference_log_transversal)])
+        got, want = np.array(errors).T
+        assert got.max() <= want.max() < limit
+        assert np.median(got / want) <= 1.0
+
+
 def test_log_rejects_singular():
     t = Transversal(TAU)
     with pytest.raises(ValidationFailure):
@@ -518,17 +561,34 @@ def test_fold_of_two_shift_groups_makes_one_sylvester_solve(monkeypatch):
     # a solve per pair of clusters would make six
     a, _ = conjugated(np.random.default_rng(11),
                       [[[0.2 * TAU]], [[1.3 * TAU]], [[0.6 * TAU]], [[1.8 * TAU]]])
-    solve = numkit._sylvester
+    ztrsyl = scipy.linalg.lapack.ztrsyl
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return solve(*args)
+        return ztrsyl(*args, **kwargs)
 
-    monkeypatch.setattr(numkit, "_sylvester", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", counting)
     _, shifts = reduce_to_transversal(a, Transversal(TAU))
     assert sorted(s for _, s in shifts) == [0, 0, 1, 1]
     assert calls == [(2, 2)]
+
+
+def test_fold_and_log_raise_where_lapack_perturbs_the_spectra(monkeypatch):
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+
+    def perturbing(*args, **kwargs):
+        y, scale, _ = ztrsyl(*args, **kwargs)
+        return y, scale, 1
+
+    rng = np.random.default_rng(74)
+    a = groups_input(rng)[0]
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 3.0 * np.eye(5)
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", perturbing)
+    with pytest.raises(NumericFailure, match="ztrsyl info 1"):
+        reduce_to_transversal(a, Transversal(TAU))
+    with pytest.raises(NumericFailure, match="ztrsyl info 1"):
+        log_transversal(m, Transversal(TAU))
 
 
 def test_log_series_that_does_not_converge_raises():
@@ -610,6 +670,65 @@ def test_tolerances_validation():
         Tolerances(eps_spec=-1.0)
     with pytest.raises(ValidationFailure):
         Tolerances(eps_spec=0.5)
+
+
+# --- clustered Schur form ------------------------------------------------------
+
+def tensor_square(rng, n):
+    x = random_normal_form(rng, n)
+    return np.kron(x.A0, np.eye(n)) + np.kron(np.eye(n), x.A0)
+
+
+def triangular_input(rng):
+    """Upper triangular, so its own Schur form, with each repeated
+    eigenvalue apart on the diagonal: the clusters must be moved."""
+    t = np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    t[np.diag_indices(6)] = [0.1, 0.5j, 0.1, -0.3, 0.5j, 0.1 + 1e-10]
+    return t
+
+
+def clustered_schur_inputs(rng):
+    yield from (tensor_square(rng, n) for n in (4, 8, 12))
+    yield jordan_input(rng)[0]
+    yield util.random_defective_normal_form(rng, groups=3).A0
+    yield triangular_input(rng)
+
+
+def test_clustered_schur_matches_the_givens_sorted_reference(monkeypatch):
+    ztrsen = scipy.linalg.lapack.ztrsen
+    calls = []
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsen",
+                        lambda *args, **kwargs: calls.append(1) or ztrsen(*args, **kwargs))
+    moved = []
+    for m in clustered_schur_inputs(np.random.default_rng(70)):
+        calls.clear()
+        t, q, blocks = numkit._clustered_schur(m, DEFAULT_TOL)
+        moved.append(len(calls))
+        _, _, want = reference_clustered_schur(m, DEFAULT_TOL.eps_spec)
+        assert [b[:2] for b in blocks] == [b[:2] for b in want]
+        got_means, want_means = (np.array([b[2] for b in bs]) for bs in (blocks, want))
+        assert np.all(np.abs(got_means - want_means) <= 1e-12 * np.abs(want_means))
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(q @ t @ q.conj().T - m) < 1e-13 * np.linalg.norm(m)
+        assert not np.shares_memory(t, m)
+    # the squares' and the triangular input's clusters have members apart
+    # on zgees's diagonal; rounding makes each Jordan block clusters of one
+    assert [k > 0 for k in moved] == [True, True, True, False, False, True]
+
+
+def test_clustered_schur_moves_nothing_on_distinct_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(75)
+    x, y = random_normal_form(rng, 4), random_normal_form(rng, 4)
+    inputs = [np.kron(x.A0, np.eye(4)) + np.kron(np.eye(4), y.A0),
+              rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+              np.triu(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))]
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", pytest.fail)
+    for m in inputs:
+        t, q, blocks = numkit._clustered_schur(m, DEFAULT_TOL)
+        want_t, want_q = scipy.linalg.schur(m, output="complex")
+        assert same_bits(t, want_t) and same_bits(q, want_q)
+        assert [b[:2] for b in blocks] == [(i, i + 1) for i in range(len(m))]
+        assert not np.shares_memory(t, m)
 
 
 # --- components, projector factors --------------------------------------------

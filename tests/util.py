@@ -128,6 +128,14 @@ def random_defective_normal_form(rng, groups=2, transversal=STRIP, theta=THETA,
     return conjugate(nf, well_conditioned(rng, nf.n))
 
 
+def straddling_jordan_form(rng):
+    """A 2x2 Jordan block at ``0.6 tau + 0.2i``, conjugated by a well
+    conditioned similarity: its tensor square has a rounded Jordan cluster
+    at twice that, on the strip's right edge (``Re(2 lam / tau) = 1``)."""
+    nf = jordan_normal_form([(0.6 * STRIP.tau + 0.2j, (2,), [1.5, 0.3])])
+    return conjugate(nf, well_conditioned(rng, 2))
+
+
 def scramble(nf, rng, shears=2, degree=3, order=48):
     """Hide a normal form behind random shears and a random series gauge.
 
