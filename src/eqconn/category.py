@@ -46,15 +46,16 @@ from .laurent import (
 from .numkit import (
     DEFAULT_TOL,
     Transversal,
+    _cluster_triangular,
     _clustered_schur,
     _connected_components,
     _decouple,
+    _fold,
     _group_blocks,
     _svd_split,
     _sylvester_against,
     log_transversal,
     mat_exp,
-    reduce_to_transversal,
     spectral,
 )
 
@@ -196,20 +197,38 @@ class NormalForm:
         return self.A0.shape[0]
 
     def schur_form(self, tol=None):
-        """Clustered Schur form ``(t, q, blocks)`` of A0 from
-        ``numkit._clustered_schur``: ``q t q^H = A0``, each eigenvalue
-        cluster a contiguous diagonal block ``(start, stop, mean)``.
+        """Clustered Schur form ``(t, q, blocks)`` of A0: ``q t q^H = A0``,
+        each eigenvalue cluster a contiguous diagonal block ``(start, stop,
+        mean)``.
 
-        It is computed once per ``Tolerances`` and shared by ``decompose``,
-        ``hom_basis``, ``hom_mode_dims`` and ``torus.psi_star``.  Its arrays
-        are read-only, and so is A0 from then on.
+        The result of ``tensor`` and ``dual`` holds it from birth, built from
+        the factors' forms without a Schur iteration (``_from_schur_form``);
+        any other normal form computes it with ``numkit._clustered_schur`` on
+        first use.  It is kept once per ``Tolerances`` and shared by
+        ``decompose``, ``hom_basis``, ``hom_mode_dims`` and
+        ``torus.psi_star``.  Its arrays are read-only, and so is A0 from then
+        on.
         """
         tol = tol or DEFAULT_TOL
         form = self._memo.get(tol)
         if form is None:
-            t, q, blocks = _clustered_schur(self.A0, tol)
-            t.flags.writeable = q.flags.writeable = self.A0.flags.writeable = False
-            form = self._memo[tol] = (t, q, tuple(blocks))
+            form = self._keep(_clustered_schur(self.A0, tol), tol)
+        return form
+
+    @classmethod
+    def _from_schur_form(cls, form, tol, *args, **kwargs):
+        """The normal form with ``A0 = q t q^H`` for the clustered Schur form
+        ``form = (t, q, blocks)``, which it keeps as its form at ``tol``; the
+        other arguments are the constructor's after A0."""
+        t, q, _ = form
+        nf = cls(q @ t @ q.conj().T, *args, **kwargs)
+        nf._keep(form, tol)
+        return nf
+
+    def _keep(self, form, tol):
+        t, q, blocks = form
+        t.flags.writeable = q.flags.writeable = self.A0.flags.writeable = False
+        form = self._memo[tol] = (t, q, tuple(blocks))
         return form
 
     @property
@@ -429,24 +448,46 @@ def _check_same_context(x, y):
 
 def tensor(x, y, tol=None):
     """Tensor product: connection matrices add across the factors, the sum
-    of spectra is folded back into the strip, dilations multiply."""
+    of spectra is folded back into the strip, dilations multiply.
+
+    With ``q_x t_x q_x^H`` and ``q_y t_y q_y^H`` the factors' Schur forms
+    (``NormalForm.schur_form``, which makes ``x.A0`` and ``y.A0``
+    read-only), the Kronecker sum ``A_x (x) I + I (x) A_y`` has the Schur
+    form ``(q_x (x) q_y) (t_x (x) I + I (x) t_y) (q_x (x) q_y)^H``; it is
+    folded as ``numkit.reduce_to_transversal`` folds, and the result keeps
+    the clustered Schur form of its A0.  No Schur iteration runs on the
+    product.
+    """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
-    raw = np.kron(x.A0, np.eye(y.n)) + np.kron(np.eye(x.n), y.A0)
-    a0, shifts = reduce_to_transversal(raw, x.transversal, tol)
-    b0 = np.kron(x.B0, y.B0)
-    return NormalForm(a0, b0, x.transversal, x.theta, x.tau,
-                      diagnostics={"fold_shifts": [(lam, s) for lam, s in shifts]})
+    tx, qx, _ = x.schur_form(tol)
+    ty, qy, _ = y.schur_form(tol)
+    t = _kron(tx, np.eye(y.n)) + _kron(np.eye(x.n), ty)
+    return _folded(x, t, _kron(qx, qy), np.kron(x.B0, y.B0), tol)
 
 
 def dual(x, tol=None):
     """Dual object: negative-transpose connection folded into the strip,
-    inverse-transpose dilation."""
+    inverse-transpose dilation.
+
+    With ``q t q^H`` the Schur form of ``x.A0`` (``NormalForm.schur_form``,
+    which makes ``x.A0`` read-only), ``-A0^T`` has the Schur form ``(conj(q) P) (-P t^T P) (conj(q) P)^H``,
+    ``P`` the reversal permutation; it is folded as in ``tensor``, and the
+    result keeps the clustered Schur form of its A0.
+    """
     tol = tol or DEFAULT_TOL
-    a0, shifts = reduce_to_transversal(-x.A0.T, x.transversal, tol)
-    b0 = np.linalg.inv(x.B0.T)
-    return NormalForm(a0, b0, x.transversal, x.theta, x.tau,
-                      diagnostics={"fold_shifts": [(lam, s) for lam, s in shifts]})
+    t, q, _ = x.schur_form(tol)
+    return _folded(x, -t[::-1, ::-1].T, q[:, ::-1].conj(), np.linalg.inv(x.B0.T), tol)
+
+
+def _folded(x, t, q, b0, tol):
+    """The normal form over the context of ``x`` with dilation ``b0`` and A0
+    the fold of ``q t q^H``, ``t`` upper triangular (``numkit._fold``),
+    holding the clustered Schur form of its A0."""
+    f, q, shifts = _fold(*_cluster_triangular(t, q, tol), x.transversal, tol)
+    return NormalForm._from_schur_form(_cluster_triangular(f, q, tol), tol, b0,
+                                       x.transversal, x.theta, x.tau,
+                                       diagnostics={"fold_shifts": shifts})
 
 
 def evaluation_matrix(n):

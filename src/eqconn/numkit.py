@@ -425,15 +425,25 @@ def _clustered_schur(m, tol):
     """Complex Schur form with eigenvalue clusters contiguous on the diagonal.
 
     Returns ``(t, q, blocks)`` where blocks is a list of (start, stop, mean
-    eigenvalue) and ``q t q^H = m``.  ``_group_blocks`` orders the clusters
-    by first appearance on zgees's diagonal: nothing moves unless one has
-    members apart.
+    eigenvalue) and ``q t q^H = m``: zgees's form, clustered by
+    ``_cluster_triangular``.
     """
     t, q = _schur(m)
     if t is m:
         t = np.array(m, dtype=complex)
+    return _cluster_triangular(t, q, tol)
+
+
+def _cluster_triangular(t, q, tol):
+    """Cluster the eigenvalues of a Schur form ``q t q^H``, ``t`` upper
+    triangular, and make each cluster a contiguous diagonal block.
+
+    ``_group_blocks`` orders the clusters by first appearance on the
+    diagonal: nothing moves, and ``t``, ``q`` come back as they are, unless
+    one has members apart.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
+    """
     labels = _cluster_indices(np.diag(t), tol.eps_spec)
-    t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(m))], labels)
+    t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
     diag = np.diag(t)
     return t, q, [(start, stop, complex(np.mean(diag[start:stop])))
                   for start, stop, _ in groups]
@@ -480,8 +490,12 @@ def spectral(m, tol=None):
 # ---------------------------------------------------------------------------
 
 def _atomic_log_series(block, lam):
-    """log(block) - log(lam) for a block whose spectrum clusters at lam."""
+    """log(block) - log(lam) for a block whose spectrum clusters at lam.
+
+    A 1x1 block is its own mean, so its series is exactly zero."""
     n = block.shape[0]
+    if n == 1:
+        return np.zeros((1, 1), dtype=complex)
     m = (block - lam * np.eye(n)) / lam
     term = np.eye(n, dtype=complex)
     out = np.zeros((n, n), dtype=complex)
@@ -529,8 +543,8 @@ def log_transversal(m, transversal, tol=None):
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
-    smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if m.size else 0.0
-    if smin <= tol.eps_res * mat_norm(m):
+    svals = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+    if svals[-1] <= tol.eps_res * svals[0]:
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     t, q, blocks = _clustered_schur(m, tol)
     scale = transversal.tau / TWO_PI_I
@@ -617,19 +631,36 @@ def reduce_to_transversal(a, transversal, tol=None):
     that the full spectrum lands inside the strip.
 
     Returns ``(a_tilde, shifts)`` where shifts lists ``(cluster eigenvalue,
-    integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.  The
-    result is a constant shift on each group of clusters sharing a shift:
-    the Schur form is made block diagonal over those groups, not over the
-    clusters.  Raises ``NumericFailure`` when a group's projector norm tops
-    eps_res over the unit roundoff, as for a Jordan block split by the edge.
+    integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.  This
+    is ``_fold`` on the clustered Schur form of ``a`` from zgees; ``a``
+    comes back copied when no cluster shifts.
     """
     tol = tol or DEFAULT_TOL
     a = as_square_matrix(a)
-    t, q, blocks = _clustered_schur(a, tol)
+    f, q, pairs = _fold(*_clustered_schur(a, tol), transversal, tol)
+    if not any(shift for _, shift in pairs):
+        return a.copy(), pairs
+    return q @ f @ q.conj().T, pairs
+
+
+def _fold(t, q, blocks, transversal, tol):
+    """The fold of ``reduce_to_transversal`` on a clustered Schur form
+    ``(t, q, blocks)`` of the matrix, whose Schur form the caller may know
+    without a Schur iteration.
+
+    Returns ``(f, q, shifts)``: the folded matrix is ``q f q^H``, with ``f``
+    upper triangular and ``q`` the Schur vectors reordered by shift, and
+    shifts as ``reduce_to_transversal`` lists them; ``(t, q)`` come back as
+    they are when no cluster shifts.  The result is a constant shift on each
+    group of clusters sharing a shift: the Schur form is made block diagonal
+    over those groups, not over the clusters.  Raises ``NumericFailure``
+    when a group's projector norm tops eps_res over the unit roundoff, as
+    for a Jordan block split by the edge.
+    """
     shifts = _cluster_shifts(t, blocks, transversal, lambda z: z)
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
-        return a.copy(), pairs
+        return t, q, pairs
     t, q, groups = _group_blocks(t, q, blocks, shifts)
     diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
                 for g0, g1, shift in groups]
@@ -638,4 +669,4 @@ def reduce_to_transversal(a, transversal, tol=None):
     norm = max(np.linalg.norm(v[:, a:b]) * np.linalg.norm(w[a:b]) for a, b, _ in groups)
     if norm * np.finfo(float).eps / 2 > tol.eps_res:
         raise NumericFailure("projector norm %.1e: shift groups too close" % norm)
-    return q @ f @ q.conj().T, pairs
+    return f, q, pairs

@@ -22,7 +22,7 @@ import numpy as np
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
-from .numkit import DEFAULT_TOL, as_square_matrix, spectral
+from .numkit import DEFAULT_TOL, _clustered_schur, as_square_matrix
 
 TWO_PI_I = 2j * math.pi
 
@@ -560,17 +560,12 @@ def is_nori_finite(rep_or_matrix, d_max=64, tol=None):
         svals = np.linalg.svd(m, compute_uv=False)
         if svals.size and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
             raise ValidationFailure("monodromy matrix is singular")
-        sd = spectral(m, tol)
+        t, _, blocks = _clustered_schur(m, tol)
         scale = max(1.0, float(np.linalg.norm(m)))
-        start = 0
-        for cluster in sd.clusters:
-            stop = start + cluster.multiplicity
-            block = sd.block_form[start:stop, start:stop]
-            nilpotent = block - cluster.eigenvalue * np.eye(cluster.multiplicity)
-            start = stop
+        for start, stop, lam in blocks:
+            nilpotent = t[start:stop, start:stop] - lam * np.eye(stop - start)
             if float(np.linalg.norm(nilpotent)) > tol.eps_spec * scale:
                 return False
-            lam = cluster.eigenvalue
             if abs(abs(lam) - 1.0) > tol.eps_spec:
                 return False
             power = 1.0 + 0.0j

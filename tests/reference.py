@@ -10,7 +10,10 @@ blocks, where the library block diagonalizes the Schur form instead.
 on these two.  The test generators fold with it, so their inputs do not
 move when the library's fold does, and the fold tests use it as the oracle.
 ``reference_log_transversal`` is the branch-chosen logarithm on them, with
-``scipy.linalg.logm`` on each cluster's block.
+``scipy.linalg.logm`` on each cluster's block.  ``reference_tensor`` and
+``reference_dual`` fold the dense Kronecker sum of two normal forms, and
+``-A0^T`` of one, with ``reference_fold``: the library builds their Schur
+forms from the factors' instead.
 
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
@@ -31,6 +34,11 @@ the whole stacked Kronecker system of the intertwining equations, one SVD
 per Hom or mode; the library's Hom by eigenvalue component must match their
 dimensions and spaces.
 
+``reference_is_nori_finite`` is ``eqconn.torus.is_nori_finite`` on the
+block diagonal form of ``eqconn.numkit.spectral``, where the library reads
+the diagonal blocks of the clustered Schur form, which the Sylvester peel
+leaves as they are.
+
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
@@ -43,7 +51,16 @@ import cmath
 import numpy as np
 import scipy.linalg
 
-from eqconn.numkit import SpectralCluster, SpectralData, mat_norm, nullspace
+from eqconn.category import MonodromyPair
+from eqconn.exceptions import ValidationFailure
+from eqconn.numkit import (
+    DEFAULT_TOL,
+    SpectralCluster,
+    SpectralData,
+    mat_norm,
+    nullspace,
+    spectral,
+)
 
 
 def _cluster_indices(values, radius):
@@ -170,6 +187,55 @@ def reference_log_transversal(m, transversal, eps_spec=1e-8):
         block = scipy.linalg.logm(t[s0:s1, s0:s1]) - 2j * np.pi * shift * np.eye(s1 - s0)
         diagonal.append(scale * block)
     return q @ _parlett(t, blocks, diagonal) @ q.conj().T
+
+
+def reference_tensor(x, y, eps_spec=1e-8):
+    """``(A0, shifts)`` of the tensor product of two normal forms: the dense
+    Kronecker sum ``A_x (x) I + I (x) A_y`` through ``reference_fold``."""
+    raw = np.kron(x.A0, np.eye(y.n)) + np.kron(np.eye(x.n), y.A0)
+    return reference_fold(raw, x.transversal, eps_spec)
+
+
+def reference_dual(x, eps_spec=1e-8):
+    """``(A0, shifts)`` of the dual of a normal form: ``-A0^T`` through
+    ``reference_fold``."""
+    return reference_fold(-x.A0.T, x.transversal, eps_spec)
+
+
+def reference_is_nori_finite(rep_or_matrix, d_max=64, tol=None):
+    """``eqconn.torus.is_nori_finite`` with each cluster's block read off
+    the block diagonal form of ``eqconn.numkit.spectral``."""
+    tol = tol or DEFAULT_TOL
+    if isinstance(rep_or_matrix, MonodromyPair):
+        mats = [rep_or_matrix.M1, rep_or_matrix.M2]
+    else:
+        mats = [rep_or_matrix]
+    for m in mats:
+        m = np.atleast_2d(np.asarray(m, dtype=complex))
+        svals = np.linalg.svd(m, compute_uv=False)
+        if svals.size and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
+            raise ValidationFailure("monodromy matrix is singular")
+        sd = spectral(m, tol)
+        scale = max(1.0, float(np.linalg.norm(m)))
+        start = 0
+        for cluster in sd.clusters:
+            stop = start + cluster.multiplicity
+            block = sd.block_form[start:stop, start:stop]
+            nilpotent = block - cluster.eigenvalue * np.eye(cluster.multiplicity)
+            start = stop
+            if float(np.linalg.norm(nilpotent)) > tol.eps_spec * scale:
+                return False
+            lam = cluster.eigenvalue
+            if abs(abs(lam) - 1.0) > tol.eps_spec:
+                return False
+            power = 1.0 + 0.0j
+            for _ in range(d_max):
+                power *= lam
+                if abs(power - 1.0) <= tol.eps_spec:
+                    break
+            else:
+                return False
+    return True
 
 
 def _lex_key(z):

@@ -45,14 +45,22 @@ from eqconn.exceptions import (
     TransversalMismatch,
 )
 from eqconn.laurent import PolyMat
-from eqconn.numkit import DEFAULT_TOL, Transversal, spectral
-from eqconn.torus import is_nori_finite
+from eqconn.numkit import (
+    DEFAULT_TOL,
+    Transversal,
+    TransversalBranchWarning,
+    reduce_to_transversal,
+    spectral,
+)
+from eqconn.torus import is_nori_finite, psi_star
 from reference import (
     reference_decompose,
+    reference_dual,
     reference_hom_basis,
     reference_hom_mode_dims,
     reference_spectral,
     reference_sylvester,
+    reference_tensor,
 )
 from util import Q, STRIP, TAU, THETA, random_commuting_pair, random_normal_form, scramble
 
@@ -311,6 +319,133 @@ def test_tensor_monodromy_is_kronecker():
         assert np.linalg.norm(rep_xy.M2 - k2) < 1e-12 * max(1.0, np.linalg.norm(k2))
         for lam in np.linalg.eigvals(xy.A0):
             assert STRIP.contains(lam, margin=1e-9)
+
+
+def _jordan_factor(rng, patterns):
+    """An exact Jordan normal form, one group per tuple of block sizes in
+    ``patterns``, at random eigenvalues inside the strip, with a scalar
+    dilation on each group (rounding would split the labels of a dilation
+    with a nilpotent part beyond eps_key: ROADMAP item 3)."""
+    spec = [(TAU * complex(rng.uniform(0.15, 0.85), rng.uniform(-0.5, 0.5)), sizes,
+             [np.exp(0.3 * complex(rng.normal(), rng.normal()))])
+            for sizes in patterns]
+    return util.jordan_normal_form(spec)
+
+
+# (name, factors): x (x) y, x (x) x and exact Jordan factors, of dims 4-144
+TENSOR_CASES = [
+    ("xy_4", lambda rng: (random_normal_form(rng, 2), random_normal_form(rng, 2))),
+    ("xx_16", lambda rng: (random_normal_form(rng, 4),) * 2),
+    ("xy_64", lambda rng: (random_normal_form(rng, 8), random_normal_form(rng, 8))),
+    ("xx_144", lambda rng: (random_normal_form(rng, 12),) * 2),
+    ("jordan_4", lambda rng: (_jordan_factor(rng, ((2,),)),) * 2),
+    ("jordan_16", lambda rng: (_jordan_factor(rng, ((2,), (1, 1))),
+                               _jordan_factor(rng, ((3,), (1,))))),
+    ("jordan_64", lambda rng: (_jordan_factor(rng, ((4,), (2, 2))),
+                               _jordan_factor(rng, ((2, 1), (3, 2))))),
+    ("jordan_144", lambda rng: (_jordan_factor(rng, ((3, 2), (4, 1), (2,))),
+                                _jordan_factor(rng, ((2, 2), (3,), (4, 1))))),
+    # 0.6 + 0.8 folds onto 0.1 + 0.3: the folded form's clusters interleave
+    ("jordan_folds_onto_12", lambda rng: tuple(
+        util.jordan_normal_form([(a * TAU, sa, [1.5 - 0.5j]), (b * TAU, sb, [0.5 + 1j])])
+        for a, sa, b, sb in ((0.1, (2,), 0.6, (1,)), (0.3, (1,), 0.8, (2, 1))))),
+]
+
+
+def _same_shifts(got, want, scale):
+    """Each cluster of one fold takes the shift of the other's cluster
+    nearest in mean, both ways."""
+    for one, other in ((got, want), (want, got)):
+        means = np.array([lam for lam, _ in other])
+        for lam, shift in one:
+            j = int(np.argmin(np.abs(means - lam)))
+            assert abs(means[j] - lam) <= 1e-8 * scale and other[j][1] == shift
+
+
+def _check_handed_over_form(nf):
+    """The Schur form a product holds from birth: triangular, read-only,
+    clusters contiguous, reassembling A0."""
+    t, q, blocks = nf.schur_form()
+    scale = max(1.0, np.linalg.norm(nf.A0))
+    assert not np.tril(t, -1).any()
+    assert not (t.flags.writeable or q.flags.writeable or nf.A0.flags.writeable)
+    assert np.linalg.norm(q @ t @ q.conj().T - nf.A0) <= 1e-13 * scale
+    labels = eqconn.numkit._cluster_indices(np.diag(t), DEFAULT_TOL.eps_spec)
+    assert [s0 for s0, _, _ in blocks] + [len(t)] == [0] + [s1 for _, s1, _ in blocks]
+    assert [labels[s0:s1] for s0, s1, _ in blocks] == [[i] * (s1 - s0)
+                                                       for i, (s0, s1, _) in enumerate(blocks)]
+    for s0, s1, lam in blocks:
+        assert abs(np.mean(np.diag(t)[s0:s1]) - lam) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("make", [m for _, m in TENSOR_CASES],
+                         ids=[name for name, _ in TENSOR_CASES])
+def test_tensor_and_dual_match_the_dense_oracles(make):
+    x, y = make(np.random.default_rng(51))
+    xy = tensor(x, y)
+    b0 = np.kron(x.B0, y.B0)
+    a0, shifts = reference_tensor(x, y)
+    scale = max(1.0, np.linalg.norm(a0))
+    _same_shifts(xy.diagnostics["fold_shifts"], shifts, scale)
+    assert np.linalg.norm(xy.A0 - a0) <= 1e-12 * scale
+    assert np.array_equal(xy.B0, b0)
+    ref = NormalForm(a0, b0, STRIP, THETA, TAU)
+    assert k0_class(xy) == k0_class(ref)
+    m1 = np.kron(monodromy(x).M1, monodromy(y).M1)
+    assert np.linalg.norm(monodromy(xy).M1 - m1) <= 1e-12 * np.linalg.norm(m1)
+    _check_handed_over_form(xy)
+    if xy.n <= 64:
+        # Hom at dim 144 is left out: its components can span most of the
+        # spectrum (see CHANGES.md)
+        dims = len(hom_basis(ref, ref))
+        assert len(hom_basis(xy, xy)) == len(hom_basis(xy, ref)) == dims
+    # the reference's Parlett recurrence is cubic in the number of clusters
+    for nf in (x, xy) if len(xy.schur_form()[2]) <= 64 else (x,):
+        xd = dual(nf)
+        a0, shifts = reference_dual(nf)
+        scale = max(1.0, np.linalg.norm(a0))
+        _same_shifts(xd.diagnostics["fold_shifts"], shifts, scale)
+        assert np.linalg.norm(xd.A0 - a0) <= 1e-12 * scale
+        assert k0_class(xd) == k0_class(NormalForm(a0, xd.B0, STRIP, THETA, TAU))
+        _check_handed_over_form(xd)
+
+
+def test_tensor_of_conjugated_defective_factors_meets_the_monodromy_oracle():
+    # rounding splits each Jordan block of x (x) y into clusters, which the
+    # dense reference folds one by one, with Sylvester solves between the
+    # pieces, and so it misses the monodromy by up to 1e-1 here: the oracle
+    # is the Kronecker product of the factors' monodromies and labels
+    rng = np.random.default_rng(52)
+    for patterns in (((2,), (1,)), ((3,), (1,)), ((4,), (2, 2))):
+        x = util.random_defective_normal_form(rng, patterns=patterns)
+        y = util.random_defective_normal_form(rng, patterns=patterns)
+        for p, q in ((x, y), (x, x)):
+            pq = tensor(p, q)
+            m1 = np.kron(monodromy(p).M1, monodromy(q).M1)
+            assert np.linalg.norm(monodromy(pq).M1 - m1) <= 1e-12 * np.linalg.norm(m1)
+            want = K0Class(STRIP, [(bx * by, lx + ly, 1) for lx, bx in decompose(p)
+                                   for ly, by in decompose(q)])
+            assert k0_class(pq) == want
+            _check_handed_over_form(pq)
+
+
+def test_tensor_and_psi_star_take_no_schur_form_of_the_product(monkeypatch):
+    rng = np.random.default_rng(53)
+    x, y = random_normal_form(rng, 12), random_normal_form(rng, 12)
+    shapes = []
+    original = eqconn.numkit._schur
+
+    def recording(m):
+        shapes.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(eqconn.numkit, "_schur", recording)
+    xy = tensor(x, y)
+    k0_class(xy)
+    hom_basis(xy, xy)
+    psi_star(xy)
+    dual(xy)
+    assert shapes == [(12, 12), (12, 12)]
 
 
 def test_tensor_k0_commutes():
@@ -636,11 +771,43 @@ def test_is_isomorphic_on_a_conjugated_normal_form():
 def test_tensor_of_a_jordan_block_split_across_the_strip_edge_raises():
     # rounding splits the square's Jordan cluster into pieces on both sides
     # of the edge, which take different shifts; the fold's projectors then
-    # have norm near 1e10, and it used to return an A0 of that norm
+    # have norm near 1e10, and it used to return an A0 of that norm.  The
+    # Schur form of the dense Kronecker sum splits it on every seed; the one
+    # tensor builds from x's form keeps it whole on seed 0, which then folds
+    # as one cluster, with a branch warning
     for seed in range(3):
         x = util.straddling_jordan_form(np.random.default_rng(seed))
+        raw = np.kron(x.A0, np.eye(2)) + np.kron(np.eye(2), x.A0)
         with pytest.raises(NumericFailure, match="projector"):
-            tensor(x, x)
+            reduce_to_transversal(raw, STRIP)
+        if seed == 0:
+            with pytest.warns(TransversalBranchWarning):
+                xx = tensor(x, x)
+            m1 = monodromy(x).M1
+            assert (np.linalg.norm(monodromy(xx).M1 - np.kron(m1, m1))
+                    < 1e-12 * np.linalg.norm(np.kron(m1, m1)))
+            assert np.linalg.norm(xx.A0) < 10 * np.linalg.norm(x.A0)
+        else:
+            with pytest.raises(NumericFailure, match="projector"):
+                tensor(x, x)
+
+
+def _same_clustered_form(got, want, a0):
+    """Two clustered Schur forms of ``a0`` with the same blocks, in any
+    order along the diagonal: each block of one matched to the block of the
+    other nearest in mean, of the same size, the means within 1e-12
+    relative; and each form reassembling ``a0``."""
+    scale = max(1.0, np.linalg.norm(a0))
+    means = np.array([lam for _, _, lam in want[2]])
+    match = [int(np.argmin(np.abs(means - lam))) for _, _, lam in got[2]]
+    assert sorted(match) == list(range(len(want[2])))
+    for (s0, s1, lam), j in zip(got[2], match):
+        w0, w1, mu = want[2][j]
+        assert s1 - s0 == w1 - w0 and abs(lam - mu) <= 1e-12 * scale
+    for t, q, _ in (got, want):
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(q @ t @ q.conj().T - a0) <= 1e-13 * scale
+        assert np.linalg.norm(q.conj().T @ q - np.eye(len(q))) <= 1e-13
 
 
 def test_schur_form_is_computed_once_and_shared(monkeypatch):
@@ -660,16 +827,22 @@ def test_schur_form_is_computed_once_and_shared(monkeypatch):
     hom_basis(nf, nf)
     hom_mode_dims(nf, nf, k_range=1)
     assert decompose(nf) == labels and k0_class(nf) == k0_class(nf)
-    assert len(calls) == 1
-    assert np.array_equal(t, want[0]) and np.array_equal(q, want[1])
-    assert list(blocks) == want[2]
+    # the product holds its form from birth, built from the factors' forms
+    assert len(calls) == 0
+    _same_clustered_form((t, q, blocks), want, nf.A0)
     assert not t.flags.writeable and not q.flags.writeable
     # A0 cannot change under the kept form
     with pytest.raises(ValueError):
         nf.A0[0, 0] += 1.0
     # a Tolerances of its own gets a form of its own
     nf.schur_form(eqconn.numkit.Tolerances(eps_spec=1e-6))
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # a normal form built otherwise takes its form once, on first use
+    other = random_normal_form(rng, 3)
+    assert other.A0.flags.writeable
+    for _ in range(2):
+        decompose(other)
+    assert len(calls) == 2 and not other.A0.flags.writeable
 
 
 # --- kernels, cokernels, composition series ----------------------------------------------

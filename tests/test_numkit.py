@@ -395,6 +395,30 @@ def test_log_matches_the_parlett_reference():
             assert np.linalg.norm(got - want) < 1e-11 * np.linalg.norm(want)
 
 
+def test_log_takes_one_svd_and_no_series_norm_on_unit_blocks(monkeypatch):
+    rng = np.random.default_rng(72)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(numkit, "mat_norm", lambda _: pytest.fail("series norm taken"))
+    got = log_transversal(m, Transversal(TAU))
+    # one SVD for the singularity test; six 1x1 clusters, so no series norm
+    assert len(calls) == 1
+    assert np.linalg.norm(got - reference_log_transversal(m, Transversal(TAU))) \
+        < 1e-11 * np.linalg.norm(got)
+    for z in (2.0 + 1.0j, -0.3 + 0.0j, 1e-200 + 1e-200j):
+        series = _atomic_log_series(np.array([[z]]), z)
+        assert series.shape == (1, 1) and series[0, 0] == 0.0
+    with pytest.raises(ValidationFailure):
+        log_transversal(np.zeros((0, 0)), Transversal(TAU))
+
+
 def test_log_of_a_conjugated_jordan_block_is_no_worse_than_the_reference():
     # rounding splits the block's eigenvalue, and both logs lose about the
     # square root (J2) to the fourth root (J4) of the unit roundoff

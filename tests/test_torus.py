@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eqconn.numkit
+import util
 from eqconn.category import K0Class, MonodromyPair, k0_class, tensor, unit_object
 from eqconn.exceptions import ValidationFailure
 from eqconn.torus import (
@@ -31,6 +32,7 @@ from eqconn.torus import (
     reduce_mod_lattice,
     std_bundle_data,
 )
+from reference import reference_is_nori_finite
 from util import STRIP, TAU, THETA, random_normal_form
 
 TWO_PI_I = 2j * math.pi
@@ -397,3 +399,66 @@ def test_nori_finite_pairs_and_errors():
         is_nori_finite(np.diag([1.0, 0.0]))
     with pytest.raises(ValidationFailure):
         is_nori_finite(np.eye(2), d_max=0)
+
+
+def _conjugated(rng, m):
+    s = util.well_conditioned(rng, len(m))
+    return s @ m @ np.linalg.inv(s)
+
+
+def _roots(orders, powers):
+    return np.diag([cmath.exp(TWO_PI_I * k / d) for d, k in zip(orders, powers)])
+
+
+def test_nori_finite_reads_the_blocks_the_sylvester_peel_leaves_unchanged():
+    # spectral's peel changes no diagonal block of the clustered Schur form
+    rng = np.random.default_rng(60)
+    for n in (2, 4, 8, 12):
+        for _ in range(5):
+            for m in util.random_commuting_pair(rng, n):
+                t, _, blocks = eqconn.numkit._clustered_schur(m, eqconn.numkit.DEFAULT_TOL)
+                sd = eqconn.numkit.spectral(m)
+                for s0, s1, _ in blocks:
+                    assert np.array_equal(t[s0:s1, s0:s1], sd.block_form[s0:s1, s0:s1])
+
+
+def test_nori_finite_matches_the_spectral_reference():
+    rng = np.random.default_rng(61)
+    jordan = np.eye(3, dtype=complex) + np.diag([1.0, 1.0], 1)
+    repeated = _roots((4, 4, 2, 5, 5, 1), (1, 1, 1, 2, 2, 0))
+    cases = [
+        # (input, expected answer)
+        (repeated, True),
+        (_conjugated(rng, repeated), True),
+        (_conjugated(rng, 1j * jordan), False),
+        (np.array([[1.0, 0.5e-8], [0.0, 1.0]]), True),
+        (np.array([[1.0, 2e-8], [0.0, 1.0]]), False),
+        (_roots((7, 7), (1, 3)), True),
+        (MonodromyPair(_roots((7,), (1,)), _roots((3,), (1,))), True),
+    ]
+    # M1 passes and M2 decides: a root of order above d_max, a Jordan
+    # block, an eigenvalue off the circle, a repeated root.  The Jordan
+    # block's coupling is small, so that rounding does not split its
+    # eigenvalue beyond eps_spec (ROADMAP item 3)
+    s = util.well_conditioned(rng, 3)
+    s_inv = np.linalg.inv(s)
+    m1 = s @ _roots((6, 6, 3), (1, 1, 2)) @ s_inv
+    for m2, want in ((_roots((65, 65, 2), (1, 1, 1)), False),
+                     (np.block([[np.array([[1.0, 1e-3], [0.0, 1.0]]), np.zeros((2, 1))],
+                                [np.zeros((1, 2)), -np.eye(1)]]), False),
+                     (np.diag([1.0, 1.0, 1.001]), False),
+                     (_roots((8, 8, 4), (3, 3, 1)), True)):
+        cases.append((MonodromyPair(m1, s @ m2 @ s_inv), want))
+    for arg, want in cases:
+        assert is_nori_finite(arg) is reference_is_nori_finite(arg) is want
+    assert not is_nori_finite(_roots((7,), (1,)), d_max=6)
+    assert not reference_is_nori_finite(_roots((7,), (1,)), d_max=6)
+    for n in (2, 4, 8, 12):
+        for _ in range(5):
+            rep = MonodromyPair(*util.random_commuting_pair(rng, n))
+            assert is_nori_finite(rep) is reference_is_nori_finite(rep)
+            for m in (rep.M1, rep.M2):
+                # on the unit circle, so that every test is reached
+                lam = np.linalg.eigvals(m)
+                m = m / np.exp(np.mean(np.log(np.abs(lam))))
+                assert is_nori_finite(m) is reference_is_nori_finite(m)
