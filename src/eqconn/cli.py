@@ -472,21 +472,22 @@ def _emit(report, as_json, stream=None):
         _render_text(report, stream)
 
 
-def run_argv(argv):
-    """Parse and run one command line; returns ``(exit_code, report)``."""
-    parser = build_parser()
+def run_argv(argv, parser):
+    """Parse one command line with ``parser``, from ``build_parser``, and run
+    it; returns ``(exit_code, report)``."""
     args = parser.parse_args(argv)
     if args.command is None:
         raise ValidationFailure("a command is required")
     return execute(args)
 
 
-def _run_job(argv):
-    """Run one batch job; any failure becomes that job's error report, with
-    exit code 2 for bad input and 1 for anything else (its traceback goes to
-    stderr), so the jobs after it still run."""
+def _run_job(argv, parser):
+    """Run one batch job, parsed by the process's one ``parser``; any failure
+    becomes that job's error report, with exit code 2 for bad input and 1 for
+    anything else (its traceback goes to stderr), so the jobs after it still
+    run."""
     try:
-        return run_argv(argv)
+        return run_argv(argv, parser)
     except (ValidationFailure, SystemExit) as exc:
         code, error = 2, exc
     except Exception as exc:
@@ -521,16 +522,17 @@ def _read_manifest(path):
     return argvs
 
 
-def _run_batch(args):
-    """Run the manifest's jobs one after another, in manifest order; a
-    manifest that cannot be read is one error report with exit code 2."""
+def _run_batch(args, parser):
+    """Run the manifest's jobs one after another, in manifest order, each
+    parsed by ``parser``; a manifest that cannot be read is one error report
+    with exit code 2."""
     try:
         argvs = _read_manifest(args.batch)
     except ValidationFailure as exc:
         _emit({"command": "batch",
                "error": {"kind": type(exc).__name__, "message": str(exc)}}, args.json)
         return 2
-    results = [_run_job(argv) for argv in argvs]
+    results = [_run_job(argv, parser) for argv in argvs]
     report = {"batch": [r for _, r in results]}
     _emit(report, args.json)
     return max((code for code, _ in results), default=0)
@@ -540,7 +542,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.batch:
-        return _run_batch(args)
+        return _run_batch(args, parser)
     if args.command is None:
         parser.print_usage(sys.stderr)
         sys.stderr.write("eqconn: error: a command or --batch is required\n")

@@ -20,7 +20,7 @@ from .category import K0Class, MonodromyPair, Morphism, NormalForm
 from .exceptions import ValidationFailure
 from .laurent import PolyMat
 from .numkit import Transversal
-from .torus import Divisor, FreeBundle, TorusPoly
+from .torus import Divisor, FreeBundle, TorusPoly, _stack
 
 
 def encode_complex(z):
@@ -276,27 +276,44 @@ def encode_torus_poly(x):
     }
 
 
-def decode_torus_poly(data):
+def _torus_terms(data):
+    """``(theta, {(n1, n2): c})`` of an encoded algebra element."""
     theta, entries = required_fields(data, ("theta", "coeffs"), "algebra element")
     coeffs = {}
     for entry in _array(entries, "algebra element coeffs"):
         n1, n2, c = required_fields(entry, ("n1", "n2", "c"), "algebra coefficient")
         coeffs[(_number(n1, "n1", integer=True), _number(n2, "n2", integer=True))] = \
             decode_complex(c, "c")
-    return TorusPoly(_number(theta, "theta"), coeffs)
+    return _number(theta, "theta"), coeffs
+
+
+def decode_torus_poly(data):
+    return TorusPoly(*_torus_terms(data))
 
 
 def encode_free_bundle(fb):
+    """Each entry of the stack as an algebra element, its nonzero
+    coefficients in the order of ``fb.supports``."""
+    values = fb.coeffs.transpose(1, 2, 0).tolist()
     return {
         "theta": fb.theta,
         "tau": encode_complex(fb.tau),
         "dim": fb.n,
-        "conn": [[encode_torus_poly(entry) for entry in row] for row in fb.conn],
+        "conn": [[{"theta": fb.theta,
+                   "coeffs": [{"n1": n1, "n2": n2, "c": encode_complex(c)}
+                              for (n1, n2), c in zip(fb.supports, entry) if c != 0]}
+                  for entry in row] for row in values],
     }
 
 
 def decode_free_bundle(data):
-    theta, tau, conn = required_fields(data, ("theta", "tau", "conn"), "bundle")
-    conn = [[decode_torus_poly(entry) for entry in _array(row, "bundle row")]
+    theta, tau, dim, conn = required_fields(data, ("theta", "tau", "dim", "conn"),
+                                            "bundle")
+    theta = _number(theta, "theta")
+    rows = [[_torus_terms(entry) for entry in _array(row, "bundle row")]
             for row in _array(conn, "bundle connection")]
-    return FreeBundle(_number(theta, "theta"), decode_complex(tau, "tau"), conn)
+    if _number(dim, "dim", integer=True) != len(rows):
+        raise ValidationFailure("bundle dim %d does not match its %d connection rows"
+                                % (dim, len(rows)))
+    return FreeBundle._from_stack(theta, decode_complex(tau, "tau"),
+                                  *_stack(theta, rows, len(rows)))

@@ -9,7 +9,8 @@ On top of the algebra this module provides the basic derivations and the
 modular generator automorphisms with their intertwining checks, the
 embedding of Laurent polynomials on C* along ``z -> U1``, free holomorphic
 bundles with upper-triangular connections (the image of the connection
-categories), degree/rank/slope data of standard bundles, divisors on the
+categories) stored as coefficient stacks over their support, one ``(n, n)``
+matrix per monomial, degree/rank/slope data of standard bundles, divisors on the
 elliptic curve C/(Z + tau Z) with the Abel-type equivalence test, stability
 central charges and phases, and the finite-monodromy test.
 """
@@ -148,9 +149,6 @@ class Omega:
 # modular automorphisms
 # ---------------------------------------------------------------------------
 
-_GEN_TOKENS = ("g1", "g2", "g1_inv", "g2_inv")
-
-
 def _monomial_inverse(theta, key, coeff):
     a, b = key
     phase = cmath.exp(TWO_PI_I * theta * a * b)
@@ -277,100 +275,105 @@ def psi_delta_residual(f, tau, theta):
 # free holomorphic bundles
 # ---------------------------------------------------------------------------
 
+def _stack(theta, rows, width):
+    """Sorted supports and ``(S, len(rows), width)`` stack of ``(theta, {(n1, n2):
+    c})`` entries, rows of ``width`` and twist ``theta`` or ValidationFailure."""
+    if any(len(row) != width for row in rows):
+        raise ValidationFailure("connection matrix must be square")
+    if any(abs(entry_theta - theta) > 1e-12 for row in rows for entry_theta, _ in row):
+        raise ValidationFailure("entry twist parameter differs")
+    placed = [(i, j, key, value) for i, row in enumerate(rows)
+              for j, (_, terms) in enumerate(row)
+              for key, value in terms.items() if value != 0]
+    supports = sorted({key for _, _, key, _ in placed})
+    coeffs = np.zeros((len(supports), len(rows), width), dtype=complex)
+    for i, j, key, value in placed:
+        coeffs[supports.index(key), i, j] = value
+    return supports, coeffs
+
+
 class FreeBundle:
     """A free module of rank n with connection ``delta_tau + conn``, ``conn``
-    upper triangular with scalar diagonal entries."""
+    upper triangular with scalar diagonal entries, stored as a stack over its
+    support: ``coeffs[s]`` is the ``n x n`` matrix of the coefficients of
+    ``U1^n1 U2^n2`` for ``(n1, n2) = supports[s]``, ``supports`` sorted.  The
+    constructor converts a square matrix of ``TorusPoly`` once; ``entry(i,
+    j)`` builds one algebra element on request."""
 
-    __slots__ = ("theta", "tau", "conn")
+    __slots__ = ("theta", "tau", "supports", "coeffs")
 
     def __init__(self, theta, tau, conn):
-        self.theta = float(theta)
-        self.tau = complex(tau)
-        n = len(conn)
-        for row in conn:
-            if len(row) != n:
-                raise ValidationFailure("connection matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                entry = conn[i][j]
-                if abs(entry.theta - self.theta) > 1e-12:
-                    raise ValidationFailure("entry twist parameter differs")
-                if j < i and not entry.is_zero():
-                    raise ValidationFailure(
-                        "connection must be upper triangular; entry (%d, %d) "
-                        "is nonzero" % (i, j))
-                if j == i and any(key != (0, 0) for key in entry.coeffs):
-                    raise ValidationFailure(
-                        "diagonal entries must be scalar multiples of the unit")
-        self.conn = [list(row) for row in conn]
+        self._fill(theta, tau, *_stack(
+            float(theta), [[(e.theta, e.coeffs) for e in row] for row in conn], len(conn)))
+
+    @classmethod
+    def _from_stack(cls, theta, tau, supports, coeffs):
+        bundle = cls.__new__(cls)
+        bundle._fill(theta, tau, supports, coeffs)
+        return bundle
+
+    def _fill(self, theta, tau, supports, coeffs):
+        self.theta, self.tau = float(theta), complex(tau)
+        self.supports, self.coeffs = list(supports), coeffs
+        nonzero = coeffs != 0
+        lower = np.tril(nonzero.any(axis=0), -1)
+        if lower.any():
+            raise ValidationFailure(
+                "connection must be upper triangular; entry (%d, %d) is nonzero"
+                % divmod(int(np.argmax(lower)), self.n))
+        off_unit = [s for s, key in enumerate(self.supports) if key != (0, 0)]
+        if np.diagonal(nonzero[off_unit], axis1=1, axis2=2).any():
+            raise ValidationFailure(
+                "diagonal entries must be scalar multiples of the unit")
 
     @property
     def n(self):
-        return len(self.conn)
+        return self.coeffs.shape[1]
+
+    def entry(self, i, j):
+        """The ``(i, j)`` entry of the connection as an algebra element."""
+        terms = self.coeffs[:, i, j].tolist()
+        return TorusPoly(self.theta, dict(zip(self.supports, terms)))
 
     def diagonal(self):
         """The scalar diagonal entries of the connection."""
-        return [self.conn[i][i].coeffs.get((0, 0), 0.0) for i in range(self.n)]
+        unit = [s for s, key in enumerate(self.supports) if key == (0, 0)]
+        return self.coeffs[unit].sum(axis=0).diagonal().tolist()
 
 
 def psi_star(nf):
-    """Push a normal form to a free holomorphic bundle.
-
-    The connection matrix is brought to upper-triangular form by a constant
-    unitary similarity, the normal form's shared clustered Schur form at the
-    default tolerances (``NormalForm.schur_form``), then rescaled by ``2 pi
-    i``; the dilation matrix is forgotten.
-    """
-    theta, tau = nf.theta, nf.tau
-    if nf.n == 0:
-        return FreeBundle(theta, tau, [])
+    """Push a normal form to a free holomorphic bundle: the connection matrix
+    brought to upper-triangular form by a constant unitary similarity, the
+    normal form's shared clustered Schur form at the default tolerances
+    (``NormalForm.schur_form``), and rescaled by ``2 pi i``, all at the one
+    support ``(0, 0)``; the dilation matrix is forgotten."""
     t, _, _ = nf.schur_form()
-    conn = [[TorusPoly(theta, {(0, 0): TWO_PI_I * t[i, j]}) if j >= i
-             else TorusPoly(theta)
-             for j in range(nf.n)] for i in range(nf.n)]
-    return FreeBundle(theta, tau, conn)
-
-
-def _mat_mul_torus(a, b, theta):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[TorusPoly(theta) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = TorusPoly(theta)
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
+    return FreeBundle._from_stack(nf.theta, nf.tau, [(0, 0)],
+                                  (TWO_PI_I * np.triu(t))[None])
 
 
 def extension_morphism_residuals(total, sub, zprime):
-    """Holomorphy defects of the inclusion of the first line and the
-    projection onto the quotient; both vanish identically by construction."""
-    theta = total.theta
-    n = total.n
-    iota = [[TorusPoly.unit(theta) if i == 0 else TorusPoly(theta)]
-            for i in range(n)]
-    # connection compatibility of the inclusion: conn . iota = iota . zprime
-    lhs = _mat_mul_torus(total.conn, iota, theta)
-    res_iota = 0.0
-    for i in range(n):
-        expect = TorusPoly(theta, {(0, 0): zprime}) if i == 0 else TorusPoly(theta)
-        res_iota = max(res_iota, lhs[i][0].distance(expect))
-    # projection onto the last n-1 coordinates against the quotient connection
-    pi = [[TorusPoly.unit(theta) if j == i + 1 else TorusPoly(theta)
-           for j in range(n)] for i in range(n - 1)]
-    res_pi = 0.0
-    lhs = _mat_mul_torus(pi, total.conn, theta)
-    rhs = _mat_mul_torus(sub.conn, pi, theta)
-    for i in range(n - 1):
-        for j in range(n):
-            res_pi = max(res_pi, lhs[i][j].distance(rhs[i][j]))
-    return res_iota, res_pi
+    """Holomorphy defects of the inclusion ``iota`` of the first line and the
+    projection ``pi`` onto the rest, the largest coefficients of ``conn . iota
+    - iota . zprime`` and ``pi . conn - conn_sub . pi``: as 0/1 matrices each
+    product is a slice of a stack.  Both vanish on ``build_extension``'s output."""
+    if abs(total.theta - sub.theta) > 1e-12:
+        raise ValidationFailure("twist parameters theta differ")
+    supports = sorted(set(total.supports) | set(sub.supports) | {(0, 0)})
+    conn = np.zeros((len(supports), total.n, total.n), dtype=complex)
+    conn[[supports.index(key) for key in total.supports]] = total.coeffs
+    expect = np.zeros_like(conn[:, :, 0])       # iota . zprime
+    expect[supports.index((0, 0)), 0] = zprime
+    moved = np.zeros_like(conn[:, 1:])          # conn_sub . pi: columns shifted
+    moved[[supports.index(key) for key in sub.supports], :, 1:] = sub.coeffs
+    return (float(np.abs(conn[:, :, 0] - expect).max(initial=0.0)),
+            float(np.abs(conn[:, 1:] - moved).max(initial=0.0)))
 
 
 def build_extension(zprime, row, sub):
     """Extend a bundle by a rank-one line: new first diagonal entry
-    ``zprime``, first-row tail ``row``, lower block the given bundle.
+    ``zprime``, first-row tail ``row`` (algebra elements), lower block the
+    given bundle.
 
     The inclusion of the line and the projection onto the given bundle are
     verified to commute with the connections (exactly, as polynomial
@@ -380,18 +383,14 @@ def build_extension(zprime, row, sub):
     if len(row) != sub.n:
         raise ValidationFailure("row length %d does not match rank %d"
                                 % (len(row), sub.n))
-    theta, tau = sub.theta, sub.tau
-    n = sub.n + 1
-    conn = [[TorusPoly(theta) for _ in range(n)] for _ in range(n)]
-    conn[0][0] = TorusPoly(theta, {(0, 0): zprime})
-    for j, entry in enumerate(row):
-        conn[0][j + 1] = entry
-    for i in range(sub.n):
-        for j in range(sub.n):
-            conn[i + 1][j + 1] = sub.conn[i][j]
-    total = FreeBundle(theta, tau, conn)
-    res_iota, res_pi = extension_morphism_residuals(total, sub, zprime)
-    if max(res_iota, res_pi) > 1e-12:
+    keys, top = _stack(sub.theta, [[(e.theta, e.coeffs) for e in row]], sub.n)
+    supports = sorted(set(sub.supports) | set(keys) | {(0, 0)})
+    coeffs = np.zeros((len(supports), sub.n + 1, sub.n + 1), dtype=complex)
+    coeffs[supports.index((0, 0)), 0, 0] = zprime
+    coeffs[[supports.index(key) for key in keys], :1, 1:] = top
+    coeffs[[supports.index(key) for key in sub.supports], 1:, 1:] = sub.coeffs
+    total = FreeBundle._from_stack(sub.theta, sub.tau, supports, coeffs)
+    if max(extension_morphism_residuals(total, sub, zprime)) > 1e-12:
         raise ValidationFailure("extension morphisms fail to commute with the "
                                 "connections")
     return total

@@ -44,6 +44,15 @@ are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
 stacked arithmetic of ``eqconn.laurent`` must match them to the bit, the
 order of the powers included.
+
+``ReferenceFreeBundle`` keeps a bundle's connection as an n x n list of
+``TorusPoly`` and checks it one entry at a time; ``reference_psi_star``,
+``reference_extension_morphism_residuals`` (products through
+``_mat_mul_torus``, a triple loop of algebra products) and
+``reference_build_extension`` work on it, and
+``reference_encode_free_bundle``/``reference_decode_free_bundle`` are the
+serializer on it.  The library's coefficient stacks must match them to the
+bit, entry by entry and support by support, and encode to the same bytes.
 """
 
 import cmath
@@ -51,6 +60,7 @@ import cmath
 import numpy as np
 import scipy.linalg
 
+from eqconn import serialize
 from eqconn.category import MonodromyPair
 from eqconn.exceptions import ValidationFailure
 from eqconn.numkit import (
@@ -61,6 +71,7 @@ from eqconn.numkit import (
     nullspace,
     spectral,
 )
+from eqconn.torus import TWO_PI_I, TorusPoly
 
 
 def _cluster_indices(values, radius):
@@ -382,3 +393,131 @@ def reference_hom_mode_dims(x, y, k_range=8, eps_res=1e-9):
                                  _data_scale(x, y) + abs(x.tau) * abs(k),
                                  eps_res).shape[1]
             for k in range(-k_range, k_range + 1) if k != 0}
+
+
+class ReferenceFreeBundle:
+    """A free module of rank n with connection ``delta_tau + conn``, ``conn``
+    an n x n list of ``TorusPoly``, upper triangular with scalar diagonal
+    entries, checked one entry at a time in row-major order."""
+
+    __slots__ = ("theta", "tau", "conn")
+
+    def __init__(self, theta, tau, conn):
+        self.theta = float(theta)
+        self.tau = complex(tau)
+        n = len(conn)
+        for row in conn:
+            if len(row) != n:
+                raise ValidationFailure("connection matrix must be square")
+        for i in range(n):
+            for j in range(n):
+                entry = conn[i][j]
+                if abs(entry.theta - self.theta) > 1e-12:
+                    raise ValidationFailure("entry twist parameter differs")
+                if j < i and not entry.is_zero():
+                    raise ValidationFailure(
+                        "connection must be upper triangular; entry (%d, %d) "
+                        "is nonzero" % (i, j))
+                if j == i and any(key != (0, 0) for key in entry.coeffs):
+                    raise ValidationFailure(
+                        "diagonal entries must be scalar multiples of the unit")
+        self.conn = [list(row) for row in conn]
+
+    @property
+    def n(self):
+        return len(self.conn)
+
+    def diagonal(self):
+        return [self.conn[i][i].coeffs.get((0, 0), 0.0) for i in range(self.n)]
+
+
+def reference_psi_star(nf):
+    """``eqconn.torus.psi_star`` one ``TorusPoly`` per entry of ``2 pi i t``,
+    t the normal form's shared Schur form."""
+    theta, tau = nf.theta, nf.tau
+    if nf.n == 0:
+        return ReferenceFreeBundle(theta, tau, [])
+    t, _, _ = nf.schur_form()
+    conn = [[TorusPoly(theta, {(0, 0): TWO_PI_I * t[i, j]}) if j >= i
+             else TorusPoly(theta)
+             for j in range(nf.n)] for i in range(nf.n)]
+    return ReferenceFreeBundle(theta, tau, conn)
+
+
+def _mat_mul_torus(a, b, theta):
+    """Matrix product of lists of algebra elements, each sum in order of k; a
+    product with a zero factor adds nothing and is skipped."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[TorusPoly(theta) for _ in range(cols)] for _ in range(rows)]
+    nonzero_b = [{k for k in range(inner) if not b[k][j].is_zero()} for j in range(cols)]
+    for i in range(rows):
+        nonzero_a = {k for k in range(inner) if not a[i][k].is_zero()}
+        for j in range(cols):
+            acc = TorusPoly(theta)
+            for k in sorted(nonzero_a & nonzero_b[j]):
+                acc = acc + a[i][k] * b[k][j]
+            out[i][j] = acc
+    return out
+
+
+def reference_extension_morphism_residuals(total, sub, zprime):
+    """Holomorphy defects of the inclusion of the first line and the
+    projection onto the quotient, by algebra products of the 0/1 maps."""
+    theta = total.theta
+    n = total.n
+    iota = [[TorusPoly.unit(theta) if i == 0 else TorusPoly(theta)]
+            for i in range(n)]
+    lhs = _mat_mul_torus(total.conn, iota, theta)
+    res_iota = 0.0
+    for i in range(n):
+        expect = TorusPoly(theta, {(0, 0): zprime}) if i == 0 else TorusPoly(theta)
+        res_iota = max(res_iota, lhs[i][0].distance(expect))
+    pi = [[TorusPoly.unit(theta) if j == i + 1 else TorusPoly(theta)
+           for j in range(n)] for i in range(n - 1)]
+    res_pi = 0.0
+    lhs = _mat_mul_torus(pi, total.conn, theta)
+    rhs = _mat_mul_torus(sub.conn, pi, theta)
+    for i in range(n - 1):
+        for j in range(n):
+            res_pi = max(res_pi, lhs[i][j].distance(rhs[i][j]))
+    return res_iota, res_pi
+
+
+def reference_build_extension(zprime, row, sub):
+    """``eqconn.torus.build_extension`` on ``ReferenceFreeBundle``."""
+    if len(row) != sub.n:
+        raise ValidationFailure("row length %d does not match rank %d"
+                                % (len(row), sub.n))
+    theta, tau = sub.theta, sub.tau
+    n = sub.n + 1
+    conn = [[TorusPoly(theta) for _ in range(n)] for _ in range(n)]
+    conn[0][0] = TorusPoly(theta, {(0, 0): zprime})
+    for j, entry in enumerate(row):
+        conn[0][j + 1] = entry
+    for i in range(sub.n):
+        for j in range(sub.n):
+            conn[i + 1][j + 1] = sub.conn[i][j]
+    total = ReferenceFreeBundle(theta, tau, conn)
+    res_iota, res_pi = reference_extension_morphism_residuals(total, sub, zprime)
+    if max(res_iota, res_pi) > 1e-12:
+        raise ValidationFailure("extension morphisms fail to commute with the "
+                                "connections")
+    return total
+
+
+def reference_encode_free_bundle(fb):
+    return {
+        "theta": fb.theta,
+        "tau": serialize.encode_complex(fb.tau),
+        "dim": fb.n,
+        "conn": [[{"theta": entry.theta,
+                   "coeffs": [{"n1": n1, "n2": n2,
+                               "c": serialize.encode_complex(entry.coeffs[(n1, n2)])}
+                              for n1, n2 in entry.support()]}
+                  for entry in row] for row in fb.conn],
+    }
+
+
+def reference_decode_free_bundle(data):
+    conn = [[serialize.decode_torus_poly(entry) for entry in row] for row in data["conn"]]
+    return ReferenceFreeBundle(data["theta"], serialize.decode_complex(data["tau"]), conn)

@@ -18,10 +18,17 @@ from eqconn.serialize import (
     encode_normal_form,
     encode_object,
     encode_free_bundle,
+    encode_torus_poly,
 )
 from eqconn.category import K0Class
-from eqconn.torus import Divisor, psi_star
-from reference import reference_hom_basis
+from eqconn.torus import Divisor, TorusPoly, psi_star
+from reference import (
+    reference_build_extension,
+    reference_decode_free_bundle,
+    reference_encode_free_bundle,
+    reference_hom_basis,
+    reference_psi_star,
+)
 from util import (
     STRIP,
     TAU,
@@ -396,3 +403,83 @@ def test_malformed_batch_manifest_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert report["command"] == "batch"
     assert report["error"]["kind"] == "ValidationFailure"
+
+
+def test_batch_builds_the_parser_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    path = write(tmp_path, "manifest.json", [["wd", "--tau", "1,-1"],
+                                             ["std-bundle", "--m", "0", "--n", "1"],
+                                             ["phase", "--m", "0", "--n", "2"]])
+    code, out = run(capsys, ["--json", "--batch", path])
+    assert code == 0 and len(json.loads(out)["batch"]) == 3
+    assert calls == [1]
+
+
+def test_batch_jobs_do_not_share_options(capsys, tmp_path):
+    jobs = [["phase", "--m", "1", "--n", "1"],
+            ["phase", "--m", "1", "--n", "1", "--theta", "0.25", "--tol-spec", "1e-6",
+             "--tol-key", "1e-5"],
+            ["--theta", "0.75", "--tol-res", "1e-7", "phase", "--m", "1", "--n", "1"],
+            ["phase", "--m", "1", "--n", "1"]]
+    path = write(tmp_path, "manifest.json", jobs)
+    code, out = run(capsys, ["--json", "--batch", path])
+    batch = json.loads(out)["batch"]
+    assert code == 0 and len(batch) == len(jobs)
+    for job, report in zip(jobs, batch):
+        code, alone = run_json(capsys, job)
+        assert code == 0 and report == alone
+    assert [r["params"]["theta"] for r in batch][1:3] == [0.25, 0.75]
+    assert batch[0]["params"] == batch[3]["params"]
+
+
+def _entry(key=None, theta=0.5):
+    """An encoded algebra element: zero, or the monomial at ``key``."""
+    return {"theta": theta,
+            "coeffs": [] if key is None else [{"n1": key[0], "n2": key[1], "c": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("conn, dim, message", [
+    ([[_entry((0, 0))]], 5, "dim 5"),
+    ([[_entry(), _entry()], [_entry((0, 0)), _entry()]], 2, "entry (1, 0) is nonzero"),
+    ([[_entry((1, 0))]], 1, "scalar multiples"),
+    ([[_entry(), _entry((0, 1), theta=0.75)], [_entry(), _entry()]], 2, "twist parameter"),
+    ([[_entry(), _entry()], [_entry()]], 2, "square"),
+], ids=["dim-mismatch", "lower-entry", "nonscalar-diagonal", "other-theta", "not-square"])
+def test_malformed_bundle_exits_2(capsys, tmp_path, conn, dim, message):
+    path = write(tmp_path, "fb.json", {"theta": 0.5, "tau": [1.0, -1.0], "dim": dim,
+                                       "conn": conn})
+    code, out = run(capsys, ["--json", "extension", path, "--zprime", "0.5,0"])
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert code == 2
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert message in report["error"]["message"]
+
+
+def _with_result(out, result):
+    """The report ``out`` with its result replaced, as the CLI prints it."""
+    report = dict(json.loads(out), result=result)
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("factors", [(1, 1), (2, 2), (12, 12)])
+def test_bundle_reports_match_the_reference_bytes(capsys, tmp_path, factors):
+    rng = np.random.default_rng(40 + factors[0])
+    x, y = (random_normal_form(rng, k) for k in factors)
+    nf_path = write(tmp_path, "t.json", encode_normal_form(tensor(x, y)))
+    code, out = run(capsys, ["--json", "psi-star", nf_path])
+    with open(nf_path) as handle:
+        ref = reference_psi_star(decode_normal_form(json.load(handle)))
+    assert code == 0 and out == _with_result(out, reference_encode_free_bundle(ref))
+    fb_path = write(tmp_path, "fb.json", json.loads(out)["result"])
+    theta = ref.theta
+    cycle = [TorusPoly.u1(theta), TorusPoly.u2(theta, -1),
+             TorusPoly.monomial(theta, 2, 1, 0.5 - 1.25j)]
+    row = [cycle[j % 3] for j in range(ref.n)]
+    code, out = run(capsys, ["--json", "extension", fb_path, "--zprime", "0.25,-0.5",
+                             "--row", json.dumps([encode_torus_poly(e) for e in row])])
+    with open(fb_path) as handle:
+        want = reference_build_extension(0.25 - 0.5j, row,
+                                         reference_decode_free_bundle(json.load(handle)))
+    assert code == 0 and out == _with_result(out, reference_encode_free_bundle(want))

@@ -100,7 +100,7 @@ def test_torus_poly_and_bundle_roundtrip():
     assert back_fb.n == fb.n
     for i in range(fb.n):
         for j in range(fb.n):
-            assert back_fb.conn[i][j].distance(fb.conn[i][j]) == 0.0
+            assert back_fb.entry(i, j).distance(fb.entry(i, j)) == 0.0
 
 
 def test_missing_fields_rejected():

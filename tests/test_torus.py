@@ -3,13 +3,14 @@ finite-monodromy detection."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import eqconn.numkit
 import util
-from eqconn.category import K0Class, MonodromyPair, k0_class, tensor, unit_object
+from eqconn.category import K0Class, MonodromyPair, NormalForm, k0_class, tensor, unit_object
 from eqconn.exceptions import ValidationFailure
 from eqconn.torus import (
     Divisor,
@@ -32,7 +33,13 @@ from eqconn.torus import (
     reduce_mod_lattice,
     std_bundle_data,
 )
-from reference import reference_is_nori_finite
+from reference import (
+    ReferenceFreeBundle,
+    reference_build_extension,
+    reference_extension_morphism_residuals,
+    reference_is_nori_finite,
+    reference_psi_star,
+)
 from util import STRIP, TAU, THETA, random_normal_form
 
 TWO_PI_I = 2j * math.pi
@@ -193,7 +200,7 @@ def test_psi_star_unit_and_nilpotent():
     fb = psi_star(nil)
     assert fb.n == 2
     assert all(abs(d) < 1e-12 for d in fb.diagonal())
-    assert fb.conn[1][0].is_zero()
+    assert fb.entry(1, 0).is_zero()
 
 
 def test_psi_star_reads_the_shared_schur_form(monkeypatch):
@@ -208,11 +215,11 @@ def test_psi_star_reads_the_shared_schur_form(monkeypatch):
     fb = psi_star(t)
     assert t.n == 144 and fb.n == 144 and calls == []
     tri = t.schur_form()[0]
-    assert all(fb.conn[i][j].coeffs.get((0, 0), 0.0) == TWO_PI_I * tri[i, j]
+    assert all(fb.entry(i, j).coeffs.get((0, 0), 0.0) == TWO_PI_I * tri[i, j]
                for i in range(t.n) for j in range(i, t.n))
-    assert all(fb.conn[i][j].is_zero() for i in range(t.n) for j in range(i))
+    assert all(fb.entry(i, j).is_zero() for i in range(t.n) for j in range(i))
     again = psi_star(t)
-    assert all(again.conn[i][j].coeffs == fb.conn[i][j].coeffs
+    assert all(again.entry(i, j).coeffs == fb.entry(i, j).coeffs
                for i in range(t.n) for j in range(t.n))
 
 
@@ -250,6 +257,123 @@ def test_extension_row_length_checked():
     base = FreeBundle(THETA, TAU, [[TorusPoly(THETA)]])
     with pytest.raises(ValidationFailure):
         build_extension(0.0, [], base)
+
+
+# --- coefficient stacks against the dict-based reference ------------------------------
+
+def _bits(values):
+    """The bytes of complex values, each signed zero read as +0: a zero the
+    reference's dicts leave out is a +0 or -0 in a stack."""
+    return (np.asarray(values, dtype=complex) + 0.0).tobytes()
+
+
+def assert_matches_reference(fb, ref):
+    """``fb`` equals the ``ReferenceFreeBundle`` ``ref`` to the bit, entry by
+    entry and support by support."""
+    assert (fb.theta, fb.tau, fb.n) == (ref.theta, ref.tau, ref.n)
+    assert fb.supports == sorted(set(fb.supports))
+    for i in range(fb.n):
+        for j in range(fb.n):
+            got, want = fb.entry(i, j).coeffs, ref.conn[i][j].coeffs
+            assert sorted(got) == sorted(want), (i, j)
+            assert all(_bits(got[key]) == _bits(want[key]) for key in want), (i, j)
+    keys = {key for row in ref.conn for entry in row for key in entry.coeffs}
+    assert keys <= set(fb.supports)
+    for s, key in enumerate(fb.supports):
+        want = [[entry.coeffs.get(key, 0.0) for entry in row] for row in ref.conn]
+        assert _bits(fb.coeffs[s]) == _bits(np.reshape(want, (fb.n, fb.n))), key
+    assert fb.diagonal() == ref.diagonal()
+
+
+def mixed_row(theta, n):
+    """A first row cycling through U1, U2^-1, c U1^2 U2 and their sum."""
+    cycle = [TorusPoly.u1(theta), TorusPoly.u2(theta, -1),
+             TorusPoly.monomial(theta, 2, 1, 0.5 - 1.25j),
+             TorusPoly(theta, {(1, 0): 2.0, (0, -1): -1j, (2, 1): 0.75, (0, 0): 0.1})]
+    return [cycle[j % len(cycle)] for j in range(n)]
+
+
+@pytest.mark.parametrize("factors", [(1, 1), (2, 2), (4, 4), (8, 8), (12, 12)])
+def test_psi_star_of_tensors_matches_the_reference(factors):
+    rng = np.random.default_rng(90 + factors[0])
+    t = tensor(*(random_normal_form(rng, k) for k in factors))
+    fb = psi_star(t)
+    assert fb.supports == [(0, 0)]
+    assert_matches_reference(fb, reference_psi_star(t))
+
+
+def test_psi_star_of_a_nilpotent_form_and_the_zero_object_matches_the_reference():
+    for a0 in (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+               np.zeros((3, 3), dtype=complex), np.zeros((0, 0), dtype=complex)):
+        nf = NormalForm(a0, np.eye(len(a0), dtype=complex), STRIP, THETA, TAU)
+        assert_matches_reference(psi_star(nf), reference_psi_star(nf))
+
+
+@pytest.mark.parametrize("factors", [(1, 1), (2, 2)])
+def test_extensions_with_mixed_supports_match_the_reference(factors):
+    assert THETA != 0.0
+    rng = np.random.default_rng(95 + factors[0])
+    t = tensor(*(random_normal_form(rng, k) for k in factors))
+    fb, ref = psi_star(t), reference_psi_star(t)
+    for zprime in (0.25 - 0.5j, 0.0, TWO_PI_I * 0.3):
+        row = mixed_row(THETA, fb.n)
+        fb = build_extension(zprime, row, fb)
+        ref = reference_build_extension(zprime, row, ref)
+        assert_matches_reference(fb, ref)
+    assert fb.supports == [(0, -1), (0, 0), (1, 0), (2, 1)] and fb.n == t.n + 3
+
+
+def test_residuals_of_a_noncommuting_pair_match_the_reference():
+    rng = np.random.default_rng(97)
+    t = tensor(random_normal_form(rng, 2), random_normal_form(rng, 2))
+    sub, ref_sub = psi_star(t), reference_psi_star(t)
+    total = build_extension(0.5j, mixed_row(THETA, sub.n), sub)
+    ref_total = reference_build_extension(0.5j, mixed_row(THETA, sub.n), ref_sub)
+    # another quotient: a second extension whose lower block differs from sub
+    other = build_extension(0.3, mixed_row(THETA, sub.n - 1), psi_star(
+        random_normal_form(rng, sub.n - 1)))
+    conn = [[other.entry(i, j) for j in range(other.n)] for i in range(other.n)]
+    ref_other = ReferenceFreeBundle(THETA, TAU, conn)
+    assert_matches_reference(FreeBundle(THETA, TAU, conn), ref_other)
+    for zprime in (0.5j, 0.5j + 0.125):
+        got = extension_morphism_residuals(total, other, zprime)
+        want = reference_extension_morphism_residuals(ref_total, ref_other, zprime)
+        assert got == want and got[1] > 0.0
+    assert extension_morphism_residuals(total, other, 0.5j + 0.125)[0] == 0.125
+
+
+def _entries(theta, spec):
+    return [[TorusPoly(theta, terms) for terms in row] for row in spec]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([[{}, {}, {}], [{}, {}, {}], [{(1, 1): 1.0}, {(0, 0): 2.0}, {}]], "(2, 0)"),
+    ([[{}, {}, {}], [{}, {}, {}], [{}, {(0, -1): 1.0}, {}]], "(2, 1)"),
+    ([[{}, {}, {}], [{(0, 0): 3.0}, {}, {}], [{(1, 0): 1.0}, {}, {}]], "(1, 0)"),
+    ([[{}, {(1, 0): 1.0}], [{}, {(0, 1): 1.0}]], "scalar multiples"),
+    ([[{}, {}], [{}]], "square"),
+])
+def test_bundle_checks_match_the_reference(spec, message):
+    conn = _entries(THETA, spec)
+    with pytest.raises(ValidationFailure, match=re.escape(message)) as got:
+        FreeBundle(THETA, TAU, conn)
+    with pytest.raises(ValidationFailure) as want:
+        ReferenceFreeBundle(THETA, TAU, conn)
+    assert str(got.value) == str(want.value)
+
+
+def test_bundle_checks_read_the_stack():
+    with pytest.raises(ValidationFailure, match="entry twist parameter"):
+        FreeBundle(THETA, TAU, [[TorusPoly(THETA + 1e-9)]])
+    coeffs = np.zeros((2, 3, 3), dtype=complex)
+    coeffs[1, 2, 1] = 1e-300
+    with pytest.raises(ValidationFailure, match=r"entry \(2, 1\)"):
+        FreeBundle._from_stack(THETA, TAU, [(0, 0), (0, 1)], coeffs)
+    coeffs[1, 2, 1], coeffs[1, 1, 1] = 0.0, 1.0
+    with pytest.raises(ValidationFailure, match="scalar multiples"):
+        FreeBundle._from_stack(THETA, TAU, [(0, 0), (0, 1)], coeffs)
+    coeffs[1, 1, 1], coeffs[0, 1, 1], coeffs[0, 2, 0] = 0.0, 1.0, -0.0
+    assert FreeBundle._from_stack(THETA, TAU, [(0, 0), (0, 1)], coeffs).diagonal() == [0, 1, 0]
 
 
 # --- standard bundles and stability -------------------------------------------------

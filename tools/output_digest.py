@@ -30,10 +30,17 @@ SECONDS = 25
 
 def feed(h, x):
     """Add the value ``x`` to the hash ``h``, recursing into containers and
-    the fields of the library's value types."""
+    the fields of the library's value types; a ``FreeBundle`` is hashed by
+    its JSON encoding, so that digests compare across changes of its
+    storage."""
     import numpy as np
+    from eqconn.serialize import encode_free_bundle
+    from eqconn.torus import FreeBundle
 
-    if isinstance(x, np.ndarray):
+    if isinstance(x, FreeBundle):
+        h.update(b"FreeBundle")
+        feed(h, encode_free_bundle(x))
+    elif isinstance(x, np.ndarray):
         h.update(b"a%r%s" % (x.shape, x.dtype.str.encode()))
         h.update(np.ascontiguousarray(x).tobytes())
     elif isinstance(x, (bool, int, float, complex, str, type(None), np.generic)):
