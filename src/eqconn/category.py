@@ -299,8 +299,16 @@ def normalize(obj, transversal=None, order=16, tol=None):
     constant term into the transversal, one unit step at a time; (2) the
     series gauge ``P = I + P_1 z + ...`` is built order by order through
     Sylvester solves, killing every positive power of the connection matrix;
-    (3) the dilation matrix is transported through the same gauge and must
-    come out constant up to the truncation residual.
+    (3) the dilation matrix goes through the recorded shears and the same
+    series gauge, and must come out constant up to the truncation residual.
+
+    Only the powers the result certifies are computed, to the same bits as
+    the whole series would give: the series transport reads powers up to
+    ``order + 1`` (see ``laurent``), and B, whose shears check nothing, is
+    cut before step i of P to the powers up to ``order + 1 + P - i`` it can
+    still bring there (a unit shear moves a power by at most one).  With a
+    constant series gauge B is the result as it stands and keeps every
+    power.
     """
     tol = tol or DEFAULT_TOL
     transversal = transversal or obj.transversal or Transversal(obj.tau)
@@ -308,7 +316,7 @@ def normalize(obj, transversal=None, order=16, tol=None):
         raise TransversalMismatch("transversal modulus differs from the object's tau")
     validate(obj, tol)
 
-    a, b = obj.A, obj.B
+    a = obj.A
     steps = []
     sd = spectral(a.term(0), tol)
     budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1])
@@ -327,7 +335,6 @@ def normalize(obj, transversal=None, order=16, tol=None):
         move = [0] * len(shifts)
         move[target] = -1 if shifts[target] > 0 else 1
         a, step = shear(a, sd, move, tol)
-        b = apply_shear_dilation(b, step, tol)
         steps.append(step)
         passes += 1
         sd = spectral(a.term(0), tol)
@@ -337,6 +344,13 @@ def normalize(obj, transversal=None, order=16, tol=None):
     gauged = gauge_transform(a, series, order) if not series.is_constant() else a
     gauge_residual = (gauged - PolyMat.constant(a0, a.tau, a.q)).norm()
 
+    b, cut = obj.B, not series.is_constant()
+    for i, step in enumerate(steps):
+        if cut:
+            # the series transport reads powers up to order + 1, and each of
+            # the len(steps) - i unit steps left moves a power by at most one
+            b = b.truncate(order + 1 + len(steps) - i)
+        b = apply_shear_dilation(b, step, tol)
     b_final = (dilation_transform(b, series, order)
                if not series.is_constant() else b)
     b0 = b_final.term(0)

@@ -19,9 +19,14 @@ the pairs of powers first reaches them.
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
 one body does both.  Constant and diagonal monomial gauges are exact, the
 latter an array shift of entries; series gauges go through a truncated
-inverse and record the first discarded order in ``diagnostics``.  A constant
-gauge or series lead term whose 1-norm reciprocal condition number is below
-machine epsilon is refused as singular.
+inverse and record the first discarded order in ``diagnostics``.  A series
+transport cut at ``order`` forms only the powers up to ``order + 1``: A is
+cut there and both products are taken within that window, whose powers are
+those of the full products to the bit.  A recorded shear is applied
+directly, one conjugation per power and one shift by the step's own
+exponents, with the bits of the two gauge transforms it stands for.  A
+constant gauge or series lead term whose 1-norm reciprocal condition number
+is below machine epsilon is refused as singular.
 """
 
 import math
@@ -168,20 +173,20 @@ class PolyMat:
     def is_zero(self):
         return not self.terms
 
-    def norm(self):
-        """Largest coefficient Frobenius norm.
+    def norm(self, hi=None):
+        """Largest coefficient Frobenius norm, among the powers up to ``hi``
+        when it is given.
 
         Each square is summed as ``np.linalg.norm`` sums it, one strided dot
         per part, and one square root is taken, of the largest: sqrt is
         monotone and correctly rounded, so the result is the same to the bit.
         """
-        if not self.terms:
-            return 0.0
         squares = []
-        for c in self.terms.values():
-            x = c.ravel(order="K")
-            squares.append(x.real.dot(x.real) + x.imag.dot(x.imag))
-        return math.sqrt(max(squares))
+        for k, c in self.terms.items():
+            if hi is None or k <= hi:
+                x = c.ravel(order="K")
+                squares.append(x.real.dot(x.real) + x.imag.dot(x.imag))
+        return math.sqrt(max(squares)) if squares else 0.0
 
     def copy(self):
         return self._derive(list(self.terms), self._stack())
@@ -300,24 +305,49 @@ def _monomial_gauge(p):
     return np.fromiter(p.terms, dtype=int)[slot], diags[slot, np.arange(p.dim)]
 
 
-def _shift(a, exps, vals):
+def _shift(a, exps, vals=None):
     """Entrywise map ``A_ij(z) -> (A_ij(z) * v_j / v_i) * z**(e_j - e_i)``,
-    inserting output powers in the order a pass over the input powers,
-    row-major over nonzero entries, first reaches them."""
+    ``v`` all ones when ``vals`` is None, inserting output powers in the
+    order a pass over the input powers, row-major over nonzero entries,
+    first reaches them.
+
+    Each output entry comes from one input entry and lands on +0.0, so a
+    -0.0 part ends +0.0 and every other part is the scaled entry's; with
+    unit values that is the entry itself (``v * 1 / 1`` is exact).  The
+    powers move by one array scatter per distinct ``e_j - e_i``.
+    """
     stack = a._stack()
-    ks, rows, cols = np.nonzero(stack)
-    powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
-    found, first, slot = np.unique(powers, return_index=True, return_inverse=True)
-    v, r = stack[ks, rows, cols], vals[cols]
-    # formed part by part, as a scalar complex product is: numpy's vectorised
-    # complex product may round differently
-    moved = np.empty_like(v)
-    moved.real = v.real * r.real - v.imag * r.imag
-    moved.imag = v.real * r.imag + v.imag * r.real
-    out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
-    out[slot, rows, cols] += moved / vals[rows]   # onto zeros: a -0.0 part ends +0.0
-    order = np.argsort(first)
-    return a._derive(found[order], out[order])
+    if not a.terms:
+        return a._derive([], stack)
+    moved = stack
+    if vals is not None:
+        # formed part by part, as a scalar complex product is: numpy's
+        # vectorised complex product may round differently
+        r = vals[None, None, :]
+        moved = np.empty_like(stack)
+        moved.real = stack.real * r.real - stack.imag * r.imag
+        moved.imag = stack.real * r.imag + stack.imag * r.real
+        moved /= vals[None, :, None]
+    n, powers, hits = a.dim, np.fromiter(a.terms, dtype=int), stack != 0
+    moves = exps[None, :] - exps[:, None]
+    moves_seen = np.unique(moves)
+    lo = powers.min() + moves_seen[0]
+    out = np.zeros((powers.max() + moves_seen[-1] - lo + 1, n, n), dtype=complex)
+    firsts, targets = [], []
+    for d in moves_seen.tolist():
+        rows, cols = np.nonzero(moves == d)
+        dest = powers + (d - lo)
+        out[dest[:, None], rows, cols] += moved[:, rows, cols]   # onto +0.0
+        hit = hits[:, rows, cols]
+        reached = hit.any(axis=1)
+        # the first nonzero entry of each input power moved by d, row-major
+        firsts.append(np.flatnonzero(reached) * (n * n)
+                      + (rows * n + cols)[hit.argmax(axis=1)[reached]])
+        targets.append(dest[reached])
+    targets = np.concatenate(targets)[np.argsort(np.concatenate(firsts))]
+    _, first = np.unique(targets, return_index=True)
+    found = targets[np.sort(first)]
+    return a._derive(found + lo, out[found])
 
 
 def _transport(a, p, order, drift):
@@ -338,10 +368,13 @@ def _transport(a, p, order, drift):
         return out
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
+    # P and its inverse hold no negative powers, so powers above order + 1 of
+    # A reach no power kept; each kept power sums what the full products sum
     p_inv = truncated_inverse(p, order)
-    full = p_inv * (a * p)
+    lo, hi = a.min_power, order + 1
+    full = p_inv._product(a.truncate(hi)._product(p, lo, hi), lo, hi)
     if drift:
-        full = full + p_inv * p.delta()
+        full = full + p_inv._product(p.delta(), lo, hi)
     result = full.truncate(order)
     tail = full.terms.get(order + 1)
     result.diagnostics["truncation_residual"] = (
@@ -392,7 +425,8 @@ def shear(a, sdata, cluster_shifts, tol=None):
     conjugated by the cluster similarity and then gauged by the diagonal
     monomial with exponent ``shift_j`` on cluster j's columns.  Raises
     ``RegularityViolation`` when a genuinely nonzero coefficient would land
-    at a negative power.
+    at a negative power: one above ``eps_res`` times one plus the largest
+    norm among the powers the step can move below zero (``apply_shear``).
     """
     tol = tol or DEFAULT_TOL
     if len(cluster_shifts) != len(sdata.clusters):
@@ -408,18 +442,45 @@ def shear(a, sdata, cluster_shifts, tol=None):
     return sheared, step
 
 
+def _sheared(a, step, drift):
+    """``a`` through a recorded step: ``S^-1 A_k S`` at each power, then the
+    monomial ``diag(z**k_i)`` of the step's exponents as an array shift, and
+    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set.  For
+    a step with a nonzero exponent the bits, and the order of the powers,
+    are those of the constant and the monomial gauge transforms the step
+    stands for."""
+    s = step.similarity
+    conj = a._derive(list(a.terms),
+                     _checked_inverse(s, "constant gauge") @ a._stack() @ s)
+    out = _shift(conj, np.array(step.exponents, dtype=int))
+    shift = np.diag([a.tau * e for e in step.exponents])
+    if drift and np.any(shift):
+        # -0.0 + x == x: the sum's first term is power 0 as it stands
+        c = out.terms[0] + shift if 0 in out.terms else shift
+        if np.any(c):
+            out.terms[0] = c
+        else:
+            del out.terms[0]
+    return out
+
+
 def apply_shear(a, step, tol=None):
-    """Apply a recorded shear to a connection matrix (checked for regularity)."""
+    """Apply a recorded shear to a connection matrix (checked for regularity).
+
+    A unit monomial moves a power by at most ``max k - min k``, so only the
+    powers below that can land below zero: a coefficient there is a pole
+    when its norm exceeds ``eps_res`` times one plus the largest norm among
+    them (the norm of the whole series would let a pole through beside
+    large high powers)."""
     tol = tol or DEFAULT_TOL
-    conj = gauge_transform(a, PolyMat.constant(step.similarity, a.tau, a.q))
-    out = gauge_transform(conj, PolyMat.monomial_diag(step.exponents, a.tau, a.q))
-    return _checked_regular(out, tol, scale=a.norm())
+    reach = max(step.exponents, default=0) - min(step.exponents, default=0)
+    return _checked_regular(_sheared(a, step, drift=True), tol,
+                            scale=a.norm(hi=reach - 1))
 
 
 def apply_shear_dilation(b, step, tol=None):
     """Apply a recorded shear to a dilation matrix (no regularity demanded)."""
-    conj = dilation_transform(b, PolyMat.constant(step.similarity, b.tau, b.q))
-    return dilation_transform(conj, PolyMat.monomial_diag(step.exponents, b.tau, b.q))
+    return _sheared(b, step, drift=False)
 
 
 def invert_shear(a, step):
@@ -431,6 +492,10 @@ def invert_shear(a, step):
 
 
 def _checked_regular(a, tol, scale):
+    """``a`` without its negative powers, which must be rounding: a
+    coefficient there whose norm exceeds ``eps_res (scale + 1)`` is a pole,
+    and raises ``RegularityViolation``.  ``apply_shear`` passes the largest
+    norm among the powers its step can move below zero."""
     threshold = tol.eps_res * (scale + 1.0)
     for k, coeff in a.terms.items():
         if k < 0:

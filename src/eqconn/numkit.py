@@ -307,6 +307,12 @@ def _no_sort(_):
     return None
 
 
+def _unscaled(largest):
+    """Whether zgees leaves a triangular matrix whose largest entry has this
+    modulus as it is."""
+    return largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]
+
+
 def _schur(m):
     """Complex Schur form ``(t, z)``, ``z t z^H = m``, as
     ``scipy.linalg.schur`` computes it: LAPACK's zgees after its workspace
@@ -314,8 +320,7 @@ def _schur(m):
     ``(m, I)`` without a call, as zgees would return both bit for bit.
     """
     if m.shape[0] <= 1 or not np.tril(m, -1).any():
-        largest = np.abs(m).max(initial=0.0)
-        if largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]:
+        if _unscaled(np.abs(m).max(initial=0.0)):
             return m, np.eye(m.shape[0], dtype=complex, order="F")
     lwork = scipy.linalg.lapack.zgees(_no_sort, m, lwork=-1)[-2][0].real.astype(np.int_)
     t, _, _, z, _, info = scipy.linalg.lapack.zgees(_no_sort, m, lwork=lwork)
@@ -332,6 +337,38 @@ def _sylvester(a, b, c):
     ztrsyl had to perturb eigenvalues of A and B that are too close.
     """
     return _bartels_stewart(_schur(a), _schur(-b.conj().T), c)
+
+
+# the Schur vector _schur gives a 1x1 matrix, and its conjugate transpose
+_ONE = np.eye(1, dtype=complex, order="F")
+_ONE_H = _ONE.conj().T
+
+
+def _sylvester_1x1(a, b, c):
+    """``_sylvester(a, b, c)`` for 1x1 ``a`` and ``b``, to the bit.
+
+    ``_schur`` returns a 1x1 matrix of moderate size as it is, with the
+    Schur vector 1, so the solve is one ztrsyl on the two scalars.  The
+    products with that 1 are exact, and skipped, when no part of their
+    operand is zero; a zero part can change its sign in them, so they are
+    kept there.
+    """
+    if not (_unscaled(abs(a[0, 0])) and _unscaled(abs(b[0, 0]))):
+        return _sylvester(a, b, c)
+    if not _all_parts_nonzero(c):
+        c = np.dot(np.dot(_ONE_H, c), _ONE)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(a, -b.conj().T, c, tranb="C")
+    if info != 0:
+        raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
+                             % info)
+    x = scale * y
+    return x if _all_parts_nonzero(x) else np.dot(np.dot(_ONE, x), _ONE_H)
+
+
+def _all_parts_nonzero(m):
+    """Whether each part of the complex 1x1 ``m`` is finite and nonzero."""
+    z = complex(m[0, 0])
+    return 0.0 != abs(z.real) < math.inf and 0.0 != abs(z.imag) < math.inf
 
 
 def _bartels_stewart(schur_a, schur_b, c):
@@ -471,7 +508,8 @@ def spectral(m, tol=None):
         j0, j1, _ = blocks[jb]
         for ib in range(jb - 1, -1, -1):
             i0, i1, _ = blocks[ib]
-            x = _sylvester(t[i0:i1, i0:i1], t[j0:j1, j0:j1], -t[i0:i1, j0:j1])
+            solve = _sylvester_1x1 if i1 - i0 == j1 - j0 == 1 else _sylvester
+            x = solve(t[i0:i1, i0:i1], t[j0:j1, j0:j1], -t[i0:i1, j0:j1])
             r[i0:i1, j0:j1] = x
             rinv[i0:i1, j0:j1] = -x
             t = rinv @ t @ r

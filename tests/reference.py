@@ -39,6 +39,14 @@ block diagonal form of ``eqconn.numkit.spectral``, where the library reads
 the diagonal blocks of the clustered Schur form, which the Sylvester peel
 leaves as they are.
 
+``reference_normalize`` is ``eqconn.category.normalize`` as it stood when it
+formed every power: B sheared inside the shear loop at all its powers, each
+shear two gauge transforms (``reference_shear``: a constant and a monomial
+``PolyMat``, detected by ``eqconn.laurent._monomial_gauge``), a pole checked
+against the norm of the whole series, and full products in the series
+transport (``reference_transport``).  The library's normal form must match
+it to the bit: A0, B0, the shears, the series and every diagnostic.
+
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
@@ -61,8 +69,27 @@ import numpy as np
 import scipy.linalg
 
 from eqconn import serialize
-from eqconn.category import MonodromyPair
-from eqconn.exceptions import ValidationFailure
+from eqconn.category import (
+    MonodromyPair,
+    NormalForm,
+    _series_gauge,
+    validate,
+    validate_normal_form,
+)
+from eqconn.exceptions import (
+    NonConstantB,
+    NumericFailure,
+    RegularityViolation,
+    ValidationFailure,
+)
+from eqconn.laurent import (
+    GaugeRecord,
+    PolyMat,
+    ShearStep,
+    _checked_inverse,
+    _monomial_gauge,
+    truncated_inverse,
+)
 from eqconn.numkit import (
     DEFAULT_TOL,
     SpectralCluster,
@@ -521,3 +548,110 @@ def reference_encode_free_bundle(fb):
 def reference_decode_free_bundle(data):
     conn = [[serialize.decode_torus_poly(entry) for entry in row] for row in data["conn"]]
     return ReferenceFreeBundle(data["theta"], serialize.decode_complex(data["tau"]), conn)
+
+
+def _reference_shift(a, exps, vals):
+    """``A_ij(z) -> (A_ij(z) v_j / v_i) z**(e_j - e_i)``: one np.unique over
+    the output powers of every nonzero entry."""
+    stack = a._stack()
+    ks, rows, cols = np.nonzero(stack)
+    powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
+    found, first, slot = np.unique(powers, return_index=True, return_inverse=True)
+    v, r = stack[ks, rows, cols], vals[cols]
+    moved = np.empty_like(v)
+    moved.real = v.real * r.real - v.imag * r.imag
+    moved.imag = v.real * r.imag + v.imag * r.real
+    out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
+    out[slot, rows, cols] += moved / vals[rows]
+    order = np.argsort(first)
+    return a._derive(found[order], out[order])
+
+
+def reference_transport(a, p, order, drift):
+    """``P^-1 A P``, plus ``P^-1 delta(P)`` when ``drift`` is set, with the
+    series products formed at every power and cut afterwards."""
+    if p.is_constant():
+        c = p.term(0)
+        return a._derive(list(a.terms), _checked_inverse(c, "constant gauge") @ a._stack() @ c)
+    mono = _monomial_gauge(p)
+    if mono is not None:
+        exps, vals = mono
+        out = _reference_shift(a, exps, vals)
+        if drift:
+            out = out + PolyMat.constant(np.diag([a.tau * e for e in exps.tolist()]),
+                                         a.tau, a.q)
+        return out
+    p_inv = truncated_inverse(p, order)
+    full = p_inv * (a * p)
+    if drift:
+        full = full + p_inv * p.delta()
+    result = full.truncate(order)
+    tail = full.terms.get(order + 1)
+    result.diagnostics["truncation_residual"] = (
+        float(np.linalg.norm(tail)) if tail is not None else 0.0)
+    return result
+
+
+def reference_shear(a, step, drift, tol=DEFAULT_TOL):
+    """A recorded shear as two gauge transforms, the similarity and then
+    ``PolyMat.monomial_diag`` of the exponents; with ``drift`` (a connection
+    matrix) a negative power is a pole above ``eps_res (||A|| + 1)``, the
+    norm of the whole input series, and is cut off below that."""
+    conj = reference_transport(a, PolyMat.constant(step.similarity, a.tau, a.q), None, drift)
+    out = reference_transport(conj, PolyMat.monomial_diag(step.exponents, a.tau, a.q),
+                              None, drift)
+    if not drift:
+        return out
+    threshold = tol.eps_res * (a.norm() + 1.0)
+    for k, coeff in out.terms.items():
+        if k < 0 and float(np.linalg.norm(coeff)) > threshold:
+            raise RegularityViolation("shear would create a pole at z**%d" % k)
+    return out.truncate(out.max_power, lo=0)
+
+
+def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
+    """``normalize`` with B sheared inside the loop at all its powers and
+    full products in the series transport."""
+    validate(obj, tol)
+    a, b = obj.A, obj.B
+    steps = []
+    sd = spectral(a.term(0), tol)
+    budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
+    while True:
+        shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
+        if all(s == 0 for s in shifts):
+            break
+        if len(steps) >= budget:
+            raise NumericFailure("shearing did not settle within %d passes" % budget)
+        target = next(i for i, s in enumerate(shifts) if s != 0)
+        exponents = []
+        for i, c in enumerate(sd.clusters):
+            move = (-1 if shifts[i] > 0 else 1) if i == target else 0
+            exponents += [move] * c.multiplicity
+        step = ShearStep(sd.similarity.copy(), tuple(exponents))
+        a = reference_shear(a, step, drift=True, tol=tol)
+        b = reference_shear(b, step, drift=False)
+        steps.append(step)
+        sd = spectral(a.term(0), tol)
+
+    a0 = a.term(0)
+    series = _series_gauge(a, a0, transversal, order, tol)
+    gauged = reference_transport(a, series, order, True) if not series.is_constant() else a
+    gauge_residual = (gauged - PolyMat.constant(a0, a.tau, a.q)).norm()
+    b_final = reference_transport(b, series, order, False) if not series.is_constant() else b
+    b0 = b_final.term(0)
+    b_residual = (b_final - PolyMat.constant(b0, b.tau, b.q)).norm()
+    if b_residual > tol.eps_res * max(1.0, b_final.norm()):
+        raise NonConstantB(
+            "dilation matrix retains non-constant terms of norm %.3e at "
+            "truncation order %d" % (b_residual, order))
+    record = GaugeRecord(shears=tuple(steps), series=series, truncation=order)
+    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
+        "gauge_residual": gauge_residual,
+        "b_residual": b_residual,
+        "shear_passes": len(steps),
+        "strip_margin": min([transversal.boundary_distance(lam)
+                             for lam in np.linalg.eigvals(a0)], default=1.0),
+    })
+    validate_normal_form(nf, tol)
+    return nf

@@ -43,6 +43,7 @@ from eqconn.exceptions import (
     RegularityViolation,
     SingularB,
     TransversalMismatch,
+    ValidationFailure,
 )
 from eqconn.laurent import PolyMat
 from eqconn.numkit import (
@@ -58,6 +59,7 @@ from reference import (
     reference_dual,
     reference_hom_basis,
     reference_hom_mode_dims,
+    reference_normalize,
     reference_spectral,
     reference_sylvester,
     reference_tensor,
@@ -178,7 +180,7 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
 def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
     """normalize, tensor, from_monodromy and is_nori_finite give the same bits
     when every Sylvester solve goes through scipy's solver instead of the
-    LAPACK kernel."""
+    LAPACK kernel, the 1x1 solves of the spectral peel included."""
     rng = np.random.default_rng(48)
     objs = [scramble(random_normal_form(rng, n), rng, shears=s)
             for n, s in ((2, 1), (4, 2), (8, 1))]
@@ -203,10 +205,62 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         return reference_sylvester(a, b, c)
 
     monkeypatch.setattr(eqconn.numkit, "_sylvester", reference)
+    monkeypatch.setattr(eqconn.numkit, "_sylvester_1x1", reference)
     monkeypatch.setattr(eqconn.category, "_sylvester_against",
                         lambda b, tol: lambda a, c: reference(a, b, c))
     assert run() == want
     assert want[1] == [True, False] and len(calls) > 100
+
+
+def normalize_outcome(fn, obj, order):
+    """Everything a normalization gives, to the bit: A0, B0, every shear
+    step, the series' terms in insertion order and the diagnostics; or the
+    exception it raised, with its message."""
+    try:
+        nf = fn(obj, STRIP, order)
+    except (ValidationFailure, NumericFailure) as exc:
+        return type(exc).__name__, str(exc)
+    g = nf.gauge
+    return (nf.A0.tobytes(), nf.B0.tobytes(),
+            [(step.similarity.tobytes(), step.exponents) for step in g.shears],
+            [(k, c.tobytes()) for k, c in g.series.terms.items()], g.truncation,
+            repr(nf.diagnostics))
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 8, 12))
+def test_normalize_matches_the_reference_to_the_bit(n):
+    """The windowed transport, B cut to the shear horizon and the direct
+    shears give the bits of the normalization that formed every power."""
+    rng = np.random.default_rng(500 + n)
+    raised, negative_b = set(), False
+    for shears in (0, 1, 2):
+        obj = scramble(random_normal_form(rng, n), rng, shears=shears)
+        negative_b |= obj.B.min_power < 0
+        for order in (4, 16, 32):
+            want = normalize_outcome(reference_normalize, obj, order)
+            assert normalize_outcome(normalize, obj, order) == want, (shears, order)
+            if isinstance(want[0], str):
+                raised.add(want[0])
+    assert negative_b == (n > 1)
+    # K = 32 leaves B non-constant on the larger seeds
+    assert raised == ({"NonConstantB"} if n >= 8 else set())
+
+
+def test_normalize_matches_the_reference_on_short_and_constant_series():
+    rng = np.random.default_rng(510)
+    # a scramble whose series ends below the window
+    short = scramble(random_normal_form(rng, 3), rng, shears=2, degree=1, order=3)
+    assert short.A.max_power < 16
+    # a constant A moved by one shear: the series gauge is constant and B,
+    # with a tiny term at z**30, is the result as it stands
+    a = PolyMat.constant([[1.3 * TAU]], TAU, Q)
+    b = PolyMat(1, {0: [[2.0]], 30: [[1e-12]]}, TAU, Q)
+    whole = EquivariantConnection(a, b, THETA, TAU)
+    for obj in (short, whole):
+        assert normalize_outcome(normalize, obj, 16) == normalize_outcome(
+            reference_normalize, obj, 16)
+    nf = normalize(whole, STRIP, 16)
+    assert nf.gauge.series.is_constant() and nf.diagnostics["b_residual"] == 1e-12
 
 
 def test_reference_spectral_agrees_with_the_library():

@@ -9,8 +9,10 @@ from eqconn.exceptions import RegularityViolation, ValidationFailure
 from eqconn.laurent import (
     GaugeRecord,
     PolyMat,
+    ShearStep,
     apply_gauge_record,
     apply_shear,
+    apply_shear_dilation,
     dilation_transform,
     gauge_transform,
     invert_shear,
@@ -18,7 +20,13 @@ from eqconn.laurent import (
     truncated_inverse,
 )
 from eqconn.numkit import spectral
-from reference import reference_clean_terms, reference_conjugate, reference_product
+from reference import (
+    reference_clean_terms,
+    reference_conjugate,
+    reference_product,
+    reference_shear,
+    reference_transport,
+)
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -56,6 +64,9 @@ def test_norm_is_the_largest_coefficient_norm_to_the_bit():
     for p in cases:
         want = max(float(np.linalg.norm(c)) for c in p.terms.values())
         assert type(p.norm()) is float and p.norm() == want
+        for hi in (-1, 0, 2):
+            low = [float(np.linalg.norm(c)) for k, c in p.terms.items() if k <= hi]
+            assert p.norm(hi=hi) == max(low, default=0.0)
     assert PolyMat(3, {}, TAU, Q).norm() == 0.0
 
 
@@ -384,6 +395,75 @@ def test_transports_match_per_entry_reference(seed):
             for new, ref in ((gauge_transform, ref_gauge_transform),
                              (dilation_transform, ref_dilation_transform)):
                 assert same_bits(new(x, p, 6), ref(x, p, 6)), (kind, new.__name__)
+
+
+def test_series_transport_forms_only_its_window_to_the_bit():
+    """Powers above order + 1 and below zero in A, a gauge longer and shorter
+    than the window: the windowed products give the full products' bits, the
+    order of the powers and the truncation residual included."""
+    rng = np.random.default_rng(110)
+    for dim in (1, 3, 5):
+        a = sparse_pm(rng, dim, [3, 0, -2, 25, 1, 9, -1, 17])
+        gauges = [seeded_gauges(rng, dim)["series"],
+                  PolyMat(dim, {0: np.eye(dim), 4: rng.normal(size=(dim, dim)),
+                                1: 0.1 * rng.normal(size=(dim, dim))}, TAU, Q)]
+        for p in gauges:
+            for order in (1, 2, 6, 16, 40):
+                for drift in (True, False):
+                    got = (gauge_transform if drift else dilation_transform)(a, p, order)
+                    assert same_bits(got, reference_transport(a, p, order, drift))
+
+
+def shear_steps(rng, dim):
+    """Recorded steps: unit moves of one slot up and down, every slot moved
+    alike, and general exponents, each behind a random similarity."""
+    s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+    patterns = [[1] * dim, [-1] * dim, [int(e) for e in rng.integers(-2, 3, size=dim)]]
+    if dim > 1:
+        patterns += [[0] * (dim - 1) + [1], [-1] + [0] * (dim - 1)]
+    return [ShearStep(s, tuple(e)) for e in patterns]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5))
+def test_direct_shear_matches_the_gauge_transform_pair(dim):
+    """One conjugation per power and an array shift of the step's exponents
+    give the bits of the constant and monomial gauge transforms."""
+    rng = np.random.default_rng(120 + dim)
+    for step in shear_steps(rng, dim):
+        b = sparse_pm(rng, dim, [2, -1, 0, 4, -3])
+        assert same_bits(apply_shear_dilation(b, step), reference_shear(b, step, drift=False))
+        # powers a step cannot bring below zero, without and with power 0
+        reach = max(step.exponents) - min(step.exponents)
+        for powers in ([reach + 3, reach + 1, reach + 2], [0, 5] if reach == 0 else [reach]):
+            a = sparse_pm(rng, dim, powers)
+            assert same_bits(apply_shear(a, step), reference_shear(a, step, drift=True))
+
+
+def test_direct_shear_drops_a_power_0_the_drift_cancels():
+    a = PolyMat(1, {1: np.array([[0.5j]]), 0: np.array([[-TAU]])}, TAU, Q)
+    step = ShearStep(np.eye(1, dtype=complex), (1,))
+    out = apply_shear(a, step)
+    assert same_bits(out, reference_shear(a, step, drift=True))
+    assert list(out.terms) == [1]
+
+
+def test_shear_pole_threshold_ignores_high_powers():
+    """A pole of 1e-3 ||A_0|| beside an A_40 of norm 1e20 is refused: the
+    threshold scales with the powers the step can move below zero, not with
+    the whole series."""
+    rng = np.random.default_rng(130)
+    a0 = np.diag([0.0, 5.0 * TAU])
+    high = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = PolyMat(2, {0: a0, 1: np.array([[0.0, 1e-3 * np.linalg.norm(a0)], [0.0, 0.0]]),
+                    40: 1e20 * high / np.linalg.norm(high)}, TAU, Q)
+    sd = spectral(a.term(0))
+    shifts = [1 if abs(c.eigenvalue) < 1e-9 else -1 for c in sd.clusters]
+    with pytest.raises(RegularityViolation, match="z\\*\\*-1"):
+        shear(a, sd, shifts)
+    # the same pole at 1e-12 ||A_0|| is rounding, and is cut off
+    a.terms[1] = a.terms[1] * 1e-9
+    out, _ = shear(a, sd, shifts)
+    assert out.min_power == 0
 
 
 def test_monomial_diag_keeps_first_appearance_order():

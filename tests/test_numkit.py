@@ -305,6 +305,63 @@ def test_spectral_matches_the_reference_to_the_bit():
             assert same_bits(g.basis, w.basis)
 
 
+def signed_zero_parts():
+    """Parts from +-0.0 and two nonzero values, and every complex of two."""
+    parts = (0.0, -0.0, 1.5, -2.25)
+    return [complex(re, im) for re in parts for im in parts]
+
+
+def test_sylvester_1x1_matches_the_kernel_to_the_bit():
+    """One ztrsyl on the scalars, the products with the Schur vector 1 kept
+    where a part of their operand is zero: the same bits on every sign of
+    zero in C and in the solution, and zgees's scaling range left to the
+    kernel."""
+    pairs = [(0.5 + 0.25j, -0.75 + 0.5j), (1.0 + 1.0j, 0.0), (2.0 + 0j, 1.0 + 0j),
+             (0.0, 1.0 - 1.0j), (-0.0, 3.0j), (1e-140 + 0j, 2e-140 + 1e-140j),
+             (1e140 + 1e140j, 0.0), (1e-120, 3e-120j)]
+    cases = 0
+    for a, b in pairs:
+        for c in signed_zero_parts() + [1.0 + 1.0j, 2.0 - 2.0j, -1.0 + 1.0j, 0.5 + 0.5j]:
+            a_, b_, c_ = (np.array([[v]], dtype=complex) for v in (a, b, c))
+            want = numkit._sylvester(a_, b_, c_)
+            assert same_bits(numkit._sylvester_1x1(a_, b_, c_), want), (a, b, c)
+            assert same_bits(want, reference_sylvester(a_, b_, c_))
+            cases += 1
+    # (1 + 1j) / (1 + 1j) and its like leave a solution with a zero part
+    assert any(complex(numkit._sylvester(np.array([[1.0 + 1.0j]]), np.zeros((1, 1)),
+                                         np.array([[c]], dtype=complex))[0, 0]).imag == 0.0
+               for c in (1.0 + 1.0j, 2.0 + 2.0j))
+    assert cases == 8 * 20
+
+
+def test_spectral_peel_matches_the_reference_on_triangular_inputs():
+    """Diagonal and triangular inputs come out of the Schur form as they
+    are, so the couplings the peel solves for hold exact and signed zeros;
+    1x1 clusters mix with clusters of two and three."""
+    rng = np.random.default_rng(36)
+    zeros = signed_zero_parts()
+    eigs = [0.3, 0.3 + 1e-12, 0.7j, -0.2 + 0.1j, 0.5 + 0.5j, 1.5 + 0.5j, -0.4,
+            -0.4 + 1e-11, -0.4 - 1e-11j, 0.9]
+    inputs = [np.diag(eigs[:n]).astype(complex) for n in (2, 5, 10)]
+    for n in (3, 6, 10):
+        m = np.diag(eigs[:n]).astype(complex)
+        upper = np.triu_indices(n, 1)
+        m[upper] = [zeros[i] for i in rng.integers(len(zeros), size=len(upper[0]))]
+        inputs.append(m)
+        dense = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+        dense[rng.random((n, n)) < 0.4] = complex(-0.0, -0.0)
+        dense.imag[rng.random((n, n)) < 0.3] = -0.0
+        inputs.append(dense + np.diag(eigs[:n]))
+    for m in inputs:
+        got, want = spectral(m), reference_spectral(m)
+        assert same_bits(got.similarity, want.similarity)
+        assert same_bits(got.block_form, want.block_form)
+        assert [(c.eigenvalue, c.multiplicity) for c in got.clusters] == \
+            [(c.eigenvalue, c.multiplicity) for c in want.clusters]
+        assert all(same_bits(g.basis, w.basis) for g, w in zip(got.clusters, want.clusters))
+    assert {c.multiplicity for c in spectral(inputs[-1]).clusters} == {1, 2, 3}
+
+
 def test_spectral_data_takes_its_matrix_by_keyword_only():
     sd = spectral(np.diag([1.0, 2.0]))
     with pytest.raises(TypeError):
