@@ -7,8 +7,8 @@ with no pole at the origin) and a commuting dilation action
 implements the computable category structure on such objects:
 
 * normalization to a constant commuting pair ``(A0, B0)`` with the spectrum
-  of A0 inside a chosen transversal strip (shearing passes followed by a
-  recursive series gauge);
+  of A0 inside a chosen transversal strip (the object balanced by ``z -> rho
+  z``, then shearing passes followed by a recursive series gauge);
 * the equivalence with pairs of commuting invertible matrices -- the
   monodromy ``exp(2 pi i A0/tau)`` together with B0 -- in both directions;
 * the rigid tensor structure (tensor, dual, evaluation/coevaluation, unit),
@@ -38,6 +38,7 @@ from .exceptions import (
 from .laurent import (
     GaugeRecord,
     PolyMat,
+    _rescaled,
     apply_shear_dilation,
     dilation_transform,
     gauge_transform,
@@ -134,12 +135,33 @@ def equivariance_residual(a, b):
     return r.truncate(hi, lo=lo)
 
 
+def _balancing_radius(a):
+    """The radius ``rho`` of ``z -> rho z`` that balances a connection
+    matrix: the largest power of two at most ``min(1, min_k (max(1, ||A_0||)
+    / ||A_k||)^(1/k))`` over the powers ``k >= 1`` (Frobenius norms), so
+    that no power of ``A(rho z)`` outgrows ``max(1, ||A_0||)`` and scaling
+    power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
+    two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969)."""
+    powers = np.fromiter(a.terms, dtype=int)
+    norms = np.linalg.norm(a._stack(), axis=(1, 2))
+    top = max(1.0, norms[powers == 0].max(initial=0.0))
+    up = powers > 0
+    rho = float(np.min((top / norms[up]) ** (1.0 / powers[up]), initial=1.0))
+    return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
+
+
 def validate(obj, tol=None, strict=True):
     """Check the object invariants; returns residuals, raises when strict.
 
     Raised failures name the violated invariant: ``RegularityViolation`` for
     poles in A, ``SingularB`` for a non-invertible constant term of B, and
     ``EquivarianceViolation`` when connection and dilation fail to commute.
+
+    Commutation is checked on the pair balanced by ``z -> rho z``, ``rho =
+    _balancing_radius(A)`` (``radius``): ``equivariance_residual``, the
+    residual's largest coefficient norm there, is bounded by eps_res times
+    ``max(1, ||A(rho z)||) max(1, ||B(rho z)||)``, and
+    ``equivariance_residual_unit`` reweights its power k by ``rho**-k``.
     """
     tol = tol or DEFAULT_TOL
     diag = {}
@@ -161,12 +183,17 @@ def validate(obj, tol=None, strict=True):
         raise SingularB("constant term of the dilation matrix is singular "
                         "(smallest singular value %.3e)" % smin)
 
-    res = equivariance_residual(obj.A, obj.B).norm()
-    scale = max(1.0, obj.A.norm()) * max(1.0, obj.B.norm())
+    radius = _balancing_radius(obj.A)
+    a, b = _rescaled(obj.A, radius), _rescaled(obj.B, radius)
+    residual = equivariance_residual(a, b)
+    res = residual.norm()
     diag["equivariance_residual"] = res
-    if strict and res > tol.eps_res * scale:
+    diag["equivariance_residual_unit"] = _rescaled(residual, 1.0 / radius).norm()
+    diag["radius"] = radius
+    if strict and res > tol.eps_res * max(1.0, a.norm()) * max(1.0, b.norm()):
         raise EquivarianceViolation(
-            "connection and dilation do not commute: residual %.3e" % res)
+            "connection and dilation do not commute: residual %.3e at radius %g"
+            % (res, radius))
     return diag
 
 
@@ -264,12 +291,6 @@ def validate_normal_form(nf, tol=None, strict=True):
     return diag
 
 
-def to_object(nf):
-    """Present a normal form as an (constant-matrix) object."""
-    return EquivariantConnection.from_constant(
-        nf.A0, nf.B0, nf.theta, nf.tau, nf.transversal)
-
-
 def unit_object(theta, tau, transversal=None):
     """The tensor unit: one-dimensional, trivial dilation, flat connection."""
     transversal = transversal or Transversal(tau)
@@ -295,6 +316,15 @@ def direct_sum(x, y):
 def normalize(obj, transversal=None, order=16, tol=None):
     """Gauge an object to a constant commuting pair with spectrum in the strip.
 
+    The object is first balanced by ``z -> rho z``, ``rho`` the radius
+    ``validate`` reports: power k of A and B is scaled by ``rho**k``,
+    exactly, and ``rho = 1`` leaves the object as it is.  The substitution
+    commutes with ``delta``, the q-dilation and Laurent products, so the
+    normal form is isomorphic; the gauge is recorded in the balanced frame
+    (``GaugeRecord.radius``).  ``gauge_residual`` and ``b_residual`` are the
+    largest coefficient norms left there beside A0 and B0, the norm weighted
+    by ``rho**k``; their ``*_unit`` values reweight power k by ``rho**-k``.
+
     Three stages: (1) shearing passes move each eigenvalue cluster of the
     constant term into the transversal, one unit step at a time; (2) the
     series gauge ``P = I + P_1 z + ...`` is built order by order through
@@ -314,9 +344,9 @@ def normalize(obj, transversal=None, order=16, tol=None):
     transversal = transversal or obj.transversal or Transversal(obj.tau)
     if abs(transversal.tau - obj.tau) > 1e-9:
         raise TransversalMismatch("transversal modulus differs from the object's tau")
-    validate(obj, tol)
+    radius = validate(obj, tol)["radius"]
 
-    a = obj.A
+    a = _rescaled(obj.A, radius)
     steps = []
     sd = spectral(a.term(0), tol)
     budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1])
@@ -342,9 +372,9 @@ def normalize(obj, transversal=None, order=16, tol=None):
     a0 = a.term(0)
     series = _series_gauge(a, a0, transversal, order, tol)
     gauged = gauge_transform(a, series, order) if not series.is_constant() else a
-    gauge_residual = (gauged - PolyMat.constant(a0, a.tau, a.q)).norm()
+    gauge_left = gauged - PolyMat.constant(a0, a.tau, a.q)
 
-    b, cut = obj.B, not series.is_constant()
+    b, cut = _rescaled(obj.B, radius), not series.is_constant()
     for i, step in enumerate(steps):
         if cut:
             # the series transport reads powers up to order + 1, and each of
@@ -354,19 +384,24 @@ def normalize(obj, transversal=None, order=16, tol=None):
     b_final = (dilation_transform(b, series, order)
                if not series.is_constant() else b)
     b0 = b_final.term(0)
-    b_residual = (b_final - PolyMat.constant(b0, b.tau, b.q)).norm()
+    b_left = b_final - PolyMat.constant(b0, b.tau, b.q)
+    b_residual = b_left.norm()
     if b_residual > tol.eps_res * max(1.0, b_final.norm()):
         raise NonConstantB(
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
 
-    record = GaugeRecord(shears=tuple(steps), series=series, truncation=order)
+    record = GaugeRecord(shears=tuple(steps), series=series, truncation=order,
+                         radius=radius)
     nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
-        "gauge_residual": gauge_residual,
+        "gauge_residual": gauge_left.norm(),
         "b_residual": b_residual,
         "shear_passes": passes,
         "strip_margin": min([transversal.boundary_distance(lam)
                              for lam in np.linalg.eigvals(a0)], default=1.0),
+        "radius": radius,
+        "gauge_residual_unit": _rescaled(gauge_left, 1.0 / radius).norm(),
+        "b_residual_unit": _rescaled(b_left, 1.0 / radius).norm(),
     })
     validate_normal_form(nf, tol)
     return nf

@@ -410,11 +410,14 @@ class ShearStep:
 @dataclass(frozen=True)
 class GaugeRecord:
     """The full gauge produced by normalization: shears applied in order,
-    then a unit-constant-term series gauge truncated at ``truncation``."""
+    then a unit-constant-term series gauge truncated at ``truncation``, both
+    on the object balanced by ``z -> radius z`` (power k scaled by
+    ``radius**k``, exactly: the radius is a power of two, 1 for none)."""
 
     shears: tuple
     series: PolyMat
     truncation: int
+    radius: float = 1.0
 
 
 def shear(a, sdata, cluster_shifts, tol=None):
@@ -507,13 +510,28 @@ def _checked_regular(a, tol, scale):
     return a.truncate(a.max_power, lo=0)
 
 
+def _rescaled(p, radius):
+    """``p(radius z)``: power k scaled by ``radius**k``, each part of each
+    coefficient as a real, which is exact for a power of two; ``p`` itself
+    when the radius is 1."""
+    if radius == 1.0:
+        return p
+    factors = np.array([radius ** k for k in p.terms], dtype=float)
+    parts = p._stack().view(float) * factors[:, None, None]
+    return p._derive(list(p.terms), parts.view(complex))
+
+
 def apply_gauge_record(a, b, record, tol=None):
-    """Replay a normalization gauge on a connection/dilation pair."""
+    """Replay a normalization gauge on a connection/dilation pair: the pair
+    is balanced by ``z -> radius z``, gauged there, and mapped back by ``z ->
+    z / radius``, so a power k of the result is ``radius**-k`` times the
+    balanced one."""
     tol = tol or DEFAULT_TOL
+    a, b = _rescaled(a, record.radius), _rescaled(b, record.radius)
     for step in record.shears:
         a = apply_shear(a, step, tol=tol)
         b = apply_shear_dilation(b, step, tol=tol)
     if record.series is not None and not record.series.is_constant():
         a = gauge_transform(a, record.series, record.truncation)
         b = dilation_transform(b, record.series, record.truncation)
-    return a, b
+    return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)

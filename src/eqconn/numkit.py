@@ -8,14 +8,14 @@ supplies the primitives the rest of the package leans on:
   exactly one representative of each coset of ``tau*Z`` in the complex plane,
   plus reduction into it;
 * clustered spectral data (Schur form, eigenvalue clustering by proximity,
-  clusters made contiguous by LAPACK's ztrsen, block diagonalization);
+  clusters made contiguous by LAPACK's ztrsen, block diagonalization with
+  one ztrsyl per cluster);
 * Sylvester solves, the matrix exponential, and a matrix logarithm whose
   branch is chosen per eigenvalue cluster so that the result's spectrum lands
-  inside a prescribed transversal.  Every Sylvester solve goes through one
-  kernel that calls LAPACK (zgees, ztrsyl) directly, as
-  ``scipy.linalg.solve_sylvester`` calls it, with the same bits; it skips
-  the Schur forms LAPACK would return unchanged, those of triangular blocks,
-  and takes them once for many solves against one B;
+  inside a prescribed transversal.  ``solve_sylvester`` calls LAPACK (zgees,
+  ztrsyl) directly, as ``scipy.linalg.solve_sylvester`` calls it, with the
+  same bits; it skips the Schur forms LAPACK would return unchanged, those
+  of triangular blocks, and takes them once for many solves against one B;
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
@@ -282,7 +282,15 @@ def _sylvester_against(b, tol):
                 "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
             )
         _check_separated(np.linalg.eigvals(a), eig_b, tol)
-        return _bartels_stewart(_schur(a), schur_b, c)
+        # Bartels-Stewart on a = u r u^H and -b^H = v s v^H: ztrsyl on
+        # f = u^H c v, then x = u y v^H, with scipy's products
+        (r, u), (s, v) = _schur(a), schur_b
+        f = np.dot(np.dot(u.conj().T, c), v)
+        y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
+        if info != 0:
+            raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
+                                 % info)
+        return np.dot(np.dot(u, scale * y), v.conj().T)
 
     return solve
 
@@ -327,60 +335,6 @@ def _schur(m):
     if info != 0:
         raise NumericFailure("Schur iteration failed to converge (zgees info %d)" % info)
     return t, z
-
-
-def _sylvester(a, b, c):
-    """Solve ``A X - X B = C`` with the LAPACK calls of
-    ``scipy.linalg.solve_sylvester(a, -b, c)``, and so its result to the bit.
-
-    Raises ``NumericFailure`` when a Schur form does not converge, or when
-    ztrsyl had to perturb eigenvalues of A and B that are too close.
-    """
-    return _bartels_stewart(_schur(a), _schur(-b.conj().T), c)
-
-
-# the Schur vector _schur gives a 1x1 matrix, and its conjugate transpose
-_ONE = np.eye(1, dtype=complex, order="F")
-_ONE_H = _ONE.conj().T
-
-
-def _sylvester_1x1(a, b, c):
-    """``_sylvester(a, b, c)`` for 1x1 ``a`` and ``b``, to the bit.
-
-    ``_schur`` returns a 1x1 matrix of moderate size as it is, with the
-    Schur vector 1, so the solve is one ztrsyl on the two scalars.  The
-    products with that 1 are exact, and skipped, when no part of their
-    operand is zero; a zero part can change its sign in them, so they are
-    kept there.
-    """
-    if not (_unscaled(abs(a[0, 0])) and _unscaled(abs(b[0, 0]))):
-        return _sylvester(a, b, c)
-    if not _all_parts_nonzero(c):
-        c = np.dot(np.dot(_ONE_H, c), _ONE)
-    y, scale, info = scipy.linalg.lapack.ztrsyl(a, -b.conj().T, c, tranb="C")
-    if info != 0:
-        raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
-                             % info)
-    x = scale * y
-    return x if _all_parts_nonzero(x) else np.dot(np.dot(_ONE, x), _ONE_H)
-
-
-def _all_parts_nonzero(m):
-    """Whether each part of the complex 1x1 ``m`` is finite and nonzero."""
-    z = complex(m[0, 0])
-    return 0.0 != abs(z.real) < math.inf and 0.0 != abs(z.imag) < math.inf
-
-
-def _bartels_stewart(schur_a, schur_b, c):
-    """Bartels-Stewart on ``a = u r u^H`` and ``-b^H = v s v^H``: ztrsyl on
-    ``f = u^H c v``, then ``x = u y v^H``, with scipy's products."""
-    (r, u), (s, v) = schur_a, schur_b
-    f = np.dot(np.dot(u.conj().T, c), v)
-    y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
-    if info != 0:
-        raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
-                             % info)
-    return np.dot(np.dot(u, scale * y), v.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -491,36 +445,21 @@ def spectral(m, tol=None):
 
     Eigenvalues joined by a chain of gaps within eps_spec form one cluster;
     the returned similarity carries each cluster's generalized eigenspace in
-    contiguous columns.
+    contiguous columns.  It is ``q v`` for the clustered Schur form ``q t
+    q^H`` of the matrix and the ``v`` of ``_decouple``, one ztrsyl per
+    cluster, and the block form is the diagonal blocks of ``t``.  Raises
+    ``NumericFailure`` where ztrsyl finds two clusters too close to split.
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
     t, q, blocks = _clustered_schur(m, tol)
-    n = m.shape[0]
-    # Peel off the coupling between distinct clusters with Sylvester solves;
-    # the result of the accumulated (non-unitary) similarity is block diagonal.
-    # r and rinv are identities with one block set for each pair's products.
-    r_total = np.eye(n, dtype=complex)
-    r = np.eye(n, dtype=complex)
-    rinv = np.eye(n, dtype=complex)
-    t = t.copy()
-    for jb in range(1, len(blocks)):
-        j0, j1, _ = blocks[jb]
-        for ib in range(jb - 1, -1, -1):
-            i0, i1, _ = blocks[ib]
-            solve = _sylvester_1x1 if i1 - i0 == j1 - j0 == 1 else _sylvester
-            x = solve(t[i0:i1, i0:i1], t[j0:j1, j0:j1], -t[i0:i1, j0:j1])
-            r[i0:i1, j0:j1] = x
-            rinv[i0:i1, j0:j1] = -x
-            t = rinv @ t @ r
-            t[i0:i1, j0:j1] = 0.0
-            r_total = r_total @ r
-            r[i0:i1, j0:j1] = 0.0
-            rinv[i0:i1, j0:j1] = 0.0
-    similarity = q @ r_total
+    v, _ = _decouple(t, [(start, stop) for start, stop, _ in blocks], strict=True)
+    owner = np.repeat(np.arange(len(blocks)), [stop - start for start, stop, _ in blocks])
+    similarity = q @ v
     clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
                      for start, stop, lam in blocks)
-    return SpectralData(clusters, similarity, t, matrix=m.copy(order="K"))
+    return SpectralData(clusters, similarity, np.where(owner[:, None] == owner, t, 0.0),
+                        matrix=m.copy(order="K"))
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +569,13 @@ def _decouple(t, bounds, strict=False):
     blocks after it unchanged, so each is one ztrsyl call on ``t`` itself.
     Blocks too close to split (ztrsyl info 1, which perturbs the coinciding
     eigenvalues) give factors of huge norm: callers check the norms, or pass
-    ``strict`` to have ``NumericFailure`` raised.
+    ``strict`` to have ``NumericFailure`` raised.  A single block, or none,
+    gives ``v = w = I``.
     """
     n = t.shape[0]
     w = np.eye(n, dtype=complex)
+    if len(bounds) < 2:
+        return np.eye(n, dtype=complex), w
     for start, stop in bounds[:-1]:
         y, scale, info = scipy.linalg.lapack.ztrsyl(
             t[start:stop, start:stop], t[stop:, stop:], t[start:stop, stop:], isgn=-1)

@@ -26,8 +26,9 @@ computed eagerly.
 
 ``reference_sylvester`` is ``scipy.linalg.solve_sylvester`` for
 ``A X - X B = C``; the folds and ``reference_spectral`` solve with it, and
-the library's LAPACK kernel ``eqconn.numkit._sylvester`` must match it to
-the bit.
+the library's ``eqconn.numkit.solve_sylvester`` must match it to the bit.
+The library's ``spectral`` block diagonalizes the same Schur form with one
+ztrsyl per cluster instead, and matches ``reference_spectral`` to rounding.
 
 ``reference_hom_basis`` and ``reference_hom_mode_dims`` take the kernel of
 the whole stacked Kronecker system of the intertwining equations, one SVD
@@ -36,8 +37,7 @@ dimensions and spaces.
 
 ``reference_is_nori_finite`` is ``eqconn.torus.is_nori_finite`` on the
 block diagonal form of ``eqconn.numkit.spectral``, where the library reads
-the diagonal blocks of the clustered Schur form, which the Sylvester peel
-leaves as they are.
+the diagonal blocks of the clustered Schur form, which are that form's.
 
 ``reference_normalize`` is ``eqconn.category.normalize`` as it stood when it
 formed every power: B sheared inside the shear loop at all its powers, each
@@ -45,7 +45,10 @@ shear two gauge transforms (``reference_shear``: a constant and a monomial
 ``PolyMat``, detected by ``eqconn.laurent._monomial_gauge``), a pole checked
 against the norm of the whole series, and full products in the series
 transport (``reference_transport``).  The library's normal form must match
-it to the bit: A0, B0, the shears, the series and every diagnostic.
+it to the bit: A0, B0, the shears, the series and every diagnostic.  It
+takes its input as given: the library balances by ``z -> rho z`` first, and
+matches it on ``reference_balance`` of its input, which scales each part of
+each coefficient of power k by ``rho**k`` one at a time.
 
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
@@ -64,12 +67,14 @@ bit, entry by entry and support by support, and encode to the same bytes.
 """
 
 import cmath
+import math
 
 import numpy as np
 import scipy.linalg
 
 from eqconn import serialize
 from eqconn.category import (
+    EquivariantConnection,
     MonodromyPair,
     NormalForm,
     _series_gauge,
@@ -607,6 +612,27 @@ def reference_shear(a, step, drift, tol=DEFAULT_TOL):
         if k < 0 and float(np.linalg.norm(coeff)) > threshold:
             raise RegularityViolation("shear would create a pole at z**%d" % k)
     return out.truncate(out.max_power, lo=0)
+
+
+def reference_balance(obj):
+    """``(obj(rho z), rho)``, power k of A and B scaled by ``rho**k``, for
+    ``rho`` the largest power of two at most ``min(1, min_k (max(1,
+    ||A_0||) / ||A_k||)^(1/k))`` over the powers ``k >= 1``."""
+    top = max(1.0, float(np.linalg.norm(obj.A.term(0))))
+    bound = min([1.0] + [(top / float(np.linalg.norm(c))) ** (1.0 / k)
+                         for k, c in obj.A.terms.items() if k >= 1])
+    rho = 1.0 if bound >= 1.0 else 2.0 ** math.floor(math.log2(bound))
+
+    def scaled(p):
+        terms = {}
+        for k, c in p.terms.items():
+            terms[k] = np.empty_like(c)
+            terms[k].real = c.real * rho ** k
+            terms[k].imag = c.imag * rho ** k
+        return PolyMat(p.dim, terms, p.tau, p.q)
+
+    return EquivariantConnection(scaled(obj.A), scaled(obj.B), obj.theta, obj.tau,
+                                 obj.transversal), rho
 
 
 def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):

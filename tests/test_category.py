@@ -39,13 +39,14 @@ from eqconn.category import (
 )
 from eqconn.exceptions import (
     EquivarianceViolation,
+    NonConstantB,
     NumericFailure,
     RegularityViolation,
     SingularB,
     TransversalMismatch,
     ValidationFailure,
 )
-from eqconn.laurent import PolyMat
+from eqconn.laurent import PolyMat, apply_gauge_record
 from eqconn.numkit import (
     DEFAULT_TOL,
     Transversal,
@@ -55,6 +56,7 @@ from eqconn.numkit import (
 )
 from eqconn.torus import is_nori_finite, psi_star
 from reference import (
+    reference_balance,
     reference_decompose,
     reference_dual,
     reference_hom_basis,
@@ -121,6 +123,28 @@ def test_validate_singular_dilation():
         validate(constant_object(np.zeros((2, 2)), np.diag([1.0, 0.0])))
 
 
+def test_validate_bounds_the_residual_of_the_balanced_pair():
+    """A non-equivariant term planted at a high power passes the bound
+    ``eps_res max(1, ||A||) max(1, ||B||)`` at unit radius, which the
+    scrambled inputs' growing powers make huge, and fails the same bound on
+    the balanced pair; the pole and singular-B checks are as they were."""
+    rng = np.random.default_rng(520)
+    obj = scramble(random_normal_form(rng, 12), rng, shears=1, degree=3)
+    clean = validate(obj)
+    assert clean["radius"] < 1.0
+    planted = util.plant_non_equivariant_term(obj, rng)
+    diag = validate(planted, strict=False)
+    assert diag["radius"] == clean["radius"]
+    unit_bound = DEFAULT_TOL.eps_res * max(1.0, planted.A.norm()) * max(1.0, planted.B.norm())
+    assert diag["equivariance_residual_unit"] < unit_bound
+    assert diag["equivariance_residual"] > 1e-4
+    with pytest.raises(EquivarianceViolation, match="at radius"):
+        validate(planted)
+    # the unit residual is the balanced one, power k reweighted by rho**-k
+    residual = eqconn.category.equivariance_residual(planted.A, planted.B)
+    assert diag["equivariance_residual_unit"] == pytest.approx(residual.norm(), rel=1e-12)
+
+
 # --- normalization ------------------------------------------------------------
 
 def test_normalize_already_normal_is_identity_gauge():
@@ -179,8 +203,8 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
 
 def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
     """normalize, tensor, from_monodromy and is_nori_finite give the same bits
-    when every Sylvester solve goes through scipy's solver instead of the
-    LAPACK kernel, the 1x1 solves of the spectral peel included."""
+    when the Sylvester solves of normalize's series gauge go through scipy's
+    solver instead of the LAPACK kernel."""
     rng = np.random.default_rng(48)
     objs = [scramble(random_normal_form(rng, n), rng, shears=s)
             for n, s in ((2, 1), (4, 2), (8, 1))]
@@ -204,18 +228,20 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         calls.append(a.shape)
         return reference_sylvester(a, b, c)
 
-    monkeypatch.setattr(eqconn.numkit, "_sylvester", reference)
-    monkeypatch.setattr(eqconn.numkit, "_sylvester_1x1", reference)
     monkeypatch.setattr(eqconn.category, "_sylvester_against",
                         lambda b, tol: lambda a, c: reference(a, b, c))
     assert run() == want
-    assert want[1] == [True, False] and len(calls) > 100
+    assert want[1] == [True, False] and len(calls) > 0
+
+
+# the diagnostics of the balancing, which the reference does not report
+BALANCE_KEYS = ("radius", "gauge_residual_unit", "b_residual_unit")
 
 
 def normalize_outcome(fn, obj, order):
     """Everything a normalization gives, to the bit: A0, B0, every shear
-    step, the series' terms in insertion order and the diagnostics; or the
-    exception it raised, with its message."""
+    step, the series' terms in insertion order and the diagnostics but
+    ``BALANCE_KEYS``; or the exception it raised, with its message."""
     try:
         nf = fn(obj, STRIP, order)
     except (ValidationFailure, NumericFailure) as exc:
@@ -224,26 +250,31 @@ def normalize_outcome(fn, obj, order):
     return (nf.A0.tobytes(), nf.B0.tobytes(),
             [(step.similarity.tobytes(), step.exponents) for step in g.shears],
             [(k, c.tobytes()) for k, c in g.series.terms.items()], g.truncation,
-            repr(nf.diagnostics))
+            repr({k: v for k, v in nf.diagnostics.items() if k not in BALANCE_KEYS}))
+
+
+def reference_outcome(obj, order):
+    """``normalize_outcome`` of the reference on the balanced object."""
+    return normalize_outcome(reference_normalize, reference_balance(obj)[0], order)
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8, 12))
 def test_normalize_matches_the_reference_to_the_bit(n):
     """The windowed transport, B cut to the shear horizon and the direct
-    shears give the bits of the normalization that formed every power."""
+    shears give the bits of the normalization that formed every power, run
+    on the balanced object."""
     rng = np.random.default_rng(500 + n)
     raised, negative_b = set(), False
     for shears in (0, 1, 2):
         obj = scramble(random_normal_form(rng, n), rng, shears=shears)
         negative_b |= obj.B.min_power < 0
         for order in (4, 16, 32):
-            want = normalize_outcome(reference_normalize, obj, order)
+            want = reference_outcome(obj, order)
             assert normalize_outcome(normalize, obj, order) == want, (shears, order)
             if isinstance(want[0], str):
                 raised.add(want[0])
     assert negative_b == (n > 1)
-    # K = 32 leaves B non-constant on the larger seeds
-    assert raised == ({"NonConstantB"} if n >= 8 else set())
+    assert raised == set()
 
 
 def test_normalize_matches_the_reference_on_short_and_constant_series():
@@ -257,8 +288,7 @@ def test_normalize_matches_the_reference_on_short_and_constant_series():
     b = PolyMat(1, {0: [[2.0]], 30: [[1e-12]]}, TAU, Q)
     whole = EquivariantConnection(a, b, THETA, TAU)
     for obj in (short, whole):
-        assert normalize_outcome(normalize, obj, 16) == normalize_outcome(
-            reference_normalize, obj, 16)
+        assert normalize_outcome(normalize, obj, 16) == reference_outcome(obj, 16)
     nf = normalize(whole, STRIP, 16)
     assert nf.gauge.series.is_constant() and nf.diagnostics["b_residual"] == 1e-12
 
@@ -279,6 +309,65 @@ def test_reference_spectral_agrees_with_the_library():
             blocks[start:stop, start:stop] = 0.0
             start = stop
         assert np.linalg.norm(blocks) < 1e-10 * np.linalg.norm(m)
+
+
+# scrambled inputs (n, rng seed, shears) whose normalization at unit radius
+# raises NonConstantB or leaves a residual above 1e-8
+UNIT_RADIUS_FAILURES = ((8, 624, 0), (12, 600, 0), (12, 625, 1), (12, 626, 2))
+
+
+@pytest.mark.parametrize("n, seed, shears", UNIT_RADIUS_FAILURES)
+def test_balanced_normalize_recovers_the_seed_where_the_unit_radius_fails(n, seed, shears):
+    """Balanced, these inputs normalize to a form isomorphic to their seed,
+    and the recorded gauge replays on the input in the frame it was taken."""
+    rng = np.random.default_rng(seed)
+    seed_nf = random_normal_form(rng, n)
+    obj = scramble(seed_nf, rng, shears=shears, degree=3)
+    try:
+        old = reference_normalize(obj, STRIP, 16)
+    except NonConstantB:
+        pass
+    else:
+        assert max(old.diagnostics["gauge_residual"], old.diagnostics["b_residual"]) > 1e-8
+    nf = normalize(obj, STRIP, 16)
+    diag, radius = nf.diagnostics, nf.gauge.radius
+    assert radius < 1.0 and diag["radius"] == radius
+    assert max(diag["gauge_residual"], diag["b_residual"]) < 1e-12
+    assert nf.diagnostics["shear_passes"] == len(nf.gauge.shears)
+    # forward oracle: the normal form is the seed's, up to isomorphism
+    iso = is_isomorphic(seed_nf, nf, seed=1)
+    assert iso is not None and iso.is_valid()
+    assert k0_class(nf) == k0_class(seed_nf)
+    want, got = monodromy(seed_nf), monodromy(nf)
+    for m_seed, m_nf in ((want.M1, got.M1), (want.M2, got.M2)):
+        gap = np.linalg.norm(iso.phi @ m_seed - m_nf @ iso.phi)
+        assert gap <= 1e-8 * np.linalg.norm(iso.phi) * np.linalg.norm(m_seed)
+    # the recorded gauge replays to (A0, B0) on the input, within the
+    # reported residuals at unit radius and, power k weighted by radius**k,
+    # in the balanced frame
+    a, b = apply_gauge_record(obj.A, obj.B, nf.gauge)
+    for p, c0, name in ((a, nf.A0, "gauge_residual"), (b, nf.B0, "b_residual")):
+        left = p - PolyMat.constant(c0, TAU, Q)
+        assert left.norm() <= diag[name + "_unit"] * (1 + 1e-12)
+        weighted = max(radius ** k * np.linalg.norm(c) for k, c in left.terms.items())
+        assert weighted <= diag[name] * (1 + 1e-12)
+        assert diag[name] < diag[name + "_unit"]
+
+
+def test_normalize_leaves_a_unit_radius_input_as_it_was():
+    """An input no power of whose connection matrix outgrows its constant
+    term is not rescaled: the normal form is the unbalanced one to the bit,
+    and each residual is its own unit-radius value."""
+    for n, seed in ((2, 700), (3, 702)):
+        rng = np.random.default_rng(seed)
+        obj = scramble(random_normal_form(rng, n), rng, shears=1, degree=1)
+        assert obj.A.max_power == 48
+        want = normalize_outcome(reference_normalize, obj, 16)
+        assert normalize_outcome(normalize, obj, 16) == want
+        nf = normalize(obj, STRIP, 16)
+        assert nf.gauge.radius == nf.diagnostics["radius"] == 1.0
+        for name in ("gauge_residual", "b_residual"):
+            assert nf.diagnostics[name + "_unit"] == nf.diagnostics[name]
 
 
 def test_normalize_rejects_wrong_strip_modulus():

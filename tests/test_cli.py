@@ -32,6 +32,7 @@ from reference import (
 from util import (
     STRIP,
     TAU,
+    plant_non_equivariant_term,
     random_commuting_pair,
     random_normal_form,
     scramble,
@@ -256,6 +257,23 @@ def test_exit_code_2_on_malformed_and_invalid(capsys, tmp_path):
     code, report = run_json(capsys, ["validate", path])
     assert code == 2
     assert report["error"]["kind"] == "RegularityViolation"
+
+
+def test_validate_reports_an_equivariance_violation_at_a_high_power(capsys, tmp_path):
+    """A non-equivariant term planted at z**40 of a scrambled n = 12 object
+    exits 2 with the violation named, in strict JSON."""
+    rng = np.random.default_rng(520)
+    obj = scramble(random_normal_form(rng, 12), rng, shears=1, degree=3)
+    path = write(tmp_path, "planted.json",
+                 encode_object(plant_non_equivariant_term(obj, rng)))
+    code, out = run(capsys, ["--json", "validate", path])
+    assert code == 2
+
+    def refuse(token):
+        raise AssertionError("non-standard JSON token %s" % token)
+
+    report = json.loads(out, parse_constant=refuse)
+    assert report["error"]["kind"] == "EquivarianceViolation"
 
 
 def test_missing_command_fails(capsys):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from eqconn.category import EquivariantConnection, NormalForm
+from eqconn.category import EquivariantConnection, NormalForm, validate
 from eqconn.laurent import (
     PolyMat,
     apply_shear_dilation,
@@ -160,3 +160,16 @@ def scramble(nf, rng, shears=2, degree=3, order=48):
     a = gauge_transform(a, p, order)
     b = dilation_transform(b, p, order)
     return EquivariantConnection(a, b, nf.theta, nf.tau, nf.transversal)
+
+
+def plant_non_equivariant_term(obj, rng, power=40, size=1e-4):
+    """``obj`` with a random term added to B at ``power``, of norm ``size``
+    in the frame balanced by the object's radius ``rho`` (``size /
+    rho**power`` at unit radius), so that connection and dilation no longer
+    commute there."""
+    rho = validate(obj)["radius"]
+    g = rng.normal(size=(obj.n, obj.n)) + 1j * rng.normal(size=(obj.n, obj.n))
+    terms = dict(obj.B.terms)
+    terms[power] = terms.get(power, 0) + (size / rho ** power) * g / np.linalg.norm(g)
+    b = PolyMat(obj.n, terms, obj.tau, obj.B.q)
+    return EquivariantConnection(obj.A, b, obj.theta, obj.tau, obj.transversal)

@@ -12,7 +12,10 @@ them) and of the wrong outputs among them,
 and one SHA-256 over every job's output: the bits of each array, the repr
 of each scalar, and the name of the exception of a job that raised.  Two
 checkouts print the same digest only when every output is the same to the
-bit.  Nothing is timed.
+bit.  For normalize-scrambled it also prints the margin: the largest
+``gauge_residual`` or ``b_residual`` among the jobs that returned, beside
+the ``RESIDUAL_LIMIT`` above which the benchmark counts a job failed.
+Nothing is timed.
 """
 
 import argparse
@@ -71,7 +74,8 @@ def feed(h, x):
 
 
 def digest(workload):
-    """``(jobs, failed, wrong, sha256 hex)`` over seeds 1-10."""
+    """``(jobs, failed, wrong, largest residual, sha256 hex)`` over seeds
+    1-10; the largest residual is None but for normalize-scrambled."""
     for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
                  os.path.join(ROOT, "bench")):
         sys.path.insert(0, path)
@@ -79,6 +83,7 @@ def digest(workload):
 
     h = hashlib.sha256()
     jobs = failed = wrong = 0
+    largest = 0.0 if workload == "normalize-scrambled" else None
     rounds = wl.timed_rounds(workload, SECONDS)
     with tempfile.TemporaryDirectory() as workdir:
         for seed in SEEDS:
@@ -95,6 +100,9 @@ def digest(workload):
                         continue
                     # hash before the oracle, which may fill memos of the output
                     feed(h, out)
+                    if largest is not None:
+                        largest = max(largest, out.diagnostics["gauge_residual"],
+                                      out.diagnostics["b_residual"])
                     try:
                         job.check(out)
                     except wl.JobFailed:
@@ -102,7 +110,7 @@ def digest(workload):
                     except Exception:  # the oracle rejected the output
                         failed += 1
                         wrong += 1
-    return jobs, failed, wrong, h.hexdigest()
+    return jobs, failed, wrong, largest, h.hexdigest()
 
 
 def main(argv=None):
@@ -112,9 +120,13 @@ def main(argv=None):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
     warnings.simplefilter("ignore")
-    jobs, failed, wrong, sha = digest(args.workload)
-    print("%s: jobs %d, failed %d, wrong %d, sha256 %s"
-          % (args.workload, jobs, failed, wrong, sha))
+    jobs, failed, wrong, largest, sha = digest(args.workload)
+    margin = ""
+    if largest is not None:
+        from workloads import RESIDUAL_LIMIT
+        margin = ", largest residual %.1e (limit %.0e)" % (largest, RESIDUAL_LIMIT)
+    print("%s: jobs %d, failed %d, wrong %d%s, sha256 %s"
+          % (args.workload, jobs, failed, wrong, margin, sha))
 
 
 if __name__ == "__main__":
