@@ -8,7 +8,8 @@ implements the computable category structure on such objects:
 
 * normalization to a constant commuting pair ``(A0, B0)`` with the spectrum
   of A0 inside a chosen transversal strip (the object balanced by ``z -> rho
-  z``, then shearing passes followed by a recursive series gauge);
+  z``, shearing passes where eigenvalues resonate, a recursive series gauge,
+  and one fold into the strip);
 * the equivalence with pairs of commuting invertible matrices -- the
   monodromy ``exp(2 pi i A0/tau)`` together with B0 -- in both directions;
 * the rigid tensor structure (tensor, dual, evaluation/coevaluation, unit),
@@ -38,7 +39,9 @@ from .exceptions import (
 from .laurent import (
     GaugeRecord,
     PolyMat,
+    ShearStep,
     _rescaled,
+    apply_shear,
     apply_shear_dilation,
     dilation_transform,
     gauge_transform,
@@ -53,8 +56,9 @@ from .numkit import (
     _decouple,
     _fold,
     _group_blocks,
+    _shift_groups,
+    _shifted_sylvester,
     _svd_split,
-    _sylvester_against,
     log_transversal,
     mat_exp,
     spectral,
@@ -163,7 +167,12 @@ def validate(obj, tol=None, strict=True):
     ``max(1, ||A(rho z)||) max(1, ||B(rho z)||)``, and
     ``equivariance_residual_unit`` reweights its power k by ``rho**-k``.
     """
-    tol = tol or DEFAULT_TOL
+    return _validated(obj, tol or DEFAULT_TOL, strict)[0]
+
+
+def _validated(obj, tol, strict):
+    """``(residuals, A(rho z), B(rho z))``: ``validate``'s residuals and the
+    balanced pair it checks, which ``normalize`` goes on with."""
     diag = {}
     pole = 0.0
     for k, coeff in obj.A.terms.items():
@@ -194,7 +203,7 @@ def validate(obj, tol=None, strict=True):
         raise EquivarianceViolation(
             "connection and dilation do not commute: residual %.3e at radius %g"
             % (res, radius))
-    return diag
+    return diag, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -316,73 +325,77 @@ def direct_sum(x, y):
 def normalize(obj, transversal=None, order=16, tol=None):
     """Gauge an object to a constant commuting pair with spectrum in the strip.
 
-    The object is first balanced by ``z -> rho z``, ``rho`` the radius
-    ``validate`` reports: power k of A and B is scaled by ``rho**k``,
-    exactly, and ``rho = 1`` leaves the object as it is.  The substitution
-    commutes with ``delta``, the q-dilation and Laurent products, so the
-    normal form is isomorphic; the gauge is recorded in the balanced frame
-    (``GaugeRecord.radius``).  ``gauge_residual`` and ``b_residual`` are the
-    largest coefficient norms left there beside A0 and B0, the norm weighted
-    by ``rho**k``; their ``*_unit`` values reweight power k by ``rho**-k``.
+    The object is first validated and balanced by ``z -> rho z``, ``rho``
+    the radius ``validate`` reports: power k of A and B is scaled by
+    ``rho**k``, exactly, and ``rho = 1`` leaves the object as it is.  The
+    substitution commutes with ``delta``, the q-dilation and Laurent
+    products, so the normal form is isomorphic; the gauge is recorded in the
+    balanced frame (``GaugeRecord.radius``).  ``gauge_residual`` and
+    ``b_residual`` are the largest coefficient norms left there beside A0
+    and B0, the norm weighted by ``rho**k``; their ``*_unit`` values
+    reweight power k by ``rho**-k``.
 
-    Three stages: (1) shearing passes move each eigenvalue cluster of the
-    constant term into the transversal, one unit step at a time; (2) the
-    series gauge ``P = I + P_1 z + ...`` is built order by order through
-    Sylvester solves, killing every positive power of the connection matrix;
-    (3) the dilation matrix goes through the recorded shears and the same
-    series gauge, and must come out constant up to the truncation residual.
+    Then, on the clustered Schur form of the constant term A(0):
 
-    Only the powers the result certifies are computed, to the same bits as
-    the whole series would give: the series transport reads powers up to
-    ``order + 1`` (see ``laurent``), and B, whose shears check nothing, is
-    cut before step i of P to the powers up to ``order + 1 + P - i`` it can
-    still bring there (a unit shear moves a power by at most one).  With a
-    constant series gauge B is the result as it stands and keeps every
-    power.
+    * a resonance test: ``resonance_separation`` is the smallest
+      ``|lam_i - lam_j + k tau|`` over the cluster means and ``1 <= k <=
+      order``, and the input is resonant when the unit roundoff times
+      ``max(1, ||A(0)||)`` over it tops eps_res, as ``numkit._fold`` judges a
+      projector norm;
+    * resonant input only: shearing passes move each eigenvalue cluster into
+      the strip, one unit step at a time, and the Schur form is taken again;
+    * the series gauge ``P = I + P_1 z + ...`` with A(0) kept, one Sylvester
+      solve on the one Schur form per order, kills every positive power of
+      the connection matrix up to ``order``; the dilation matrix goes
+      through the shears and the same gauge and must come out constant up to
+      the truncation residual;
+    * non-resonant input only: the constant pair is folded into the strip by
+      one recorded shear (``GaugeRecord.fold``), applied to the whole gauged
+      A and B: the similarity that block diagonalizes A(0) over its groups
+      of clusters sharing a shift, then ``diag(z**-shift)`` on each group.
+
+    Only the powers the result certifies are computed: the series transport
+    reads powers up to ``order + 1`` (see ``laurent``), and B, whose shears
+    check nothing, is cut before shear i of P to the powers up to ``order +
+    1 + P - i`` it can still bring there (a unit shear moves a power by at
+    most one).  With a constant series gauge B is the result as it stands
+    and keeps every power.
     """
     tol = tol or DEFAULT_TOL
     transversal = transversal or obj.transversal or Transversal(obj.tau)
     if abs(transversal.tau - obj.tau) > 1e-9:
         raise TransversalMismatch("transversal modulus differs from the object's tau")
-    radius = validate(obj, tol)["radius"]
-
-    a = _rescaled(obj.A, radius)
-    steps = []
-    sd = spectral(a.term(0), tol)
-    budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1])
-                         for c in sd.clusters)
-    passes = 0
-    while True:
-        shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
-        if all(s == 0 for s in shifts):
-            break
-        if passes >= budget:
-            raise NumericFailure(
-                "shearing did not settle within %d passes" % budget)
-        # move one cluster by one unit step; mixed simultaneous steps could
-        # push sub-threshold coefficients to negative powers
-        target = next(i for i, s in enumerate(shifts) if s != 0)
-        move = [0] * len(shifts)
-        move[target] = -1 if shifts[target] > 0 else 1
-        a, step = shear(a, sd, move, tol)
-        steps.append(step)
-        passes += 1
-        sd = spectral(a.term(0), tol)
+    diag, a, b = _validated(obj, tol, strict=True)
+    radius = diag["radius"]
 
     a0 = a.term(0)
-    series = _series_gauge(a, a0, transversal, order, tol)
-    gauged = gauge_transform(a, series, order) if not series.is_constant() else a
-    gauge_left = gauged - PolyMat.constant(a0, a.tau, a.q)
+    t, q, blocks = _clustered_schur(a0, tol)
+    separation = _resonance_separation(blocks, transversal.tau, order)
+    resonant = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a0)) \
+        > tol.eps_res * separation
+    steps = []
+    if resonant:
+        a, steps = _shear_into_strip(a, transversal, tol)
+        a0 = a.term(0)
+        t, q, blocks = _clustered_schur(a0, tol)
+    series = _series_gauge(a, t, q, transversal.tau, order, tol)
+    cut = not series.is_constant()
+    gauged = gauge_transform(a, series, order) if cut else a
 
-    b, cut = _rescaled(obj.B, radius), not series.is_constant()
     for i, step in enumerate(steps):
         if cut:
             # the series transport reads powers up to order + 1, and each of
             # the len(steps) - i unit steps left moves a power by at most one
             b = b.truncate(order + 1 + len(steps) - i)
         b = apply_shear_dilation(b, step, tol)
-    b_final = (dilation_transform(b, series, order)
-               if not series.is_constant() else b)
+    b_final = dilation_transform(b, series, order) if cut else b
+    fold = None if resonant else _fold_step(t, q, blocks, transversal, tol)
+    if fold is not None:
+        gauged = apply_shear(gauged, fold, tol)
+        b_final = apply_shear_dilation(b_final, fold, tol)
+        a0 = gauged.term(0)
+    gauge_left = gauged - PolyMat.constant(a0, a.tau, a.q)
+
     b0 = b_final.term(0)
     b_left = b_final - PolyMat.constant(b0, b.tau, b.q)
     b_residual = b_left.norm()
@@ -392,26 +405,64 @@ def normalize(obj, transversal=None, order=16, tol=None):
             "truncation order %d" % (b_residual, order))
 
     record = GaugeRecord(shears=tuple(steps), series=series, truncation=order,
-                         radius=radius)
+                         radius=radius, fold=fold)
     nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
         "gauge_residual": gauge_left.norm(),
         "b_residual": b_residual,
-        "shear_passes": passes,
+        "shear_passes": len(steps),
         "strip_margin": min([transversal.boundary_distance(lam)
                              for lam in np.linalg.eigvals(a0)], default=1.0),
         "radius": radius,
         "gauge_residual_unit": _rescaled(gauge_left, 1.0 / radius).norm(),
         "b_residual_unit": _rescaled(b_left, 1.0 / radius).norm(),
+        "resonance_separation": separation,
     })
     validate_normal_form(nf, tol)
     return nf
 
 
-def _series_gauge(a, a0, transversal, order, tol):
+def _resonance_separation(blocks, tau, order):
+    """The smallest ``|lam_i - lam_j + k tau|`` over the means ``lam`` of the
+    clusters ``blocks`` of a clustered Schur form and ``1 <= k <= max(1,
+    order)``: how far the spectra of ``A0 + k tau`` and A0, which order k of
+    the series gauge separates, come to meeting."""
+    means = np.array([lam for _, _, lam in blocks], dtype=complex)
+    steps = tau * np.arange(1, max(1, order) + 1)
+    return float(np.abs((means[:, None] - means[None, :])[:, :, None] + steps).min())
+
+
+def _shear_into_strip(a, transversal, tol):
+    """``(a, steps)``: ``a`` after shearing passes that move each eigenvalue
+    cluster of its constant term into the strip, one unit step at a time,
+    and the recorded ``ShearStep``s."""
+    steps = []
+    sd = spectral(a.term(0), tol)
+    budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1])
+                         for c in sd.clusters)
+    while True:
+        shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
+        if all(s == 0 for s in shifts):
+            return a, steps
+        if len(steps) >= budget:
+            raise NumericFailure(
+                "shearing did not settle within %d passes" % budget)
+        # move one cluster by one unit step; mixed simultaneous steps could
+        # push sub-threshold coefficients to negative powers
+        target = next(i for i, s in enumerate(shifts) if s != 0)
+        move = [0] * len(shifts)
+        move[target] = -1 if shifts[target] > 0 else 1
+        a, step = shear(a, sd, move, tol)
+        steps.append(step)
+        sd = spectral(a.term(0), tol)
+
+
+def _series_gauge(a, t, q, tau, order, tol):
+    """The series gauge ``P = I + P_1 z + ... + P_order z**order`` that keeps
+    ``A0 = q t q^H`` and kills the powers 1 to ``order`` of ``a``: order k
+    solves ``(A0 + k tau) P_k - P_k A0 = -sum_j A_j P_(k-j)`` on the one
+    Schur form (``numkit._shifted_sylvester``)."""
     n = a.dim
     coeffs = {0: np.eye(n, dtype=complex)}
-    eye = np.eye(n, dtype=complex)
-    solve = None        # against A0, whose spectrum and Schur form every order shares
     for k in range(1, order + 1):
         rhs = np.zeros((n, n), dtype=complex)
         for j in range(1, k + 1):
@@ -421,12 +472,21 @@ def _series_gauge(a, a0, transversal, order, tol):
         if not np.any(rhs):
             coeffs[k] = np.zeros((n, n), dtype=complex)
             continue
-        # spectra of A0 + tau k and A0 are disjoint once the spectrum sits in
-        # one strip, so each order has a unique solution
-        if solve is None:
-            solve = _sylvester_against(a0, tol)
-        coeffs[k] = solve(a0 + (transversal.tau * k) * eye, rhs)
+        coeffs[k] = _shifted_sylvester(t, q, tau * k, rhs, tol)
     return PolyMat(n, coeffs, a.tau, a.q)
+
+
+def _fold_step(t, q, blocks, transversal, tol):
+    """The fold of the constant term ``q t q^H`` into the strip as one
+    recorded shear, or None when no cluster shifts: the similarity ``q v``
+    that block diagonalizes it over the groups of clusters sharing a shift
+    (``numkit._shift_groups``), and exponent ``-shift`` on each group."""
+    _, q, groups, v, _, _ = _shift_groups(t, q, blocks, transversal, tol)
+    if not groups:
+        return None
+    exponents = np.repeat([-shift for _, _, shift in groups],
+                          [stop - start for start, stop, _ in groups])
+    return ShearStep(q @ v, tuple(exponents.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -410,14 +410,18 @@ class ShearStep:
 @dataclass(frozen=True)
 class GaugeRecord:
     """The full gauge produced by normalization: shears applied in order,
-    then a unit-constant-term series gauge truncated at ``truncation``, both
-    on the object balanced by ``z -> radius z`` (power k scaled by
-    ``radius**k``, exactly: the radius is a power of two, 1 for none)."""
+    then a unit-constant-term series gauge truncated at ``truncation``, then
+    the ``fold`` into the strip, a ``ShearStep`` or None, all on the object
+    balanced by ``z -> radius z`` (power k scaled by ``radius**k``, exactly:
+    the radius is a power of two, 1 for none).  Normalization records shears
+    where eigenvalues of the constant term resonate and a fold elsewhere,
+    never both."""
 
     shears: tuple
     series: PolyMat
     truncation: int
     radius: float = 1.0
+    fold: ShearStep = None
 
 
 def shear(a, sdata, cluster_shifts, tol=None):
@@ -523,9 +527,9 @@ def _rescaled(p, radius):
 
 def apply_gauge_record(a, b, record, tol=None):
     """Replay a normalization gauge on a connection/dilation pair: the pair
-    is balanced by ``z -> radius z``, gauged there, and mapped back by ``z ->
-    z / radius``, so a power k of the result is ``radius**-k`` times the
-    balanced one."""
+    is balanced by ``z -> radius z``, goes through the shears, the series
+    gauge and the fold there, and is mapped back by ``z -> z / radius``, so
+    a power k of the result is ``radius**-k`` times the balanced one."""
     tol = tol or DEFAULT_TOL
     a, b = _rescaled(a, record.radius), _rescaled(b, record.radius)
     for step in record.shears:
@@ -534,4 +538,7 @@ def apply_gauge_record(a, b, record, tol=None):
     if record.series is not None and not record.series.is_constant():
         a = gauge_transform(a, record.series, record.truncation)
         b = dilation_transform(b, record.series, record.truncation)
+    if record.fold is not None:
+        a = apply_shear(a, record.fold, tol=tol)
+        b = apply_shear_dilation(b, record.fold, tol=tol)
     return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)

@@ -15,7 +15,11 @@ supplies the primitives the rest of the package leans on:
   inside a prescribed transversal.  ``solve_sylvester`` calls LAPACK (zgees,
   ztrsyl) directly, as ``scipy.linalg.solve_sylvester`` calls it, with the
   same bits; it skips the Schur forms LAPACK would return unchanged, those
-  of triangular blocks, and takes them once for many solves against one B;
+  of triangular blocks.  ``_shifted_sylvester`` solves ``(M + s) X - X M =
+  C`` on one Schur form of M for many shifts s, one ztrsyl each, as the
+  orders of normalize's series gauge need;
+* the fold of a spectrum into a strip, as a matrix (``_fold``) or as the
+  shift groups and similarity of a gauge (``_shift_groups``);
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
@@ -262,37 +266,44 @@ def solve_sylvester(a, b, c, tol=None):
     Raises ``SpectrumCollision`` naming the offending eigenvalue pair when
     the spectra of A and B overlap within the clustering tolerance.
     """
-    return _sylvester_against(b, tol or DEFAULT_TOL)(a, c)
-
-
-def _sylvester_against(b, tol):
-    """``solve(a, c)``, solving ``A X - X B = C`` with the checks of
-    ``solve_sylvester``, for a caller that solves against one B many times:
-    B's spectrum and Schur form are taken once.
-    """
+    tol = tol or DEFAULT_TOL
     b = as_square_matrix(b, "B")
-    eig_b = np.linalg.eigvals(b)
-    schur_b = _schur(-b.conj().T)
+    a = as_square_matrix(a, "A")
+    c = np.atleast_2d(np.asarray(c, dtype=complex))
+    if c.shape != (a.shape[0], b.shape[0]):
+        raise ValidationFailure(
+            "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
+        )
+    _check_separated(np.linalg.eigvals(a), np.linalg.eigvals(b), tol)
+    # Bartels-Stewart on a = u r u^H and -b^H = v s v^H: ztrsyl on
+    # f = u^H c v, then x = u y v^H, with scipy's products
+    (r, u), (s, v) = _schur(a), _schur(-b.conj().T)
+    f = np.dot(np.dot(u.conj().T, c), v)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
+    _check_trsyl(info)
+    return np.dot(np.dot(u, scale * y), v.conj().T)
 
-    def solve(a, c):
-        a = as_square_matrix(a, "A")
-        c = np.atleast_2d(np.asarray(c, dtype=complex))
-        if c.shape != (a.shape[0], b.shape[0]):
-            raise ValidationFailure(
-                "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
-            )
-        _check_separated(np.linalg.eigvals(a), eig_b, tol)
-        # Bartels-Stewart on a = u r u^H and -b^H = v s v^H: ztrsyl on
-        # f = u^H c v, then x = u y v^H, with scipy's products
-        (r, u), (s, v) = _schur(a), schur_b
-        f = np.dot(np.dot(u.conj().T, c), v)
-        y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
-        if info != 0:
-            raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
-                                 % info)
-        return np.dot(np.dot(u, scale * y), v.conj().T)
 
-    return solve
+def _shifted_sylvester(t, q, shift, c, tol):
+    """Solve ``(M + shift) X - X M = C`` for ``M = q t q^H`` given by a Schur
+    form, ``t`` upper triangular and ``q`` unitary: one ztrsyl on ``(t +
+    shift I, t)`` and ``q^H c q``, then ``X = q y q^H``.  Many shifts share
+    the one form, as the orders of a series gauge do.  Raises
+    ``SpectrumCollision`` as ``solve_sylvester`` does when some eigenvalue of
+    M plus the shift lies within eps_spec of one of M.
+    """
+    diag = np.diag(t)
+    _check_separated(diag + shift, diag, tol)
+    shifted = t + shift * np.eye(len(t))
+    y, scale, info = scipy.linalg.lapack.ztrsyl(shifted, t, q.conj().T @ c @ q, isgn=-1)
+    _check_trsyl(info)
+    return q @ (y if scale == 1.0 else y / scale) @ q.conj().T
+
+
+def _check_trsyl(info):
+    if info != 0:
+        raise NumericFailure("Sylvester solve on too close spectra (ztrsyl info %d)"
+                             % info)
 
 
 def _check_separated(eig_a, eig_b, tol):
@@ -530,7 +541,8 @@ def log_transversal(m, transversal, tol=None):
     diagonal = [scale * ((cmath.log(lam) - TWO_PI_I * shift) * np.eye(s1 - s0)
                          + _atomic_log_series(t[s0:s1, s0:s1], lam))
                 for (s0, s1, lam), shift in zip(blocks, shifts)]
-    return q @ _block_function(t, blocks, diagonal)[0] @ q.conj().T
+    v, w = _decouple(t, [(s0, s1) for s0, s1, _ in blocks], strict=True)
+    return q @ _block_function(v, w, blocks, diagonal) @ q.conj().T
 
 
 def _group_blocks(t, q, blocks, keys):
@@ -589,21 +601,20 @@ def _decouple(t, bounds, strict=False):
     return v, w
 
 
-def _block_function(t, blocks, diagonal):
-    """``(f(t), v, w)`` from ``diagonal = [f(t_ii), ...]`` on the ``blocks``
-    of the triangular ``t``: ``f(t) = v diag(f(t_ii)) w`` for ``(v, w) =
-    _decouple(t, ...)``; the mean of ``f(t_ii)`` is added after the products,
-    which then round with the spread of the values, not their size.
+def _block_function(v, w, blocks, diagonal):
+    """``f(t) = v diag(f(t_ii)) w`` from ``diagonal = [f(t_ii), ...]`` on the
+    ``blocks`` of a triangular ``t`` and ``(v, w) = _decouple(t, ...)``; the
+    mean of ``f(t_ii)`` is added after the products, which then round with
+    the spread of the values, not their size.
     """
-    v, w = _decouple(t, [(s0, s1) for s0, s1, _ in blocks], strict=True)
-    d = np.zeros(t.shape, dtype=complex)
+    d = np.zeros(v.shape, dtype=complex)
     for (s0, s1, _), block in zip(blocks, diagonal):
         d[s0:s1, s0:s1] = block
     mean = np.trace(d) / len(d)
     d[np.diag_indices_from(d)] -= mean
     f = v @ d @ w
     f[np.diag_indices_from(f)] += mean
-    return f, v, w
+    return f
 
 
 def reduce_to_transversal(a, transversal, tol=None):
@@ -632,21 +643,37 @@ def _fold(t, q, blocks, transversal, tol):
     upper triangular and ``q`` the Schur vectors reordered by shift, and
     shifts as ``reduce_to_transversal`` lists them; ``(t, q)`` come back as
     they are when no cluster shifts.  The result is a constant shift on each
-    group of clusters sharing a shift: the Schur form is made block diagonal
-    over those groups, not over the clusters.  Raises ``NumericFailure``
-    when a group's projector norm tops eps_res over the unit roundoff, as
-    for a Jordan block split by the edge.
+    group of clusters sharing a shift (``_shift_groups``, which raises
+    ``NumericFailure`` when those groups are too close to split accurately).
+    """
+    t, q, groups, v, w, pairs = _shift_groups(t, q, blocks, transversal, tol)
+    if not groups:
+        return t, q, pairs
+    diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
+                for g0, g1, shift in groups]
+    return _block_function(v, w, groups, diagonal), q, pairs
+
+
+def _shift_groups(t, q, blocks, transversal, tol):
+    """The groups of clusters that the fold moves by one shift each.
+
+    Returns ``(t, q, groups, v, w, pairs)``: the Schur form reordered so
+    that clusters sharing a shift sit in one contiguous group ``(start,
+    stop, shift)`` (``_group_blocks``), ``(v, w)`` from ``_decouple`` over
+    the groups, so that ``(q v)^-1 M (q v)`` is block diagonal over them,
+    and pairs ``(cluster eigenvalue, shift)``.  When no cluster shifts,
+    ``(t, q)`` come back as they are, with no groups and ``v = w = None``.
+    Raises ``NumericFailure`` when a group's projector norm tops eps_res
+    over the unit roundoff, as for a Jordan block split by the edge.
     """
     shifts = _cluster_shifts(t, blocks, transversal, lambda z: z)
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
-        return t, q, pairs
+        return t, q, [], None, None, pairs
     t, q, groups = _group_blocks(t, q, blocks, shifts)
-    diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
-                for g0, g1, shift in groups]
-    f, v, w = _block_function(t, groups, diagonal)
+    v, w = _decouple(t, [(g0, g1) for g0, g1, _ in groups], strict=True)
     # |v_g|_F |w_g|_F bounds the norm of group g's spectral projector
     norm = max(np.linalg.norm(v[:, a:b]) * np.linalg.norm(w[a:b]) for a, b, _ in groups)
     if norm * np.finfo(float).eps / 2 > tol.eps_res:
         raise NumericFailure("projector norm %.1e: shift groups too close" % norm)
-    return f, q, pairs
+    return t, q, groups, v, w, pairs

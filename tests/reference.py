@@ -25,8 +25,10 @@ scrambled inputs do not move when the library's spectral code does.
 computed eagerly.
 
 ``reference_sylvester`` is ``scipy.linalg.solve_sylvester`` for
-``A X - X B = C``; the folds and ``reference_spectral`` solve with it, and
-the library's ``eqconn.numkit.solve_sylvester`` must match it to the bit.
+``A X - X B = C``; the folds, ``reference_spectral`` and
+``reference_series_gauge`` solve with it, the library's
+``eqconn.numkit.solve_sylvester`` must match it to the bit, and the series
+gauge's solves on one Schur form must match it to rounding.
 The library's ``spectral`` block diagonalizes the same Schur form with one
 ztrsyl per cluster instead, and matches ``reference_spectral`` to rounding.
 
@@ -40,15 +42,18 @@ block diagonal form of ``eqconn.numkit.spectral``, where the library reads
 the diagonal blocks of the clustered Schur form, which are that form's.
 
 ``reference_normalize`` is ``eqconn.category.normalize`` as it stood when it
-formed every power: B sheared inside the shear loop at all its powers, each
-shear two gauge transforms (``reference_shear``: a constant and a monomial
-``PolyMat``, detected by ``eqconn.laurent._monomial_gauge``), a pole checked
-against the norm of the whole series, and full products in the series
-transport (``reference_transport``).  The library's normal form must match
-it to the bit: A0, B0, the shears, the series and every diagnostic.  It
-takes its input as given: the library balances by ``z -> rho z`` first, and
-matches it on ``reference_balance`` of its input, which scales each part of
-each coefficient of power k by ``rho**k`` one at a time.
+sheared every cluster into the strip and formed every power: B sheared
+inside the shear loop at all its powers, each shear two gauge transforms
+(``reference_shear``: a constant and a monomial ``PolyMat``, detected by
+``eqconn.laurent._monomial_gauge``), a pole checked against the norm of the
+whole series, the series gauge one ``reference_sylvester`` per order
+(``reference_series_gauge``), and full products in the series transport
+(``reference_transport``).  The library, which shears only resonant input
+and folds the rest once, must find a normal form isomorphic to it, with
+the same K0 class and conjugate monodromy.  It takes its input as given:
+the library balances by ``z -> rho z`` first, and is compared with it on
+``reference_balance`` of its input, which scales each part of each
+coefficient of power k by ``rho**k`` one at a time.
 
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
@@ -77,7 +82,6 @@ from eqconn.category import (
     EquivariantConnection,
     MonodromyPair,
     NormalForm,
-    _series_gauge,
     validate,
     validate_normal_form,
 )
@@ -635,6 +639,21 @@ def reference_balance(obj):
                                  obj.transversal), rho
 
 
+def reference_series_gauge(a, a0, tau, order):
+    """The series gauge ``I + P_1 z + ...`` that keeps A0 and kills the
+    powers 1 to ``order`` of ``a``, each order one ``reference_sylvester``
+    solve of ``(A0 + k tau) P_k - P_k A0 = -sum_j A_j P_(k-j)``."""
+    n = a.dim
+    coeffs = {0: np.eye(n, dtype=complex)}
+    for k in range(1, order + 1):
+        rhs = np.zeros((n, n), dtype=complex)
+        for j in range(1, k + 1):
+            if j in a.terms:
+                rhs -= a.terms[j] @ coeffs[k - j]
+        coeffs[k] = reference_sylvester(a0 + tau * k * np.eye(n), a0, rhs)
+    return PolyMat(n, coeffs, a.tau, a.q)
+
+
 def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
     """``normalize`` with B sheared inside the loop at all its powers and
     full products in the series transport."""
@@ -661,7 +680,7 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
         sd = spectral(a.term(0), tol)
 
     a0 = a.term(0)
-    series = _series_gauge(a, a0, transversal, order, tol)
+    series = reference_series_gauge(a, a0, transversal.tau, order)
     gauged = reference_transport(a, series, order, True) if not series.is_constant() else a
     gauge_residual = (gauged - PolyMat.constant(a0, a.tau, a.q)).norm()
     b_final = reference_transport(b, series, order, False) if not series.is_constant() else b

@@ -43,6 +43,7 @@ from eqconn.exceptions import (
     NumericFailure,
     RegularityViolation,
     SingularB,
+    SpectrumCollision,
     TransversalMismatch,
     ValidationFailure,
 )
@@ -202,9 +203,11 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
 
 
 def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
-    """normalize, tensor, from_monodromy and is_nori_finite give the same bits
-    when the Sylvester solves of normalize's series gauge go through scipy's
-    solver instead of the LAPACK kernel."""
+    """Each order of normalize's series gauge solves on the one Schur form of
+    A0 what scipy's solver solves on ``A0 + k tau`` and A0, to rounding;
+    with scipy's solver in its place normalize gives the same normal forms
+    to rounding, and tensor, from_monodromy and is_nori_finite, which solve
+    nothing through it, the same bits."""
     rng = np.random.default_rng(48)
     objs = [scramble(random_normal_form(rng, n), rng, shears=s)
             for n, s in ((2, 1), (4, 2), (8, 1))]
@@ -214,83 +217,142 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
     roots = s @ np.diag(np.exp(TWO_PI_I * np.array([0.2, 0.4, 0.4, 0.5]))) @ np.linalg.inv(s)
 
     def run():
-        forms = [normalize(obj, STRIP) for obj in objs]
-        forms += [tensor(x, y), tensor(x, x)]
+        normalized = [normalize(obj, STRIP) for obj in objs]
+        forms = [tensor(x, y), tensor(x, x)]
         forms += [from_monodromy(rep, STRIP, THETA) for rep in reps]
         bits = [(nf.A0.tobytes(), nf.B0.tobytes(), nf.diagnostics) for nf in forms]
-        bits += [[c.tobytes() for c in nf.gauge.series.terms.values()] for nf in forms[:3]]
-        return bits, [is_nori_finite(m) for m in (roots, reps[0])]
+        return normalized, bits, [is_nori_finite(m) for m in (roots, reps[0])]
 
     want = run()
-    calls = []
+    kernel, gaps = eqconn.category._shifted_sylvester, []
 
-    def reference(a, b, c):
-        calls.append(a.shape)
-        return reference_sylvester(a, b, c)
+    def reference(t, q, shift, c, tol):
+        a0 = q @ t @ q.conj().T
+        x_ref = reference_sylvester(a0 + shift * np.eye(len(t)), a0, c)
+        gaps.append(np.linalg.norm(kernel(t, q, shift, c, tol) - x_ref)
+                    / np.linalg.norm(x_ref))
+        return x_ref
 
-    monkeypatch.setattr(eqconn.category, "_sylvester_against",
-                        lambda b, tol: lambda a, c: reference(a, b, c))
-    assert run() == want
-    assert want[1] == [True, False] and len(calls) > 0
-
-
-# the diagnostics of the balancing, which the reference does not report
-BALANCE_KEYS = ("radius", "gauge_residual_unit", "b_residual_unit")
-
-
-def normalize_outcome(fn, obj, order):
-    """Everything a normalization gives, to the bit: A0, B0, every shear
-    step, the series' terms in insertion order and the diagnostics but
-    ``BALANCE_KEYS``; or the exception it raised, with its message."""
-    try:
-        nf = fn(obj, STRIP, order)
-    except (ValidationFailure, NumericFailure) as exc:
-        return type(exc).__name__, str(exc)
-    g = nf.gauge
-    return (nf.A0.tobytes(), nf.B0.tobytes(),
-            [(step.similarity.tobytes(), step.exponents) for step in g.shears],
-            [(k, c.tobytes()) for k, c in g.series.terms.items()], g.truncation,
-            repr({k: v for k, v in nf.diagnostics.items() if k not in BALANCE_KEYS}))
+    monkeypatch.setattr(eqconn.category, "_shifted_sylvester", reference)
+    got = run()
+    assert got[1:] == want[1:] and want[2] == [True, False]
+    assert len(gaps) > 0 and max(gaps) < 1e-12
+    for g, w in zip(got[0], want[0]):
+        for name in ("A0", "B0"):
+            gap = np.linalg.norm(getattr(g, name) - getattr(w, name))
+            assert gap <= 1e-12 * np.linalg.norm(getattr(w, name))
 
 
-def reference_outcome(obj, order):
-    """``normalize_outcome`` of the reference on the balanced object."""
-    return normalize_outcome(reference_normalize, reference_balance(obj)[0], order)
+def assert_normalizes_alike(nf, want, obj):
+    """``nf``, the library's normal form of ``obj``, and ``want``, another
+    normal form of it, are one object: isomorphic, with equal K0 classes and
+    monodromies conjugate by the isomorphism; and the gauge ``nf`` records
+    replays on ``obj`` to ``(A0, B0)`` within the residuals it reports, at
+    unit radius and, power k weighted by ``radius**k``, in the balanced
+    frame."""
+    iso = is_isomorphic(want, nf, seed=1)
+    assert iso is not None and iso.is_valid()
+    assert k0_class(nf) == k0_class(want)
+    m_want, m_nf = monodromy(want), monodromy(nf)
+    for m_w, m_n in ((m_want.M1, m_nf.M1), (m_want.M2, m_nf.M2)):
+        gap = np.linalg.norm(iso.phi @ m_w - m_n @ iso.phi)
+        assert gap <= 1e-8 * np.linalg.norm(iso.phi) * np.linalg.norm(m_w)
+    diag, radius = nf.diagnostics, nf.gauge.radius
+    a, b = apply_gauge_record(obj.A, obj.B, nf.gauge)
+    for p, c0, name in ((a, nf.A0, "gauge_residual"), (b, nf.B0, "b_residual")):
+        left = p - PolyMat.constant(c0, TAU, Q)
+        assert left.norm() <= diag[name + "_unit"] * (1 + 1e-12)
+        weighted = max([radius ** k * np.linalg.norm(c) for k, c in left.terms.items()],
+                       default=0.0)
+        assert weighted <= diag[name] * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8, 12))
-def test_normalize_matches_the_reference_to_the_bit(n):
-    """The windowed transport, B cut to the shear horizon and the direct
-    shears give the bits of the normalization that formed every power, run
-    on the balanced object."""
+def test_normalize_matches_the_reference(n):
+    """The normal form is the one the normalization that sheared every
+    cluster and formed every power finds, run on the balanced object; the
+    scrambles resonate nowhere, so the library shears nothing and folds
+    once."""
     rng = np.random.default_rng(500 + n)
-    raised, negative_b = set(), False
+    negative_b, folded = False, 0
     for shears in (0, 1, 2):
         obj = scramble(random_normal_form(rng, n), rng, shears=shears)
         negative_b |= obj.B.min_power < 0
         for order in (4, 16, 32):
-            want = reference_outcome(obj, order)
-            assert normalize_outcome(normalize, obj, order) == want, (shears, order)
-            if isinstance(want[0], str):
-                raised.add(want[0])
+            nf = normalize(obj, STRIP, order)
+            want = reference_normalize(reference_balance(obj)[0], STRIP, order)
+            assert nf.diagnostics["shear_passes"] == 0 and nf.gauge.shears == ()
+            folded += nf.gauge.fold is not None
+            assert_normalizes_alike(nf, want, obj)
+            for name in ("gauge_residual", "b_residual"):
+                assert nf.diagnostics[name] <= 10 * want.diagnostics[name] + 1e-12
     assert negative_b == (n > 1)
-    assert raised == set()
+    assert folded > 0
 
 
 def test_normalize_matches_the_reference_on_short_and_constant_series():
     rng = np.random.default_rng(510)
-    # a scramble whose series ends below the window
+    # a scramble whose series ends below the window, cut at order 3 so that
+    # its dilation matrix is not constant in any gauge: both raise
     short = scramble(random_normal_form(rng, 3), rng, shears=2, degree=1, order=3)
     assert short.A.max_power < 16
-    # a constant A moved by one shear: the series gauge is constant and B,
+    for fn, obj in ((normalize, short), (reference_normalize, reference_balance(short)[0])):
+        with pytest.raises(NonConstantB, match="norm 4.25.e-03 at truncation order 16"):
+            fn(obj, STRIP, 16)
+    # a constant A, folded by one unit: the series gauge is constant and B,
     # with a tiny term at z**30, is the result as it stands
     a = PolyMat.constant([[1.3 * TAU]], TAU, Q)
     b = PolyMat(1, {0: [[2.0]], 30: [[1e-12]]}, TAU, Q)
     whole = EquivariantConnection(a, b, THETA, TAU)
-    for obj in (short, whole):
-        assert normalize_outcome(normalize, obj, 16) == reference_outcome(obj, 16)
     nf = normalize(whole, STRIP, 16)
+    assert_normalizes_alike(nf, reference_normalize(whole, STRIP, 16), whole)
     assert nf.gauge.series.is_constant() and nf.diagnostics["b_residual"] == 1e-12
+    assert nf.gauge.fold.exponents == (-1,) and abs(nf.A0[0, 0] - 0.3 * TAU) < 1e-15
+
+
+def test_resonant_inputs_shear_and_recover_their_seed():
+    """Eigenvalues of A(0) exactly tau apart, coupled at power 1, and a pair
+    tau + 5e-8 apart, below the rule, are sheared; a pair tau + 1e-3 apart
+    is not, and folds.  Each normalizes to its seed."""
+    for gap, resonant in ((0.0, True), (5e-8, True), (1e-3, False)):
+        for seed in (900, 901):
+            want, obj = util.resonant_object(np.random.default_rng(seed), gap=gap)
+            nf = normalize(obj, STRIP, 16)
+            diag = nf.diagnostics
+            assert diag["resonance_separation"] <= gap + 1e-12
+            assert (diag["shear_passes"] > 0) == resonant
+            assert diag["shear_passes"] == len(nf.gauge.shears)
+            assert (nf.gauge.fold is None) == resonant
+            assert_normalizes_alike(nf, want, obj)
+            assert max(diag["gauge_residual"], diag["b_residual"]) < 1e-12
+    # the exactly resonant input has no series gauge that keeps its A(0)
+    want, obj = util.resonant_object(np.random.default_rng(900))
+    a = eqconn.category._validated(obj, DEFAULT_TOL, True)[1]
+    t, q, _ = eqconn.numkit._clustered_schur(a.term(0), DEFAULT_TOL)
+    with pytest.raises(SpectrumCollision):
+        eqconn.category._series_gauge(a, t, q, TAU, 16, DEFAULT_TOL)
+
+
+def test_non_resonant_normalize_takes_one_schur_form_and_no_spectral(monkeypatch):
+    rng = np.random.default_rng(520)
+    obj = scramble(random_normal_form(rng, 8), rng, shears=2)
+    calls = {"_schur": 0, "spectral": 0}
+    original = eqconn.numkit._schur
+
+    def counting(*args, **kwargs):
+        calls["_schur"] += 1
+        return original(*args, **kwargs)
+
+    def spectral_call(*args, **kwargs):
+        calls["spectral"] += 1
+        return spectral(*args, **kwargs)
+
+    monkeypatch.setattr(eqconn.numkit, "_schur", counting)
+    for module in (eqconn.numkit, eqconn.category):
+        monkeypatch.setattr(module, "spectral", spectral_call)
+    nf = normalize(obj, STRIP, 16)
+    assert calls == {"_schur": 1, "spectral": 0}
+    assert nf.gauge.fold is not None and nf.diagnostics["shear_passes"] == 0
 
 
 def test_reference_spectral_agrees_with_the_library():
@@ -334,37 +396,23 @@ def test_balanced_normalize_recovers_the_seed_where_the_unit_radius_fails(n, see
     assert radius < 1.0 and diag["radius"] == radius
     assert max(diag["gauge_residual"], diag["b_residual"]) < 1e-12
     assert nf.diagnostics["shear_passes"] == len(nf.gauge.shears)
-    # forward oracle: the normal form is the seed's, up to isomorphism
-    iso = is_isomorphic(seed_nf, nf, seed=1)
-    assert iso is not None and iso.is_valid()
-    assert k0_class(nf) == k0_class(seed_nf)
-    want, got = monodromy(seed_nf), monodromy(nf)
-    for m_seed, m_nf in ((want.M1, got.M1), (want.M2, got.M2)):
-        gap = np.linalg.norm(iso.phi @ m_seed - m_nf @ iso.phi)
-        assert gap <= 1e-8 * np.linalg.norm(iso.phi) * np.linalg.norm(m_seed)
-    # the recorded gauge replays to (A0, B0) on the input, within the
-    # reported residuals at unit radius and, power k weighted by radius**k,
-    # in the balanced frame
-    a, b = apply_gauge_record(obj.A, obj.B, nf.gauge)
-    for p, c0, name in ((a, nf.A0, "gauge_residual"), (b, nf.B0, "b_residual")):
-        left = p - PolyMat.constant(c0, TAU, Q)
-        assert left.norm() <= diag[name + "_unit"] * (1 + 1e-12)
-        weighted = max(radius ** k * np.linalg.norm(c) for k, c in left.terms.items())
-        assert weighted <= diag[name] * (1 + 1e-12)
+    # forward oracle: the normal form is the seed's, up to isomorphism, and
+    # the recorded gauge replays on the input within the reported residuals
+    assert_normalizes_alike(nf, seed_nf, obj)
+    for name in ("gauge_residual", "b_residual"):
         assert diag[name] < diag[name + "_unit"]
 
 
 def test_normalize_leaves_a_unit_radius_input_as_it_was():
     """An input no power of whose connection matrix outgrows its constant
-    term is not rescaled: the normal form is the unbalanced one to the bit,
-    and each residual is its own unit-radius value."""
+    term is not rescaled: the normal form is the one the unbalanced input
+    gives, and each residual is its own unit-radius value."""
     for n, seed in ((2, 700), (3, 702)):
         rng = np.random.default_rng(seed)
         obj = scramble(random_normal_form(rng, n), rng, shears=1, degree=1)
         assert obj.A.max_power == 48
-        want = normalize_outcome(reference_normalize, obj, 16)
-        assert normalize_outcome(normalize, obj, 16) == want
         nf = normalize(obj, STRIP, 16)
+        assert_normalizes_alike(nf, reference_normalize(obj, STRIP, 16), obj)
         assert nf.gauge.radius == nf.diagnostics["radius"] == 1.0
         for name in ("gauge_residual", "b_residual"):
             assert nf.diagnostics[name + "_unit"] == nf.diagnostics[name]

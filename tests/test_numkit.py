@@ -224,24 +224,46 @@ def test_sylvester_kernel_matches_the_reference_to_the_bit():
         want = reference_sylvester(a, b, c)
         # a radius the blocks scaled by 1e-140 clear, so the checks pass them
         tight = Tolerances(eps_spec=1e-300)
-        assert same_bits(numkit._sylvester_against(b, tight)(a, c), want)
         assert same_bits(numkit.solve_sylvester(a, b, c, tight), want)
 
 
 def test_sylvester_against_one_b_solves_each_a_with_the_checks():
     rng = np.random.default_rng(34)
     b = np.triu(rng.normal(size=(3, 3))) + 2.0 * np.eye(3)
-    solve = numkit._sylvester_against(b, DEFAULT_TOL)
     for k in range(1, 5):
         a = rng.normal(size=(2, 2)) + (1.0 - 1.0j) * k * np.eye(2)
         c = rng.normal(size=(2, 3))
-        assert same_bits(solve(a, c), reference_sylvester(a, b, c))
+        assert same_bits(solve_sylvester(a, b, c), reference_sylvester(a, b, c))
     with pytest.raises(SpectrumCollision):
-        solve(b[:2, :2], np.ones((2, 3)))
+        solve_sylvester(b[:2, :2], b, np.ones((2, 3)))
     with pytest.raises(ValidationFailure, match="C must be 2 x 3"):
-        solve(np.eye(2), np.ones((3, 2)))
+        solve_sylvester(np.eye(2), b, np.ones((3, 2)))
     with pytest.raises(ValidationFailure, match="A must be square"):
-        solve(np.ones((2, 3)), np.ones((2, 3)))
+        solve_sylvester(np.ones((2, 3)), b, np.ones((2, 3)))
+
+
+def test_shifted_sylvester_solves_every_shift_on_one_schur_form(monkeypatch):
+    """``(M + s) X - X M = C`` on the Schur form of M agrees with scipy's
+    solver on ``M + s`` and M to rounding, with one ztrsyl per shift and no
+    Schur iteration; a shift that makes the spectra meet raises."""
+    rng = np.random.default_rng(35)
+    m = random_normal_form(rng, 6).A0
+    t, q, _ = numkit._clustered_schur(m, DEFAULT_TOL)
+    schur_calls, trsyl_calls = [], []
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+    monkeypatch.setattr(numkit, "_schur", lambda *args: schur_calls.append(1))
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl",
+                        lambda *args, **kwargs: trsyl_calls.append(1) or ztrsyl(*args, **kwargs))
+    for k in range(1, 17):
+        shift = TAU * k
+        c = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        want = reference_sylvester(m + shift * np.eye(6), m, c)
+        got = numkit._shifted_sylvester(t, q, shift, c, DEFAULT_TOL)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert schur_calls == [] and len(trsyl_calls) == 16
+    lam = np.diag(t)
+    with pytest.raises(SpectrumCollision):
+        numkit._shifted_sylvester(t, q, lam[1] - lam[0], c, DEFAULT_TOL)
 
 
 def test_schur_returns_a_triangular_matrix_as_zgees_does():

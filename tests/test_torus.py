@@ -534,8 +534,9 @@ def _roots(orders, powers):
     return np.diag([cmath.exp(TWO_PI_I * k / d) for d, k in zip(orders, powers)])
 
 
-def test_nori_finite_reads_the_blocks_the_sylvester_peel_leaves_unchanged():
-    # spectral's peel changes no diagonal block of the clustered Schur form
+def test_nori_finite_reads_the_block_form_spectral_gives():
+    # spectral's block form is the diagonal blocks of the clustered Schur
+    # form, which is_nori_finite reads
     rng = np.random.default_rng(60)
     for n in (2, 4, 8, 12):
         for _ in range(5):

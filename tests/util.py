@@ -1,6 +1,6 @@
 """Shared generators for the test suite: seeded commuting pairs, seeded
-normal forms, defective normal forms, and gauge scrambles used by the
-recovery tests.
+normal forms, defective normal forms, gauge scrambles used by the recovery
+tests, and resonant objects, whose normalization must shear.
 
 The benchmark draws its inputs from these generators too.  They fold with
 ``reference_fold`` and take the shears' spectral data from
@@ -160,6 +160,44 @@ def scramble(nf, rng, shears=2, degree=3, order=48):
     a = gauge_transform(a, p, order)
     b = dilation_transform(b, p, order)
     return EquivariantConnection(a, b, nf.theta, nf.tau, nf.transversal)
+
+
+def resonant_object(rng, gap=0.0, extra=2, degree=3, order=48):
+    """A seeded object whose constant term has two eigenvalues ``tau + gap``
+    apart, and the normal form it is isomorphic to.
+
+    The pair starts inside the strip at ``lam`` and ``lam + gap``: with
+    ``gap = 0`` a 2x2 Jordan block, otherwise two uncoupled eigenvalues,
+    beside ``extra`` dimensions of ``random_normal_form``.  The gauge
+    ``diag(1, z, 1, ...)`` moves the second member up by tau, so that A(0)
+    holds ``lam`` and ``lam + tau + gap``; for the Jordan block the two are
+    exactly tau apart, coupled at power 1 (``[[lam, z], [0, lam + tau]]``).
+    A well conditioned constant similarity and a random series gauge, as
+    ``scramble`` draws it, hide the rest.  Returns ``(seed, object)``.
+    """
+    lam = STRIP.tau * complex(rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3))
+    b = np.exp(0.3 * complex(rng.normal(), rng.normal()))
+    if gap == 0.0:
+        pair = jordan_normal_form([(lam, (2,), [b, complex(rng.normal(), rng.normal())])])
+        a_pair, b_pair = pair.A0, pair.B0
+    else:
+        a_pair, b_pair = np.diag([lam, lam + gap]), np.diag([b, 1.5 * b])
+    rest = random_normal_form(rng, extra)
+    seed = NormalForm(scipy.linalg.block_diag(a_pair, rest.A0),
+                      scipy.linalg.block_diag(b_pair, rest.B0), STRIP, THETA, STRIP.tau)
+    n = seed.n
+    a = PolyMat.constant(seed.A0, seed.tau, Q)
+    b = PolyMat.constant(seed.B0, seed.tau, Q)
+    exponents = [0, 1] + [0] * extra
+    for p in (PolyMat.monomial_diag(exponents, seed.tau, Q),
+              PolyMat.constant(well_conditioned(rng, n), seed.tau, Q)):
+        a, b = gauge_transform(a, p), dilation_transform(b, p)
+    terms = {0: np.eye(n, dtype=complex)}
+    for k in range(1, degree + 1):
+        terms[k] = 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    p = PolyMat(n, terms, seed.tau, Q)
+    a, b = gauge_transform(a, p, order), dilation_transform(b, p, order)
+    return seed, EquivariantConnection(a, b, THETA, seed.tau, STRIP)
 
 
 def plant_non_equivariant_term(obj, rng, power=40, size=1e-4):

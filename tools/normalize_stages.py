@@ -6,13 +6,24 @@
 Takes the objects of the normalize-scrambled jobs of ``bench/workloads.Plan``
 (rounds ``0 .. rounds-1`` of each seed) and normalizes each of them once per
 repeat, in process on one BLAS thread, timing the stages through the names
-``eqconn.category.normalize`` calls: ``validate``, ``spectral``, ``shear``
-(shear A), ``apply_shear_dilation`` (shear B), ``_series_gauge`` (series
-gauge) and ``gauge_transform``/``dilation_transform`` (series transport);
-``other`` is the rest of ``normalize``.  A job that raises is timed up to
-the raise.  Prints one JSON object: per n, the median over the repeats of
-each stage's milliseconds summed over that n's jobs, with the job count and
-the machine.  It imports ``bench/workloads`` and edits nothing there.
+``eqconn.category.normalize`` calls:
+
+* ``validate``: ``validate`` or ``_validated``;
+* ``schur + resonance``: ``_clustered_schur`` and ``_resonance_separation``
+  (the Schur form of A(0) and the resonance test);
+* ``spectral``, ``shear A`` (``shear``): the shearing passes;
+* ``series gauge`` (``_series_gauge``) and ``series transport``
+  (``gauge_transform``/``dilation_transform``);
+* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
+* ``shear/fold B`` (``apply_shear_dilation``): B through the shears, or
+  through the fold;
+
+``other`` is the rest of ``normalize``.  A name a checkout lacks is skipped
+and its stage reads 0, so the one script prints the table of a checkout
+before and after a stage changes.  A job that raises is timed up to the
+raise.  Prints one JSON object: per n, the median over the repeats of each
+stage's milliseconds summed over that n's jobs, with the job count and the
+machine.  It imports ``bench/workloads`` and edits nothing there.
 """
 
 import argparse
@@ -27,12 +38,14 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = {
-    "validate": ("validate",),
+    "validate": ("validate", "_validated"),
+    "schur + resonance": ("_clustered_schur", "_resonance_separation"),
     "spectral": ("spectral",),
     "shear A": ("shear",),
-    "shear B": ("apply_shear_dilation",),
     "series gauge": ("_series_gauge",),
     "series transport": ("gauge_transform", "dilation_transform"),
+    "fold": ("_fold_step", "apply_shear"),
+    "shear/fold B": ("apply_shear_dilation",),
 }
 
 
@@ -66,10 +79,12 @@ def one_pass(jobs, spent_by_n):
     from eqconn import category
 
     spent = dict.fromkeys(list(STAGES) + ["total"], 0.0)
-    originals = {name: getattr(category, name) for names in STAGES.values() for name in names}
+    originals = {name: getattr(category, name) for names in STAGES.values()
+                 for name in names if hasattr(category, name)}
     for stage, names in STAGES.items():
         for name in names:
-            setattr(category, name, timed(originals[name], stage, spent))
+            if name in originals:
+                setattr(category, name, timed(originals[name], stage, spent))
     try:
         for n, obj in jobs:
             for key in spent:
