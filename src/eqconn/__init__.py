@@ -49,7 +49,6 @@ from .numkit import (
     mat_exp,
     moebius,
     nullspace,
-    reduce_mod_transversal,
     reduce_to_transversal,
     solve_sylvester,
     spectral,

@@ -360,8 +360,13 @@ def normalize(obj, transversal=None, order=16, tol=None):
     1 + P - i`` it can still bring there (a unit shear moves a power by at
     most one).  With a constant series gauge B is the result as it stands
     and keeps every power.
+
+    ``order`` below 1 is refused with ``ValidationFailure``: no power of
+    the connection matrix would be gauged away.
     """
     tol = tol or DEFAULT_TOL
+    if order < 1:
+        raise ValidationFailure("truncation order must be at least 1, got %d" % order)
     transversal = transversal or obj.transversal or Transversal(obj.tau)
     if abs(transversal.tau - obj.tau) > 1e-9:
         raise TransversalMismatch("transversal modulus differs from the object's tau")
@@ -459,21 +464,17 @@ def _shear_into_strip(a, transversal, tol):
 def _series_gauge(a, t, q, tau, order, tol):
     """The series gauge ``P = I + P_1 z + ... + P_order z**order`` that keeps
     ``A0 = q t q^H`` and kills the powers 1 to ``order`` of ``a``: order k
-    solves ``(A0 + k tau) P_k - P_k A0 = -sum_j A_j P_(k-j)`` on the one
-    Schur form (``numkit._shifted_sylvester``)."""
-    n = a.dim
-    coeffs = {0: np.eye(n, dtype=complex)}
+    solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k P_0)``,
+    the sum one stacked product, on the one Schur form
+    (``numkit._shifted_sylvester``)."""
+    lead = a._dense(1, order)
+    coeffs = np.zeros((order + 1, a.dim, a.dim), dtype=complex)
+    coeffs[0] = np.eye(a.dim)
     for k in range(1, order + 1):
-        rhs = np.zeros((n, n), dtype=complex)
-        for j in range(1, k + 1):
-            aj = a.terms.get(j)
-            if aj is not None:
-                rhs -= aj @ coeffs[k - j]
-        if not np.any(rhs):
-            coeffs[k] = np.zeros((n, n), dtype=complex)
-            continue
-        coeffs[k] = _shifted_sylvester(t, q, tau * k, rhs, tol)
-    return PolyMat(n, coeffs, a.tau, a.q)
+        rhs = -(lead[:k] @ coeffs[k - 1::-1]).sum(0)
+        if np.any(rhs):
+            coeffs[k] = _shifted_sylvester(t, q, tau * k, rhs, tol)
+    return a._derive(range(order + 1), coeffs)
 
 
 def _fold_step(t, q, blocks, transversal, tol):

@@ -3,33 +3,30 @@
 The coefficient ring is square complex matrices of a fixed dimension; every
 value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 ``delta = tau * z * d/dz`` and ``q`` (a unimodular number) drives the dilation
-``z -> q z``.  Values are kept in canonical sparse form, meaning exact-zero
-coefficient matrices are never stored.
+``z -> q z``.  Values are kept in canonical sparse form: exact-zero
+coefficient matrices are never stored, and the powers are kept in ascending
+order.
 
 Arithmetic runs on ``(K, n, n)`` stacks of coefficients: a product makes one
-stacked matmul per left-hand power, a constant gauge conjugates the whole
-stack at once, and every result goes through one internal constructor that
-drops exact-zero coefficients with a single ``np.any`` over its stack (the
-public constructor checks each coefficient of user input).  Normalization
-residuals sit near their limits, so results are those of the pairwise loops
-to the bit: each power sums its contributions in the left operand's ``terms``
-order, and output powers are inserted in the order a row-major pass over
-the pairs of powers first reaches them.
+stacked matmul per left-hand power, a conjugation covers the whole stack at
+once, a recurrence makes one stacked sum per order, and every result goes
+through one internal constructor that drops exact-zero coefficients with a
+single ``np.any`` over its stack (the public constructor checks each
+coefficient of user input).
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
-one body does both.  Constant and diagonal monomial gauges are exact, the
-latter an array shift of entries; series gauges go through a truncated
-inverse and record the first discarded order in ``diagnostics``.  A series
-transport cut at ``order`` forms only the powers up to ``order + 1``: A is
-cut there and both products are taken within that window, whose powers are
-those of the full products to the bit.  A recorded shear is applied
-directly, one conjugation per power and one shift by the step's own
-exponents, with the bits of the two gauge transforms it stands for.  A
-constant gauge or series lead term whose 1-norm reciprocal condition number
-is below machine epsilon is refused as singular.
+one body does both.  A constant gauge C and a diagonal monomial gauge
+``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
+``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``: one conjugation of
+the stack and one array shift by the exponents.  Series gauges go through a
+truncated inverse and record the first discarded order in ``diagnostics``;
+a series transport cut at ``order`` forms only the powers up to ``order +
+1``, cutting A there and taking both products within that window.  A
+similarity (a constant gauge, the values of a monomial, a step's or a series
+lead term) whose 1-norm reciprocal condition number is below machine epsilon
+is refused as singular.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +36,6 @@ from .numkit import DEFAULT_TOL
 
 _PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
-# the additive identity of IEEE arithmetic, -0.0 + x == x for every x
-# (+0.0 included): sums that start from it keep their first term's bits
-_NEG_ZERO = complex(-0.0, -0.0)
 
 
 def _clean_terms(dim, terms):
@@ -55,7 +49,7 @@ def _clean_terms(dim, terms):
             )
         if np.any(arr):
             out[int(k)] = arr
-    return out
+    return dict(sorted(out.items()))
 
 
 def _checked_inverse(c, what):
@@ -74,7 +68,8 @@ def _checked_inverse(c, what):
 
 
 class PolyMat:
-    """A finitely supported map ``power -> coefficient matrix``."""
+    """A finitely supported map ``power -> coefficient matrix``: ``terms``
+    holds the nonzero coefficients with their powers in ascending order."""
 
     __slots__ = ("dim", "terms", "tau", "q", "diagnostics")
 
@@ -93,8 +88,8 @@ class PolyMat:
 
     def _derive(self, powers, stack):
         """A value built by this one's arithmetic: ``stack[i]`` is the
-        coefficient of ``powers[i]``, in insertion order.  Exact-zero slices
-        are dropped; nothing else is checked."""
+        coefficient of ``powers[i]``, which ascend.  Exact-zero slices are
+        dropped; nothing else is checked."""
         out = PolyMat.__new__(PolyMat)
         out.dim, out.tau, out.q, out.diagnostics = self.dim, self.tau, self.q, {}
         kept = np.any(stack, axis=(1, 2)).tolist()
@@ -107,24 +102,27 @@ class PolyMat:
         coeffs = self.terms.values() if powers is None else [self.terms[k] for k in powers]
         return np.array(list(coeffs), dtype=complex).reshape(-1, self.dim, self.dim)
 
-    def _summed(self, powers, blocks):
-        """Sum stacks of contributions into one value.
+    def _dense(self, lo, hi):
+        """The coefficients of the powers ``lo..hi`` as one ``(hi - lo + 1,
+        dim, dim)`` array, zero where no term is stored."""
+        out = np.zeros((max(hi - lo + 1, 0), self.dim, self.dim), dtype=complex)
+        for k, c in self.terms.items():
+            if lo <= k <= hi:
+                out[k - lo] = c
+        return out
 
-        ``blocks[r]`` is a ``(len(powers[r]), n, n)`` stack adding to the
-        powers ``powers[r]``, which are distinct within a row.  Each power
-        sums its contributions in row order, the first kept as it is, and
-        powers are inserted in the order a pass over the rows first reaches
-        them.
-        """
+    def _summed(self, powers, blocks):
+        """Sum stacks of contributions into one value: ``blocks[r]`` is a
+        ``(len(powers[r]), n, n)`` stack adding to the powers ``powers[r]``,
+        which are distinct within a row."""
         flat = np.concatenate(powers) if powers else np.zeros(0, dtype=int)
-        found, first, slot = np.unique(flat, return_index=True, return_inverse=True)
-        out = np.full((len(found), self.dim, self.dim), _NEG_ZERO)
+        found, slot = np.unique(flat, return_inverse=True)
+        out = np.zeros((len(found), self.dim, self.dim), dtype=complex)
         stop = 0
         for row, block in zip(powers, blocks):
             start, stop = stop, stop + len(row)
             out[slot[start:stop]] += block
-        order = np.argsort(first)
-        return self._derive(found[order], out[order])
+        return self._derive(found, out)
 
     # -- constructors -------------------------------------------------------
 
@@ -175,18 +173,9 @@ class PolyMat:
 
     def norm(self, hi=None):
         """Largest coefficient Frobenius norm, among the powers up to ``hi``
-        when it is given.
-
-        Each square is summed as ``np.linalg.norm`` sums it, one strided dot
-        per part, and one square root is taken, of the largest: sqrt is
-        monotone and correctly rounded, so the result is the same to the bit.
-        """
-        squares = []
-        for k, c in self.terms.items():
-            if hi is None or k <= hi:
-                x = c.ravel(order="K")
-                squares.append(x.real.dot(x.real) + x.imag.dot(x.imag))
-        return math.sqrt(max(squares)) if squares else 0.0
+        when it is given."""
+        stack = self._stack(None if hi is None else [k for k in self.terms if k <= hi])
+        return float(np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0))
 
     def copy(self):
         return self._derive(list(self.terms), self._stack())
@@ -223,8 +212,7 @@ class PolyMat:
     def _product(self, other, lo=None, hi=None):
         """``self * other``; given ``lo`` and ``hi``, only its powers k with
         ``lo <= k <= hi``, and only the products that land there are formed.
-        Each power sums the same products in the same order either way, so
-        the powers kept are those of the full product to the bit."""
+        Each power sums the same products in the same order either way."""
         self._check_compatible(other)
         # one row of products per left-hand power: the full (Ka, Kb, n, n)
         # stack of products is never held at once
@@ -275,15 +263,12 @@ def truncated_inverse(f, order):
     if f.is_zero() or f.min_power < 0:
         raise ValidationFailure("series inverse needs lowest power at 0")
     c0_inv = _checked_inverse(f.term(0), "constant term of the series")
-    coeffs = np.empty((max(order, 0) + 1, f.dim, f.dim), dtype=complex)
+    lead = f._dense(1, order)
+    coeffs = np.empty((len(lead) + 1, f.dim, f.dim), dtype=complex)
     coeffs[0] = c0_inv
-    for k in range(1, order + 1):
-        acc = np.zeros((f.dim, f.dim), dtype=complex)
-        for j in range(1, k + 1):
-            fj = f.terms.get(j)
-            if fj is not None:
-                acc += fj @ coeffs[k - j]
-        coeffs[k] = -c0_inv @ acc
+    for k in range(1, len(coeffs)):
+        # g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)
+        coeffs[k] = -c0_inv @ (lead[:k] @ coeffs[k - 1::-1]).sum(0)
     return f._derive(range(len(coeffs)), coeffs)
 
 
@@ -291,87 +276,51 @@ def truncated_inverse(f, order):
 # gauge transformations
 # ---------------------------------------------------------------------------
 
-def _monomial_gauge(p):
-    """Return ``(exponents, values)`` as arrays when p is diagonal with one
-    monomial per diagonal slot, else None."""
+def _gauge_step(p):
+    """``p`` as a recorded step when it is not a series: ``ShearStep(C,
+    zeros)`` for a constant gauge C, ``ShearStep(diag(v), e)`` for a
+    diagonal monomial ``diag(v_i z**e_i)``, else None."""
+    if p.is_constant():
+        return ShearStep(p.term(0), (0,) * p.dim)
     stack = p._stack()
     diags = np.diagonal(stack, axis1=1, axis2=2)
-    if np.any(stack - diags[:, :, None] * np.eye(p.dim)):
-        return None
     hits = diags != 0
-    if np.any(hits.sum(axis=0) != 1):
+    if np.any(stack - diags[:, :, None] * np.eye(p.dim)) or np.any(hits.sum(axis=0) != 1):
         return None
     slot = hits.argmax(axis=0)
-    return np.fromiter(p.terms, dtype=int)[slot], diags[slot, np.arange(p.dim)]
+    return ShearStep(np.diag(diags[slot, np.arange(p.dim)]),
+                     tuple(np.fromiter(p.terms, dtype=int)[slot].tolist()))
 
 
-def _shift(a, exps, vals=None):
-    """Entrywise map ``A_ij(z) -> (A_ij(z) * v_j / v_i) * z**(e_j - e_i)``,
-    ``v`` all ones when ``vals`` is None, inserting output powers in the
-    order a pass over the input powers, row-major over nonzero entries,
-    first reaches them.
-
-    Each output entry comes from one input entry and lands on +0.0, so a
-    -0.0 part ends +0.0 and every other part is the scaled entry's; with
-    unit values that is the entry itself (``v * 1 / 1`` is exact).  The
-    powers move by one array scatter per distinct ``e_j - e_i``.
-    """
-    stack = a._stack()
+def _shift(a, exps):
+    """Entrywise map ``A_ij(z) -> A_ij(z) z**(e_j - e_i)``: one scatter of
+    the whole stack, each output entry taken from one input entry."""
     if not a.terms:
-        return a._derive([], stack)
-    moved = stack
-    if vals is not None:
-        # formed part by part, as a scalar complex product is: numpy's
-        # vectorised complex product may round differently
-        r = vals[None, None, :]
-        moved = np.empty_like(stack)
-        moved.real = stack.real * r.real - stack.imag * r.imag
-        moved.imag = stack.real * r.imag + stack.imag * r.real
-        moved /= vals[None, :, None]
-    n, powers, hits = a.dim, np.fromiter(a.terms, dtype=int), stack != 0
+        return a
+    n, powers = a.dim, np.fromiter(a.terms, dtype=int)
     moves = exps[None, :] - exps[:, None]
-    moves_seen = np.unique(moves)
-    lo = powers.min() + moves_seen[0]
-    out = np.zeros((powers.max() + moves_seen[-1] - lo + 1, n, n), dtype=complex)
-    firsts, targets = [], []
-    for d in moves_seen.tolist():
-        rows, cols = np.nonzero(moves == d)
-        dest = powers + (d - lo)
-        out[dest[:, None], rows, cols] += moved[:, rows, cols]   # onto +0.0
-        hit = hits[:, rows, cols]
-        reached = hit.any(axis=1)
-        # the first nonzero entry of each input power moved by d, row-major
-        firsts.append(np.flatnonzero(reached) * (n * n)
-                      + (rows * n + cols)[hit.argmax(axis=1)[reached]])
-        targets.append(dest[reached])
-    targets = np.concatenate(targets)[np.argsort(np.concatenate(firsts))]
-    _, first = np.unique(targets, return_index=True)
-    found = targets[np.sort(first)]
-    return a._derive(found + lo, out[found])
+    lo, hi = powers[0] + moves.min(), powers[-1] + moves.max()
+    out = np.zeros((hi - lo + 1, n, n), dtype=complex)
+    rows, cols = np.indices((n, n))
+    out[powers[:, None, None] + (moves - lo), rows, cols] = a._stack()
+    return a._derive(range(lo, hi + 1), out)
 
 
 def _transport(a, p, order, drift):
     """``P^-1 A P``, plus ``P^-1 delta(P)`` when ``drift`` is set."""
     if a.dim != p.dim:
         raise ValidationFailure("gauge dimension mismatch")
-    if p.is_constant():
-        c = p.term(0)
-        c_inv = _checked_inverse(c, "constant gauge")
-        return a._derive(list(a.terms), c_inv @ a._stack() @ c)
-    mono = _monomial_gauge(p)
-    if mono is not None:
-        exps, vals = mono
-        out = _shift(a, exps, vals)
-        if drift:
-            out = out + PolyMat.constant(np.diag([a.tau * e for e in exps.tolist()]),
-                                         a.tau, a.q)
-        return out
+    step = _gauge_step(p)
+    if step is not None:
+        return _sheared(a, step, drift)
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
     # P and its inverse hold no negative powers, so powers above order + 1 of
-    # A reach no power kept; each kept power sums what the full products sum
+    # A reach no power kept; each kept power sums what the full products sum.
+    # The drift P^-1 delta(P) starts at power 1, which may lie below A's
+    # lowest power
     p_inv = truncated_inverse(p, order)
-    lo, hi = a.min_power, order + 1
+    lo, hi = min(a.min_power, 0), order + 1
     full = p_inv._product(a.truncate(hi)._product(p, lo, hi), lo, hi)
     if drift:
         full = full + p_inv._product(p.delta(), lo, hi)
@@ -452,22 +401,16 @@ def shear(a, sdata, cluster_shifts, tol=None):
 def _sheared(a, step, drift):
     """``a`` through a recorded step: ``S^-1 A_k S`` at each power, then the
     monomial ``diag(z**k_i)`` of the step's exponents as an array shift, and
-    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set.  For
-    a step with a nonzero exponent the bits, and the order of the powers,
-    are those of the constant and the monomial gauge transforms the step
-    stands for."""
+    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set."""
     s = step.similarity
-    conj = a._derive(list(a.terms),
-                     _checked_inverse(s, "constant gauge") @ a._stack() @ s)
-    out = _shift(conj, np.array(step.exponents, dtype=int))
-    shift = np.diag([a.tau * e for e in step.exponents])
-    if drift and np.any(shift):
-        # -0.0 + x == x: the sum's first term is power 0 as it stands
-        c = out.terms[0] + shift if 0 in out.terms else shift
-        if np.any(c):
-            out.terms[0] = c
-        else:
-            del out.terms[0]
+    out = a._derive(list(a.terms),
+                    _checked_inverse(s, "constant gauge") @ a._stack() @ s)
+    exps = np.array(step.exponents, dtype=int)
+    if not np.any(exps):
+        return out
+    out = _shift(out, exps)
+    if drift:
+        out = out + PolyMat.constant(np.diag(a.tau * exps), a.tau, a.q)
     return out
 
 

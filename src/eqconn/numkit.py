@@ -122,11 +122,6 @@ class Transversal:
         return min(t, 1.0 - t)
 
 
-def reduce_mod_transversal(lam, transversal):
-    """Reduce a scalar modulo ``tau*Z`` into the strip; total function."""
-    return transversal.reduce(lam)
-
-
 @dataclass(frozen=True)
 class SL2Z:
     """An integer matrix ``[[a, b], [c, d]]`` with ``ad - bc = 1``."""

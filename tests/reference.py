@@ -44,13 +44,14 @@ the diagonal blocks of the clustered Schur form, which are that form's.
 ``reference_normalize`` is ``eqconn.category.normalize`` as it stood when it
 sheared every cluster into the strip and formed every power: B sheared
 inside the shear loop at all its powers, each shear two gauge transforms
-(``reference_shear``: a constant and a monomial ``PolyMat``, detected by
-``eqconn.laurent._monomial_gauge``), a pole checked against the norm of the
-whole series, the series gauge one ``reference_sylvester`` per order
-(``reference_series_gauge``), and full products in the series transport
-(``reference_transport``).  The library, which shears only resonant input
-and folds the rest once, must find a normal form isomorphic to it, with
-the same K0 class and conjugate monodromy.  It takes its input as given:
+(``reference_shear``: a constant and a monomial ``PolyMat``, the monomial
+detected one coefficient at a time by ``reference_monomial``), a pole
+checked against the norm of the whole series, the series gauge one
+``reference_sylvester`` per order (``reference_series_gauge``), and full
+products in the series transport (``reference_transport``).  The
+library, which shears only resonant input and folds the rest once, must
+find a normal form isomorphic to it, with the same K0 class and conjugate
+monodromy.  It takes its input as given:
 the library balances by ``z -> rho z`` first, and is compared with it on
 ``reference_balance`` of its input, which scales each part of each
 coefficient of power k by ``rho**k`` one at a time.
@@ -58,8 +59,8 @@ coefficient of power k by ``rho**k`` one at a time.
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
-stacked arithmetic of ``eqconn.laurent`` must match them to the bit, the
-order of the powers included.
+stacked arithmetic of ``eqconn.laurent`` must give the same powers, in
+ascending order, with values within rounding of theirs.
 
 ``ReferenceFreeBundle`` keeps a bundle's connection as an n x n list of
 ``TorusPoly`` and checks it one entry at a time; ``reference_psi_star``,
@@ -96,7 +97,6 @@ from eqconn.laurent import (
     PolyMat,
     ShearStep,
     _checked_inverse,
-    _monomial_gauge,
     truncated_inverse,
 )
 from eqconn.numkit import (
@@ -559,21 +559,33 @@ def reference_decode_free_bundle(data):
     return ReferenceFreeBundle(data["theta"], serialize.decode_complex(data["tau"]), conn)
 
 
+def reference_monomial(p):
+    """``(exponents, values)`` as arrays when ``p`` is diagonal with one
+    monomial per diagonal slot, else None, one coefficient at a time."""
+    exps, vals = [None] * p.dim, [0.0j] * p.dim
+    for k, coeff in p.terms.items():
+        if np.any(coeff - np.diag(np.diag(coeff))):
+            return None
+        for i in range(p.dim):
+            if coeff[i, i] != 0.0:
+                if exps[i] is not None:
+                    return None
+                exps[i], vals[i] = k, coeff[i, i]
+    if any(e is None for e in exps):
+        return None
+    return np.array(exps), np.array(vals)
+
+
 def _reference_shift(a, exps, vals):
     """``A_ij(z) -> (A_ij(z) v_j / v_i) z**(e_j - e_i)``: one np.unique over
     the output powers of every nonzero entry."""
     stack = a._stack()
     ks, rows, cols = np.nonzero(stack)
     powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
-    found, first, slot = np.unique(powers, return_index=True, return_inverse=True)
-    v, r = stack[ks, rows, cols], vals[cols]
-    moved = np.empty_like(v)
-    moved.real = v.real * r.real - v.imag * r.imag
-    moved.imag = v.real * r.imag + v.imag * r.real
+    found, slot = np.unique(powers, return_inverse=True)
     out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
-    out[slot, rows, cols] += moved / vals[rows]
-    order = np.argsort(first)
-    return a._derive(found[order], out[order])
+    out[slot, rows, cols] = stack[ks, rows, cols] * vals[cols] / vals[rows]
+    return a._derive(found, out)
 
 
 def reference_transport(a, p, order, drift):
@@ -582,7 +594,7 @@ def reference_transport(a, p, order, drift):
     if p.is_constant():
         c = p.term(0)
         return a._derive(list(a.terms), _checked_inverse(c, "constant gauge") @ a._stack() @ c)
-    mono = _monomial_gauge(p)
+    mono = reference_monomial(p)
     if mono is not None:
         exps, vals = mono
         out = _reference_shift(a, exps, vals)

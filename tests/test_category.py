@@ -418,6 +418,28 @@ def test_normalize_leaves_a_unit_radius_input_as_it_was():
             assert nf.diagnostics[name + "_unit"] == nf.diagnostics[name]
 
 
+def test_normalize_refuses_an_order_below_1():
+    """Truncation orders 0 and -3 used to return A(0) as a normal form, with
+    the power-1 term left in the gauge residual."""
+    a = PolyMat(2, {0: np.diag([0.3 * TAU, 0.6 * TAU]),
+                    1: np.array([[0.0, 1.0], [1.0, 0.0]])}, TAU, Q)
+    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+    for order in (0, -3):
+        with pytest.raises(ValidationFailure, match="at least 1"):
+            normalize(obj, STRIP, order)
+    assert normalize(obj, STRIP, 1).diagnostics["gauge_residual"] < 1e-12
+
+
+def test_normalize_of_a_jordan_block_on_the_strip_edge_raises():
+    """Rounding splits the block into clusters that reduce by different
+    shifts, and the fold refuses their ill-conditioned projector (norm
+    5e9-1e10) rather than return a normal form built on it."""
+    for seed in range(5):
+        obj = util.strip_edge_jordan_object(np.random.default_rng(seed))
+        with pytest.raises(NumericFailure, match="projector"):
+            normalize(obj, STRIP)
+
+
 def test_normalize_rejects_wrong_strip_modulus():
     obj = constant_object([[0.0]], [[1.0]])
     with pytest.raises(TransversalMismatch):

@@ -37,6 +37,7 @@ from util import (
     random_normal_form,
     scramble,
     straddling_jordan_form,
+    strip_edge_jordan_object,
 )
 
 
@@ -360,6 +361,33 @@ def test_tensor_of_a_jordan_block_split_across_the_strip_edge_exits_1(capsys, tm
     m1 = mat_exp(2j * np.pi * x.A0 / x.tau)
     assert (np.linalg.norm(mat_exp(2j * np.pi * xx.A0 / xx.tau) - np.kron(m1, m1))
             < 1e-12 * np.linalg.norm(np.kron(m1, m1)))
+
+
+def test_normalize_refuses_a_truncation_below_1_exits_2(capsys):
+    a0 = [[[0.3, -0.3], [0.0, 0.0]], [[0.0, 0.0], [0.6, -0.6]]]
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": a0}, {"pow": 1, "coef": swap}],
+           "B": [{"pow": 0, "coef": eye}]}
+    for order in ("0", "-3"):
+        code, out = run(capsys, ["--json", "--truncation", order, "normalize",
+                                 json.dumps(obj)])
+        assert code == 2
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["error"]["kind"] == "ValidationFailure"
+        assert "truncation order" in report["error"]["message"]
+
+
+def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path):
+    for seed in (0, 1):
+        obj = strip_edge_jordan_object(np.random.default_rng(seed))
+        path = write(tmp_path, "edge.json", encode_object(obj))
+        code, out = run(capsys, ["--json", "normalize", path])
+        assert code == 1
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["error"]["kind"] == "NumericFailure"
+        assert "projector" in report["error"]["message"]
 
 
 def test_batch_reports_each_failing_job(capsys, tmp_path):

@@ -22,7 +22,6 @@ from eqconn.numkit import (
     mat_exp,
     moebius,
     nullspace,
-    reduce_mod_transversal,
     reduce_to_transversal,
     solve_sylvester,
     spectral,
@@ -76,7 +75,7 @@ def expm_series_oracle(m, terms=60):
 
 def test_reduce_in_strip_is_identity():
     t = Transversal(tau=-1j, offset=0.0)
-    rep, shift = reduce_mod_transversal(0.0, t)
+    rep, shift = t.reduce(0.0)
     assert rep == 0.0 and shift == 0
 
 
@@ -84,7 +83,7 @@ def test_reduce_in_strip_is_identity():
 def test_reduce_scalar_multiples(scale, expected_shift):
     t = Transversal(TAU)
     lam = scale * TAU
-    rep, shift = reduce_mod_transversal(lam, t)
+    rep, shift = t.reduce(lam)
     o_rep, o_shift = reduce_oracle(lam, TAU, 0.0)
     assert shift == o_shift == expected_shift
     assert abs(rep - o_rep) < 1e-14

@@ -136,6 +136,16 @@ def straddling_jordan_form(rng):
     return conjugate(nf, well_conditioned(rng, 2))
 
 
+def strip_edge_jordan_object(rng):
+    """A 3x3 Jordan block at ``tau (1 + 0.2i)``, on the strip's right edge,
+    beside a simple eigenvalue at ``0.4 tau``, conjugated by a well
+    conditioned similarity and hidden behind a series gauge with no shear:
+    rounding splits the block into clusters on both sides of the edge."""
+    nf = jordan_normal_form([(STRIP.tau * (1 + 0.2j), (3,), [1.5, 0.3]),
+                             (0.4 * STRIP.tau, (1,), [2.0])])
+    return scramble(conjugate(nf, well_conditioned(rng, 4)), rng, shears=0)
+
+
 def scramble(nf, rng, shears=2, degree=3, order=48):
     """Hide a normal form behind random shears and a random series gauge.
 

@@ -9,10 +9,11 @@ each job once and checked by its oracle as ``bench/run.py`` checks it.
 Prints the number of jobs, of failures (the program raised, reported a
 failure, or gave an output the oracle rejected, as ``bench/run.py`` counts
 them) and of the wrong outputs among them,
-and one SHA-256 over every job's output: the bits of each array, the repr
-of each scalar, and the name of the exception of a job that raised.  Two
-checkouts print the same digest only when every output is the same to the
-bit.  For normalize-scrambled it also prints the margin: the largest
+one SHA-256 over every job's output: the bits of each array, the repr
+of each scalar, and the name of the exception of a job that raised, and one
+SHA-256 over every job's ``inputs``, hashed the same way before the job
+runs.  Two checkouts print the same digest only when every output (or
+input) is the same to the bit.  For normalize-scrambled it also prints the margin: the largest
 ``gauge_residual`` or ``b_residual`` among the jobs that returned, beside
 the ``RESIDUAL_LIMIT`` above which the benchmark counts a job failed.
 Nothing is timed.
@@ -74,14 +75,15 @@ def feed(h, x):
 
 
 def digest(workload):
-    """``(jobs, failed, wrong, largest residual, sha256 hex)`` over seeds
-    1-10; the largest residual is None but for normalize-scrambled."""
+    """``(jobs, failed, wrong, largest residual, sha256 hex, inputs sha256
+    hex)`` over seeds 1-10; the largest residual is None but for
+    normalize-scrambled."""
     for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
                  os.path.join(ROOT, "bench")):
         sys.path.insert(0, path)
     import workloads as wl
 
-    h = hashlib.sha256()
+    h, h_in = hashlib.sha256(), hashlib.sha256()
     jobs = failed = wrong = 0
     largest = 0.0 if workload == "normalize-scrambled" else None
     rounds = wl.timed_rounds(workload, SECONDS)
@@ -92,6 +94,7 @@ def digest(workload):
                 for job in plan.round(r):
                     jobs += 1
                     h.update(job.kind.encode())
+                    feed(h_in, job.inputs)
                     try:
                         out = job.run()
                     except Exception as exc:  # a failure is an output too
@@ -110,7 +113,7 @@ def digest(workload):
                     except Exception:  # the oracle rejected the output
                         failed += 1
                         wrong += 1
-    return jobs, failed, wrong, largest, h.hexdigest()
+    return jobs, failed, wrong, largest, h.hexdigest(), h_in.hexdigest()
 
 
 def main(argv=None):
@@ -120,13 +123,13 @@ def main(argv=None):
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
     warnings.simplefilter("ignore")
-    jobs, failed, wrong, largest, sha = digest(args.workload)
+    jobs, failed, wrong, largest, sha, sha_in = digest(args.workload)
     margin = ""
     if largest is not None:
         from workloads import RESIDUAL_LIMIT
         margin = ", largest residual %.1e (limit %.0e)" % (largest, RESIDUAL_LIMIT)
-    print("%s: jobs %d, failed %d, wrong %d%s, sha256 %s"
-          % (args.workload, jobs, failed, wrong, margin, sha))
+    print("%s: jobs %d, failed %d, wrong %d%s, sha256 %s, inputs sha256 %s"
+          % (args.workload, jobs, failed, wrong, margin, sha, sha_in))
 
 
 if __name__ == "__main__":
