@@ -40,7 +40,9 @@ from .laurent import (
     GaugeRecord,
     PolyMat,
     ShearStep,
+    _balancing_radius,
     _rescaled,
+    _series,
     apply_shear,
     apply_shear_dilation,
     dilation_transform,
@@ -139,21 +141,6 @@ def equivariance_residual(a, b):
     return r.truncate(hi, lo=lo)
 
 
-def _balancing_radius(a):
-    """The radius ``rho`` of ``z -> rho z`` that balances a connection
-    matrix: the largest power of two at most ``min(1, min_k (max(1, ||A_0||)
-    / ||A_k||)^(1/k))`` over the powers ``k >= 1`` (Frobenius norms), so
-    that no power of ``A(rho z)`` outgrows ``max(1, ||A_0||)`` and scaling
-    power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
-    two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969)."""
-    powers = np.fromiter(a.terms, dtype=int)
-    norms = np.linalg.norm(a._stack(), axis=(1, 2))
-    top = max(1.0, norms[powers == 0].max(initial=0.0))
-    up = powers > 0
-    rho = float(np.min((top / norms[up]) ** (1.0 / powers[up]), initial=1.0))
-    return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
-
-
 def validate(obj, tol=None, strict=True):
     """Check the object invariants; returns residuals, raises when strict.
 
@@ -174,10 +161,7 @@ def _validated(obj, tol, strict):
     """``(residuals, A(rho z), B(rho z))``: ``validate``'s residuals and the
     balanced pair it checks, which ``normalize`` goes on with."""
     diag = {}
-    pole = 0.0
-    for k, coeff in obj.A.terms.items():
-        if k < 0:
-            pole = max(pole, float(np.linalg.norm(coeff)))
+    pole = obj.A.norm(hi=-1)
     diag["pole_residual"] = pole
     if strict and pole > tol.eps_res * (obj.A.norm() + 1.0):
         raise RegularityViolation(
@@ -399,10 +383,10 @@ def normalize(obj, transversal=None, order=16, tol=None):
         gauged = apply_shear(gauged, fold, tol)
         b_final = apply_shear_dilation(b_final, fold, tol)
         a0 = gauged.term(0)
-    gauge_left = gauged - PolyMat.constant(a0, a.tau, a.q)
+    gauge_left = gauged - gauged.truncate(0, lo=0)
 
     b0 = b_final.term(0)
-    b_left = b_final - PolyMat.constant(b0, b.tau, b.q)
+    b_left = b_final - b_final.truncate(0, lo=0)
     b_residual = b_left.norm()
     if b_residual > tol.eps_res * max(1.0, b_final.norm()):
         raise NonConstantB(
@@ -465,16 +449,12 @@ def _series_gauge(a, t, q, tau, order, tol):
     """The series gauge ``P = I + P_1 z + ... + P_order z**order`` that keeps
     ``A0 = q t q^H`` and kills the powers 1 to ``order`` of ``a``: order k
     solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k P_0)``,
-    the sum one stacked product, on the one Schur form
+    the sum one stacked product (``laurent._series``), on the one Schur form
     (``numkit._shifted_sylvester``)."""
-    lead = a._dense(1, order)
-    coeffs = np.zeros((order + 1, a.dim, a.dim), dtype=complex)
-    coeffs[0] = np.eye(a.dim)
-    for k in range(1, order + 1):
-        rhs = -(lead[:k] @ coeffs[k - 1::-1]).sum(0)
-        if np.any(rhs):
-            coeffs[k] = _shifted_sylvester(t, q, tau * k, rhs, tol)
-    return a._derive(range(order + 1), coeffs)
+    def solve(k, rhs):
+        return _shifted_sylvester(t, q, tau * k, rhs, tol) if np.any(rhs) else 0.0
+
+    return _series(a, order, np.eye(a.dim), solve)
 
 
 def _fold_step(t, q, blocks, transversal, tol):

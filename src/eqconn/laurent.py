@@ -3,16 +3,17 @@
 The coefficient ring is square complex matrices of a fixed dimension; every
 value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 ``delta = tau * z * d/dz`` and ``q`` (a unimodular number) drives the dilation
-``z -> q z``.  Values are kept in canonical sparse form: exact-zero
-coefficient matrices are never stored, and the powers are kept in ascending
-order.
+``z -> q z``.
 
-Arithmetic runs on ``(K, n, n)`` stacks of coefficients: a product makes one
-stacked matmul per left-hand power, a conjugation covers the whole stack at
-once, a recurrence makes one stacked sum per order, and every result goes
-through one internal constructor that drops exact-zero coefficients with a
-single ``np.any`` over its stack (the public constructor checks each
-coefficient of user input).
+A value stores one *slab*: an ascending int array of its powers and a
+read-only ``(K, n, n)`` stack of their coefficients, none exactly zero;
+``PolyMat.terms`` is a read-only view of it, and no other module reads the
+slab.  A product makes one stacked matmul per left-hand power, a conjugation
+covers the whole stack, the one series recurrence (``_series``: series
+inverses and normalization's series gauge) one stacked sum per order, and
+every result goes through one internal constructor that drops exact-zero
+slices with one ``np.any``.  The public constructor copies its input and
+refuses a coefficient of the wrong shape or with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
 one body does both.  A constant gauge C and a diagonal monomial gauge
@@ -27,7 +28,9 @@ lead term) whose 1-norm reciprocal condition number is below machine epsilon
 is refused as singular.
 """
 
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,20 +39,6 @@ from .numkit import DEFAULT_TOL
 
 _PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
-
-
-def _clean_terms(dim, terms):
-    out = {}
-    for k, coeff in terms.items():
-        arr = np.asarray(coeff, dtype=complex)
-        if arr.shape != (dim, dim):
-            raise ValidationFailure(
-                "coefficient at power %d has shape %s, expected (%d, %d)"
-                % (k, arr.shape, dim, dim)
-            )
-        if np.any(arr):
-            out[int(k)] = arr
-    return dict(sorted(out.items()))
 
 
 def _checked_inverse(c, what):
@@ -68,10 +57,14 @@ def _checked_inverse(c, what):
 
 
 class PolyMat:
-    """A finitely supported map ``power -> coefficient matrix``: ``terms``
-    holds the nonzero coefficients with their powers in ascending order."""
+    """A finitely supported map ``power -> coefficient matrix``, stored as
+    ``_powers``, the ascending powers of the nonzero coefficients, and
+    ``_coeffs``, their read-only ``(K, dim, dim)`` stack; ``terms`` is a
+    read-only view.  The constructor copies ``terms`` and raises
+    ``ValidationFailure`` naming the power of a coefficient of the wrong
+    shape or with a non-finite entry; arithmetic skips those checks."""
 
-    __slots__ = ("dim", "terms", "tau", "q", "diagnostics")
+    __slots__ = ("dim", "tau", "q", "diagnostics", "_powers", "_coeffs")
 
     def __init__(self, dim, terms, tau, q, diagnostics=None):
         if dim < 1:
@@ -79,36 +72,46 @@ class PolyMat:
         if abs(abs(q) - 1.0) > _PARAM_TOL:
             raise ValidationFailure("dilation parameter q must be unimodular")
         self.dim = int(dim)
-        self.terms = _clean_terms(self.dim, terms)
         self.tau = complex(tau)
         self.q = complex(q)
         self.diagnostics = dict(diagnostics or {})
+        powers = sorted(terms, key=int)
+        stack = np.zeros((len(powers), self.dim, self.dim), dtype=complex)
+        for i, k in enumerate(powers):
+            arr = np.asarray(terms[k], dtype=complex)
+            if arr.shape != (self.dim, self.dim):
+                raise ValidationFailure(
+                    "coefficient at power %d has shape %s, expected (%d, %d)"
+                    % (k, arr.shape, self.dim, self.dim))
+            if not np.isfinite(arr).all():
+                raise ValidationFailure(
+                    "coefficient at power %d has non-finite entries" % k)
+            stack[i] = arr
+        slab = self._derive(np.array(powers, dtype=int), stack)
+        self._powers, self._coeffs = slab._powers, slab._coeffs
 
-    # -- stacks: the (K, dim, dim) arrays the arithmetic runs on --------------
+    # -- the slab ---------------------------------------------------------------
 
     def _derive(self, powers, stack):
-        """A value built by this one's arithmetic: ``stack[i]`` is the
-        coefficient of ``powers[i]``, which ascend.  Exact-zero slices are
-        dropped; nothing else is checked."""
+        """A value built by this one's arithmetic, with its ``(tau, q)``:
+        ``stack[i]`` is the coefficient of ``powers[i]`` (an int array),
+        which ascend.  Exact-zero slices are dropped, both arrays are made
+        read-only, and nothing else is checked."""
         out = PolyMat.__new__(PolyMat)
         out.dim, out.tau, out.q, out.diagnostics = self.dim, self.tau, self.q, {}
-        kept = np.any(stack, axis=(1, 2)).tolist()
-        out.terms = {int(k): c for k, c, keep in zip(powers, stack, kept) if keep}
+        kept = np.any(stack, axis=(1, 2))
+        if not kept.all():
+            powers, stack = powers[kept], stack[kept]
+        powers.flags.writeable = stack.flags.writeable = False
+        out._powers, out._coeffs = powers, stack
         return out
-
-    def _stack(self, powers=None):
-        """The coefficients of ``powers`` (by default all, in ``terms`` order)
-        as one ``(K, dim, dim)`` array."""
-        coeffs = self.terms.values() if powers is None else [self.terms[k] for k in powers]
-        return np.array(list(coeffs), dtype=complex).reshape(-1, self.dim, self.dim)
 
     def _dense(self, lo, hi):
         """The coefficients of the powers ``lo..hi`` as one ``(hi - lo + 1,
         dim, dim)`` array, zero where no term is stored."""
         out = np.zeros((max(hi - lo + 1, 0), self.dim, self.dim), dtype=complex)
-        for k, c in self.terms.items():
-            if lo <= k <= hi:
-                out[k - lo] = c
+        inside = (lo <= self._powers) & (self._powers <= hi)
+        out[self._powers[inside] - lo] = self._coeffs[inside]
         return out
 
     def _summed(self, powers, blocks):
@@ -148,37 +151,43 @@ class PolyMat:
 
     # -- views ---------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only mapping ``power -> coefficient`` of the nonzero
+        coefficients, powers ascending."""
+        return MappingProxyType(dict(zip(self._powers.tolist(), self._coeffs)))
+
     def powers(self):
-        return sorted(self.terms)
+        return self._powers.tolist()
 
     def term(self, k):
-        coeff = self.terms.get(int(k))
-        if coeff is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return coeff.copy()
+        i = int(np.searchsorted(self._powers, int(k)))
+        if i < len(self._powers) and self._powers[i] == k:
+            return self._coeffs[i].copy()
+        return np.zeros((self.dim, self.dim), dtype=complex)
 
     @property
     def min_power(self):
-        return min(self.terms) if self.terms else 0
+        return int(self._powers[0]) if len(self._powers) else 0
 
     @property
     def max_power(self):
-        return max(self.terms) if self.terms else 0
+        return int(self._powers[-1]) if len(self._powers) else 0
 
     def is_constant(self):
-        return set(self.terms) <= {0}
+        return not self._powers.any()
 
     def is_zero(self):
-        return not self.terms
+        return not len(self._powers)
 
     def norm(self, hi=None):
         """Largest coefficient Frobenius norm, among the powers up to ``hi``
         when it is given."""
-        stack = self._stack(None if hi is None else [k for k in self.terms if k <= hi])
-        return float(np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0))
+        stop = None if hi is None else np.searchsorted(self._powers, hi, side="right")
+        return float(np.linalg.norm(self._coeffs[:stop], axis=(1, 2)).max(initial=0.0))
 
     def copy(self):
-        return self._derive(list(self.terms), self._stack())
+        return self._derive(self._powers, self._coeffs)
 
     def __repr__(self):
         return "PolyMat(dim=%d, powers=%s)" % (self.dim, self.powers())
@@ -194,15 +203,13 @@ class PolyMat:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self._summed([np.fromiter(self.terms, dtype=int),
-                             np.fromiter(other.terms, dtype=int)],
-                            [self._stack(), other._stack()])
+        return self._summed([self._powers, other._powers], [self._coeffs, other._coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._derive(list(self.terms), -self._stack())
+        return self._derive(self._powers, -self._coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
@@ -216,20 +223,18 @@ class PolyMat:
         self._check_compatible(other)
         # one row of products per left-hand power: the full (Ka, Kb, n, n)
         # stack of products is never held at once
-        right_powers = np.fromiter(other.terms, dtype=int)
-        right = other._stack()
+        sums, right = self._powers[:, None] + other._powers, other._coeffs
         if lo is None:
-            return self._summed([k + right_powers for k in self.terms],
-                                (c @ right for c in self.terms.values()))
-        inside = [(lo <= k + right_powers) & (k + right_powers <= hi) for k in self.terms]
-        return self._summed([k + right_powers[keep] for k, keep in zip(self.terms, inside)],
-                            (c @ right[keep] for c, keep in zip(self.terms.values(), inside)))
+            return self._summed(list(sums), (c @ right for c in self._coeffs))
+        inside = (lo <= sums) & (sums <= hi)
+        return self._summed([row[keep] for row, keep in zip(sums, inside)],
+                            (c @ right[keep] for c, keep in zip(self._coeffs, inside)))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def scale(self, scalar):
-        return self._derive(list(self.terms), complex(scalar) * self._stack())
+        return self._derive(self._powers, complex(scalar) * self._coeffs)
 
     def distance(self, other):
         return (self - other).norm()
@@ -237,39 +242,48 @@ class PolyMat:
     # -- calculus --------------------------------------------------------------
 
     def _by_power(self, factors):
-        return self._derive(list(self.terms),
-                            np.array(factors, dtype=complex)[:, None, None] * self._stack())
+        return self._derive(self._powers,
+                            np.asarray(factors, dtype=complex)[:, None, None] * self._coeffs)
 
     def delta(self):
         """Apply the derivation tau * z * d/dz (power k scales by tau*k)."""
-        return self._by_power([self.tau * k for k in self.terms])
+        return self._by_power(self.tau * self._powers)
 
     def dilate(self):
         """Substitute z -> q z (power k scales by q**k)."""
-        return self._by_power([self.q ** k for k in self.terms])
+        return self._by_power([self.q ** k for k in self._powers.tolist()])
 
     def truncate(self, hi, lo=None):
         """Keep powers k with lo <= k <= hi (lo unbounded when omitted)."""
-        kept = [k for k in self.terms if k <= hi and (lo is None or k >= lo)]
-        return self._derive(kept, self._stack(kept))
+        start = 0 if lo is None else np.searchsorted(self._powers, lo)
+        stop = np.searchsorted(self._powers, hi, side="right")
+        return self._derive(self._powers[start:stop], self._coeffs[start:stop])
+
+
+def _series(f, order, first, solve):
+    """The series ``g_0 + g_1 z + ... + g_order z**order`` with ``g_0 =
+    first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the sum
+    one stacked product: the recurrence of a series inverse and of the
+    series gauge of formal reduction (Barkatou, AAECC 1997)."""
+    lead = f._dense(1, order)
+    coeffs = np.empty((len(lead) + 1, f.dim, f.dim), dtype=complex)
+    coeffs[0] = first
+    for k in range(1, len(coeffs)):
+        coeffs[k] = solve(k, -(lead[:k] @ coeffs[k - 1::-1]).sum(0))
+    return f._derive(np.arange(len(coeffs)), coeffs)
 
 
 def truncated_inverse(f, order):
     """Series inverse of ``f`` through power ``order``.
 
     Requires the lowest-order term to sit at power 0 and be invertible;
-    the result g satisfies ``f * g = I`` up to and including power ``order``.
+    the result g satisfies ``f * g = I`` up to and including power ``order``:
+    ``g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)``.
     """
     if f.is_zero() or f.min_power < 0:
         raise ValidationFailure("series inverse needs lowest power at 0")
     c0_inv = _checked_inverse(f.term(0), "constant term of the series")
-    lead = f._dense(1, order)
-    coeffs = np.empty((len(lead) + 1, f.dim, f.dim), dtype=complex)
-    coeffs[0] = c0_inv
-    for k in range(1, len(coeffs)):
-        # g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)
-        coeffs[k] = -c0_inv @ (lead[:k] @ coeffs[k - 1::-1]).sum(0)
-    return f._derive(range(len(coeffs)), coeffs)
+    return _series(f, order, c0_inv, lambda k, rhs: c0_inv @ rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +296,26 @@ def _gauge_step(p):
     diagonal monomial ``diag(v_i z**e_i)``, else None."""
     if p.is_constant():
         return ShearStep(p.term(0), (0,) * p.dim)
-    stack = p._stack()
+    stack = p._coeffs
     diags = np.diagonal(stack, axis1=1, axis2=2)
     hits = diags != 0
     if np.any(stack - diags[:, :, None] * np.eye(p.dim)) or np.any(hits.sum(axis=0) != 1):
         return None
     slot = hits.argmax(axis=0)
     return ShearStep(np.diag(diags[slot, np.arange(p.dim)]),
-                     tuple(np.fromiter(p.terms, dtype=int)[slot].tolist()))
+                     tuple(p._powers[slot].tolist()))
 
 
 def _shift(a, exps):
     """Entrywise map ``A_ij(z) -> A_ij(z) z**(e_j - e_i)``: one scatter of
-    the whole stack, each output entry taken from one input entry."""
-    if not a.terms:
-        return a
-    n, powers = a.dim, np.fromiter(a.terms, dtype=int)
-    moves = exps[None, :] - exps[:, None]
-    lo, hi = powers[0] + moves.min(), powers[-1] + moves.max()
-    out = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    rows, cols = np.indices((n, n))
-    out[powers[:, None, None] + (moves - lo), rows, cols] = a._stack()
-    return a._derive(range(lo, hi + 1), out)
+    the whole stack into the distinct powers it lands on, each output entry
+    taken from one input entry."""
+    landing = a._powers[:, None, None] + (exps[None, :] - exps[:, None])
+    found, slot = np.unique(landing, return_inverse=True)
+    out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
+    rows, cols = np.indices((a.dim, a.dim))
+    out[slot.reshape(landing.shape), rows, cols] = a._coeffs
+    return a._derive(found, out)
 
 
 def _transport(a, p, order, drift):
@@ -325,9 +337,7 @@ def _transport(a, p, order, drift):
     if drift:
         full = full + p_inv._product(p.delta(), lo, hi)
     result = full.truncate(order)
-    tail = full.terms.get(order + 1)
-    result.diagnostics["truncation_residual"] = (
-        float(np.linalg.norm(tail)) if tail is not None else 0.0)
+    result.diagnostics["truncation_residual"] = float(np.linalg.norm(full.term(order + 1)))
     return result
 
 
@@ -394,8 +404,7 @@ def shear(a, sdata, cluster_shifts, tol=None):
         # record a no-op so replaying the step leaves inputs untouched
         return a.copy(), ShearStep(np.eye(a.dim, dtype=complex), tuple(exponents))
     step = ShearStep(sdata.similarity.copy(), tuple(exponents))
-    sheared = apply_shear(a, step, tol=tol)
-    return sheared, step
+    return apply_shear(a, step, tol=tol), step
 
 
 def _sheared(a, step, drift):
@@ -403,14 +412,13 @@ def _sheared(a, step, drift):
     monomial ``diag(z**k_i)`` of the step's exponents as an array shift, and
     its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set."""
     s = step.similarity
-    out = a._derive(list(a.terms),
-                    _checked_inverse(s, "constant gauge") @ a._stack() @ s)
+    out = a._derive(a._powers, _checked_inverse(s, "constant gauge") @ a._coeffs @ s)
     exps = np.array(step.exponents, dtype=int)
     if not np.any(exps):
         return out
     out = _shift(out, exps)
     if drift:
-        out = out + PolyMat.constant(np.diag(a.tau * exps), a.tau, a.q)
+        out = out + a._derive(np.zeros(1, dtype=int), np.diag(a.tau * exps)[None])
     return out
 
 
@@ -433,28 +441,33 @@ def apply_shear_dilation(b, step, tol=None):
     return _sheared(b, step, drift=False)
 
 
-def invert_shear(a, step):
-    """Undo a shear on a connection matrix: gauge by diag(z**-k) then S^-1."""
-    out = gauge_transform(a, PolyMat.monomial_diag([-e for e in step.exponents],
-                                                   a.tau, a.q))
-    return gauge_transform(out, PolyMat.constant(np.linalg.inv(step.similarity),
-                                                 a.tau, a.q))
-
-
 def _checked_regular(a, tol, scale):
     """``a`` without its negative powers, which must be rounding: a
     coefficient there whose norm exceeds ``eps_res (scale + 1)`` is a pole,
     and raises ``RegularityViolation``.  ``apply_shear`` passes the largest
     norm among the powers its step can move below zero."""
     threshold = tol.eps_res * (scale + 1.0)
-    for k, coeff in a.terms.items():
-        if k < 0:
-            size = float(np.linalg.norm(coeff))
-            if size > threshold:
-                raise RegularityViolation(
-                    "shear would create a pole: coefficient of z**%d has "
-                    "norm %.3e" % (k, size))
+    sizes = np.linalg.norm(a._coeffs[a._powers < 0], axis=(1, 2))
+    poles = np.flatnonzero(sizes > threshold)
+    if poles.size:
+        raise RegularityViolation(
+            "shear would create a pole: coefficient of z**%d has norm %.3e"
+            % (a._powers[poles[0]], sizes[poles[0]]))
     return a.truncate(a.max_power, lo=0)
+
+
+def _balancing_radius(a):
+    """The radius ``rho`` of ``z -> rho z`` that balances a connection
+    matrix: the largest power of two at most ``min(1, min_k (max(1, ||A_0||)
+    / ||A_k||)^(1/k))`` over the powers ``k >= 1`` (Frobenius norms), so
+    that no power of ``A(rho z)`` outgrows ``max(1, ||A_0||)`` and scaling
+    power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
+    two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969)."""
+    norms = np.linalg.norm(a._coeffs, axis=(1, 2))
+    top = max(1.0, norms[a._powers == 0].max(initial=0.0))
+    up = a._powers > 0
+    rho = float(np.min((top / norms[up]) ** (1.0 / a._powers[up]), initial=1.0))
+    return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
 
 
 def _rescaled(p, radius):
@@ -463,9 +476,9 @@ def _rescaled(p, radius):
     when the radius is 1."""
     if radius == 1.0:
         return p
-    factors = np.array([radius ** k for k in p.terms], dtype=float)
-    parts = p._stack().view(float) * factors[:, None, None]
-    return p._derive(list(p.terms), parts.view(complex))
+    factors = np.array([radius ** k for k in p._powers.tolist()], dtype=float)
+    parts = p._coeffs.view(float) * factors[:, None, None]
+    return p._derive(p._powers, parts.view(complex))
 
 
 def apply_gauge_record(a, b, record, tol=None):

@@ -89,7 +89,7 @@ def decode_matrix(data, field="matrix"):
 # -- Laurent matrices ----------------------------------------------------------
 
 def encode_polymat_terms(p):
-    return [{"pow": k, "coef": encode_matrix(p.terms[k])} for k in p.powers()]
+    return [{"pow": k, "coef": encode_matrix(c)} for k, c in p.terms.items()]
 
 
 def encode_polymat(p):

@@ -576,16 +576,22 @@ def reference_monomial(p):
     return np.array(exps), np.array(vals)
 
 
+def _stacked(a):
+    """``(powers, stack)`` of ``a``, read through its ``terms`` view."""
+    return (np.array(a.powers(), dtype=int),
+            np.array(list(a.terms.values()), dtype=complex).reshape(-1, a.dim, a.dim))
+
+
 def _reference_shift(a, exps, vals):
     """``A_ij(z) -> (A_ij(z) v_j / v_i) z**(e_j - e_i)``: one np.unique over
     the output powers of every nonzero entry."""
-    stack = a._stack()
+    powers, stack = _stacked(a)
     ks, rows, cols = np.nonzero(stack)
-    powers = np.fromiter(a.terms, dtype=int)[ks] + exps[cols] - exps[rows]
-    found, slot = np.unique(powers, return_inverse=True)
+    landing = powers[ks] + exps[cols] - exps[rows]
+    found, slot = np.unique(landing, return_inverse=True)
     out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
     out[slot, rows, cols] = stack[ks, rows, cols] * vals[cols] / vals[rows]
-    return a._derive(found, out)
+    return PolyMat(a.dim, dict(zip(found.tolist(), out)), a.tau, a.q)
 
 
 def reference_transport(a, p, order, drift):
@@ -593,7 +599,10 @@ def reference_transport(a, p, order, drift):
     series products formed at every power and cut afterwards."""
     if p.is_constant():
         c = p.term(0)
-        return a._derive(list(a.terms), _checked_inverse(c, "constant gauge") @ a._stack() @ c)
+        powers, stack = _stacked(a)
+        return PolyMat(a.dim, dict(zip(powers.tolist(),
+                                       _checked_inverse(c, "constant gauge") @ stack @ c)),
+                       a.tau, a.q)
     mono = reference_monomial(p)
     if mono is not None:
         exps, vals = mono

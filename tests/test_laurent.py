@@ -1,12 +1,15 @@
 """Tests for matrix Laurent polynomials, gauges, and shearing."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqconn
+from eqconn.category import EquivariantConnection, normalize
 from eqconn.exceptions import RegularityViolation, ValidationFailure
 from eqconn.laurent import (
     GaugeRecord,
@@ -19,7 +22,6 @@ from eqconn.laurent import (
     apply_shear_dilation,
     dilation_transform,
     gauge_transform,
-    invert_shear,
     shear,
     truncated_inverse,
 )
@@ -132,6 +134,53 @@ def test_parameter_mismatch_rejected():
 def test_canonical_form_drops_zero_coefficients():
     f = pm({0: np.eye(1), 3: np.zeros((1, 1))})
     assert f.powers() == [0]
+
+
+def test_terms_are_a_read_only_view():
+    p = rand_pm(np.random.default_rng(62), 2, [3, -1, 0])
+    assert list(p.terms) == [-1, 0, 3]
+    with pytest.raises(TypeError):
+        p.terms[0] = np.eye(2)
+    with pytest.raises(ValueError):
+        p.terms[0][0, 0] = 7.0
+    assert p.powers() == [-1, 0, 3]
+
+
+def test_the_constructor_copies_its_input():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    p = PolyMat(2, {0: arr}, TAU, Q)
+    c = PolyMat.constant(arr, TAU, Q)
+    arr[0, 0] = 7.0
+    assert p.term(0)[0, 0] == 1.0 and c.term(0)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("power,value", [(1, np.nan), (0, np.inf), (2, complex(0.0, -np.inf))])
+def test_non_finite_coefficients_are_refused(power, value):
+    """A NaN at power 1 of A used to pass ``validate`` with a NaN residual
+    and give a normal form with NaN residuals; an inf in A(0) made
+    ``normalize`` raise a bare ``IndexError``."""
+    terms = {0: np.diag([0.3 * TAU, 0.6 * TAU]), 1: np.array([[0.0, 1.0], [1.0, 0.0]])}
+    terms[power] = terms.get(power, np.zeros((2, 2), dtype=complex)).astype(complex)
+    terms[power][0, 1] = value
+    with pytest.raises(ValidationFailure, match="power %d has non-finite" % power):
+        PolyMat(2, terms, TAU, Q)
+    if power == 0:
+        with pytest.raises(ValidationFailure, match="non-finite"):
+            EquivariantConnection.from_constant(terms[0], np.eye(2), THETA, TAU)
+    # the finite object normalizes
+    terms[power][0, 1] = 0.0
+    obj = EquivariantConnection(PolyMat(2, terms, TAU, Q), PolyMat.identity(2, TAU, Q),
+                                THETA, TAU)
+    assert normalize(obj).diagnostics["gauge_residual"] < 1e-12
+
+
+def test_only_laurent_reads_the_slab():
+    """The storage of a ``PolyMat`` stays behind ``eqconn.laurent``."""
+    private = ("_coeffs", "_powers", "_derive(", "_dense(")
+    src = Path(eqconn.__file__).parent
+    readers = {path.name for path in src.glob("*.py")
+               if any(name in path.read_text() for name in private)}
+    assert readers == {"laurent.py"}
 
 
 # --- derivation and dilation -----------------------------------------------------
@@ -502,7 +551,7 @@ def test_shear_pole_threshold_ignores_high_powers():
     with pytest.raises(RegularityViolation, match="z\\*\\*-1"):
         shear(a, sd, shifts)
     # the same pole at 1e-12 ||A_0|| is rounding, and is cut off
-    a.terms[1] = a.terms[1] * 1e-9
+    a = PolyMat(2, {**a.terms, 1: a.term(1) * 1e-9}, TAU, Q)
     out, _ = shear(a, sd, shifts)
     assert out.min_power == 0
 
@@ -672,6 +721,17 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
                                transport_scale(x, p, order))
 
 
+def test_shift_holds_only_the_powers_it_lands_on():
+    """Exponents 10**12 apart land a constant on three powers; the shift
+    used to allocate every power in between."""
+    rng = np.random.default_rng(342)
+    x = PolyMat.constant(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), TAU, Q)
+    e = np.array([0, 10 ** 12])
+    got, want = _shift(x, e), _reference_shift(x, e, np.ones(2))
+    assert got.powers() == want.powers() == [-10 ** 12, 0, 10 ** 12]
+    assert_same_terms(got.terms, want.terms)
+
+
 def test_constant_gauge_refuses_a_near_singular_matrix():
     a = rand_pm(np.random.default_rng(340), 2, [0, 1])
     for c in (np.diag([1.0, 1e-20]), np.array([[1.0, 1e8], [0.0, 1e-9]]),
@@ -752,7 +812,9 @@ def test_shear_roundtrip_exact():
                     2: rng.normal(size=(3, 3))}, TAU, Q)
     sd = spectral(a.term(0))
     out, step = shear(a, sd, [1] * len(sd.clusters))
-    back = invert_shear(out, step)
+    # undo the step: the inverse monomial gauge, then the inverse similarity
+    back = gauge_transform(out, PolyMat.monomial_diag([-e for e in step.exponents], TAU, Q))
+    back = gauge_transform(back, PolyMat.constant(np.linalg.inv(step.similarity), TAU, Q))
     assert back.distance(a) < 1e-12
 
 

@@ -35,15 +35,20 @@ SECONDS = 25
 def feed(h, x):
     """Add the value ``x`` to the hash ``h``, recursing into containers and
     the fields of the library's value types; a ``FreeBundle`` is hashed by
-    its JSON encoding, so that digests compare across changes of its
-    storage."""
+    its JSON encoding and a ``PolyMat`` by its public view (``dim``, ``tau``,
+    ``q``, ``terms`` in ascending order of power, ``diagnostics``), so that
+    digests compare values across changes of their storage."""
     import numpy as np
+    from eqconn.laurent import PolyMat
     from eqconn.serialize import encode_free_bundle
     from eqconn.torus import FreeBundle
 
     if isinstance(x, FreeBundle):
         h.update(b"FreeBundle")
         feed(h, encode_free_bundle(x))
+    elif isinstance(x, PolyMat):
+        h.update(b"PolyMat")
+        feed(h, [x.dim, x.tau, x.q, [(k, x.term(k)) for k in x.powers()], x.diagnostics])
     elif isinstance(x, np.ndarray):
         h.update(b"a%r%s" % (x.shape, x.dtype.str.encode()))
         h.update(np.ascontiguousarray(x).tobytes())
