@@ -420,14 +420,27 @@ def _resonance_separation(blocks, tau, order):
     return float(np.abs((means[:, None] - means[None, :])[:, :, None] + steps).min())
 
 
+# Resonant input whose clusters lie more unit steps from the strip than this,
+# in all, is refused: each step takes a Schur form and shears every power of
+# A, and the resonance test flags any A(0) so large that a unit step tau is
+# below its rounding, so that diag(3e8 tau, 6e8 tau) would take 9e8 steps.
+_MAX_SHEAR_STEPS = 64
+
+
 def _shear_into_strip(a, transversal, tol):
     """``(a, steps)``: ``a`` after shearing passes that move each eigenvalue
     cluster of its constant term into the strip, one unit step at a time,
-    and the recorded ``ShearStep``s."""
+    and the recorded ``ShearStep``s.  Raises ``NumericFailure`` up front
+    when the clusters need more than ``_MAX_SHEAR_STEPS`` steps in all, and
+    when they have not settled after 8 plus four times the steps needed."""
     steps = []
     sd = spectral(a.term(0), tol)
-    budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1])
-                         for c in sd.clusters)
+    needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
+    if needed > _MAX_SHEAR_STEPS:
+        raise NumericFailure(
+            "shearing into the strip needs %d unit steps, more than %d"
+            % (needed, _MAX_SHEAR_STEPS))
+    budget = 8 + 4 * needed
     while True:
         shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
         if all(s == 0 for s in shifts):

@@ -8,12 +8,15 @@ value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 A value stores one *slab*: an ascending int array of its powers and a
 read-only ``(K, n, n)`` stack of their coefficients, none exactly zero;
 ``PolyMat.terms`` is a read-only view of it, and no other module reads the
-slab.  A product makes one stacked matmul per left-hand power, a conjugation
-covers the whole stack, the one series recurrence (``_series``: series
-inverses and normalization's series gauge) one stacked sum per order, and
-every result goes through one internal constructor that drops exact-zero
-slices with one ``np.any``.  The public constructor copies its input and
-refuses a coefficient of the wrong shape or with a non-finite entry.
+slab.  A product is block Toeplitz: one GEMM per chunk of the powers it
+lands on, each chunk's slab of left coefficients within a fixed byte
+budget; a conjugation covers the whole stack, the one series recurrence
+(``_series``: series inverses and normalization's series gauge) is one GEMM
+per order, and every result goes through one internal constructor that
+drops exact-zero slices with one ``np.any``.  Sums run in BLAS order, so
+results agree with a matmul per pair of powers within rounding.  The public
+constructor copies its input and refuses a coefficient of the wrong shape or
+with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
 one body does both.  A constant gauge C and a diagonal monomial gauge
@@ -39,6 +42,8 @@ from .numkit import DEFAULT_TOL
 
 _PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
+# the byte budget of one slab of a product's block-Toeplitz GEMM
+_SLAB_BYTES = 512 * 1024
 
 
 def _checked_inverse(c, what):
@@ -113,19 +118,6 @@ class PolyMat:
         inside = (lo <= self._powers) & (self._powers <= hi)
         out[self._powers[inside] - lo] = self._coeffs[inside]
         return out
-
-    def _summed(self, powers, blocks):
-        """Sum stacks of contributions into one value: ``blocks[r]`` is a
-        ``(len(powers[r]), n, n)`` stack adding to the powers ``powers[r]``,
-        which are distinct within a row."""
-        flat = np.concatenate(powers) if powers else np.zeros(0, dtype=int)
-        found, slot = np.unique(flat, return_inverse=True)
-        out = np.zeros((len(found), self.dim, self.dim), dtype=complex)
-        stop = 0
-        for row, block in zip(powers, blocks):
-            start, stop = stop, stop + len(row)
-            out[slot[start:stop]] += block
-        return self._derive(found, out)
 
     # -- constructors -------------------------------------------------------
 
@@ -203,7 +195,12 @@ class PolyMat:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self._summed([self._powers, other._powers], [self._coeffs, other._coeffs])
+        found, slot = np.unique(np.concatenate([self._powers, other._powers]),
+                                return_inverse=True)
+        out = np.zeros((len(found), self.dim, self.dim), dtype=complex)
+        out[slot[:len(self._powers)]] = self._coeffs
+        out[slot[len(self._powers):]] += other._coeffs
+        return self._derive(found, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -219,16 +216,47 @@ class PolyMat:
     def _product(self, other, lo=None, hi=None):
         """``self * other``; given ``lo`` and ``hi``, only its powers k with
         ``lo <= k <= hi``, and only the products that land there are formed.
-        Each power sums the same products in the same order either way."""
+
+        Block Toeplitz: the landing powers are taken in chunks, and a chunk
+        is one GEMM.  Its slab spans the contiguous run ``j0:j1`` of right
+        coefficients the chunk reads; row ``r`` holds, in the column of
+        right power ``m``, the left coefficient of power ``k_r - m`` (zero
+        where there is none), so that ``slab[r] @ right[j0:j1]`` is the
+        coefficient of ``k_r``.  A slab stays within ``_SLAB_BYTES`` unless
+        one landing power alone needs more."""
         self._check_compatible(other)
-        # one row of products per left-hand power: the full (Ka, Kb, n, n)
-        # stack of products is never held at once
-        sums, right = self._powers[:, None] + other._powers, other._coeffs
-        if lo is None:
-            return self._summed(list(sums), (c @ right for c in self._coeffs))
-        inside = (lo <= sums) & (sums <= hi)
-        return self._summed([row[keep] for row, keep in zip(sums, inside)],
-                            (c @ right[keep] for c, keep in zip(self._coeffs, inside)))
+        n, width = self.dim, len(other._powers)
+        sums = (self._powers[:, None] + other._powers).ravel()
+        pairs = np.arange(len(sums))
+        if lo is not None:
+            inside = (lo <= sums) & (sums <= hi)
+            sums, pairs = sums[inside], pairs[inside]
+        if not len(sums):
+            return self._derive(sums, np.zeros((0, n, n), dtype=complex))
+        # pairs by landing power; within one, left powers ascend, so the
+        # right indices descend: a power's first pair reads its highest one
+        order = np.argsort(sums, kind="stable")
+        sums, (left, right) = sums[order], np.divmod(pairs[order], width)
+        opens = np.flatnonzero(np.diff(sums, prepend=sums[0] - 1))
+        closes = np.append(opens[1:], len(sums))
+        landing, slot = sums[opens], np.repeat(np.arange(len(opens)), closes - opens)
+        low, high = right[closes - 1], right[opens]
+        out = np.empty((len(landing), n, n), dtype=complex)
+        budget = max(1, _SLAB_BYTES // (out.itemsize * n * n))
+        c0 = 0
+        while c0 < len(landing):
+            j0 = np.minimum.accumulate(low[c0:])
+            j1 = np.maximum.accumulate(high[c0:]) + 1
+            cost = np.arange(1, len(j0) + 1) * (j1 - j0)
+            kc = max(1, int(np.searchsorted(cost, budget, side="right")))
+            j0, j1, c1 = j0[kc - 1], j1[kc - 1], c0 + kc
+            take = slice(opens[c0], closes[c1 - 1])
+            slab = np.zeros((kc, n, j1 - j0, n), dtype=complex)
+            slab[slot[take] - c0, :, right[take] - j0, :] = self._coeffs[left[take]]
+            np.matmul(slab.reshape(kc * n, -1), other._coeffs[j0:j1].reshape(-1, n),
+                      out=out[c0:c1].reshape(kc * n, n))
+            c0 = c1
+        return self._derive(landing, out)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -263,14 +291,18 @@ class PolyMat:
 def _series(f, order, first, solve):
     """The series ``g_0 + g_1 z + ... + g_order z**order`` with ``g_0 =
     first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the sum
-    one stacked product: the recurrence of a series inverse and of the
+    one GEMM: ``f_1 .. f_order`` side by side as one ``(n, order n)`` row
+    against the solved ``g`` stacked highest order first, whose last k are
+    ``g_(k-1) .. g_0``.  The recurrence of a series inverse and of the
     series gauge of formal reduction (Barkatou, AAECC 1997)."""
-    lead = f._dense(1, order)
-    coeffs = np.empty((len(lead) + 1, f.dim, f.dim), dtype=complex)
-    coeffs[0] = first
-    for k in range(1, len(coeffs)):
-        coeffs[k] = solve(k, -(lead[:k] @ coeffs[k - 1::-1]).sum(0))
-    return f._derive(np.arange(len(coeffs)), coeffs)
+    n = f.dim
+    lead = f._dense(1, order).transpose(1, 0, 2).reshape(n, -1)
+    solved = np.empty((order + 1, n, n), dtype=complex)
+    solved[order] = first
+    for k in range(1, order + 1):
+        rhs = lead[:, :k * n] @ solved[order - k + 1:].reshape(k * n, n)
+        solved[order - k] = solve(k, -rhs)
+    return f._derive(np.arange(order + 1), solved[::-1].copy())
 
 
 def truncated_inverse(f, order):

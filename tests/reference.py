@@ -80,6 +80,7 @@ import scipy.linalg
 
 from eqconn import serialize
 from eqconn.category import (
+    _MAX_SHEAR_STEPS,
     EquivariantConnection,
     MonodromyPair,
     NormalForm,
@@ -389,6 +390,10 @@ def reference_product(x, y):
     return reference_clean_terms(x.dim, terms)
 
 
+def _reference_times(x, y):
+    return PolyMat(x.dim, reference_product(x, y), x.tau, x.q)
+
+
 def reference_conjugate(a, c):
     """Terms of ``c^-1 a c`` for a constant invertible ``c``, one
     coefficient at a time."""
@@ -596,7 +601,8 @@ def _reference_shift(a, exps, vals):
 
 def reference_transport(a, p, order, drift):
     """``P^-1 A P``, plus ``P^-1 delta(P)`` when ``drift`` is set, with the
-    series products formed at every power and cut afterwards."""
+    series products formed at every power, a matmul per pair of powers
+    (``reference_product``), and cut afterwards."""
     if p.is_constant():
         c = p.term(0)
         powers, stack = _stacked(a)
@@ -612,9 +618,9 @@ def reference_transport(a, p, order, drift):
                                          a.tau, a.q)
         return out
     p_inv = truncated_inverse(p, order)
-    full = p_inv * (a * p)
+    full = _reference_times(p_inv, _reference_times(a, p))
     if drift:
-        full = full + p_inv * p.delta()
+        full = full + _reference_times(p_inv, p.delta())
     result = full.truncate(order)
     tail = full.terms.get(order + 1)
     result.diagnostics["truncation_residual"] = (
@@ -682,7 +688,11 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
     a, b = obj.A, obj.B
     steps = []
     sd = spectral(a.term(0), tol)
-    budget = 8 + 4 * sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
+    needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
+    if needed > _MAX_SHEAR_STEPS:
+        raise NumericFailure("shearing into the strip needs %d unit steps, more than %d"
+                             % (needed, _MAX_SHEAR_STEPS))
+    budget = 8 + 4 * needed
     while True:
         shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
         if all(s == 0 for s in shifts):

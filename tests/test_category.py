@@ -2,6 +2,7 @@
 rigid tensor structure."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ from reference import (
     reference_hom_basis,
     reference_hom_mode_dims,
     reference_normalize,
+    reference_product,
     reference_spectral,
     reference_sylvester,
     reference_tensor,
@@ -91,17 +93,22 @@ def test_validate_scalar_object_clean():
     assert diag["equivariance_residual"] == 0.0
 
 
-def test_equivariance_residual_forms_only_the_kept_powers_to_the_bit():
+def test_equivariance_residual_forms_only_the_kept_powers():
+    """The windowed residual holds the powers the full pairwise products
+    keep there, each within rounding of the largest coefficient product."""
     rng = np.random.default_rng(73)
     for n, shears in ((2, 1), (4, 2), (8, 2)):
         obj = scramble(random_normal_form(rng, n), rng, shears=shears, degree=3)
         for a, b in ((obj.A, obj.B), (obj.B, obj.A), (obj.A, obj.A)):
             lo = min(b.min_power, 0)
             hi = max(a.max_power, b.max_power, 0)
-            want = (b.delta() + a * b - b * a).truncate(hi, lo=lo)
+            want = (b.delta() + PolyMat(n, reference_product(a, b), TAU, Q)
+                    - PolyMat(n, reference_product(b, a), TAU, Q)).truncate(hi, lo=lo)
             got = eqconn.category.equivariance_residual(a, b)
             assert list(got.terms) == list(want.terms) and len(want.terms) > 1
-            assert all(got.terms[k].tobytes() == want.terms[k].tobytes() for k in want.terms)
+            scale = a.norm() * b.norm()
+            assert all(np.abs(got.terms[k] - want.terms[k]).max() <= 1e-13 * scale
+                       for k in want.terms)
 
 
 def test_validate_regularity_violation():
@@ -438,6 +445,28 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_raises():
         obj = util.strip_edge_jordan_object(np.random.default_rng(seed))
         with pytest.raises(NumericFailure, match="projector"):
             normalize(obj, STRIP)
+
+
+def test_normalize_refuses_a_resonant_input_far_from_the_strip_at_once():
+    """A(0) = diag(3e8 tau, 6e8 tau) is so large that a unit step tau lies
+    below its rounding, so the resonance test flags it, and shearing it into
+    the strip would take 9e8 unit steps: normalize used to run on without
+    end.  It and the reference now refuse it before the first step."""
+    a = PolyMat.constant(np.diag([3e8 * TAU, 6e8 * TAU]), TAU, Q)
+    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+
+    def overdue(signum, frame):
+        raise TimeoutError("normalize ran for more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        for run in (normalize, reference_normalize):
+            with pytest.raises(NumericFailure, match="900000000 unit steps"):
+                run(obj, STRIP)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_normalize_rejects_wrong_strip_modulus():

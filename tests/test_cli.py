@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line tool."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +392,26 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path)
         report = json.loads(out, parse_constant=pytest.fail)
         assert report["error"]["kind"] == "NumericFailure"
         assert "projector" in report["error"]["message"]
+
+
+def test_normalize_of_a_resonant_input_far_from_the_strip_exits_1_in_bounded_time():
+    """A = diag(3e8 tau, 6e8 tau), B = I would take 9e8 shearing steps; the
+    command used to run on without end, and now reports a numerical failure
+    in strict JSON."""
+    a0 = [[[3e8, -3e8], [0.0, 0.0]], [[0.0, 0.0], [6e8, -6e8]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": a0}], "B": [{"pow": 0, "coef": eye}]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "eqconn.cli", "--json", "normalize",
+                           json.dumps(obj)], capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert done.returncode == 1, done.stderr
+    report = json.loads(done.stdout, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
+    assert "unit steps" in report["error"]["message"]
 
 
 def test_batch_reports_each_failing_job(capsys, tmp_path):

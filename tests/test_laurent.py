@@ -61,6 +61,19 @@ def assert_close_terms(got, want, scale):
         assert np.abs(got[k] - want[k]).max() <= 1e-13 * scale, k
 
 
+def assert_close_to_rounding(got, want, scale):
+    """``assert_close_terms`` where a power whose value is within 1e-13 of
+    ``scale`` on one side may be absent from the other: whether rounding
+    noise sums to an exact zero depends on the order of the sums."""
+    assert list(got) == sorted(got)
+    noise = 1e-13 * scale
+    for one, other in ((got, want), (want, got)):
+        assert {k for k, c in one.items() if np.abs(c).max() > noise} <= set(other)
+    for k in set(got) | set(want):
+        gap = got.get(k, 0.0) - want.get(k, 0.0)
+        assert np.abs(gap).max() <= noise, k
+
+
 def transport_scale(a, p, order):
     """``||P^-1|| max(1, ||A||) max(||P||, ||delta P||)``: a bound on the
     coefficient products a transport of ``a`` by ``p`` sums."""
@@ -463,10 +476,12 @@ def test_transports_match_per_entry_reference(seed):
                     assert abs(got.diagnostics[key] - value) <= 1e-13 * scale, kind
 
 
-def test_series_transport_forms_only_its_window_to_the_bit():
+def test_series_transport_forms_only_its_window():
     """Powers above order + 1 and below zero in A, a gauge longer and shorter
-    than the window: the windowed products give the full products' bits, the
-    order of the powers and the truncation residual included."""
+    than the window: the windowed products hold the powers the full
+    pairwise products keep, and their values and the truncation residual
+    within rounding.  In dimension 1 the dilation transport is B itself, and
+    its other powers are rounding noise that either side may sum to zero."""
     rng = np.random.default_rng(110)
     for dim in (1, 3, 5):
         a = sparse_pm(rng, dim, [3, 0, -2, 25, 1, 9, -1, 17])
@@ -475,9 +490,13 @@ def test_series_transport_forms_only_its_window_to_the_bit():
                                 1: 0.1 * rng.normal(size=(dim, dim))}, TAU, Q)]
         for p in gauges:
             for order in (1, 2, 6, 16, 40):
+                scale = transport_scale(a, p, order)
                 for drift in (True, False):
                     got = (gauge_transform if drift else dilation_transform)(a, p, order)
-                    assert same_bits(got, reference_transport(a, p, order, drift))
+                    want = reference_transport(a, p, order, drift)
+                    assert_close_to_rounding(got.terms, want.terms, scale)
+                    assert abs(got.diagnostics["truncation_residual"]
+                               - want.diagnostics["truncation_residual"]) <= 1e-13 * scale
 
 
 def test_series_transport_keeps_the_drift_below_the_lowest_power_of_a():
@@ -607,14 +626,14 @@ def test_products_match_pairwise_reference():
                                    a.norm() * b.norm())
 
 
-def test_product_within_a_window_is_the_full_product_truncated_to_the_bit():
+def test_product_within_a_window_matches_the_pairwise_reference():
     rng = np.random.default_rng(312)
     for dim in (1, 3):
         for left, right in PRODUCT_POWERS:
             x, y = sparse_pm(rng, dim, left), sparse_pm(rng, dim, right)
             for lo, hi in ((-3, 4), (0, 0), (-20, 20), (8, 2)):
-                want = (x * y).truncate(hi, lo=lo).terms
-                assert_same_terms(x._product(y, lo, hi).terms, want)
+                want = {k: c for k, c in reference_product(x, y).items() if lo <= k <= hi}
+                assert_close_terms(x._product(y, lo, hi).terms, want, x.norm() * y.norm())
 
 
 def test_product_drops_a_coefficient_that_cancels_exactly():
@@ -636,6 +655,28 @@ def test_products_with_an_empty_operand():
         for a, b in ((x, zero), (zero, x), (zero, zero)):
             assert (a * b).terms == {} == reference_product(a, b)
             assert (a * b).dim == dim
+
+
+def test_a_product_over_several_slabs_matches_the_pairwise_reference():
+    """At n = 12 a product of 49 and 53 powers needs more than one slab of
+    ``_SLAB_BYTES``; in full and in a validate-shaped window it matches a
+    matmul per pair of powers."""
+    rng = np.random.default_rng(313)
+    x, y = sparse_pm(rng, 12, range(49)), sparse_pm(rng, 12, range(-2, 51))
+    # one slab of 101 landing powers by 53 right coefficients would take 12 MB
+    assert 16 * 12 * 12 * 101 * 53 > 20 * eqconn.laurent._SLAB_BYTES
+    want = reference_product(x, y)
+    assert_close_terms((x * y).terms, want, x.norm() * y.norm())
+    assert_close_terms(x._product(y, 0, 50).terms,
+                       {k: c for k, c in want.items() if 0 <= k <= 50}, x.norm() * y.norm())
+
+
+def test_a_product_of_gapped_powers_holds_only_the_powers_it_lands_on():
+    rng = np.random.default_rng(314)
+    x, y = rand_pm(rng, 2, [0, 10 ** 12]), rand_pm(rng, 2, [0, 1])
+    got = x * y
+    assert got.powers() == [0, 1, 10 ** 12, 10 ** 12 + 1]
+    assert_close_terms(got.terms, reference_product(x, y), x.norm() * y.norm())
 
 
 @pytest.mark.parametrize("dim", [1, 3, 12])

@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Per-layer times of the library's public entry points.
+
+    python3 tools/layer_bench.py [--label 15] [--repeats 9] [--compare PARENT_DIR]
+
+Covers the laurent layer: the product ``A * B`` of a scrambled object's
+connection and dilation matrices, ``gauge_transform(A, P, K)``,
+``dilation_transform(B, P, K)``, ``truncated_inverse(P, K)`` and
+``validate`` of the object, at n in {2, 4, 8, 12} and K = 16.  The object
+is ``scramble(random_normal_form(rng, n), rng, shears=1)`` from
+``tests/util.py``, as the normalize-scrambled benchmark draws it (powers 0
+to about 48), and P a seeded series gauge ``I + P_1 z + ... + P_K z**K``.
+Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
+over enough calls to take about 20 ms, on one BLAS thread.
+
+Writes ``BENCH_<label>.json`` at the repo root with the method, the machine
+and the points.  With ``--compare PARENT_DIR`` the same points are timed on
+the parent checkout's ``src/`` and ``tests/`` too, in alternating rounds
+(the parent first in the first round), each round in a fresh process; a
+side's point then takes the timings of all its rounds, and a table of the
+parent's and the change's medians and their ratio is printed.  Only public names are timed, so one
+script serves any two checkouts.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = (2, 4, 8, 12)
+ORDER = 16
+SEED = 15
+TARGET_S = 0.02
+BLAS_THREADS = {name: "1" for name in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def inputs(n):
+    """``(obj, P)``: a scrambled object of dimension n and a series gauge."""
+    import numpy as np
+    from eqconn.laurent import PolyMat
+    from util import random_normal_form, scramble
+
+    rng = np.random.default_rng(SEED + n)
+    obj = scramble(random_normal_form(rng, n), rng, shears=1, degree=3)
+    terms = {0: np.eye(n, dtype=complex)}
+    for k in range(1, ORDER + 1):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        terms[k] = 0.35 * g / (k * np.sqrt(n))
+    return obj, PolyMat(n, terms, obj.tau, obj.q)
+
+
+def entry_points(obj, p):
+    from eqconn.category import validate
+    from eqconn.laurent import dilation_transform, gauge_transform, truncated_inverse
+
+    a, b = obj.A, obj.B
+    return {
+        "product": lambda: a * b,
+        "gauge_transform": lambda: gauge_transform(a, p, ORDER),
+        "dilation_transform": lambda: dilation_transform(b, p, ORDER),
+        "truncated_inverse": lambda: truncated_inverse(p, ORDER),
+        "validate": lambda: validate(obj),
+    }
+
+
+def timing(fn, repeats):
+    """``repeats`` means in ms, each over a batch of calls."""
+    fn()
+    start = time.perf_counter()
+    fn()
+    calls = max(1, int(TARGET_S / max(time.perf_counter() - start, 1e-7)))
+    means = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        means.append(round(1e3 * (time.perf_counter() - start) / calls, 5))
+    return means
+
+
+def quartiles(means):
+    q1, q2, q3 = statistics.quantiles(means, n=4, method="inclusive")
+    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+
+
+def measure(checkout, repeats):
+    """``{"laurent.<entry>": {"<n>": [ms, ...]}}``, the timings on ``checkout``."""
+    for sub in ("tests", "src"):
+        sys.path.insert(0, os.path.join(checkout, sub))
+    points = {}
+    for n in SIZES:
+        for name, fn in entry_points(*inputs(n)).items():
+            points.setdefault("laurent." + name, {})[str(n)] = timing(fn, repeats)
+    return points
+
+
+def measure_in_child(checkout, repeats):
+    argv = [sys.executable, os.path.abspath(__file__), "--worker", checkout,
+            "--repeats", str(repeats)]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          env=dict(os.environ, **BLAS_THREADS))
+    return json.loads(done.stdout)
+
+
+def summary(rounds):
+    """``{"laurent.<entry>": {"<n>": [q1, median, q3]}}`` over every timing
+    of every round."""
+    return {key: {n: quartiles([ms for r in rounds for ms in r[key][n]])
+                  for n in rounds[0][key]} for key in rounds[0]}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="local")
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="alternating rounds per side with --compare")
+    parser.add_argument("--compare", metavar="PARENT_DIR")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        json.dump(measure(args.worker, args.repeats), sys.stdout)
+        return
+    os.environ.update(BLAS_THREADS)
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    from normalize_stages import machine
+
+    report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
+                         "repeats": args.repeats, "unit": "ms per call",
+                         "statistic": "[q1, median, q3] of the timings"},
+              "machine": machine()}
+    if not args.compare:
+        report["change"] = summary([measure(ROOT, args.repeats)])
+    else:
+        parent_dir = os.path.abspath(args.compare)
+        sides = {"parent": (parent_dir, []), "change": (ROOT, [])}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout, rounds = sides[side]
+                rounds.append(measure_in_child(checkout, args.repeats))
+        report["method"]["rounds"] = args.rounds
+        for side, (_, rounds) in sides.items():
+            report[side] = summary(rounds)
+        print("%-30s %4s %10s %10s %7s" % ("entry point", "n", "parent ms", "change ms",
+                                           "ratio"))
+        for key, by_n in report["change"].items():
+            for n, ms in by_n.items():
+                before = report["parent"][key][n][1]
+                print("%-30s %4s %10.4f %10.4f  x%.3f"
+                      % (key, n, before, ms[1], before / ms[1]))
+    path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=1)
+        handle.write("\n")
+    print("wrote %s" % path)
+
+
+if __name__ == "__main__":
+    main()
