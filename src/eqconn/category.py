@@ -328,6 +328,10 @@ def normalize(obj, transversal=None, order=16, tol=None):
       projector norm;
     * resonant input only: shearing passes move each eigenvalue cluster into
       the strip, one unit step at a time, and the Schur form is taken again;
+      when a cluster must move and a separation of one unit step ``|tau|``
+      would itself count as resonant, a step lies below the rounding of
+      A(0) and the input is refused with ``NumericFailure`` before the
+      first pass;
     * the series gauge ``P = I + P_1 z + ...`` with A(0) kept, one Sylvester
       solve on the one Schur form per order, kills every positive power of
       the connection matrix up to ``order``; the dilation matrix goes
@@ -360,11 +364,11 @@ def normalize(obj, transversal=None, order=16, tol=None):
     a0 = a.term(0)
     t, q, blocks = _clustered_schur(a0, tol)
     separation = _resonance_separation(blocks, transversal.tau, order)
-    resonant = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a0)) \
-        > tol.eps_res * separation
+    rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a0))
+    resonant = rounding > tol.eps_res * separation
     steps = []
     if resonant:
-        a, steps = _shear_into_strip(a, transversal, tol)
+        a, steps = _shear_into_strip(a, transversal, rounding, tol)
         a0 = a.term(0)
         t, q, blocks = _clustered_schur(a0, tol)
     series = _series_gauge(a, t, q, transversal.tau, order, tol)
@@ -420,26 +424,22 @@ def _resonance_separation(blocks, tau, order):
     return float(np.abs((means[:, None] - means[None, :])[:, :, None] + steps).min())
 
 
-# Resonant input whose clusters lie more unit steps from the strip than this,
-# in all, is refused: each step takes a Schur form and shears every power of
-# A, and the resonance test flags any A(0) so large that a unit step tau is
-# below its rounding, so that diag(3e8 tau, 6e8 tau) would take 9e8 steps.
-_MAX_SHEAR_STEPS = 64
-
-
-def _shear_into_strip(a, transversal, tol):
+def _shear_into_strip(a, transversal, rounding, tol):
     """``(a, steps)``: ``a`` after shearing passes that move each eigenvalue
     cluster of its constant term into the strip, one unit step at a time,
     and the recorded ``ShearStep``s.  Raises ``NumericFailure`` up front
-    when the clusters need more than ``_MAX_SHEAR_STEPS`` steps in all, and
-    when they have not settled after 8 plus four times the steps needed."""
+    when a cluster must move but a unit step tau does not top ``rounding``,
+    that of A(0), as the resonance test judges a separation: the passes
+    could not tell one step from the next, and ``diag(3e8 tau, 6e8 tau)``
+    would take 9e8 of them.  Raises it too when the clusters have not
+    settled after 8 plus four times the steps needed."""
     steps = []
     sd = spectral(a.term(0), tol)
     needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
-    if needed > _MAX_SHEAR_STEPS:
+    if needed and rounding > tol.eps_res * abs(transversal.tau):
         raise NumericFailure(
-            "shearing into the strip needs %d unit steps, more than %d"
-            % (needed, _MAX_SHEAR_STEPS))
+            "shearing into the strip: a unit step of norm %.3e lies below "
+            "the rounding %.3e of A(0)" % (abs(transversal.tau), rounding))
     budget = 8 + 4 * needed
     while True:
         shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]

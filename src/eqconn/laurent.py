@@ -310,8 +310,11 @@ def truncated_inverse(f, order):
 
     Requires the lowest-order term to sit at power 0 and be invertible;
     the result g satisfies ``f * g = I`` up to and including power ``order``:
-    ``g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)``.
+    ``g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)``.  A negative ``order``
+    is refused with ``ValidationFailure``.
     """
+    if order < 0:
+        raise ValidationFailure("series inverse needs an order of at least 0, got %d" % order)
     if f.is_zero() or f.min_power < 0:
         raise ValidationFailure("series inverse needs lowest power at 0")
     c0_inv = _checked_inverse(f.term(0), "constant term of the series")

@@ -80,7 +80,6 @@ import scipy.linalg
 
 from eqconn import serialize
 from eqconn.category import (
-    _MAX_SHEAR_STEPS,
     EquivariantConnection,
     MonodromyPair,
     NormalForm,
@@ -689,9 +688,12 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
     steps = []
     sd = spectral(a.term(0), tol)
     needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
-    if needed > _MAX_SHEAR_STEPS:
-        raise NumericFailure("shearing into the strip needs %d unit steps, more than %d"
-                             % (needed, _MAX_SHEAR_STEPS))
+    # a unit step below the rounding of A(0) cannot be told from the next
+    rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a.term(0)))
+    if needed and rounding > tol.eps_res * abs(transversal.tau):
+        raise NumericFailure("shearing into the strip: a unit step of norm %.3e lies "
+                             "below the rounding %.3e of A(0)"
+                             % (abs(transversal.tau), rounding))
     budget = 8 + 4 * needed
     while True:
         shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]

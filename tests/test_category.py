@@ -48,7 +48,7 @@ from eqconn.exceptions import (
     TransversalMismatch,
     ValidationFailure,
 )
-from eqconn.laurent import PolyMat, apply_gauge_record
+from eqconn.laurent import PolyMat, apply_gauge_record, dilation_transform, gauge_transform
 from eqconn.numkit import (
     DEFAULT_TOL,
     Transversal,
@@ -447,7 +447,7 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_raises():
             normalize(obj, STRIP)
 
 
-def test_normalize_refuses_a_resonant_input_far_from_the_strip_at_once():
+def test_normalize_refuses_a_resonant_input_whose_unit_step_is_below_rounding():
     """A(0) = diag(3e8 tau, 6e8 tau) is so large that a unit step tau lies
     below its rounding, so the resonance test flags it, and shearing it into
     the strip would take 9e8 unit steps: normalize used to run on without
@@ -462,11 +462,26 @@ def test_normalize_refuses_a_resonant_input_far_from_the_strip_at_once():
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
         for run in (normalize, reference_normalize):
-            with pytest.raises(NumericFailure, match="900000000 unit steps"):
+            with pytest.raises(NumericFailure, match="unit step of norm 1.414e.00 lies below"):
                 run(obj, STRIP)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_normalize_shears_a_resonant_input_many_steps_off_the_strip():
+    """The resonant seed of ``util.resonant_object`` gauged by ``z**40`` sits
+    40 and 41 unit steps off the strip, a unit step well above the rounding
+    of its A(0): it is sheared one step at a time, 131 in all, to a normal
+    form isomorphic to its seed and to the reference's."""
+    want, obj = util.resonant_object(np.random.default_rng(900))
+    p = PolyMat.monomial_diag([40] * obj.A.dim, TAU, Q)
+    far = EquivariantConnection(gauge_transform(obj.A, p), dilation_transform(obj.B, p),
+                                THETA, TAU, STRIP)
+    nf = normalize(far, STRIP, 16)
+    assert nf.diagnostics["shear_passes"] == len(nf.gauge.shears) == 131
+    assert_normalizes_alike(nf, want, far)
+    assert_normalizes_alike(nf, reference_normalize(far, STRIP, 16), far)
 
 
 def test_normalize_rejects_wrong_strip_modulus():

@@ -395,9 +395,9 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path)
 
 
 def test_normalize_of_a_resonant_input_far_from_the_strip_exits_1_in_bounded_time():
-    """A = diag(3e8 tau, 6e8 tau), B = I would take 9e8 shearing steps; the
-    command used to run on without end, and now reports a numerical failure
-    in strict JSON."""
+    """A = diag(3e8 tau, 6e8 tau), B = I, whose unit step tau lies below the
+    rounding of A(0), would take 9e8 shearing steps; the command used to run
+    on without end, and now reports a numerical failure in strict JSON."""
     a0 = [[[3e8, -3e8], [0.0, 0.0]], [[0.0, 0.0], [6e8, -6e8]]]
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
@@ -411,7 +411,7 @@ def test_normalize_of_a_resonant_input_far_from_the_strip_exits_1_in_bounded_tim
     assert done.returncode == 1, done.stderr
     report = json.loads(done.stdout, parse_constant=pytest.fail)
     assert report["error"]["kind"] == "NumericFailure"
-    assert "unit steps" in report["error"]["message"]
+    assert "lies below the rounding" in report["error"]["message"]
 
 
 def test_batch_reports_each_failing_job(capsys, tmp_path):

@@ -280,6 +280,17 @@ def test_inverse_rejects_bad_lowest_term():
         truncated_inverse(PolyMat(1, {0: np.zeros((1, 1))}, TAU, Q), 3)
 
 
+def test_inverse_and_series_transports_refuse_a_negative_order():
+    f = PolyMat(2, {0: np.eye(2), 1: np.ones((2, 2))}, TAU, Q)
+    a = PolyMat(2, {0: np.diag([0.1, 0.2]), 2: np.eye(2)}, TAU, Q)
+    for order in (-1, -2):
+        for run in (lambda: truncated_inverse(f, order), lambda: gauge_transform(a, f, order),
+                    lambda: dilation_transform(a, f, order)):
+            with pytest.raises(ValidationFailure, match="order of at least 0"):
+                run()
+    assert np.allclose(truncated_inverse(f, 0).terms[0], np.eye(2))
+
+
 # --- gauge transformations -----------------------------------------------------------
 
 def test_gauge_by_identity():
