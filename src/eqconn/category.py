@@ -41,6 +41,7 @@ from .laurent import (
     PolyMat,
     ShearStep,
     _balancing_radius,
+    _commutator,
     _rescaled,
     _series,
     apply_shear,
@@ -134,11 +135,17 @@ def equivariance_residual(a, b):
     normalized object is an isomorphism invariant at fixed strip; it agrees
     with the honest ``sigma . nabla = nabla . sigma`` expansion for constant
     connection matrices.
+
+    Computed in the frame it is given, with the commutator of
+    ``laurent._commutator``: where that evaluates on the circle, each
+    coefficient is accurate to a small multiple of the unit roundoff times
+    the largest coefficient product of ``a`` and ``b``, normwise, not per
+    coefficient.  ``validate`` hands it the balanced pair, where no power
+    outgrows ``max(1, ||A_0||)``.
     """
     lo = min(b.min_power, 0)
     hi = max(a.max_power, b.max_power, 0)
-    r = b.delta() + a._product(b, lo, hi) - b._product(a, lo, hi)
-    return r.truncate(hi, lo=lo)
+    return b.delta() + _commutator(a, b, lo, hi)
 
 
 def validate(obj, tol=None, strict=True):
@@ -151,15 +158,27 @@ def validate(obj, tol=None, strict=True):
     Commutation is checked on the pair balanced by ``z -> rho z``, ``rho =
     _balancing_radius(A)`` (``radius``): ``equivariance_residual``, the
     residual's largest coefficient norm there, is bounded by eps_res times
-    ``max(1, ||A(rho z)||) max(1, ||B(rho z)||)``, and
-    ``equivariance_residual_unit`` reweights its power k by ``rho**-k``.
+    ``max(1, ||A(rho z)||) max(1, ||B(rho z)||)``.
+    ``equivariance_residual_unit`` is the same norm of
+    ``equivariance_residual(A, B)`` on the pair as given, which is taken
+    only here (``normalize`` does not read it) and only when ``rho < 1``;
+    at ``rho = 1`` it is the balanced value.  Each is accurate normwise in
+    its own frame (see ``equivariance_residual``), so on input whose powers
+    grow the unit value carries rounding of about the unit roundoff times
+    ``||A|| ||B||``.
     """
-    return _validated(obj, tol or DEFAULT_TOL, strict)[0]
+    diag, _, _ = _validated(obj, tol or DEFAULT_TOL, strict)
+    unit = diag["equivariance_residual"]
+    if diag["radius"] != 1.0:
+        unit = equivariance_residual(obj.A, obj.B).norm()
+    diag["equivariance_residual_unit"] = unit
+    return diag
 
 
 def _validated(obj, tol, strict):
-    """``(residuals, A(rho z), B(rho z))``: ``validate``'s residuals and the
-    balanced pair it checks, which ``normalize`` goes on with."""
+    """``(residuals, A(rho z), B(rho z))``: the residuals ``validate``
+    checks, without the unit-radius one, and the balanced pair, which
+    ``normalize`` goes on with."""
     diag = {}
     pole = obj.A.norm(hi=-1)
     diag["pole_residual"] = pole
@@ -178,10 +197,8 @@ def _validated(obj, tol, strict):
 
     radius = _balancing_radius(obj.A)
     a, b = _rescaled(obj.A, radius), _rescaled(obj.B, radius)
-    residual = equivariance_residual(a, b)
-    res = residual.norm()
+    res = equivariance_residual(a, b).norm()
     diag["equivariance_residual"] = res
-    diag["equivariance_residual_unit"] = _rescaled(residual, 1.0 / radius).norm()
     diag["radius"] = radius
     if strict and res > tol.eps_res * max(1.0, a.norm()) * max(1.0, b.norm()):
         raise EquivarianceViolation(

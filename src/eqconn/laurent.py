@@ -14,7 +14,9 @@ budget; a conjugation covers the whole stack, the one series recurrence
 (``_series``: series inverses and normalization's series gauge) is one GEMM
 per order, and every result goes through one internal constructor that
 drops exact-zero slices with one ``np.any``.  Sums run in BLAS order, so
-results agree with a matmul per pair of powers within rounding.  The public
+results agree with a matmul per pair of powers within rounding.  One kernel
+evaluates on the circle instead: the windowed commutator ``_commutator``,
+when that forms fewer products, with an error that is normwise.  The public
 constructor copies its input and refuses a coefficient of the wrong shape or
 with a non-finite entry.
 
@@ -286,6 +288,51 @@ class PolyMat:
         start = 0 if lo is None else np.searchsorted(self._powers, lo)
         stop = np.searchsorted(self._powers, hi, side="right")
         return self._derive(self._powers[start:stop], self._coeffs[start:stop])
+
+
+def _fast_length(m):
+    """The smallest ``2**i 3**j 5**k`` of at least ``m``: a length that
+    ``np.fft`` transforms by small radices."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            q = p
+            while q < m:
+                q *= 2
+            best, p = min(best, q), p * 3
+        p5 *= 5
+    return best
+
+
+def _commutator(a, b, lo, hi):
+    """``a * b - b * a``, its powers ``lo..hi`` only.
+
+    By evaluation on the circle (Cooley & Tukey, Math. Comp. 1965): each
+    dense slab is transformed once along the power axis, at a length M no
+    shorter than the span of the full product, so that nothing wraps
+    around; then one pointwise ``FA @ FB - FB @ FA``, one inverse transform,
+    and the cut to the window.  Its error is normwise, a small multiple of
+    the unit roundoff times the largest coefficient product, not per
+    coefficient (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 24).  The circle is taken only when M is below the number of
+    coefficient products the two windowed block-Toeplitz products would
+    form, one per pair of powers landing in the window for each; otherwise
+    (gapped powers, a narrow window) the two ``_product`` calls run, with
+    their error per coefficient."""
+    a._check_compatible(b)
+    base = a.min_power + b.min_power
+    span = a.max_power + b.max_power - base + 1
+    sums = a._powers[:, None] + b._powers
+    products = 2 * np.count_nonzero((lo <= sums) & (sums <= hi))
+    m = _fast_length(span) if span < products else span
+    if m >= products:
+        return a._product(b, lo, hi) - b._product(a, lo, hi)
+    fa = np.fft.fft(a._dense(a.min_power, a.max_power), n=m, axis=0)
+    fb = np.fft.fft(b._dense(b.min_power, b.max_power), n=m, axis=0)
+    full = np.fft.ifft(fa @ fb - fb @ fa, axis=0)
+    start, stop = max(lo, base), min(hi, base + span - 1)
+    return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1])
 
 
 def _series(f, order, first, solve):

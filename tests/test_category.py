@@ -95,11 +95,16 @@ def test_validate_scalar_object_clean():
 
 def test_equivariance_residual_forms_only_the_kept_powers():
     """The windowed residual holds the powers the full pairwise products
-    keep there, each within rounding of the largest coefficient product."""
+    keep there, each within rounding of the largest coefficient product:
+    at unit radius and on the balanced pair ``validate`` checks, where the
+    commutator is evaluated on the circle."""
     rng = np.random.default_rng(73)
-    for n, shears in ((2, 1), (4, 2), (8, 2)):
+    for n, shears in ((2, 1), (4, 2), (8, 2), (12, 1)):
         obj = scramble(random_normal_form(rng, n), rng, shears=shears, degree=3)
-        for a, b in ((obj.A, obj.B), (obj.B, obj.A), (obj.A, obj.A)):
+        diag, bal_a, bal_b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+        assert diag["radius"] < 1.0
+        for a, b in ((obj.A, obj.B), (obj.B, obj.A), (obj.A, obj.A),
+                     (bal_a, bal_b), (bal_b, bal_a)):
             lo = min(b.min_power, 0)
             hi = max(a.max_power, b.max_power, 0)
             want = (b.delta() + PolyMat(n, reference_product(a, b), TAU, Q)
@@ -109,6 +114,34 @@ def test_equivariance_residual_forms_only_the_kept_powers():
             scale = a.norm() * b.norm()
             assert all(np.abs(got.terms[k] - want.terms[k]).max() <= 1e-13 * scale
                        for k in want.terms)
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_validate_of_a_commuting_constant_pair_is_exactly_clean(n):
+    """Constant pairs whose products are exact, A0 against the identity and
+    two diagonals, leave a residual of exactly 0.0, whichever kernel forms
+    the commutator."""
+    rng = np.random.default_rng(74 + n)
+    a0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    d1, d2 = rng.normal(size=n) * TAU, rng.normal(size=n) + 3.0
+    for a, b in ((a0, np.eye(n)), (np.diag(d1), np.diag(d2))):
+        diag = validate(constant_object(a, b))
+        assert diag["equivariance_residual"] == diag["equivariance_residual_unit"] == 0.0
+
+
+def test_validate_of_gapped_powers_answers_with_the_block_products():
+    """Powers 10**12 apart span far more powers than the products they
+    form: the commutator keeps the block-Toeplitz products, and the residual
+    delta(B) of norm 2e12 at z**(10**12) comes back at once (evaluating on
+    a circle of 2e12 points would allocate terabytes)."""
+    a = PolyMat(2, {0: np.diag([0.3 * TAU, 0.6 * TAU]), 10 ** 12: 1e-3 * np.eye(2)}, TAU, Q)
+    b = PolyMat(2, {0: np.eye(2), 10 ** 12: np.eye(2)}, TAU, Q)
+    obj = EquivariantConnection(a, b, THETA, TAU, STRIP)
+    diag = validate(obj, strict=False)
+    assert diag["radius"] == 1.0
+    assert diag["equivariance_residual"] == diag["equivariance_residual_unit"] == 2e12
+    with pytest.raises(EquivarianceViolation, match="residual 2.000e[+]12 at radius 1"):
+        validate(obj)
 
 
 def test_validate_regularity_violation():
@@ -148,7 +181,8 @@ def test_validate_bounds_the_residual_of_the_balanced_pair():
     assert diag["equivariance_residual"] > 1e-4
     with pytest.raises(EquivarianceViolation, match="at radius"):
         validate(planted)
-    # the unit residual is the balanced one, power k reweighted by rho**-k
+    # the unit residual is the residual of the pair as given, taken in that
+    # frame, not the balanced one reweighted
     residual = eqconn.category.equivariance_residual(planted.A, planted.B)
     assert diag["equivariance_residual_unit"] == pytest.approx(residual.norm(), rel=1e-12)
 

@@ -281,6 +281,24 @@ def test_validate_reports_an_equivariance_violation_at_a_high_power(capsys, tmp_
     assert report["error"]["kind"] == "EquivarianceViolation"
 
 
+def test_validate_of_gapped_powers_exits_2_with_the_residual(capsys):
+    """A = diag(0.3 tau, 0.6 tau) + 1e-3 z**(10**12), B = I + z**(10**12):
+    the residual delta(B) of norm 2e12 is reported at once as an
+    equivariance violation, in strict JSON, with no circle of 2e12 points
+    allocated."""
+    zero, eye = [0.0, 0.0], [1.0, 0.0]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": [[[0.3, -0.3], zero], [zero, [0.6, -0.6]]]},
+                 {"pow": 10 ** 12, "coef": [[[1e-3, 0.0], zero], [zero, [1e-3, 0.0]]]}],
+           "B": [{"pow": 0, "coef": [[eye, zero], [zero, eye]]},
+                 {"pow": 10 ** 12, "coef": [[eye, zero], [zero, eye]]}]}
+    code, out = run(capsys, ["--json", "validate", json.dumps(obj)])
+    assert code == 2
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "EquivarianceViolation"
+    assert "residual 2.000e+12 at radius 1" in report["error"]["message"]
+
+
 def test_missing_command_fails(capsys):
     code = main([])
     assert code == 2

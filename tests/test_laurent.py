@@ -15,6 +15,7 @@ from eqconn.laurent import (
     GaugeRecord,
     PolyMat,
     ShearStep,
+    _commutator,
     _sheared,
     _shift,
     apply_gauge_record,
@@ -688,6 +689,38 @@ def test_a_product_of_gapped_powers_holds_only_the_powers_it_lands_on():
     got = x * y
     assert got.powers() == [0, 1, 10 ** 12, 10 ** 12 + 1]
     assert_close_terms(got.terms, reference_product(x, y), x.norm() * y.norm())
+
+
+def test_windowed_commutator_matches_the_pairwise_products():
+    """Dense powers, windows inside the full product, past either end of it
+    and one power wide: the commutator holds the window's powers of the
+    pairwise products within 1e-13 of the largest coefficient product,
+    whether it evaluates on the circle or, for the narrow window at power
+    0 (6 coefficient products against a span of 23), takes the block
+    products."""
+    rng = np.random.default_rng(316)
+    for dim in (1, 3, 12):
+        x, y = rand_pm(rng, dim, range(-2, 9)), rand_pm(rng, dim, range(13))
+        full = (PolyMat(dim, reference_product(x, y), TAU, Q)
+                - PolyMat(dim, reference_product(y, x), TAU, Q))
+        for lo, hi in ((-2, 20), (0, 8), (-10, 40), (5, 6), (0, 0)):
+            got = _commutator(x, y, lo, hi)
+            assert_close_to_rounding(dict(got.terms), dict(full.truncate(hi, lo=lo).terms),
+                                     x.norm() * y.norm())
+
+
+def test_commutator_of_gapped_powers_is_the_block_products():
+    """Powers 10**12 apart land 3 or 4 pairs of powers in each window but
+    span 2e12 powers: the commutator is the two block-Toeplitz products to
+    the bit, formed without a circle of 2e12 points."""
+    rng = np.random.default_rng(315)
+    x, y = rand_pm(rng, 2, [0, 10 ** 12]), rand_pm(rng, 2, [0, 1])
+    landing = [0, 1, 10 ** 12, 10 ** 12 + 1]
+    for lo, hi, kept in ((0, 10 ** 12, 3), (-5, 3 * 10 ** 12, 4)):
+        want = x._product(y, lo, hi) - y._product(x, lo, hi)
+        got = _commutator(x, y, lo, hi)
+        assert got.powers() == want.powers() == landing[:kept]
+        assert_same_terms(got.terms, want.terms)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 12])

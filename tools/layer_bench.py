@@ -5,11 +5,13 @@
 
 Covers the laurent layer: the product ``A * B`` of a scrambled object's
 connection and dilation matrices, ``gauge_transform(A, P, K)``,
-``dilation_transform(B, P, K)``, ``truncated_inverse(P, K)`` and
-``validate`` of the object, at n in {2, 4, 8, 12} and K = 16.  The object
+``dilation_transform(B, P, K)`` and ``truncated_inverse(P, K)``; and two
+category entry points on the object, ``validate`` and, end to end,
+``normalize(obj, STRIP, K)``; at n in {2, 4, 8, 12} and K = 16.  The object
 is ``scramble(random_normal_form(rng, n), rng, shears=1)`` from
 ``tests/util.py``, as the normalize-scrambled benchmark draws it (powers 0
 to about 48), and P a seeded series gauge ``I + P_1 z + ... + P_K z**K``.
+Points are keyed ``<module>.<entry point>``.
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
@@ -55,16 +57,18 @@ def inputs(n):
 
 
 def entry_points(obj, p):
-    from eqconn.category import validate
+    from eqconn.category import normalize, validate
     from eqconn.laurent import dilation_transform, gauge_transform, truncated_inverse
+    from util import STRIP
 
     a, b = obj.A, obj.B
     return {
-        "product": lambda: a * b,
-        "gauge_transform": lambda: gauge_transform(a, p, ORDER),
-        "dilation_transform": lambda: dilation_transform(b, p, ORDER),
-        "truncated_inverse": lambda: truncated_inverse(p, ORDER),
-        "validate": lambda: validate(obj),
+        "laurent.product": lambda: a * b,
+        "laurent.gauge_transform": lambda: gauge_transform(a, p, ORDER),
+        "laurent.dilation_transform": lambda: dilation_transform(b, p, ORDER),
+        "laurent.truncated_inverse": lambda: truncated_inverse(p, ORDER),
+        "category.validate": lambda: validate(obj),
+        "category.normalize": lambda: normalize(obj, STRIP, ORDER),
     }
 
 
@@ -89,13 +93,13 @@ def quartiles(means):
 
 
 def measure(checkout, repeats):
-    """``{"laurent.<entry>": {"<n>": [ms, ...]}}``, the timings on ``checkout``."""
+    """``{"<module>.<entry>": {"<n>": [ms, ...]}}``, the timings on ``checkout``."""
     for sub in ("tests", "src"):
         sys.path.insert(0, os.path.join(checkout, sub))
     points = {}
     for n in SIZES:
         for name, fn in entry_points(*inputs(n)).items():
-            points.setdefault("laurent." + name, {})[str(n)] = timing(fn, repeats)
+            points.setdefault(name, {})[str(n)] = timing(fn, repeats)
     return points
 
 
@@ -108,7 +112,7 @@ def measure_in_child(checkout, repeats):
 
 
 def summary(rounds):
-    """``{"laurent.<entry>": {"<n>": [q1, median, q3]}}`` over every timing
+    """``{"<module>.<entry>": {"<n>": [q1, median, q3]}}`` over every timing
     of every round."""
     return {key: {n: quartiles([ms for r in rounds for ms in r[key][n]])
                   for n in rounds[0][key]} for key in rounds[0]}
