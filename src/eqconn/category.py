@@ -44,10 +44,9 @@ from .laurent import (
     _commutator,
     _rescaled,
     _series,
+    _transport_pair,
     apply_shear,
     apply_shear_dilation,
-    dilation_transform,
-    gauge_transform,
     shear,
 )
 from .numkit import (
@@ -60,8 +59,8 @@ from .numkit import (
     _fold,
     _group_blocks,
     _shift_groups,
-    _shifted_sylvester,
     _svd_split,
+    _triangular_sylvester,
     log_transversal,
     mat_exp,
     spectral,
@@ -155,10 +154,15 @@ def validate(obj, tol=None, strict=True):
     poles in A, ``SingularB`` for a non-invertible constant term of B, and
     ``EquivarianceViolation`` when connection and dilation fail to commute.
 
-    Commutation is checked on the pair balanced by ``z -> rho z``, ``rho =
-    _balancing_radius(A)`` (``radius``): ``equivariance_residual``, the
-    residual's largest coefficient norm there, is bounded by eps_res times
-    ``max(1, ||A(rho z)||) max(1, ||B(rho z)||)``.
+    Poles and commutation are checked on the pair balanced by ``z -> rho
+    z``, ``rho = _balancing_radius(A)`` (``radius``): ``pole_residual``, the
+    largest norm among the negative powers of ``A(rho z)``, is bounded by
+    eps_res times one plus the norm of ``A(rho z)``, so that a pole cannot
+    hide beside the growing high powers of the input as given
+    (``pole_residual_unit`` is that norm at unit radius); and
+    ``equivariance_residual``, the residual's largest coefficient norm
+    there, is bounded by eps_res times ``max(1, ||A(rho z)||) max(1, ||B(rho
+    z)||)``.
     ``equivariance_residual_unit`` is the same norm of
     ``equivariance_residual(A, B)`` on the pair as given, which is taken
     only here (``normalize`` does not read it) and only when ``rho < 1``;
@@ -172,6 +176,7 @@ def validate(obj, tol=None, strict=True):
     if diag["radius"] != 1.0:
         unit = equivariance_residual(obj.A, obj.B).norm()
     diag["equivariance_residual_unit"] = unit
+    diag["pole_residual_unit"] = obj.A.norm(hi=-1)
     return diag
 
 
@@ -180,12 +185,14 @@ def _validated(obj, tol, strict):
     checks, without the unit-radius one, and the balanced pair, which
     ``normalize`` goes on with."""
     diag = {}
-    pole = obj.A.norm(hi=-1)
+    radius = _balancing_radius(obj.A)
+    a, b = _rescaled(obj.A, radius), _rescaled(obj.B, radius)
+    pole = a.norm(hi=-1)
     diag["pole_residual"] = pole
-    if strict and pole > tol.eps_res * (obj.A.norm() + 1.0):
+    if strict and pole > tol.eps_res * (a.norm() + 1.0):
         raise RegularityViolation(
             "connection matrix has a pole: negative-power coefficient of "
-            "norm %.3e" % pole)
+            "norm %.3e at radius %g" % (pole, radius))
 
     b0 = obj.B.term(0)
     svals = np.linalg.svd(b0, compute_uv=False) if obj.n else np.array([1.0])
@@ -195,8 +202,6 @@ def _validated(obj, tol, strict):
         raise SingularB("constant term of the dilation matrix is singular "
                         "(smallest singular value %.3e)" % smin)
 
-    radius = _balancing_radius(obj.A)
-    a, b = _rescaled(obj.A, radius), _rescaled(obj.B, radius)
     res = equivariance_residual(a, b).norm()
     diag["equivariance_residual"] = res
     diag["radius"] = radius
@@ -349,22 +354,28 @@ def normalize(obj, transversal=None, order=16, tol=None):
       would itself count as resonant, a step lies below the rounding of
       A(0) and the input is refused with ``NumericFailure`` before the
       first pass;
-    * the series gauge ``P = I + P_1 z + ...`` with A(0) kept, one Sylvester
-      solve on the one Schur form per order, kills every positive power of
-      the connection matrix up to ``order``; the dilation matrix goes
-      through the shears and the same gauge and must come out constant up to
-      the truncation residual;
+    * the series gauge ``P = I + P_1 z + ...`` with A(0) kept kills every
+      positive power of the connection matrix up to ``order``; it is solved
+      on the Schur basis of A(0): the powers of A it reads are conjugated
+      once, each order is one ztrsyl on the triangular form, and P is
+      conjugated back once.  The dilation matrix goes through the shears,
+      then A and B go through P in one transport (``laurent._transport_pair``,
+      by evaluation on the circle when P is balanced, with an error that is
+      normwise), and B must come out constant up to the truncation
+      residual;
     * non-resonant input only: the constant pair is folded into the strip by
       one recorded shear (``GaugeRecord.fold``), applied to the whole gauged
       A and B: the similarity that block diagonalizes A(0) over its groups
       of clusters sharing a shift, then ``diag(z**-shift)`` on each group.
 
-    Only the powers the result certifies are computed: the series transport
-    reads powers up to ``order + 1`` (see ``laurent``), and B, whose shears
-    check nothing, is cut before shear i of P to the powers up to ``order +
-    1 + P - i`` it can still bring there (a unit shear moves a power by at
-    most one).  With a constant series gauge B is the result as it stands
-    and keeps every power.
+    A0 is power 0 of the gauged (and folded) A, which the circle leaves
+    equal to A(0) only within rounding.  Only the powers the result
+    certifies are computed: the series transport reads powers up to
+    ``order + 1`` (see ``laurent``), and B, whose shears check nothing, is
+    cut before shear i of P to the powers up to ``order + 1 + P - i`` it can
+    still bring there (a unit shear moves a power by at most one).  With a
+    constant series gauge B is the result as it stands and keeps every
+    power.
 
     ``order`` below 1 is refused with ``ValidationFailure``: no power of
     the connection matrix would be gauged away.
@@ -390,20 +401,18 @@ def normalize(obj, transversal=None, order=16, tol=None):
         t, q, blocks = _clustered_schur(a0, tol)
     series = _series_gauge(a, t, q, transversal.tau, order, tol)
     cut = not series.is_constant()
-    gauged = gauge_transform(a, series, order) if cut else a
-
     for i, step in enumerate(steps):
         if cut:
             # the series transport reads powers up to order + 1, and each of
             # the len(steps) - i unit steps left moves a power by at most one
             b = b.truncate(order + 1 + len(steps) - i)
         b = apply_shear_dilation(b, step, tol)
-    b_final = dilation_transform(b, series, order) if cut else b
+    gauged, b_final = _transport_pair(a, b, series, order) if cut else (a, b)
     fold = None if resonant else _fold_step(t, q, blocks, transversal, tol)
     if fold is not None:
         gauged = apply_shear(gauged, fold, tol)
         b_final = apply_shear_dilation(b_final, fold, tol)
-        a0 = gauged.term(0)
+    a0 = gauged.term(0)
     gauge_left = gauged - gauged.truncate(0, lo=0)
 
     b0 = b_final.term(0)
@@ -479,12 +488,15 @@ def _series_gauge(a, t, q, tau, order, tol):
     """The series gauge ``P = I + P_1 z + ... + P_order z**order`` that keeps
     ``A0 = q t q^H`` and kills the powers 1 to ``order`` of ``a``: order k
     solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k P_0)``,
-    the sum one stacked product (``laurent._series``), on the one Schur form
-    (``numkit._shifted_sylvester``)."""
+    the sum one stacked product (``laurent._series``).  It runs on the Schur
+    basis: the powers of ``a`` it reads are conjugated by ``q`` once, each
+    order is one ztrsyl on ``(t + k tau, t)`` (``numkit._triangular_sylvester``,
+    which checks the separation of ``diag(t)`` when the right-hand side is
+    nonzero), and the solved orders are mapped back by ``q`` once."""
     def solve(k, rhs):
-        return _shifted_sylvester(t, q, tau * k, rhs, tol) if np.any(rhs) else 0.0
+        return _triangular_sylvester(t, tau * k, rhs, tol) if np.any(rhs) else 0.0
 
-    return _series(a, order, np.eye(a.dim), solve)
+    return _series(a, order, np.eye(a.dim), solve, basis=q)
 
 
 def _fold_step(t, q, blocks, transversal, tol):

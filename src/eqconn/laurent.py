@@ -14,14 +14,18 @@ budget; a conjugation covers the whole stack, the one series recurrence
 (``_series``: series inverses and normalization's series gauge) is one GEMM
 per order, and every result goes through one internal constructor that
 drops exact-zero slices with one ``np.any``.  Sums run in BLAS order, so
-results agree with a matmul per pair of powers within rounding.  One kernel
-evaluates on the circle instead: the windowed commutator ``_commutator``,
-when that forms fewer products, with an error that is normwise.  The public
-constructor copies its input and refuses a coefficient of the wrong shape or
-with a non-finite entry.
+results agree with a matmul per pair of powers within rounding.  Two kernels
+evaluate on the circle instead, when that forms fewer products, with an
+error that is normwise: the windowed commutator ``_commutator``, and
+``_transport_pair``, normalization's series transport of A and B together,
+which takes the circle only for a gauge that is balanced along with its
+truncated inverse.  The public constructor copies its input and refuses a
+coefficient of the wrong shape or with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
-one body does both.  A constant gauge C and a diagonal monomial gauge
+one body does both; the public transports stay block Toeplitz, and
+normalization, whose pair is balanced, sends both through one
+``_transport_pair`` call.  A constant gauge C and a diagonal monomial gauge
 ``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
 ``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``: one conjugation of
 the stack and one array shift by the exponents.  Series gauges go through a
@@ -305,6 +309,22 @@ def _fast_length(m):
     return best
 
 
+def _circle_length(span, counts):
+    """The transform length ``_fast_length(span)`` of a product spanning
+    ``span`` powers when it is below the number of coefficient products
+    the block-Toeplitz kernel would form, else None.  ``counts`` yields
+    that number in parts and is read only until their sum tops the
+    length."""
+    total, m = 0, None
+    for count in counts:
+        total += count
+        if span < total:
+            m = m or _fast_length(span)
+            if m < total:
+                return m
+    return None
+
+
 def _commutator(a, b, lo, hi):
     """``a * b - b * a``, its powers ``lo..hi`` only.
 
@@ -324,9 +344,8 @@ def _commutator(a, b, lo, hi):
     base = a.min_power + b.min_power
     span = a.max_power + b.max_power - base + 1
     sums = a._powers[:, None] + b._powers
-    products = 2 * np.count_nonzero((lo <= sums) & (sums <= hi))
-    m = _fast_length(span) if span < products else span
-    if m >= products:
+    m = _circle_length(span, [2 * np.count_nonzero((lo <= sums) & (sums <= hi))])
+    if m is None:
         return a._product(b, lo, hi) - b._product(a, lo, hi)
     fa = np.fft.fft(a._dense(a.min_power, a.max_power), n=m, axis=0)
     fb = np.fft.fft(b._dense(b.min_power, b.max_power), n=m, axis=0)
@@ -335,20 +354,30 @@ def _commutator(a, b, lo, hi):
     return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1])
 
 
-def _series(f, order, first, solve):
+def _series(f, order, first, solve, basis=None):
     """The series ``g_0 + g_1 z + ... + g_order z**order`` with ``g_0 =
     first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the sum
     one GEMM: ``f_1 .. f_order`` side by side as one ``(n, order n)`` row
     against the solved ``g`` stacked highest order first, whose last k are
     ``g_(k-1) .. g_0``.  The recurrence of a series inverse and of the
-    series gauge of formal reduction (Barkatou, AAECC 1997)."""
+    series gauge of formal reduction (Barkatou, AAECC 1997).
+
+    Given a unitary ``basis`` u, the recurrence runs on ``u^H f_k u``, the
+    powers it reads conjugated once, ``solve`` answers in that basis, and
+    ``g_1 .. g_order`` are mapped back by ``u g_k u^H`` once; ``first`` is
+    kept as given, so it must commute with u (the gauge's identity)."""
     n = f.dim
-    lead = f._dense(1, order).transpose(1, 0, 2).reshape(n, -1)
+    lead = f._dense(1, order)
+    if basis is not None:
+        lead = basis.conj().T @ lead @ basis
+    lead = lead.transpose(1, 0, 2).reshape(n, -1)
     solved = np.empty((order + 1, n, n), dtype=complex)
     solved[order] = first
     for k in range(1, order + 1):
         rhs = lead[:, :k * n] @ solved[order - k + 1:].reshape(k * n, n)
         solved[order - k] = solve(k, -rhs)
+    if basis is not None:
+        solved[:order] = basis @ solved[:order] @ basis.conj().T
     return f._derive(np.arange(order + 1), solved[::-1].copy())
 
 
@@ -409,18 +438,90 @@ def _transport(a, p, order, drift):
         return _sheared(a, step, drift)
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
-    # P and its inverse hold no negative powers, so powers above order + 1 of
-    # A reach no power kept; each kept power sums what the full products sum.
-    # The drift P^-1 delta(P) starts at power 1, which may lie below A's
-    # lowest power
-    p_inv = truncated_inverse(p, order)
+    return _series_transport(a, p, truncated_inverse(p, order), order, drift)
+
+
+def _series_transport(a, p, p_inv, order, drift):
+    """``_transport`` by a series gauge ``p`` with its truncated inverse
+    ``p_inv``, by block-Toeplitz products.
+
+    P and its inverse hold no negative powers, so powers above order + 1 of
+    A reach no power kept; each kept power sums what the full products sum.
+    The drift ``P^-1 delta(P)`` starts at power 1, which may lie below A's
+    lowest power."""
     lo, hi = min(a.min_power, 0), order + 1
     full = p_inv._product(a.truncate(hi)._product(p, lo, hi), lo, hi)
     if drift:
         full = full + p_inv._product(p.delta(), lo, hi)
+    return _cut(full, order)
+
+
+def _cut(full, order):
+    """``full`` cut at ``order``, its first discarded power's norm recorded
+    as ``truncation_residual``."""
     result = full.truncate(order)
     result.diagnostics["truncation_residual"] = float(np.linalg.norm(full.term(order + 1)))
     return result
+
+
+def _window_products(left, right, lo, hi):
+    """The powers in ``lo..hi`` that products of the powers ``left`` and
+    ``right`` land on, one entry per product."""
+    sums = (left[:, None] + right).ravel()
+    return sums[(lo <= sums) & (sums <= hi)]
+
+
+def _transport_pair(a, b, p, order):
+    """``(P^-1 A P + P^-1 delta(P), P^-1 B P)`` for a series gauge ``p``,
+    each cut at ``order`` with its ``truncation_residual``, as
+    ``gauge_transform`` and ``dilation_transform`` give them, from one
+    truncated inverse; for a caller whose pair is balanced by ``z -> rho
+    z`` (``normalize`` and ``apply_gauge_record``).
+
+    By evaluation on the circle, as ``_commutator``: one transform of each
+    operand along the power axis, A and B on their common powers from
+    ``min(lowest power, 0)`` to ``order + 1`` (the window of
+    ``gauge_transform``), P, its truncated inverse and ``delta(P)``, at a
+    length M no shorter than the span of the triple product, so that
+    nothing wraps around; then pointwise ``F(P^-1) (F(A) F(P) + F(delta
+    P))`` and ``F(P^-1) F(B) F(P)``, the drift folded into one operand, one
+    inverse transform, and the cut of each to its window.  Its error is
+    normwise, about the unit roundoff times ``||P^-1|| ||A|| ||P||``.  The
+    circle is taken only when M is below the number of coefficient products
+    the windowed block-Toeplitz products would form, and P and its
+    truncated inverse are both balanced (``_balancing_radius`` 1: no
+    coefficient above ``max(1, ||coefficient 0||)``), so that no product
+    outgrows the data; otherwise (a near-resonant gauge whose inverse grows,
+    gapped powers) each goes through the block-Toeplitz
+    ``_series_transport``, with its error per coefficient."""
+    for x in (a, b):
+        x._check_compatible(p)
+    p_inv = truncated_inverse(p, order)
+    hi = order + 1
+    a, b, drift = a.truncate(hi), b.truncate(hi), p.delta()
+    lows = (min(a.min_power, 0), min(b.min_power, 0))
+    base = min(lows)
+
+    def counts():
+        # A P and B P first: their products alone mostly top the length
+        landed = [_window_products(x._powers, p._powers, lo, hi) for x, lo in zip((a, b), lows)]
+        yield sum(map(len, landed))
+        yield len(_window_products(p_inv._powers, drift._powers, lows[0], hi))
+        for sums, lo in zip(landed, lows):
+            yield len(_window_products(p_inv._powers, np.unique(sums), lo, hi))
+
+    m = _circle_length(p_inv.max_power + hi + p.max_power - base + 1, counts())
+    if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
+        return (_series_transport(a, p, p_inv, order, True),
+                _series_transport(b, p, p_inv, order, False))
+    f_ab = np.fft.fft(np.stack([a._dense(base, hi), b._dense(base, hi)]), n=m, axis=1)
+    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0)
+    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0)
+    inner = f_ab @ f_p
+    inner[0] += np.fft.fft(drift._dense(base, p.max_power), n=m, axis=0)
+    full = np.fft.ifft(f_inv @ inner, axis=1)
+    return tuple(_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1]), order)
+                 for x, piece, lo in zip((a, b), full, lows))
 
 
 def gauge_transform(a, p, order=None):
@@ -566,16 +667,16 @@ def _rescaled(p, radius):
 def apply_gauge_record(a, b, record, tol=None):
     """Replay a normalization gauge on a connection/dilation pair: the pair
     is balanced by ``z -> radius z``, goes through the shears, the series
-    gauge and the fold there, and is mapped back by ``z -> z / radius``, so
-    a power k of the result is ``radius**-k`` times the balanced one."""
+    gauge (one ``_transport_pair`` call, as in ``normalize``) and the fold
+    there, and is mapped back by ``z -> z / radius``, so a power k of the
+    result is ``radius**-k`` times the balanced one."""
     tol = tol or DEFAULT_TOL
     a, b = _rescaled(a, record.radius), _rescaled(b, record.radius)
     for step in record.shears:
         a = apply_shear(a, step, tol=tol)
         b = apply_shear_dilation(b, step, tol=tol)
     if record.series is not None and not record.series.is_constant():
-        a = gauge_transform(a, record.series, record.truncation)
-        b = dilation_transform(b, record.series, record.truncation)
+        a, b = _transport_pair(a, b, record.series, record.truncation)
     if record.fold is not None:
         a = apply_shear(a, record.fold, tol=tol)
         b = apply_shear_dilation(b, record.fold, tol=tol)

@@ -15,9 +15,9 @@ supplies the primitives the rest of the package leans on:
   inside a prescribed transversal.  ``solve_sylvester`` calls LAPACK (zgees,
   ztrsyl) directly, as ``scipy.linalg.solve_sylvester`` calls it, with the
   same bits; it skips the Schur forms LAPACK would return unchanged, those
-  of triangular blocks.  ``_shifted_sylvester`` solves ``(M + s) X - X M =
-  C`` on one Schur form of M for many shifts s, one ztrsyl each, as the
-  orders of normalize's series gauge need;
+  of triangular blocks.  ``_triangular_sylvester`` solves ``(t + s) Y - Y t
+  = C`` on one Schur form t for many shifts s, one ztrsyl each, as the
+  orders of normalize's series gauge need in the Schur basis;
 * the fold of a spectrum into a strip, as a matrix (``_fold``) or as the
   shift groups and similarity of a gauge (``_shift_groups``);
 * the real-width function on moduli and the explicit translate-then-invert
@@ -279,20 +279,21 @@ def solve_sylvester(a, b, c, tol=None):
     return np.dot(np.dot(u, scale * y), v.conj().T)
 
 
-def _shifted_sylvester(t, q, shift, c, tol):
-    """Solve ``(M + shift) X - X M = C`` for ``M = q t q^H`` given by a Schur
-    form, ``t`` upper triangular and ``q`` unitary: one ztrsyl on ``(t +
-    shift I, t)`` and ``q^H c q``, then ``X = q y q^H``.  Many shifts share
-    the one form, as the orders of a series gauge do.  Raises
-    ``SpectrumCollision`` as ``solve_sylvester`` does when some eigenvalue of
-    M plus the shift lies within eps_spec of one of M.
+def _triangular_sylvester(t, shift, c, tol):
+    """Solve ``(t + shift) Y - Y t = C`` for an upper triangular ``t``: one
+    ztrsyl.  For ``M = q t q^H`` it is ``(M + shift) X - X M = q C q^H``
+    in the Schur basis, ``X = q Y q^H``, so the orders of a series gauge
+    share the one form.  Raises ``SpectrumCollision`` as ``solve_sylvester`` does
+    when some diagonal entry of ``t`` plus the shift lies within eps_spec
+    of one of ``t``.
     """
     diag = np.diag(t)
     _check_separated(diag + shift, diag, tol)
-    shifted = t + shift * np.eye(len(t))
-    y, scale, info = scipy.linalg.lapack.ztrsyl(shifted, t, q.conj().T @ c @ q, isgn=-1)
+    shifted = t.copy()
+    np.fill_diagonal(shifted, diag + shift)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(shifted, t, c, isgn=-1)
     _check_trsyl(info)
-    return q @ (y if scale == 1.0 else y / scale) @ q.conj().T
+    return y if scale == 1.0 else y / scale
 
 
 def _check_trsyl(info):

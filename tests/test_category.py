@@ -152,6 +152,25 @@ def test_validate_regularity_violation():
         validate(obj)
 
 
+def test_validate_judges_poles_in_the_balanced_frame():
+    """``1e3 I`` at z**-1 of a scrambled n = 12 input lies far below
+    ``eps_res ||A||`` at unit radius, where ||A|| is 2.9e16, but is a pole of
+    ``A(rho z)``, rho = 1/4, where it reads 4e3 I: validate refuses it, and
+    normalize refuses it there too, not later in the fold."""
+    rng = np.random.default_rng(1)
+    obj = scramble(random_normal_form(rng, 12), rng, shears=2)
+    assert validate(obj)["pole_residual"] == 0.0
+    poled = util.plant_pole(obj)
+    assert poled.A.norm() > 1e16
+    diag = validate(poled, strict=False)
+    assert diag["radius"] == 0.25
+    assert diag["pole_residual_unit"] == pytest.approx(1e3 * np.sqrt(12), rel=1e-12)
+    assert diag["pole_residual"] == 4 * diag["pole_residual_unit"]
+    for call in (validate, normalize):
+        with pytest.raises(RegularityViolation, match="has a pole.*at radius 0.25"):
+            call(poled)
+
+
 def test_validate_equivariance_violation():
     a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     b0 = np.array([[1.0, 0.0], [0.0, 2.0]])  # [a0, b0] != 0
@@ -244,7 +263,7 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
 
 
 def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
-    """Each order of normalize's series gauge solves on the one Schur form of
+    """Each order of normalize's series gauge solves in the Schur basis of
     A0 what scipy's solver solves on ``A0 + k tau`` and A0, to rounding;
     with scipy's solver in its place normalize gives the same normal forms
     to rounding, and tensor, from_monodromy and is_nori_finite, which solve
@@ -265,16 +284,27 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         return normalized, bits, [is_nori_finite(m) for m in (roots, reps[0])]
 
     want = run()
-    kernel, gaps = eqconn.category._shifted_sylvester, []
+    kernel, schur, forms, gaps = (eqconn.category._triangular_sylvester,
+                                  eqconn.category._clustered_schur, [], [])
 
-    def reference(t, q, shift, c, tol):
+    def recorded_schur(*args):
+        form = schur(*args)
+        forms.append(form)
+        return form
+
+    def reference(t, shift, c, tol):
+        # the Schur vectors of the form this t came from, then the dense
+        # solve on A0 + shift and A0, brought to the Schur basis
+        q = next(q for t_seen, q, _ in forms if t_seen is t)
         a0 = q @ t @ q.conj().T
-        x_ref = reference_sylvester(a0 + shift * np.eye(len(t)), a0, c)
-        gaps.append(np.linalg.norm(kernel(t, q, shift, c, tol) - x_ref)
+        x_ref = q.conj().T @ reference_sylvester(a0 + shift * np.eye(len(t)), a0,
+                                                 q @ c @ q.conj().T) @ q
+        gaps.append(np.linalg.norm(kernel(t, shift, c, tol) - x_ref)
                     / np.linalg.norm(x_ref))
         return x_ref
 
-    monkeypatch.setattr(eqconn.category, "_shifted_sylvester", reference)
+    monkeypatch.setattr(eqconn.category, "_clustered_schur", recorded_schur)
+    monkeypatch.setattr(eqconn.category, "_triangular_sylvester", reference)
     got = run()
     assert got[1:] == want[1:] and want[2] == [True, False]
     assert len(gaps) > 0 and max(gaps) < 1e-12
@@ -306,6 +336,31 @@ def assert_normalizes_alike(nf, want, obj):
         weighted = max([radius ** k * np.linalg.norm(c) for k, c in left.terms.items()],
                        default=0.0)
         assert weighted <= diag[name] * (1 + 1e-12)
+
+
+def test_a_near_resonant_input_keeps_exact_residuals(monkeypatch):
+    """A = diag(0.4 tau, 1.4 tau + g) + [[0, 1], [0, 0]] z and B = 1.3 I at
+    g = 1e-4, short of resonance: the series gauge's first coefficient has
+    norm 1/g, the transports take the block-Toeplitz products, and both
+    residuals are exactly 0.0.  With ``0.1 I z**2`` added the gauge fills
+    every order and its products would pay for the circle, but it is not
+    balanced, so the block products run there too."""
+    g = 1e-4
+    a0, nil = np.diag([0.4 * TAU, 1.4 * TAU + g]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    block, calls = eqconn.laurent._series_transport, []
+    monkeypatch.setattr(eqconn.laurent, "_series_transport",
+                        lambda *args: calls.append(args[-1]) or block(*args))
+    forms = []
+    for terms in ({0: a0, 1: nil}, {0: a0, 1: nil, 2: 0.1 * np.eye(2)}):
+        obj = EquivariantConnection(PolyMat(2, terms, TAU, Q),
+                                    PolyMat.constant(1.3 * np.eye(2), TAU, Q), THETA, TAU)
+        del calls[:]
+        forms.append(normalize(obj, STRIP, 16))
+        assert calls == [True, False]
+        assert np.linalg.norm(forms[-1].gauge.series.term(1)) == pytest.approx(1 / g, rel=1e-6)
+    diag = forms[0].diagnostics
+    assert diag["gauge_residual"] == diag["b_residual"] == 0.0
+    assert diag["gauge_residual_unit"] == diag["b_residual_unit"] == 0.0
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8, 12))

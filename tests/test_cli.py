@@ -37,6 +37,7 @@ from util import (
     STRIP,
     TAU,
     plant_non_equivariant_term,
+    plant_pole,
     random_commuting_pair,
     random_normal_form,
     scramble,
@@ -279,6 +280,21 @@ def test_validate_reports_an_equivariance_violation_at_a_high_power(capsys, tmp_
 
     report = json.loads(out, parse_constant=refuse)
     assert report["error"]["kind"] == "EquivarianceViolation"
+
+
+def test_validate_of_a_pole_hidden_by_growing_powers_exits_2(capsys, tmp_path):
+    """``1e3 I`` at z**-1 of a scrambled n = 12 input, a pole of the
+    balanced connection matrix: validate and normalize exit 2 naming it, in
+    strict JSON."""
+    rng = np.random.default_rng(1)
+    obj = plant_pole(scramble(random_normal_form(rng, 12), rng, shears=2))
+    path = write(tmp_path, "pole.json", encode_object(obj))
+    for command in ("validate", "normalize"):
+        code, out = run(capsys, ["--json", command, path])
+        assert code == 2
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["error"]["kind"] == "RegularityViolation"
+        assert "at radius 0.25" in report["error"]["message"]
 
 
 def test_validate_of_gapped_powers_exits_2_with_the_residual(capsys):

@@ -18,6 +18,7 @@ from eqconn.laurent import (
     _commutator,
     _sheared,
     _shift,
+    _transport_pair,
     apply_gauge_record,
     apply_shear,
     apply_shear_dilation,
@@ -521,6 +522,85 @@ def test_series_transport_keeps_the_drift_below_the_lowest_power_of_a():
     assert got.powers()[0] == 1
     assert_close_terms(got.terms, reference_transport(a, p, 4, True).terms,
                        transport_scale(a, p, 4))
+
+
+def balanced_gauge(rng, dim, order):
+    """A series gauge ``I + P_1 z + ... + P_order z**order``, ``||P_k|| =
+    0.3 / k**2``: it and its truncated inverse are balanced, no coefficient
+    above ``||I||``."""
+    terms = {0: np.eye(dim)}
+    for k in range(1, order + 1):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms[k] = 0.3 * g / (np.linalg.norm(g) * k ** 2)
+    return PolyMat(dim, terms, TAU, Q)
+
+
+def no_block_transport(*args):
+    raise AssertionError("the block-Toeplitz transport ran")
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5, 12])
+def test_transport_pair_on_the_circle_matches_the_pairwise_reference(dim, monkeypatch):
+    """A from power 0 or from power 2 (the drift then reaches below it) and
+    B from z**-4, both past the window, through balanced gauges:
+    ``_transport_pair`` evaluates on the circle, and each result holds the
+    pairwise reference products at every power of its window, within 1e-13
+    of the largest coefficient product (normwise: a power the reference
+    lacks is rounding noise), with the truncation residual likewise."""
+    rng = np.random.default_rng(330 + dim)
+    monkeypatch.setattr(eqconn.laurent, "_series_transport", no_block_transport)
+    b = rand_pm(rng, dim, range(-4, 25))
+    for a in (rand_pm(rng, dim, range(0, 30)), rand_pm(rng, dim, range(2, 20))):
+        for order in (2, 6, 16):
+            p = balanced_gauge(rng, dim, order)
+            for got, x, drift in zip(_transport_pair(a, b, p, order), (a, b), (True, False)):
+                want = reference_transport(x, p, order, drift)
+                scale = transport_scale(x, p, order)
+                assert_close_to_rounding(dict(got.terms), dict(want.terms), scale)
+                assert got.min_power == min(want.min_power, 0)
+                assert abs(got.diagnostics["truncation_residual"]
+                           - want.diagnostics["truncation_residual"]) <= 1e-13 * scale
+
+
+def test_transport_pair_of_an_unbalanced_gauge_is_the_block_products():
+    """A gauge whose first coefficient has norm 1e4, and a gauge of gapped
+    powers: ``_transport_pair`` gives what ``gauge_transform`` and
+    ``dilation_transform`` give, to the bit."""
+    rng = np.random.default_rng(337)
+    a, b = rand_pm(rng, 2, range(0, 20)), rand_pm(rng, 2, range(-2, 20))
+    steep = PolyMat(2, {0: np.eye(2), 1: 1e4 * np.array([[0.0, 1.0], [0.0, 0.0]])}, TAU, Q)
+    gapped = PolyMat(2, {0: np.eye(2), 10 ** 9: 0.1 * np.eye(2)}, TAU, Q)
+    for p, order in ((steep, 16), (gapped, 4)):
+        got = _transport_pair(a, b, p, order)
+        assert same_bits(got[0], gauge_transform(a, p, order))
+        assert same_bits(got[1], dilation_transform(b, p, order))
+
+
+@pytest.mark.parametrize("dim", [2, 12])
+def test_public_series_transports_keep_the_block_products(dim):
+    """``gauge_transform`` and ``dilation_transform``, with which
+    ``tests/util.scramble`` draws the benchmark's inputs, form the windowed
+    block-Toeplitz products to the bit, also through a balanced gauge whose
+    pair ``_transport_pair`` evaluates on the circle, to rounding only."""
+    rng = np.random.default_rng(340 + dim)
+    a, b = rand_pm(rng, dim, range(0, 30)), rand_pm(rng, dim, range(-4, 25))
+    order = 16
+    p, hi = balanced_gauge(rng, dim, order), order + 1
+    p_inv = truncated_inverse(p, order)
+    pair = _transport_pair(a, b, p, order)
+    for x, transport, drift, circled in ((a, gauge_transform, True, pair[0]),
+                                         (b, dilation_transform, False, pair[1])):
+        lo = min(x.min_power, 0)
+        full = p_inv._product(x.truncate(hi)._product(p, lo, hi), lo, hi)
+        if drift:
+            full = full + p_inv._product(p.delta(), lo, hi)
+        got = transport(x, p, order)
+        assert_same_terms(got.terms, full.truncate(order).terms)
+        assert got.diagnostics == {
+            "truncation_residual": float(np.linalg.norm(full.term(order + 1)))}
+        assert not same_bits(circled, got)
+        assert_close_to_rounding(dict(circled.terms), dict(got.terms),
+                                 transport_scale(x, p, order))
 
 
 def shear_steps(rng, dim):

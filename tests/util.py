@@ -221,3 +221,13 @@ def plant_non_equivariant_term(obj, rng, power=40, size=1e-4):
     terms[power] = terms.get(power, 0) + (size / rho ** power) * g / np.linalg.norm(g)
     b = PolyMat(obj.n, terms, obj.tau, obj.B.q)
     return EquivariantConnection(obj.A, b, obj.theta, obj.tau, obj.transversal)
+
+
+def plant_pole(obj, power=-1, size=1e3):
+    """``obj`` with ``size`` times the identity added to A at the negative
+    ``power``, a pole at unit radius far below the norm of the growing high
+    powers of a scrambled input."""
+    terms = dict(obj.A.terms)
+    terms[power] = terms.get(power, 0) + size * np.eye(obj.n)
+    a = PolyMat(obj.n, terms, obj.tau, obj.A.q)
+    return EquivariantConnection(a, obj.B, obj.theta, obj.tau, obj.transversal)

@@ -19,9 +19,14 @@ Writes ``BENCH_<label>.json`` at the repo root with the method, the machine
 and the points.  With ``--compare PARENT_DIR`` the same points are timed on
 the parent checkout's ``src/`` and ``tests/`` too, in alternating rounds
 (the parent first in the first round), each round in a fresh process; a
-side's point then takes the timings of all its rounds, and a table of the
-parent's and the change's medians and their ratio is printed.  Only public names are timed, so one
-script serves any two checkouts.
+side's point then takes the timings of all its rounds.  The rounds are
+paired: round r of the parent and round r of the change run one after the
+other, and each pair gives the ratio of the parent's median to the
+change's.  ``paired`` holds, per point, those ratios, their median and the
+rounds the change won (ratio above 1); the printed table shows each side's
+pooled median, the median ratio and the rounds won, so that a drift of the
+machine between rounds weighs on both sides of a pair alike.  Only public
+names are timed, so one script serves any two checkouts.
 """
 
 import argparse
@@ -118,6 +123,20 @@ def summary(rounds):
                   for n in rounds[0][key]} for key in rounds[0]}
 
 
+def paired(parent_rounds, change_rounds):
+    """``{"<module>.<entry>": {"<n>": {"ratios", "median_ratio", "won"}}}``:
+    per pair of rounds, the parent's median over the change's."""
+    out = {}
+    for key, by_n in change_rounds[0].items():
+        for n in by_n:
+            ratios = [round(statistics.median(p[key][n]) / statistics.median(c[key][n]), 4)
+                      for p, c in zip(parent_rounds, change_rounds)]
+            out.setdefault(key, {})[n] = {"ratios": ratios,
+                                          "median_ratio": statistics.median(ratios),
+                                          "won": sum(r > 1.0 for r in ratios)}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="local")
@@ -151,13 +170,15 @@ def main(argv=None):
         report["method"]["rounds"] = args.rounds
         for side, (_, rounds) in sides.items():
             report[side] = summary(rounds)
-        print("%-30s %4s %10s %10s %7s" % ("entry point", "n", "parent ms", "change ms",
-                                           "ratio"))
+        report["paired"] = paired(sides["parent"][1], sides["change"][1])
+        print("%-30s %4s %10s %10s %13s %5s" % ("entry point", "n", "parent ms", "change ms",
+                                                "median ratio", "won"))
         for key, by_n in report["change"].items():
             for n, ms in by_n.items():
-                before = report["parent"][key][n][1]
-                print("%-30s %4s %10.4f %10.4f  x%.3f"
-                      % (key, n, before, ms[1], before / ms[1]))
+                pair = report["paired"][key][n]
+                print("%-30s %4s %10.4f %10.4f  x%11.3f %2d/%d"
+                      % (key, n, report["parent"][key][n][1], ms[1], pair["median_ratio"],
+                         pair["won"], args.rounds))
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)

@@ -13,7 +13,8 @@ repeat, in process on one BLAS thread, timing the stages through the names
   (the Schur form of A(0) and the resonance test);
 * ``spectral``, ``shear A`` (``shear``): the shearing passes;
 * ``series gauge`` (``_series_gauge``) and ``series transport``
-  (``gauge_transform``/``dilation_transform``);
+  (``_transport_pair``, A and B in one call; ``gauge_transform`` and
+  ``dilation_transform`` where a checkout transports them apart);
 * ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
 * ``shear/fold B`` (``apply_shear_dilation``): B through the shears, or
   through the fold;
@@ -43,7 +44,7 @@ STAGES = {
     "spectral": ("spectral",),
     "shear A": ("shear",),
     "series gauge": ("_series_gauge",),
-    "series transport": ("gauge_transform", "dilation_transform"),
+    "series transport": ("_transport_pair", "gauge_transform", "dilation_transform"),
     "fold": ("_fold_step", "apply_shear"),
     "shear/fold B": ("apply_shear_dilation",),
 }
