@@ -1,7 +1,7 @@
-# Normalizing an equivariant connection to constant form: shearing passes
-# move the constant-term spectrum into the strip, then a recursively built
-# series gauge kills every positive power, and the dilation matrix comes out
-# constant.
+# Normalizing an equivariant connection to constant form: a recursively
+# built series gauge kills every positive power but the couplings one shear
+# makes constant, that shear folds the constant-term spectrum into the
+# strip, and the dilation matrix comes out constant.
 
 import numpy as np
 

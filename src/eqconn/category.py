@@ -7,9 +7,10 @@ with no pole at the origin) and a commuting dilation action
 implements the computable category structure on such objects:
 
 * normalization to a constant commuting pair ``(A0, B0)`` with the spectrum
-  of A0 inside a chosen transversal strip (the object balanced by ``z -> rho
-  z``, shearing passes where eigenvalues resonate, a recursive series gauge,
-  and one fold into the strip);
+  of A0 inside a chosen transversal strip, one pipeline for every input:
+  the object balanced by ``z -> rho z``, a recursive series gauge that kills
+  every coupling but those the fold lands on power 0, resonant ones among
+  them, and that one fold into the strip;
 * the equivalence with pairs of commuting invertible matrices -- the
   monodromy ``exp(2 pi i A0/tau)`` together with B0 -- in both directions;
 * the rigid tensor structure (tensor, dual, evaluation/coevaluation, unit),
@@ -33,6 +34,7 @@ from .exceptions import (
     NumericFailure,
     RegularityViolation,
     SingularB,
+    SpectrumCollision,
     TransversalMismatch,
     ValidationFailure,
 )
@@ -47,7 +49,6 @@ from .laurent import (
     _transport_pair,
     apply_shear,
     apply_shear_dilation,
-    shear,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -63,7 +64,7 @@ from .numkit import (
     _triangular_sylvester,
     log_transversal,
     mat_exp,
-    spectral,
+    spectral,  # noqa: F401  no longer called here; kept as category.spectral for callers
 )
 
 TWO_PI_I = 2j * math.pi
@@ -341,41 +342,41 @@ def normalize(obj, transversal=None, order=16, tol=None):
     and B0, the norm weighted by ``rho**k``; their ``*_unit`` values
     reweight power k by ``rho**-k``.
 
-    Then, on the clustered Schur form of the constant term A(0):
+    Then one pipeline, for every input (Poincare-Dulac-Levelt: one series
+    gauge that kills every coupling but those one shear makes constant, then
+    that shear):
 
-    * a resonance test: ``resonance_separation`` is the smallest
-      ``|lam_i - lam_j + k tau|`` over the cluster means and ``1 <= k <=
-      order``, and the input is resonant when the unit roundoff times
-      ``max(1, ||A(0)||)`` over it tops eps_res, as ``numkit._fold`` judges a
-      projector norm;
-    * resonant input only: shearing passes move each eigenvalue cluster into
-      the strip, one unit step at a time, and the Schur form is taken again;
-      when a cluster must move and a separation of one unit step ``|tau|``
-      would itself count as resonant, a step lies below the rounding of
-      A(0) and the input is refused with ``NumericFailure`` before the
-      first pass;
-    * the series gauge ``P = I + P_1 z + ...`` with A(0) kept kills every
-      positive power of the connection matrix up to ``order``; it is solved
-      on the Schur basis of A(0): the powers of A it reads are conjugated
-      once, each order is one ztrsyl on the triangular form, and P is
-      conjugated back once.  The dilation matrix goes through the shears,
-      then A and B go through P in one transport (``laurent._transport_pair``,
+    * the clustered Schur form ``q t q^H`` of the constant term A(0), its
+      clusters grouped by the shift that reduces them into the strip
+      (``numkit._shift_groups``, which raises ``NumericFailure`` when the
+      groups are too close to split accurately), and ``S = q v`` the
+      similarity that block diagonalizes A(0) over the groups (``S = q``
+      when no cluster shifts);
+    * the series gauge ``P = I + P_1 z + ...`` with A(0) kept, solved in the
+      basis S: each order is one ztrsyl on the block diagonal form ``D + k
+      tau`` against D (``numkit._triangular_sylvester``).  It kills every
+      coupling of the powers 1 to ``order`` but block (i, j) at order ``k
+      = s_j - s_i``, ``s`` the groups' shifts, which it keeps
+      (``laurent._series``): the fold lands it on power 0, and every
+      resonant coupling is among them.  ``resonance_separation`` is the
+      smallest ``|d_i + k tau - d_j|`` over the eigenvalues ``d`` of A(0),
+      ``1 <= k <= order`` and the blocks solved; an order whose right-hand
+      side is nonzero raises ``SpectrumCollision`` when its smallest is
+      within eps_spec, and ``NumericFailure`` when ztrsyl perturbs an
+      eigenvalue there and its smallest lies below the rounding ``eps/2
+      max(1, ||A(0)||)`` of A(0);
+    * A and B go through P in one transport (``laurent._transport_pair``,
       by evaluation on the circle when P is balanced, with an error that is
-      normwise), and B must come out constant up to the truncation
-      residual;
-    * non-resonant input only: the constant pair is folded into the strip by
-      one recorded shear (``GaugeRecord.fold``), applied to the whole gauged
-      A and B: the similarity that block diagonalizes A(0) over its groups
-      of clusters sharing a shift, then ``diag(z**-shift)`` on each group.
+      normwise), each cut at ``order``; with a constant P they are the
+      result as they stand and keep every power;
+    * one recorded fold (``GaugeRecord.fold``), applied to A and B: ``S``,
+      then ``diag(z**-shift)`` on each group.  A0 is then block upper
+      triangular over the groups, the kept couplings above the diagonal
+      blocks, and B must come out constant up to the truncation residual.
 
-    A0 is power 0 of the gauged (and folded) A, which the circle leaves
-    equal to A(0) only within rounding.  Only the powers the result
-    certifies are computed: the series transport reads powers up to
-    ``order + 1`` (see ``laurent``), and B, whose shears check nothing, is
-    cut before shear i of P to the powers up to ``order + 1 + P - i`` it can
-    still bring there (a unit shear moves a power by at most one).  With a
-    constant series gauge B is the result as it stands and keeps every
-    power.
+    A0 is power 0 of the gauged and folded A, which the circle leaves
+    equal to A(0) only within rounding.  ``shear_passes`` is 0: the
+    diagnostic stays for readers of earlier reports.
 
     ``order`` below 1 is refused with ``ValidationFailure``: no power of
     the connection matrix would be gauged away.
@@ -389,26 +390,10 @@ def normalize(obj, transversal=None, order=16, tol=None):
     diag, a, b = _validated(obj, tol, strict=True)
     radius = diag["radius"]
 
-    a0 = a.term(0)
-    t, q, blocks = _clustered_schur(a0, tol)
-    separation = _resonance_separation(blocks, transversal.tau, order)
-    rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a0))
-    resonant = rounding > tol.eps_res * separation
-    steps = []
-    if resonant:
-        a, steps = _shear_into_strip(a, transversal, rounding, tol)
-        a0 = a.term(0)
-        t, q, blocks = _clustered_schur(a0, tol)
-    series = _series_gauge(a, t, q, transversal.tau, order, tol)
-    cut = not series.is_constant()
-    for i, step in enumerate(steps):
-        if cut:
-            # the series transport reads powers up to order + 1, and each of
-            # the len(steps) - i unit steps left moves a power by at most one
-            b = b.truncate(order + 1 + len(steps) - i)
-        b = apply_shear_dilation(b, step, tol)
-    gauged, b_final = _transport_pair(a, b, series, order) if cut else (a, b)
-    fold = None if resonant else _fold_step(t, q, blocks, transversal, tol)
+    form = _shift_groups(*_clustered_schur(a.term(0), tol), transversal, tol)
+    fold = _fold_step(form)
+    series, separation = _series_gauge(a, form, fold, transversal.tau, order, tol)
+    gauged, b_final = (a, b) if series.is_constant() else _transport_pair(a, b, series, order)
     if fold is not None:
         gauged = apply_shear(gauged, fold, tol)
         b_final = apply_shear_dilation(b_final, fold, tol)
@@ -423,12 +408,11 @@ def normalize(obj, transversal=None, order=16, tol=None):
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
 
-    record = GaugeRecord(shears=tuple(steps), series=series, truncation=order,
-                         radius=radius, fold=fold)
+    record = GaugeRecord(series=series, truncation=order, radius=radius, fold=fold)
     nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
         "gauge_residual": gauge_left.norm(),
         "b_residual": b_residual,
-        "shear_passes": len(steps),
+        "shear_passes": 0,
         "strip_margin": min([transversal.boundary_distance(lam)
                              for lam in np.linalg.eigvals(a0)], default=1.0),
         "radius": radius,
@@ -440,71 +424,51 @@ def normalize(obj, transversal=None, order=16, tol=None):
     return nf
 
 
-def _resonance_separation(blocks, tau, order):
-    """The smallest ``|lam_i - lam_j + k tau|`` over the means ``lam`` of the
-    clusters ``blocks`` of a clustered Schur form and ``1 <= k <= max(1,
-    order)``: how far the spectra of ``A0 + k tau`` and A0, which order k of
-    the series gauge separates, come to meeting."""
-    means = np.array([lam for _, _, lam in blocks], dtype=complex)
-    steps = tau * np.arange(1, max(1, order) + 1)
-    return float(np.abs((means[:, None] - means[None, :])[:, :, None] + steps).min())
+def _series_gauge(a, form, fold, tau, order, tol):
+    """``(P, separation)``: the series gauge ``P = I + P_1 z + ... +
+    P_order z**order`` of ``normalize`` that keeps ``A0 = a.term(0)``, and
+    the smallest gap it solves across, for ``form``, ``numkit._shift_groups``
+    of the clustered Schur form of A0, and ``fold``, its ``_fold_step``.
 
+    Order k solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k
+    P_0)``, plus the kept couplings' terms (``laurent._series``), in the
+    basis ``S = q v`` of the fold, inverse ``w q^H``, where A0 is D, the
+    block diagonal part of ``t`` over the groups (without a fold S is q and
+    D is ``t``): one ztrsyl on ``(D + k tau, D)``.  The gaps ``|d_i + k tau
+    - d_j|`` over the diagonal ``d`` of ``t`` are formed once for every
+    order, the kept blocks masked."""
+    t, q, _, _, w, _ = form
+    d, levels, basis = np.diag(t), None, (q, q.conj().T)
+    if fold is not None:
+        levels = -np.array(fold.exponents)
+        t = np.where(levels[:, None] == levels, t, 0.0)
+        basis = (fold.similarity, w @ q.conj().T)
+    ks = np.arange(1, order + 1)[:, None, None]
+    gaps = np.abs(d[:, None] - d[None, :] + tau * ks)
+    if levels is not None:
+        gaps[levels[None, :] - levels[:, None] == ks] = np.inf
+    smallest = gaps.min(axis=(1, 2))
+    rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a.term(0)))
 
-def _shear_into_strip(a, transversal, rounding, tol):
-    """``(a, steps)``: ``a`` after shearing passes that move each eigenvalue
-    cluster of its constant term into the strip, one unit step at a time,
-    and the recorded ``ShearStep``s.  Raises ``NumericFailure`` up front
-    when a cluster must move but a unit step tau does not top ``rounding``,
-    that of A(0), as the resonance test judges a separation: the passes
-    could not tell one step from the next, and ``diag(3e8 tau, 6e8 tau)``
-    would take 9e8 of them.  Raises it too when the clusters have not
-    settled after 8 plus four times the steps needed."""
-    steps = []
-    sd = spectral(a.term(0), tol)
-    needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
-    if needed and rounding > tol.eps_res * abs(transversal.tau):
-        raise NumericFailure(
-            "shearing into the strip: a unit step of norm %.3e lies below "
-            "the rounding %.3e of A(0)" % (abs(transversal.tau), rounding))
-    budget = 8 + 4 * needed
-    while True:
-        shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
-        if all(s == 0 for s in shifts):
-            return a, steps
-        if len(steps) >= budget:
-            raise NumericFailure(
-                "shearing did not settle within %d passes" % budget)
-        # move one cluster by one unit step; mixed simultaneous steps could
-        # push sub-threshold coefficients to negative powers
-        target = next(i for i, s in enumerate(shifts) if s != 0)
-        move = [0] * len(shifts)
-        move[target] = -1 if shifts[target] > 0 else 1
-        a, step = shear(a, sd, move, tol)
-        steps.append(step)
-        sd = spectral(a.term(0), tol)
-
-
-def _series_gauge(a, t, q, tau, order, tol):
-    """The series gauge ``P = I + P_1 z + ... + P_order z**order`` that keeps
-    ``A0 = q t q^H`` and kills the powers 1 to ``order`` of ``a``: order k
-    solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k P_0)``,
-    the sum one stacked product (``laurent._series``).  It runs on the Schur
-    basis: the powers of ``a`` it reads are conjugated by ``q`` once, each
-    order is one ztrsyl on ``(t + k tau, t)`` (``numkit._triangular_sylvester``,
-    which checks the separation of ``diag(t)`` when the right-hand side is
-    nonzero), and the solved orders are mapped back by ``q`` once."""
     def solve(k, rhs):
-        return _triangular_sylvester(t, tau * k, rhs, tol) if np.any(rhs) else 0.0
+        if not np.any(rhs):
+            return 0.0
+        if smallest[k - 1] <= tol.eps_spec:
+            i, j = np.unravel_index(np.argmin(gaps[k - 1]), t.shape)
+            raise SpectrumCollision(d[i] + k * tau, d[j], float(smallest[k - 1]))
+        return _triangular_sylvester(t, tau * k, rhs, close_ok=smallest[k - 1] > rounding)
 
-    return _series(a, order, np.eye(a.dim), solve, basis=q)
+    series = _series(a, order, np.eye(a.dim), solve, basis=basis, levels=levels)
+    return series, float(smallest.min())
 
 
-def _fold_step(t, q, blocks, transversal, tol):
-    """The fold of the constant term ``q t q^H`` into the strip as one
-    recorded shear, or None when no cluster shifts: the similarity ``q v``
-    that block diagonalizes it over the groups of clusters sharing a shift
-    (``numkit._shift_groups``), and exponent ``-shift`` on each group."""
-    _, q, groups, v, _, _ = _shift_groups(t, q, blocks, transversal, tol)
+def _fold_step(form):
+    """The fold into the strip as one recorded shear, or None when no
+    cluster shifts: for ``form = (t, q, groups, v, w, pairs)`` of
+    ``numkit._shift_groups``, the similarity ``q v`` that block diagonalizes
+    the constant term over the groups of clusters sharing a shift, and
+    exponent ``-shift`` on each group."""
+    _, q, groups, v, _, _ = form
     if not groups:
         return None
     exponents = np.repeat([-shift for _, _, shift in groups],

@@ -7,7 +7,8 @@ tolerances/parameters used, and residual diagnostics, and contain nothing
 nondeterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 2 when an input fails to parse or violates an
-invariant (the report names it), 1 on internal numerical failure.  Inputs
+invariant (the report names it), 1 on internal numerical failure, a
+``SpectrumCollision`` of a solve included.  Inputs
 and reports are strict JSON: ``NaN`` and ``Infinity`` are refused.
 """
 
@@ -21,7 +22,7 @@ import traceback
 import numpy as np
 
 from . import category, serialize, torus
-from .exceptions import NumericFailure, ValidationFailure
+from .exceptions import NumericFailure, SpectrumCollision, ValidationFailure
 from .numkit import SL2Z, Tolerances, Transversal, find_small_width, moebius, wd
 from .torus import Omega, TorusPoly
 
@@ -434,14 +435,14 @@ def execute(args):
         report["inputs_digest"] = ctx.digest()
         report["result"] = result
         return 0, report
+    except (NumericFailure, SpectrumCollision, np.linalg.LinAlgError) as exc:
+        report["inputs_digest"] = ctx.digest()
+        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+        return 1, report
     except ValidationFailure as exc:
         report["inputs_digest"] = ctx.digest()
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         return 2, report
-    except (NumericFailure, np.linalg.LinAlgError) as exc:
-        report["inputs_digest"] = ctx.digest()
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        return 1, report
 
 
 def _render_text(report, stream):

@@ -354,7 +354,7 @@ def _commutator(a, b, lo, hi):
     return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1])
 
 
-def _series(f, order, first, solve, basis=None):
+def _series(f, order, first, solve, basis=None, levels=None):
     """The series ``g_0 + g_1 z + ... + g_order z**order`` with ``g_0 =
     first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the sum
     one GEMM: ``f_1 .. f_order`` side by side as one ``(n, order n)`` row
@@ -362,22 +362,43 @@ def _series(f, order, first, solve, basis=None):
     ``g_(k-1) .. g_0``.  The recurrence of a series inverse and of the
     series gauge of formal reduction (Barkatou, AAECC 1997).
 
-    Given a unitary ``basis`` u, the recurrence runs on ``u^H f_k u``, the
-    powers it reads conjugated once, ``solve`` answers in that basis, and
-    ``g_1 .. g_order`` are mapped back by ``u g_k u^H`` once; ``first`` is
-    kept as given, so it must commute with u (the gauge's identity)."""
+    Given a ``basis`` ``(s, s_inv)``, a similarity and its inverse, the
+    recurrence runs on ``s_inv f_k s``, the powers it reads conjugated once,
+    ``solve`` answers in that basis, and ``g_1 .. g_order`` are mapped back
+    by ``s g_k s_inv`` once; ``first`` is kept as given, so it must commute
+    with s (the gauge's identity).
+
+    Given integer ``levels`` l, one per basis vector, entry (i, j) of order
+    ``k = l_j - l_i`` is kept, not solved: ``solve`` sees a zero there, and
+    ``R_k``, the right-hand side there negated, stays in power k of the
+    gauged connection matrix, so each later order's right-hand side adds
+    ``g_(k-j) R_j`` over the orders j whose ``R_j`` is nonzero.  These are
+    the entries a shear by ``z**-l`` moves to power 0; ``solve`` must leave
+    ``g_k`` zero there, as a Sylvester solve on an ``f_0`` block diagonal
+    over equal levels does."""
     n = f.dim
     lead = f._dense(1, order)
     if basis is not None:
-        lead = basis.conj().T @ lead @ basis
+        s, s_inv = basis
+        lead = s_inv @ lead @ s
     lead = lead.transpose(1, 0, 2).reshape(n, -1)
+    steps = 0 if levels is None else levels[None, :] - levels[:, None]
+    kept_orders = set(np.ravel(steps).tolist())
     solved = np.empty((order + 1, n, n), dtype=complex)
     solved[order] = first
+    kept = []
     for k in range(1, order + 1):
-        rhs = lead[:, :k * n] @ solved[order - k + 1:].reshape(k * n, n)
-        solved[order - k] = solve(k, -rhs)
+        rhs = -(lead[:, :k * n] @ solved[order - k + 1:].reshape(k * n, n))
+        for j, r in kept:
+            rhs += solved[order - k + j] @ r
+        if k in kept_orders:
+            mask = steps == k
+            if np.any(rhs[mask]):
+                kept.append((k, np.where(mask, -rhs, 0.0)))
+                rhs[mask] = 0.0
+        solved[order - k] = solve(k, rhs)
     if basis is not None:
-        solved[:order] = basis @ solved[:order] @ basis.conj().T
+        solved[:order] = s @ solved[:order] @ s_inv
     return f._derive(np.arange(order + 1), solved[::-1].copy())
 
 
@@ -551,15 +572,12 @@ class ShearStep:
 
 @dataclass(frozen=True)
 class GaugeRecord:
-    """The full gauge produced by normalization: shears applied in order,
-    then a unit-constant-term series gauge truncated at ``truncation``, then
-    the ``fold`` into the strip, a ``ShearStep`` or None, all on the object
-    balanced by ``z -> radius z`` (power k scaled by ``radius**k``, exactly:
-    the radius is a power of two, 1 for none).  Normalization records shears
-    where eigenvalues of the constant term resonate and a fold elsewhere,
-    never both."""
+    """The full gauge produced by normalization: a unit-constant-term series
+    gauge truncated at ``truncation``, then the ``fold`` into the strip, a
+    ``ShearStep`` or None, both on the object balanced by ``z -> radius z``
+    (power k scaled by ``radius**k``, exactly: the radius is a power of two,
+    1 for none)."""
 
-    shears: tuple
     series: PolyMat
     truncation: int
     radius: float = 1.0
@@ -666,15 +684,12 @@ def _rescaled(p, radius):
 
 def apply_gauge_record(a, b, record, tol=None):
     """Replay a normalization gauge on a connection/dilation pair: the pair
-    is balanced by ``z -> radius z``, goes through the shears, the series
-    gauge (one ``_transport_pair`` call, as in ``normalize``) and the fold
-    there, and is mapped back by ``z -> z / radius``, so a power k of the
-    result is ``radius**-k`` times the balanced one."""
+    is balanced by ``z -> radius z``, goes through the series gauge (one
+    ``_transport_pair`` call, as in ``normalize``) and the fold there, and
+    is mapped back by ``z -> z / radius``, so a power k of the result is
+    ``radius**-k`` times the balanced one."""
     tol = tol or DEFAULT_TOL
     a, b = _rescaled(a, record.radius), _rescaled(b, record.radius)
-    for step in record.shears:
-        a = apply_shear(a, step, tol=tol)
-        b = apply_shear_dilation(b, step, tol=tol)
     if record.series is not None and not record.series.is_constant():
         a, b = _transport_pair(a, b, record.series, record.truncation)
     if record.fold is not None:

@@ -93,7 +93,6 @@ from eqconn.exceptions import (
     ValidationFailure,
 )
 from eqconn.laurent import (
-    GaugeRecord,
     PolyMat,
     ShearStep,
     _checked_inverse,
@@ -723,8 +722,7 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
         raise NonConstantB(
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
-    record = GaugeRecord(shears=tuple(steps), series=series, truncation=order)
-    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
+    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, None, {
         "gauge_residual": gauge_residual,
         "b_residual": b_residual,
         "shear_passes": len(steps),

@@ -48,7 +48,7 @@ from eqconn.exceptions import (
     TransversalMismatch,
     ValidationFailure,
 )
-from eqconn.laurent import PolyMat, apply_gauge_record, dilation_transform, gauge_transform
+from eqconn.laurent import PolyMat, apply_gauge_record, gauge_transform
 from eqconn.numkit import (
     DEFAULT_TOL,
     Transversal,
@@ -214,19 +214,22 @@ def test_normalize_already_normal_is_identity_gauge():
     nf = normalize(obj, STRIP)
     assert np.array_equal(nf.A0, nf0.A0)
     assert np.array_equal(nf.B0, nf0.B0)
-    assert nf.gauge.shears == ()
+    assert nf.gauge.fold is None
     assert nf.gauge.series.is_constant()
     assert nf.diagnostics["gauge_residual"] == 0.0
 
 
 def test_normalize_single_shear_case():
+    """The resonant coupling at z is kept by the series gauge, which is
+    constant here, and the fold lands it on power 0."""
     a = PolyMat(2, {0: np.diag([0.0, TAU]),
                     1: np.array([[0.0, 1.0], [0.0, 0.0]])}, TAU, Q)
     b = PolyMat.identity(2, TAU, Q)
     nf = normalize(EquivariantConnection(a, b, THETA, TAU), STRIP)
     assert np.allclose(nf.A0, [[0.0, 1.0], [0.0, 0.0]], atol=1e-10)
     assert np.allclose(nf.B0, np.eye(2), atol=1e-10)
-    assert nf.diagnostics["shear_passes"] == 1
+    assert nf.gauge.series.is_constant() and nf.gauge.fold.exponents == (0, -1)
+    assert nf.diagnostics["shear_passes"] == 0
 
 
 def test_normalize_scramble_recovery():
@@ -263,14 +266,16 @@ def test_scramble_does_not_call_the_library_spectral(monkeypatch):
 
 
 def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypatch):
-    """Each order of normalize's series gauge solves in the Schur basis of
-    A0 what scipy's solver solves on ``A0 + k tau`` and A0, to rounding;
-    with scipy's solver in its place normalize gives the same normal forms
-    to rounding, and tensor, from_monodromy and is_nori_finite, which solve
-    nothing through it, the same bits."""
+    """Each order of normalize's series gauge solves in the basis S that
+    block diagonalizes A0 over its shift groups what scipy's solver solves
+    on ``A0 + k tau`` and A0, to rounding; with scipy's solver in its place
+    normalize gives the same normal forms to rounding, and tensor,
+    from_monodromy and is_nori_finite, which solve nothing through it, the
+    same bits."""
     rng = np.random.default_rng(48)
     objs = [scramble(random_normal_form(rng, n), rng, shears=s)
             for n, s in ((2, 1), (4, 2), (8, 1))]
+    objs.append(util.resonant_object(np.random.default_rng(902), gap=1e-3)[1])
     x, y = random_normal_form(rng, 3), random_normal_form(rng, 4)
     reps = [MonodromyPair(*random_commuting_pair(rng, n)) for n in (4, 6)]
     s = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
@@ -284,46 +289,46 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         return normalized, bits, [is_nori_finite(m) for m in (roots, reps[0])]
 
     want = run()
-    kernel, schur, forms, gaps = (eqconn.category._triangular_sylvester,
-                                  eqconn.category._clustered_schur, [], [])
+    kernel, series, bases, gaps = (eqconn.category._triangular_sylvester,
+                                   eqconn.category._series, [], [])
 
-    def recorded_schur(*args):
-        form = schur(*args)
-        forms.append(form)
-        return form
+    def recorded_series(*args, basis, **kwargs):
+        bases.append(basis)
+        return series(*args, basis=basis, **kwargs)
 
-    def reference(t, shift, c, tol):
-        # the Schur vectors of the form this t came from, then the dense
-        # solve on A0 + shift and A0, brought to the Schur basis
-        q = next(q for t_seen, q, _ in forms if t_seen is t)
-        a0 = q @ t @ q.conj().T
-        x_ref = q.conj().T @ reference_sylvester(a0 + shift * np.eye(len(t)), a0,
-                                                 q @ c @ q.conj().T) @ q
-        gaps.append(np.linalg.norm(kernel(t, shift, c, tol) - x_ref)
+    def reference(t, shift, c, close_ok=False):
+        # the dense solve on A0 + shift and A0, A0 = S t S^-1, brought to
+        # the basis S of the gauge being solved
+        s, s_inv = bases[-1]
+        a0 = s @ t @ s_inv
+        x_ref = s_inv @ reference_sylvester(a0 + shift * np.eye(len(t)), a0,
+                                            s @ c @ s_inv) @ s
+        gaps.append(np.linalg.norm(kernel(t, shift, c, close_ok) - x_ref)
                     / np.linalg.norm(x_ref))
         return x_ref
 
-    monkeypatch.setattr(eqconn.category, "_clustered_schur", recorded_schur)
+    monkeypatch.setattr(eqconn.category, "_series", recorded_series)
     monkeypatch.setattr(eqconn.category, "_triangular_sylvester", reference)
     got = run()
     assert got[1:] == want[1:] and want[2] == [True, False]
     assert len(gaps) > 0 and max(gaps) < 1e-12
+    assert any(not np.allclose(s_inv, s.conj().T) for s, s_inv in bases)
     for g, w in zip(got[0], want[0]):
         for name in ("A0", "B0"):
             gap = np.linalg.norm(getattr(g, name) - getattr(w, name))
             assert gap <= 1e-12 * np.linalg.norm(getattr(w, name))
 
 
-def assert_normalizes_alike(nf, want, obj):
+def assert_normalizes_alike(nf, want, obj, same_k0=True):
     """``nf``, the library's normal form of ``obj``, and ``want``, another
-    normal form of it, are one object: isomorphic, with equal K0 classes and
-    monodromies conjugate by the isomorphism; and the gauge ``nf`` records
-    replays on ``obj`` to ``(A0, B0)`` within the residuals it reports, at
-    unit radius and, power k weighted by ``radius**k``, in the balanced
-    frame."""
+    normal form of it, are one object: isomorphic, with equal K0 classes
+    (unless ``same_k0`` is False) and monodromies conjugate by the
+    isomorphism; and the gauge ``nf`` records replays on ``obj`` to ``(A0,
+    B0)`` within the residuals it reports, at unit radius and, power k
+    weighted by ``radius**k``, in the balanced frame."""
     iso = is_isomorphic(want, nf, seed=1)
     assert iso is not None and iso.is_valid()
-    assert k0_class(nf) == k0_class(want)
+    assert not same_k0 or k0_class(nf) == k0_class(want)
     m_want, m_nf = monodromy(want), monodromy(nf)
     for m_w, m_n in ((m_want.M1, m_nf.M1), (m_want.M2, m_nf.M2)):
         gap = np.linalg.norm(iso.phi @ m_w - m_n @ iso.phi)
@@ -339,36 +344,44 @@ def assert_normalizes_alike(nf, want, obj):
 
 
 def test_a_near_resonant_input_keeps_exact_residuals(monkeypatch):
-    """A = diag(0.4 tau, 1.4 tau + g) + [[0, 1], [0, 0]] z and B = 1.3 I at
-    g = 1e-4, short of resonance: the series gauge's first coefficient has
-    norm 1/g, the transports take the block-Toeplitz products, and both
-    residuals are exactly 0.0.  With ``0.1 I z**2`` added the gauge fills
-    every order and its products would pay for the circle, but it is not
-    balanced, so the block products run there too."""
+    """A = diag(0, tau - g) + [[0, 1], [0, 0]] z and B = 1.3 I at g = 1e-4,
+    both eigenvalues in the strip and short of resonance across its edge:
+    the series gauge's first coefficient has norm 1/g, the transports take
+    the block-Toeplitz products, and both residuals are exactly 0.0.  With
+    ``0.1 I z**2`` added the gauge fills every order and its products would
+    pay for the circle, but it is not balanced, so the block products run
+    there too.  The same coupling between diag(0.4 tau, 1.4 tau + g), which
+    reduce by different shifts, is kept by a constant gauge and folded."""
     g = 1e-4
-    a0, nil = np.diag([0.4 * TAU, 1.4 * TAU + g]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    a0, nil = np.diag([0.0, TAU - g]), np.array([[0.0, 1.0], [0.0, 0.0]])
     block, calls = eqconn.laurent._series_transport, []
     monkeypatch.setattr(eqconn.laurent, "_series_transport",
                         lambda *args: calls.append(args[-1]) or block(*args))
     forms = []
-    for terms in ({0: a0, 1: nil}, {0: a0, 1: nil, 2: 0.1 * np.eye(2)}):
+    for terms in ({0: a0, 1: nil}, {0: a0, 1: nil, 2: 0.1 * np.eye(2)},
+                  {0: np.diag([0.4 * TAU, 1.4 * TAU + g]), 1: nil}):
         obj = EquivariantConnection(PolyMat(2, terms, TAU, Q),
                                     PolyMat.constant(1.3 * np.eye(2), TAU, Q), THETA, TAU)
         del calls[:]
         forms.append(normalize(obj, STRIP, 16))
-        assert calls == [True, False]
-        assert np.linalg.norm(forms[-1].gauge.series.term(1)) == pytest.approx(1 / g, rel=1e-6)
-    diag = forms[0].diagnostics
-    assert diag["gauge_residual"] == diag["b_residual"] == 0.0
-    assert diag["gauge_residual_unit"] == diag["b_residual_unit"] == 0.0
+        assert calls == ([True, False] if len(forms) < 3 else [])
+    for nf in forms[:2]:
+        assert np.linalg.norm(nf.gauge.series.term(1)) == pytest.approx(1 / g, rel=1e-6)
+        assert nf.gauge.fold is None
+    for nf in forms[::2]:
+        diag = nf.diagnostics
+        assert diag["gauge_residual"] == diag["b_residual"] == 0.0
+        assert diag["gauge_residual_unit"] == diag["b_residual_unit"] == 0.0
+    kept = forms[2]
+    assert kept.gauge.series.is_constant() and kept.gauge.fold.exponents == (0, -1)
+    assert np.allclose(kept.A0, [[0.4 * TAU, 1.0], [0.0, 0.4 * TAU + g]], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8, 12))
 def test_normalize_matches_the_reference(n):
     """The normal form is the one the normalization that sheared every
     cluster and formed every power finds, run on the balanced object; the
-    scrambles resonate nowhere, so the library shears nothing and folds
-    once."""
+    library folds once."""
     rng = np.random.default_rng(500 + n)
     negative_b, folded = False, 0
     for shears in (0, 1, 2):
@@ -377,7 +390,7 @@ def test_normalize_matches_the_reference(n):
         for order in (4, 16, 32):
             nf = normalize(obj, STRIP, order)
             want = reference_normalize(reference_balance(obj)[0], STRIP, order)
-            assert nf.diagnostics["shear_passes"] == 0 and nf.gauge.shears == ()
+            assert nf.diagnostics["shear_passes"] == 0
             folded += nf.gauge.fold is not None
             assert_normalizes_alike(nf, want, obj)
             for name in ("gauge_residual", "b_residual"):
@@ -406,33 +419,53 @@ def test_normalize_matches_the_reference_on_short_and_constant_series():
     assert nf.gauge.fold.exponents == (-1,) and abs(nf.A0[0, 0] - 0.3 * TAU) < 1e-15
 
 
+def assert_kept_above_the_groups(nf):
+    """A0 of a folded normal form is block upper triangular over the fold's
+    groups: nothing below the diagonal blocks, the kept couplings above."""
+    e = np.array(nf.gauge.fold.exponents)
+    below = nf.A0[e[:, None] < e[None, :]]
+    assert np.abs(below).max(initial=0.0) <= 1e-12 * np.linalg.norm(nf.A0)
+
+
 def test_resonant_inputs_shear_and_recover_their_seed():
-    """Eigenvalues of A(0) exactly tau apart, coupled at power 1, and a pair
-    tau + 5e-8 apart, below the rule, are sheared; a pair tau + 1e-3 apart
-    is not, and folds.  Each normalizes to its seed."""
-    for gap, resonant in ((0.0, True), (5e-8, True), (1e-3, False)):
-        for seed in (900, 901):
+    """Eigenvalues of A(0) exactly tau apart, coupled at power 1, and pairs
+    tau + 5e-8 and tau + 1e-3 apart reduce by shifts one apart: the series
+    gauge keeps their coupling at z and the one fold shears it onto power 0,
+    with no shearing passes.  Each normalizes to its seed."""
+    for gap in (0.0, 5e-8, 1e-3):
+        for seed in (900, 901, 902, 903):
             want, obj = util.resonant_object(np.random.default_rng(seed), gap=gap)
             nf = normalize(obj, STRIP, 16)
             diag = nf.diagnostics
-            assert diag["resonance_separation"] <= gap + 1e-12
-            assert (diag["shear_passes"] > 0) == resonant
-            assert diag["shear_passes"] == len(nf.gauge.shears)
-            assert (nf.gauge.fold is None) == resonant
+            assert diag["shear_passes"] == 0
+            assert diag["resonance_separation"] > DEFAULT_TOL.eps_spec
+            assert sorted(set(nf.gauge.fold.exponents)) == [-1, 0]
+            assert_kept_above_the_groups(nf)
             assert_normalizes_alike(nf, want, obj)
             assert max(diag["gauge_residual"], diag["b_residual"]) < 1e-12
     # the exactly resonant input has no series gauge that keeps its A(0)
+    # and kills every coupling: order 1 has no solution; the library's
+    # gauge keeps the block, so the gauged power 1 is left and no other
     want, obj = util.resonant_object(np.random.default_rng(900))
     a = eqconn.category._validated(obj, DEFAULT_TOL, True)[1]
-    t, q, _ = eqconn.numkit._clustered_schur(a.term(0), DEFAULT_TOL)
+    a0, eye = a.term(0), np.eye(obj.n)
     with pytest.raises(SpectrumCollision):
-        eqconn.category._series_gauge(a, t, q, TAU, 16, DEFAULT_TOL)
+        eqconn.numkit.solve_sylvester(a0 + TAU * eye, a0, -a.term(1))
+    form = eqconn.numkit._shift_groups(*eqconn.numkit._clustered_schur(a0, DEFAULT_TOL),
+                                       STRIP, DEFAULT_TOL)
+    fold = eqconn.category._fold_step(form)
+    series, _ = eqconn.category._series_gauge(a, form, fold, TAU, 16, DEFAULT_TOL)
+    gauged = gauge_transform(a, series, 16)
+    assert np.linalg.norm(gauged.term(1)) > 0.1
+    assert max(np.linalg.norm(gauged.term(k)) for k in range(2, 17)) < 1e-14 * a.norm()
 
 
-def test_non_resonant_normalize_takes_one_schur_form_and_no_spectral(monkeypatch):
+def test_normalize_takes_one_schur_form_and_no_spectral(monkeypatch):
+    """A scrambled input and a resonant one each take one Schur form of
+    A(0) and no ``spectral``: the fold's groups come from that form."""
     rng = np.random.default_rng(520)
-    obj = scramble(random_normal_form(rng, 8), rng, shears=2)
-    calls = {"_schur": 0, "spectral": 0}
+    objs = [scramble(random_normal_form(rng, 8), rng, shears=2),
+            util.resonant_object(np.random.default_rng(900))[1]]
     original = eqconn.numkit._schur
 
     def counting(*args, **kwargs):
@@ -446,9 +479,11 @@ def test_non_resonant_normalize_takes_one_schur_form_and_no_spectral(monkeypatch
     monkeypatch.setattr(eqconn.numkit, "_schur", counting)
     for module in (eqconn.numkit, eqconn.category):
         monkeypatch.setattr(module, "spectral", spectral_call)
-    nf = normalize(obj, STRIP, 16)
-    assert calls == {"_schur": 1, "spectral": 0}
-    assert nf.gauge.fold is not None and nf.diagnostics["shear_passes"] == 0
+    for obj in objs:
+        calls = {"_schur": 0, "spectral": 0}
+        nf = normalize(obj, STRIP, 16)
+        assert calls == {"_schur": 1, "spectral": 0}
+        assert nf.gauge.fold is not None and nf.diagnostics["shear_passes"] == 0
 
 
 def test_reference_spectral_agrees_with_the_library():
@@ -491,7 +526,7 @@ def test_balanced_normalize_recovers_the_seed_where_the_unit_radius_fails(n, see
     diag, radius = nf.diagnostics, nf.gauge.radius
     assert radius < 1.0 and diag["radius"] == radius
     assert max(diag["gauge_residual"], diag["b_residual"]) < 1e-12
-    assert nf.diagnostics["shear_passes"] == len(nf.gauge.shears)
+    assert nf.diagnostics["shear_passes"] == 0
     # forward oracle: the normal form is the seed's, up to isomorphism, and
     # the recorded gauge replays on the input within the reported residuals
     assert_normalizes_alike(nf, seed_nf, obj)
@@ -536,41 +571,92 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_raises():
             normalize(obj, STRIP)
 
 
-def test_normalize_refuses_a_resonant_input_whose_unit_step_is_below_rounding():
-    """A(0) = diag(3e8 tau, 6e8 tau) is so large that a unit step tau lies
-    below its rounding, so the resonance test flags it, and shearing it into
-    the strip would take 9e8 unit steps: normalize used to run on without
-    end.  It and the reference now refuse it before the first step."""
-    a = PolyMat.constant(np.diag([3e8 * TAU, 6e8 * TAU]), TAU, Q)
-    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
-
+def within_seconds(seconds, fn):
+    """``fn()``, failed with ``TimeoutError`` when it runs longer."""
     def overdue(signum, frame):
-        raise TimeoutError("normalize ran for more than 10 s")
+        raise TimeoutError("ran for more than %g s" % seconds)
 
     previous = signal.signal(signal.SIGALRM, overdue)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        for run in (normalize, reference_normalize):
-            with pytest.raises(NumericFailure, match="unit step of norm 1.414e.00 lies below"):
-                run(obj, STRIP)
+        return fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_normalize_folds_an_input_whose_unit_step_is_below_rounding():
+    """A(0) = diag(3e8 tau, 6e8 tau) is so large that a unit step tau lies
+    below its rounding: shearing it into the strip one step at a time would
+    take 9e8 steps, and the reference refuses it.  One fold takes it to
+    diag(0, 0) at once."""
+    a = PolyMat.constant(np.diag([3e8 * TAU, 6e8 * TAU]), TAU, Q)
+    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+    with pytest.raises(NumericFailure, match="unit step of norm 1.414e.00 lies below"):
+        within_seconds(10.0, lambda: reference_normalize(obj, STRIP))
+    nf = within_seconds(10.0, lambda: normalize(obj, STRIP))
+    assert np.array_equal(nf.A0, np.zeros((2, 2))) and np.array_equal(nf.B0, np.eye(2))
+    assert nf.gauge.fold.exponents == (-300000000, -600000000)
+    assert nf.diagnostics["gauge_residual"] == nf.diagnostics["b_residual"] == 0.0
+
+
 def test_normalize_shears_a_resonant_input_many_steps_off_the_strip():
     """The resonant seed of ``util.resonant_object`` gauged by ``z**40`` sits
-    40 and 41 unit steps off the strip, a unit step well above the rounding
-    of its A(0): it is sheared one step at a time, 131 in all, to a normal
-    form isomorphic to its seed and to the reference's."""
+    40 and 41 unit steps off the strip: one fold by ``z**40`` and ``z**41``
+    takes it to a normal form isomorphic to its seed and to the reference's,
+    which shears it one step at a time, 131 in all."""
     want, obj = util.resonant_object(np.random.default_rng(900))
-    p = PolyMat.monomial_diag([40] * obj.A.dim, TAU, Q)
-    far = EquivariantConnection(gauge_transform(obj.A, p), dilation_transform(obj.B, p),
-                                THETA, TAU, STRIP)
+    far = util.gauged_by_power(obj, 40)
     nf = normalize(far, STRIP, 16)
-    assert nf.diagnostics["shear_passes"] == len(nf.gauge.shears) == 131
+    assert sorted(set(nf.gauge.fold.exponents)) == [-41, -40]
+    assert_kept_above_the_groups(nf)
     assert_normalizes_alike(nf, want, far)
-    assert_normalizes_alike(nf, reference_normalize(far, STRIP, 16), far)
+    ref = reference_normalize(far, STRIP, 16)
+    assert ref.diagnostics["shear_passes"] == 131
+    assert_normalizes_alike(nf, ref, far)
+
+
+def test_normalize_folds_a_resonant_input_400_steps_off_the_strip():
+    """Gauged by ``z**400``, the seed is one fold away as well, isomorphic
+    within its residuals.  The K0 class is not compared: at ``||A(0)||``
+    about 1.1e3 rounding splits the Jordan block's eigenvalue by about
+    6.6e-8, beyond eps_spec, into two keys."""
+    want, obj = util.resonant_object(np.random.default_rng(900))
+    far = util.gauged_by_power(obj, 400)
+    nf = within_seconds(10.0, lambda: normalize(far, STRIP, 16))
+    assert sorted(set(nf.gauge.fold.exponents)) == [-401, -400]
+    assert max(nf.diagnostics["gauge_residual"], nf.diagnostics["b_residual"]) < 1e-10
+    assert_normalizes_alike(nf, want, far, same_k0=False)
+
+
+def test_normalize_folds_a_coupled_pair_far_off_the_strip():
+    """diag(lam, lam + tau) + [[0, 1], [0, 0]] z with lam 40 tau off the
+    strip, where the shearing passes took 81 steps, and 1e6 tau off, where
+    they would have taken about 1e6: one fold each, to one A0 within the
+    rounding of the larger A(0)."""
+    lam, nil = (0.3 + 0.1j) * TAU, np.array([[0.0, 1.0], [0.0, 0.0]])
+    forms = []
+    for steps in (40, 10 ** 6):
+        far = lam + steps * TAU
+        a = PolyMat(2, {0: np.diag([far, far + TAU]), 1: nil}, TAU, Q)
+        obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+        nf = within_seconds(10.0, lambda: normalize(obj, STRIP, 16))
+        assert nf.gauge.fold.exponents == (-steps, -steps - 1)
+        forms.append(nf)
+    assert np.allclose(forms[0].A0, [[lam, 1.0], [0.0, lam]], rtol=0, atol=1e-13)
+    assert np.allclose(forms[1].A0, forms[0].A0, rtol=0, atol=1e-9)
+
+
+def test_normalize_raises_a_collision_across_the_strip_edge():
+    """diag(1e-10 tau, (1 - 1e-10) tau) + [[0, 1], [0, 0]] z, B = I: both
+    eigenvalues reduce by shift 0, and order 1 would solve across a gap of
+    2e-10 |tau|, within eps_spec."""
+    a = PolyMat(2, {0: np.diag([1e-10 * TAU, (1 - 1e-10) * TAU]),
+                    1: np.array([[0.0, 1.0], [0.0, 0.0]])}, TAU, Q)
+    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+    with pytest.raises(SpectrumCollision) as err:
+        normalize(obj, STRIP, 16)
+    assert err.value.gap == pytest.approx(2e-10 * abs(TAU), rel=1e-5)
 
 
 def test_normalize_rejects_wrong_strip_modulus():

@@ -428,24 +428,50 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path)
         assert "projector" in report["error"]["message"]
 
 
-def test_normalize_of_a_resonant_input_far_from_the_strip_exits_1_in_bounded_time():
-    """A = diag(3e8 tau, 6e8 tau), B = I, whose unit step tau lies below the
-    rounding of A(0), would take 9e8 shearing steps; the command used to run
-    on without end, and now reports a numerical failure in strict JSON."""
-    a0 = [[[3e8, -3e8], [0.0, 0.0]], [[0.0, 0.0], [6e8, -6e8]]]
-    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
-           "A": [{"pow": 0, "coef": a0}], "B": [{"pow": 0, "coef": eye}]}
+def run_cli_normalize(obj):
+    """``eqconn.cli --json normalize`` of an inline object in a subprocess,
+    with a 60 s limit: ``(exit code, parsed strict JSON report)``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-m", "eqconn.cli", "--json", "normalize",
                            json.dumps(obj)], capture_output=True, text=True, env=env,
                           timeout=60, check=False)
-    assert done.returncode == 1, done.stderr
-    report = json.loads(done.stdout, parse_constant=pytest.fail)
-    assert report["error"]["kind"] == "NumericFailure"
-    assert "lies below the rounding" in report["error"]["message"]
+    assert done.stderr == ""
+    return done.returncode, json.loads(done.stdout, parse_constant=pytest.fail)
+
+
+def test_normalize_of_a_resonant_input_far_from_the_strip_exits_0_in_bounded_time():
+    """A = diag(3e8 tau, 6e8 tau), B = I, whose unit step tau lies below the
+    rounding of A(0), would take 9e8 shearing steps; the command used to run
+    on without end, then to refuse it, and now folds it to diag(0, 0)."""
+    a0 = [[[3e8, -3e8], [0.0, 0.0]], [[0.0, 0.0], [6e8, -6e8]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": a0}], "B": [{"pow": 0, "coef": eye}]}
+    code, report = run_cli_normalize(obj)
+    assert code == 0, report
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    assert report["result"]["A0"] == zero and report["result"]["B0"] == eye
+
+
+def test_normalize_of_a_collision_across_the_strip_edge_exits_1():
+    """diag(1e-10 tau, (1 - 1e-10) tau) + [[0, 1], [0, 0]] z, B = I: the
+    series gauge would solve across a gap of 2e-10 |tau|, and the command
+    reports the ``SpectrumCollision`` as a numerical failure in strict
+    JSON."""
+    tau = complex(1.0, -1.0)
+    lo, hi = 1e-10 * tau, (1 - 1e-10) * tau
+    a0 = [[[lo.real, lo.imag], [0.0, 0.0]], [[0.0, 0.0], [hi.real, hi.imag]]]
+    nil = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": a0}, {"pow": 1, "coef": nil}],
+           "B": [{"pow": 0, "coef": eye}]}
+    code, report = run_cli_normalize(obj)
+    assert code == 1
+    assert report["error"]["kind"] == "SpectrumCollision"
+    assert "spectra collide" in report["error"]["message"]
 
 
 def test_batch_reports_each_failing_job(capsys, tmp_path):

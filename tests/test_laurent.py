@@ -995,16 +995,17 @@ def test_shear_regularity_violation():
 
 
 def test_gauge_record_replay():
+    """A record replays as a series gauge, then the fold: one shear.  All
+    lower triangular, so that the fold's ``z**-1`` on the second basis
+    vector moves nothing below power 0."""
     rng = np.random.default_rng(10)
-    a = PolyMat(2, {0: np.diag([0.1, 0.1 + TAU]), 1: rng.normal(size=(2, 2))},
+    a = PolyMat(2, {0: np.diag([0.1, 0.1 + TAU]), 1: np.tril(rng.normal(size=(2, 2)))},
                 TAU, Q)
     b = PolyMat.constant(np.diag([2.0, 3.0]), TAU, Q)
-    sd = spectral(a.term(0))
-    sheared, step = shear(a, sd, [0, -1] if abs(sd.clusters[0].eigenvalue - 0.1) < 1e-9
-                          else [-1, 0])
-    series = PolyMat(2, {0: np.eye(2), 1: rng.normal(size=(2, 2)) * 0.2}, TAU, Q)
-    record = GaugeRecord(shears=(step,), series=series, truncation=8)
+    series = PolyMat(2, {0: np.eye(2), 1: np.tril(rng.normal(size=(2, 2))) * 0.2}, TAU, Q)
+    fold = ShearStep(np.tril(np.eye(2) + 0.3 * rng.normal(size=(2, 2))), (0, -1))
+    record = GaugeRecord(series=series, truncation=8, fold=fold)
     a2, b2 = apply_gauge_record(a, b, record)
-    a_direct = gauge_transform(sheared, series, 8)
-    assert a2.distance(a_direct) < 1e-12
-    assert b2.dim == 2
+    a_direct = apply_shear(gauge_transform(a, series, 8), fold)
+    b_direct = apply_shear_dilation(dilation_transform(b, series, 8), fold)
+    assert a2.distance(a_direct) < 1e-12 and b2.distance(b_direct) < 1e-12

@@ -210,6 +210,14 @@ def resonant_object(rng, gap=0.0, extra=2, degree=3, order=48):
     return seed, EquivariantConnection(a, b, THETA, seed.tau, STRIP)
 
 
+def gauged_by_power(obj, k):
+    """``obj`` gauged by ``z**k I``: every eigenvalue of A(0) moves by ``k
+    tau``, k unit steps off the strip for an object normalized to it."""
+    p = PolyMat.monomial_diag([k] * obj.n, obj.tau, obj.A.q)
+    return EquivariantConnection(gauge_transform(obj.A, p), dilation_transform(obj.B, p),
+                                 obj.theta, obj.tau, obj.transversal)
+
+
 def plant_non_equivariant_term(obj, rng, power=40, size=1e-4):
     """``obj`` with a random term added to B at ``power``, of norm ``size``
     in the frame balanced by the object's radius ``rho`` (``size /

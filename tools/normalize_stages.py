@@ -9,15 +9,16 @@ repeat, in process on one BLAS thread, timing the stages through the names
 ``eqconn.category.normalize`` calls:
 
 * ``validate``: ``validate`` or ``_validated``;
-* ``schur + resonance``: ``_clustered_schur`` and ``_resonance_separation``
-  (the Schur form of A(0) and the resonance test);
-* ``spectral``, ``shear A`` (``shear``): the shearing passes;
+* ``schur + groups``: ``_clustered_schur`` and ``_shift_groups`` (the
+  Schur form of A(0), reordered and block diagonalized over its shift
+  groups);
 * ``series gauge`` (``_series_gauge``) and ``series transport``
   (``_transport_pair``, A and B in one call; ``gauge_transform`` and
   ``dilation_transform`` where a checkout transports them apart);
-* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
-* ``shear/fold B`` (``apply_shear_dilation``): B through the shears, or
-  through the fold;
+* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A; where a
+  checkout's ``_fold_step`` calls ``_shift_groups`` itself, that time is
+  counted in both stages);
+* ``fold B`` (``apply_shear_dilation``): B through the fold;
 
 ``other`` is the rest of ``normalize``.  A name a checkout lacks is skipped
 and its stage reads 0, so the one script prints the table of a checkout
@@ -40,13 +41,11 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = {
     "validate": ("validate", "_validated"),
-    "schur + resonance": ("_clustered_schur", "_resonance_separation"),
-    "spectral": ("spectral",),
-    "shear A": ("shear",),
+    "schur + groups": ("_clustered_schur", "_shift_groups"),
     "series gauge": ("_series_gauge",),
     "series transport": ("_transport_pair", "gauge_transform", "dilation_transform"),
     "fold": ("_fold_step", "apply_shear"),
-    "shear/fold B": ("apply_shear_dilation",),
+    "fold B": ("apply_shear_dilation",),
 }
 
 
