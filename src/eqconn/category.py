@@ -59,6 +59,7 @@ from .numkit import (
     _decouple,
     _fold,
     _group_blocks,
+    _merge_keys,
     _shift_groups,
     _svd_split,
     _triangular_sylvester,
@@ -223,7 +224,8 @@ class NormalForm:
     dilation ``B0``, with ``spec(A0)`` inside ``transversal``.
 
     The Schur form of A0 is kept once taken (``schur_form``), and A0 is made
-    read-only then, so that an in-place change cannot leave it stale."""
+    read-only then, so that an in-place change cannot leave it stale; so is
+    that form ordered along the strip, which ``tensor`` reads."""
 
     A0: np.ndarray
     B0: np.ndarray
@@ -232,7 +234,9 @@ class NormalForm:
     tau: complex
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
-    # the Schur forms of A0, per Tolerances, computed on first use
+    # the Schur forms of A0, per Tolerances, computed on first use: the
+    # clustered form keyed by the Tolerances, the form ordered along the
+    # strip by (Tolerances, "strip")
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -251,11 +255,38 @@ class NormalForm:
         ``decompose``, ``hom_basis``, ``hom_mode_dims`` and
         ``torus.psi_star``.  Its arrays are read-only, and so is A0 from then
         on.
+
+        The memo's second entry per ``Tolerances`` is this form with its
+        clusters ordered by the strip position of their means
+        (``_strip_form``), which ``tensor`` reads.
         """
         tol = tol or DEFAULT_TOL
         form = self._memo.get(tol)
         if form is None:
             form = self._keep(_clustered_schur(self.A0, tol), tol)
+        return form
+
+    def _strip_form(self, tol):
+        """``(t, q, key)``: the clustered Schur form of A0 (``schur_form``)
+        with its clusters ordered by the strip position of their means, and
+        for each diagonal entry of ``t`` that position of its cluster's mean,
+        so ``key`` does not decrease along the diagonal.
+
+        ``_group_blocks`` moves whole clusters, so no ztrsen swap is made
+        within one, and makes no call when they are already in order.  Kept
+        read-only beside ``schur_form``, so that ``tensor(x, y)`` and
+        ``tensor(y, x)`` share it.
+        """
+        form = self._memo.get((tol, "strip"))
+        if form is None:
+            t, q, blocks = self.schur_form(tol)
+            position = np.array([self.transversal.position(lam) for _, _, lam in blocks])
+            order = np.argsort(position, kind="stable")
+            t, q, _ = _group_blocks(t, q, blocks, np.argsort(order).tolist())
+            sizes = np.array([stop - start for start, stop, _ in blocks], dtype=int)
+            key = np.repeat(position[order], sizes[order])
+            t.flags.writeable = q.flags.writeable = key.flags.writeable = False
+            form = self._memo[(tol, "strip")] = (t, q, key)
         return form
 
     @classmethod
@@ -547,19 +578,30 @@ def tensor(x, y, tol=None):
     of spectra is folded back into the strip, dilations multiply.
 
     With ``q_x t_x q_x^H`` and ``q_y t_y q_y^H`` the factors' Schur forms
-    (``NormalForm.schur_form``, which makes ``x.A0`` and ``y.A0``
-    read-only), the Kronecker sum ``A_x (x) I + I (x) A_y`` has the Schur
-    form ``(q_x (x) q_y) (t_x (x) I + I (x) t_y) (q_x (x) q_y)^H``; it is
+    ordered along the strip (``NormalForm._strip_form``, which makes
+    ``x.A0`` and ``y.A0`` read-only), the Kronecker sum ``A_x (x) I + I (x)
+    A_y`` has the Schur form ``(q_x (x) q_y) (t_x (x) I + I (x) t_y) (q_x
+    (x) q_y)^H``.  Its basis is permuted by a stable argsort of ``key_x[i]
+    + key_y[j]``, the strip positions of the factors' cluster means: that
+    sum does not decrease along either factor, so the permuted form stays
+    exactly upper triangular, and it follows the strip position of the
+    product's eigenvalues, so each cluster of the product and each group
+    the fold shifts alike lie contiguous already.  The permuted form is
     folded as ``numkit.reduce_to_transversal`` folds, and the result keeps
     the clustered Schur form of its A0.  No Schur iteration runs on the
-    product.
+    product, and for generic factors no ztrsen either: one runs only for a
+    product cluster whose members the order leaves apart, as when sums of
+    two factor eigenvalues meet by chance, or for a cluster that crosses the
+    fold's groups.
     """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
-    tx, qx, _ = x.schur_form(tol)
-    ty, qy, _ = y.schur_form(tol)
+    tx, qx, kx = x._strip_form(tol)
+    ty, qy, ky = y._strip_form(tol)
+    order = np.argsort((kx[:, None] + ky[None, :]).ravel(), kind="stable")
     t = _kron(tx, np.eye(y.n)) + _kron(np.eye(x.n), ty)
-    return _folded(x, t, _kron(qx, qy), np.kron(x.B0, y.B0), tol)
+    return _folded(x, t[order[:, None], order], _kron(qx, qy)[:, order],
+                   np.kron(x.B0, y.B0), tol)
 
 
 def dual(x, tol=None):
@@ -1066,8 +1108,17 @@ def decompose(nf, tol=None):
     if below > tol.eps_key * max(1.0, float(np.linalg.norm(nf.B0))):
         raise NumericFailure("dilation is not block triangular on the eigenvalue "
                              "clusters of A0: below-block norm %.3e" % below)
-    labels = [(lam, complex(v)) for s0, s1, lam in blocks
-              for v in np.linalg.eigvals(b[s0:s1, s0:s1])]
+    sizes = np.array([s1 - s0 for s0, s1, _ in blocks], dtype=int)
+    values = [None] * len(blocks)
+    for size in np.unique(sizes).tolist():
+        # the blocks of one size in one batched call, bit for bit the values
+        # of one call per block
+        which = np.flatnonzero(sizes == size)
+        rows = np.array([blocks[c][0] for c in which])[:, None] + np.arange(size)
+        for c, vals in zip(which.tolist(), np.linalg.eigvals(
+                b[rows[:, :, None], rows[:, None, :]]).tolist()):
+            values[c] = vals
+    labels = [(lam, v) for (_, _, lam), vals in zip(blocks, values) for v in vals]
     return sorted(labels, key=lambda label: (_lex_key(label[0]), _lex_key(label[1])))
 
 
@@ -1078,17 +1129,21 @@ class K0Class:
     Keys within ``eps_key`` merge, the radius scaled by the size of each part
     of the key above 1, so labels carrying rounding at their own scale still
     collide; keys hugging the right strip edge fold to the left edge so equal
-    cosets always collide.
+    cosets always collide.  The merge is ``numkit._merge_keys``: each key
+    joins the first key before it that is a representative within that
+    representative's radius.
     """
 
     def __init__(self, transversal, entries=(), tol=None):
         self.transversal = transversal
         self.tol = tol or DEFAULT_TOL
-        merged = []
-        for b, zp, mult in entries:
-            self._accumulate(merged, complex(b), self._canon(complex(zp)), int(mult))
+        entries = list(entries)
+        keys = np.array([(complex(b), self._canon(complex(zp))) for b, zp, _ in entries],
+                        dtype=complex).reshape(-1, 2)
+        keys, mults = _merge_keys(keys, [int(m) for _, _, m in entries],
+                                  self.tol.eps_key * np.maximum(1.0, np.abs(keys)))
         self.entries = tuple(sorted(
-            ((b, zp, m) for b, zp, m in merged if m != 0),
+            ((b, zp, m) for (b, zp), m in zip(keys.tolist(), mults.tolist()) if m != 0),
             key=lambda t: (_lex_key(t[1]), _lex_key(t[0]))))
 
     def _canon(self, zp):
@@ -1097,15 +1152,6 @@ class K0Class:
         if self.transversal.position(rep) > 1.0 - edge:
             rep -= self.transversal.tau
         return rep
-
-    def _accumulate(self, merged, b, zp, mult):
-        eps = self.tol.eps_key
-        for i, (b0, zp0, m0) in enumerate(merged):
-            if (abs(b - b0) <= eps * max(1.0, abs(b0))
-                    and abs(zp - zp0) <= eps * max(1.0, abs(zp0))):
-                merged[i] = (b0, zp0, m0 + mult)
-                return
-        merged.append((b, zp, mult))
 
     def __add__(self, other):
         self._check(other)

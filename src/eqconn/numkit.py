@@ -422,6 +422,54 @@ def _connected_components(near):
     return (np.cumsum(first) - 1)[root].tolist()
 
 
+def _merge_keys(keys, mults, radius):
+    """Merge keys carrying integer multiplicities, greedily in order: each
+    key joins the first key before it that is a representative and lies
+    within that representative's radius in every coordinate, or becomes a
+    representative itself.
+
+    ``keys`` is ``(m, k)`` complex, one row per key; ``radius`` is a scalar
+    or the ``(m, k)`` radii each key has as a representative.  The pairs
+    within the radius are found at once: a box test on the real and
+    imaginary parts of the gaps, then ``abs`` on the pairs in the box only.
+    A key with no near key before it is a representative, and a key whose
+    first near key is one of those joins it; only the others, as along a
+    chain, are looked at one by one.  Returns ``(representatives,
+    multiplicities)`` in the order the representatives were made; a
+    multiplicity that sums to 0 is kept.
+    """
+    m = len(keys)
+    radius = np.broadcast_to(radius, keys.shape)
+    box = np.ones((m, m), dtype=bool)
+    for c in range(keys.shape[1]):
+        # |gap| <= r needs |Re gap| <= r and |Im gap| <= r
+        gap = keys[:, c, None] - keys[:, c]
+        box &= (np.abs(gap.real) <= radius[:, c]) & (np.abs(gap.imag) <= radius[:, c])
+    i, j = np.nonzero(box)
+    # the pairs (i, j), j < i, in the order of i, then of j, within j's radius
+    pair = i > j
+    i, j = i[pair], j[pair]
+    pair = (np.abs(keys[i] - keys[j]) <= radius[j]).all(axis=1)
+    i, j = i[pair], j[pair]
+    if not i.size:
+        return keys, np.array(mults, dtype=np.int64)
+    owner = np.arange(m)
+    first = np.flatnonzero(np.diff(i, prepend=-1))
+    rows = i[first]
+    owner[rows] = j[first]
+    joined = np.zeros(m, dtype=bool)
+    joined[rows] = True
+    for row in rows[joined[j[first]]]:
+        # the owners of the keys before row are settled; representatives own themselves
+        before = j[i == row]
+        before = before[owner[before] == before]
+        owner[row] = before[0] if before.size else row
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, owner, mults)
+    kept = owner == np.arange(m)
+    return keys[kept], total[kept]
+
+
 def _clustered_schur(m, tol):
     """Complex Schur form with eigenvalue clusters contiguous on the diagonal.
 
@@ -441,13 +489,17 @@ def _cluster_triangular(t, q, tol):
 
     ``_group_blocks`` orders the clusters by first appearance on the
     diagonal: nothing moves, and ``t``, ``q`` come back as they are, unless
-    one has members apart.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
+    one has members apart.  The means are one ``np.add.reduceat`` over the
+    diagonal, which sums a cluster of three or more in another order than
+    ``np.mean``.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
     """
     labels = _cluster_indices(np.diag(t), tol.eps_spec)
     t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
-    diag = np.diag(t)
-    return t, q, [(start, stop, complex(np.mean(diag[start:stop])))
-                  for start, stop, _ in groups]
+    if not groups:
+        return t, q, []
+    starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
+    means = np.add.reduceat(np.diag(t), starts) / (stops - starts)
+    return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
 
 
 def spectral(m, tol=None):
@@ -503,12 +555,13 @@ def _cluster_shifts(t, blocks, transversal, to_strip):
     A cluster whose members would individually reduce by other shifts is
     flagged with a ``TransversalBranchWarning`` giving the boundary distance.
     """
-    shifts = []
+    diag, shifts = np.diag(t), []
     for (s0, s1, lam) in blocks:
         _, shift = transversal.reduce(to_strip(lam))
         shifts.append(shift)
-        if any(transversal.reduce(to_strip(member))[1] != shift
-               for member in np.diag(t)[s0:s1]):
+        # a cluster of one is its own mean
+        if s1 - s0 > 1 and any(transversal.reduce(to_strip(member))[1] != shift
+                               for member in diag[s0:s1]):
             warnings.warn(
                 "cluster at %s straddles a strip boundary; shift forced to %d "
                 "(boundary distance %.3e)"
@@ -546,23 +599,40 @@ def log_transversal(m, transversal, tol=None):
 
 def _group_blocks(t, q, blocks, keys):
     """Reorder the cluster-ordered Schur form ``q t q^H`` so that clusters
-    sharing an integer key (a shift, a group of clusters) sit in one contiguous
-    group, groups in increasing key.
+    sharing an integer key (a shift, a group of clusters, a rank along the
+    strip) sit in one contiguous group, groups in increasing key.
 
-    LAPACK's ``ztrsen`` moves the selected eigenvalues to the top keeping
-    their order, so selecting every group up to the next boundary, once per
-    boundary, leaves the groups in place.  Keys that already increase along
-    the diagonal need no call, and ``t``, ``q`` come back as they are.
+    Keys that already increase along the diagonal need no call: the groups
+    are read off in plain Python, and ``t``, ``q`` come back as they are.
+    Otherwise LAPACK's ``ztrsen`` moves the selected eigenvalues to the top
+    keeping their order, so selecting every group up to the next boundary,
+    once per boundary, leaves the groups in place; a level whose selection
+    already sits on top is skipped.  The first call copies ``t`` and ``q``,
+    which may be read-only memoized forms, and the later ones overwrite that
+    copy.  A cluster moves whole, each of its members past the same
+    eigenvalues, so no swap is made within a cluster.
     Returns ``(t, q, groups)`` with groups a list of ``(start, stop, key)``.
     """
+    if all(a <= b for a, b in zip(keys, keys[1:])):
+        groups = []
+        for (start, stop, _), key in zip(blocks, keys):
+            if groups and groups[-1][2] == key:
+                groups[-1] = (groups[-1][0], stop, key)
+            else:
+                groups.append((start, stop, key))
+        return t, q, groups
     member = np.repeat(keys, [s1 - s0 for s0, s1, _ in blocks])
-    if (np.diff(member) < 0).any():
-        for level in sorted(set(keys))[:-1]:
-            select = member <= level
-            t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-            if info != 0:
-                raise NumericFailure("Schur reordering failed (info %d)" % info)
-            member = np.concatenate([member[select], member[~select]])
+    own = False
+    for level in sorted(set(keys))[:-1]:
+        select = member <= level
+        if select[:np.count_nonzero(select)].all():
+            continue
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
+            select, t, q, job="N", overwrite_t=own, overwrite_q=own)
+        if info != 0:
+            raise NumericFailure("Schur reordering failed (info %d)" % info)
+        own = True
+        member = np.concatenate([member[select], member[~select]])
     levels, counts = np.unique(member, return_counts=True)
     stops = np.cumsum(counts)
     return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))

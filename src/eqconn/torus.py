@@ -23,7 +23,7 @@ import numpy as np
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
-from .numkit import DEFAULT_TOL, _clustered_schur, as_square_matrix
+from .numkit import DEFAULT_TOL, _clustered_schur, _merge_keys, as_square_matrix
 
 TWO_PI_I = 2j * math.pi
 
@@ -460,31 +460,30 @@ def _unit_mod(x):
 
 
 class Divisor:
-    """Finite multiset of lattice-reduced points with integer multiplicities."""
+    """Finite multiset of lattice-reduced points with integer multiplicities.
+
+    Points within ``eps_key`` merge, as the keys of a ``K0Class`` merge
+    (``numkit._merge_keys``), with one radius for every point."""
 
     def __init__(self, tau, points=(), tol=None):
         self.tau = complex(tau)
         self.tol = tol or DEFAULT_TOL
-        merged = []
+        # fold points hugging the far edges back to the near edges
+        edge = self.tol.eps_key / max(1.0, abs(self.tau))
+        reduced, mults = [], []
         for point, mult in points:
-            reduced, (s, t) = reduce_mod_lattice(point, self.tau)
-            # fold points hugging the far edges back to the near edges
-            edge = self.tol.eps_key / max(1.0, abs(self.tau))
+            p, (s, t) = reduce_mod_lattice(point, self.tau)
             if s > 1.0 - edge:
-                reduced -= 1.0
+                p -= 1.0
             if t > 1.0 - edge:
-                reduced -= self.tau
-            self._accumulate(merged, reduced, int(mult))
+                p -= self.tau
+            reduced.append(p)
+            mults.append(int(mult))
+        keys, mults = _merge_keys(np.array(reduced, dtype=complex).reshape(-1, 1), mults,
+                                  self.tol.eps_key)
         self.points = tuple(sorted(
-            ((p, m) for p, m in merged if m != 0),
+            ((p, m) for p, m in zip(keys[:, 0].tolist(), mults.tolist()) if m != 0),
             key=lambda pm: (round(pm[0].real, 9), round(pm[0].imag, 9))))
-
-    def _accumulate(self, merged, point, mult):
-        for i, (p0, m0) in enumerate(merged):
-            if abs(point - p0) <= self.tol.eps_key:
-                merged[i] = (p0, m0 + mult)
-                return
-        merged.append((point, mult))
 
     def degree(self):
         return sum(m for _, m in self.points)

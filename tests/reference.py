@@ -18,6 +18,12 @@ forms from the factors' instead.
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
 
+``reference_k0_entries`` and ``reference_divisor_points`` are the
+pairwise loops ``K0Class`` and ``Divisor`` once merged their keys with: each
+key, in order, compared with every representative kept so far.  The
+library's one merge over a proximity matrix must give the same entries,
+element for element.
+
 ``reference_spectral`` is ``eqconn.numkit.spectral`` as it stands on the
 Givens-sorted Schur form above: ``scramble`` takes its shears from it, so the
 scrambled inputs do not move when the library's spectral code does.
@@ -81,6 +87,7 @@ import scipy.linalg
 from eqconn import serialize
 from eqconn.category import (
     EquivariantConnection,
+    K0Class,
     MonodromyPair,
     NormalForm,
     validate,
@@ -106,7 +113,7 @@ from eqconn.numkit import (
     nullspace,
     spectral,
 )
-from eqconn.torus import TWO_PI_I, TorusPoly
+from eqconn.torus import TWO_PI_I, TorusPoly, reduce_mod_lattice
 
 
 def _cluster_indices(values, radius):
@@ -315,6 +322,51 @@ def reference_decompose(a, b, tol):
         a = comp.conj().T @ a @ comp
         b = comp.conj().T @ b @ comp
     return out
+
+
+def reference_k0_entries(transversal, entries, tol=DEFAULT_TOL):
+    """``K0Class(transversal, entries, tol).entries`` from the pairwise loop:
+    each label ``(b, z')``, z' taken into the strip by ``K0Class._canon``,
+    adds its multiplicity to the first kept label within ``eps_key`` of it
+    in both parts, the radius scaled by the size of the kept label's part
+    above 1, or is kept itself."""
+    canon = K0Class(transversal, tol=tol)._canon
+    eps = tol.eps_key
+    merged = []
+    for b, zp, mult in entries:
+        b, zp = complex(b), canon(complex(zp))
+        for i, (b0, zp0, m0) in enumerate(merged):
+            if (abs(b - b0) <= eps * max(1.0, abs(b0))
+                    and abs(zp - zp0) <= eps * max(1.0, abs(zp0))):
+                merged[i] = (b0, zp0, m0 + int(mult))
+                break
+        else:
+            merged.append((b, zp, int(mult)))
+    return tuple(sorted(((b, zp, m) for b, zp, m in merged if m != 0),
+                        key=lambda e: (_lex_key(e[1]), _lex_key(e[0]))))
+
+
+def reference_divisor_points(tau, points, tol=DEFAULT_TOL):
+    """``Divisor(tau, points, tol).points`` from the pairwise loop: each
+    point reduced into the fundamental parallelogram, folded off its far
+    edges, and added to the first kept point within ``eps_key``, or kept."""
+    tau = complex(tau)
+    edge = tol.eps_key / max(1.0, abs(tau))
+    merged = []
+    for point, mult in points:
+        reduced, (s, t) = reduce_mod_lattice(point, tau)
+        if s > 1.0 - edge:
+            reduced -= 1.0
+        if t > 1.0 - edge:
+            reduced -= tau
+        for i, (p0, m0) in enumerate(merged):
+            if abs(reduced - p0) <= tol.eps_key:
+                merged[i] = (p0, m0 + int(mult))
+                break
+        else:
+            merged.append((reduced, int(mult)))
+    return tuple(sorted(((p, m) for p, m in merged if m != 0),
+                        key=lambda pm: (round(pm[0].real, 9), round(pm[0].imag, 9))))
 
 
 def reference_spectral(m, eps_spec=1e-8):

@@ -861,6 +861,46 @@ def test_tensor_of_conjugated_defective_factors_meets_the_monodromy_oracle():
             _check_handed_over_form(pq)
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_tensor_makes_no_schur_reorder_on_the_product(monkeypatch, n):
+    # the factors' forms are ordered along the strip, each cluster moved
+    # whole, and the product's basis is a permutation of their Kronecker
+    # basis, so every ztrsen call is factor sized
+    rng = np.random.default_rng(54 + n)
+    x, y = random_normal_form(rng, n), random_normal_form(rng, n)
+    shapes = []
+    ztrsen = scipy.linalg.lapack.ztrsen
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsen",
+                        lambda *args, **kwargs: shapes.append(args[1].shape)
+                        or ztrsen(*args, **kwargs))
+    for p, q in ((x, y), (x, x)):
+        pq = tensor(p, q)
+        t, u, blocks = pq.schur_form()
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n * n)) <= 1e-13
+        assert np.array_equal(u @ t @ u.conj().T, pq.A0)
+        _check_handed_over_form(pq)
+    assert set(shapes) <= {(n, n)}
+
+
+def test_decompose_batched_labels_are_bit_identical():
+    # one eigvals call per block size gives the bits of one call per block;
+    # on seed 61 rounding leaves clusters of 1, 2 and 3 (most seeds split
+    # each Jordan block into clusters of one)
+    x = random_normal_form(np.random.default_rng(58), 8)
+    defective = util.random_defective_normal_form(np.random.default_rng(61), groups=3)
+    for nf in (defective, tensor(x, x)):
+        t, q, blocks = nf.schur_form()
+        assert len({s1 - s0 for s0, s1, _ in blocks}) > 1
+        b = q.conj().T @ nf.B0 @ q
+        want = sorted([(lam, complex(v)) for s0, s1, lam in blocks
+                       for v in np.linalg.eigvals(b[s0:s1, s0:s1])],
+                      key=lambda label: (eqconn.category._lex_key(label[0]),
+                                         eqconn.category._lex_key(label[1])))
+        got = decompose(nf)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
 def test_tensor_and_psi_star_take_no_schur_form_of_the_product(monkeypatch):
     rng = np.random.default_rng(53)
     x, y = random_normal_form(rng, 12), random_normal_form(rng, 12)

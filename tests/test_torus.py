@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eqconn.numkit
 import util
@@ -36,8 +38,10 @@ from eqconn.torus import (
 from reference import (
     ReferenceFreeBundle,
     reference_build_extension,
+    reference_divisor_points,
     reference_extension_morphism_residuals,
     reference_is_nori_finite,
+    reference_k0_entries,
     reference_psi_star,
 )
 from util import STRIP, TAU, THETA, random_normal_form
@@ -475,6 +479,60 @@ def test_divisor_equivalence_is_equivalence_relation():
     # symmetry and transitivity on an equivalent chain
     shifted = Divisor(TAU, [(pts[0] + 1.0, 1)])
     assert divisor_equivalent(d[0], shifted) and divisor_equivalent(shifted, d[0])
+
+
+# Steps off a centre, in units of eps_key times the centre's size above 1:
+# near-duplicates at 0.5 and 2, the radius itself, and the chain 0 ~ 0.75 ~
+# 1.5, whose ends are not near each other.
+MERGE_STEPS = (0.0, 0.5, 1.0, 2.0, 0.75, 1.5)
+
+
+@st.composite
+def label_lists(draw):
+    """``(labels, seed)``: labels ``(b, z', mult)`` around one to three
+    centres, of size 1 or 1e6 in each part, each label a step of
+    ``MERGE_STEPS`` off its centre along one direction per centre and part,
+    multiplicity -2 to 2; some labels are followed by their negation, which
+    cancels them."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    centres = []
+    for size_b, size_zp in draw(st.lists(st.tuples(st.sampled_from((1.0, 1e6)),
+                                                   st.sampled_from((1.0, 1e6))),
+                                         min_size=1, max_size=3)):
+        b = size_b * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        zp = size_zp * TAU * complex(rng.uniform(0.05, 0.95), rng.uniform(-0.5, 0.5))
+        turns = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
+        centres.append((b, zp, turns))
+    eps = eqconn.numkit.DEFAULT_TOL.eps_key
+    labels = []
+    for c, step_b, step_zp, mult, cancel in draw(st.lists(st.tuples(
+            st.integers(0, len(centres) - 1), st.sampled_from(MERGE_STEPS),
+            st.sampled_from(MERGE_STEPS), st.sampled_from((-2, -1, 1, 2)), st.booleans()),
+            min_size=1, max_size=12)):
+        b, zp, turns = centres[c]
+        label = (b + step_b * eps * max(1.0, abs(b)) * turns[0],
+                 zp + step_zp * eps * max(1.0, abs(zp)) * turns[1], mult)
+        labels.append(label)
+        if cancel:
+            labels.append(label[:2] + (-mult,))
+    return labels, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label_lists())
+@example(([(0.5, 0.3 * TAU, 1), (0.5 + 0.75e-7, 0.3 * TAU, 1),
+           (0.5 + 1.5e-7, 0.3 * TAU, 1)], 0))      # a chain: the last is kept apart
+def test_k0_and_divisor_merges_match_the_pairwise_loops(case):
+    """The shared merge over a proximity matrix gives the entries of the
+    pairwise loops, element for element: the same representatives, their
+    multiplicities, the cancelled ones dropped, in the same order."""
+    labels, _ = case
+    assert K0Class(STRIP, labels).entries == reference_k0_entries(STRIP, labels)
+    points = [(zp, mult) for _, zp, mult in labels]
+    assert Divisor(TAU, points).points == reference_divisor_points(TAU, points)
+    assert k0_to_divisor(K0Class(STRIP, labels)).points == reference_divisor_points(
+        TAU, [(-zp, mult) for _, zp, mult in reference_k0_entries(STRIP, labels)])
 
 
 def test_k0_to_divisor_additive_over_tensor_classes():

@@ -12,6 +12,16 @@ is ``scramble(random_normal_form(rng, n), rng, shears=1)`` from
 ``tests/util.py``, as the normalize-scrambled benchmark draws it (powers 0
 to about 48), and P a seeded series gauge ``I + P_1 z + ... + P_K z**K``.
 Points are keyed ``<module>.<entry point>``.
+
+The tensor points take seeded normal forms x, y of ``random_normal_form``
+at n in {4, 8, 12}, tensor dims {16, 64, 144}, and time, for ``[xy]`` the
+product x (x) y and for ``[xx]`` the square x (x) x: ``category.tensor``,
+each call on fresh copies of the factors, so that the factor's memoized
+Schur forms are paid for as a tensor-decompose job pays for them; then, on
+that product, which holds its Schur form from birth as the job's does,
+``category.k0_class``, ``torus.k0_to_divisor`` of its class and
+``torus.psi_star``; and at dim 16 only ``category.hom_basis(t, t)``.
+These are keyed by the tensor dim where the others are keyed by n.
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
@@ -39,6 +49,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 4, 8, 12)
+TENSOR_SIZES = (4, 8, 12)
+HOM_MAX_DIM = 16
 ORDER = 16
 SEED = 15
 TARGET_S = 0.02
@@ -77,6 +89,34 @@ def entry_points(obj, p):
     }
 
 
+def tensor_points(n):
+    """The tensor points at dim ``n * n``, ``{"<module>.<entry>[xy|xx]": fn}``."""
+    import dataclasses
+
+    import numpy as np
+    from eqconn.category import hom_basis, k0_class, tensor
+    from eqconn.torus import k0_to_divisor, psi_star
+    from util import random_normal_form
+
+    rng = np.random.default_rng((SEED, n))
+    x, y = random_normal_form(rng, n), random_normal_form(rng, n)
+    points = {}
+    for kind in ("xy", "xx"):
+        def product(square=kind == "xx"):
+            fx = dataclasses.replace(x)
+            return tensor(fx, fx if square else dataclasses.replace(y))
+
+        t = product()
+        k0 = k0_class(t)
+        points["category.tensor[%s]" % kind] = product
+        points["category.k0_class[%s]" % kind] = lambda t=t: k0_class(t)
+        points["torus.k0_to_divisor[%s]" % kind] = lambda k0=k0: k0_to_divisor(k0)
+        points["torus.psi_star[%s]" % kind] = lambda t=t: psi_star(t)
+        if n * n <= HOM_MAX_DIM:
+            points["category.hom_basis[%s]" % kind] = lambda t=t: hom_basis(t, t)
+    return points
+
+
 def timing(fn, repeats):
     """``repeats`` means in ms, each over a batch of calls."""
     fn()
@@ -105,6 +145,9 @@ def measure(checkout, repeats):
     for n in SIZES:
         for name, fn in entry_points(*inputs(n)).items():
             points.setdefault(name, {})[str(n)] = timing(fn, repeats)
+    for n in TENSOR_SIZES:
+        for name, fn in tensor_points(n).items():
+            points.setdefault(name, {})[str(n * n)] = timing(fn, repeats)
     return points
 
 
@@ -154,6 +197,7 @@ def main(argv=None):
     from normalize_stages import machine
 
     report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
+                         "tensor_dims": [n * n for n in TENSOR_SIZES],
                          "repeats": args.repeats, "unit": "ms per call",
                          "statistic": "[q1, median, q3] of the timings"},
               "machine": machine()}
@@ -171,12 +215,12 @@ def main(argv=None):
         for side, (_, rounds) in sides.items():
             report[side] = summary(rounds)
         report["paired"] = paired(sides["parent"][1], sides["change"][1])
-        print("%-30s %4s %10s %10s %13s %5s" % ("entry point", "n", "parent ms", "change ms",
-                                                "median ratio", "won"))
+        print("%-30s %5s %10s %10s %13s %5s" % ("entry point", "n|dim", "parent ms",
+                                                "change ms", "median ratio", "won"))
         for key, by_n in report["change"].items():
             for n, ms in by_n.items():
                 pair = report["paired"][key][n]
-                print("%-30s %4s %10.4f %10.4f  x%11.3f %2d/%d"
+                print("%-30s %5s %10.4f %10.4f  x%11.3f %2d/%d"
                       % (key, n, report["parent"][key][n][1], ms[1], pair["median_ratio"],
                          pair["won"], args.rounds))
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
