@@ -44,11 +44,9 @@ from .laurent import (
     ShearStep,
     _balancing_radius,
     _commutator,
+    _gauged_pair,
     _rescaled,
     _series,
-    _transport_pair,
-    apply_shear,
-    apply_shear_dilation,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -59,11 +57,13 @@ from .numkit import (
     _decouple,
     _fold,
     _group_blocks,
+    _log_schur,
     _merge_keys,
+    _schur,
     _shift_groups,
     _svd_split,
     _triangular_sylvester,
-    log_transversal,
+    as_square_matrix,
     mat_exp,
     spectral,  # noqa: F401  no longer called here; kept as category.spectral for callers
 )
@@ -248,13 +248,12 @@ class NormalForm:
         each eigenvalue cluster a contiguous diagonal block ``(start, stop,
         mean)``.
 
-        The result of ``tensor`` and ``dual`` holds it from birth, built from
-        the factors' forms without a Schur iteration (``_from_schur_form``);
+        The result of ``tensor``, ``dual`` and ``from_monodromy`` holds it
+        from birth, without a Schur iteration of A0 (``_from_schur_form``);
         any other normal form computes it with ``numkit._clustered_schur`` on
-        first use.  It is kept once per ``Tolerances`` and shared by
-        ``decompose``, ``hom_basis``, ``hom_mode_dims`` and
-        ``torus.psi_star``.  Its arrays are read-only, and so is A0 from then
-        on.
+        first use.  It is kept once per ``Tolerances``, and every read of
+        the spectrum of A0 is its diagonal.  Its arrays are read-only, and
+        so is A0 from then on.
 
         The memo's second entry per ``Tolerances`` is this form with its
         clusters ordered by the strip position of their means
@@ -310,30 +309,37 @@ class NormalForm:
         return theta_to_q(self.theta)
 
     def eigen_margins(self):
-        """Distance of each eigenvalue of A0 to the strip boundary."""
+        """Distance of each eigenvalue of A0 (``schur_form()``) to the strip boundary."""
         return [self.transversal.boundary_distance(lam)
-                for lam in np.linalg.eigvals(self.A0)]
+                for lam in np.diag(self.schur_form()[0])]
 
 
-def validate_normal_form(nf, tol=None, strict=True):
+def validate_normal_form(nf, tol=None):
+    """Check a normal form, returning its residuals: square A0 and B0 of one
+    size, the eigenvalues of A0 (``nf.schur_form(tol)``) in the strip, A0
+    and B0 commuting (``EquivarianceViolation``), B0 invertible
+    (``SingularB``)."""
     tol = tol or DEFAULT_TOL
+    n = nf.A0.shape[0]
+    if nf.A0.shape != (n, n) or nf.B0.shape != (n, n):
+        raise ValidationFailure("normal form needs square A0 and B0 of one size, got "
+                                "%s and %s" % (nf.A0.shape, nf.B0.shape))
     diag = {}
-    if nf.n:
-        outside = [lam for lam in np.linalg.eigvals(nf.A0)
-                   if not nf.transversal.contains(lam, margin=tol.eps_spec)]
-        diag["eigenvalues_outside"] = len(outside)
-        if strict and outside:
+    if n:
+        outside = sum(not nf.transversal.contains(lam, margin=tol.eps_spec)
+                      for lam in np.diag(nf.schur_form(tol)[0]))
+        if outside:
             raise ValidationFailure(
-                "normal form has %d eigenvalue(s) outside the strip" % len(outside))
+                "normal form has %d eigenvalue(s) outside the strip" % outside)
         comm = float(np.linalg.norm(nf.A0 @ nf.B0 - nf.B0 @ nf.A0))
         bound = tol.eps_res * (np.linalg.norm(nf.A0) + 1.0) * (np.linalg.norm(nf.B0) + 1.0)
         diag["commutator_residual"] = comm
-        if strict and comm > bound:
+        if comm > bound:
             raise EquivarianceViolation(
                 "constant pair does not commute: residual %.3e" % comm)
         svals = np.linalg.svd(nf.B0, compute_uv=False)
         diag["b_smallest_singular_value"] = float(svals[-1])
-        if strict and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
+        if svals[-1] <= tol.eps_res * max(1.0, svals[0]):
             raise SingularB("dilation matrix of the normal form is singular")
     return diag
 
@@ -396,17 +402,18 @@ def normalize(obj, transversal=None, order=16, tol=None):
       within eps_spec, and ``NumericFailure`` when ztrsyl perturbs an
       eigenvalue there and its smallest lies below the rounding ``eps/2
       max(1, ||A(0)||)`` of A(0);
-    * A and B go through P in one transport (``laurent._transport_pair``,
-      by evaluation on the circle when P is balanced, with an error that is
-      normwise), each cut at ``order``; with a constant P they are the
-      result as they stand and keep every power;
-    * one recorded fold (``GaugeRecord.fold``), applied to A and B: ``S``,
-      then ``diag(z**-shift)`` on each group.  A0 is then block upper
-      triangular over the groups, the kept couplings above the diagonal
-      blocks, and B must come out constant up to the truncation residual.
+    * P and the fold are recorded, and A and B go through the record as
+      ``apply_gauge_record`` replays it (``laurent._gauged_pair``): P in one
+      transport, normwise accurate on the circle when P is balanced, each
+      cut at ``order`` (a constant P keeps every power); then the fold
+      (``GaugeRecord.fold``): ``S``, then ``diag(z**-shift)`` on each
+      group.  A0 is then block upper triangular over the groups, the kept
+      couplings above the diagonal blocks, and B must come out constant up
+      to the truncation residual.
 
     A0 is power 0 of the gauged and folded A, which the circle leaves
-    equal to A(0) only within rounding.  ``shear_passes`` is 0: the
+    equal to A(0) only within rounding; ``strip_margin`` is read off the
+    Schur form ``validate_normal_form`` takes.  ``shear_passes`` is 0: the
     diagnostic stays for readers of earlier reports.
 
     ``order`` below 1 is refused with ``ValidationFailure``: no power of
@@ -424,10 +431,8 @@ def normalize(obj, transversal=None, order=16, tol=None):
     form = _shift_groups(*_clustered_schur(a.term(0), tol), transversal, tol)
     fold = _fold_step(form)
     series, separation = _series_gauge(a, form, fold, transversal.tau, order, tol)
-    gauged, b_final = (a, b) if series.is_constant() else _transport_pair(a, b, series, order)
-    if fold is not None:
-        gauged = apply_shear(gauged, fold, tol)
-        b_final = apply_shear_dilation(b_final, fold, tol)
+    record = GaugeRecord(series=series, truncation=order, radius=radius, fold=fold)
+    gauged, b_final = _gauged_pair(a, b, record, tol)
     a0 = gauged.term(0)
     gauge_left = gauged - gauged.truncate(0, lo=0)
 
@@ -439,19 +444,19 @@ def normalize(obj, transversal=None, order=16, tol=None):
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
 
-    record = GaugeRecord(series=series, truncation=order, radius=radius, fold=fold)
-    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record, {
+    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record)
+    validate_normal_form(nf, tol)
+    nf.diagnostics.update({
         "gauge_residual": gauge_left.norm(),
         "b_residual": b_residual,
         "shear_passes": 0,
         "strip_margin": min([transversal.boundary_distance(lam)
-                             for lam in np.linalg.eigvals(a0)], default=1.0),
+                             for lam in np.diag(nf.schur_form(tol)[0])], default=1.0),
         "radius": radius,
         "gauge_residual_unit": _rescaled(gauge_left, 1.0 / radius).norm(),
         "b_residual_unit": _rescaled(b_left, 1.0 / radius).norm(),
         "resonance_separation": separation,
     })
-    validate_normal_form(nf, tol)
     return nf
 
 
@@ -544,15 +549,18 @@ def from_monodromy(rep, transversal, theta, tol=None):
     """Build the normal form whose flat sections carry the given pair.
 
     The connection matrix is the transversal-branch logarithm of M1 rescaled
-    so that ``exp(2 pi i A0/tau) = M1``; the dilation matrix is M2.
+    so that ``exp(2 pi i A0/tau) = M1``; the dilation matrix is M2.  The
+    logarithm is triangular in the Schur basis of M1, which the result
+    keeps as the Schur form of its A0.
     """
     tol = tol or DEFAULT_TOL
     validate_monodromy(rep, tol)
-    a0 = log_transversal(np.asarray(rep.M1, dtype=complex), transversal, tol)
-    b0 = np.asarray(rep.M2, dtype=complex).copy()
-    nf = NormalForm(a0, b0, transversal, float(theta), complex(transversal.tau),
-                    diagnostics={"log_residual": float(np.linalg.norm(
-                        mat_exp(TWO_PI_I * a0 / transversal.tau) - rep.M1))})
+    f, q = _log_schur(as_square_matrix(rep.M1), transversal, tol)
+    nf = NormalForm._from_schur_form(_cluster_triangular(f, q, tol), tol,
+                                     np.asarray(rep.M2, dtype=complex).copy(),
+                                     transversal, float(theta), complex(transversal.tau))
+    nf.diagnostics["log_residual"] = float(np.linalg.norm(
+        mat_exp(TWO_PI_I * nf.A0 / transversal.tau) - rep.M1))
     validate_normal_form(nf, tol)
     return nf
 
@@ -630,18 +638,12 @@ def _folded(x, t, q, b0, tol):
 
 def evaluation_matrix(n):
     """Pairing ``x (x) dual(x) -> unit`` as a 1 x n^2 matrix (Kronecker order)."""
-    eps = np.zeros((1, n * n), dtype=complex)
-    for i in range(n):
-        eps[0, i * n + i] = 1.0
-    return eps
+    return np.eye(n, dtype=complex).reshape(1, n * n)
 
 
 def coevaluation_matrix(n):
     """Unit morphism ``unit -> dual(x) (x) x`` as an n^2 x 1 matrix."""
-    eta = np.zeros((n * n, 1), dtype=complex)
-    for i in range(n):
-        eta[i * n + i, 0] = 1.0
-    return eta
+    return np.eye(n, dtype=complex).reshape(n * n, 1)
 
 
 def evaluation_map(x, tol=None):
@@ -1196,21 +1198,24 @@ def h0_dim(nf_or_matrix, tau=None, tol=None):
 
     A Laurent section ``sum f_k z^k`` is flat precisely when each ``f_k``
     lies in ``ker(A0 + tau k I)``, so only eigenvalues of A0 sitting on the
-    ray ``-tau Z`` contribute; the sum is finite.
+    ray ``-tau Z`` contribute; the sum is finite.  The eigenvalues are the
+    diagonal of a Schur form, for a normal form its ``schur_form(tol)``.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(nf_or_matrix, NormalForm):
         a0, tau = nf_or_matrix.A0, nf_or_matrix.tau
+        schur = nf_or_matrix.schur_form(tol)[0]
     else:
         if tau is None:
             raise ValidationFailure("matrix input needs an explicit tau")
         a0 = np.atleast_2d(np.asarray(nf_or_matrix, dtype=complex))
+        schur = _schur(a0)[0]
     if a0.shape[0] == 0:
         return 0
     total = 0
     seen = set()
     scale = max(1.0, float(np.linalg.norm(a0)), abs(tau))
-    for lam in np.linalg.eigvals(a0):
+    for lam in np.diag(schur):
         t = -lam / tau
         k = round(t.real)
         if abs(t - k) > 10 * tol.eps_spec * scale / abs(tau) or k in seen:

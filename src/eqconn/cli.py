@@ -7,7 +7,8 @@ tolerances/parameters used, and residual diagnostics, and contain nothing
 nondeterministic, so identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 2 when an input fails to parse or violates an
-invariant (the report names it), 1 on internal numerical failure, a
+invariant (the report names it; normal forms are checked by
+``category.validate_normal_form``), 1 on internal numerical failure, a
 ``SpectrumCollision`` of a solve included.  Inputs
 and reports are strict JSON: ``NaN`` and ``Infinity`` are refused.
 """
@@ -188,14 +189,24 @@ class Context:
         }
 
     def to_normal_form(self, data):
-        """Accept either an object payload (normalized here) or a normal form."""
+        """Accept either an object payload (normalized here) or a normal form
+        (checked here)."""
         if serialize.is_normal_form_payload(data):
-            return serialize.decode_normal_form(data)
+            return self._checked(serialize.decode_normal_form(data))
         if serialize.is_object_payload(data):
             obj = serialize.decode_object(data)
             return category.normalize(obj, self.strip_for(obj.tau),
                                       self.args.truncation, self.tol)
         raise ValidationFailure("input is neither an object nor a normal form")
+
+    def to_morphism(self, data):
+        m = serialize.decode_morphism(data)
+        self._checked(m.source), self._checked(m.target)
+        return m
+
+    def _checked(self, nf):
+        category.validate_normal_form(nf, self.tol)
+        return nf
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +262,14 @@ def cmd_hom(ctx):
 
 
 def cmd_kernel(ctx):
-    m = serialize.decode_morphism(ctx.load(ctx.args.input))
+    m = ctx.to_morphism(ctx.load(ctx.args.input))
     ker, inc = category.kernel(m, ctx.tol)
     return {"object": serialize.encode_normal_form(ker),
             "morphism": serialize.encode_morphism(inc)}
 
 
 def cmd_cokernel(ctx):
-    m = serialize.decode_morphism(ctx.load(ctx.args.input))
+    m = ctx.to_morphism(ctx.load(ctx.args.input))
     cok, proj = category.cokernel(m, ctx.tol)
     return {"object": serialize.encode_normal_form(cok),
             "morphism": serialize.encode_morphism(proj)}

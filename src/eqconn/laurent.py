@@ -684,15 +684,22 @@ def _rescaled(p, radius):
 
 def apply_gauge_record(a, b, record, tol=None):
     """Replay a normalization gauge on a connection/dilation pair: the pair
-    is balanced by ``z -> radius z``, goes through the series gauge (one
-    ``_transport_pair`` call, as in ``normalize``) and the fold there, and
-    is mapped back by ``z -> z / radius``, so a power k of the result is
-    ``radius**-k`` times the balanced one."""
-    tol = tol or DEFAULT_TOL
-    a, b = _rescaled(a, record.radius), _rescaled(b, record.radius)
+    is balanced by ``z -> radius z``, goes through the record there as
+    ``normalize`` takes it through (``_gauged_pair``), and is mapped back by
+    ``z -> z / radius``, so a power k of the result is ``radius**-k`` times
+    the balanced one."""
+    a, b = _gauged_pair(_rescaled(a, record.radius), _rescaled(b, record.radius),
+                        record, tol or DEFAULT_TOL)
+    return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)
+
+
+def _gauged_pair(a, b, record, tol):
+    """A balanced connection/dilation pair through a ``GaugeRecord``: the
+    series gauge, one ``_transport_pair`` call unless it is constant, then
+    the fold, if any."""
     if record.series is not None and not record.series.is_constant():
         a, b = _transport_pair(a, b, record.series, record.truncation)
     if record.fold is not None:
         a = apply_shear(a, record.fold, tol=tol)
         b = apply_shear_dilation(b, record.fold, tol=tol)
-    return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)
+    return a, b

@@ -12,12 +12,12 @@ supplies the primitives the rest of the package leans on:
   one ztrsyl per cluster);
 * Sylvester solves, the matrix exponential, and a matrix logarithm whose
   branch is chosen per eigenvalue cluster so that the result's spectrum lands
-  inside a prescribed transversal.  ``solve_sylvester`` calls LAPACK (zgees,
-  ztrsyl) directly, as ``scipy.linalg.solve_sylvester`` calls it, with the
-  same bits; it skips the Schur forms LAPACK would return unchanged, those
-  of triangular blocks.  ``_triangular_sylvester`` solves ``(t + s) Y - Y t
-  = C`` on one triangular t for many shifts s, one ztrsyl each, as the
-  orders of normalize's series gauge need in the basis that block
+  inside a prescribed transversal.  ``solve_sylvester`` is Bartels-Stewart
+  as ``scipy.linalg.solve_sylvester`` computes it, with the same bits, on
+  Schur forms from ``scipy.linalg.schur``, but it refuses ztrsyl's info 1,
+  which scipy's solver ignores.  ``_triangular_sylvester`` solves ``(t +
+  s) Y - Y t = C`` on one triangular t for many shifts s, one ztrsyl each,
+  as the orders of normalize's series gauge need in the basis that block
   diagonalizes A(0) over its shift groups; its caller checks the
   separation of the spectra, once for every order;
 * the fold of a spectrum into a strip, as a matrix (``_fold``) or as the
@@ -314,37 +314,14 @@ def _check_separated(eig_a, eig_b, tol):
         raise SpectrumCollision(eig_a[i], eig_b[j], float(gaps[i, j]))
 
 
-# zgees scales a matrix whose largest entry lies outside about [1e-138, 1e138]
-# (LAPACK's SMLNUM and BIGNUM), and the scaling moves the bits; inside that
-# range it returns an upper triangular input, and identity Schur vectors, as
-# they are.
-_UNSCALED = (1e-130, 1e130)
-
-
-def _no_sort(_):
-    return None
-
-
-def _unscaled(largest):
-    """Whether zgees leaves a triangular matrix whose largest entry has this
-    modulus as it is."""
-    return largest == 0.0 or _UNSCALED[0] < largest < _UNSCALED[1]
-
-
 def _schur(m):
-    """Complex Schur form ``(t, z)``, ``z t z^H = m``, as
-    ``scipy.linalg.schur`` computes it: LAPACK's zgees after its workspace
-    query.  An upper triangular ``m`` of moderate size comes back as
-    ``(m, I)`` without a call, as zgees would return both bit for bit.
-    """
-    if m.shape[0] <= 1 or not np.tril(m, -1).any():
-        if _unscaled(np.abs(m).max(initial=0.0)):
-            return m, np.eye(m.shape[0], dtype=complex, order="F")
-    lwork = scipy.linalg.lapack.zgees(_no_sort, m, lwork=-1)[-2][0].real.astype(np.int_)
-    t, _, _, z, _, info = scipy.linalg.lapack.zgees(_no_sort, m, lwork=lwork)
-    if info != 0:
-        raise NumericFailure("Schur iteration failed to converge (zgees info %d)" % info)
-    return t, z
+    """Complex Schur form ``(t, z)``, ``z t z^H = m``, from
+    ``scipy.linalg.schur``; a Schur iteration that does not converge raises
+    ``NumericFailure``."""
+    try:
+        return scipy.linalg.schur(m, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("Schur iteration failed to converge: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +451,10 @@ def _clustered_schur(m, tol):
     """Complex Schur form with eigenvalue clusters contiguous on the diagonal.
 
     Returns ``(t, q, blocks)`` where blocks is a list of (start, stop, mean
-    eigenvalue) and ``q t q^H = m``: zgees's form, clustered by
+    eigenvalue) and ``q t q^H = m``: ``_schur``'s form, clustered by
     ``_cluster_triangular``.
     """
-    t, q = _schur(m)
-    if t is m:
-        t = np.array(m, dtype=complex)
-    return _cluster_triangular(t, q, tol)
+    return _cluster_triangular(*_schur(m), tol)
 
 
 def _cluster_triangular(t, q, tol):
@@ -581,8 +555,14 @@ def log_transversal(m, transversal, tol=None):
     ``NumericFailure`` is raised where ztrsyl finds two clusters too close
     to split.
     """
-    tol = tol or DEFAULT_TOL
-    m = as_square_matrix(m)
+    f, q = _log_schur(as_square_matrix(m), transversal, tol or DEFAULT_TOL)
+    return q @ f @ q.conj().T
+
+
+def _log_schur(m, transversal, tol):
+    """``(f, q)`` with ``log_transversal(m) = q f q^H``: ``q`` the Schur
+    vectors of ``m`` and ``f`` exactly upper triangular, the block function
+    of unit triangular factors and triangular blocks."""
     svals = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
     if svals[-1] <= tol.eps_res * svals[0]:
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
@@ -594,7 +574,7 @@ def log_transversal(m, transversal, tol=None):
                          + _atomic_log_series(t[s0:s1, s0:s1], lam))
                 for (s0, s1, lam), shift in zip(blocks, shifts)]
     v, w = _decouple(t, [(s0, s1) for s0, s1, _ in blocks], strict=True)
-    return q @ _block_function(v, w, blocks, diagonal) @ q.conj().T
+    return _block_function(v, w, blocks, diagonal), q
 
 
 def _group_blocks(t, q, blocks, keys):
@@ -692,7 +672,7 @@ def reduce_to_transversal(a, transversal, tol=None):
 
     Returns ``(a_tilde, shifts)`` where shifts lists ``(cluster eigenvalue,
     integer)``; the exponential ``exp(2*pi*i * . /tau)`` is unchanged.  This
-    is ``_fold`` on the clustered Schur form of ``a`` from zgees; ``a``
+    is ``_fold`` on the clustered Schur form of ``a`` from ``_schur``; ``a``
     comes back copied when no cluster shifts.
     """
     tol = tol or DEFAULT_TOL

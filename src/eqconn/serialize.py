@@ -139,6 +139,8 @@ def decode_object(data):
 
 
 def encode_normal_form(nf):
+    """The normal form's fields, and the eigenvalues of A0 in the order of
+    the diagonal of its ``schur_form()``."""
     return {
         "tau": encode_complex(nf.tau),
         "theta": nf.theta,
@@ -146,8 +148,7 @@ def encode_normal_form(nf):
         "A0": encode_matrix(nf.A0),
         "B0": encode_matrix(nf.B0),
         "transversal_offset": nf.transversal.offset,
-        "eigenvalues": [encode_complex(v) for v in np.linalg.eigvals(nf.A0)]
-        if nf.n else [],
+        "eigenvalues": [encode_complex(v) for v in np.diag(nf.schur_form()[0])],
         "diagnostics": encode_diagnostics(nf.diagnostics),
     }
 
@@ -222,6 +223,9 @@ def decode_morphism(data):
     target = decode_normal_form(target)
     phi = (decode_matrix(phi, "phi") if phi
            else np.zeros((target.n, source.n), dtype=complex))
+    if phi.shape != (target.n, source.n):
+        raise ValidationFailure("phi must be %d x %d (target by source), got %d x %d"
+                                % (target.n, source.n, *phi.shape))
     return Morphism(source, target, phi)
 
 

@@ -170,25 +170,32 @@ def _monomial_power(theta, key, coeff, power):
     return out_key, out_coeff
 
 
-def _generator_images(token, theta):
-    """Images of (U1, U2) as single monomials ``(key, coeff)``."""
-    if token == "g1":
-        return ((1, 1), 1.0), ((0, 1), 1.0)
-    if token == "g1_inv":
-        return ((1, -1), 1.0), ((0, 1), 1.0)
-    if token == "g2":
-        return ((0, -1), 1.0), ((1, 0), 1.0)
-    if token == "g2_inv":
-        return ((0, 1), 1.0), ((-1, 0), 1.0)
-    raise ValidationFailure("unknown generator token %r" % (token,))
+# Per generator token: the exponents of the monomial images of U1 and U2,
+# each with coefficient 1, the inverse token, and the action on a direction
+# (w1, w2) of the derivation space.
+_GENERATORS = {
+    "g1": ((1, 1), (0, 1), "g1_inv", lambda w1, w2: (w1 + w2, w2)),
+    "g1_inv": ((1, -1), (0, 1), "g1", lambda w1, w2: (w1 - w2, w2)),
+    "g2": ((0, -1), (1, 0), "g2_inv", lambda w1, w2: (-w2, w1)),
+    "g2_inv": ((0, 1), (-1, 0), "g2", lambda w1, w2: (w2, -w1)),
+}
+
+
+def _generator(token):
+    """The ``_GENERATORS`` entry of a token; an unknown one raises
+    ``ValidationFailure``."""
+    try:
+        return _GENERATORS[token]
+    except (KeyError, TypeError):
+        raise ValidationFailure("unknown generator token %r" % (token,)) from None
 
 
 def _apply_generator(token, x):
-    img_u1, img_u2 = _generator_images(token, x.theta)
+    key_u1, key_u2, _, _ = _generator(token)
     out = TorusPoly(x.theta)
     for (n1, n2), coeff in x.coeffs.items():
-        k1, c1 = _monomial_power(x.theta, img_u1[0], img_u1[1], n1)
-        k2, c2 = _monomial_power(x.theta, img_u2[0], img_u2[1], n2)
+        k1, c1 = _monomial_power(x.theta, key_u1, 1.0, n1)
+        k2, c2 = _monomial_power(x.theta, key_u2, 1.0, n2)
         phase = cmath.exp(TWO_PI_I * x.theta * k1[1] * k2[0])
         key = (k1[0] + k2[0], k1[1] + k2[1])
         out = out + TorusPoly(x.theta, {key: coeff * c1 * c2 * phase})
@@ -210,24 +217,6 @@ def modular_apply(word, x):
     return x
 
 
-def _inverse_token(token):
-    return {"g1": "g1_inv", "g1_inv": "g1",
-            "g2": "g2_inv", "g2_inv": "g2"}[token]
-
-
-def _omega_action(token, omega):
-    w1, w2 = omega.w1, omega.w2
-    if token == "g1":
-        return Omega(w1 + w2, w2)
-    if token == "g1_inv":
-        return Omega(w1 - w2, w2)
-    if token == "g2":
-        return Omega(-w2, w1)
-    if token == "g2_inv":
-        return Omega(w2, -w1)
-    raise ValidationFailure("unknown generator token %r" % (token,))
-
-
 def check_intertwine(token, omega, bound=3, theta=0.37):
     """Largest residual of the conjugation identity
     ``sigma^-1 . delta_omega . sigma = delta_(g omega)`` over all monomials
@@ -237,8 +226,8 @@ def check_intertwine(token, omega, bound=3, theta=0.37):
     chooses which algebra the check runs in.
     """
     worst = 0.0
-    target = _omega_action(token, omega)
-    inverse = _inverse_token(token)
+    _, _, inverse, action = _generator(token)
+    target = Omega(*action(omega.w1, omega.w2))
     for n1 in range(-bound, bound + 1):
         for n2 in range(-bound, bound + 1):
             x = TorusPoly.monomial(theta, n1, n2)

@@ -37,6 +37,7 @@ from eqconn.category import (
     triangle_residuals,
     unit_object,
     validate,
+    validate_normal_form,
 )
 from eqconn.exceptions import (
     EquivarianceViolation,
@@ -53,9 +54,11 @@ from eqconn.numkit import (
     DEFAULT_TOL,
     Transversal,
     TransversalBranchWarning,
+    log_transversal,
     reduce_to_transversal,
     spectral,
 )
+from eqconn.serialize import encode_normal_form
 from eqconn.torus import is_nori_finite, psi_star
 from reference import (
     reference_balance,
@@ -462,7 +465,9 @@ def test_resonant_inputs_shear_and_recover_their_seed():
 
 def test_normalize_takes_one_schur_form_and_no_spectral(monkeypatch):
     """A scrambled input and a resonant one each take one Schur form of
-    A(0) and no ``spectral``: the fold's groups come from that form."""
+    A(0) and no ``spectral``: the fold's groups come from that form.  The
+    check of the result takes one more, of A0, which the normal form keeps,
+    so ``nf.schur_form()`` takes none."""
     rng = np.random.default_rng(520)
     objs = [scramble(random_normal_form(rng, 8), rng, shears=2),
             util.resonant_object(np.random.default_rng(900))[1]]
@@ -482,8 +487,39 @@ def test_normalize_takes_one_schur_form_and_no_spectral(monkeypatch):
     for obj in objs:
         calls = {"_schur": 0, "spectral": 0}
         nf = normalize(obj, STRIP, 16)
-        assert calls == {"_schur": 1, "spectral": 0}
+        assert calls == {"_schur": 2, "spectral": 0}
+        nf.schur_form()
+        assert calls == {"_schur": 2, "spectral": 0}
         assert nf.gauge.fold is not None and nf.diagnostics["shear_passes"] == 0
+
+
+def test_every_spectral_read_of_a_normal_form_takes_its_schur_form(monkeypatch):
+    """``normalize``, ``validate_normal_form``, ``eigen_margins``, ``h0_dim``
+    and the report make no eigenvalue call: the eigenvalues of A0 are the
+    diagonal of the normal form's Schur form, in its order in the report,
+    and they are the eigenvalues of ``decompose``'s labels."""
+    rng = np.random.default_rng(64)
+    objs = [scramble(random_normal_form(rng, n), rng, shears=2) for n in (2, 4, 8, 12)]
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: calls.append(m.shape) or eigvals(m))
+    for obj in objs:
+        nf = normalize(obj, STRIP, 16)
+        validate_normal_form(nf)
+        margins = nf.eigen_margins()
+        h0_dim(nf)
+        report = encode_normal_form(nf)
+        assert calls == []
+        lams = np.diag(nf.schur_form()[0])
+        got = np.array(report["eigenvalues"])
+        assert got.tobytes() == np.stack([lams.real, lams.imag], axis=1).tobytes()
+        assert margins == [STRIP.boundary_distance(lam) for lam in lams]
+        assert nf.diagnostics["strip_margin"] == min(margins)
+        labels = np.sort([lam for lam, _ in decompose(nf)])
+        scale = max(1.0, np.linalg.norm(nf.A0))
+        assert np.abs(labels - np.sort(lams)).max() <= 1e-12 * scale
+        calls.clear()
 
 
 def test_reference_spectral_agrees_with_the_library():
@@ -717,6 +753,30 @@ def test_correspondence_idempotent_on_normal_forms():
         again = from_monodromy(monodromy(nf), STRIP, THETA)
         assert np.linalg.norm(again.A0 - nf.A0) < 1e-9 * max(1.0, np.linalg.norm(nf.A0))
         assert np.linalg.norm(again.B0 - nf.B0) < 1e-12 * max(1.0, np.linalg.norm(nf.B0))
+
+
+def test_from_monodromy_holds_the_schur_form_of_its_logarithm(monkeypatch):
+    """The normal form of a commuting pair keeps the Schur form its
+    logarithm is triangular in: A0 is ``log_transversal(M1)`` to the bit,
+    and ``decompose`` and ``psi_star`` take no Schur form."""
+    rng = np.random.default_rng(65)
+    reps = [MonodromyPair(*random_commuting_pair(rng, n)) for n in (2, 4, 8, 12)]
+    original = eqconn.numkit._schur
+    calls = []
+    monkeypatch.setattr(eqconn.numkit, "_schur",
+                        lambda m: calls.append(m.shape) or original(m))
+    for rep in reps:
+        want = log_transversal(rep.M1, STRIP)
+        calls.clear()
+        nf = from_monodromy(rep, STRIP, THETA)
+        assert nf.A0.tobytes() == want.tobytes()
+        decompose(nf)
+        psi_star(nf)
+        assert calls == [rep.M1.shape]
+        back = monodromy(nf)
+        scale = np.linalg.norm(rep.M1) + np.linalg.norm(rep.M2)
+        err = np.linalg.norm(back.M1 - rep.M1) + np.linalg.norm(back.M2 - rep.M2)
+        assert err < 1e-8 * scale
 
 
 # --- tensor structure ---------------------------------------------------------------

@@ -522,6 +522,35 @@ def test_divisor_point_without_p_exits_2(capsys, tmp_path):
     assert "'p'" in report["error"]["message"]
 
 
+ONE_DIM = {"tau": [1.0, -1.0], "theta": 0.3, "A0": [[[0.25, 0.0]]], "B0": [[[2.0, 0.0]]]}
+# A0 = diag(0.25, 0.5), inside the strip, and a B0 that does not commute with it
+NON_COMMUTING = {"tau": [1.0, -1.0], "theta": 0.3,
+                 "A0": [[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                 "B0": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("command, payloads, kind, message", [
+    ("tensor", [dict(ONE_DIM, B0=[[[0.0, 0.0]]]), ONE_DIM], "SingularB", "singular"),
+    ("decompose", [NON_COMMUTING], "EquivarianceViolation", "does not commute"),
+    ("kernel", [{"source": dict(NON_COMMUTING, B0=[[[1.0, 0.0], [0.0, 0.0]],
+                                                   [[0.0, 0.0], [1.0, 0.0]]]),
+                 "target": ONE_DIM, "phi": [[[1.0, 0.0]]]}],
+     "ValidationFailure", "phi must be 1 x 2"),
+    ("kernel", [{"source": NON_COMMUTING, "target": ONE_DIM, "phi": []}],
+     "EquivarianceViolation", "does not commute"),
+    ("decompose", [dict(ONE_DIM, A0=[[[0.25, 0.0], [0.0, 0.0]]])],
+     "ValidationFailure", "square A0 and B0"),
+], ids=["tensor-singular-b0", "decompose-non-commuting", "kernel-phi-shape",
+        "kernel-non-commuting-source", "decompose-non-square-a0"])
+def test_normal_form_and_morphism_inputs_breaking_an_invariant_exit_2(
+        capsys, command, payloads, kind, message):
+    code, out = run(capsys, ["--json", command] + [json.dumps(p) for p in payloads])
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert code == 2
+    assert report["error"]["kind"] == kind
+    assert message in report["error"]["message"]
+
+
 @pytest.mark.parametrize("text", [None, "{not json", '{"jobs": 5}', '[{"args": ["wd"]}]'],
                          ids=["missing-file", "not-json", "jobs-not-array", "job-without-argv"])
 def test_malformed_batch_manifest_exits_2(capsys, tmp_path, text):

@@ -6,26 +6,29 @@
 Takes the objects of the normalize-scrambled jobs of ``bench/workloads.Plan``
 (rounds ``0 .. rounds-1`` of each seed) and normalizes each of them once per
 repeat, in process on one BLAS thread, timing the stages through the names
-``eqconn.category.normalize`` calls:
+``eqconn.category.normalize`` calls, in ``eqconn.category`` and in
+``eqconn.laurent``, which takes A and B through the gauge record:
 
-* ``validate``: ``validate`` or ``_validated``;
+* ``validate``: ``_validated`` (the object's invariants, on the pair
+  balanced by ``z -> rho z``);
 * ``schur + groups``: ``_clustered_schur`` and ``_shift_groups`` (the
   Schur form of A(0), reordered and block diagonalized over its shift
   groups);
 * ``series gauge`` (``_series_gauge``) and ``series transport``
-  (``_transport_pair``, A and B in one call; ``gauge_transform`` and
-  ``dilation_transform`` where a checkout transports them apart);
-* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A; where a
-  checkout's ``_fold_step`` calls ``_shift_groups`` itself, that time is
-  counted in both stages);
+  (``_transport_pair``, A and B in one call);
+* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
 * ``fold B`` (``apply_shear_dilation``): B through the fold;
+* ``check``: ``validate_normal_form`` (the result's invariants, with the
+  Schur form of A0 it takes);
 
-``other`` is the rest of ``normalize``.  A name a checkout lacks is skipped
-and its stage reads 0, so the one script prints the table of a checkout
-before and after a stage changes.  A job that raises is timed up to the
-raise.  Prints one JSON object: per n, the median over the repeats of each
-stage's milliseconds summed over that n's jobs, with the job count and the
-machine.  It imports ``bench/workloads`` and edits nothing there.
+``other`` is the rest of ``normalize``.  A stage called inside another
+(the Schur form of A0 inside ``check``) counts in the outer one only.  A
+name a checkout lacks is skipped and its stage reads 0, so the one script
+prints the table of a checkout before and after a stage changes.  A job
+that raises is timed up to the raise.  Prints one JSON object: per n, the
+median over the repeats of each stage's milliseconds summed over that n's
+jobs, with the job count and the machine.  It imports ``bench/workloads``
+and edits nothing there.
 """
 
 import argparse
@@ -40,12 +43,13 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = {
-    "validate": ("validate", "_validated"),
+    "validate": ("_validated",),
     "schur + groups": ("_clustered_schur", "_shift_groups"),
     "series gauge": ("_series_gauge",),
-    "series transport": ("_transport_pair", "gauge_transform", "dilation_transform"),
+    "series transport": ("_transport_pair",),
     "fold": ("_fold_step", "apply_shear"),
     "fold B": ("apply_shear_dilation",),
+    "check": ("validate_normal_form",),
 }
 
 
@@ -62,13 +66,19 @@ def objects(seeds, rounds):
     return out
 
 
-def timed(fn, stage, spent):
+def timed(fn, stage, spent, running):
+    """``fn`` adding its seconds to ``spent[stage]``, unless it runs inside
+    another timed stage (``running`` holds the one running)."""
     def wrapper(*args, **kwargs):
+        if running:
+            return fn(*args, **kwargs)
+        running.append(stage)
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             spent[stage] += time.perf_counter() - start
+            running.pop()
     return wrapper
 
 
@@ -76,15 +86,17 @@ def one_pass(jobs, spent_by_n):
     """Normalize every object once, adding each stage's seconds to
     ``spent_by_n[n]``."""
     import workloads as wl
-    from eqconn import category
+    from eqconn import category, laurent
 
     spent = dict.fromkeys(list(STAGES) + ["total"], 0.0)
-    originals = {name: getattr(category, name) for names in STAGES.values()
-                 for name in names if hasattr(category, name)}
+    running = []
+    originals = {}
     for stage, names in STAGES.items():
-        for name in names:
-            if name in originals:
-                setattr(category, name, timed(originals[name], stage, spent))
+        for module in (category, laurent):
+            for name in names:
+                if hasattr(module, name):
+                    originals[module, name] = fn = getattr(module, name)
+                    setattr(module, name, timed(fn, stage, spent, running))
     try:
         for n, obj in jobs:
             for key in spent:
@@ -98,8 +110,8 @@ def one_pass(jobs, spent_by_n):
             for key, seconds in spent.items():
                 spent_by_n[n][key] += seconds
     finally:
-        for name, fn in originals.items():
-            setattr(category, name, fn)
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
 
 
 def cpu_model():
