@@ -165,6 +165,10 @@ class Context:
             raise ValidationFailure(
                 "malformed JSON in %r: %s (line %d, column %d)"
                 % (spec[:40], exc.msg, exc.lineno, exc.colno))
+        except ValidationFailure:
+            raise
+        except ValueError as exc:   # an integer too long for int() to convert
+            raise ValidationFailure("malformed JSON in %r: %s" % (spec[:40], exc))
         self.raw_inputs.append(data)
         return data
 
@@ -323,16 +327,22 @@ def cmd_extension(ctx):
     return serialize.encode_free_bundle(ext)
 
 
+def _labels(ctx):
+    """``(m, n)`` of ``--m`` and ``--n``, refused outside int64 as the
+    integers of a JSON input are."""
+    return tuple(serialize._number(getattr(ctx.args, name), "--" + name, integer=True)
+                 for name in ("m", "n"))
+
+
 def cmd_std_bundle(ctx):
-    deg, rank, slope = torus.std_bundle_data(ctx.args.m, ctx.args.n,
-                                             ctx.args.theta)
+    deg, rank, slope = torus.std_bundle_data(*_labels(ctx), ctx.args.theta)
     return {"deg": deg, "rk": rank, "slope": slope}
 
 
 def cmd_phase(ctx):
-    z = torus.central_charge(ctx.args.m, ctx.args.n, ctx.args.theta)
-    return {"Z": serialize.encode_complex(z),
-            "phase": torus.phase(ctx.args.m, ctx.args.n, ctx.args.theta)}
+    m, n = _labels(ctx)
+    z = torus.central_charge(m, n, ctx.args.theta)
+    return {"Z": serialize.encode_complex(z), "phase": torus.phase(m, n, ctx.args.theta)}
 
 
 def cmd_nori(ctx):
@@ -493,20 +503,25 @@ def run_argv(argv, parser):
     return execute(args)
 
 
-def _run_job(argv, parser):
-    """Run one batch job, parsed by the process's one ``parser``; any failure
-    becomes that job's error report, with exit code 2 for bad input and 1 for
-    anything else (its traceback goes to stderr), so the jobs after it still
-    run."""
+def _guarded(command, run, *args):
+    """``run(*args)``, an ``(exit_code, report)``; any failure it lets out
+    becomes the error report of ``command``, with exit code 2 for bad input
+    and 1 for anything else (its traceback goes to stderr)."""
     try:
-        return run_argv(argv, parser)
+        return run(*args)
     except (ValidationFailure, SystemExit) as exc:
         code, error = 2, exc
     except Exception as exc:
         traceback.print_exc()
         code, error = 1, exc
-    return code, {"command": argv[0] if argv else None,
+    return code, {"command": command,
                   "error": {"kind": type(error).__name__, "message": str(error)}}
+
+
+def _run_job(argv, parser):
+    """Run one batch job, parsed by the process's one ``parser``, guarded,
+    so the jobs after a failing one still run."""
+    return _guarded(argv[0] if argv else None, run_argv, argv, parser)
 
 
 def _read_manifest(path):
@@ -559,7 +574,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         sys.stderr.write("eqconn: error: a command or --batch is required\n")
         return 2
-    code, report = execute(args)
+    code, report = _guarded(args.command, execute, args)
     _emit(report, args.json)
     return code
 

@@ -15,26 +15,25 @@ budget; a conjugation covers the whole stack, the one series recurrence
 per order, and every result goes through one internal constructor that
 drops exact-zero slices with one ``np.any``.  Sums run in BLAS order, so
 results agree with a matmul per pair of powers within rounding.  Two kernels
-evaluate on the circle instead, when that forms fewer products, with an
-error that is normwise: the windowed commutator ``_commutator``, and
-``_transport_pair``, normalization's series transport of A and B together,
-which takes the circle only for a gauge that is balanced along with its
-truncated inverse.  The public constructor copies its input and refuses a
-coefficient of the wrong shape or with a non-finite entry.
+evaluate on the circle instead, when that forms fewer products, with a
+normwise error: the windowed commutator ``_commutator``, and the series
+transport, for a gauge balanced along with its truncated inverse.  The
+public constructor copies its input and refuses a coefficient of the wrong
+shape or with a non-finite entry.
 
-A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``, and
-one body does both; the public transports stay block Toeplitz, and
-normalization, whose pair is balanced, sends both through one
-``_transport_pair`` call.  A constant gauge C and a diagonal monomial gauge
-``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
+A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``.
+One function, ``_transport``, does both for every caller, with one policy:
+``gauge_transform`` and ``dilation_transform`` one operand at a time,
+normalization A and B together.  A constant gauge C and a diagonal monomial
+gauge ``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
 ``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``: one conjugation of
 the stack and one array shift by the exponents.  Series gauges go through a
 truncated inverse and record the first discarded order in ``diagnostics``;
 a series transport cut at ``order`` forms only the powers up to ``order +
-1``, cutting A there and taking both products within that window.  A
-similarity (a constant gauge, the values of a monomial, a step's or a series
-lead term) whose 1-norm reciprocal condition number is below machine epsilon
-is refused as singular.
+1``.  A similarity (a constant gauge, the values of a monomial, a step's or
+a series lead term) whose 1-norm reciprocal condition number is below
+machine epsilon is refused as singular, and a transport that overflows
+raises ``NumericFailure``.
 """
 
 import math
@@ -43,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exceptions import RegularityViolation, ValidationFailure
+from .exceptions import NumericFailure, RegularityViolation, ValidationFailure
 from .numkit import DEFAULT_TOL
 
 _PARAM_TOL = 1e-12
@@ -450,28 +449,75 @@ def _shift(a, exps):
     return a._derive(found, out)
 
 
-def _transport(a, p, order, drift):
-    """``P^-1 A P``, plus ``P^-1 delta(P)`` when ``drift`` is set."""
-    if a.dim != p.dim:
-        raise ValidationFailure("gauge dimension mismatch")
+def _transport(p, pairs, order):
+    """``P^-1 X P``, plus ``P^-1 delta(P)`` where ``drift`` is set, for each
+    ``(X, drift)`` of ``pairs``: every gauge transport.  A constant or
+    diagonal monomial gauge (``_gauge_step``) takes each X through
+    ``_sheared``.  A series gauge needs an ``order``, each X is cut there
+    with its ``truncation_residual``, and all share one truncated inverse
+    and one decision: evaluation on the circle, as ``_commutator``, of each
+    X on their common powers ``min(lowest, 0)`` to ``order + 1``, of P, its
+    inverse and ``delta(P)``, at a length M no shorter than the triple
+    product's span; then ``F(P^-1) (F(X) F(P) + F(delta P))`` pointwise,
+    the drift only where it is set, one inverse transform and each cut to
+    its window, with an error about the unit roundoff times ``||P^-1|| ||X||
+    ||P||``.  The circle is taken only when M is below the number of
+    coefficient products the windowed block-Toeplitz products would form,
+    and P and its inverse are balanced (``_balancing_radius`` 1), so that no
+    product outgrows the data; otherwise (a near-resonant gauge whose
+    inverse grows, gapped powers) each X goes through ``_block_transport``,
+    with its error per coefficient.  A result that is not finite raises
+    ``NumericFailure``."""
+    for x, _ in pairs:
+        x._check_compatible(p)
     step = _gauge_step(p)
     if step is not None:
-        return _sheared(a, step, drift)
+        return _finite([_sheared(x, step, drift) for x, drift in pairs])
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
-    return _series_transport(a, p, truncated_inverse(p, order), order, drift)
+    p_inv, hi = truncated_inverse(p, order), order + 1
+    xs, drifts = [x.truncate(hi) for x, _ in pairs], [drift for _, drift in pairs]
+    lows = [min(x.min_power, 0) for x in xs]
+    base, delta = min(lows), p.delta()
+
+    def window(left, right, lo):
+        # the powers in lo..hi that products of the powers left, right land on
+        sums = (left[:, None] + right).ravel()
+        return sums[(lo <= sums) & (sums <= hi)]
+
+    def counts():
+        # X P first: those products alone mostly top the length
+        landed = [window(x._powers, p._powers, lo) for x, lo in zip(xs, lows)]
+        yield sum(map(len, landed))
+        for drift, lo in zip(drifts, lows):
+            if drift:
+                yield len(window(p_inv._powers, delta._powers, lo))
+        for sums, lo in zip(landed, lows):
+            yield len(window(p_inv._powers, np.unique(sums), lo))
+
+    m = _circle_length(p_inv.max_power + hi + p.max_power - base + 1, counts())
+    if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
+        return _finite([_block_transport(x, p, p_inv, order, drift)
+                        for x, drift in zip(xs, drifts)])
+    f_x = np.fft.fft(np.stack([x._dense(base, hi) for x in xs]), n=m, axis=1)
+    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0)
+    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0)
+    inner = f_x @ f_p
+    if any(drifts):
+        inner[drifts] += np.fft.fft(delta._dense(base, p.max_power), n=m, axis=0)
+    full = np.fft.ifft(f_inv @ inner, axis=1)
+    return _finite([_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1]), order)
+                    for x, piece, lo in zip(xs, full, lows)])
 
 
-def _series_transport(a, p, p_inv, order, drift):
-    """``_transport`` by a series gauge ``p`` with its truncated inverse
-    ``p_inv``, by block-Toeplitz products.
-
-    P and its inverse hold no negative powers, so powers above order + 1 of
-    A reach no power kept; each kept power sums what the full products sum.
-    The drift ``P^-1 delta(P)`` starts at power 1, which may lie below A's
-    lowest power."""
-    lo, hi = min(a.min_power, 0), order + 1
-    full = p_inv._product(a.truncate(hi)._product(p, lo, hi), lo, hi)
+def _block_transport(x, p, p_inv, order, drift):
+    """``x`` through a series gauge ``p`` with its truncated inverse
+    ``p_inv``, by windowed block-Toeplitz products.  P and its inverse hold
+    no negative powers, so powers above order + 1 of X reach no power kept;
+    each kept power sums what the full products sum.  The drift ``P^-1
+    delta(P)`` starts at power 1, which may lie below X's lowest power."""
+    lo, hi = min(x.min_power, 0), order + 1
+    full = p_inv._product(x.truncate(hi)._product(p, lo, hi), lo, hi)
     if drift:
         full = full + p_inv._product(p.delta(), lo, hi)
     return _cut(full, order)
@@ -485,77 +531,25 @@ def _cut(full, order):
     return result
 
 
-def _window_products(left, right, lo, hi):
-    """The powers in ``lo..hi`` that products of the powers ``left`` and
-    ``right`` land on, one entry per product."""
-    sums = (left[:, None] + right).ravel()
-    return sums[(lo <= sums) & (sums <= hi)]
-
-
-def _transport_pair(a, b, p, order):
-    """``(P^-1 A P + P^-1 delta(P), P^-1 B P)`` for a series gauge ``p``,
-    each cut at ``order`` with its ``truncation_residual``, as
-    ``gauge_transform`` and ``dilation_transform`` give them, from one
-    truncated inverse; for a caller whose pair is balanced by ``z -> rho
-    z`` (``normalize`` and ``apply_gauge_record``).
-
-    By evaluation on the circle, as ``_commutator``: one transform of each
-    operand along the power axis, A and B on their common powers from
-    ``min(lowest power, 0)`` to ``order + 1`` (the window of
-    ``gauge_transform``), P, its truncated inverse and ``delta(P)``, at a
-    length M no shorter than the span of the triple product, so that
-    nothing wraps around; then pointwise ``F(P^-1) (F(A) F(P) + F(delta
-    P))`` and ``F(P^-1) F(B) F(P)``, the drift folded into one operand, one
-    inverse transform, and the cut of each to its window.  Its error is
-    normwise, about the unit roundoff times ``||P^-1|| ||A|| ||P||``.  The
-    circle is taken only when M is below the number of coefficient products
-    the windowed block-Toeplitz products would form, and P and its
-    truncated inverse are both balanced (``_balancing_radius`` 1: no
-    coefficient above ``max(1, ||coefficient 0||)``), so that no product
-    outgrows the data; otherwise (a near-resonant gauge whose inverse grows,
-    gapped powers) each goes through the block-Toeplitz
-    ``_series_transport``, with its error per coefficient."""
-    for x in (a, b):
-        x._check_compatible(p)
-    p_inv = truncated_inverse(p, order)
-    hi = order + 1
-    a, b, drift = a.truncate(hi), b.truncate(hi), p.delta()
-    lows = (min(a.min_power, 0), min(b.min_power, 0))
-    base = min(lows)
-
-    def counts():
-        # A P and B P first: their products alone mostly top the length
-        landed = [_window_products(x._powers, p._powers, lo, hi) for x, lo in zip((a, b), lows)]
-        yield sum(map(len, landed))
-        yield len(_window_products(p_inv._powers, drift._powers, lows[0], hi))
-        for sums, lo in zip(landed, lows):
-            yield len(_window_products(p_inv._powers, np.unique(sums), lo, hi))
-
-    m = _circle_length(p_inv.max_power + hi + p.max_power - base + 1, counts())
-    if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
-        return (_series_transport(a, p, p_inv, order, True),
-                _series_transport(b, p, p_inv, order, False))
-    f_ab = np.fft.fft(np.stack([a._dense(base, hi), b._dense(base, hi)]), n=m, axis=1)
-    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0)
-    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0)
-    inner = f_ab @ f_p
-    inner[0] += np.fft.fft(drift._dense(base, p.max_power), n=m, axis=0)
-    full = np.fft.ifft(f_inv @ inner, axis=1)
-    return tuple(_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1]), order)
-                 for x, piece, lo in zip((a, b), full, lows))
+def _finite(results):
+    """``results``, refused with ``NumericFailure`` unless all finite."""
+    for x in results:
+        if not (np.isfinite(x._coeffs).all() and np.isfinite(list(x.diagnostics.values())).all()):
+            raise NumericFailure("the gauge transport overflows")
+    return results
 
 
 def gauge_transform(a, p, order=None):
     """Connection-matrix transport ``P^-1 A P + P^-1 delta(P)``; a series
     gauge needs a truncation ``order`` and the result is cut there."""
-    return _transport(a, p, order, drift=True)
+    return _transport(p, [(a, True)], order)[0]
 
 
 def dilation_transform(b, p, order=None):
     """Dilation-matrix transport ``P^-1 B P``: no derivation drift, so monomial
     shears leave the dilation data of one-dimensional objects untouched and
     strip-shifted presentations of one object carry literally equal labels."""
-    return _transport(b, p, order, drift=False)
+    return _transport(p, [(b, False)], order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +605,14 @@ def shear(a, sdata, cluster_shifts, tol=None):
 def _sheared(a, step, drift):
     """``a`` through a recorded step: ``S^-1 A_k S`` at each power, then the
     monomial ``diag(z**k_i)`` of the step's exponents as an array shift, and
-    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set."""
+    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set.  An
+    exponent with no int64 value raises ``NumericFailure``."""
     s = step.similarity
     out = a._derive(a._powers, _checked_inverse(s, "constant gauge") @ a._coeffs @ s)
-    exps = np.array(step.exponents, dtype=int)
+    try:
+        exps = np.array(step.exponents, dtype=np.int64)
+    except OverflowError:
+        raise NumericFailure("a shear exponent has no int64 value")
     if not np.any(exps):
         return out
     out = _shift(out, exps)
@@ -695,10 +693,10 @@ def apply_gauge_record(a, b, record, tol=None):
 
 def _gauged_pair(a, b, record, tol):
     """A balanced connection/dilation pair through a ``GaugeRecord``: the
-    series gauge, one ``_transport_pair`` call unless it is constant, then
+    series gauge, one ``_transport`` call unless it is constant, then
     the fold, if any."""
     if record.series is not None and not record.series.is_constant():
-        a, b = _transport_pair(a, b, record.series, record.truncation)
+        a, b = _transport(record.series, [(a, True), (b, False)], record.truncation)
     if record.fold is not None:
         a = apply_shear(a, record.fold, tol=tol)
         b = apply_shear_dilation(b, record.fold, tol=tol)

@@ -271,10 +271,11 @@ def solve_sylvester(a, b, c, tol=None):
         raise ValidationFailure(
             "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
         )
-    _check_separated(np.linalg.eigvals(a), np.linalg.eigvals(b), tol)
-    # Bartels-Stewart on a = u r u^H and -b^H = v s v^H: ztrsyl on
-    # f = u^H c v, then x = u y v^H, with scipy's products
+    # Bartels-Stewart on a = u r u^H and -b^H = v s v^H, whose diagonals
+    # are the spectra of a and -conj(b): ztrsyl on f = u^H c v, then
+    # x = u y v^H, with scipy's products
     (r, u), (s, v) = _schur(a), _schur(-b.conj().T)
+    _check_separated(np.diag(r), -np.diag(s).conj(), tol)
     f = np.dot(np.dot(u.conj().T, c), v)
     y, scale, info = scipy.linalg.lapack.ztrsyl(r, s, f, tranb="C")
     _check_trsyl(info)

@@ -48,15 +48,17 @@ def _array(data, what):
 
 
 def _number(value, field, integer=False):
-    """A JSON number read as an int when ``integer`` is set, else as a finite
-    float; anything else, booleans included, raises ValidationFailure."""
+    """A JSON number read as an int64 when ``integer`` is set, else as a
+    finite float; anything else, booleans included, raises
+    ValidationFailure."""
     if not isinstance(value, bool):
-        if isinstance(value, int) and (integer or abs(value) <= sys.float_info.max):
+        if isinstance(value, int) and (-2 ** 63 <= value < 2 ** 63 if integer
+                                       else abs(value) <= sys.float_info.max):
             return value if integer else float(value)
         if isinstance(value, float) and not integer and math.isfinite(value):
             return value
     raise ValidationFailure("%s must be %s, got %r" % (
-        field, "an integer" if integer else "a finite number", value))
+        field, "an int64 integer" if integer else "a finite number", value))
 
 
 def decode_complex(data, field="complex value"):

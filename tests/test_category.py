@@ -357,8 +357,8 @@ def test_a_near_resonant_input_keeps_exact_residuals(monkeypatch):
     reduce by different shifts, is kept by a constant gauge and folded."""
     g = 1e-4
     a0, nil = np.diag([0.0, TAU - g]), np.array([[0.0, 1.0], [0.0, 0.0]])
-    block, calls = eqconn.laurent._series_transport, []
-    monkeypatch.setattr(eqconn.laurent, "_series_transport",
+    block, calls = eqconn.laurent._block_transport, []
+    monkeypatch.setattr(eqconn.laurent, "_block_transport",
                         lambda *args: calls.append(args[-1]) or block(*args))
     forms = []
     for terms in ({0: a0, 1: nil}, {0: a0, 1: nil, 2: 0.1 * np.eye(2)},

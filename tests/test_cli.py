@@ -502,6 +502,42 @@ def test_batch_survives_an_unexpected_exception(capsys, tmp_path, monkeypatch):
     assert ok["result"]["wd"] == 2.0
 
 
+def test_single_command_survives_an_unexpected_exception(capsys, monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "phase", boom)
+    code = main(["--json", "phase", "--m", "0", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "RuntimeError: boom" in captured.err
+    report = json.loads(captured.out, parse_constant=pytest.fail)
+    assert report == {"command": "phase", "error": {"kind": "RuntimeError", "message": "boom"}}
+
+
+def scalar_a(*coefficients):
+    """A one-dimensional object with ``A = sum_k coefficients[k] z**k`` and
+    ``B = 1``."""
+    return dict(scalar_object(), A=[{"pow": k, "coef": [[[c, 0.0]]]}
+                                    for k, c in enumerate(coefficients)])
+
+
+@pytest.mark.parametrize("options, obj, message", [
+    ([], scalar_a(1e308), "int64"),
+    (["--transversal-offset", "1e300"], scalar_a(0.1), "int64"),
+    ([], scalar_a(0.1, 1e300), "overflows"),
+], ids=["fold-of-a0-1e308", "fold-to-a-far-strip", "series-gauge-overflows"])
+def test_normalize_whose_gauge_overflows_exits_1(capsys, options, obj, message):
+    """A fold whose shift has no int64 value, and a series gauge that
+    overflows, are numerical failures in strict JSON, not a traceback."""
+    with np.errstate(all="ignore"):
+        code, out = run(capsys, ["--json"] + options + ["normalize", json.dumps(obj)])
+    assert code == 1
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
+    assert message in report["error"]["message"]
+
+
 def test_k0_term_without_b_exits_2(capsys):
     payload = {"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "mult": 1}]}
     code, out = run(capsys, ["--json", "kmap", json.dumps(payload)])
@@ -540,11 +576,30 @@ NON_COMMUTING = {"tau": [1.0, -1.0], "theta": 0.3,
      "EquivarianceViolation", "does not commute"),
     ("decompose", [dict(ONE_DIM, A0=[[[0.25, 0.0], [0.0, 0.0]]])],
      "ValidationFailure", "square A0 and B0"),
+    ("wd", ["--tol-spec", "0"], "ValidationFailure", "eps_spec"),
+    ("wd", ["--tol-spec", "-1"], "ValidationFailure", "eps_spec"),
+    ("kmap", [{"tau": [1.0, -1.0],
+               "terms": [{"zprime": [0.1, 0.0], "b": [1.0, 0.0], "mult": 10 ** 30}]}],
+     "ValidationFailure", "mult must be an int64 integer"),
+    ("kmap", ['{"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "b": [1.0, 0.0], '
+              '"mult": %s}]}' % ("9" * 5000)], "ValidationFailure", "digits"),
+    ("normalize", [scalar_object(pow_a=2 ** 63)], "ValidationFailure", "pow"),
+    ("std-bundle", ["--m", str(10 ** 400), "--n", "1"], "ValidationFailure",
+     "--m must be an int64 integer"),
+    ("phase", ["--m", "1", "--n", str(-10 ** 400)], "ValidationFailure",
+     "--n must be an int64 integer"),
 ], ids=["tensor-singular-b0", "decompose-non-commuting", "kernel-phi-shape",
-        "kernel-non-commuting-source", "decompose-non-square-a0"])
+        "kernel-non-commuting-source", "decompose-non-square-a0", "tol-spec-zero",
+        "tol-spec-negative", "kmap-mult-beyond-int64", "kmap-mult-of-5000-digits",
+        "power-beyond-int64",
+        "std-bundle-m-beyond-int64", "phase-n-beyond-int64"])
 def test_normal_form_and_morphism_inputs_breaking_an_invariant_exit_2(
         capsys, command, payloads, kind, message):
-    code, out = run(capsys, ["--json", command] + [json.dumps(p) for p in payloads])
+    """Payloads (a dict is passed as JSON) and options breaking an invariant
+    exit 2 with a strict JSON report, also where the command line holds
+    them, before any input is read."""
+    code, out = run(capsys, ["--json", command]
+                    + [p if isinstance(p, str) else json.dumps(p) for p in payloads])
     report = json.loads(out, parse_constant=pytest.fail)
     assert code == 2
     assert report["error"]["kind"] == kind

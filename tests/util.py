@@ -3,9 +3,12 @@ normal forms, defective normal forms, gauge scrambles used by the recovery
 tests, and resonant objects, whose normalization must shear.
 
 The benchmark draws its inputs from these generators too.  They fold with
-``reference_fold`` and take the shears' spectral data from
-``reference_spectral`` rather than from the library, so a change to the
-library's fold or spectral code does not change the inputs it is measured on.
+``reference_fold``, take the shears' spectral data from
+``reference_spectral``, and shear and gauge with the frozen generator
+kernels ``frozen_shear`` and ``frozen_transport`` of ``tests/reference.py``
+rather than with the library, so a change to the library's fold, spectral
+code or gauge calculus does not change the inputs it is measured on.  Of
+``eqconn.laurent`` they use ``PolyMat``'s public constructor alone.
 """
 
 import math
@@ -14,15 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from eqconn.category import EquivariantConnection, NormalForm, validate
-from eqconn.laurent import (
-    PolyMat,
-    apply_shear_dilation,
-    dilation_transform,
-    gauge_transform,
-    shear,
-)
+from eqconn.laurent import PolyMat
 from eqconn.numkit import Transversal, mat_exp
-from reference import reference_fold, reference_spectral
+from reference import frozen_shear, frozen_transport, reference_fold, reference_spectral
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -160,15 +157,14 @@ def scramble(nf, rng, shears=2, degree=3, order=48):
         shifts = [int(rng.integers(-1, 2)) for _ in sd.clusters]
         if all(s == 0 for s in shifts):
             shifts[int(rng.integers(0, len(shifts)))] = 1
-        a, step = shear(a, sd, shifts)
-        b = apply_shear_dilation(b, step)
+        a, b = frozen_shear(a, b, sd, shifts)
     n = nf.n
     terms = {0: np.eye(n, dtype=complex)}
     for k in range(1, degree + 1):
         terms[k] = 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     p = PolyMat(n, terms, nf.tau, q)
-    a = gauge_transform(a, p, order)
-    b = dilation_transform(b, p, order)
+    a = frozen_transport(a, p, order, True)
+    b = frozen_transport(b, p, order, False)
     return EquivariantConnection(a, b, nf.theta, nf.tau, nf.transversal)
 
 
@@ -201,12 +197,12 @@ def resonant_object(rng, gap=0.0, extra=2, degree=3, order=48):
     exponents = [0, 1] + [0] * extra
     for p in (PolyMat.monomial_diag(exponents, seed.tau, Q),
               PolyMat.constant(well_conditioned(rng, n), seed.tau, Q)):
-        a, b = gauge_transform(a, p), dilation_transform(b, p)
+        a, b = frozen_transport(a, p, None, True), frozen_transport(b, p, None, False)
     terms = {0: np.eye(n, dtype=complex)}
     for k in range(1, degree + 1):
         terms[k] = 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     p = PolyMat(n, terms, seed.tau, Q)
-    a, b = gauge_transform(a, p, order), dilation_transform(b, p, order)
+    a, b = frozen_transport(a, p, order, True), frozen_transport(b, p, order, False)
     return seed, EquivariantConnection(a, b, THETA, seed.tau, STRIP)
 
 
@@ -214,7 +210,8 @@ def gauged_by_power(obj, k):
     """``obj`` gauged by ``z**k I``: every eigenvalue of A(0) moves by ``k
     tau``, k unit steps off the strip for an object normalized to it."""
     p = PolyMat.monomial_diag([k] * obj.n, obj.tau, obj.A.q)
-    return EquivariantConnection(gauge_transform(obj.A, p), dilation_transform(obj.B, p),
+    return EquivariantConnection(frozen_transport(obj.A, p, None, True),
+                                 frozen_transport(obj.B, p, None, False),
                                  obj.theta, obj.tau, obj.transversal)
 
 

@@ -15,7 +15,7 @@ repeat, in process on one BLAS thread, timing the stages through the names
   Schur form of A(0), reordered and block diagonalized over its shift
   groups);
 * ``series gauge`` (``_series_gauge``) and ``series transport``
-  (``_transport_pair``, A and B in one call);
+  (``_transport``, A and B in one call);
 * ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
 * ``fold B`` (``apply_shear_dilation``): B through the fold;
 * ``check``: ``validate_normal_form`` (the result's invariants, with the
@@ -46,7 +46,7 @@ STAGES = {
     "validate": ("_validated",),
     "schur + groups": ("_clustered_schur", "_shift_groups"),
     "series gauge": ("_series_gauge",),
-    "series transport": ("_transport_pair",),
+    "series transport": ("_transport",),
     "fold": ("_fold_step", "apply_shear"),
     "fold B": ("apply_shear_dilation",),
     "check": ("validate_normal_form",),
