@@ -46,7 +46,9 @@ from .laurent import (
     _commutator,
     _gauged_pair,
     _rescaled,
+    _residual_norms,
     _series,
+    _sum_norm,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -144,9 +146,16 @@ def equivariance_residual(a, b):
     coefficient.  ``validate`` hands it the balanced pair, where no power
     outgrows ``max(1, ||A_0||)``.
     """
+    drift, commutator = _residual_terms(a, b)
+    return drift + commutator
+
+
+def _residual_terms(a, b):
+    """``(delta(B), [A, B])`` of ``equivariance_residual``, the commutator
+    on the orders the presentation determines."""
     lo = min(b.min_power, 0)
     hi = max(a.max_power, b.max_power, 0)
-    return b.delta() + _commutator(a, b, lo, hi)
+    return b.delta(), _commutator(a, b, lo, hi)
 
 
 def validate(obj, tol=None, strict=True):
@@ -176,7 +185,7 @@ def validate(obj, tol=None, strict=True):
     diag, _, _ = _validated(obj, tol or DEFAULT_TOL, strict)
     unit = diag["equivariance_residual"]
     if diag["radius"] != 1.0:
-        unit = equivariance_residual(obj.A, obj.B).norm()
+        unit = _sum_norm(*_residual_terms(obj.A, obj.B))
     diag["equivariance_residual_unit"] = unit
     diag["pole_residual_unit"] = obj.A.norm(hi=-1)
     return diag
@@ -204,7 +213,7 @@ def _validated(obj, tol, strict):
         raise SingularB("constant term of the dilation matrix is singular "
                         "(smallest singular value %.3e)" % smin)
 
-    res = equivariance_residual(a, b).norm()
+    res = _sum_norm(*_residual_terms(a, b))
     diag["equivariance_residual"] = res
     diag["radius"] = radius
     if strict and res > tol.eps_res * max(1.0, a.norm()) * max(1.0, b.norm()):
@@ -433,28 +442,24 @@ def normalize(obj, transversal=None, order=16, tol=None):
     series, separation = _series_gauge(a, form, fold, transversal.tau, order, tol)
     record = GaugeRecord(series=series, truncation=order, radius=radius, fold=fold)
     gauged, b_final = _gauged_pair(a, b, record, tol)
-    a0 = gauged.term(0)
-    gauge_left = gauged - gauged.truncate(0, lo=0)
-
-    b0 = b_final.term(0)
-    b_left = b_final - b_final.truncate(0, lo=0)
-    b_residual = b_left.norm()
+    gauge_residual, gauge_unit = _residual_norms(gauged, radius)
+    b_residual, b_unit = _residual_norms(b_final, radius)
     if b_residual > tol.eps_res * max(1.0, b_final.norm()):
         raise NonConstantB(
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
 
-    nf = NormalForm(a0, b0, transversal, obj.theta, obj.tau, record)
+    nf = NormalForm(gauged.term(0), b_final.term(0), transversal, obj.theta, obj.tau, record)
     validate_normal_form(nf, tol)
     nf.diagnostics.update({
-        "gauge_residual": gauge_left.norm(),
+        "gauge_residual": gauge_residual,
         "b_residual": b_residual,
         "shear_passes": 0,
         "strip_margin": min([transversal.boundary_distance(lam)
                              for lam in np.diag(nf.schur_form(tol)[0])], default=1.0),
         "radius": radius,
-        "gauge_residual_unit": _rescaled(gauge_left, 1.0 / radius).norm(),
-        "b_residual_unit": _rescaled(b_left, 1.0 / radius).norm(),
+        "gauge_residual_unit": gauge_unit,
+        "b_residual_unit": b_unit,
         "resonance_separation": separation,
     })
     return nf
@@ -472,7 +477,10 @@ def _series_gauge(a, form, fold, tau, order, tol):
     block diagonal part of ``t`` over the groups (without a fold S is q and
     D is ``t``): one ztrsyl on ``(D + k tau, D)``.  The gaps ``|d_i + k tau
     - d_j|`` over the diagonal ``d`` of ``t`` are formed once for every
-    order, the kept blocks masked."""
+    order, the kept blocks masked, and so is the stack of the triangles ``D
+    + k tau``.  A right-hand side is scanned for zero only at an order whose
+    smallest gap is within ``max(eps_spec, rounding)``, where a zero one is
+    skipped rather than refused; elsewhere ztrsyl solves it to zero."""
     t, q, _, _, w, _ = form
     d, levels, basis = np.diag(t), None, (q, q.conj().T)
     if fold is not None:
@@ -485,14 +493,25 @@ def _series_gauge(a, form, fold, tau, order, tol):
         gaps[levels[None, :] - levels[:, None] == ks] = np.inf
     smallest = gaps.min(axis=(1, 2))
     rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a.term(0)))
+    # ztrsyl solves a zero right-hand side to zero; only an order whose gap
+    # is within eps_spec or the rounding refuses a nonzero one, so only
+    # there is it scanned
+    watched = smallest <= max(tol.eps_spec, rounding)
+    # t and each D + k tau once, in the column order ztrsyl reads
+    t = np.asfortranarray(t)
+    shifted = np.repeat(t.T[None], order, axis=0).transpose(0, 2, 1)
+    diagonal = np.arange(len(d))
+    shifts = np.array([tau * k for k in range(1, order + 1)])
+    shifted[:, diagonal, diagonal] = d + shifts[:, None]
 
     def solve(k, rhs):
-        if not np.any(rhs):
-            return 0.0
-        if smallest[k - 1] <= tol.eps_spec:
-            i, j = np.unravel_index(np.argmin(gaps[k - 1]), t.shape)
-            raise SpectrumCollision(d[i] + k * tau, d[j], float(smallest[k - 1]))
-        return _triangular_sylvester(t, tau * k, rhs, close_ok=smallest[k - 1] > rounding)
+        if watched[k - 1]:
+            if not np.any(rhs):
+                return 0.0
+            if smallest[k - 1] <= tol.eps_spec:
+                i, j = np.unravel_index(np.argmin(gaps[k - 1]), t.shape)
+                raise SpectrumCollision(d[i] + k * tau, d[j], float(smallest[k - 1]))
+        return _triangular_sylvester(shifted[k - 1], t, rhs, close_ok=smallest[k - 1] > rounding)
 
     series = _series(a, order, np.eye(a.dim), solve, basis=basis, levels=levels)
     return series, float(smallest.min())

@@ -227,7 +227,7 @@ def cmd_normalize(ctx):
     obj = serialize.decode_object(ctx.load(ctx.args.input))
     nf = category.normalize(obj, ctx.strip_for(obj.tau),
                             ctx.args.truncation, ctx.tol)
-    payload = serialize.encode_normal_form(nf)
+    payload = serialize.encode_normal_form(nf, ctx.tol)
     payload["strip_positions"] = [
         nf.transversal.position(complex(v[0], v[1]))
         for v in payload["eigenvalues"]]
@@ -243,18 +243,18 @@ def cmd_rh_from_rep(ctx):
     rep = serialize.decode_monodromy(ctx.load(ctx.args.input))
     nf = category.from_monodromy(rep, ctx.strip_for(ctx.args.tau),
                                  ctx.args.theta, ctx.tol)
-    return serialize.encode_normal_form(nf)
+    return serialize.encode_normal_form(nf, ctx.tol)
 
 
 def cmd_tensor(ctx):
     x = ctx.to_normal_form(ctx.load(ctx.args.input))
     y = ctx.to_normal_form(ctx.load(ctx.args.input2))
-    return serialize.encode_normal_form(category.tensor(x, y, ctx.tol))
+    return serialize.encode_normal_form(category.tensor(x, y, ctx.tol), ctx.tol)
 
 
 def cmd_dual(ctx):
     x = ctx.to_normal_form(ctx.load(ctx.args.input))
-    return serialize.encode_normal_form(category.dual(x, ctx.tol))
+    return serialize.encode_normal_form(category.dual(x, ctx.tol), ctx.tol)
 
 
 def cmd_hom(ctx):
@@ -268,15 +268,15 @@ def cmd_hom(ctx):
 def cmd_kernel(ctx):
     m = ctx.to_morphism(ctx.load(ctx.args.input))
     ker, inc = category.kernel(m, ctx.tol)
-    return {"object": serialize.encode_normal_form(ker),
-            "morphism": serialize.encode_morphism(inc)}
+    return {"object": serialize.encode_normal_form(ker, ctx.tol),
+            "morphism": serialize.encode_morphism(inc, ctx.tol)}
 
 
 def cmd_cokernel(ctx):
     m = ctx.to_morphism(ctx.load(ctx.args.input))
     cok, proj = category.cokernel(m, ctx.tol)
-    return {"object": serialize.encode_normal_form(cok),
-            "morphism": serialize.encode_morphism(proj)}
+    return {"object": serialize.encode_normal_form(cok, ctx.tol),
+            "morphism": serialize.encode_morphism(proj, ctx.tol)}
 
 
 def cmd_decompose(ctx):

@@ -8,18 +8,22 @@ value also carries the pair ``(tau, q)``: ``tau`` scales the derivation
 A value stores one *slab*: an ascending int array of its powers and a
 read-only ``(K, n, n)`` stack of their coefficients, none exactly zero;
 ``PolyMat.terms`` is a read-only view of it, and no other module reads the
-slab.  A product is block Toeplitz: one GEMM per chunk of the powers it
-lands on, each chunk's slab of left coefficients within a fixed byte
-budget; a conjugation covers the whole stack, the one series recurrence
-(``_series``: series inverses and normalization's series gauge) is one GEMM
-per order, and every result goes through one internal constructor that
-drops exact-zero slices with one ``np.any``.  Sums run in BLAS order, so
-results agree with a matmul per pair of powers within rounding.  Two kernels
-evaluate on the circle instead, when that forms fewer products, with a
-normwise error: the windowed commutator ``_commutator``, and the series
-transport, for a gauge balanced along with its truncated inverse.  The
-public constructor copies its input and refuses a coefficient of the wrong
-shape or with a non-finite entry.
+slab.  Each value computes the Frobenius norm of every coefficient once, on
+first use, and keeps the vector: ``norm``, the balancing radius and a
+shear's regularity check read it, a truncation keeps its slice, and
+normalization's residuals are read off it (``_residual_norms``), with no
+subtraction or rescaled copy.  A product is block Toeplitz: one GEMM per
+chunk of the powers it lands on, each chunk's slab of left coefficients
+within a fixed byte budget; a conjugation covers the whole stack, the one
+series recurrence (``_series``: series inverses and normalization's series
+gauge) is one GEMM per order, and every result goes through one internal
+constructor that drops exact-zero slices with one ``np.any``.  Sums run in
+BLAS order, so results agree with a matmul per pair of powers within
+rounding.  Two kernels evaluate on the circle instead, when that forms
+fewer products, with a normwise error: the windowed commutator
+``_commutator``, and the series transport, for a gauge balanced along with
+its truncated inverse.  The public constructor copies its input and refuses
+a coefficient of the wrong shape or with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``.
 One function, ``_transport``, does both for every caller, with one policy:
@@ -27,15 +31,19 @@ One function, ``_transport``, does both for every caller, with one policy:
 normalization A and B together.  A constant gauge C and a diagonal monomial
 gauge ``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
 ``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``: one conjugation of
-the stack and one array shift by the exponents.  Series gauges go through a
-truncated inverse and record the first discarded order in ``diagnostics``;
-a series transport cut at ``order`` forms only the powers up to ``order +
-1``.  A similarity (a constant gauge, the values of a monomial, a step's or
-a series lead term) whose 1-norm reciprocal condition number is below
-machine epsilon is refused as singular, and a transport that overflows
-raises ``NumericFailure``.
+the stack and one array shift by the exponents, its drift added inside
+that shift; normalization folds A and B through one recorded shear in one
+call (``_sheared``), the similarity inverted once.  A product, commutator
+or shift whose landing powers leave int64 raises ``NumericFailure``.
+Series gauges go through a truncated inverse and record the first
+discarded order in ``diagnostics``; a series transport cut at ``order``
+forms only the powers up to ``order + 1``.  A similarity (a constant
+gauge, the values of a monomial, a step's or a series lead term) whose
+1-norm reciprocal condition number is below machine epsilon is refused as
+singular, and a transport that overflows raises ``NumericFailure``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -49,6 +57,14 @@ _PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
 # the byte budget of one slab of a product's block-Toeplitz GEMM
 _SLAB_BYTES = 512 * 1024
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_landing(lo, hi):
+    """Raise ``NumericFailure`` unless the powers ``lo..hi`` (Python ints),
+    the ends of what a product or shift lands on, have int64 values."""
+    if not (_INT64.min <= lo and hi <= _INT64.max):
+        raise NumericFailure("a power in %d..%d has no int64 value" % (lo, hi))
 
 
 def _checked_inverse(c, what):
@@ -70,11 +86,13 @@ class PolyMat:
     """A finitely supported map ``power -> coefficient matrix``, stored as
     ``_powers``, the ascending powers of the nonzero coefficients, and
     ``_coeffs``, their read-only ``(K, dim, dim)`` stack; ``terms`` is a
-    read-only view.  The constructor copies ``terms`` and raises
+    read-only view.  The slab's per-power Frobenius norms are computed on
+    first use and kept (``_power_norms``): the slab is read-only, so they
+    cannot go stale.  The constructor copies ``terms`` and raises
     ``ValidationFailure`` naming the power of a coefficient of the wrong
     shape or with a non-finite entry; arithmetic skips those checks."""
 
-    __slots__ = ("dim", "tau", "q", "diagnostics", "_powers", "_coeffs")
+    __slots__ = ("dim", "tau", "q", "diagnostics", "_powers", "_coeffs", "_norms")
 
     def __init__(self, dim, terms, tau, q, diagnostics=None):
         if dim < 1:
@@ -98,7 +116,7 @@ class PolyMat:
                     "coefficient at power %d has non-finite entries" % k)
             stack[i] = arr
         slab = self._derive(np.array(powers, dtype=int), stack)
-        self._powers, self._coeffs = slab._powers, slab._coeffs
+        self._powers, self._coeffs, self._norms = slab._powers, slab._coeffs, None
 
     # -- the slab ---------------------------------------------------------------
 
@@ -107,14 +125,30 @@ class PolyMat:
         ``stack[i]`` is the coefficient of ``powers[i]`` (an int array),
         which ascend.  Exact-zero slices are dropped, both arrays are made
         read-only, and nothing else is checked."""
-        out = PolyMat.__new__(PolyMat)
-        out.dim, out.tau, out.q, out.diagnostics = self.dim, self.tau, self.q, {}
         kept = np.any(stack, axis=(1, 2))
         if not kept.all():
             powers, stack = powers[kept], stack[kept]
         powers.flags.writeable = stack.flags.writeable = False
-        out._powers, out._coeffs = powers, stack
+        return self._slab(powers, stack, None)
+
+    def _slab(self, powers, stack, norms):
+        """A value with this one's ``(tau, q)`` on a read-only slab free of
+        exact-zero slices, and ``norms`` its norm vector or None."""
+        out = PolyMat.__new__(PolyMat)
+        out.dim, out.tau, out.q, out.diagnostics = self.dim, self.tau, self.q, {}
+        out._powers, out._coeffs, out._norms = powers, stack, norms
         return out
+
+    def _power_norms(self):
+        """The Frobenius norm of each stored coefficient, in the order of the
+        powers: computed once, on first use, and read-only.  A norm depends
+        on its coefficient alone, so a slice of this vector is, to the bit,
+        the norms of that slice of the slab."""
+        if self._norms is None:
+            norms = np.linalg.norm(self._coeffs, axis=(1, 2))
+            norms.flags.writeable = False
+            self._norms = norms
+        return self._norms
 
     def _dense(self, lo, hi):
         """The coefficients of the powers ``lo..hi`` as one ``(hi - lo + 1,
@@ -181,10 +215,10 @@ class PolyMat:
         """Largest coefficient Frobenius norm, among the powers up to ``hi``
         when it is given."""
         stop = None if hi is None else np.searchsorted(self._powers, hi, side="right")
-        return float(np.linalg.norm(self._coeffs[:stop], axis=(1, 2)).max(initial=0.0))
+        return float(self._power_norms()[:stop].max(initial=0.0))
 
     def copy(self):
-        return self._derive(self._powers, self._coeffs)
+        return self._slab(self._powers, self._coeffs, self._norms)
 
     def __repr__(self):
         return "PolyMat(dim=%d, powers=%s)" % (self.dim, self.powers())
@@ -199,13 +233,7 @@ class PolyMat:
             raise ValidationFailure("parameter (tau, q) mismatch")
 
     def __add__(self, other):
-        self._check_compatible(other)
-        found, slot = np.unique(np.concatenate([self._powers, other._powers]),
-                                return_inverse=True)
-        out = np.zeros((len(found), self.dim, self.dim), dtype=complex)
-        out[slot[:len(self._powers)]] = self._coeffs
-        out[slot[len(self._powers):]] += other._coeffs
-        return self._derive(found, out)
+        return self._derive(*_summed(self, other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -230,6 +258,7 @@ class PolyMat:
         coefficient of ``k_r``.  A slab stays within ``_SLAB_BYTES`` unless
         one landing power alone needs more."""
         self._check_compatible(other)
+        _check_landing(self.min_power + other.min_power, self.max_power + other.max_power)
         n, width = self.dim, len(other._powers)
         sums = (self._powers[:, None] + other._powers).ravel()
         pairs = np.arange(len(sums))
@@ -242,7 +271,7 @@ class PolyMat:
         # right indices descend: a power's first pair reads its highest one
         order = np.argsort(sums, kind="stable")
         sums, (left, right) = sums[order], np.divmod(pairs[order], width)
-        opens = np.flatnonzero(np.diff(sums, prepend=sums[0] - 1))
+        opens = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
         closes = np.append(opens[1:], len(sums))
         landing, slot = sums[opens], np.repeat(np.arange(len(opens)), closes - opens)
         low, high = right[closes - 1], right[opens]
@@ -290,9 +319,46 @@ class PolyMat:
         """Keep powers k with lo <= k <= hi (lo unbounded when omitted)."""
         start = 0 if lo is None else np.searchsorted(self._powers, lo)
         stop = np.searchsorted(self._powers, hi, side="right")
-        return self._derive(self._powers[start:stop], self._coeffs[start:stop])
+        norms = None if self._norms is None else self._norms[start:stop]
+        return self._slab(self._powers[start:stop], self._coeffs[start:stop], norms)
 
 
+def _summed(x, y):
+    """``(powers, stack)`` of ``x + y`` before its exact-zero slices are
+    dropped: y's coefficients added into x's on the union of their
+    powers."""
+    x._check_compatible(y)
+    found, slot = np.unique(np.concatenate([x._powers, y._powers]), return_inverse=True)
+    out = np.zeros((len(found), x.dim, x.dim), dtype=complex)
+    out[slot[:len(x._powers)]] = x._coeffs
+    out[slot[len(x._powers):]] += y._coeffs
+    return found, out
+
+
+def _sum_norm(x, y):
+    """``(x + y).norm()``, to the bit, without forming the sum: the largest
+    Frobenius norm over the union of their powers (an exact-zero slice the
+    sum would drop has norm 0)."""
+    return float(np.linalg.norm(_summed(x, y)[1], axis=(1, 2)).max(initial=0.0))
+
+
+def _residual_norms(p, radius):
+    """``(r, r_unit)``: the largest coefficient norm of ``p`` off power 0,
+    what ``(p - p.truncate(0, lo=0)).norm()`` gives, and the same of
+    ``p(z / radius)``, read off ``p``'s norm vector with the norm of power
+    k times ``radius**-k``.  ``radius`` is a power of two, so scaling a
+    coefficient scales its norm exactly: ``r_unit`` is, to the bit, the
+    norm of the rescaled slab unless a square of an entry underflows or
+    overflows in one frame and not the other."""
+    off = p._powers != 0
+    norms = p._power_norms()[off]
+    r = float(norms.max(initial=0.0))
+    if radius == 1.0:
+        return r, r
+    return r, float((norms * _radius_factors(p._powers[off], 1.0 / radius)).max(initial=0.0))
+
+
+@functools.lru_cache(maxsize=1024)
 def _fast_length(m):
     """The smallest ``2**i 3**j 5**k`` of at least ``m``: a length that
     ``np.fft`` transforms by small radices."""
@@ -341,6 +407,7 @@ def _commutator(a, b, lo, hi):
     their error per coefficient."""
     a._check_compatible(b)
     base = a.min_power + b.min_power
+    _check_landing(base, a.max_power + b.max_power)
     span = a.max_power + b.max_power - base + 1
     sums = a._powers[:, None] + b._powers
     m = _circle_length(span, [2 * np.count_nonzero((lo <= sums) & (sums <= hi))])
@@ -437,15 +504,25 @@ def _gauge_step(p):
                      tuple(p._powers[slot].tolist()))
 
 
-def _shift(a, exps):
-    """Entrywise map ``A_ij(z) -> A_ij(z) z**(e_j - e_i)``: one scatter of
-    the whole stack into the distinct powers it lands on, each output entry
-    taken from one input entry."""
-    landing = a._powers[:, None, None] + (exps[None, :] - exps[:, None])
-    found, slot = np.unique(landing, return_inverse=True)
+def _shift(a, exps, drift=False):
+    """Entrywise map ``A_ij(z) -> A_ij(z) z**(e_j - e_i)``, plus ``diag(tau
+    e)`` at power 0 when ``drift`` is set: one scatter of the whole stack
+    into the distinct powers it lands on, each output entry taken from one
+    input entry, and the drift added into the slice of power 0.  A landing
+    power with no int64 value raises ``NumericFailure``."""
+    spread = int(exps.max()) - int(exps.min())
+    _check_landing(a.min_power - spread, a.max_power + spread)
+    landing = (a._powers[:, None, None] + (exps[None, :] - exps[:, None])).ravel()
+    found, slot = np.unique(np.append(landing, 0) if drift else landing, return_inverse=True)
     out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
     rows, cols = np.indices((a.dim, a.dim))
-    out[slot.reshape(landing.shape), rows, cols] = a._coeffs
+    out[slot[:len(landing)].reshape(a._coeffs.shape), rows, cols] = a._coeffs
+    if drift:
+        zero = slot[-1]
+        if not out[zero].any():
+            # a slice of signed zeros is dropped before a sum: start from +0
+            out[zero] = 0.0
+        out[zero] += np.diag(a.tau * exps)
     return a._derive(found, out)
 
 
@@ -472,7 +549,7 @@ def _transport(p, pairs, order):
         x._check_compatible(p)
     step = _gauge_step(p)
     if step is not None:
-        return _finite([_sheared(x, step, drift) for x, drift in pairs])
+        return _finite(_sheared(pairs, step))
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
     p_inv, hi = truncated_inverse(p, order), order + 1
@@ -602,57 +679,54 @@ def shear(a, sdata, cluster_shifts, tol=None):
     return apply_shear(a, step, tol=tol), step
 
 
-def _sheared(a, step, drift):
-    """``a`` through a recorded step: ``S^-1 A_k S`` at each power, then the
-    monomial ``diag(z**k_i)`` of the step's exponents as an array shift, and
-    its drift ``diag(tau k_i)`` added at power 0 when ``drift`` is set.  An
-    exponent with no int64 value raises ``NumericFailure``."""
+def _sheared(pairs, step):
+    """Each ``(X, drift)`` of ``pairs`` through a recorded step: ``S^-1 X_k
+    S`` at each power, S inverted once for all of them, then the monomial
+    ``diag(z**k_i)`` of the step's exponents as an array shift, with its
+    drift ``diag(tau k_i)`` at power 0 where ``drift`` is set (``_shift``).
+    An exponent with no int64 value raises ``NumericFailure``."""
     s = step.similarity
-    out = a._derive(a._powers, _checked_inverse(s, "constant gauge") @ a._coeffs @ s)
+    s_inv = _checked_inverse(s, "constant gauge")
     try:
         exps = np.array(step.exponents, dtype=np.int64)
     except OverflowError:
         raise NumericFailure("a shear exponent has no int64 value")
+    out = [x._derive(x._powers, s_inv @ x._coeffs @ s) for x, _ in pairs]
     if not np.any(exps):
         return out
-    out = _shift(out, exps)
-    if drift:
-        out = out + a._derive(np.zeros(1, dtype=int), np.diag(a.tau * exps)[None])
-    return out
+    return [_shift(x, exps, drift) for x, (_, drift) in zip(out, pairs)]
 
 
 def apply_shear(a, step, tol=None):
-    """Apply a recorded shear to a connection matrix (checked for regularity).
-
-    A unit monomial moves a power by at most ``max k - min k``, so only the
-    powers below that can land below zero: a coefficient there is a pole
-    when its norm exceeds ``eps_res`` times one plus the largest norm among
-    them (the norm of the whole series would let a pole through beside
-    large high powers)."""
-    tol = tol or DEFAULT_TOL
-    reach = max(step.exponents, default=0) - min(step.exponents, default=0)
-    return _checked_regular(_sheared(a, step, drift=True), tol,
-                            scale=a.norm(hi=reach - 1))
+    """Apply a recorded shear to a connection matrix, checked for
+    regularity: a coefficient the step moves below power 0 is a pole when
+    its norm exceeds ``eps_res`` times one plus the largest norm among the
+    powers it can move there (``_checked_regular``)."""
+    return _checked_regular(_sheared([(a, True)], step)[0], a, step, tol or DEFAULT_TOL)
 
 
 def apply_shear_dilation(b, step, tol=None):
     """Apply a recorded shear to a dilation matrix (no regularity demanded)."""
-    return _sheared(b, step, drift=False)
+    return _sheared([(b, False)], step)[0]
 
 
-def _checked_regular(a, tol, scale):
-    """``a`` without its negative powers, which must be rounding: a
-    coefficient there whose norm exceeds ``eps_res (scale + 1)`` is a pole,
-    and raises ``RegularityViolation``.  ``apply_shear`` passes the largest
-    norm among the powers its step can move below zero."""
-    threshold = tol.eps_res * (scale + 1.0)
-    sizes = np.linalg.norm(a._coeffs[a._powers < 0], axis=(1, 2))
+def _checked_regular(out, a, step, tol):
+    """``out``, the connection matrix ``a`` through ``step``, without its
+    negative powers, which must be rounding.  A unit monomial moves a power
+    by at most ``max k - min k``, so only the powers of ``a`` below that can
+    land below zero: a coefficient there is a pole when its norm exceeds
+    ``eps_res`` times one plus the largest norm among them (the norm of the
+    whole series would let a pole through beside large high powers), and
+    raises ``RegularityViolation``."""
+    reach = max(step.exponents, default=0) - min(step.exponents, default=0)
+    threshold = tol.eps_res * (a.norm(hi=reach - 1) + 1.0)
+    sizes = out._power_norms()[out._powers < 0]
     poles = np.flatnonzero(sizes > threshold)
     if poles.size:
         raise RegularityViolation(
             "shear would create a pole: coefficient of z**%d has norm %.3e"
-            % (a._powers[poles[0]], sizes[poles[0]]))
-    return a.truncate(a.max_power, lo=0)
+            % (out._powers[poles[0]], sizes[poles[0]]))
+    return out.truncate(out.max_power, lo=0)
 
 
 def _balancing_radius(a):
@@ -662,7 +736,7 @@ def _balancing_radius(a):
     that no power of ``A(rho z)`` outgrows ``max(1, ||A_0||)`` and scaling
     power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
     two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969)."""
-    norms = np.linalg.norm(a._coeffs, axis=(1, 2))
+    norms = a._power_norms()
     top = max(1.0, norms[a._powers == 0].max(initial=0.0))
     up = a._powers > 0
     rho = float(np.min((top / norms[up]) ** (1.0 / a._powers[up]), initial=1.0))
@@ -675,9 +749,13 @@ def _rescaled(p, radius):
     when the radius is 1."""
     if radius == 1.0:
         return p
-    factors = np.array([radius ** k for k in p._powers.tolist()], dtype=float)
-    parts = p._coeffs.view(float) * factors[:, None, None]
+    parts = p._coeffs.view(float) * _radius_factors(p._powers, radius)[:, None, None]
     return p._derive(p._powers, parts.view(complex))
+
+
+def _radius_factors(powers, radius):
+    """``radius**k`` for each power k, as reals."""
+    return np.array([radius ** k for k in powers.tolist()], dtype=float)
 
 
 def apply_gauge_record(a, b, record, tol=None):
@@ -693,11 +771,12 @@ def apply_gauge_record(a, b, record, tol=None):
 
 def _gauged_pair(a, b, record, tol):
     """A balanced connection/dilation pair through a ``GaugeRecord``: the
-    series gauge, one ``_transport`` call unless it is constant, then
-    the fold, if any."""
+    series gauge, one ``_transport`` call unless it is constant, then the
+    fold, if any: one ``_sheared`` call for both, A checked for regularity
+    as ``apply_shear`` checks it."""
     if record.series is not None and not record.series.is_constant():
         a, b = _transport(record.series, [(a, True), (b, False)], record.truncation)
     if record.fold is not None:
-        a = apply_shear(a, record.fold, tol=tol)
-        b = apply_shear_dilation(b, record.fold, tol=tol)
+        folded, b = _sheared([(a, True), (b, False)], record.fold)
+        a = _checked_regular(folded, a, record.fold, tol)
     return a, b

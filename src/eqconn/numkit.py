@@ -282,19 +282,18 @@ def solve_sylvester(a, b, c, tol=None):
     return np.dot(np.dot(u, scale * y), v.conj().T)
 
 
-def _triangular_sylvester(t, shift, c, close_ok=False):
-    """Solve ``(t + shift) Y - Y t = C`` for an upper triangular ``t``: one
-    ztrsyl.  For ``M = q t q^H`` it is ``(M + shift) X - X M = q C q^H``
-    in the Schur basis, ``X = q Y q^H``, so the orders of a series gauge
-    share the one form.  The caller checks the separation of the spectra:
-    ztrsyl's info 1, which perturbs diagonal entries of ``t + shift`` and
-    ``t`` that lie within its rounding of each other, raises
-    ``NumericFailure`` unless ``close_ok``, as for entries whose
-    right-hand side is known to be zero.
+def _triangular_sylvester(a, b, c, close_ok=False):
+    """Solve ``A Y - Y B = C`` for upper triangular ``A`` and ``B``: one
+    ztrsyl.  With ``A = t + shift`` and ``B = t`` for ``M = q t q^H`` it is
+    ``(M + shift) X - X M = q C q^H`` in the Schur basis, ``X = q Y q^H``,
+    so the orders of a series gauge share the one form; a Fortran-ordered
+    A and B reach LAPACK without a copy.  The caller checks the separation
+    of the spectra: ztrsyl's info 1, which perturbs diagonal entries of A
+    and B that lie within its rounding of each other, raises
+    ``NumericFailure`` unless ``close_ok``, as for entries whose right-hand
+    side is known to be zero.
     """
-    shifted = t.copy()
-    np.fill_diagonal(shifted, np.diag(t) + shift)
-    y, scale, info = scipy.linalg.lapack.ztrsyl(shifted, t, c, isgn=-1)
+    y, scale, info = scipy.linalg.lapack.ztrsyl(a, b, c, isgn=-1)
     if info < 0 or not close_ok:
         _check_trsyl(info)
     return y if scale == 1.0 else y / scale

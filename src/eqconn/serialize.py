@@ -140,9 +140,10 @@ def decode_object(data):
     return EquivariantConnection(a, b, theta, tau, Transversal(tau, offset))
 
 
-def encode_normal_form(nf):
+def encode_normal_form(nf, tol=None):
     """The normal form's fields, and the eigenvalues of A0 in the order of
-    the diagonal of its ``schur_form()``."""
+    the diagonal of its ``schur_form(tol)``: the form the computation at
+    ``tol`` kept, so that encoding takes no Schur form of its own."""
     return {
         "tau": encode_complex(nf.tau),
         "theta": nf.theta,
@@ -150,7 +151,7 @@ def encode_normal_form(nf):
         "A0": encode_matrix(nf.A0),
         "B0": encode_matrix(nf.B0),
         "transversal_offset": nf.transversal.offset,
-        "eigenvalues": [encode_complex(v) for v in np.diag(nf.schur_form()[0])],
+        "eigenvalues": [encode_complex(v) for v in np.diag(nf.schur_form(tol)[0])],
         "diagnostics": encode_diagnostics(nf.diagnostics),
     }
 
@@ -211,10 +212,10 @@ def decode_monodromy(data):
     return MonodromyPair(decode_matrix(m1, "M1"), decode_matrix(m2, "M2"))
 
 
-def encode_morphism(m):
+def encode_morphism(m, tol=None):
     return {
-        "source": encode_normal_form(m.source),
-        "target": encode_normal_form(m.target),
+        "source": encode_normal_form(m.source, tol),
+        "target": encode_normal_form(m.target, tol),
         "phi": encode_matrix(m.phi) if m.phi.size else [],
     }
 

@@ -62,6 +62,15 @@ the library balances by ``z -> rho z`` first, and is compared with it on
 ``reference_balance`` of its input, which scales each part of each
 coefficient of power k by ``rho**k`` one at a time.
 
+``reference_residuals`` and ``reference_equivariance_norm`` are the
+residuals of ``normalize`` and ``validate`` by the PolyMat arithmetic they
+were once taken with: the part of a value off power 0 as ``p -
+p.truncate(0, lo=0)``, rescaled by ``reference_rescaled``, and the
+residual ``equivariance_residual(a, b)`` formed as a PolyMat; each norm is
+``reference_largest_norm``, one ``np.linalg.norm`` over a fresh stack of
+the ``terms``.  The library reads them off each slab's cached norm vector
+and must give the same floats, to the bit.
+
 ``reference_product``, ``reference_conjugate`` and ``reference_clean_terms``
 are the Laurent arithmetic one coefficient at a time: a matmul per pair of
 powers, a conjugation per coefficient, and a check per coefficient.  The
@@ -99,6 +108,7 @@ import scipy.linalg
 from eqconn import serialize
 from eqconn.category import (
     EquivariantConnection,
+    equivariance_residual,
     K0Class,
     MonodromyPair,
     NormalForm,
@@ -726,6 +736,47 @@ def reference_balance(obj):
 
     return EquivariantConnection(scaled(obj.A), scaled(obj.B), obj.theta, obj.tau,
                                  obj.transversal), rho
+
+
+def reference_largest_norm(p, hi=None):
+    """The largest Frobenius norm among the coefficients of ``p``, of the
+    powers up to ``hi`` when it is given: one ``np.linalg.norm`` over a
+    fresh stack of those ``terms``."""
+    powers, stack = _stacked(p)
+    stop = None if hi is None else np.searchsorted(powers, hi, side="right")
+    return float(np.linalg.norm(stack[:stop], axis=(1, 2)).max(initial=0.0))
+
+
+def reference_rescaled(p, radius):
+    """``p(radius z)``: each part of the coefficient of power k times
+    ``radius**k``."""
+    terms = {}
+    for k, c in p.terms.items():
+        terms[k] = np.empty_like(c)
+        terms[k].real = c.real * radius ** k
+        terms[k].imag = c.imag * radius ** k
+    return PolyMat(p.dim, terms, p.tau, p.q)
+
+
+def reference_residuals(gauged, b_final, radius):
+    """``gauge_residual``, ``b_residual`` and their ``*_unit`` values of
+    ``normalize`` for the gauged pair ``(gauged, b_final)`` in the frame
+    balanced by ``radius``: the largest coefficient norm of each part off
+    power 0, ``p - p.truncate(0, lo=0)``, and of that part rescaled by ``z
+    -> z / radius``."""
+    out = {}
+    for name, p in (("gauge_residual", gauged), ("b_residual", b_final)):
+        left = p - p.truncate(0, lo=0)
+        out[name] = reference_largest_norm(left)
+        out[name + "_unit"] = reference_largest_norm(
+            left if radius == 1.0 else reference_rescaled(left, 1.0 / radius))
+    return out
+
+
+def reference_equivariance_norm(a, b):
+    """The largest coefficient norm of the PolyMat
+    ``equivariance_residual(a, b)``, ``delta(B) + [A, B]``."""
+    return reference_largest_norm(equivariance_residual(a, b))
 
 
 def reference_series_gauge(a, a0, tau, order):

@@ -49,7 +49,7 @@ from eqconn.exceptions import (
     TransversalMismatch,
     ValidationFailure,
 )
-from eqconn.laurent import PolyMat, apply_gauge_record, gauge_transform
+from eqconn.laurent import PolyMat, _gauged_pair, apply_gauge_record, gauge_transform
 from eqconn.numkit import (
     DEFAULT_TOL,
     Transversal,
@@ -64,10 +64,12 @@ from reference import (
     reference_balance,
     reference_decompose,
     reference_dual,
+    reference_equivariance_norm,
     reference_hom_basis,
     reference_hom_mode_dims,
     reference_normalize,
     reference_product,
+    reference_residuals,
     reference_spectral,
     reference_sylvester,
     reference_tensor,
@@ -299,14 +301,14 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         bases.append(basis)
         return series(*args, basis=basis, **kwargs)
 
-    def reference(t, shift, c, close_ok=False):
-        # the dense solve on A0 + shift and A0, A0 = S t S^-1, brought to
-        # the basis S of the gauge being solved
+    def reference(shifted, t, c, close_ok=False):
+        # the dense solve on A0 + k tau and A0, A0 = S t S^-1 and A0 + k
+        # tau = S shifted S^-1, brought to the basis S of the gauge being
+        # solved
         s, s_inv = bases[-1]
-        a0 = s @ t @ s_inv
-        x_ref = s_inv @ reference_sylvester(a0 + shift * np.eye(len(t)), a0,
+        x_ref = s_inv @ reference_sylvester(s @ shifted @ s_inv, s @ t @ s_inv,
                                             s @ c @ s_inv) @ s
-        gaps.append(np.linalg.norm(kernel(t, shift, c, close_ok) - x_ref)
+        gaps.append(np.linalg.norm(kernel(shifted, t, c, close_ok) - x_ref)
                     / np.linalg.norm(x_ref))
         return x_ref
 
@@ -320,6 +322,33 @@ def test_results_are_unchanged_to_the_bit_with_the_reference_sylvester(monkeypat
         for name in ("A0", "B0"):
             gap = np.linalg.norm(getattr(g, name) - getattr(w, name))
             assert gap <= 1e-12 * np.linalg.norm(getattr(w, name))
+
+
+def test_residuals_read_off_the_norm_vectors_are_the_polymat_arithmetic_to_the_bit():
+    """``normalize``'s four residuals come off the norm vectors of the
+    gauged pair, and ``validate``'s off a sum it does not form: each equals,
+    to the bit, the PolyMat arithmetic of ``reference_residuals`` and
+    ``reference_equivariance_norm`` on the pair ``_gauged_pair`` replays,
+    at unit radius and balanced."""
+    rng = np.random.default_rng(77)
+    objs = [scramble(random_normal_form(rng, n), rng, shears=s)
+            for n, s in ((2, 0), (2, 2), (4, 1), (8, 2), (12, 1))]
+    objs.append(util.resonant_object(np.random.default_rng(901), gap=1e-3)[1])
+    objs.append(constant_object(np.diag([0.2 * TAU, 0.3 * TAU + 0.1]), np.diag([2.0, 3.0])))
+    radii = []
+    for obj in objs:
+        diag, a, b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+        assert diag["equivariance_residual"] == reference_equivariance_norm(a, b)
+        assert (validate(obj)["equivariance_residual_unit"]
+                == reference_equivariance_norm(obj.A, obj.B))
+        nf = normalize(obj, STRIP, 16)
+        gauged, b_final = _gauged_pair(a, b, nf.gauge, DEFAULT_TOL)
+        assert gauged.term(0).tobytes() == nf.A0.tobytes()
+        want = reference_residuals(gauged, b_final, diag["radius"])
+        assert {name: nf.diagnostics[name] for name in want} == want
+        radii.append((diag["radius"], want["b_residual"]))
+    assert any(r < 1.0 and b_left > 0.0 for r, b_left in radii)
+    assert (1.0, 0.0) in radii
 
 
 def assert_normalizes_alike(nf, want, obj, same_k0=True):

@@ -113,6 +113,30 @@ def test_normalize_pipeline(capsys, tmp_path):
     assert res["diagnostics"]["gauge_residual"] < 1e-8
 
 
+def test_a_report_reads_the_schur_form_taken_at_the_commands_tolerance(
+        capsys, tmp_path, monkeypatch):
+    """``normalize`` takes one Schur form of A(0) and its check one of A0,
+    at the tolerance the command runs at; the report's eigenvalues read the
+    latter, so a non-default tolerance makes two ``numkit._schur`` calls,
+    as the default does.  At the default the report is, byte for byte, the
+    one the encoder gives when it takes the default-tolerance form itself."""
+    from eqconn import numkit, serialize
+
+    rng = np.random.default_rng(4)
+    obj = scramble(random_normal_form(rng, 4), rng, shears=1)
+    path = write(tmp_path, "obj.json", encode_object(obj))
+    schur, calls = numkit._schur, []
+    monkeypatch.setattr(numkit, "_schur", lambda m: calls.append(1) or schur(m))
+    for options in ([], ["--tol-spec", "1e-9"]):
+        calls.clear()
+        code, report = run_json(capsys, options + ["normalize", path])
+        assert code == 0 and len(calls) == 2
+    code, got = run(capsys, ["--json", "normalize", path])
+    encode = serialize.encode_normal_form
+    monkeypatch.setattr(serialize, "encode_normal_form", lambda nf, tol=None: encode(nf))
+    assert code == 0 and run(capsys, ["--json", "normalize", path]) == (code, got)
+
+
 def test_rh_roundtrip_shell_level(capsys, tmp_path):
     rng = np.random.default_rng(2)
     m1, m2 = random_commuting_pair(rng, 3)

@@ -16,6 +16,7 @@ from eqconn.laurent import (
     PolyMat,
     ShearStep,
     _commutator,
+    _gauged_pair,
     _sheared,
     _shift,
     _transport,
@@ -27,7 +28,7 @@ from eqconn.laurent import (
     shear,
     truncated_inverse,
 )
-from eqconn.numkit import spectral
+from eqconn.numkit import DEFAULT_TOL, spectral
 import reference
 import util
 from reference import (
@@ -938,7 +939,8 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
     for drift in (False, True):
         conj = reference_transport(x, PolyMat.constant(s, TAU, Q), None, drift)
         want = reference_transport(conj, PolyMat.monomial_diag(exps, TAU, Q), None, drift)
-        assert_close_terms(_sheared(x, step, drift).terms, want.terms, shear_scale(x, step))
+        assert_close_terms(_sheared([(x, drift)], step)[0].terms, want.terms,
+                           shear_scale(x, step))
 
     terms = {0: np.eye(dim)}
     terms.update({k: 0.3 * rng.normal(size=(dim, dim)) for k in series_powers})
@@ -948,6 +950,121 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
             assert_close_to_rounding(dict(transport(x, p, order).terms),
                                      dict(reference_transport(x, p, order, drift).terms),
                                      transport_scale(x, p, order))
+
+
+def same_slab(value, slab):
+    """``value`` holds the ``(powers, stack)`` slab, to the bit."""
+    powers, stack = slab
+    return (value.powers() == powers.tolist()
+            and np.array(list(value.terms.values()), dtype=complex).reshape(stack.shape)
+            .tobytes() == stack.tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gapped_supports())
+def test_cached_norms_are_fresh_norms_of_each_slice(case):
+    """``norm(hi)`` reads the slab's norm vector, computed once: for every
+    ``hi``, read in ascending or descending order, on constructed values
+    and on values derived by arithmetic, truncation (which keeps a slice of
+    a computed vector), copies, the one fold and a series transport, it
+    equals a fresh ``np.linalg.norm`` of that slice
+    (``reference_largest_norm``), to the bit."""
+    dim, left, right, exps, series_powers, order, seed = case
+
+    def values():
+        rng = np.random.default_rng(seed)
+        x, y = sparse_pm(rng, dim, left), sparse_pm(rng, dim, right)
+        s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+        terms = {0: np.eye(dim)}
+        terms.update({k: 0.3 * rng.normal(size=(dim, dim)) for k in series_powers})
+        p = PolyMat(dim, terms, TAU, Q)
+        warm = x * y
+        warm.norm()
+        return ([x, y, x * y, x + y, x - y, x.delta(), x.scale(0.5j), warm,
+                 warm.truncate(2, lo=-1), warm.copy(), p]
+                + _sheared([(x, True), (y, False)], ShearStep(s, tuple(exps)))
+                + _transport(p, [(x, True), (y, False)], order))
+
+    for ascending in (True, False):
+        for v in values():
+            his = [None] + list(range(v.min_power - 1, v.max_power + 2))
+            for hi in (his if ascending else his[::-1]):
+                assert v.norm(hi) == reference.reference_largest_norm(v, hi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gapped_supports())
+def test_one_shear_of_a_pair_is_the_frozen_shear_of_each_to_the_bit(case):
+    """``_sheared`` takes several operands through one step with one
+    inverse of S and the drift added in the shift's scatter: each result
+    equals, to the bit, the per-operand shear of ``tests/reference.py``
+    that conjugated, shifted and then added the drift as a sum."""
+    dim, left, right, exps, _, _, seed = case
+    rng = np.random.default_rng(seed)
+    x, y = sparse_pm(rng, dim, left), sparse_pm(rng, dim, right)
+    s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+    got = _sheared([(x, True), (y, False), (x, False)], ShearStep(s, tuple(exps)))
+    for value, (operand, drift) in zip(got, ((x, True), (y, False), (x, False))):
+        assert same_slab(value, reference._frozen_sheared(reference._stacked(operand), s,
+                                                          exps, TAU, drift))
+
+
+def test_a_drift_onto_a_slice_of_signed_zeros_is_the_frozen_sum_to_the_bit():
+    """The drift goes into the shift's slice of power 0.  When every entry
+    landing there is a signed zero, the sum the frozen shear takes has
+    dropped that slice first, so the slice starts from +0: with ``tau = -1
+    + i``, ``tau * 0`` has a -0.0 part, which a -0.0 entry would keep."""
+    tau = -1.0 + 1.0j
+    x = PolyMat(2, {-1: [[1, 0], [-1, -0.0]], 0: [[0, 1j], [0, -0.0]],
+                    1: [[-0.0, 1], [0, 1]]}, tau, Q)
+    s = np.diag([-1.0, 2.0]).astype(complex)
+    got = _sheared([(x, True)], ShearStep(s, (-1, 0)))[0]
+    # +0 plus the drift's -0.0 part, where a -0.0 entry plus it stays -0.0
+    assert not np.signbit(got.term(0)[1, 1].real)
+    assert same_slab(got, reference._frozen_sheared(reference._stacked(x), s, (-1, 0), tau,
+                                                    True))
+
+
+@pytest.mark.parametrize("n, shears", [(2, 2), (4, 1), (8, 2), (12, 1)])
+def test_the_one_fold_is_apply_shear_and_apply_shear_dilation_to_the_bit(n, shears):
+    """``normalize`` folds A and B in one ``_sheared`` call: the pair
+    ``_gauged_pair`` returns equals the series transport followed by
+    ``apply_shear`` of A and ``apply_shear_dilation`` of B, to the bit, and
+    A equals the frozen shear with its regularity cut."""
+    rng = np.random.default_rng(500)
+    obj = util.scramble(util.random_normal_form(rng, n), rng, shears=shears)
+    nf = normalize(obj, util.STRIP, 16)
+    _, a, b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+    record = nf.gauge
+    assert record.fold is not None and any(record.fold.exponents)
+    got_a, got_b = _gauged_pair(a, b, record, DEFAULT_TOL)
+    mid_a, mid_b = _transport(record.series, [(a, True), (b, False)], record.truncation)
+    assert same_bits(got_a, apply_shear(mid_a, record.fold))
+    assert same_bits(got_b, apply_shear_dilation(mid_b, record.fold))
+    powers, stack = reference._frozen_sheared(reference._stacked(mid_a), record.fold.similarity,
+                                              record.fold.exponents, TAU, True)
+    start = np.searchsorted(powers, 0)
+    assert same_slab(got_a, (powers[start:], stack[start:]))
+
+
+def test_power_sums_beyond_int64_raise():
+    """A product, a commutator or a shear whose landing powers leave int64
+    raises ``NumericFailure`` instead of wrapping around; the powers at the
+    ends of int64 land exactly."""
+    top = PolyMat(1, {2 ** 62: [[1.0]]}, TAU, Q)
+    bottom = PolyMat(1, {-2 ** 62 - 1: [[1.0]]}, TAU, Q)
+    for x, y in ((top, top), (bottom, bottom)):
+        with pytest.raises(NumericFailure, match="int64"):
+            x * y
+        with pytest.raises(NumericFailure, match="int64"):
+            _commutator(x, y, 0, 1)
+    assert (top * PolyMat(1, {2 ** 62 - 1: [[2.0]]}, TAU, Q)).powers() == [2 ** 63 - 1]
+    assert (bottom * PolyMat(1, {-2 ** 62 + 1: [[2.0]]}, TAU, Q)).powers() == [-2 ** 63]
+    assert (top * bottom).powers() == [-1]
+    wide = PolyMat(2, {2 ** 62: np.ones((2, 2))}, TAU, Q)
+    for step in (ShearStep(np.eye(2), (0, 2 ** 62)), ShearStep(np.eye(2), (2 ** 62, -2 ** 62))):
+        with pytest.raises(NumericFailure, match="int64"):
+            apply_shear_dilation(wide, step)
 
 
 def test_shift_holds_only_the_powers_it_lands_on():

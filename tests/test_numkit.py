@@ -259,14 +259,15 @@ def test_shifted_sylvester_solves_every_shift_on_one_schur_form(monkeypatch):
         shift = TAU * k
         c = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         want = reference_sylvester(m + shift * np.eye(6), m, c)
-        y = numkit._triangular_sylvester(t, shift, q.conj().T @ c @ q)
+        y = numkit._triangular_sylvester(t + shift * np.eye(6), t, q.conj().T @ c @ q)
         got = q @ y @ q.conj().T
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert schur_calls == [] and len(trsyl_calls) == 16
     lam = np.diag(t)
     with pytest.raises(NumericFailure, match="ztrsyl info 1"):
-        numkit._triangular_sylvester(t, lam[1] - lam[0], c)
-    assert np.isfinite(numkit._triangular_sylvester(t, lam[1] - lam[0], c, close_ok=True)).all()
+        numkit._triangular_sylvester(t + (lam[1] - lam[0]) * np.eye(6), t, c)
+    assert np.isfinite(numkit._triangular_sylvester(t + (lam[1] - lam[0]) * np.eye(6), t, c,
+                                                    close_ok=True)).all()
 
 
 def test_schur_returns_a_triangular_matrix_as_zgees_does():

@@ -16,8 +16,10 @@ repeat, in process on one BLAS thread, timing the stages through the names
   groups);
 * ``series gauge`` (``_series_gauge``) and ``series transport``
   (``_transport``, A and B in one call);
-* ``fold``: ``_fold_step`` and ``apply_shear`` (the fold of A);
-* ``fold B`` (``apply_shear_dilation``): B through the fold;
+* ``fold``: ``_fold_step`` and the one fold of A and B, ``_sheared`` and
+  the regularity check ``_checked_regular`` (a checkout that folds A and
+  B one at a time, through ``apply_shear`` and ``apply_shear_dilation``,
+  is timed through those names: the stage sums both);
 * ``check``: ``validate_normal_form`` (the result's invariants, with the
   Schur form of A0 it takes);
 
@@ -47,8 +49,8 @@ STAGES = {
     "schur + groups": ("_clustered_schur", "_shift_groups"),
     "series gauge": ("_series_gauge",),
     "series transport": ("_transport",),
-    "fold": ("_fold_step", "apply_shear"),
-    "fold B": ("apply_shear_dilation",),
+    "fold": ("_fold_step", "_sheared", "_checked_regular", "apply_shear",
+             "apply_shear_dilation"),
     "check": ("validate_normal_form",),
 }
 
