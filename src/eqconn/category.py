@@ -71,6 +71,10 @@ from .numkit import (
 )
 
 TWO_PI_I = 2j * math.pi
+# normalize's series gauge holds a few arrays of order x n x n entries (the
+# gaps, the shifted triangles, the coefficients); an order at which one of
+# them would top this many entries is refused before any is allocated
+MAX_GAUGE_ENTRIES = 1 << 20
 
 
 def theta_to_q(theta):
@@ -232,9 +236,17 @@ class NormalForm:
     """Constant commuting presentation of an object: ``nabla = delta + A0``,
     dilation ``B0``, with ``spec(A0)`` inside ``transversal``.
 
-    The Schur form of A0 is kept once taken (``schur_form``), and A0 is made
-    read-only then, so that an in-place change cannot leave it stale; so is
-    that form ordered along the strip, which ``tensor`` reads."""
+    What is derived from A0 and B0 is kept in ``_memo`` once computed, and
+    the arrays it was read from are made read-only then, so that an
+    in-place change cannot leave it stale:
+
+    * per ``Tolerances``, the clustered Schur form of A0 (``schur_form``),
+      that form ordered along the strip (``_strip_form``, which ``tensor``
+      reads), both read-only with A0, and what ``hom_basis`` reads of the
+      object (``_hom_side``), read-only with A0 and B0;
+    * for a result of ``from_monodromy``, which is born with A0 and B0
+      read-only: ``exp(2 pi i A0/tau)``, which ``monodromy`` copies, and
+      the singular values of B0, which ``validate_normal_form`` reads."""
 
     A0: np.ndarray
     B0: np.ndarray
@@ -243,9 +255,10 @@ class NormalForm:
     tau: complex
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
-    # the Schur forms of A0, per Tolerances, computed on first use: the
-    # clustered form keyed by the Tolerances, the form ordered along the
-    # strip by (Tolerances, "strip")
+    # derived data, computed on first use or held from birth: keyed by the
+    # Tolerances the clustered Schur form, by (Tolerances, "strip") and
+    # (Tolerances, "hom") the strip-ordered form and the _HomSide; by
+    # "monodromy" and "b_singular_values" what from_monodromy held
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -327,7 +340,8 @@ def validate_normal_form(nf, tol=None):
     """Check a normal form, returning its residuals: square A0 and B0 of one
     size, the eigenvalues of A0 (``nf.schur_form(tol)``) in the strip, A0
     and B0 commuting (``EquivarianceViolation``), B0 invertible
-    (``SingularB``)."""
+    (``SingularB``) by its singular values, those ``from_monodromy`` held
+    if it made the form."""
     tol = tol or DEFAULT_TOL
     n = nf.A0.shape[0]
     if nf.A0.shape != (n, n) or nf.B0.shape != (n, n):
@@ -346,7 +360,9 @@ def validate_normal_form(nf, tol=None):
         if comm > bound:
             raise EquivarianceViolation(
                 "constant pair does not commute: residual %.3e" % comm)
-        svals = np.linalg.svd(nf.B0, compute_uv=False)
+        svals = nf._memo.get("b_singular_values")
+        if svals is None:
+            svals = np.linalg.svd(nf.B0, compute_uv=False)
         diag["b_smallest_singular_value"] = float(svals[-1])
         if svals[-1] <= tol.eps_res * max(1.0, svals[0]):
             raise SingularB("dilation matrix of the normal form is singular")
@@ -426,11 +442,17 @@ def normalize(obj, transversal=None, order=16, tol=None):
     diagnostic stays for readers of earlier reports.
 
     ``order`` below 1 is refused with ``ValidationFailure``: no power of
-    the connection matrix would be gauged away.
+    the connection matrix would be gauged away.  So is an order whose gauge
+    arrays would hold more than ``MAX_GAUGE_ENTRIES`` entries each, ``order
+    * max(n, 1)**2``, before any is allocated.
     """
     tol = tol or DEFAULT_TOL
     if order < 1:
         raise ValidationFailure("truncation order must be at least 1, got %d" % order)
+    if order * max(obj.n, 1) ** 2 > MAX_GAUGE_ENTRIES:
+        raise ValidationFailure(
+            "truncation order %d is too large at n = %d: the series gauge would "
+            "hold more than %d entries per array" % (order, obj.n, MAX_GAUGE_ENTRIES))
     transversal = transversal or obj.transversal or Transversal(obj.tau)
     if abs(transversal.tau - obj.tau) > 1e-9:
         raise TransversalMismatch("transversal modulus differs from the object's tau")
@@ -548,10 +570,19 @@ class MonodromyPair:
 
 
 def validate_monodromy(rep, tol=None, strict=True):
-    tol = tol or DEFAULT_TOL
-    diag = {}
+    """Check a pair, returning its residuals: M1 and M2 invertible by their
+    singular values, and commuting."""
+    return _validated_monodromy(rep, tol or DEFAULT_TOL, strict)[0]
+
+
+def _validated_monodromy(rep, tol, strict):
+    """``(residuals, singular values of M1 and of M2)`` of
+    ``validate_monodromy``; an empty pair has the singular values
+    ``[1.0]``."""
+    diag, svals_of = {}, []
     for name, m in (("M1", rep.M1), ("M2", rep.M2)):
         svals = np.linalg.svd(m, compute_uv=False) if rep.n else np.array([1.0])
+        svals_of.append(svals)
         diag[name + "_smallest_singular_value"] = float(svals[-1]) if svals.size else 0.0
         if strict and svals.size and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
             raise ValidationFailure("%s is singular" % name)
@@ -561,32 +592,48 @@ def validate_monodromy(rep, tol=None, strict=True):
     diag["commutator_residual"] = comm
     if strict and comm > bound:
         raise ValidationFailure("matrices do not commute: residual %.3e" % comm)
-    return diag
+    return diag, svals_of
 
 
 def from_monodromy(rep, transversal, theta, tol=None):
     """Build the normal form whose flat sections carry the given pair.
 
     The connection matrix is the transversal-branch logarithm of M1 rescaled
-    so that ``exp(2 pi i A0/tau) = M1``; the dilation matrix is M2.  The
-    logarithm is triangular in the Schur basis of M1, which the result
-    keeps as the Schur form of its A0.
+    so that ``exp(2 pi i A0/tau) = M1``; the dilation matrix is a read-only
+    copy of M2.  The logarithm is triangular in the Schur basis of M1,
+    which the result keeps as the Schur form of its A0.
+
+    The pair is validated as complex matrices, and each is decomposed once:
+    the singular values of M1 decide that its logarithm exists, those of M2
+    that B0 is invertible, and ``exp(2 pi i A0/tau)``, taken for
+    ``log_residual``, is kept for ``monodromy``.  An empty pair is refused
+    with ``ValidationFailure``, as the logarithm refuses an empty matrix.
     """
     tol = tol or DEFAULT_TOL
-    validate_monodromy(rep, tol)
-    f, q = _log_schur(as_square_matrix(rep.M1), transversal, tol)
-    nf = NormalForm._from_schur_form(_cluster_triangular(f, q, tol), tol,
-                                     np.asarray(rep.M2, dtype=complex).copy(),
+    m1 = as_square_matrix(rep.M1, "M1")
+    m2 = np.asarray(rep.M2, dtype=complex)
+    _, (svals_m1, svals_m2) = _validated_monodromy(MonodromyPair(m1, m2), tol, strict=True)
+    f, q = _log_schur(m1, transversal, tol, svals_m1)
+    b0 = m2.copy()
+    b0.flags.writeable = False
+    nf = NormalForm._from_schur_form(_cluster_triangular(f, q, tol), tol, b0,
                                      transversal, float(theta), complex(transversal.tau))
-    nf.diagnostics["log_residual"] = float(np.linalg.norm(
-        mat_exp(TWO_PI_I * nf.A0 / transversal.tau) - rep.M1))
+    exp = mat_exp(TWO_PI_I * nf.A0 / transversal.tau)
+    exp.flags.writeable = False
+    nf._memo.update(monodromy=exp, b_singular_values=svals_m2)
+    nf.diagnostics["log_residual"] = float(np.linalg.norm(exp - rep.M1))
     validate_normal_form(nf, tol)
     return nf
 
 
 def monodromy(nf):
-    """The commuting pair on flat sections: ``(exp(2 pi i A0/tau), B0)``."""
-    return MonodromyPair(mat_exp(TWO_PI_I * nf.A0 / nf.tau), nf.B0.copy())
+    """The commuting pair on flat sections: ``(exp(2 pi i A0/tau), B0)``,
+    copies; the exponential is the one ``from_monodromy`` kept, if it made
+    the form."""
+    exp = nf._memo.get("monodromy")
+    if exp is None:
+        return MonodromyPair(mat_exp(TWO_PI_I * nf.A0 / nf.tau), nf.B0.copy())
+    return MonodromyPair(exp.copy(), nf.B0.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +675,7 @@ def tensor(x, y, tol=None):
     order = np.argsort((kx[:, None] + ky[None, :]).ravel(), kind="stable")
     t = _kron(tx, np.eye(y.n)) + _kron(np.eye(x.n), ty)
     return _folded(x, t[order[:, None], order], _kron(qx, qy)[:, order],
-                   np.kron(x.B0, y.B0), tol)
+                   _kron(x.B0, y.B0), tol)
 
 
 def dual(x, tol=None):
@@ -733,8 +780,7 @@ def hom_basis(x, y, tol=None):
     _check_same_context(x, y)
     if x.n == 0 or y.n == 0:
         return []
-    side_x = _hom_side(x, tol)
-    side_y = side_x if y is x else _hom_side(y, tol)
+    side_x, side_y = _hom_side(x, tol), _hom_side(y, tol)
     phis = [y_basis @ kernel @ x_left for y_basis, kernel, x_left
             in _hom_components(x, side_x, y, side_y, 0, tol)]
     if not phis:
@@ -773,7 +819,18 @@ class _HomSide(namedtuple("_HomSide", "values means group start size u lh ab")):
 
 
 def _hom_side(nf, tol):
-    """The ``_HomSide`` of a normal form, from its shared Schur form."""
+    """The ``_HomSide`` of a normal form, from its shared Schur form: kept
+    in its memo with its arrays read-only, and B0 made read-only too."""
+    side = nf._memo.get((tol, "hom"))
+    if side is None:
+        side = _new_hom_side(nf, tol)
+        for array in (nf.B0,) + side:
+            array.flags.writeable = False
+        nf._memo[(tol, "hom")] = side
+    return side
+
+
+def _new_hom_side(nf, tol):
     t, q, blocks = nf.schur_form(tol)
     group, t, q, runs, u, lh = _projector_groups(t, q, blocks)
     ab = lh @ np.stack([t, q.conj().T @ nf.B0 @ q]) @ u
@@ -1012,8 +1069,7 @@ def hom_mode_dims(x, y, k_range=8, tol=None):
     modes = [k for k in range(-k_range, k_range + 1) if k != 0]
     if x.n == 0 or y.n == 0:
         return dict.fromkeys(modes, 0)
-    side_x = _hom_side(x, tol)
-    side_y = side_x if y is x else _hom_side(y, tol)
+    side_x, side_y = _hom_side(x, tol), _hom_side(y, tol)
     return {k: sum(len(kernel) for _, kernel, _
                    in _hom_components(x, side_x, y, side_y, k, tol))
             for k in modes}

@@ -376,9 +376,22 @@ class SpectralData:
 
 def _cluster_indices(values, radius):
     """Connected components of the proximity graph |v_i - v_j| <= radius,
-    labelled in order of first appearance."""
+    labelled in order of first appearance.  Values whose real parts are
+    more than the radius apart (``_apart``) are singletons, with no N x N
+    graph built."""
     values = np.asarray(values, dtype=complex)
+    if _apart(values.real, radius):
+        return list(range(len(values)))
     return _connected_components(np.abs(values[:, None] - values[None, :]) <= radius)
+
+
+def _apart(reals, radius):
+    """Whether every two of ``reals`` differ by more than ``radius``: each
+    gap between neighbours in sorted order does.  Exact for the tests of
+    ``_cluster_indices`` and ``_merge_keys``: rounding is monotone, so a
+    rounded difference of two values is at least that of two neighbours
+    between them, and ``|z| >= |Re z|`` holds for ``abs`` as computed."""
+    return bool((np.diff(np.sort(reals)) > radius).all())
 
 
 def _connected_components(near):
@@ -411,12 +424,16 @@ def _merge_keys(keys, mults, radius):
     imaginary parts of the gaps, then ``abs`` on the pairs in the box only.
     A key with no near key before it is a representative, and a key whose
     first near key is one of those joins it; only the others, as along a
-    chain, are looked at one by one.  Returns ``(representatives,
-    multiplicities)`` in the order the representatives were made; a
-    multiplicity that sums to 0 is kept.
+    chain, are looked at one by one.  Keys whose first coordinates have
+    real parts more than the largest radius of that coordinate apart
+    (``_apart``) merge with none, and are returned with no pair formed.
+    Returns ``(representatives, multiplicities)`` in the order the
+    representatives were made; a multiplicity that sums to 0 is kept.
     """
     m = len(keys)
     radius = np.broadcast_to(radius, keys.shape)
+    if m < 2 or _apart(keys[:, 0].real, radius[:, 0].max()):
+        return keys, np.array(mults, dtype=np.int64)
     box = np.ones((m, m), dtype=bool)
     for c in range(keys.shape[1]):
         # |gap| <= r needs |Re gap| <= r and |Im gap| <= r
@@ -559,11 +576,16 @@ def log_transversal(m, transversal, tol=None):
     return q @ f @ q.conj().T
 
 
-def _log_schur(m, transversal, tol):
+def _log_schur(m, transversal, tol, svals=None):
     """``(f, q)`` with ``log_transversal(m) = q f q^H``: ``q`` the Schur
     vectors of ``m`` and ``f`` exactly upper triangular, the block function
-    of unit triangular factors and triangular blocks."""
-    svals = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+    of unit triangular factors and triangular blocks.  ``svals`` are the
+    singular values of ``m`` if the caller has them; an empty ``m`` is
+    refused as singular whatever they are."""
+    if not m.size:
+        svals = np.zeros(1)
+    elif svals is None:
+        svals = np.linalg.svd(m, compute_uv=False)
     if svals[-1] <= tol.eps_res * svals[0]:
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     t, q, blocks = _clustered_schur(m, tol)

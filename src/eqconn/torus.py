@@ -489,7 +489,11 @@ class Divisor:
         return Divisor(self.tau, self.points + other.points, self.tol)
 
     def __neg__(self):
-        return Divisor(self.tau, [(p, -m) for p, m in self.points], self.tol)
+        # the points stay reduced, merged and sorted: only multiplicities turn
+        neg = Divisor.__new__(Divisor)
+        neg.tau, neg.tol = self.tau, self.tol
+        neg.points = tuple((p, -m) for p, m in self.points)
+        return neg
 
     def __sub__(self, other):
         return self + (-other)

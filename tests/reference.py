@@ -22,7 +22,9 @@ a time; the ``decompose`` tests match the library's labels to it.
 pairwise loops ``K0Class`` and ``Divisor`` once merged their keys with: each
 key, in order, compared with every representative kept so far.  The
 library's one merge over a proximity matrix must give the same entries,
-element for element.
+element for element.  ``reference_divisor_equivalent`` is
+``divisor_equivalent`` as it stood when negating a divisor reduced and
+merged its points again, so that the difference took two merges.
 
 ``reference_spectral`` is ``eqconn.numkit.spectral`` as it stands on the
 Givens-sorted Schur form above: ``scramble`` takes its shears from it, so the
@@ -135,7 +137,7 @@ from eqconn.numkit import (
     nullspace,
     spectral,
 )
-from eqconn.torus import TWO_PI_I, TorusPoly, reduce_mod_lattice
+from eqconn.torus import TWO_PI_I, Divisor, TorusPoly, reduce_mod_lattice
 
 
 def _cluster_indices(values, radius):
@@ -389,6 +391,18 @@ def reference_divisor_points(tau, points, tol=DEFAULT_TOL):
             merged.append((reduced, int(mult)))
     return tuple(sorted(((p, m) for p, m in merged if m != 0),
                         key=lambda pm: (round(pm[0].real, 9), round(pm[0].imag, 9))))
+
+
+def reference_divisor_equivalent(d1, d2, tol=DEFAULT_TOL):
+    """``divisor_equivalent(d1, d2, tol)`` on a difference built from two
+    new Divisors: the negation of d2 from its points, then the sum."""
+    if d1.degree() != d2.degree():
+        return False
+    neg = Divisor(d2.tau, [(p, -m) for p, m in d2.points], d2.tol)
+    w = Divisor(d1.tau, d1.points + neg.points, d1.tol).weighted_sum()
+    t = w.imag / d1.tau.imag
+    s = w.real - t * d1.tau.real
+    return abs(w - (round(s) + round(t) * d1.tau)) <= tol.eps_key
 
 
 def reference_spectral(m, eps_spec=1e-8):

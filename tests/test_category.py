@@ -3,6 +3,7 @@ rigid tensor structure."""
 
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from eqconn.category import (
     triangle_residuals,
     unit_object,
     validate,
+    validate_monodromy,
     validate_normal_form,
 )
 from eqconn.exceptions import (
@@ -808,7 +810,125 @@ def test_from_monodromy_holds_the_schur_form_of_its_logarithm(monkeypatch):
         assert err < 1e-8 * scale
 
 
+def test_a_round_trip_decomposes_each_matrix_once(monkeypatch):
+    """``from_monodromy`` takes one SVD of M1 and one of M2 (four at the
+    parent: ``_log_schur`` and ``validate_normal_form`` took their own) and
+    one exponential, which ``monodromy`` then copies instead of taking a
+    second.  Every value is a fresh computation's to the bit: A0 is
+    ``log_transversal(M1)``, ``log_residual`` the error of a fresh
+    exponential, B0's smallest singular value a fresh SVD's, and the pair
+    ``monodromy`` returns a fresh exponential of A0 and M2."""
+    rng = np.random.default_rng(66)
+    svd, mat_exp = np.linalg.svd, eqconn.category.mat_exp
+    svds, exps = [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(eqconn.category, "mat_exp", lambda m: exps.append(1) or mat_exp(m))
+    for n in (1, 2, 4, 8, 12):
+        rep = MonodromyPair(*random_commuting_pair(rng, n))
+        svds.clear()
+        nf = from_monodromy(rep, STRIP, THETA)
+        back = monodromy(nf)
+        assert (len(svds), len(exps)) == (2, 1)
+        exps.clear()
+        fresh = mat_exp(TWO_PI_I * nf.A0 / STRIP.tau)
+        assert nf.A0.tobytes() == log_transversal(rep.M1, STRIP).tobytes()
+        assert nf.diagnostics["log_residual"] == float(np.linalg.norm(fresh - rep.M1))
+        assert validate_normal_form(nf)["b_smallest_singular_value"] == \
+            float(svd(rep.M2, compute_uv=False)[-1])
+        assert back.M1.tobytes() == fresh.tobytes() and back.M2.tobytes() == rep.M2.tobytes()
+
+
+def test_monodromy_hands_out_copies_of_what_the_form_keeps():
+    """Writing into a pair ``monodromy`` returned leaves the next call's
+    pair as it was, for a form that keeps its exponential and for one that
+    does not; the kept arrays and B0 are read-only."""
+    rng = np.random.default_rng(67)
+    kept = from_monodromy(MonodromyPair(*random_commuting_pair(rng, 3)), STRIP, THETA)
+    for nf in (kept, random_normal_form(rng, 3)):
+        first = monodromy(nf)
+        want = first.M1.tobytes(), first.M2.tobytes()
+        first.M1[:] = 0.0
+        first.M2[:] = 0.0
+        again = monodromy(nf)
+        assert (again.M1.tobytes(), again.M2.tobytes()) == want
+        assert again.M1.flags.writeable and again.M2.flags.writeable
+    for array in (kept._memo["monodromy"], kept.B0):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def test_from_monodromy_refuses_the_empty_pair_without_a_warning():
+    """The logarithm of an empty M1 is refused as singular, as it was when
+    ``_log_schur`` took its own SVD, though ``validate_monodromy`` passes
+    the empty pair with the singular values ``[1.0]``."""
+    empty = np.zeros((0, 0), dtype=complex)
+    rep = MonodromyPair(empty, empty)
+    assert validate_monodromy(rep)["M1_smallest_singular_value"] == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailure, match="singular"):
+            from_monodromy(rep, STRIP, THETA)
+
+
+def test_b0_is_read_only_once_hom_basis_or_from_monodromy_holds_data_of_it():
+    """``from_monodromy`` keeps the singular values of B0 and ``hom_basis``
+    its ``_HomSide``, both read off B0: B0 is read-only from then on, and
+    so are the side's arrays."""
+    rng = np.random.default_rng(68)
+    nf = from_monodromy(MonodromyPair(*random_commuting_pair(rng, 3)), STRIP, THETA)
+    with pytest.raises(ValueError, match="read-only"):
+        nf.B0[0, 0] = 1.0
+    x = random_normal_form(rng, 3)
+    x.B0[0, 0] += 0.0
+    hom_basis(x, x)
+    with pytest.raises(ValueError, match="read-only"):
+        x.B0[0, 0] = 1.0
+    side = x._memo[(DEFAULT_TOL, "hom")]
+    assert not any(array.flags.writeable for array in side)
+
+
+def test_each_object_builds_its_hom_side_once(monkeypatch):
+    """A tensor-decompose job's ``hom_basis(t, y (x) x)`` and ``hom_basis(t,
+    t)`` build t's ``_HomSide`` once, two builds where there were three, and
+    the morphisms are to the bit those of sides built afresh for each call,
+    as they were."""
+    rng = np.random.default_rng(69)
+    x, y = random_normal_form(rng, 2), random_normal_form(rng, 2)
+    t, yx = tensor(x, y), tensor(y, x)
+    build, built = eqconn.category._new_hom_side, []
+    monkeypatch.setattr(eqconn.category, "_new_hom_side",
+                        lambda nf, tol: built.append(nf) or build(nf, tol))
+    hom, end = hom_basis(t, yx), hom_basis(t, t)
+    assert [id(nf) for nf in built] == [id(t), id(yx)]
+    assert len(hom) == len(end) > 0
+    for got, (src, tgt) in ((hom, (t, yx)), (end, (t, t))):
+        for nf in (src, tgt):
+            nf._memo.pop((DEFAULT_TOL, "hom"), None)
+        fresh = hom_basis(src, tgt)
+        assert [m.phi.tobytes() for m in got] == [m.phi.tobytes() for m in fresh]
+    assert len(built) == 5
+
+
+def test_normalize_refuses_an_order_whose_gauge_would_not_fit(monkeypatch):
+    """An order whose series gauge arrays would top ``MAX_GAUGE_ENTRIES``
+    entries, ``order * n**2``, is refused before the object is validated;
+    ``--truncation 100000000`` used to ask for 6 GiB of gaps at n = 2."""
+    a = PolyMat(2, {0: np.diag([0.3 * TAU, 0.6 * TAU])}, TAU, Q)
+    obj = EquivariantConnection(a, PolyMat.identity(2, TAU, Q), THETA, TAU)
+    monkeypatch.setattr(eqconn.category, "_validated", pytest.fail)
+    for order in (eqconn.category.MAX_GAUGE_ENTRIES // 4 + 1, 10**8, 10**30):
+        with pytest.raises(ValidationFailure, match="too large"):
+            normalize(obj, STRIP, order)
+
+
 # --- tensor structure ---------------------------------------------------------------
+
+def test_tensor_dilation_is_np_kron_to_the_bit():
+    rng = np.random.default_rng(70)
+    for nx, ny in ((1, 3), (2, 2), (4, 3)):
+        x, y = random_normal_form(rng, nx), random_normal_form(rng, ny)
+        assert tensor(x, y).B0.tobytes() == np.kron(x.B0, y.B0).tobytes()
+
 
 def test_tensor_with_unit_preserves_data():
     x = one_dim(0.4 * TAU, 3.0 + 1.0j)

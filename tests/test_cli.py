@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line tool."""
 
+import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -452,15 +454,23 @@ def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path)
         assert "projector" in report["error"]["message"]
 
 
-def run_cli_normalize(obj):
-    """``eqconn.cli --json normalize`` of an inline object in a subprocess,
-    with a 60 s limit: ``(exit code, parsed strict JSON report)``."""
+def run_cli_normalize(obj, options=(), address_space=None):
+    """``eqconn.cli --json [options] normalize`` of an inline object in a
+    subprocess, with a 60 s limit and, if given, a limit in bytes on its
+    address space, under which it runs one BLAS thread (a BLAS reserves
+    address space per thread): ``(exit code, parsed strict JSON report)``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "eqconn.cli", "--json", "normalize",
-                           json.dumps(obj)], capture_output=True, text=True, env=env,
-                          timeout=60, check=False)
+    limit = None
+    if address_space is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), "1"))
+        limit = functools.partial(resource.setrlimit, resource.RLIMIT_AS,
+                                  (address_space, address_space))
+    done = subprocess.run([sys.executable, "-m", "eqconn.cli", "--json", *options,
+                           "normalize", json.dumps(obj)], capture_output=True, text=True,
+                          env=env, timeout=60, check=False, preexec_fn=limit)
     assert done.stderr == ""
     return done.returncode, json.loads(done.stdout, parse_constant=pytest.fail)
 
@@ -477,6 +487,23 @@ def test_normalize_of_a_resonant_input_far_from_the_strip_exits_0_in_bounded_tim
     assert code == 0, report
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     assert report["result"]["A0"] == zero and report["result"]["B0"] == eye
+
+
+def test_normalize_refuses_a_truncation_whose_gauge_would_not_fit_exits_2():
+    """``--truncation 100000000`` at n = 2 used to ask for 6 GiB for the
+    series gauge's gaps, and under a 3 GB address space end in a
+    ``MemoryError``: exit 1, a traceback, and a report without ``params``.
+    It is refused before the gauge allocates, in a report with them."""
+    a0 = [[[0.3, -0.3], [0.0, 0.0]], [[0.0, 0.0], [0.6, -0.6]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    obj = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 2,
+           "A": [{"pow": 0, "coef": a0}], "B": [{"pow": 0, "coef": eye}]}
+    code, report = run_cli_normalize(obj, ["--truncation", "100000000"],
+                                     address_space=3 * 10**9)
+    assert code == 2, report
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert "truncation order 100000000 is too large" in report["error"]["message"]
+    assert report["params"]["truncation"] == 100000000
 
 
 def test_normalize_of_a_collision_across_the_strip_edge_exits_1():

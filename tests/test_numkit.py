@@ -857,6 +857,93 @@ def test_cluster_indices_match_the_pairwise_loop():
                 reference_cluster_indices(values, radius)
 
 
+def both_paths(monkeypatch, fn, *args):
+    """``(result, dense result, exits)``: ``fn(*args)`` as it runs, again
+    with ``numkit._apart`` answering False, so that the N x N proximity
+    test runs, and how many times the first run took the early exit."""
+    apart, exits = numkit._apart, []
+
+    def spy(reals, radius):
+        exits.append(apart(reals, radius))
+        return exits[-1]
+
+    monkeypatch.setattr(numkit, "_apart", spy)
+    fast = fn(*args)
+    monkeypatch.setattr(numkit, "_apart", lambda reals, radius: False)
+    dense = fn(*args)
+    monkeypatch.setattr(numkit, "_apart", apart)
+    return fast, dense, sum(exits)
+
+
+def near_pairs(rng, n, radius):
+    """Seeded values with whether the early exit must be taken on them:
+    values whose neighbours' real parts are 3 to 4 radii apart (taken), and
+    for n >= 2 the same with one value moved next to another, its real
+    part just within the radius (not taken), just outside it (taken), on
+    it (either, as the sum rounds), and just within it with the imaginary
+    part apart (not taken, and no pair either)."""
+    re = np.cumsum(rng.uniform(3.0, 4.0, size=n)) * radius
+    base = rng.permutation(re + 1j * rng.normal(size=n) * radius)
+    cases = [(base, True)]
+    for gap, exit in ((radius * (1 - 1e-6), False), (radius * (1 + 1e-6), True),
+                      (radius, None), (radius * (1 - 1e-6) + 2j * radius, False)):
+        if n >= 2:
+            moved = base.copy()
+            moved[-1] = moved[0] + gap
+            cases.append((moved, exit))
+    return cases
+
+
+def test_cluster_early_exit_matches_the_dense_path(monkeypatch):
+    """Values whose real parts are more than the radius apart are
+    singletons without the N x N graph: the labels are the dense path's,
+    and the exit is taken on every input that has no pair within the
+    radius in the real part."""
+    rng = np.random.default_rng(81)
+    for radius in (1e-8, 0.25):
+        for n in (0, 1, 2, 5, 16):
+            for values, exit in near_pairs(rng, n, radius):
+                fast, dense, exits = both_paths(monkeypatch, numkit._cluster_indices,
+                                                values, radius)
+                assert fast == dense == reference_cluster_indices(list(values), radius)
+                assert exit is None or exits == exit
+                if exits:
+                    assert fast == list(range(len(values)))
+
+
+def test_merge_early_exit_matches_the_dense_path(monkeypatch):
+    """Keys whose first coordinates have real parts more than the largest
+    radius of that coordinate apart come back as given, with their
+    multiplicities, as the dense path returns them; on the others the
+    dense path runs.  Keys of one and two columns (the second apart, or
+    equal to the first), a scalar radius and one per key, and no key or
+    one key, which return at once."""
+    rng = np.random.default_rng(82)
+    eps = 1e-7
+    for n in (0, 1, 3, 12):
+        for first, exit in near_pairs(rng, n, eps):
+            second = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for keys in (first[:, None], np.stack([first, second], axis=1),
+                         np.stack([first, first], axis=1)):
+                mults = rng.integers(-2, 3, size=n).tolist()
+                for radius in (eps, eps * np.maximum(1.0, np.abs(keys))):
+                    (got, total), (want, want_total), exits = both_paths(
+                        monkeypatch, numkit._merge_keys, keys, mults, radius)
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                    assert total.dtype == want_total.dtype == np.int64
+                    assert total.tolist() == want_total.tolist()
+                    assert n < 2 or exit is None or exits == exit
+                    if exits or n < 2:
+                        assert got is keys and total.tolist() == mults
+    # radii that grow with the keys: the two near 1000 are within theirs,
+    # 1e-4, but not within the smallest, 1e-7
+    keys = np.array([0.1, 0.5, 1000.0, 1000.0 + 0.9e-4], dtype=complex)[:, None]
+    (got, total), (want, want_total), exits = both_paths(
+        monkeypatch, numkit._merge_keys, keys, [1, 1, 1, 1], eps * np.maximum(1.0, np.abs(keys)))
+    assert not exits and got.tolist() == want.tolist() == keys[:3].tolist()
+    assert total.tolist() == want_total.tolist() == [1, 1, 2]
+
+
 def test_decouple_block_diagonalizes_a_triangular_matrix():
     rng = np.random.default_rng(61)
     t = np.triu(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))

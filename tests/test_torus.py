@@ -38,6 +38,7 @@ from eqconn.torus import (
 from reference import (
     ReferenceFreeBundle,
     reference_build_extension,
+    reference_divisor_equivalent,
     reference_divisor_points,
     reference_extension_morphism_residuals,
     reference_is_nori_finite,
@@ -479,6 +480,37 @@ def test_divisor_equivalence_is_equivalence_relation():
     # symmetry and transitivity on an equivalent chain
     shifted = Divisor(TAU, [(pts[0] + 1.0, 1)])
     assert divisor_equivalent(d[0], shifted) and divisor_equivalent(shifted, d[0])
+
+
+def test_negation_turns_multiplicities_and_the_difference_merges_once():
+    """``-d`` keeps d's reduced, merged points and turns their
+    multiplicities, so ``-(-d)`` is d to the bit and ``-d`` equals the
+    divisor built from the turned points; ``divisor_equivalent``, which now
+    merges once, answers as the two-merge difference did, on seeded
+    divisors against lattice translates of their points, some moved by
+    steps around ``eps_key`` or far, some with a point split in two."""
+    rng = np.random.default_rng(91)
+    eps = eqconn.numkit.DEFAULT_TOL.eps_key
+    answers = []
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        points = [(complex(*rng.uniform(-2.0, 2.0, size=2)), int(rng.choice([-2, -1, 1, 2])))
+                  for _ in range(n)]
+        d1 = Divisor(TAU, points)
+        assert (-(-d1)).points == d1.points
+        assert -d1 == Divisor(TAU, [(p, -m) for p, m in d1.points])
+        moved = [(p + int(rng.integers(-3, 4)) + int(rng.integers(-3, 4)) * TAU, m)
+                 for p, m in points]
+        step = rng.choice([0.0, 0.5 * eps, 0.9 * eps, 2.0 * eps, 0.3])
+        p0, m0 = moved[0]
+        moved[0] = (p0 + step * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) / m0, m0)
+        if rng.random() < 0.3:
+            moved += [(p0, 1), (p0 + 0.1, -1), (0.1, 1), (0.0, -1)]
+        d2 = Divisor(TAU, moved)
+        got = divisor_equivalent(d1, d2)
+        assert got == reference_divisor_equivalent(d1, d2)
+        answers.append(got)
+    assert 0 < sum(answers) < len(answers)
 
 
 # Steps off a centre, in units of eps_key times the centre's size above 1:

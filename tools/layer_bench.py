@@ -20,8 +20,17 @@ each call on fresh copies of the factors, so that the factor's memoized
 Schur forms are paid for as a tensor-decompose job pays for them; then, on
 that product, which holds its Schur form from birth as the job's does,
 ``category.k0_class``, ``torus.k0_to_divisor`` of its class and
-``torus.psi_star``; and at dim 16 only ``category.hom_basis(t, t)``.
+``torus.psi_star``; ``torus.divisor_equivalent`` of the divisors of that
+product's class and of the reversed product's, as a tensor-decompose job
+compares them; and at dim 16 only ``category.hom_basis(t, t)``.
 These are keyed by the tensor dim where the others are keyed by n.
+
+The round-trip points take a seeded commuting pair of
+``random_commuting_pair`` at n in {4, 8, 12} and time the steps of a
+round-trip job: ``category.from_monodromy`` of the pair,
+``category.monodromy`` of the normal form it returned, and
+``torus.is_nori_finite`` of that pair.
+
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
@@ -50,6 +59,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 4, 8, 12)
 TENSOR_SIZES = (4, 8, 12)
+ROUNDTRIP_SIZES = (4, 8, 12)
 HOM_MAX_DIM = 16
 ORDER = 16
 SEED = 15
@@ -95,7 +105,7 @@ def tensor_points(n):
 
     import numpy as np
     from eqconn.category import hom_basis, k0_class, tensor
-    from eqconn.torus import k0_to_divisor, psi_star
+    from eqconn.torus import divisor_equivalent, k0_to_divisor, psi_star
     from util import random_normal_form
 
     rng = np.random.default_rng((SEED, n))
@@ -108,13 +118,32 @@ def tensor_points(n):
 
         t = product()
         k0 = k0_class(t)
+        swapped = tensor(x if kind == "xx" else y, x)
+        divisors = k0_to_divisor(k0), k0_to_divisor(k0_class(swapped))
         points["category.tensor[%s]" % kind] = product
         points["category.k0_class[%s]" % kind] = lambda t=t: k0_class(t)
         points["torus.k0_to_divisor[%s]" % kind] = lambda k0=k0: k0_to_divisor(k0)
         points["torus.psi_star[%s]" % kind] = lambda t=t: psi_star(t)
+        points["torus.divisor_equivalent[%s]" % kind] = \
+            lambda divisors=divisors: divisor_equivalent(*divisors)
         if n * n <= HOM_MAX_DIM:
             points["category.hom_basis[%s]" % kind] = lambda t=t: hom_basis(t, t)
     return points
+
+
+def roundtrip_points(n):
+    """The round-trip points at ``n``, ``{"<module>.<entry>": fn}``."""
+    import numpy as np
+    from eqconn.category import MonodromyPair, from_monodromy, monodromy
+    from eqconn.torus import is_nori_finite
+    from util import STRIP, THETA, random_commuting_pair
+
+    rep = MonodromyPair(*random_commuting_pair(np.random.default_rng((SEED, n)), n))
+    nf = from_monodromy(rep, STRIP, THETA)
+    back = monodromy(nf)
+    return {"category.from_monodromy": lambda: from_monodromy(rep, STRIP, THETA),
+            "category.monodromy": lambda: monodromy(nf),
+            "torus.is_nori_finite": lambda: is_nori_finite(back)}
 
 
 def timing(fn, repeats):
@@ -148,6 +177,9 @@ def measure(checkout, repeats):
     for n in TENSOR_SIZES:
         for name, fn in tensor_points(n).items():
             points.setdefault(name, {})[str(n * n)] = timing(fn, repeats)
+    for n in ROUNDTRIP_SIZES:
+        for name, fn in roundtrip_points(n).items():
+            points.setdefault(name, {})[str(n)] = timing(fn, repeats)
     return points
 
 
@@ -198,6 +230,7 @@ def main(argv=None):
 
     report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
                          "tensor_dims": [n * n for n in TENSOR_SIZES],
+                         "roundtrip_sizes": list(ROUNDTRIP_SIZES),
                          "repeats": args.repeats, "unit": "ms per call",
                          "statistic": "[q1, median, q3] of the timings"},
               "machine": machine()}
