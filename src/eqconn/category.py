@@ -578,7 +578,12 @@ def validate_monodromy(rep, tol=None, strict=True):
 def _validated_monodromy(rep, tol, strict):
     """``(residuals, singular values of M1 and of M2)`` of
     ``validate_monodromy``; an empty pair has the singular values
-    ``[1.0]``."""
+    ``[1.0]``.  A pair of matrices of different shapes, or one that is
+    not square, is refused with ``ValidationFailure``."""
+    shape = np.shape(rep.M1)
+    if len(shape) != 2 or shape[0] != shape[1] or np.shape(rep.M2) != shape:
+        raise ValidationFailure("M1 and M2 must be square matrices of one size, "
+                                "got shapes %s and %s" % (shape, np.shape(rep.M2)))
     diag, svals_of = {}, []
     for name, m in (("M1", rep.M1), ("M2", rep.M2)):
         svals = np.linalg.svd(m, compute_uv=False) if rep.n else np.array([1.0])

@@ -41,10 +41,22 @@ forms only the powers up to ``order + 1``.  A similarity (a constant
 gauge, the values of a monomial, a step's or a series lead term) whose
 1-norm reciprocal condition number is below machine epsilon is refused as
 singular, and a transport that overflows raises ``NumericFailure``.
+
+The kernels that make large temporaries write them into one workspace per
+thread (``_scratch``): the circle commutator's transforms and products, the
+circle transport's, and each product chunk's slab.  A slot keeps one flat
+complex buffer that grows to the largest request, up to ``_SCRATCH_BYTES``
+a slot; a larger request gets a fresh array that is not kept, so one large
+object pins no memory.  Reusing the buffers spares the allocator handing
+such arrays back to the system and paging them in again on every call.
+No value returned aliases the workspace: each kernel copies out the window
+it keeps.  The transforms write in place through ``out=`` of ``numpy.fft``,
+which needs numpy 2.0 or later.
 """
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -57,7 +69,35 @@ _PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
 # the byte budget of one slab of a product's block-Toeplitz GEMM
 _SLAB_BYTES = 512 * 1024
+# the byte cap of one workspace slot: a larger request gets a fresh array
+_SCRATCH_BYTES = 2 * _SLAB_BYTES
 _INT64 = np.iinfo(np.int64)
+
+
+class _Workspace(threading.local):
+    """The workspace buffers of one thread, by slot."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _scratch(slot, shape):
+    """A C-contiguous complex array of ``shape`` over this thread's buffer
+    ``slot``, its entries whatever the last user left there.  The buffer
+    grows to the largest request up to ``_SCRATCH_BYTES``; a larger request
+    gets a fresh array that is not kept.  A kernel copies out what it
+    returns and calls no kernel that takes a slot it holds."""
+    size = math.prod(shape)
+    if 16 * size > _SCRATCH_BYTES:
+        return np.empty(shape, dtype=complex)
+    buffers = _WORKSPACE.buffers
+    buf = buffers.get(slot)
+    if buf is None or buf.size < size:
+        buf = buffers[slot] = np.empty(size, dtype=complex)
+    return buf[:size].reshape(shape)
 
 
 def _check_landing(lo, hi):
@@ -285,7 +325,8 @@ class PolyMat:
             kc = max(1, int(np.searchsorted(cost, budget, side="right")))
             j0, j1, c1 = j0[kc - 1], j1[kc - 1], c0 + kc
             take = slice(opens[c0], closes[c1 - 1])
-            slab = np.zeros((kc, n, j1 - j0, n), dtype=complex)
+            slab = _scratch(0, (kc, n, j1 - j0, n))
+            slab.fill(0)
             slab[slot[take] - c0, :, right[take] - j0, :] = self._coeffs[left[take]]
             np.matmul(slab.reshape(kc * n, -1), other._coeffs[j0:j1].reshape(-1, n),
                       out=out[c0:c1].reshape(kc * n, n))
@@ -413,11 +454,14 @@ def _commutator(a, b, lo, hi):
     m = _circle_length(span, [2 * np.count_nonzero((lo <= sums) & (sums <= hi))])
     if m is None:
         return a._product(b, lo, hi) - b._product(a, lo, hi)
-    fa = np.fft.fft(a._dense(a.min_power, a.max_power), n=m, axis=0)
-    fb = np.fft.fft(b._dense(b.min_power, b.max_power), n=m, axis=0)
-    full = np.fft.ifft(fa @ fb - fb @ fa, axis=0)
+    shape = (m, a.dim, a.dim)
+    fa = np.fft.fft(a._dense(a.min_power, a.max_power), n=m, axis=0, out=_scratch(0, shape))
+    fb = np.fft.fft(b._dense(b.min_power, b.max_power), n=m, axis=0, out=_scratch(1, shape))
+    full = np.matmul(fa, fb, out=_scratch(2, shape))
+    full -= np.matmul(fb, fa, out=_scratch(3, shape))
+    np.fft.ifft(full, axis=0, out=full)
     start, stop = max(lo, base), min(hi, base + span - 1)
-    return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1])
+    return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1].copy())
 
 
 def _series(f, order, first, solve, basis=None, levels=None):
@@ -576,14 +620,22 @@ def _transport(p, pairs, order):
     if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
         return _finite([_block_transport(x, p, p_inv, order, drift)
                         for x, drift in zip(xs, drifts)])
-    f_x = np.fft.fft(np.stack([x._dense(base, hi) for x in xs]), n=m, axis=1)
-    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0)
-    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0)
-    inner = f_x @ f_p
+    one, stacked = (m, p.dim, p.dim), (len(xs), m, p.dim, p.dim)
+    f_x = np.fft.fft(np.stack([x._dense(base, hi) for x in xs]), n=m, axis=1,
+                     out=_scratch(0, stacked))
+    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0, out=_scratch(1, one))
+    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0, out=_scratch(2, one))
+    inner = np.matmul(f_x, f_p, out=_scratch(3, stacked))
     if any(drifts):
-        inner[drifts] += np.fft.fft(delta._dense(base, p.max_power), n=m, axis=0)
-    full = np.fft.ifft(f_inv @ inner, axis=1)
-    return _finite([_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1]), order)
+        # f_p is spent: its slot takes the drift's transform
+        f_delta = np.fft.fft(delta._dense(base, p.max_power), n=m, axis=0, out=f_p)
+        for i in np.flatnonzero(drifts):
+            inner[i] += f_delta
+    # f_x is spent: its slot takes the product and its inverse transform
+    full = np.matmul(f_inv, inner, out=f_x)
+    np.fft.ifft(full, axis=1, out=full)
+    return _finite([_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1].copy()),
+                         order)
                     for x, piece, lo in zip(xs, full, lows)])
 
 
@@ -735,8 +787,17 @@ def _balancing_radius(a):
     / ||A_k||)^(1/k))`` over the powers ``k >= 1`` (Frobenius norms), so
     that no power of ``A(rho z)`` outgrows ``max(1, ||A_0||)`` and scaling
     power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
-    two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969)."""
+    two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969).  A
+    kept norm that overflows, while its coefficient is finite, is taken
+    here as the coefficient's norm scaled by its largest entry, so that
+    the radius follows the norm and not the overflow of its squares."""
     norms = a._power_norms()
+    wide = np.flatnonzero(~np.isfinite(norms))
+    if wide.size:
+        norms = norms.copy()
+        for i in wide.tolist():
+            big = np.abs(a._coeffs[i]).max()
+            norms[i] = big * np.linalg.norm(a._coeffs[i] / big)
     top = max(1.0, norms[a._powers == 0].max(initial=0.0))
     up = a._powers > 0
     rho = float(np.min((top / norms[up]) ** (1.0 / a._powers[up]), initial=1.0))
@@ -754,8 +815,13 @@ def _rescaled(p, radius):
 
 
 def _radius_factors(powers, radius):
-    """``radius**k`` for each power k, as reals."""
-    return np.array([radius ** k for k in powers.tolist()], dtype=float)
+    """``radius**k`` for each power k, as reals; one with no float value
+    raises ``NumericFailure``, as a gauge that overflows."""
+    try:
+        return np.array([radius ** k for k in powers.tolist()], dtype=float)
+    except OverflowError:
+        raise NumericFailure("the gauge overflows at unit radius: a power of %g "
+                             "has no float value" % radius)
 
 
 def apply_gauge_record(a, b, record, tol=None):

@@ -316,12 +316,14 @@ def _check_separated(eig_a, eig_b, tol):
 
 def _schur(m):
     """Complex Schur form ``(t, z)``, ``z t z^H = m``, from
-    ``scipy.linalg.schur``; a Schur iteration that does not converge raises
-    ``NumericFailure``."""
+    ``scipy.linalg.schur``; a Schur iteration that does not converge, or a
+    matrix with an entry that is not finite, raises ``NumericFailure``."""
     try:
         return scipy.linalg.schur(m, output="complex")
     except np.linalg.LinAlgError as exc:
         raise NumericFailure("Schur iteration failed to converge: %s" % exc)
+    except ValueError as exc:
+        raise NumericFailure("no Schur form: %s" % exc)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,20 @@ def test_rh_roundtrip_shell_level(capsys, tmp_path):
     assert np.linalg.norm(back1 - m1) < 1e-8 * max(1.0, np.linalg.norm(m1))
 
 
+def test_rh_from_rep_refuses_matrices_of_different_sizes_exits_2(capsys, tmp_path):
+    """M1 2 x 2 and M2 1 x 1 used to end in a ``ValueError`` traceback from
+    the commutator, exit 1; the pair is refused before it, a report with
+    exit 2."""
+    rep_path = write(tmp_path, "rep.json", {"dim": 2, "M1": encode_matrix(np.eye(2)),
+                                            "M2": encode_matrix(np.eye(1))})
+    code = main(["--json", "rh-from-rep", rep_path])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert "of one size" in report["error"]["message"]
+
+
 def test_hom_and_tensor_commands(capsys, tmp_path):
     rng = np.random.default_rng(3)
     x = random_normal_form(rng, 2)
@@ -579,11 +593,15 @@ def scalar_a(*coefficients):
     ([], scalar_a(0.1, 1e300), "overflows"),
 ], ids=["fold-of-a0-1e308", "fold-to-a-far-strip", "series-gauge-overflows"])
 def test_normalize_whose_gauge_overflows_exits_1(capsys, options, obj, message):
-    """A fold whose shift has no int64 value, and a series gauge that
-    overflows, are numerical failures in strict JSON, not a traceback."""
+    """A fold whose shift has no int64 value, and a gauge that overflows,
+    are numerical failures in strict JSON, not a traceback.  For ``A = 0.1
+    + 1e300 z`` the balancing radius is 2**-997, read off the norm of A_1
+    though its squares overflow; the gauge balanced there is finite, and
+    overflows on the way back to unit radius, power k times 2**(997 k)."""
     with np.errstate(all="ignore"):
-        code, out = run(capsys, ["--json"] + options + ["normalize", json.dumps(obj)])
-    assert code == 1
+        code = main(["--json"] + options + ["normalize", json.dumps(obj)])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
     report = json.loads(out, parse_constant=pytest.fail)
     assert report["error"]["kind"] == "NumericFailure"
     assert message in report["error"]["message"]

@@ -1,6 +1,8 @@
 """Tests for matrix Laurent polynomials, gauges, and shearing."""
 
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from eqconn.laurent import (
     GaugeRecord,
     PolyMat,
     ShearStep,
+    _balancing_radius,
     _commutator,
     _gauged_pair,
     _sheared,
@@ -1189,3 +1192,155 @@ def test_gauge_record_replay():
     a_direct = apply_shear(gauge_transform(a, series, 8), fold)
     b_direct = apply_shear_dilation(dilation_transform(b, series, 8), fold)
     assert a2.distance(a_direct) < 1e-12 and b2.distance(b_direct) < 1e-12
+
+
+# --- the balancing radius ------------------------------------------------------
+
+def test_balancing_radius_reads_a_norm_whose_squares_overflow():
+    """Coefficients whose Frobenius norm is finite but whose squared entries
+    overflow, so that the kept norm reads inf: the radius is the exact power
+    of two of the norm itself.  ``A = 0.1 + 1e300 z`` balances at 2**-997
+    (0.5 from the inf); with every entry of a 2 x 2 power 1 at 1e300 (norm
+    2e300), at 2**-998; and with power 0 as large as power 1, at 1 (NaN,
+    then 0.5, from inf / inf)."""
+    big = np.full((2, 2), 1e300)
+    cases = ((pm({0: [[0.1]], 1: [[1e300]]}), 2.0 ** -997),
+             (PolyMat(2, {0: 0.1 * np.eye(2), 1: big}, TAU, Q), 2.0 ** -998),
+             (PolyMat(2, {0: big, 1: big}, TAU, Q), 1.0))
+    for a, radius in cases:
+        with np.errstate(over="ignore"):
+            assert np.isinf(a._power_norms()).any()
+            assert _balancing_radius(a) == radius
+
+
+# --- the workspace -------------------------------------------------------------
+
+def workspace_calls(n, seed):
+    """``{name: call}``: each kernel that takes the workspace, on a scrambled
+    object of dimension ``n`` and a balanced gauge, each on its circle path,
+    and ``normalize``, which calls them."""
+    rng = np.random.default_rng(seed)
+    obj = util.scramble(util.random_normal_form(rng, n), rng, shears=1)
+    p = balanced_gauge(rng, n, 16)
+    a, b = obj.A, obj.B
+    lo, hi = min(b.min_power, 0), max(a.max_power, b.max_power, 0)
+    return {"commutator": lambda: _commutator(a, b, lo, hi),
+            "gauge_transform": lambda: gauge_transform(a, p, 16),
+            "dilation_transform": lambda: dilation_transform(b, p, 16),
+            "product": lambda: a * b,
+            "normalize": lambda: normalize(obj, util.STRIP, 16)}
+
+
+def bits(result):
+    """The bytes and diagnostics of a ``PolyMat`` or a normal form."""
+    if isinstance(result, PolyMat):
+        return (result.powers(), result._coeffs.tobytes(), sorted(result.diagnostics.items()))
+    series = result.gauge.series
+    return (result.A0.tobytes(), result.B0.tobytes(), sorted(result.diagnostics.items()),
+            bits(series), result.gauge.fold.exponents if result.gauge.fold else None)
+
+
+def fresh_scratch(slot, shape):
+    """``_scratch`` with no workspace: a fresh array of NaNs every call."""
+    return np.full(shape, np.nan, dtype=complex)
+
+
+def test_no_result_aliases_the_workspace_and_none_reads_what_it_left(monkeypatch):
+    """Each kernel at n = 12, then every kernel at n = 2, 8 and 4 and on
+    another n = 12 object, each over other lengths: the first results keep
+    their bits.  Every result, with each workspace buffer filled with NaN
+    before the call, is to the bit what fresh arrays of NaNs give, so no
+    kernel reads an entry it did not write.  Each kernel takes the slots
+    it names: 4 for the commutator and the circle transports, 1 for the
+    product."""
+    monkeypatch.setattr(eqconn.laurent, "_WORKSPACE", eqconn.laurent._Workspace())
+    first = workspace_calls(12, 360)
+    kept = {name: call() for name, call in first.items()}
+    before = {name: bits(result) for name, result in kept.items()}
+    for n, seed in ((2, 361), (8, 362), (4, 363), (12, 364)):
+        for call in workspace_calls(n, seed).values():
+            call()
+    assert {name: bits(result) for name, result in kept.items()} == before
+
+    slots = {}
+    scratch = eqconn.laurent._scratch
+
+    def recorded(slot, shape):
+        slots.setdefault(current, set()).add(slot)
+        return scratch(slot, shape)
+
+    for n, seed in ((12, 360), (2, 361), (8, 362)):
+        for current, call in workspace_calls(n, seed).items():
+            for buf in eqconn.laurent._WORKSPACE.buffers.values():
+                buf.fill(np.nan)
+            with monkeypatch.context() as patched:
+                patched.setattr(eqconn.laurent, "_scratch", recorded)
+                got = bits(call())
+            with monkeypatch.context() as patched:
+                patched.setattr(eqconn.laurent, "_scratch", fresh_scratch)
+                assert got == bits(call()), (n, current)
+            if n == 12:
+                assert got == before[current]
+    assert slots["commutator"] == slots["gauge_transform"] == {0, 1, 2, 3}
+    assert slots["dilation_transform"] == {0, 1, 2, 3} and slots["product"] == {0}
+
+
+def test_threads_normalizing_at_once_match_a_serial_run_to_the_bit():
+    """Six threads on two cores, each normalizing its own object (n = 12,
+    8 and 4) five times at once, with the interpreter switching threads
+    every 10 µs: every result is the serial run's to the bit, as each
+    thread has its own workspace."""
+    sizes = (12, 8, 12, 4, 12, 8)
+    objs = []
+    for i, n in enumerate(sizes):
+        rng = np.random.default_rng((365, i))
+        objs.append(util.scramble(util.random_normal_form(rng, n), rng, shears=1))
+    serial = [bits(normalize(obj, util.STRIP, 16)) for obj in objs]
+    results = [[] for _ in objs]
+    start = threading.Barrier(len(objs))
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(5):
+            results[i].append(bits(normalize(objs[i], util.STRIP, 16)))
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(objs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert got == [want] * 5
+
+
+def test_a_workspace_request_above_the_cap_is_not_kept(monkeypatch):
+    """A request within ``_SCRATCH_BYTES`` reuses its slot's buffer, which
+    grows to the largest such request; one above gets a fresh array and
+    leaves the buffer as it was.  A commutator at n = 24 whose circle of 120
+    points (1.1 MB a slot) tops the cap keeps nothing, and its bits are
+    those it gives under a cap that keeps everything."""
+    monkeypatch.setattr(eqconn.laurent, "_WORKSPACE", eqconn.laurent._Workspace())
+    scratch, cap = eqconn.laurent._scratch, eqconn.laurent._SCRATCH_BYTES // 16
+    small = scratch(0, (4, 3))
+    assert np.shares_memory(scratch(0, (3, 4)), small)
+    assert not np.shares_memory(scratch(0, (cap + 1,)), small)
+    buffers = eqconn.laurent._WORKSPACE.buffers
+    assert buffers[0].nbytes == 12 * 16
+    whole = scratch(0, (cap,))
+    assert buffers[0].nbytes == eqconn.laurent._SCRATCH_BYTES
+    assert np.shares_memory(scratch(0, (2, 3)), whole)
+    del buffers[0]
+
+    rng = np.random.default_rng(366)
+    x, y = rand_pm(rng, 24, range(60)), rand_pm(rng, 24, range(60))
+    got = _commutator(x, y, 0, 118)
+    assert not buffers
+    monkeypatch.setattr(eqconn.laurent, "_SCRATCH_BYTES", 16 * 2 ** 20)
+    assert same_bits(got, _commutator(x, y, 0, 118))
+    assert max(buf.nbytes for buf in buffers.values()) > 2 ** 20

@@ -302,6 +302,18 @@ def test_sylvester_kernel_raises_when_the_schur_form_fails(monkeypatch):
         spectral(a)
 
 
+def test_schur_of_a_matrix_that_is_not_finite_raises_numeric_failure():
+    """A matrix with an inf or NaN entry, which ``scipy.linalg.schur``
+    refuses with ``ValueError``, raises ``NumericFailure`` from ``_schur``
+    and from the clustered Schur form that takes it."""
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        m = np.array([[1.0, 0.0], [bad, 2.0]], dtype=complex)
+        with pytest.raises(NumericFailure, match="infs or NaNs"):
+            numkit._schur(m)
+        with pytest.raises(NumericFailure, match="infs or NaNs"):
+            numkit._clustered_schur(m, DEFAULT_TOL)
+
+
 def test_sylvester_kernel_raises_when_lapack_perturbs_the_spectra(monkeypatch):
     ztrsyl = scipy.linalg.lapack.ztrsyl
 

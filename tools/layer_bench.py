@@ -22,7 +22,10 @@ that product, which holds its Schur form from birth as the job's does,
 ``category.k0_class``, ``torus.k0_to_divisor`` of its class and
 ``torus.psi_star``; ``torus.divisor_equivalent`` of the divisors of that
 product's class and of the reversed product's, as a tensor-decompose job
-compares them; and at dim 16 only ``category.hom_basis(t, t)``.
+compares them; and at dim 16 only ``category.hom_basis(t, t)``, each call
+on a fresh copy of the product holding what it held at birth (its Schur
+form, in ``_memo``) and nothing that an earlier call kept, so that its Hom
+side is built as a tensor-decompose job builds it, once per object.
 These are keyed by the tensor dim where the others are keyed by n.
 
 The round-trip points take a seeded commuting pair of
@@ -117,6 +120,7 @@ def tensor_points(n):
             return tensor(fx, fx if square else dataclasses.replace(y))
 
         t = product()
+        born = dict(t._memo)
         k0 = k0_class(t)
         swapped = tensor(x if kind == "xx" else y, x)
         divisors = k0_to_divisor(k0), k0_to_divisor(k0_class(swapped))
@@ -127,7 +131,12 @@ def tensor_points(n):
         points["torus.divisor_equivalent[%s]" % kind] = \
             lambda divisors=divisors: divisor_equivalent(*divisors)
         if n * n <= HOM_MAX_DIM:
-            points["category.hom_basis[%s]" % kind] = lambda t=t: hom_basis(t, t)
+            def hom(t=t, born=born):
+                fresh = dataclasses.replace(t)
+                fresh._memo.update(born)
+                return hom_basis(fresh, fresh)
+
+            points["category.hom_basis[%s]" % kind] = hom
     return points
 
 

@@ -29,14 +29,18 @@ name a checkout lacks is skipped and its stage reads 0, so the one script
 prints the table of a checkout before and after a stage changes.  A job
 that raises is timed up to the raise.  Prints one JSON object: per n, the
 median over the repeats of each stage's milliseconds summed over that n's
-jobs, with the job count and the machine.  It imports ``bench/workloads``
-and edits nothing there.
+jobs, with the job count and the machine; and per n, the median over the
+repeats of the minor page faults per job (``ru_minflt`` of
+``getrusage(RUSAGE_SELF)``, this process only, read around each
+``normalize`` call): memory the allocator handed back to the system and
+paged in again.  It imports ``bench/workloads`` and edits nothing there.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -86,7 +90,7 @@ def timed(fn, stage, spent, running):
 
 def one_pass(jobs, spent_by_n):
     """Normalize every object once, adding each stage's seconds to
-    ``spent_by_n[n]``."""
+    ``spent_by_n[n]`` and its minor page faults to ``spent_by_n[n]["faults"]``."""
     import workloads as wl
     from eqconn import category, laurent
 
@@ -103,12 +107,15 @@ def one_pass(jobs, spent_by_n):
         for n, obj in jobs:
             for key in spent:
                 spent[key] = 0.0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             try:
                 category.normalize(obj, wl.STRIP, wl.TRUNCATION)
             except Exception:  # a failed job is timed up to its raise
                 pass
             spent["total"] = time.perf_counter() - start
+            spent_by_n[n]["faults"] += (
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
             for key, seconds in spent.items():
                 spent_by_n[n][key] += seconds
     finally:
@@ -154,20 +161,24 @@ def main(argv=None):
     sizes = sorted({n for n, _ in jobs})
     runs = []
     for _ in range(args.repeats):
-        spent_by_n = {n: dict.fromkeys(list(STAGES) + ["total"], 0.0) for n in sizes}
+        spent_by_n = {n: dict.fromkeys(list(STAGES) + ["total", "faults"], 0.0)
+                      for n in sizes}
         one_pass(jobs, spent_by_n)
         runs.append(spent_by_n)
-    table = {}
+    table, faults = {}, {}
     for n in sizes:
         row = {key: round(1e3 * statistics.median(run[n][key] for run in runs), 1)
                for key in list(STAGES) + ["total"]}
         row["other"] = round(row["total"] - sum(row[key] for key in STAGES), 1)
         row["jobs"] = sum(1 for m, _ in jobs if m == n)
         table[str(n)] = row
+        faults[str(n)] = round(statistics.median(run[n]["faults"] for run in runs)
+                               / row["jobs"], 1)
     print(json.dumps({"method": {"seeds": args.seeds, "rounds": args.rounds,
                                  "repeats": args.repeats, "statistic": "median",
                                  "unit": "ms summed over the jobs of each n"},
-                      "machine": machine(), "stages_ms": table}, indent=1))
+                      "machine": machine(), "stages_ms": table,
+                      "minor_faults_per_job": faults}, indent=1))
 
 
 if __name__ == "__main__":
