@@ -53,12 +53,14 @@ from .laurent import (
 from .numkit import (
     DEFAULT_TOL,
     Transversal,
+    _block_arrays,
     _cluster_triangular,
     _clustered_schur,
     _connected_components,
     _decouple,
     _fold,
     _group_blocks,
+    _lex_order,
     _log_schur,
     _merge_keys,
     _schur,
@@ -1166,13 +1168,11 @@ def _subobject(nf, v, s, rank, quotient=False):
 # composition series, K-classes, flat sections
 # ---------------------------------------------------------------------------
 
-def _lex_key(z):
-    return (round(z.real, 9), round(z.imag, 9))
-
-
 def decompose(nf, tol=None):
     """Composition series as the list of simple labels ``(lam, b)``, sorted
-    lexicographically on (Re, Im) of ``lam``, then of ``b``.
+    lexicographically on (Re, Im) of ``lam``, then of ``b``, each part
+    rounded to 9 decimals as Python's ``round`` rounds it, ties in the
+    order of the clusters (``numkit._lex_order``).
 
     The shared clustered Schur form of A0 (``NormalForm.schur_form``) puts
     each eigenvalue cluster in a contiguous diagonal block.  B0 commutes with A0, so in the same basis it
@@ -1182,26 +1182,30 @@ def decompose(nf, tol=None):
     B0 below the blocks larger than ``eps_key`` relative to B0 means the pair
     does not commute to that accuracy and raises ``NumericFailure``.
     """
-    tol = tol or DEFAULT_TOL
+    labels = _labels(nf, tol or DEFAULT_TOL)
+    return list(zip(labels[:, 0].tolist(), labels[:, 1].tolist()))
+
+
+def _labels(nf, tol):
+    """The labels of ``decompose`` as an ``(m, 2)`` complex array of rows
+    ``(lam, b)``, in its order: the blocks of B0 of one size take one
+    batched ``eigvals`` call, bit for bit the values of one call per block,
+    and the labels are held, keyed and ordered as arrays."""
     t, q, blocks = nf.schur_form(tol)
     b = q.conj().T @ nf.B0 @ q
-    cluster = np.repeat(np.arange(len(blocks)), [s1 - s0 for s0, s1, _ in blocks])
+    starts, sizes, means = _block_arrays(blocks)
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
     below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))
     if below > tol.eps_key * max(1.0, float(np.linalg.norm(nf.B0))):
         raise NumericFailure("dilation is not block triangular on the eigenvalue "
                              "clusters of A0: below-block norm %.3e" % below)
-    sizes = np.array([s1 - s0 for s0, s1, _ in blocks], dtype=int)
-    values = [None] * len(blocks)
+    labels = np.empty((len(cluster), 2), dtype=complex)
+    labels[:, 0] = np.repeat(means, sizes)
     for size in np.unique(sizes).tolist():
-        # the blocks of one size in one batched call, bit for bit the values
-        # of one call per block
-        which = np.flatnonzero(sizes == size)
-        rows = np.array([blocks[c][0] for c in which])[:, None] + np.arange(size)
-        for c, vals in zip(which.tolist(), np.linalg.eigvals(
-                b[rows[:, :, None], rows[:, None, :]]).tolist()):
-            values[c] = vals
-    labels = [(lam, v) for (_, _, lam), vals in zip(blocks, values) for v in vals]
-    return sorted(labels, key=lambda label: (_lex_key(label[0]), _lex_key(label[1])))
+        # a cluster's labels sit at its rows of the diagonal
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
+    return labels[_lex_order(labels)]
 
 
 class K0Class:
@@ -1213,26 +1217,47 @@ class K0Class:
     collide; keys hugging the right strip edge fold to the left edge so equal
     cosets always collide.  The merge is ``numkit._merge_keys``: each key
     joins the first key before it that is a representative within that
-    representative's radius.
+    representative's radius.  The labels are held as arrays: every z' is
+    reduced at once (``_canon``), and the entries are ordered on (Re, Im)
+    of z', then of b, each rounded to 9 decimals as Python's ``round``
+    rounds it, ties in the order the representatives were made
+    (``numkit._lex_order``).
     """
 
     def __init__(self, transversal, entries=(), tol=None):
+        entries = list(entries)
+        keys = np.array([(b, zp) for b, zp, _ in entries], dtype=complex).reshape(-1, 2)
+        self._set(transversal, keys, [int(m) for _, _, m in entries], tol)
+
+    @classmethod
+    def _of_labels(cls, transversal, labels, tol):
+        """The class of the rows ``(z', b)`` of a complex array, each once."""
+        self = cls.__new__(cls)
+        self._set(transversal, labels[:, ::-1], np.ones(len(labels), dtype=np.int64), tol)
+        return self
+
+    def _set(self, transversal, keys, mults, tol):
+        """Reduce the z' of the rows ``(b, z')`` of ``keys``, merge the keys
+        and keep the entries."""
         self.transversal = transversal
         self.tol = tol or DEFAULT_TOL
-        entries = list(entries)
-        keys = np.array([(complex(b), self._canon(complex(zp))) for b, zp, _ in entries],
-                        dtype=complex).reshape(-1, 2)
-        keys, mults = _merge_keys(keys, [int(m) for _, _, m in entries],
+        keys = keys.copy()
+        keys[:, 1] = self._canon(keys[:, 1])
+        keys, mults = _merge_keys(keys, mults,
                                   self.tol.eps_key * np.maximum(1.0, np.abs(keys)))
-        self.entries = tuple(sorted(
-            ((b, zp, m) for (b, zp), m in zip(keys.tolist(), mults.tolist()) if m != 0),
-            key=lambda t: (_lex_key(t[1]), _lex_key(t[0]))))
+        order = _lex_order(keys[:, ::-1])
+        self.entries = tuple((b, zp, m) for b, zp, m in zip(
+            keys[order, 0].tolist(), keys[order, 1].tolist(), mults[order].tolist()) if m)
 
     def _canon(self, zp):
-        rep, _ = self.transversal.reduce(zp)
-        edge = self.tol.eps_key / abs(self.transversal.tau)
-        if self.transversal.position(rep) > 1.0 - edge:
-            rep -= self.transversal.tau
+        """The array ``zp`` reduced into the strip, values within
+        ``eps_key / |tau|`` of its right edge folded to the left edge, each
+        to the bits its reduction alone gives."""
+        tau = self.transversal.tau
+        rep = zp - self.transversal.shift(zp) * tau
+        far = self.transversal.position(rep) > 1.0 - self.tol.eps_key / abs(tau)
+        if np.count_nonzero(far):
+            np.subtract(rep, tau, out=rep, where=far)
         return rep
 
     def __add__(self, other):
@@ -1269,8 +1294,7 @@ def k0_class(nf, tol=None):
     """Class of an object in the Grothendieck group: the multiset of its
     simple labels, additive along exact sequences."""
     tol = tol or DEFAULT_TOL
-    pairs = decompose(nf, tol)
-    return K0Class(nf.transversal, [(b, lam, 1) for lam, b in pairs], tol)
+    return K0Class._of_labels(nf.transversal, _labels(nf, tol), tol)
 
 
 def h0_dim(nf_or_matrix, tau=None, tol=None):

@@ -183,9 +183,12 @@ class PolyMat:
         """The Frobenius norm of each stored coefficient, in the order of the
         powers: computed once, on first use, and read-only.  A norm depends
         on its coefficient alone, so a slice of this vector is, to the bit,
-        the norms of that slice of the slab."""
+        the norms of that slice of the slab.  A norm whose squares overflow
+        is inf, without numpy's overflow warning: ``_balancing_radius``
+        rescales it, and the finite norms keep their bits."""
         if self._norms is None:
-            norms = np.linalg.norm(self._coeffs, axis=(1, 2))
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(self._coeffs, axis=(1, 2))
             norms.flags.writeable = False
             self._norms = norms
         return self._norms

@@ -6,7 +6,9 @@ supplies the primitives the rest of the package leans on:
 
 * ``Transversal`` -- a half-open strip ``{z : a <= Re(z/tau) < a+1}`` carrying
   exactly one representative of each coset of ``tau*Z`` in the complex plane,
-  plus reduction into it;
+  plus reduction into it, of a number or of an array at once;
+* the order of label arrays (``_lex_order``), Python's sort on keys rounded
+  to 9 decimals, to the tie;
 * clustered spectral data (Schur form, eigenvalue clustering by proximity,
   clusters made contiguous by LAPACK's ztrsen, block diagonalization with
   one ztrsyl per cluster);
@@ -84,7 +86,9 @@ class Transversal:
 
     For every complex ``lam`` there is exactly one integer ``k`` with
     ``lam - k*tau`` inside the strip; the strip is half open on the right.
-    Any nonzero ``tau`` is accepted.
+    Any nonzero ``tau`` is accepted.  ``position`` and ``shift`` take an
+    array as they take a number, so a spectrum's labels are reduced as one
+    array, each to the bits and the decision it gets alone.
     """
 
     tau: complex
@@ -93,25 +97,50 @@ class Transversal:
     def __post_init__(self):
         if self.tau == 0:
             raise ValidationFailure("transversal modulus tau must be nonzero")
+        # Python's complex division divides through by the larger part of tau
+        tr, ti = self.tau.real, self.tau.imag
+        if abs(tr) >= abs(ti):
+            smith = (True, ti / tr, tr + ti * (ti / tr))
+        else:
+            smith = (False, tr / ti, tr * (tr / ti) + ti)
+        object.__setattr__(self, "_smith", smith)
 
     def position(self, z):
-        """Strip coordinate Re(z/tau) - offset; inside means [0, 1)."""
-        return (z / self.tau).real - self.offset
+        """Strip coordinate Re(z/tau) - offset; inside means [0, 1).
+
+        A number or an array alike: Re(z/tau) is computed from the real and
+        imaginary parts by the formula Python's complex division uses
+        (Smith's), so an array gets, to the bit, what ``(complex(v) /
+        tau).real`` gives for each value.  numpy's complex division scales
+        by a reciprocal instead; for tau = 1 - 1j the two agree, and for a
+        general tau they differ in the last bit on some values, so a numpy
+        value whose position went through numpy's division before can change
+        a decision only where it sits exactly on a snap or floor boundary.
+        """
+        real_first, ratio, denom = self._smith
+        if real_first:
+            pos = (z.real + z.imag * ratio) / denom
+        else:
+            pos = (z.real * ratio + z.imag) / denom
+        # x - 0.0 is x, signed zeros included
+        return pos - self.offset if self.offset else pos
+
+    def shift(self, z):
+        """The integer k, as a float, with ``z - k*tau`` inside the strip;
+        elementwise on an array, one vectorized snap-and-floor of the
+        positions.
+
+        Positions within 1e-12 relative of an integer are snapped to it
+        before taking the floor (``_snap``), so values landing exactly on
+        the half-open right edge fold deterministically to the left edge.
+        """
+        return np.floor(_snap(self.position(z)))
 
     def reduce(self, lam):
-        """Return ``(representative, shift)`` with ``representative = lam - shift*tau``
-        inside the strip.
-
-        Positions within float dust of an integer are snapped before taking
-        the floor, so values landing exactly on the half-open right edge fold
-        deterministically to the left edge.
-        """
-        pos = self.position(lam)
-        nearest = round(pos)
-        if abs(pos - nearest) < 1e-12 * max(1.0, abs(pos)):
-            shift = int(nearest)
-        else:
-            shift = math.floor(pos)
+        """Return ``(representative, shift)`` for a number ``lam``, with
+        ``representative = lam - shift*tau`` inside the strip and ``shift``
+        the int of ``self.shift(lam)``."""
+        shift = int(self.shift(lam))
         return lam - shift * self.tau, shift
 
     def contains(self, z, margin=0.0):
@@ -122,6 +151,14 @@ class Transversal:
         """Distance of the strip coordinate to the nearest boundary {0, 1}."""
         t = self.position(z) % 1.0
         return min(t, 1.0 - t)
+
+
+def _snap(x):
+    """``x`` with each value within 1e-12 relative (1e-12 absolute below
+    1) of an integer replaced by that integer, elementwise; the nearest
+    integer is ``np.rint``'s, ties to even as Python's ``round``."""
+    nearest = np.rint(x)
+    return np.where(np.abs(x - nearest) < 1e-12 * np.maximum(1.0, np.abs(x)), nearest, x)
 
 
 @dataclass(frozen=True)
@@ -393,7 +430,10 @@ def _apart(reals, radius):
     ``_cluster_indices`` and ``_merge_keys``: rounding is monotone, so a
     rounded difference of two values is at least that of two neighbours
     between them, and ``|z| >= |Re z|`` holds for ``abs`` as computed."""
-    return bool((np.diff(np.sort(reals)) > radius).all())
+    reals = reals.copy()
+    reals.sort()
+    gaps = reals[1:] - reals[:-1]
+    return np.count_nonzero(gaps > radius) == gaps.size
 
 
 def _connected_components(near):
@@ -433,9 +473,10 @@ def _merge_keys(keys, mults, radius):
     representatives were made; a multiplicity that sums to 0 is kept.
     """
     m = len(keys)
-    radius = np.broadcast_to(radius, keys.shape)
-    if m < 2 or _apart(keys[:, 0].real, radius[:, 0].max()):
+    if m < 2 or _apart(keys[:, 0].real,
+                       radius[:, 0].max() if isinstance(radius, np.ndarray) else radius):
         return keys, np.array(mults, dtype=np.int64)
+    radius = np.broadcast_to(radius, keys.shape)
     box = np.ones((m, m), dtype=bool)
     for c in range(keys.shape[1]):
         # |gap| <= r needs |Re gap| <= r and |Im gap| <= r
@@ -464,6 +505,52 @@ def _merge_keys(keys, mults, radius):
     np.add.at(total, owner, mults)
     kept = owner == np.arange(m)
     return keys[kept], total[kept]
+
+
+# Parts of a key are clamped to this size before scaling by 1e9: the product
+# then stays below 2**43, where it is off from the exact one by at most
+# 2**-11, and a clamped part scales to within 2**-9 of a half, so that it
+# goes to Python's ``round``; no product overflows.
+_KEY_BOUND = (2.0 ** 42 + 0.5) / 1e9
+
+
+def _lex_order(keys):
+    """Indices that sort the rows of the complex ``(m, k)`` array ``keys``
+    as Python's stable ``sorted`` does with the key ``(round(re, 9),
+    round(im, 9))`` of each column in turn, ties included.
+
+    Each part's key is ``rint(x * 1e9) / 1e9``, which is ``round(x, 9)``
+    to the bit wherever ``x * 1e9`` rounds to the integer that the exact
+    product rounds to: below ``_KEY_BOUND``, about 4398, the product is off
+    by at most 2**-11, so that holds when it is more than 2**-9 from a
+    half; and the quotient of an integer below 2**43 by 1e9 is the nearest
+    double, as Python's ``round`` returns, distinct for distinct integers
+    and in their order.  A part that fails the test, a digit within reach
+    of a half or a part above the bound (0.3% and 0.05% of the parts of
+    the tensor-decompose benchmark's labels), takes Python's ``round``
+    instead; when none does, the integers themselves are the keys.
+    ``np.lexsort`` is stable, as ``sorted`` is.
+    """
+    parts = np.ascontiguousarray(keys).view(float)
+    scaled = parts.clip(-_KEY_BOUND, _KEY_BOUND)
+    scaled *= 1e9
+    nearest = np.rint(scaled)
+    scaled -= nearest
+    unsure = (np.abs(scaled) >= 0.5 - 2.0 ** -9).nonzero()
+    if unsure[0].size:
+        # the integers order as their quotients by 1e9 do, which mix with round's
+        nearest /= 1e9
+        for i, j in zip(*unsure):
+            nearest[i, j] = round(parts[i, j].item(), 9)
+    return np.lexsort(nearest.T[::-1])
+
+
+def _block_arrays(blocks):
+    """``(starts, sizes, means)`` of ``blocks = [(start, stop, mean), ...]``
+    as int, int and complex arrays."""
+    starts, stops, means = zip(*blocks) if blocks else ((), (), ())
+    starts = np.array(starts, dtype=int)
+    return starts, np.array(stops, dtype=int) - starts, np.array(means, dtype=complex)
 
 
 def _clustered_schur(m, tol):
@@ -542,26 +629,38 @@ def _atomic_log_series(block, lam):
 
 
 def _cluster_shifts(t, blocks, transversal, to_strip):
-    """One strip shift per cluster of the cluster-ordered triangular ``t``:
-    the shift that reduces ``to_strip`` of the cluster's mean eigenvalue.
+    """One strip shift per cluster of the cluster-ordered triangular ``t``,
+    whose ``blocks`` cover it in order: the shift that reduces ``to_strip``
+    of the cluster's mean eigenvalue.  ``to_strip`` maps an array of values
+    to an array.
 
     A cluster whose members would individually reduce by other shifts is
-    flagged with a ``TransversalBranchWarning`` giving the boundary distance.
+    flagged with a ``TransversalBranchWarning`` giving the boundary
+    distance, clusters in order.  The means and the members of clusters
+    of two or more take one ``Transversal.shift`` together; a cluster of
+    one is its own mean.  Returns the shifts as ints.
     """
-    diag, shifts = np.diag(t), []
-    for (s0, s1, lam) in blocks:
-        _, shift = transversal.reduce(to_strip(lam))
-        shifts.append(shift)
-        # a cluster of one is its own mean
-        if s1 - s0 > 1 and any(transversal.reduce(to_strip(member))[1] != shift
-                               for member in diag[s0:s1]):
+    values = np.array([lam for _, _, lam in blocks], dtype=complex)
+    if len(blocks) < len(t):
+        # the members of the clusters of two or more, after the means
+        _, sizes, _ = _block_arrays(blocks)
+        several = sizes > 1
+        values = np.concatenate([values, t.diagonal()[np.repeat(several, sizes)]])
+    values = to_strip(values)
+    shifts = transversal.shift(values)
+    own = shifts[:len(blocks)]
+    if len(blocks) < len(t):
+        apart = shifts[len(blocks):] != np.repeat(own[several], sizes[several])
+        offsets = np.cumsum(sizes[several]) - sizes[several]
+        straddle = np.flatnonzero(several)[np.logical_or.reduceat(apart, offsets)]
+        for c in straddle.tolist():
             warnings.warn(
                 "cluster at %s straddles a strip boundary; shift forced to %d "
                 "(boundary distance %.3e)"
-                % (lam, shift, transversal.boundary_distance(to_strip(lam))),
+                % (blocks[c][2], own[c], transversal.boundary_distance(values[c].item())),
                 TransversalBranchWarning,
             )
-    return shifts
+    return [int(shift) for shift in own.tolist()]
 
 
 def log_transversal(m, transversal, tol=None):
@@ -592,7 +691,8 @@ def _log_schur(m, transversal, tol, svals=None):
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     t, q, blocks = _clustered_schur(m, tol)
     scale = transversal.tau / TWO_PI_I
-    shifts = _cluster_shifts(t, blocks, transversal, lambda z: scale * cmath.log(z))
+    shifts = _cluster_shifts(t, blocks, transversal, lambda values: np.array(
+        [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
     # on each block, scale times the branch of its log lowered by shift turns
     diagonal = [scale * ((cmath.log(lam) - TWO_PI_I * shift) * np.eye(s1 - s0)
                          + _atomic_log_series(t[s0:s1, s0:s1], lam))
@@ -739,7 +839,7 @@ def _shift_groups(t, q, blocks, transversal, tol):
     Raises ``NumericFailure`` when a group's projector norm tops eps_res
     over the unit roundoff, as for a Jordan block split by the edge.
     """
-    shifts = _cluster_shifts(t, blocks, transversal, lambda z: z)
+    shifts = _cluster_shifts(t, blocks, transversal, lambda values: values)
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
         return t, q, [], None, None, pairs

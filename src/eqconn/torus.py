@@ -23,7 +23,8 @@ import numpy as np
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
-from .numkit import DEFAULT_TOL, _clustered_schur, _merge_keys, as_square_matrix
+from .numkit import (DEFAULT_TOL, _clustered_schur, _lex_order, _merge_keys, _snap,
+                     as_square_matrix)
 
 TWO_PI_I = 2j * math.pi
 
@@ -430,49 +431,62 @@ def phase(m, n, theta):
 
 
 def reduce_mod_lattice(z, tau):
-    """Reduce into the fundamental parallelogram {s + t*tau : 0 <= s, t < 1}."""
+    """Reduce into the fundamental parallelogram {s + t*tau : 0 <= s, t < 1}.
+
+    ``z`` is a number or an array, reduced elementwise in one pass; returns
+    ``(s + t*tau, st)`` with ``st`` the array of ``(s, t)`` stacked on its
+    first axis, so that it unpacks as ``s, t``.  A coordinate within 1e-12
+    relative of an integer is snapped to it (``numkit._snap``), so it
+    reduces to 0.  Each value has, to the bit, the point and coordinates
+    Python's float and complex arithmetic give it one number at a time.  A
+    real tau is refused when there is a value to reduce.
+    """
     tau = complex(tau)
-    if tau.imag == 0.0:
+    z = np.asarray(z, dtype=complex)
+    if tau.imag == 0.0 and z.size:
         raise ValidationFailure("lattice reduction needs a non-real tau")
-    z = complex(z)
-    t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    s, t = _unit_mod(s), _unit_mod(t)
-    return s + t * tau, (s, t)
-
-
-def _unit_mod(x):
-    nearest = round(x)
-    if abs(x - nearest) < 1e-12 * max(1.0, abs(x)):
-        x = float(nearest)
-    return x - math.floor(x)
+    st = np.empty((2,) + z.shape)
+    np.divide(z.imag, tau.imag, out=st[1, ...])
+    np.subtract(z.real, st[1] * tau.real, out=st[0, ...])
+    st = _snap(st)
+    st -= np.floor(st)
+    return st[0] + st[1] * tau, st
 
 
 class Divisor:
     """Finite multiset of lattice-reduced points with integer multiplicities.
 
     Points within ``eps_key`` merge, as the keys of a ``K0Class`` merge
-    (``numkit._merge_keys``), with one radius for every point."""
+    (``numkit._merge_keys``), with one radius for every point.  The points
+    are held as arrays: all are reduced modulo the lattice at once, and
+    ordered on (Re, Im) rounded to 9 decimals as Python's ``round`` rounds
+    them, ties in the order the representatives were made
+    (``numkit._lex_order``).  A sum of divisors merges their points as they
+    are, already reduced, without reducing them again.
+    """
 
     def __init__(self, tau, points=(), tol=None):
+        points = list(points)
+        self._reduce(tau, [p for p, _ in points], [int(m) for _, m in points], tol)
+
+    def _reduce(self, tau, points, mults, tol):
+        """Reduce the points, a sequence or an array, and keep them."""
         self.tau = complex(tau)
         self.tol = tol or DEFAULT_TOL
+        reduced, st = reduce_mod_lattice(points, self.tau)
         # fold points hugging the far edges back to the near edges
-        edge = self.tol.eps_key / max(1.0, abs(self.tau))
-        reduced, mults = [], []
-        for point, mult in points:
-            p, (s, t) = reduce_mod_lattice(point, self.tau)
-            if s > 1.0 - edge:
-                p -= 1.0
-            if t > 1.0 - edge:
-                p -= self.tau
-            reduced.append(p)
-            mults.append(int(mult))
-        keys, mults = _merge_keys(np.array(reduced, dtype=complex).reshape(-1, 1), mults,
-                                  self.tol.eps_key)
-        self.points = tuple(sorted(
-            ((p, m) for p, m in zip(keys[:, 0].tolist(), mults.tolist()) if m != 0),
-            key=lambda pm: (round(pm[0].real, 9), round(pm[0].imag, 9))))
+        far = st > 1.0 - self.tol.eps_key / max(1.0, abs(self.tau))
+        if np.count_nonzero(far):
+            np.subtract(reduced, 1.0, out=reduced, where=far[0])
+            np.subtract(reduced, self.tau, out=reduced, where=far[1])
+        self._set(reduced, mults)
+
+    def _set(self, reduced, mults):
+        """Merge the reduced points, an array, and keep them in order."""
+        keys, mults = _merge_keys(reduced.reshape(-1, 1), mults, self.tol.eps_key)
+        order = _lex_order(keys)
+        self.points = tuple((p, m) for p, m in zip(keys[order, 0].tolist(),
+                                                   mults[order].tolist()) if m)
 
     def degree(self):
         return sum(m for _, m in self.points)
@@ -486,7 +500,11 @@ class Divisor:
 
     def __add__(self, other):
         self._check(other)
-        return Divisor(self.tau, self.points + other.points, self.tol)
+        total = Divisor.__new__(Divisor)
+        total.tau, total.tol = self.tau, self.tol
+        points = self.points + other.points
+        total._set(np.array([p for p, _ in points], dtype=complex), [m for _, m in points])
+        return total
 
     def __neg__(self):
         # the points stay reduced, merged and sorted: only multiplicities turn
@@ -511,8 +529,10 @@ def k0_to_divisor(cls):
     """Divisor class of a K-group element: each simple label ``(b, z')``
     maps to the point ``-z'`` on the curve; the ``b`` coordinate carries no
     divisor information and is forgotten."""
-    tau = cls.transversal.tau
-    return Divisor(tau, [(-zp, mult) for _, zp, mult in cls.entries], cls.tol)
+    div = Divisor.__new__(Divisor)
+    div._reduce(cls.transversal.tau, [-zp for _, zp, _ in cls.entries],
+                [m for _, _, m in cls.entries], cls.tol)
+    return div
 
 
 def divisor_equivalent(d1, d2, tol=None):

@@ -20,7 +20,8 @@ a time; the ``decompose`` tests match the library's labels to it.
 
 ``reference_k0_entries`` and ``reference_divisor_points`` are the
 pairwise loops ``K0Class`` and ``Divisor`` once merged their keys with: each
-key, in order, compared with every representative kept so far.  The
+key, in order, compared with every representative kept so far, each label
+reduced and each result ordered by the frozen scalar kernels below.  The
 library's one merge over a proximity matrix must give the same entries,
 element for element.  ``reference_divisor_equivalent`` is
 ``divisor_equivalent`` as it stood when negating a divisor reduced and
@@ -91,6 +92,19 @@ public constructor.  The benchmark's inputs come from them, so the
 library's gauge calculus can change without moving those inputs; they stay
 as they are.  ``reference_transport`` remains the oracle of the transports.
 
+The frozen label kernels, ``frozen_position``, ``frozen_reduce``,
+``frozen_boundary_distance``, ``frozen_cluster_shifts``, ``frozen_canon``,
+``frozen_reduce_mod_lattice`` and ``frozen_lex_key``, are the scalar code
+the library once reduced, keyed and ordered labels with, one value at a
+time: ``Transversal``'s position, reduction and boundary distance,
+``numkit._cluster_shifts`` with its warnings, ``K0Class._canon``,
+``torus.reduce_mod_lattice`` and ``category._lex_key``.  The library does
+each on arrays and must give the same shifts, warnings, entries, points
+and order, to the bit.  ``reference_fold``, ``reference_log_transversal``,
+``reference_normalize``, the K0 and divisor oracles and ``tests/util.py``'s
+strip margin take them, so neither the generators' inputs nor the oracles
+move with the library's label code.
+
 ``ReferenceFreeBundle`` keeps a bundle's connection as an n x n list of
 ``TorusPoly`` and checks it one entry at a time; ``reference_psi_star``,
 ``reference_extension_morphism_residuals`` (products through
@@ -103,6 +117,7 @@ bit, entry by entry and support by support, and encode to the same bytes.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -111,7 +126,6 @@ from eqconn import serialize
 from eqconn.category import (
     EquivariantConnection,
     equivariance_residual,
-    K0Class,
     MonodromyPair,
     NormalForm,
     validate,
@@ -133,11 +147,12 @@ from eqconn.numkit import (
     DEFAULT_TOL,
     SpectralCluster,
     SpectralData,
+    TransversalBranchWarning,
     mat_norm,
     nullspace,
     spectral,
 )
-from eqconn.torus import TWO_PI_I, Divisor, TorusPoly, reduce_mod_lattice
+from eqconn.torus import TWO_PI_I, Divisor, TorusPoly
 
 
 def _cluster_indices(values, radius):
@@ -239,7 +254,7 @@ def reference_fold(a, transversal, eps_spec=1e-8):
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     t, q, blocks = _clustered_schur(a, eps_spec)
-    pairs = [(lam, transversal.reduce(lam)[1]) for _, _, lam in blocks]
+    pairs = [(lam, frozen_reduce(transversal, lam)[1]) for _, _, lam in blocks]
     if all(s == 0 for _, s in pairs):
         return a.copy(), pairs
     diagonal = [t[s0:s1, s0:s1] - (shift * transversal.tau) * np.eye(s1 - s0)
@@ -260,7 +275,7 @@ def reference_log_transversal(m, transversal, eps_spec=1e-8):
     scale = transversal.tau / (2j * np.pi)
     diagonal = []
     for s0, s1, lam in blocks:
-        shift = transversal.reduce(scale * cmath.log(lam))[1]
+        shift = frozen_reduce(transversal, scale * cmath.log(lam))[1]
         block = scipy.linalg.logm(t[s0:s1, s0:s1]) - 2j * np.pi * shift * np.eye(s1 - s0)
         diagonal.append(scale * block)
     return q @ _parlett(t, blocks, diagonal) @ q.conj().T
@@ -315,10 +330,6 @@ def reference_is_nori_finite(rep_or_matrix, d_max=64, tol=None):
     return True
 
 
-def _lex_key(z):
-    return (round(z.real, 9), round(z.imag, 9))
-
-
 def reference_decompose(a, b, tol):
     """Joint spectrum ``[(lam, b), ...]`` of a commuting pair, peeled off one
     joint eigenvector at a time (smallest label first)."""
@@ -330,14 +341,14 @@ def reference_decompose(a, b, tol):
         if n == 1:
             out.append((complex(a[0, 0]), complex(b[0, 0])))
             break
-        lam = min(np.linalg.eigvals(a), key=_lex_key)
+        lam = min(np.linalg.eigvals(a), key=frozen_lex_key)
         shifted = a - lam * np.eye(n)
         space = nullspace(shifted, tol)
         if space.shape[1] == 0:
             _, _, vh = np.linalg.svd(shifted)
             space = vh[-1:].conj().T
         bvals, bvecs = np.linalg.eig(space.conj().T @ b @ space)
-        pick = min(range(len(bvals)), key=lambda i: _lex_key(bvals[i]))
+        pick = min(range(len(bvals)), key=lambda i: frozen_lex_key(bvals[i]))
         w = space @ bvecs[:, pick]
         w = w / np.linalg.norm(w)
         out.append((complex(w.conj() @ a @ w), complex(w.conj() @ b @ w)))
@@ -350,15 +361,14 @@ def reference_decompose(a, b, tol):
 
 def reference_k0_entries(transversal, entries, tol=DEFAULT_TOL):
     """``K0Class(transversal, entries, tol).entries`` from the pairwise loop:
-    each label ``(b, z')``, z' taken into the strip by ``K0Class._canon``,
+    each label ``(b, z')``, z' taken into the strip by ``frozen_canon``,
     adds its multiplicity to the first kept label within ``eps_key`` of it
     in both parts, the radius scaled by the size of the kept label's part
     above 1, or is kept itself."""
-    canon = K0Class(transversal, tol=tol)._canon
     eps = tol.eps_key
     merged = []
     for b, zp, mult in entries:
-        b, zp = complex(b), canon(complex(zp))
+        b, zp = complex(b), frozen_canon(transversal, complex(zp), tol)
         for i, (b0, zp0, m0) in enumerate(merged):
             if (abs(b - b0) <= eps * max(1.0, abs(b0))
                     and abs(zp - zp0) <= eps * max(1.0, abs(zp0))):
@@ -367,30 +377,36 @@ def reference_k0_entries(transversal, entries, tol=DEFAULT_TOL):
         else:
             merged.append((b, zp, int(mult)))
     return tuple(sorted(((b, zp, m) for b, zp, m in merged if m != 0),
-                        key=lambda e: (_lex_key(e[1]), _lex_key(e[0]))))
+                        key=lambda e: (frozen_lex_key(e[1]), frozen_lex_key(e[0]))))
 
 
-def reference_divisor_points(tau, points, tol=DEFAULT_TOL):
+def reference_divisor_points(tau, points, tol=DEFAULT_TOL, reduced=False):
     """``Divisor(tau, points, tol).points`` from the pairwise loop: each
-    point reduced into the fundamental parallelogram, folded off its far
-    edges, and added to the first kept point within ``eps_key``, or kept."""
+    point reduced into the fundamental parallelogram by
+    ``frozen_reduce_mod_lattice``, folded off its far edges, and added to
+    the first kept point within ``eps_key``, or kept.  With ``reduced``
+    the points are taken as they are, as a sum of divisors takes its
+    terms' points."""
     tau = complex(tau)
     edge = tol.eps_key / max(1.0, abs(tau))
     merged = []
     for point, mult in points:
-        reduced, (s, t) = reduce_mod_lattice(point, tau)
-        if s > 1.0 - edge:
-            reduced -= 1.0
-        if t > 1.0 - edge:
-            reduced -= tau
+        if reduced:
+            reduced_point = point
+        else:
+            reduced_point, (s, t) = frozen_reduce_mod_lattice(point, tau)
+            if s > 1.0 - edge:
+                reduced_point -= 1.0
+            if t > 1.0 - edge:
+                reduced_point -= tau
         for i, (p0, m0) in enumerate(merged):
-            if abs(reduced - p0) <= tol.eps_key:
+            if abs(reduced_point - p0) <= tol.eps_key:
                 merged[i] = (p0, m0 + int(mult))
                 break
         else:
-            merged.append((reduced, int(mult)))
+            merged.append((reduced_point, int(mult)))
     return tuple(sorted(((p, m) for p, m in merged if m != 0),
-                        key=lambda pm: (round(pm[0].real, 9), round(pm[0].imag, 9))))
+                        key=lambda pm: frozen_lex_key(pm[0])))
 
 
 def reference_divisor_equivalent(d1, d2, tol=DEFAULT_TOL):
@@ -815,7 +831,7 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
     a, b = obj.A, obj.B
     steps = []
     sd = spectral(a.term(0), tol)
-    needed = sum(abs(transversal.reduce(c.eigenvalue)[1]) for c in sd.clusters)
+    needed = sum(abs(frozen_reduce(transversal, c.eigenvalue)[1]) for c in sd.clusters)
     # a unit step below the rounding of A(0) cannot be told from the next
     rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a.term(0)))
     if needed and rounding > tol.eps_res * abs(transversal.tau):
@@ -824,7 +840,7 @@ def reference_normalize(obj, transversal, order=16, tol=DEFAULT_TOL):
                              % (abs(transversal.tau), rounding))
     budget = 8 + 4 * needed
     while True:
-        shifts = [transversal.reduce(c.eigenvalue)[1] for c in sd.clusters]
+        shifts = [frozen_reduce(transversal, c.eigenvalue)[1] for c in sd.clusters]
         if all(s == 0 for s in shifts):
             break
         if len(steps) >= budget:
@@ -1082,3 +1098,88 @@ def frozen_shear(a, b, sdata, cluster_shifts, tol=DEFAULT_TOL):
     start = np.searchsorted(powers, 0)
     return (_frozen_value(a, (powers[start:], stack[start:])),
             _frozen_value(b, _frozen_sheared(_stacked(b), s, exponents, b.tau, False)))
+
+
+# ---------------------------------------------------------------------------
+# frozen label kernels: the scalar code labels were once reduced, keyed and
+# ordered with, one value at a time
+# ---------------------------------------------------------------------------
+
+def frozen_position(transversal, z):
+    """``Transversal.position``: Re(z/tau) - offset, by Python's complex
+    division for a Python number and numpy's for a numpy scalar."""
+    return (z / transversal.tau).real - transversal.offset
+
+
+def frozen_reduce(transversal, lam):
+    """``Transversal.reduce``: ``(lam - shift*tau, shift)``, the position
+    snapped to an integer within 1e-12 relative of it, else floored."""
+    pos = frozen_position(transversal, lam)
+    nearest = round(pos)
+    if abs(pos - nearest) < 1e-12 * max(1.0, abs(pos)):
+        shift = int(nearest)
+    else:
+        shift = math.floor(pos)
+    return lam - shift * transversal.tau, shift
+
+
+def frozen_boundary_distance(transversal, z):
+    """``Transversal.boundary_distance``: the strip coordinate's distance
+    to the nearest boundary."""
+    t = frozen_position(transversal, z) % 1.0
+    return min(t, 1.0 - t)
+
+
+def frozen_cluster_shifts(t, blocks, transversal, to_strip):
+    """``numkit._cluster_shifts`` with ``to_strip`` a map of one value: one
+    ``frozen_reduce`` per cluster mean and per member of a cluster of two or
+    more, a ``TransversalBranchWarning`` per straddling cluster."""
+    diag, shifts = np.diag(t), []
+    for (s0, s1, lam) in blocks:
+        _, shift = frozen_reduce(transversal, to_strip(lam))
+        shifts.append(shift)
+        if s1 - s0 > 1 and any(frozen_reduce(transversal, to_strip(member))[1] != shift
+                               for member in diag[s0:s1]):
+            warnings.warn(
+                "cluster at %s straddles a strip boundary; shift forced to %d "
+                "(boundary distance %.3e)"
+                % (lam, shift, frozen_boundary_distance(transversal, to_strip(lam))),
+                TransversalBranchWarning,
+            )
+    return shifts
+
+
+def frozen_canon(transversal, zp, tol=DEFAULT_TOL):
+    """``K0Class._canon`` of one z': reduced into the strip, a value within
+    ``eps_key / |tau|`` of the right edge folded to the left edge."""
+    rep, _ = frozen_reduce(transversal, zp)
+    edge = tol.eps_key / abs(transversal.tau)
+    if frozen_position(transversal, rep) > 1.0 - edge:
+        rep -= transversal.tau
+    return rep
+
+
+def frozen_reduce_mod_lattice(z, tau):
+    """``torus.reduce_mod_lattice`` of one number: ``(s + t*tau, (s, t))``
+    in the fundamental parallelogram."""
+    tau = complex(tau)
+    if tau.imag == 0.0:
+        raise ValidationFailure("lattice reduction needs a non-real tau")
+    z = complex(z)
+    t = z.imag / tau.imag
+    s = z.real - t * tau.real
+    s, t = _frozen_unit_mod(s), _frozen_unit_mod(t)
+    return s + t * tau, (s, t)
+
+
+def _frozen_unit_mod(x):
+    nearest = round(x)
+    if abs(x - nearest) < 1e-12 * max(1.0, abs(x)):
+        x = float(nearest)
+    return x - math.floor(x)
+
+
+def frozen_lex_key(z):
+    """``category._lex_key``: (Re, Im) rounded to 9 decimals by Python's
+    ``round``."""
+    return (round(z.real, 9), round(z.imag, 9))

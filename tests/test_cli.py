@@ -607,6 +607,17 @@ def test_normalize_whose_gauge_overflows_exits_1(capsys, options, obj, message):
     assert message in report["error"]["message"]
 
 
+def test_normalize_whose_norms_overflow_writes_nothing_to_stderr():
+    """``A = 0.1 + 1e300 z``: the Frobenius norm of A_1 squares past the
+    float range.  The command ends in its exit-1 NumericFailure report
+    with stderr empty, numpy's overflow warning included, run as a user
+    runs it, with no warning filter set."""
+    code, report = run_cli_normalize(scalar_a(0.1, 1e300))
+    assert code == 1
+    assert report["error"]["kind"] == "NumericFailure"
+    assert "overflows" in report["error"]["message"]
+
+
 def test_k0_term_without_b_exits_2(capsys):
     payload = {"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "mult": 1}]}
     code, out = run(capsys, ["--json", "kmap", json.dumps(payload)])

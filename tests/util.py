@@ -4,10 +4,12 @@ tests, and resonant objects, whose normalization must shear.
 
 The benchmark draws its inputs from these generators too.  They fold with
 ``reference_fold``, take the shears' spectral data from
-``reference_spectral``, and shear and gauge with the frozen generator
-kernels ``frozen_shear`` and ``frozen_transport`` of ``tests/reference.py``
-rather than with the library, so a change to the library's fold, spectral
-code or gauge calculus does not change the inputs it is measured on.  Of
+``reference_spectral``, shear and gauge with the frozen generator
+kernels ``frozen_shear`` and ``frozen_transport`` of ``tests/reference.py``,
+and measure strip margins with its ``frozen_boundary_distance``, rather
+than with the library, so a change to the library's fold, spectral code,
+gauge calculus or strip arithmetic does not change the inputs it is
+measured on.  Of
 ``eqconn.laurent`` they use ``PolyMat``'s public constructor alone.
 """
 
@@ -19,7 +21,8 @@ import scipy.linalg
 from eqconn.category import EquivariantConnection, NormalForm, validate
 from eqconn.laurent import PolyMat
 from eqconn.numkit import Transversal, mat_exp
-from reference import frozen_shear, frozen_transport, reference_fold, reference_spectral
+from reference import (frozen_boundary_distance, frozen_shear, frozen_transport, reference_fold,
+                       reference_spectral)
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,7 +58,7 @@ def random_normal_form(rng, n, transversal=STRIP, theta=THETA, margin=1e-3):
         c = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
         raw = _rand_poly_of(rng, c)
         a0, _ = reference_fold(raw, transversal)
-        if min(transversal.boundary_distance(lam)
+        if min(frozen_boundary_distance(transversal, lam)
                for lam in np.linalg.eigvals(a0)) < margin:
             continue
         b0 = mat_exp(_rand_poly_of(rng, c, scale=0.3))

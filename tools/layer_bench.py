@@ -14,19 +14,23 @@ to about 48), and P a seeded series gauge ``I + P_1 z + ... + P_K z**K``.
 Points are keyed ``<module>.<entry point>``.
 
 The tensor points take seeded normal forms x, y of ``random_normal_form``
-at n in {4, 8, 12}, tensor dims {16, 64, 144}, and time, for ``[xy]`` the
-product x (x) y and for ``[xx]`` the square x (x) x: ``category.tensor``,
+at n in {2, 4, 8, 12}, tensor dims {4, 16, 64, 144}, and time, for ``[xy]``
+the product x (x) y and for ``[xx]`` the square x (x) x: ``category.tensor``,
 each call on fresh copies of the factors, so that the factor's memoized
 Schur forms are paid for as a tensor-decompose job pays for them; then, on
 that product, which holds its Schur form from birth as the job's does,
-``category.k0_class``, ``torus.k0_to_divisor`` of its class and
-``torus.psi_star``; ``torus.divisor_equivalent`` of the divisors of that
-product's class and of the reversed product's, as a tensor-decompose job
-compares them; and at dim 16 only ``category.hom_basis(t, t)``, each call
-on a fresh copy of the product holding what it held at birth (its Schur
-form, in ``_memo``) and nothing that an earlier call kept, so that its Hom
-side is built as a tensor-decompose job builds it, once per object.
-These are keyed by the tensor dim where the others are keyed by n.
+``category.decompose``, ``category.k0_class``, ``torus.k0_to_divisor`` of
+its class and ``torus.psi_star``; ``torus.divisor_equivalent`` of the
+divisors of that product's class and of the reversed product's, as a
+tensor-decompose job compares them; and at dims 4 and 16 only
+``category.hom_basis(t, t)``, each call on a fresh copy of the product
+holding what it held at birth (its Schur form, in ``_memo``) and nothing
+that an earlier call kept, so that its Hom side is built as a
+tensor-decompose job builds it, once per object.  At dim 4, the xy/4 job
+of the benchmark, only the ``[xy]`` points of the calls that job makes
+but ``psi_star`` are timed: ``tensor``, ``decompose``, ``k0_class``,
+``k0_to_divisor``, ``divisor_equivalent`` and ``hom_basis``.  These are
+keyed by the tensor dim where the others are keyed by n.
 
 The round-trip points take a seeded commuting pair of
 ``random_commuting_pair`` at n in {4, 8, 12} and time the steps of a
@@ -37,11 +41,17 @@ round-trip job: ``category.from_monodromy`` of the pair,
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
+The points fall in three groups, timed each in a fresh process of its own:
+laurent and category at n (``laurent``), the tensor points (``tensor``)
+and the round-trip points (``roundtrip``), so that no point's time depends
+on what an earlier group left in the heap or the caches.
+
 Writes ``BENCH_<label>.json`` at the repo root with the method, the machine
 and the points.  With ``--compare PARENT_DIR`` the same points are timed on
 the parent checkout's ``src/`` and ``tests/`` too, in alternating rounds
-(the parent first in the first round), each round in a fresh process; a
-side's point then takes the timings of all its rounds.  The rounds are
+(the parent first in the first round); in each round every group runs in
+a fresh process per side, one side after the other, and a side's point
+then takes the timings of all its rounds.  The rounds are
 paired: round r of the parent and round r of the change run one after the
 other, and each pair gives the ratio of the parent's median to the
 change's.  ``paired`` holds, per point, those ratios, their median and the
@@ -61,7 +71,11 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 4, 8, 12)
-TENSOR_SIZES = (4, 8, 12)
+TENSOR_SIZES = (2, 4, 8, 12)
+# the points of the xy/4 job, the only ones timed at n = 2
+SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
+                "torus.k0_to_divisor", "torus.divisor_equivalent", "category.hom_basis")
+GROUPS = ("laurent", "tensor", "roundtrip")
 ROUNDTRIP_SIZES = (4, 8, 12)
 HOM_MAX_DIM = 16
 ORDER = 16
@@ -107,14 +121,14 @@ def tensor_points(n):
     import dataclasses
 
     import numpy as np
-    from eqconn.category import hom_basis, k0_class, tensor
+    from eqconn.category import decompose, hom_basis, k0_class, tensor
     from eqconn.torus import divisor_equivalent, k0_to_divisor, psi_star
     from util import random_normal_form
 
     rng = np.random.default_rng((SEED, n))
     x, y = random_normal_form(rng, n), random_normal_form(rng, n)
     points = {}
-    for kind in ("xy", "xx"):
+    for kind in ("xy",) if n == 2 else ("xy", "xx"):
         def product(square=kind == "xx"):
             fx = dataclasses.replace(x)
             return tensor(fx, fx if square else dataclasses.replace(y))
@@ -125,6 +139,7 @@ def tensor_points(n):
         swapped = tensor(x if kind == "xx" else y, x)
         divisors = k0_to_divisor(k0), k0_to_divisor(k0_class(swapped))
         points["category.tensor[%s]" % kind] = product
+        points["category.decompose[%s]" % kind] = lambda t=t: decompose(t)
         points["category.k0_class[%s]" % kind] = lambda t=t: k0_class(t)
         points["torus.k0_to_divisor[%s]" % kind] = lambda k0=k0: k0_to_divisor(k0)
         points["torus.psi_star[%s]" % kind] = lambda t=t: psi_star(t)
@@ -137,6 +152,8 @@ def tensor_points(n):
                 return hom_basis(fresh, fresh)
 
             points["category.hom_basis[%s]" % kind] = hom
+    if n == 2:
+        return {key: fn for key, fn in points.items() if key.split("[")[0] in SMALL_POINTS}
     return points
 
 
@@ -175,29 +192,42 @@ def quartiles(means):
     return [round(q1, 4), round(q2, 4), round(q3, 4)]
 
 
-def measure(checkout, repeats):
-    """``{"<module>.<entry>": {"<n>": [ms, ...]}}``, the timings on ``checkout``."""
+def measure(checkout, repeats, group):
+    """``{"<module>.<entry>": {"<n>": [ms, ...]}}``, the timings of one
+    group of points on ``checkout``."""
     for sub in ("tests", "src"):
         sys.path.insert(0, os.path.join(checkout, sub))
     points = {}
-    for n in SIZES:
-        for name, fn in entry_points(*inputs(n)).items():
-            points.setdefault(name, {})[str(n)] = timing(fn, repeats)
-    for n in TENSOR_SIZES:
-        for name, fn in tensor_points(n).items():
-            points.setdefault(name, {})[str(n * n)] = timing(fn, repeats)
-    for n in ROUNDTRIP_SIZES:
-        for name, fn in roundtrip_points(n).items():
-            points.setdefault(name, {})[str(n)] = timing(fn, repeats)
+    if group == "laurent":
+        for n in SIZES:
+            for name, fn in entry_points(*inputs(n)).items():
+                points.setdefault(name, {})[str(n)] = timing(fn, repeats)
+    elif group == "tensor":
+        for n in TENSOR_SIZES:
+            for name, fn in tensor_points(n).items():
+                points.setdefault(name, {})[str(n * n)] = timing(fn, repeats)
+    else:
+        for n in ROUNDTRIP_SIZES:
+            for name, fn in roundtrip_points(n).items():
+                points.setdefault(name, {})[str(n)] = timing(fn, repeats)
     return points
 
 
-def measure_in_child(checkout, repeats):
+def measure_in_child(checkout, repeats, group):
     argv = [sys.executable, os.path.abspath(__file__), "--worker", checkout,
-            "--repeats", str(repeats)]
+            "--group", group, "--repeats", str(repeats)]
     done = subprocess.run(argv, capture_output=True, text=True, check=True,
                           env=dict(os.environ, **BLAS_THREADS))
     return json.loads(done.stdout)
+
+
+def measure_round(checkout, repeats):
+    """Every group's timings on ``checkout``, each group in a fresh process."""
+    points = {}
+    for group in GROUPS:
+        for name, by_n in measure_in_child(checkout, repeats, group).items():
+            points.setdefault(name, {}).update(by_n)
+    return points
 
 
 def summary(rounds):
@@ -229,9 +259,10 @@ def main(argv=None):
                         help="alternating rounds per side with --compare")
     parser.add_argument("--compare", metavar="PARENT_DIR")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--group", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(measure(args.worker, args.repeats), sys.stdout)
+        json.dump(measure(args.worker, args.repeats, args.group), sys.stdout)
         return
     os.environ.update(BLAS_THREADS)
     sys.path.insert(0, os.path.join(ROOT, "tools"))
@@ -240,19 +271,25 @@ def main(argv=None):
     report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
                          "tensor_dims": [n * n for n in TENSOR_SIZES],
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
+                         "groups": list(GROUPS), "process": "fresh per group and side",
                          "repeats": args.repeats, "unit": "ms per call",
                          "statistic": "[q1, median, q3] of the timings"},
               "machine": machine()}
     if not args.compare:
-        report["change"] = summary([measure(ROOT, args.repeats)])
+        report["change"] = summary([measure_round(ROOT, args.repeats)])
     else:
         parent_dir = os.path.abspath(args.compare)
         sides = {"parent": (parent_dir, []), "change": (ROOT, [])}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            points = {side: {} for side in order}
+            for group in GROUPS:
+                for side in order:
+                    timings = measure_in_child(sides[side][0], args.repeats, group)
+                    for name, by_n in timings.items():
+                        points[side].setdefault(name, {}).update(by_n)
             for side in order:
-                checkout, rounds = sides[side]
-                rounds.append(measure_in_child(checkout, args.repeats))
+                sides[side][1].append(points[side])
         report["method"]["rounds"] = args.rounds
         for side, (_, rounds) in sides.items():
             report[side] = summary(rounds)
