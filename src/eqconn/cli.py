@@ -6,11 +6,12 @@ is a human-readable report on stdout, or a canonical JSON report with
 tolerances/parameters used, and residual diagnostics, and contain nothing
 nondeterministic, so identical invocations produce byte-identical output.
 
-Exit codes: 0 on success, 2 when an input fails to parse or violates an
-invariant (the report names it; normal forms are checked by
-``category.validate_normal_form``), 1 on internal numerical failure, a
-``SpectrumCollision`` of a solve included.  Inputs
-and reports are strict JSON: ``NaN`` and ``Infinity`` are refused.
+Exit codes: 0 on success, 2 when the command line or an input fails to
+parse or violates an invariant (the report names it; normal forms are
+checked by ``category.validate_normal_form``), 1 on internal numerical
+failure, a ``SpectrumCollision`` of a solve included; ``_attempt`` is the
+one place a failure becomes its report and exit code.  Inputs and reports
+are strict JSON: ``NaN`` and ``Infinity`` are refused.
 """
 
 import argparse
@@ -71,17 +72,34 @@ def _add_knobs(parser, suppress):
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--d-max", type=int, default=d(64),
                         help="order bound for the finite-monodromy test")
-    if suppress:
-        parser.add_argument("--json", action="store_true",
-                            default=argparse.SUPPRESS,
-                            help="emit the machine-readable report")
-    else:
-        parser.add_argument("--json", action="store_true",
-                            help="emit the machine-readable report")
+    parser.add_argument("--json", action="store_true", default=d(False),
+                        help="emit the machine-readable report")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises ``ValidationFailure`` where argparse
+    would print the usage and exit, so a command line that does not parse is
+    reported as any bad input is.  Subparsers are made of the same class and
+    know their ``root``; once the root's ``in_batch`` is set, a help flag is
+    refused the same way, as its text would break the batch report."""
+
+    in_batch = False
+
+    def __init__(self, *args, root=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.root = root or self
+
+    def error(self, message):
+        raise ValidationFailure(message)
+
+    def print_help(self, file=None):
+        if self.root.in_batch:
+            self.error("-h/--help is not allowed in a batch job")
+        super().print_help(file)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eqconn",
         description="compute with dilation-equivariant regular-singular "
                     "connections on C* and their bundle/divisor images")
@@ -95,7 +113,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     def add(name, help_text, *positionals):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text, parents=[common], root=parser)
         for pos in positionals:
             p.add_argument(pos)
         return p
@@ -120,12 +138,11 @@ def build_parser():
                      help="new first diagonal entry as 're,im'")
     ext.add_argument("--row", default=None,
                      help="JSON array of algebra elements for the first row")
-    bundle = add("std-bundle", "degree/rank/slope of a label")
-    bundle.add_argument("--m", type=int, required=True)
-    bundle.add_argument("--n", type=int, required=True)
-    ph = add("phase", "stability central charge and phase")
-    ph.add_argument("--m", type=int, required=True)
-    ph.add_argument("--n", type=int, required=True)
+    for name, help_text in (("std-bundle", "degree/rank/slope of a label"),
+                            ("phase", "stability central charge and phase")):
+        labelled = add(name, help_text)
+        labelled.add_argument("--m", type=int, required=True)
+        labelled.add_argument("--n", type=int, required=True)
     add("nori", "finite-monodromy test", "input")
     chk = add("atheta-check", "verify the algebra identities numerically")
     chk.add_argument("--bound", type=int, default=3)
@@ -147,8 +164,25 @@ def _refuse_constant(token):
 class Context:
     def __init__(self, args):
         self.args = args
-        self.tol = Tolerances(args.tol_spec, args.tol_res, args.tol_key)
+        self.tol = None
         self.raw_inputs = []
+
+    def run(self):
+        """The result of the parsed command, checked to be strict JSON, once
+        the tolerances and every integer option (as int64) are."""
+        a = self.args
+        self.tol = Tolerances(a.tol_spec, a.tol_res, a.tol_key)
+        for name, value in sorted(vars(a).items()):
+            if type(value) is int:
+                serialize._number(value, "--" + name.replace("_", "-"), integer=True)
+        if a.command is None:
+            raise ValidationFailure("a command or --batch is required")
+        result = COMMANDS[a.command](self)
+        try:
+            json.dumps(result, allow_nan=False)
+        except ValueError as exc:
+            raise NumericFailure("result holds a non-finite number: %s" % exc)
+        return result
 
     def load(self, spec):
         """Read a JSON payload from a path or from inline text."""
@@ -165,9 +199,7 @@ class Context:
             raise ValidationFailure(
                 "malformed JSON in %r: %s (line %d, column %d)"
                 % (spec[:40], exc.msg, exc.lineno, exc.colno))
-        except ValidationFailure:
-            raise
-        except ValueError as exc:   # an integer too long for int() to convert
+        except ValueError as exc:   # a NaN token, an integer too long for int()
             raise ValidationFailure("malformed JSON in %r: %s" % (spec[:40], exc))
         self.raw_inputs.append(data)
         return data
@@ -181,16 +213,11 @@ class Context:
 
     def params(self):
         a = self.args
-        return {
-            "tau": serialize.encode_complex(a.tau),
-            "theta": a.theta,
-            "transversal_offset": a.transversal_offset,
-            "truncation": a.truncation,
-            "tolerances": {"eps_spec": a.tol_spec, "eps_res": a.tol_res,
-                           "eps_key": a.tol_key},
-            "seed": a.seed,
-            "d_max": a.d_max,
-        }
+        return {"tau": serialize.encode_complex(a.tau), "theta": a.theta,
+                "transversal_offset": a.transversal_offset, "truncation": a.truncation,
+                "tolerances": {"eps_spec": a.tol_spec, "eps_res": a.tol_res,
+                               "eps_key": a.tol_key},
+                "seed": a.seed, "d_max": a.d_max}
 
     def to_normal_form(self, data):
         """Accept either an object payload (normalized here) or a normal form
@@ -296,8 +323,6 @@ def cmd_kmap(ctx):
     if isinstance(data, dict) and "terms" in data and "tau" in data:
         cls = serialize.decode_k0(data, ctx.tol)
     else:
-        ctx.raw_inputs.pop()
-        ctx.raw_inputs.append(data)
         cls = category.k0_class(ctx.to_normal_form(data), ctx.tol)
     return serialize.encode_divisor(torus.k0_to_divisor(cls))
 
@@ -327,39 +352,33 @@ def cmd_extension(ctx):
     return serialize.encode_free_bundle(ext)
 
 
-def _labels(ctx):
-    """``(m, n)`` of ``--m`` and ``--n``, refused outside int64 as the
-    integers of a JSON input are."""
-    return tuple(serialize._number(getattr(ctx.args, name), "--" + name, integer=True)
-                 for name in ("m", "n"))
-
-
 def cmd_std_bundle(ctx):
-    deg, rank, slope = torus.std_bundle_data(*_labels(ctx), ctx.args.theta)
+    deg, rank, slope = torus.std_bundle_data(ctx.args.m, ctx.args.n, ctx.args.theta)
     return {"deg": deg, "rk": rank, "slope": slope}
 
 
 def cmd_phase(ctx):
-    m, n = _labels(ctx)
-    z = torus.central_charge(m, n, ctx.args.theta)
-    return {"Z": serialize.encode_complex(z), "phase": torus.phase(m, n, ctx.args.theta)}
+    a = ctx.args
+    z = torus.central_charge(a.m, a.n, a.theta)
+    return {"Z": serialize.encode_complex(z), "phase": torus.phase(a.m, a.n, a.theta)}
 
 
 def cmd_nori(ctx):
     data = ctx.load(ctx.args.input)
     if isinstance(data, dict) and "M1" in data:
         rep = serialize.decode_monodromy(data)
-        finite = torus.is_nori_finite(rep, ctx.args.d_max, ctx.tol)
     elif isinstance(data, dict) and "M" in data:
-        finite = torus.is_nori_finite(serialize.decode_matrix(data["M"], "M"),
-                                      ctx.args.d_max, ctx.tol)
+        rep = serialize.decode_matrix(data["M"], "M")
     else:
         raise ValidationFailure("input must carry 'M' or 'M1'/'M2'")
+    finite = torus.is_nori_finite(rep, ctx.args.d_max, ctx.tol)
     return {"nori_finite": finite, "d_max": ctx.args.d_max}
 
 
 def cmd_atheta_check(ctx):
     theta = ctx.args.theta
+    if ctx.args.seed < 0:
+        raise ValidationFailure("--seed must be non-negative, got %d" % ctx.args.seed)
     rng = np.random.default_rng(ctx.args.seed)
     u1, u2 = TorusPoly.u1(theta), TorusPoly.u2(theta)
     comm = (u2 * u1).distance((u1 * u2).scale(
@@ -414,56 +433,50 @@ def cmd_reduce_tau(ctx):
             "position": strip.position(rep)}
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "normalize": cmd_normalize,
-    "rh-to-rep": cmd_rh_to_rep,
-    "rh-from-rep": cmd_rh_from_rep,
-    "tensor": cmd_tensor,
-    "dual": cmd_dual,
-    "hom": cmd_hom,
-    "kernel": cmd_kernel,
-    "cokernel": cmd_cokernel,
-    "decompose": cmd_decompose,
-    "k0": cmd_k0,
-    "kmap": cmd_kmap,
-    "divisor-eq": cmd_divisor_eq,
-    "psi-star": cmd_psi_star,
-    "extension": cmd_extension,
-    "std-bundle": cmd_std_bundle,
-    "phase": cmd_phase,
-    "nori": cmd_nori,
-    "atheta-check": cmd_atheta_check,
-    "wd": cmd_wd,
-    "reduce-tau": cmd_reduce_tau,
-}
+# cmd_rh_to_rep runs the command rh-to-rep, and so on
+COMMANDS = {name[4:].replace("_", "-"): handler
+            for name, handler in list(globals().items()) if name.startswith("cmd_")}
 
 
 # ---------------------------------------------------------------------------
 # driving
 # ---------------------------------------------------------------------------
 
+# The exit code of a failure: that of the most specific class of the
+# exception listed here (a SpectrumCollision is a ValidationFailure raised by
+# a solve, a numerical failure); any other exception exits 1.
+EXIT_CODES = {ValidationFailure: 2, SpectrumCollision: 1, NumericFailure: 1,
+              np.linalg.LinAlgError: 1}
+
+
+def _attempt(report, run, *args):
+    """``(0, run(*args))``; or, when ``run`` raises, ``(exit_code, None)``
+    with the failure added to ``report`` as its ``error``.  This is the one
+    place where the command line turns an exception into an exit code and a
+    report: the code is from ``EXIT_CODES``, or 1 with the traceback on
+    stderr."""
+    try:
+        return 0, run(*args)
+    except Exception as exc:
+        code = next((EXIT_CODES[kind] for kind in type(exc).__mro__
+                     if kind in EXIT_CODES), None)
+        if code is None:
+            traceback.print_exc()
+        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+        return code or 1, None
+
+
 def execute(args):
-    """Run one parsed command; returns ``(exit_code, report)``."""
+    """Run one parsed command; returns ``(exit_code, report)``: the command,
+    its parameters and the digest of the inputs it read, then its result or
+    its error."""
     ctx = Context(args)
     report = {"command": args.command, "params": ctx.params()}
-    try:
-        result = COMMANDS[args.command](ctx)
-        try:
-            json.dumps(result, allow_nan=False)
-        except ValueError as exc:
-            raise NumericFailure("result holds a non-finite number: %s" % exc)
-        report["inputs_digest"] = ctx.digest()
+    code, result = _attempt(report, ctx.run)
+    report["inputs_digest"] = ctx.digest()
+    if not code:
         report["result"] = result
-        return 0, report
-    except (NumericFailure, SpectrumCollision, np.linalg.LinAlgError) as exc:
-        report["inputs_digest"] = ctx.digest()
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        return 1, report
-    except ValidationFailure as exc:
-        report["inputs_digest"] = ctx.digest()
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        return 2, report
+    return code, report
 
 
 def _render_text(report, stream):
@@ -475,7 +488,7 @@ def _render_text(report, stream):
             stream.write("%s %s\n" % (prefix.rstrip("."),
                                        json.dumps(value, allow_nan=False)))
 
-    stream.write("command: %s\n" % report["command"])
+    stream.write("command: %s\n" % (report["command"] or "-"))
     stream.write("inputs: %s\n" % report.get("inputs_digest", "-"))
     if "error" in report:
         stream.write("error: %s: %s\n" % (report["error"]["kind"],
@@ -494,34 +507,21 @@ def _emit(report, as_json, stream=None):
         _render_text(report, stream)
 
 
-def run_argv(argv, parser):
-    """Parse one command line with ``parser``, from ``build_parser``, and run
-    it; returns ``(exit_code, report)``."""
-    args = parser.parse_args(argv)
-    if args.command is None:
-        raise ValidationFailure("a command is required")
-    return execute(args)
-
-
-def _guarded(command, run, *args):
-    """``run(*args)``, an ``(exit_code, report)``; any failure it lets out
-    becomes the error report of ``command``, with exit code 2 for bad input
-    and 1 for anything else (its traceback goes to stderr)."""
-    try:
-        return run(*args)
-    except (ValidationFailure, SystemExit) as exc:
-        code, error = 2, exc
-    except Exception as exc:
-        traceback.print_exc()
-        code, error = 1, exc
-    return code, {"command": command,
-                  "error": {"kind": type(error).__name__, "message": str(error)}}
+def _parse(argv, parser, args):
+    """``(exit_code, report)`` of parsing ``argv`` with ``parser`` into the
+    namespace ``args``; a failure's report names the command if parsed."""
+    report = {}
+    code, _ = _attempt(report, parser.parse_args, argv, args)
+    report["command"] = getattr(args, "command", None)
+    return code, report
 
 
 def _run_job(argv, parser):
-    """Run one batch job, parsed by the process's one ``parser``, guarded,
-    so the jobs after a failing one still run."""
-    return _guarded(argv[0] if argv else None, run_argv, argv, parser)
+    """Parse and run one batch job with the process's one ``parser``;
+    returns ``(exit_code, report)``."""
+    args = argparse.Namespace()
+    code, report = _parse(argv, parser, args)
+    return (code, report) if code else execute(args)
 
 
 def _read_manifest(path):
@@ -551,30 +551,29 @@ def _read_manifest(path):
 
 def _run_batch(args, parser):
     """Run the manifest's jobs one after another, in manifest order, each
-    parsed by ``parser``; a manifest that cannot be read is one error report
-    with exit code 2."""
-    try:
-        argvs = _read_manifest(args.batch)
-    except ValidationFailure as exc:
-        _emit({"command": "batch",
-               "error": {"kind": type(exc).__name__, "message": str(exc)}}, args.json)
-        return 2
-    results = [_run_job(argv, parser) for argv in argvs]
-    report = {"batch": [r for _, r in results]}
+    parsed by ``parser`` and refused if it asks for help; a manifest that
+    cannot be read is one error report with exit code 2."""
+    report = {"command": "batch"}
+    code, argvs = _attempt(report, _read_manifest, args.batch)
+    if not code:
+        parser.in_batch = True
+        results = [_run_job(argv, parser) for argv in argvs]
+        report = {"batch": [r for _, r in results]}
+        code = max((c for c, _ in results), default=0)
     _emit(report, args.json)
-    return max((code for code, _ in results), default=0)
+    return code
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.batch:
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line that does not parse is reported in JSON if it asks so
+    args = argparse.Namespace(json="--json" in argv)
+    code, report = _parse(argv, parser, args)
+    if not code and args.batch:
         return _run_batch(args, parser)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("eqconn: error: a command or --batch is required\n")
-        return 2
-    code, report = _guarded(args.command, execute, args)
+    if not code:
+        code, report = execute(args)
     _emit(report, args.json)
     return code
 

@@ -2,7 +2,9 @@
 
 Two families: ``ValidationFailure`` covers violated invariants on inputs
 (reported with exit code 2 by the command line tool), ``NumericFailure``
-covers internal numerical breakdowns (exit code 1).
+covers internal numerical breakdowns (exit code 1).  ``SpectrumCollision``
+is a ``ValidationFailure`` raised by a solve whose spectra collide; the
+command line counts it a numerical failure, exit code 1.
 """
 
 

@@ -133,14 +133,21 @@ class Transversal:
         Positions within 1e-12 relative of an integer are snapped to it
         before taking the floor (``_snap``), so values landing exactly on
         the half-open right edge fold deterministically to the left edge.
+        A position past the float range is inf or nan, without numpy's
+        warning.
         """
-        return np.floor(_snap(self.position(z)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.floor(_snap(self.position(z)))
 
     def reduce(self, lam):
         """Return ``(representative, shift)`` for a number ``lam``, with
         ``representative = lam - shift*tau`` inside the strip and ``shift``
-        the int of ``self.shift(lam)``."""
-        shift = int(self.shift(lam))
+        the int of ``self.shift(lam)``; a shift past the float range raises
+        NumericFailure."""
+        shift = self.shift(lam)
+        if not math.isfinite(shift):
+            raise NumericFailure("%r has no strip shift in the float range" % (lam,))
+        shift = int(shift)
         return lam - shift * self.tau, shift
 
     def contains(self, z, margin=0.0):

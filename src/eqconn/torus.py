@@ -439,18 +439,20 @@ def reduce_mod_lattice(z, tau):
     relative of an integer is snapped to it (``numkit._snap``), so it
     reduces to 0.  Each value has, to the bit, the point and coordinates
     Python's float and complex arithmetic give it one number at a time.  A
-    real tau is refused when there is a value to reduce.
+    real tau is refused when there is a value to reduce.  A coordinate past
+    the float range is nan, without numpy's warning.
     """
     tau = complex(tau)
     z = np.asarray(z, dtype=complex)
     if tau.imag == 0.0 and z.size:
         raise ValidationFailure("lattice reduction needs a non-real tau")
     st = np.empty((2,) + z.shape)
-    np.divide(z.imag, tau.imag, out=st[1, ...])
-    np.subtract(z.real, st[1] * tau.real, out=st[0, ...])
-    st = _snap(st)
-    st -= np.floor(st)
-    return st[0] + st[1] * tau, st
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(z.imag, tau.imag, out=st[1, ...])
+        np.subtract(z.real, st[1] * tau.real, out=st[0, ...])
+        st = _snap(st)
+        st -= np.floor(st)
+        return st[0] + st[1] * tau, st
 
 
 class Divisor:

@@ -92,6 +92,17 @@ def test_reduce_tau(capsys):
     assert abs(rep - 0.3 * TAU) < 1e-12
 
 
+def test_reduce_tau_of_a_value_past_the_float_range_exits_1(capsys):
+    """1e308 - 1e308j has no strip position in the float range: a
+    NumericFailure report, not an OverflowError traceback."""
+    code = main(["--json", "reduce-tau", "--value", "1e308,-1e308"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
+    assert "no strip shift" in report["error"]["message"]
+
+
 def test_determinism_byte_identical(capsys, tmp_path):
     rng = np.random.default_rng(0)
     obj = scramble(random_normal_form(rng, 2), rng, shears=1)
@@ -404,12 +415,63 @@ def test_non_finite_theta_in_object_exits_2(capsys):
 
 
 def test_non_finite_theta_option_exits_2(capsys):
-    for argv in (["--theta", "nan", "wd"], ["wd", "--theta", "inf"],
-                 ["--tau", "nan,1", "wd"]):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-    assert capsys.readouterr().out == ""
+    """A non-finite option is refused by the argument parser, with exit
+    code 2 and a strict JSON report naming the option, stderr empty."""
+    for argv, option in ((["--theta", "nan", "wd"], "--theta"),
+                         (["wd", "--theta", "inf"], "--theta"),
+                         (["--tau", "nan,1", "wd"], "--tau")):
+        code = main(["--json"] + argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["error"]["kind"] == "ValidationFailure"
+        assert "argument %s:" % option in report["error"]["message"]
+
+
+def test_command_line_faults_exit_2_with_one_report_naming_them(capsys, tmp_path):
+    """A malformed option, in a single command or in a batch job, a help
+    flag in a batch job, and a tolerance that is not positive are each one
+    strict JSON report with exit code 2 and stderr empty; the report of a
+    command line that parsed carries its params and inputs digest."""
+    code = main(["--json", "--tau", "nan,0", "wd"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out, parse_constant=pytest.fail) == {
+        "command": None, "error": {"kind": "ValidationFailure",
+                                   "message": "argument --tau: expected 're,im', got 'nan,0'"}}
+    path = write(tmp_path, "manifest.json", [["wd", "--tau", "nan,0"], ["wd", "--help"], ["wd"]])
+    code = main(["--json", "--batch", path])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    bad_tau, help_flag, ok = json.loads(out, parse_constant=pytest.fail)["batch"]
+    assert bad_tau["command"] == help_flag["command"] == "wd"
+    assert "argument --tau" in bad_tau["error"]["message"]
+    assert help_flag["error"] == {"kind": "ValidationFailure",
+                                  "message": "-h/--help is not allowed in a batch job"}
+    assert ok["result"]["wd"] == 2.0
+    code = main(["--json", "--tol-spec", "0", "wd"])
+    out, err = capsys.readouterr()
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert (code, err) == (2, "") and set(report) == {"command", "params", "inputs_digest",
+                                                      "error"}
+    assert report["params"]["tolerances"]["eps_spec"] == 0.0
+
+
+def test_help_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eqconn")
+
+
+def test_kmap_digests_the_input_it_read(capsys):
+    """kmap's ``inputs_digest`` is the digest of the payload as read, for a
+    K-class and for a normal form alike."""
+    k_class = {"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "b": [1.0, 0.0],
+                                               "mult": 2}]}
+    for payload, digest in ((k_class, "b8e13528160d9f95"), (ONE_DIM, "a865235800823f4b")):
+        code, report = run_json(capsys, ["kmap", json.dumps(payload)])
+        assert code == 0 and report["inputs_digest"] == digest
 
 
 def test_non_finite_result_is_a_numeric_failure(capsys, monkeypatch):
@@ -577,7 +639,9 @@ def test_single_command_survives_an_unexpected_exception(capsys, monkeypatch):
     assert code == 1
     assert "RuntimeError: boom" in captured.err
     report = json.loads(captured.out, parse_constant=pytest.fail)
-    assert report == {"command": "phase", "error": {"kind": "RuntimeError", "message": "boom"}}
+    assert report["command"] == "phase" and report["params"]["theta"] == cli.DEFAULT_THETA
+    assert report["error"] == {"kind": "RuntimeError", "message": "boom"}
+    assert set(report) == {"command", "params", "inputs_digest", "error"}
 
 
 def scalar_a(*coefficients):
@@ -616,6 +680,32 @@ def test_normalize_whose_norms_overflow_writes_nothing_to_stderr():
     assert code == 1
     assert report["error"]["kind"] == "NumericFailure"
     assert "overflows" in report["error"]["message"]
+
+
+def test_normalize_of_a0_past_the_float_range_writes_nothing_to_stderr():
+    """``A = 1e308``: the series gauge's norm of A(0) squares past the
+    float range; the fold refuses the shift, exit 1, with stderr empty."""
+    code, report = run_cli_normalize(scalar_a(1e308))
+    assert code == 1
+    assert report["error"]["kind"] == "NumericFailure"
+    assert "int64" in report["error"]["message"]
+
+
+def test_kmap_of_a_label_past_the_float_range_writes_nothing_to_stderr():
+    """A K-class term with z' = [1e308, -1e308], whose strip position and
+    lattice coordinates overflow: exit 1 with the NumericFailure report,
+    stderr empty, in a subprocess with no warning filter set."""
+    payload = {"tau": [1.0, -1.0],
+               "terms": [{"zprime": [1e308, -1e308], "b": [1.0, 0.0], "mult": 1}]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "eqconn.cli", "--json", "kmap",
+                           json.dumps(payload)], capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert (done.returncode, done.stderr) == (1, "")
+    report = json.loads(done.stdout, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "NumericFailure"
 
 
 def test_k0_term_without_b_exits_2(capsys):

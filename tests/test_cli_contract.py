@@ -1,0 +1,237 @@
+"""The command line's failure contract, over seeded random command lines.
+
+Every invocation ends with an exit code in {0, 1, 2}, exactly one strict
+JSON report on stdout that names the fault when there is one, nothing on
+stderr, and the same bytes when it is repeated.  The command lines are drawn
+with ``hypothesis`` (``derandomize=True``, bounded ``max_examples``): each
+subcommand with valid inputs, then at most one fault: a non-finite,
+non-numeric or out-of-int64 option value, an unknown command or option, a
+missing positional or required option, or a malformed input; a batch adds
+``-h`` inside a job and unreadable or ill-shaped manifests.  They run in
+process, and three of them in a subprocess as a user runs them.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqconn.cli import main
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+ONE_DIM = {"tau": [1.0, -1.0], "theta": 0.3, "A0": [[[0.25, 0.0]]], "B0": [[[2.0, 0.0]]]}
+OBJECT = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 1,
+          "A": [{"pow": 0, "coef": [[[0.1, 0.0]]]}], "B": [{"pow": 0, "coef": [[[1.0, 0.0]]]}]}
+K_CLASS = {"tau": [1.0, -1.0], "terms": [{"zprime": [0.1, 0.0], "b": [1.0, 0.0], "mult": 1}]}
+DIVISOR = {"tau": [1.0, -1.0], "points": [{"p": [0.1, 0.0], "mult": 1}]}
+BUNDLE = {"theta": 0.3, "tau": [1.0, -1.0], "dim": 1,
+          "conn": [[{"theta": 0.3, "coeffs": [{"n1": 0, "n2": 0, "c": [0.0, 1.5]}]}]]}
+MORPHISM = {"source": ONE_DIM, "target": ONE_DIM, "phi": [[[1.0, 0.0]]]}
+
+# each command's valid positionals and options; the options named here are
+# its own, and must follow it
+COMMANDS = {
+    "validate": ([OBJECT], []),
+    "normalize": ([OBJECT], []),
+    "rh-to-rep": ([ONE_DIM], []),
+    "rh-from-rep": ([{"M1": [[[1.0, 0.0]]], "M2": [[[2.0, 0.0]]]}], []),
+    "tensor": ([ONE_DIM, ONE_DIM], []),
+    "dual": ([ONE_DIM], []),
+    "hom": ([ONE_DIM, ONE_DIM], []),
+    "kernel": ([MORPHISM], []),
+    "cokernel": ([MORPHISM], []),
+    "decompose": ([ONE_DIM], []),
+    "k0": ([ONE_DIM], []),
+    "kmap": ([K_CLASS], []),
+    "divisor-eq": ([DIVISOR, DIVISOR], []),
+    "psi-star": ([ONE_DIM], []),
+    "extension": ([BUNDLE], [("--zprime", "0.5,0")]),
+    "std-bundle": ([], [("--m", "1"), ("--n", "2")]),
+    "phase": ([], [("--m", "1"), ("--n", "2")]),
+    "nori": ([{"M": [[[1.0, 0.0]]]}], []),
+    "atheta-check": ([], [("--bound", "1"), ("--pairs", "2")]),
+    "wd": ([], []),
+    "reduce-tau": ([], [("--value", "0.3,-0.3")]),
+}
+REQUIRED = {"--zprime", "--m", "--n", "--value"}
+REAL_OPTIONS = ("--tau", "--theta", "--transversal-offset", "--tol-spec", "--tol-res",
+                "--tol-key")
+INT_OPTIONS = ("--truncation", "--seed", "--d-max")
+OWN_INT_OPTIONS = ("--m", "--n", "--bound", "--pairs")
+# not a finite real number; the pairs, not a finite complex one
+NOT_REAL = ("nan", "inf", "-inf", "1e999", "x", "", "1+2j", "0x10")
+NOT_COMPLEX_PAIR = ("nan,1", "1,inf", "1,2,3", "1,x")
+BEYOND_INT64 = (str(2 ** 63), str(-2 ** 63 - 1), "1" + "0" * 30, "9" * 400)
+MISSING_FILE = str(Path(__file__).resolve().parent / "no-such-input.json")
+BAD_PAYLOADS = ("{not json", "[]", "{}", '{"tau": NaN}', '{"M": [[[%s, 0]]]}' % ("9" * 5000),
+                '{"tau": [1.0, -1.0], "terms": [{"zprime": [1e999, 0], "b": [1, 0]}]}',
+                MISSING_FILE)
+
+
+@st.composite
+def command_lines(draw, in_batch=False):
+    """``(argv, fault)``: a command line without ``--json``, and the text
+    its error must hold, "" where any error will do, or None if it must
+    succeed."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    payloads, own = COMMANDS[name]
+    positionals = [json.dumps(p) for p in payloads]
+    own = [list(option) for option in own]
+    shared = [[option, value] for option, value in (("--tau", "1,-1"), ("--theta", "0.4"),
+                                                    ("--seed", "3"), ("--d-max", "8"))
+              if draw(st.booleans())]
+    faults = ["none", "real", "int", "command", "option"]
+    faults += ["positional", "payload"] if positionals else []
+    faults += ["required"] if any(o in REQUIRED for o, _ in own) else []
+    faults += ["own-int"] if any(o in OWN_INT_OPTIONS for o, _ in own) else []
+    faults += ["help"] if in_batch else []
+    fault = draw(st.sampled_from(faults))
+    expect = None
+    if fault == "real":
+        option = draw(st.sampled_from(REAL_OPTIONS))
+        pool = NOT_REAL + (NOT_COMPLEX_PAIR if option == "--tau" else ())
+        shared.append([option, draw(st.sampled_from(pool))])
+        expect = "argument " + option
+    elif fault in ("int", "own-int"):
+        pool = INT_OPTIONS if fault == "int" else [o for o, _ in own if o in OWN_INT_OPTIONS]
+        option = draw(st.sampled_from(sorted(pool)))
+        value = draw(st.sampled_from(BEYOND_INT64 + ("x", "1.5")))
+        target = shared if fault == "int" else own
+        target[:] = [o for o in target if o[0] != option] + [[option, value]]
+        expect = option
+    elif fault == "command":
+        name = draw(st.sampled_from(("frob", "Wd", "k1", "-")))
+        expect = "invalid choice"
+    elif fault == "option":
+        own.append([draw(st.sampled_from(("--frob", "--tau-x", "-q"))), "1"])
+        expect = "unrecognized arguments"
+    elif fault == "positional":
+        positionals.pop()
+        expect = "the following arguments are required"
+    elif fault == "payload":
+        positionals[-1] = draw(st.sampled_from(BAD_PAYLOADS))
+        expect = ""
+    elif fault == "required":
+        own = [o for o in own if o[0] not in REQUIRED]
+        expect = "the following arguments are required: --"
+    elif fault == "help":
+        own.append([draw(st.sampled_from(("-h", "--help")))])
+        expect = "-h/--help"
+    before = draw(st.integers(0, len(shared)))
+    argv = sum(shared[:before], []) + [name] + positionals + sum(shared[before:] + own, [])
+    return argv, expect
+
+
+def invoke(argv):
+    """``(exit code, stdout, stderr, warnings)`` of ``main(argv)`` in this
+    process."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def one_report(argv):
+    """The single strict JSON report ``argv`` prints, after checking the
+    exit code, the empty stderr, and that a repeat prints the same bytes."""
+    code, out, err, caught = invoke(argv)
+    assert (err, [str(w.message) for w in caught]) == ("", [])
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1, out
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert "batch" in report or ("error" in report) == (code != 0)
+    assert invoke(argv)[:2] == (code, out)
+    return code, report
+
+
+def assert_names_fault(code, report, expect):
+    if expect is None:
+        assert code == 0, report
+        return
+    assert code in (1, 2)
+    assert code == 2 or expect == "", report
+    error = report["error"]
+    assert error["kind"] and error["message"]
+    assert expect in error["message"], error
+
+
+@SETTINGS
+@given(command_lines(), st.booleans())
+def test_every_command_line_ends_in_one_report(line, json_first):
+    argv, expect = line
+    argv = ["--json"] + argv if json_first else argv + ["--json"]
+    code, report = one_report(argv)
+    assert_names_fault(code, report, expect)
+    # one shape: the command, then the parameters and the digest of the
+    # inputs when the command line parsed, then the result or the error
+    parsed = {"command", "params", "inputs_digest"}
+    assert set(report) in ({"command", "error"}, parsed | {"error"}, parsed | {"result"})
+    assert report["command"] in COMMANDS or (report["command"] is None and "params" not in report)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(command_lines(in_batch=True), min_size=1, max_size=3))
+def test_every_batch_ends_in_one_report(tmp_path_factory, jobs):
+    path = tmp_path_factory.mktemp("batch") / "manifest.json"
+    path.write_text(json.dumps({"jobs": [{"argv": argv} for argv, _ in jobs]}))
+    code, report = one_report(["--json", "--batch", str(path)])
+    assert len(report["batch"]) == len(jobs)
+    codes = []
+    for (argv, expect), job in zip(jobs, report["batch"]):
+        if expect == "-h/--help":
+            codes.append(2)
+        else:   # a job reports as the same command line does alone
+            alone_code, alone = one_report(["--json"] + argv)
+            assert job == alone
+            codes.append(alone_code)
+        assert_names_fault(codes[-1], job, expect)
+    assert code == max(codes)
+
+
+@pytest.mark.parametrize("text", [
+    None, "{not json", "[NaN]", "5", '{"jobs": 5}', "[5]", '[{"args": ["wd"]}]',
+    '[{"argv": "wd"}]', b"\xff\xfe[",
+], ids=["missing", "not-json", "nan", "number", "jobs-not-array", "job-not-array",
+        "job-without-argv", "argv-not-array", "not-utf8"])
+def test_an_unreadable_or_ill_shaped_manifest_is_one_report(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    for manifest in (path, tmp_path):     # the second is a directory
+        code, report = one_report(["--json", "--batch", str(manifest)])
+        assert code == 2 and report["command"] == "batch"
+        assert report["error"]["kind"] == "ValidationFailure"
+        assert "batch" in report["error"]["message"]
+
+
+def run_subprocess(argv):
+    """``(exit code, report)`` of ``python -m eqconn.cli argv``, stderr empty."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "eqconn.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    assert done.stderr == ""
+    assert done.stdout.count("\n") == 1
+    return done.returncode, json.loads(done.stdout, parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["--json", "--tau", "nan,0", "wd"], "argument --tau"),
+    (["--json", "--tol-spec", "0", "wd"], "eps_spec"),
+    (["--json"], "a command or --batch is required"),
+], ids=["non-finite-tau", "tolerance-zero", "no-command"])
+def test_a_faulty_command_line_is_one_report_in_a_subprocess(argv, expect):
+    code, report = run_subprocess(argv)
+    assert code == 2 and expect in report["error"]["message"]
