@@ -8,6 +8,7 @@ from .category import (
     MonodromyPair,
     Morphism,
     NormalForm,
+    braiding,
     cokernel,
     coevaluation_map,
     decompose,

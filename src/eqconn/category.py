@@ -734,6 +734,16 @@ def coevaluation_map(x, tol=None):
     return Morphism(src, tgt, coevaluation_matrix(x.n))
 
 
+def braiding(x, y, tol=None):
+    """The symmetry ``x (x) y -> y (x) x`` as a concrete morphism: the
+    Kronecker swap ``u (x) v -> v (x) u``, a permutation matrix, so that
+    ``braiding(y, x).phi @ braiding(x, y).phi`` is the identity exactly."""
+    src, tgt = tensor(x, y, tol), tensor(y, x, tol)
+    size = x.n * y.n
+    swap = np.eye(size, dtype=complex).reshape(x.n, y.n, size).transpose(1, 0, 2)
+    return Morphism(src, tgt, swap.reshape(size, size))
+
+
 def triangle_residuals(x):
     """Deviation of the two rigidity triangle identities from the identity."""
     n = x.n

@@ -161,6 +161,13 @@ def _refuse_constant(token):
     raise ValidationFailure("non-standard JSON token %s in input" % token)
 
 
+# The largest value accepted for an option that sets how much work a command
+# does: atheta-check's ``--bound`` (0.86 s at 30, 20 s at 100) and
+# ``--pairs`` (0.47 s per 1000), and the order bound ``--d-max`` of nori's
+# finite-monodromy test.
+WORK_CAPS = {"bound": 32, "pairs": 2000, "d_max": 10 ** 6}
+
+
 class Context:
     def __init__(self, args):
         self.args = args
@@ -169,12 +176,18 @@ class Context:
 
     def run(self):
         """The result of the parsed command, checked to be strict JSON, once
-        the tolerances and every integer option (as int64) are."""
+        the tolerances, every integer option (as int64) and the options
+        capped by ``WORK_CAPS`` are."""
         a = self.args
         self.tol = Tolerances(a.tol_spec, a.tol_res, a.tol_key)
         for name, value in sorted(vars(a).items()):
             if type(value) is int:
                 serialize._number(value, "--" + name.replace("_", "-"), integer=True)
+        for name, cap in WORK_CAPS.items():
+            value = getattr(a, name, None)
+            if value is not None and value > cap:
+                raise ValidationFailure("--%s is capped at %d, got %d"
+                                        % (name.replace("_", "-"), cap, value))
         if a.command is None:
             raise ValidationFailure("a command or --batch is required")
         result = COMMANDS[a.command](self)

@@ -16,14 +16,16 @@ supplies the primitives the rest of the package leans on:
   branch is chosen per eigenvalue cluster so that the result's spectrum lands
   inside a prescribed transversal.  ``solve_sylvester`` is Bartels-Stewart
   as ``scipy.linalg.solve_sylvester`` computes it, with the same bits, on
-  Schur forms from ``scipy.linalg.schur``, but it refuses ztrsyl's info 1,
-  which scipy's solver ignores.  ``_triangular_sylvester`` solves ``(t +
+  Schur forms from ``_schur`` (one zgees call, ``scipy.linalg.schur``'s
+  form to the bit), but it refuses ztrsyl's info 1, which scipy's solver
+  ignores.  ``_triangular_sylvester`` solves ``(t +
   s) Y - Y t = C`` on one triangular t for many shifts s, one ztrsyl each,
   as the orders of normalize's series gauge need in the basis that block
   diagonalizes A(0) over its shift groups; its caller checks the
   separation of the spectra, once for every order;
-* the fold of a spectrum into a strip, as a matrix (``_fold``) or as the
-  shift groups and similarity of a gauge (``_shift_groups``);
+* the fold of a spectrum into a strip, as a matrix (``_fold``, one
+  projector update of the Schur form) or as the shift groups and
+  similarity of a gauge (``_shift_groups``);
 * the real-width function on moduli and the explicit translate-then-invert
   Moebius move that makes the width smaller than one.
 
@@ -358,16 +360,40 @@ def _check_separated(eig_a, eig_b, tol):
         raise SpectrumCollision(eig_a[i], eig_b[j], float(gaps[i, j]))
 
 
+def _no_sort(value):
+    return None
+
+
+@functools.cache
+def _zgees_lwork(n):
+    """zgees's optimal workspace size at order n: its workspace query reads
+    n alone, so it is asked once per size."""
+    return int(scipy.linalg.lapack.zgees(_no_sort, np.zeros((n, n), dtype=complex),
+                                         lwork=-1)[-2][0].real)
+
+
 def _schur(m):
-    """Complex Schur form ``(t, z)``, ``z t z^H = m``, from
-    ``scipy.linalg.schur``; a Schur iteration that does not converge, or a
-    matrix with an entry that is not finite, raises ``NumericFailure``."""
-    try:
-        return scipy.linalg.schur(m, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure("Schur iteration failed to converge: %s" % exc)
-    except ValueError as exc:
-        raise NumericFailure("no Schur form: %s" % exc)
+    """Complex Schur form ``(t, z)``, ``z t z^H = m``, from one LAPACK
+    ``zgees`` call with the optimal workspace size kept per order
+    (``_zgees_lwork``): to the bit ``scipy.linalg.schur(m,
+    output="complex")`` for a float64 or complex128 ``m``, without its
+    wrappers and its second, workspace-querying call.  The arrays returned
+    are new, never ``m``.  A matrix that is not square or has an entry that
+    is not finite, and a Schur iteration that does not converge (zgees info
+    > 0), raise ``NumericFailure``."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NumericFailure("no Schur form: expected square matrix, got shape %s"
+                             % (m.shape,))
+    if not np.isfinite(m).all():
+        raise NumericFailure("no Schur form: array must not contain infs or NaNs")
+    n = len(m)
+    if not n:
+        return np.empty((0, 0), dtype=complex), np.empty((0, 0), dtype=complex)
+    t, _, _, z, _, info = scipy.linalg.lapack.zgees(_no_sort, m, lwork=_zgees_lwork(n))
+    if info:
+        raise NumericFailure("Schur form not found (zgees info %d)" % info)
+    return t, z
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +600,25 @@ def _cluster_triangular(t, q, tol):
     """Cluster the eigenvalues of a Schur form ``q t q^H``, ``t`` upper
     triangular, and make each cluster a contiguous diagonal block.
 
-    ``_group_blocks`` orders the clusters by first appearance on the
-    diagonal: nothing moves, and ``t``, ``q`` come back as they are, unless
-    one has members apart.  The means are one ``np.add.reduceat`` over the
-    diagonal, which sums a cluster of three or more in another order than
-    ``np.mean``.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
+    When the real parts of the diagonal are more than eps_spec apart
+    (``_apart``), every eigenvalue is its own cluster: ``t``, ``q`` come
+    back as they are with the blocks ``(i, i + 1, t_ii / 1)``, what the
+    graph path gives to the bit (numpy's complex division by 1 sets the
+    signs of zero parts as the means' division does), and no graph is
+    built.  Otherwise the clusters are the connected components of the
+    proximity graph (``_cluster_indices``'s), and ``_group_blocks`` orders
+    them by first appearance on the diagonal: nothing moves unless one has
+    members apart.  The means are
+    one ``np.add.reduceat`` over the diagonal, which sums a cluster of
+    three or more in another order than ``np.mean``.  Returns ``(t, q,
+    blocks)`` as ``_clustered_schur``.
     """
-    labels = _cluster_indices(np.diag(t), tol.eps_spec)
+    diagonal = np.diag(t)
+    if _apart(diagonal.real, tol.eps_spec):
+        n = len(diagonal)
+        return t, q, list(zip(range(n), range(1, n + 1), (diagonal / 1).tolist()))
+    labels = _connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
     t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
-    if not groups:
-        return t, q, []
     starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
     means = np.add.reduceat(np.diag(t), starts) / (stops - starts)
     return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
@@ -759,6 +794,8 @@ def _decouple(t, bounds, strict=False):
     of ``w`` is ``[0, I, -r_i]``, where ``t_ii r_i - r_i t_rest = -t_(i,
     rest)`` splits block i from all the blocks after it; a split leaves the
     blocks after it unchanged, so each is one ztrsyl call on ``t`` itself.
+    ``v`` is the inverse of the unit triangular ``w``: for two blocks it is
+    ``[[I, -w_01], [0, I]]``, written down, and for more LAPACK's ztrtri.
     Blocks too close to split (ztrsyl info 1, which perturbs the coinciding
     eigenvalues) give factors of huge norm: callers check the norms, or pass
     ``strict`` to have ``NumericFailure`` raised.  A single block, or none,
@@ -774,6 +811,11 @@ def _decouple(t, bounds, strict=False):
         if info < 0 or (strict and info):
             raise NumericFailure("Sylvester solve failed (ztrsyl info %d)" % info)
         w[start:stop, stop:] = y if scale == 1.0 else y / scale
+    if len(bounds) == 2:
+        v = np.eye(n, dtype=complex)
+        stop = bounds[0][1]
+        np.negative(w[:stop, stop:], out=v[:stop, stop:])
+        return v, w
     v, info = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
     if info != 0:
         raise NumericFailure("inverting the projector factors failed (ztrtri info %d)"
@@ -825,13 +867,19 @@ def _fold(t, q, blocks, transversal, tol):
     they are when no cluster shifts.  The result is a constant shift on each
     group of clusters sharing a shift (``_shift_groups``, which raises
     ``NumericFailure`` when those groups are too close to split accurately).
+    A function of the block diagonalized ``t`` is fixed by its values on the
+    blocks (Higham, *Functions of Matrices*, SIAM 2008, ch. 1), and ``t``
+    itself is ``v diag(t_gg) w``, so the fold is one projector update, ``f
+    = t - tau v K w`` with ``K`` the shifts on the columns of their groups,
+    over the columns that move.  ``v`` and ``w`` are upper triangular, so
+    ``f`` is exactly upper triangular, as ``t`` is.
     """
     t, q, groups, v, w, pairs = _shift_groups(t, q, blocks, transversal, tol)
     if not groups:
         return t, q, pairs
-    diagonal = [t[g0:g1, g0:g1] - (shift * transversal.tau) * np.eye(g1 - g0)
-                for g0, g1, shift in groups]
-    return _block_function(v, w, groups, diagonal), q, pairs
+    k = np.repeat([shift for _, _, shift in groups], [g1 - g0 for g0, g1, _ in groups])
+    moved = k != 0
+    return t - (v[:, moved] * (transversal.tau * k[moved])) @ w[moved], q, pairs
 
 
 def _shift_groups(t, q, blocks, transversal, tol):

@@ -9,6 +9,9 @@ blocks, where the library block diagonalizes the Schur form instead.
 ``reference_fold`` is the cluster-by-cluster fold of a spectrum into a strip
 on these two.  The test generators fold with it, so their inputs do not
 move when the library's fold does, and the fold tests use it as the oracle.
+``frozen_fold`` is the library's fold as it once finished, the block
+function ``v diag(t_gg - k_g tau I) w`` over the shift groups; the fold's
+projector update ``t - tau v K w`` must match it to rounding.
 ``reference_log_transversal`` is the branch-chosen logarithm on them, with
 ``scipy.linalg.logm`` on each cluster's block.  ``reference_tensor`` and
 ``reference_dual`` fold the dense Kronecker sum of two normal forms, and
@@ -261,6 +264,22 @@ def reference_fold(a, transversal, eps_spec=1e-8):
                 for (s0, s1, _), (_, shift) in zip(blocks, pairs)]
     f = _parlett(t, blocks, diagonal)
     return q @ f @ q.conj().T, pairs
+
+
+def frozen_fold(t, v, w, groups, tau):
+    """``eqconn.numkit._fold`` as it stood before its projector update: the
+    block function ``v diag(t_gg - k_g tau I) w`` of the grouped triangular
+    ``t`` and ``(v, w)`` of ``numkit._decouple`` over ``groups = [(start,
+    stop, k_g), ...]``, with the mean of the diagonal taken out before the
+    products and added back after them (``numkit._block_function``)."""
+    d = np.zeros(v.shape, dtype=complex)
+    for g0, g1, shift in groups:
+        d[g0:g1, g0:g1] = t[g0:g1, g0:g1] - (shift * tau) * np.eye(g1 - g0)
+    mean = np.trace(d) / len(d)
+    d[np.diag_indices_from(d)] -= mean
+    f = v @ d @ w
+    f[np.diag_indices_from(f)] += mean
+    return f
 
 
 def reference_log_transversal(m, transversal, eps_spec=1e-8):

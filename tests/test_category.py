@@ -18,6 +18,7 @@ from eqconn.category import (
     Morphism,
     MonodromyPair,
     NormalForm,
+    braiding,
     cokernel,
     coevaluation_map,
     decompose,
@@ -1458,6 +1459,28 @@ def test_is_isomorphic_finds_the_swap_of_a_tensor_at_dim_64():
         rng = np.random.default_rng(seed)
         x, y = random_normal_form(rng, 8), random_normal_form(rng, 8)
         iso = is_isomorphic(tensor(x, y), tensor(y, x))
+        assert iso is not None and iso.is_valid()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_braiding_is_the_swap_isomorphism(n):
+    """``braiding(x, y)`` intertwines x (x) y and y (x) x to rounding, for
+    x of dimension n and y of dimension n and 2; ``braiding(y, x)`` undoes
+    it exactly; and ``is_isomorphic`` finds the two products isomorphic."""
+    rng = np.random.default_rng(60 + n)
+    x = random_normal_form(rng, n)
+    for y in (random_normal_form(rng, n), random_normal_form(rng, 2)):
+        there, back = braiding(x, y), braiding(y, x)
+        assert there.phi.shape == (x.n * y.n, x.n * y.n)
+        assert there.source.A0.shape == there.target.A0.shape == there.phi.shape
+        ra, rb = there.residuals()
+        assert ra <= 1e-14 * max(1.0, np.linalg.norm(there.source.A0))
+        assert rb <= 1e-14 * max(1.0, np.linalg.norm(there.source.B0))
+        assert there.is_valid()
+        assert np.array_equal(back.phi @ there.phi, np.eye(x.n * y.n))
+        u, v = rng.normal(size=x.n), rng.normal(size=y.n)
+        assert np.array_equal(there.phi @ np.kron(u, v), np.kron(v, u))
+        iso = is_isomorphic(there.source, there.target)
         assert iso is not None and iso.is_valid()
 
 

@@ -776,6 +776,31 @@ def test_normal_form_and_morphism_inputs_breaking_an_invariant_exit_2(
     assert message in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, option, cap", [
+    (["atheta-check", "--bound", "33"], "--bound", 32),
+    (["atheta-check", "--pairs", "2001"], "--pairs", 2000),
+    (["--d-max", "1000001", "nori", '{"M": [[[0.6, 0.8]]]}'], "--d-max", 10 ** 6),
+    (["nori", '{"M": [[[0.6, 0.8]]]}', "--d-max", "1000001"], "--d-max", 10 ** 6),
+], ids=["bound", "pairs", "d-max", "d-max-after-the-command"])
+def test_options_above_their_work_cap_exit_2_before_any_work(capsys, monkeypatch, argv, option,
+                                                              cap):
+    """``--bound``, ``--pairs`` and ``--d-max`` one above their cap are
+    malformed input: exit 2 with a report naming the option and its cap,
+    and the command never runs (inside int64 they once ran until stopped)."""
+    monkeypatch.setitem(cli.COMMANDS, argv[0] if argv[0] != "--d-max" else argv[2],
+                        lambda ctx: pytest.fail("the command ran"))
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert report["error"]["kind"] == "ValidationFailure"
+    assert report["error"]["message"] == "%s is capped at %d, got %d" % (option, cap, cap + 1)
+    assert "params" in report and "inputs_digest" in report
+
+
+def test_d_max_at_its_cap_runs(capsys):
+    code, report = run_json(capsys, ["nori", '{"M": [[[0.6, 0.8]]]}', "--d-max", str(10 ** 6)])
+    assert code == 0 and report["result"] == {"nori_finite": False, "d_max": 10 ** 6}
+
+
 @pytest.mark.parametrize("text", [None, "{not json", '{"jobs": 5}', '[{"args": ["wd"]}]'],
                          ids=["missing-file", "not-json", "jobs-not-array", "job-without-argv"])
 def test_malformed_batch_manifest_exits_2(capsys, tmp_path, text):

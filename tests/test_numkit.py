@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqconn import numkit
 from eqconn.exceptions import NumericFailure, SpectrumCollision, ValidationFailure
@@ -31,6 +33,7 @@ import util
 from reference import (
     _cluster_indices as reference_cluster_indices,
     _clustered_schur as reference_clustered_schur,
+    frozen_fold,
     reference_fold,
     reference_log_transversal,
     reference_spectral,
@@ -271,9 +274,13 @@ def test_shifted_sylvester_solves_every_shift_on_one_schur_form(monkeypatch):
 
 
 def test_schur_returns_a_triangular_matrix_as_zgees_does():
-    """``_schur`` is ``scipy.linalg.schur``, which holds trivially; what the
-    clustered form relies on is that no returned array is the input, so
-    that it may reorder the form in place and leave the input as it was."""
+    """``_schur`` is ``scipy.linalg.schur(m, output="complex")`` to the bit,
+    on triangular inputs with exact and signed zeros and on dense complex
+    and real ones up to dim 144; the workspace size is queried once per
+    order and kept, so the second call at an order runs on the kept size.
+    What the clustered form relies on beyond that is that no returned array
+    is the input, so that it may reorder the form in place and leave the
+    input as it was."""
     rng = np.random.default_rng(32)
     for n in range(1, 13):
         m = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -286,15 +293,41 @@ def test_schur_returns_a_triangular_matrix_as_zgees_does():
             assert same_bits(fast, t)
             assert same_bits(eye, z) and eye.flags.f_contiguous == z.flags.f_contiguous
             assert not np.shares_memory(fast, case) and not np.shares_memory(eye, case)
+    numkit._zgees_lwork.cache_clear()
+    sizes = (1, 2, 4, 12, 64, 144)
+    for n in sizes:
+        dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        real = rng.normal(size=(n, n))
+        for case in (dense, real, 3.0 * dense):
+            t, z = scipy.linalg.schur(case, output="complex")
+            fast, eye = numkit._schur(case)
+            assert same_bits(fast, t) and same_bits(eye, z)
+            assert fast.dtype == eye.dtype == np.complex128
+            assert not np.shares_memory(fast, case) and not np.shares_memory(eye, case)
+    assert numkit._zgees_lwork.cache_info().misses == len(sizes)
+    assert numkit._zgees_lwork.cache_info().hits == 2 * len(sizes)
+
+
+def test_schur_of_an_empty_or_non_square_matrix():
+    t, z = numkit._schur(np.zeros((0, 0), dtype=complex))
+    want_t, want_z = scipy.linalg.schur(np.zeros((0, 0), dtype=complex), output="complex")
+    assert t.shape == z.shape == want_t.shape == (0, 0)
+    assert t.dtype == z.dtype == want_t.dtype == want_z.dtype
+    for bad in (np.ones((2, 3), dtype=complex), np.ones(3, dtype=complex)):
+        with pytest.raises(NumericFailure, match="expected square matrix"):
+            numkit._schur(bad)
 
 
 def test_sylvester_kernel_raises_when_the_schur_form_fails(monkeypatch):
-    """A Schur iteration that does not converge, which ``scipy.linalg.schur``
-    reports with ``LinAlgError``, raises ``NumericFailure``."""
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    """A Schur iteration that does not converge, which ``zgees`` reports
+    with info > 0 (the number of eigenvalues it failed to find), raises
+    ``NumericFailure``."""
+    zgees = scipy.linalg.lapack.zgees
 
-    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    def failing(*args, **kwargs):
+        return zgees(*args, **kwargs)[:-1] + (1,)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
     a = np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex)
     with pytest.raises(NumericFailure, match="Schur form not found"):
         solve_sylvester(a, -np.eye(2), np.ones((2, 2)))
@@ -711,6 +744,95 @@ def test_fold_and_log_raise_where_lapack_perturbs_the_spectra(monkeypatch):
         reduce_to_transversal(a, Transversal(TAU))
     with pytest.raises(NumericFailure, match="ztrsyl info 1"):
         log_transversal(m, Transversal(TAU))
+
+
+@st.composite
+def fold_inputs(draw):
+    """``(m, groups)``: a matrix ``S diag(lam) S^-1``, S well conditioned,
+    whose clusters take 2-6 distinct shifts; a cluster is one eigenvalue or
+    a pair 1e-11 apart, and sits anywhere in the strip, near an edge or on
+    one (a pair there straddles it)."""
+    values = []
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=6, unique=True))
+    for shift in shifts:
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.one_of(st.floats(0.01, 0.99), st.sampled_from(
+                (0.0, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6))))
+            lam = TAU * (shift + pos + 1j * draw(st.floats(-1.0, 1.0)))
+            values.append(lam)
+            if draw(st.booleans()):
+                values.append(lam + 1e-11 * TAU * draw(st.sampled_from((1.0, 1j, -1.0))))
+    s = util.well_conditioned(np.random.default_rng(draw(st.integers(0, 2 ** 32))),
+                              len(values))
+    return s @ np.diag(values) @ np.linalg.inv(s), len(shifts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fold_inputs())
+def test_fold_is_the_frozen_block_function_to_rounding(case):
+    """``_fold``'s projector update ``t - tau v K w`` is the block function
+    ``v diag(t_gg - k_g tau I) w`` it replaced, to rounding, and exactly
+    upper triangular."""
+    m, _ = case
+    strip = Transversal(TAU)
+    t, q, blocks = numkit._clustered_schur(m, DEFAULT_TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransversalBranchWarning)
+        f, fq, pairs = numkit._fold(t, q, blocks, strip, DEFAULT_TOL)
+        gt, gq, groups, v, w, _ = numkit._shift_groups(t, q, blocks, strip, DEFAULT_TOL)
+    assert len(groups) >= 2 and any(shift for _, shift in pairs)
+    assert same_bits(fq, gq)
+    want = frozen_fold(gt, v, w, groups, strip.tau)
+    assert np.linalg.norm(f - want) <= 1e-13 * np.linalg.norm(want)
+    assert not np.tril(f, -1).any()
+
+
+def graph_cluster_triangular(t, q, tol):
+    """``numkit._cluster_triangular`` without its exit for simple spectra:
+    the proximity graph, ``_group_blocks`` and the means by reduceat."""
+    diagonal = np.diag(t)
+    labels = numkit._connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
+    t, q, groups = numkit._group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
+    if not groups:
+        return t, q, []
+    starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
+    means = np.add.reduceat(np.diag(t), starts) / (stops - starts)
+    return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
+
+
+def block_bits(blocks):
+    return [(start, stop, np.complex128(mean).tobytes()) for start, stop, mean in blocks]
+
+
+def test_cluster_triangular_exit_gives_the_graph_path_blocks_to_the_bit(monkeypatch):
+    """A spectrum whose real parts are more than eps_spec apart takes the
+    exit, with no graph built, and gets the graph path's ``t``, ``q`` and
+    blocks to the bit; one with a near pair still takes the graph."""
+    rng = np.random.default_rng(41)
+    graphs = []
+    components = numkit._connected_components
+    monkeypatch.setattr(numkit, "_connected_components",
+                        lambda *args: graphs.append(1) or components(*args))
+    for n in (0, 1, 2, 5, 12, 64):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        t, q = numkit._schur(m)
+        t.imag[np.diag_indices(n)] = -0.0 if n % 2 else 0.0
+        got = numkit._cluster_triangular(t, q, DEFAULT_TOL)
+        assert graphs == []
+        want = graph_cluster_triangular(t, q, DEFAULT_TOL)
+        assert got[0] is t and got[1] is q and want[0] is t and want[1] is q
+        assert block_bits(got[2]) == block_bits(want[2])
+        assert all(type(x) is int for start, stop, _ in got[2] for x in (start, stop))
+        graphs.clear()
+    t = np.triu(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    t[np.diag_indices(5)] = [0.3, 2.0, 0.3 + 1e-10j, -1.0, 0.3 + 5e-9]
+    q = np.eye(5, dtype=complex)
+    got = numkit._cluster_triangular(t, q, DEFAULT_TOL)
+    assert graphs == [1]
+    want = graph_cluster_triangular(t, q, DEFAULT_TOL)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert block_bits(got[2]) == block_bits(want[2])
+    assert [(start, stop) for start, stop, _ in got[2]] == [(0, 3), (3, 4), (4, 5)]
 
 
 def test_log_series_that_does_not_converge_raises():

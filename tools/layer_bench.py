@@ -32,6 +32,13 @@ but ``psi_star`` are timed: ``tensor``, ``decompose``, ``k0_class``,
 ``k0_to_divisor``, ``divisor_equivalent`` and ``hom_basis``.  These are
 keyed by the tensor dim where the others are keyed by n.
 
+The numkit points time two public kernels at n in {2, 4, 8, 12}:
+``numkit.reduce_to_transversal`` of ``S diag(lam) S^-1``, S from
+``well_conditioned`` and the eigenvalues spread over five strip widths
+(strip positions in (0, 1) shifted by -2 to 2 widths), and
+``numkit.log_transversal`` of the M1 of ``random_commuting_pair``; both
+run on the clustered Schur form, and the first on the fold.
+
 The round-trip points take a seeded commuting pair of
 ``random_commuting_pair`` at n in {4, 8, 12} and time the steps of a
 round-trip job: ``category.from_monodromy`` of the pair,
@@ -41,10 +48,11 @@ round-trip job: ``category.from_monodromy`` of the pair,
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
-The points fall in three groups, timed each in a fresh process of its own:
-laurent and category at n (``laurent``), the tensor points (``tensor``)
-and the round-trip points (``roundtrip``), so that no point's time depends
-on what an earlier group left in the heap or the caches.
+The points fall in four groups, timed each in a fresh process of its own:
+laurent and category at n (``laurent``), the tensor points (``tensor``),
+the round-trip points (``roundtrip``) and the numkit points (``numkit``),
+so that no point's time depends on what an earlier group left in the heap
+or the caches.
 
 Writes ``BENCH_<label>.json`` at the repo root with the method, the machine
 and the points.  With ``--compare PARENT_DIR`` the same points are timed on
@@ -75,8 +83,9 @@ TENSOR_SIZES = (2, 4, 8, 12)
 # the points of the xy/4 job, the only ones timed at n = 2
 SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
                 "torus.k0_to_divisor", "torus.divisor_equivalent", "category.hom_basis")
-GROUPS = ("laurent", "tensor", "roundtrip")
+GROUPS = ("laurent", "tensor", "roundtrip", "numkit")
 ROUNDTRIP_SIZES = (4, 8, 12)
+NUMKIT_SIZES = (2, 4, 8, 12)
 HOM_MAX_DIM = 16
 ORDER = 16
 SEED = 15
@@ -172,6 +181,22 @@ def roundtrip_points(n):
             "torus.is_nori_finite": lambda: is_nori_finite(back)}
 
 
+def numkit_points(n):
+    """The numkit points at ``n``, ``{"numkit.<entry>": fn}``."""
+    import numpy as np
+    from eqconn.numkit import log_transversal, reduce_to_transversal
+    from util import STRIP, TAU, random_commuting_pair, well_conditioned
+
+    rng = np.random.default_rng((SEED, n))
+    spread = TAU * (rng.uniform(0.05, 0.95, n) + rng.integers(-2, 3, n)
+                    + 1j * rng.uniform(-1.0, 1.0, n))
+    s = well_conditioned(rng, n)
+    a = s @ np.diag(spread) @ np.linalg.inv(s)
+    m1, _ = random_commuting_pair(rng, n)
+    return {"numkit.reduce_to_transversal": lambda: reduce_to_transversal(a, STRIP),
+            "numkit.log_transversal": lambda: log_transversal(m1, STRIP)}
+
+
 def timing(fn, repeats):
     """``repeats`` means in ms, each over a batch of calls."""
     fn()
@@ -206,9 +231,13 @@ def measure(checkout, repeats, group):
         for n in TENSOR_SIZES:
             for name, fn in tensor_points(n).items():
                 points.setdefault(name, {})[str(n * n)] = timing(fn, repeats)
-    else:
+    elif group == "roundtrip":
         for n in ROUNDTRIP_SIZES:
             for name, fn in roundtrip_points(n).items():
+                points.setdefault(name, {})[str(n)] = timing(fn, repeats)
+    else:
+        for n in NUMKIT_SIZES:
+            for name, fn in numkit_points(n).items():
                 points.setdefault(name, {})[str(n)] = timing(fn, repeats)
     return points
 
@@ -271,6 +300,7 @@ def main(argv=None):
     report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
                          "tensor_dims": [n * n for n in TENSOR_SIZES],
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
+                         "numkit_sizes": list(NUMKIT_SIZES),
                          "groups": list(GROUPS), "process": "fresh per group and side",
                          "repeats": args.repeats, "unit": "ms per call",
                          "statistic": "[q1, median, q3] of the timings"},
