@@ -54,12 +54,13 @@ from .numkit import (
     DEFAULT_TOL,
     Transversal,
     _block_arrays,
+    _bounded_groups,
     _cluster_triangular,
     _clustered_schur,
     _connected_components,
-    _decouple,
     _fold,
     _group_blocks,
+    _is_singular,
     _lex_order,
     _log_schur,
     _merge_keys,
@@ -213,9 +214,8 @@ def _validated(obj, tol, strict):
 
     b0 = obj.B.term(0)
     svals = np.linalg.svd(b0, compute_uv=False) if obj.n else np.array([1.0])
-    smin = float(svals[-1]) if svals.size else 0.0
-    diag["b_smallest_singular_value"] = smin
-    if strict and smin <= tol.eps_res * max(1.0, float(svals[0]) if svals.size else 0.0):
+    diag["b_smallest_singular_value"] = smin = float(svals[-1])
+    if strict and _is_singular(svals, tol):
         raise SingularB("constant term of the dilation matrix is singular "
                         "(smallest singular value %.3e)" % smin)
 
@@ -340,10 +340,10 @@ class NormalForm:
 
 def validate_normal_form(nf, tol=None):
     """Check a normal form, returning its residuals: square A0 and B0 of one
-    size, the eigenvalues of A0 (``nf.schur_form(tol)``) in the strip, A0
-    and B0 commuting (``EquivarianceViolation``), B0 invertible
-    (``SingularB``) by its singular values, those ``from_monodromy`` held
-    if it made the form."""
+    size, the eigenvalues of A0 (``nf.schur_form(tol)``, else the means of
+    their ``_bounded_groups``) in the strip, A0 and B0 commuting
+    (``EquivarianceViolation``), B0 invertible (``SingularB``) by its
+    singular values, those ``from_monodromy`` held if it made the form."""
     tol = tol or DEFAULT_TOL
     n = nf.A0.shape[0]
     if nf.A0.shape != (n, n) or nf.B0.shape != (n, n):
@@ -351,11 +351,14 @@ def validate_normal_form(nf, tol=None):
                                 "%s and %s" % (nf.A0.shape, nf.B0.shape))
     diag = {}
     if n:
-        outside = sum(not nf.transversal.contains(lam, margin=tol.eps_spec)
-                      for lam in np.diag(nf.schur_form(tol)[0]))
-        if outside:
-            raise ValidationFailure(
-                "normal form has %d eigenvalue(s) outside the strip" % outside)
+        t, q, blocks = nf.schur_form(tol)
+        if not all(nf.transversal.contains(lam, margin=tol.eps_spec) for lam in np.diag(t)):
+            # rounding may spread a Jordan block over an edge: its group's mean decides
+            outside = sum(s1 - s0 for s0, s1, lam in _bounded_groups(t, q, blocks, tol)[3]
+                          if not nf.transversal.contains(lam, margin=tol.eps_spec))
+            if outside:
+                raise ValidationFailure("normal form has %d eigenvalue(s) outside the strip"
+                                        % outside)
         comm = float(np.linalg.norm(nf.A0 @ nf.B0 - nf.B0 @ nf.A0))
         bound = tol.eps_res * (np.linalg.norm(nf.A0) + 1.0) * (np.linalg.norm(nf.B0) + 1.0)
         diag["commutator_residual"] = comm
@@ -366,7 +369,7 @@ def validate_normal_form(nf, tol=None):
         if svals is None:
             svals = np.linalg.svd(nf.B0, compute_uv=False)
         diag["b_smallest_singular_value"] = float(svals[-1])
-        if svals[-1] <= tol.eps_res * max(1.0, svals[0]):
+        if _is_singular(svals, tol):
             raise SingularB("dilation matrix of the normal form is singular")
     return diag
 
@@ -592,7 +595,7 @@ def _validated_monodromy(rep, tol):
         svals = np.linalg.svd(m, compute_uv=False) if rep.n else np.array([1.0])
         svals_of.append(svals)
         diag[name + "_smallest_singular_value"] = float(svals[-1]) if svals.size else 0.0
-        if svals.size and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
+        if _is_singular(svals, tol):
             raise ValidationFailure("%s is singular" % name)
     comm = float(np.linalg.norm(rep.M1 @ rep.M2 - rep.M2 @ rep.M1))
     bound = tol.eps_res * max(1.0, np.linalg.norm(rep.M1)) \
@@ -809,16 +812,9 @@ def hom_basis(x, y, tol=None):
 
 
 # Eigenvalues of the two objects of a Hom whose clusters, or whose groups
-# (``_projector_groups``), lie within this radius of each other, relative to
-# their data scale, are solved together as one component.
+# (``numkit._bounded_groups``), lie within this radius of each other,
+# relative to their data scale, are solved together as one component.
 _COMPONENT_RADIUS = 1e-4
-# Clusters of one object are grouped until each group's spectral projector
-# has norm at most this.  Rounding splits a Jordan block of size m by about
-# u^(1/m), 1e-2 for the block of size 7 in J4 (x) J4: beyond the radius, but
-# the projectors of its pieces reach 1e8 and more, while well separated
-# eigenvalues keep theirs near 1.  The mean eigenvalue of a group is as
-# accurate as its projector is small.
-_PROJECTOR_BOUND = 1e4
 
 
 def _data_scale(x, y):
@@ -829,7 +825,7 @@ def _data_scale(x, y):
 class _HomSide(namedtuple("_HomSide", "values means group start size u lh ab")):
     """What ``_hom_components`` reads of one object: per cluster of its
     shared Schur form, the eigenvalue, the mean eigenvalue of its group and
-    the group (``_projector_groups``); per group g, the ``size[g]`` columns
+    the group (``numkit._bounded_groups``); per group g, the ``size[g]`` columns
     of ``u`` from ``start[g]`` on, an orthonormal basis of its invariant
     subspace, and those rows of ``lh``, the left factor of its spectral
     projector; and ``ab = [lh A0 u, lh B0 u]``, which holds the groups'
@@ -849,18 +845,17 @@ def _hom_side(nf, tol):
 
 
 def _new_hom_side(nf, tol):
+    """The ``_HomSide`` of ``nf``: its ``_bounded_groups``, each right projector
+    factor orthonormalized by its Gram matrix's (well conditioned) Cholesky factor."""
     t, q, blocks = nf.schur_form(tol)
-    group, t, q, runs, u, lh = _projector_groups(t, q, blocks)
+    group, t, q, groups, v, w = _bounded_groups(t, q, blocks, tol)
+    start, size, means = _block_arrays(groups)
+    rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
+    u, lh = v @ rho_inv, rho @ w
     ab = lh @ np.stack([t, q.conj().T @ nf.B0 @ q]) @ u
-    values = np.array([lam for _, _, lam in blocks], dtype=complex)
-    group = np.array(group, dtype=int)
-    start, stop = np.array(runs, dtype=int).reshape(-1, 2).T
-    means = values
-    if len(runs) < len(blocks):
-        sizes = np.array([b1 - b0 for b0, b1, _ in blocks], dtype=float)
-        means = (np.bincount(group, values.real * sizes)
-                 + 1j * np.bincount(group, values.imag * sizes))[group] / (stop - start)[group]
-    return _HomSide(values, means, group, start, stop - start, q @ u, lh @ q.conj().T, ab)
+    values, group = _block_arrays(blocks)[2], np.array(group, dtype=int)
+    means = values if len(groups) == len(blocks) else means[group]
+    return _HomSide(values, means, group, start, size, q @ u, lh @ q.conj().T, ab)
 
 
 def _hom_components(x, side_x, y, side_y, k, tol):
@@ -926,58 +921,6 @@ def _hom_components(x, side_x, y, side_y, k, tol):
             kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
             out.append((uy[:, iy[which]].transpose(1, 0, 2), kernel, lhx[ix[which]]))
     return out
-
-
-def _projector_groups(t, q, blocks):
-    """Group the clusters of a Schur form until the spectral projector of
-    each group has Frobenius norm at most ``_PROJECTOR_BOUND``: a group
-    whose projector exceeds it is joined to the nearest cluster outside it,
-    its clusters are made one contiguous block by ztrsen, and the groups
-    are split apart again by ``_decouple``.
-
-    Every cluster is its own group unless rounding split an eigenvalue into
-    clusters with ill conditioned projectors.  Returns ``(group, t, q, runs,
-    u, lh)``: the group of each cluster, numbered in order, the Schur form
-    with the block ``runs[g] = (start, stop)`` of each group g, and, in its
-    basis, orthonormal bases ``u`` of the groups' invariant subspaces side
-    by side and the left factors ``lh`` of their projectors, ``lh u = I``.
-    Each group's right factor from ``_decouple`` is orthonormalized by the
-    Cholesky factor of its Gram matrix, which is well conditioned: the
-    factor holds an identity block.
-    """
-    n = t.shape[0]
-    if len(blocks) < 2:
-        eye = np.eye(n, dtype=complex)
-        return [0] * len(blocks), t, q, [(0, n)] * len(blocks), eye, eye
-    form = t, q
-    runs = [(start, stop) for start, stop, _ in blocks]
-    group = list(range(len(blocks)))
-    near = None
-    while True:
-        v, w = _decouple(t, runs)
-        # the projector on group g is v[:, g] w[g]; its Frobenius norm is at
-        # most the product of theirs
-        starts = [start for start, _ in runs]
-        within = (np.add.reduceat(np.einsum("ij,ij->j", v.conj(), v).real, starts)
-                  * np.add.reduceat(np.einsum("ij,ij->i", w.conj(), w).real, starts)
-                  <= _PROJECTOR_BOUND ** 2)
-        if within.all() or len(runs) == 1:
-            owner = np.repeat(np.arange(len(runs)), np.diff(starts + [n]))
-            rho, rho_inv = _cholesky_pair(v, owner)
-            return group, t, q, runs, v @ rho_inv, rho @ w
-        if near is None:
-            values = np.array([lam for _, _, lam in blocks], dtype=complex)
-            near = np.eye(len(blocks), dtype=bool)
-        ill = np.flatnonzero(~within)
-        group = np.array(group)
-        for g in ill:
-            inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
-            gaps = np.abs(values[inside, None] - values[outside])
-            i, j = np.unravel_index(gaps.argmin(), gaps.shape)
-            near[inside[i], outside[j]] = near[outside[j], inside[i]] = True
-        group = _connected_components(near)
-        t, q, runs = _group_blocks(*form, blocks, group)
-        runs = [(start, stop) for start, stop, _ in runs]
 
 
 def _cholesky_pair(v, owner):

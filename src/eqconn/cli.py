@@ -177,7 +177,9 @@ class Context:
     def run(self):
         """The result of the parsed command, checked to be strict JSON, once
         the tolerances, every integer option (as int64) and the options
-        capped by ``WORK_CAPS`` are."""
+        capped by ``WORK_CAPS`` are.  numpy's floating-point warnings are
+        off while it runs: an overflow shows in the report, as a failure or
+        as a non-finite number, and not on stderr."""
         a = self.args
         self.tol = Tolerances(a.tol_spec, a.tol_res, a.tol_key)
         for name, value in sorted(vars(a).items()):
@@ -190,7 +192,8 @@ class Context:
                                         % (name.replace("_", "-"), cap, value))
         if a.command is None:
             raise ValidationFailure("a command or --batch is required")
-        result = COMMANDS[a.command](self)
+        with np.errstate(all="ignore"):
+            result = COMMANDS[a.command](self)
         try:
             json.dumps(result, allow_nan=False)
         except ValueError as exc:
@@ -380,6 +383,7 @@ def cmd_nori(ctx):
     data = ctx.load(ctx.args.input)
     if isinstance(data, dict) and "M1" in data:
         rep = serialize.decode_monodromy(data)
+        category.validate_monodromy(rep, ctx.tol)
     elif isinstance(data, dict) and "M" in data:
         rep = serialize.decode_matrix(data["M"], "M")
     else:

@@ -10,19 +10,13 @@ supplies the primitives the rest of the package leans on:
 * the order of label arrays (``_lex_order``), Python's sort on keys rounded
   to 9 decimals, to the tie;
 * clustered spectral data (Schur form, eigenvalue clustering by proximity,
-  clusters made contiguous by LAPACK's ztrsen, block diagonalization with
-  one ztrsyl per cluster);
-* Sylvester solves, the matrix exponential, and a matrix logarithm whose
-  branch is chosen per eigenvalue cluster so that the result's spectrum lands
-  inside a prescribed transversal.  ``solve_sylvester`` is Bartels-Stewart
-  as ``scipy.linalg.solve_sylvester`` computes it, with the same bits, on
-  Schur forms from ``_schur`` (one zgees call, ``scipy.linalg.schur``'s
-  form to the bit), but it refuses ztrsyl's info 1, which scipy's solver
-  ignores.  ``_triangular_sylvester`` solves ``(t +
-  s) Y - Y t = C`` on one triangular t for many shifts s, one ztrsyl each,
-  as the orders of normalize's series gauge need in the basis that block
-  diagonalizes A(0) over its shift groups; its caller checks the
-  separation of the spectra, once for every order;
+  clusters made contiguous by LAPACK's ztrsen, grouped until each spectral
+  projector is bounded, block diagonalization with one ztrsyl per group);
+* Sylvester solves (``solve_sylvester``, scipy's Bartels-Stewart to the
+  bit but refusing ztrsyl's info 1; ``_triangular_sylvester`` on one
+  triangular t for many shifts), the matrix exponential, and a matrix
+  logarithm whose branch is chosen per group so that the result's
+  spectrum lands inside a prescribed transversal;
 * the fold of a spectrum into a strip, as a matrix (``_fold``, one
   projector update of the Schur form) or as the shift groups and
   similarity of a gauge (``_shift_groups``);
@@ -303,6 +297,12 @@ def _svd_split(m, tol):
     return vh[rank:].conj().T, u, s, rank
 
 
+def _is_singular(svals, tol):
+    """Whether the descending singular values ``svals`` of a data matrix
+    make it singular: the smallest at most eps_res max(1, the largest)."""
+    return bool(svals.size) and svals[-1] <= tol.eps_res * max(1.0, svals[0])
+
+
 def solve_sylvester(a, b, c, tol=None):
     """Solve ``A X - X B = C`` for spectra separated beyond eps_spec.
 
@@ -422,10 +422,6 @@ class SpectralData:
     block_form: np.ndarray
     matrix: np.ndarray = field(default=None, repr=False, compare=False, kw_only=True)
 
-    @property
-    def dim(self):
-        return self.similarity.shape[0]
-
     @functools.cached_property
     def diagnostics(self):
         if self.matrix is None:
@@ -442,25 +438,11 @@ class SpectralData:
         return {"subspace_residuals": residuals,
                 "reassembly_residual": res / norm_m if norm_m else res}
 
-    def eigenvalues(self):
-        return [c.eigenvalue for c in self.clusters]
-
-
-def _cluster_indices(values, radius):
-    """Connected components of the proximity graph |v_i - v_j| <= radius,
-    labelled in order of first appearance.  Values whose real parts are
-    more than the radius apart (``_apart``) are singletons, with no N x N
-    graph built."""
-    values = np.asarray(values, dtype=complex)
-    if _apart(values.real, radius):
-        return list(range(len(values)))
-    return _connected_components(np.abs(values[:, None] - values[None, :]) <= radius)
-
 
 def _apart(reals, radius):
     """Whether every two of ``reals`` differ by more than ``radius``: each
     gap between neighbours in sorted order does.  Exact for the tests of
-    ``_cluster_indices`` and ``_merge_keys``: rounding is monotone, so a
+    ``_cluster_triangular`` and ``_merge_keys``: rounding is monotone, so a
     rounded difference of two values is at least that of two neighbours
     between them, and ``|z| >= |Re z|`` holds for ``abs`` as computed."""
     reals = reals.copy()
@@ -602,16 +584,14 @@ def _cluster_triangular(t, q, tol):
 
     When the real parts of the diagonal are more than eps_spec apart
     (``_apart``), every eigenvalue is its own cluster: ``t``, ``q`` come
-    back as they are with the blocks ``(i, i + 1, t_ii / 1)``, what the
-    graph path gives to the bit (numpy's complex division by 1 sets the
-    signs of zero parts as the means' division does), and no graph is
-    built.  Otherwise the clusters are the connected components of the
-    proximity graph (``_cluster_indices``'s), and ``_group_blocks`` orders
-    them by first appearance on the diagonal: nothing moves unless one has
-    members apart.  The means are
-    one ``np.add.reduceat`` over the diagonal, which sums a cluster of
-    three or more in another order than ``np.mean``.  Returns ``(t, q,
-    blocks)`` as ``_clustered_schur``.
+    back as they are with the blocks ``(i, i + 1, t_ii / 1)``, the graph
+    path's to the bit (the division by 1 sets the signs of zero parts as the
+    means' division does), and no graph is built.  Otherwise the clusters
+    are the connected components of the graph |t_ii - t_jj| <= eps_spec,
+    ordered by first appearance by ``_group_blocks`` (nothing moves unless
+    one has members apart), and the means are one ``np.add.reduceat`` over
+    the diagonal, which sums a cluster of three or more in another order
+    than ``np.mean``.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
     """
     diagonal = np.diag(t)
     if _apart(diagonal.real, tol.eps_spec):
@@ -627,21 +607,21 @@ def _cluster_triangular(t, q, tol):
 def spectral(m, tol=None):
     """Cluster the spectrum of a square matrix and block-diagonalize it.
 
-    Eigenvalues joined by a chain of gaps within eps_spec form one cluster;
-    the returned similarity carries each cluster's generalized eigenspace in
-    contiguous columns.  It is ``q v`` for the clustered Schur form ``q t
-    q^H`` of the matrix and the ``v`` of ``_decouple``, one ztrsyl per
-    cluster, and the block form is the diagonal blocks of ``t``.  Raises
-    ``NumericFailure`` where ztrsyl finds two clusters too close to split.
+    Eigenvalues joined by a chain of gaps within eps_spec form one cluster,
+    and the clusters are grouped by ``_bounded_groups``, so that the pieces
+    of a Jordan block that rounding splits are one group; each returned
+    cluster is a group, its generalized eigenspace in contiguous columns of
+    the similarity ``q v`` for the grouped Schur form ``q t q^H`` and the
+    ``v`` of ``_decouple``; the block form is ``t``'s diagonal blocks.  Two
+    groups that ztrsyl cannot split raise ``NumericFailure``.
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
-    t, q, blocks = _clustered_schur(m, tol)
-    v, _ = _decouple(t, [(start, stop) for start, stop, _ in blocks], strict=True)
-    owner = np.repeat(np.arange(len(blocks)), [stop - start for start, stop, _ in blocks])
+    _, t, q, groups, v, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
+    owner = np.repeat(np.arange(len(groups)), _block_arrays(groups)[1])
     similarity = q @ v
     clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
-                     for start, stop, lam in blocks)
+                     for start, stop, lam in groups)
     return SpectralData(clusters, similarity, np.where(owner[:, None] == owner, t, 0.0),
                         matrix=m.copy(order="K"))
 
@@ -691,6 +671,10 @@ def _cluster_shifts(t, blocks, transversal, to_strip):
     values = to_strip(values)
     shifts = transversal.shift(values)
     own = shifts[:len(blocks)]
+    try:
+        ints = [int(shift) for shift in own.tolist()]
+    except (ValueError, OverflowError):   # a shift of inf or nan
+        raise NumericFailure("a cluster mean has no strip shift in the float range")
     if len(blocks) < len(t):
         apart = shifts[len(blocks):] != np.repeat(own[several], sizes[several])
         offsets = np.cumsum(sizes[several]) - sizes[several]
@@ -699,21 +683,21 @@ def _cluster_shifts(t, blocks, transversal, to_strip):
             warnings.warn(
                 "cluster at %s straddles a strip boundary; shift forced to %d "
                 "(boundary distance %.3e)"
-                % (blocks[c][2], own[c], transversal.boundary_distance(values[c].item())),
+                % (blocks[c][2], ints[c], transversal.boundary_distance(values[c].item())),
                 TransversalBranchWarning,
             )
-    return [int(shift) for shift in own.tolist()]
+    return ints
 
 
 def log_transversal(m, transversal, tol=None):
     """Matrix A with ``exp(2*pi*i*A/tau) = m`` and spectrum inside the strip.
 
-    The branch integer is chosen once per eigenvalue cluster, so Jordan
-    structure is never torn across a branch cut.  Eigenvalue clusters whose
-    members would individually reduce to different strip representatives are
-    flagged with a ``TransversalBranchWarning`` carrying a condition estimate.
-    ``NumericFailure`` is raised where ztrsyl finds two clusters too close
-    to split.
+    The branch integer is chosen once per group of eigenvalue clusters
+    (``_bounded_groups``), so Jordan structure is never torn across a branch
+    cut, not even where rounding splits a Jordan block into clusters.  A
+    group whose members alone would reduce by other shifts is flagged with a
+    ``TransversalBranchWarning``, and two groups that ztrsyl cannot split
+    raise ``NumericFailure``.
     """
     f, q = _log_schur(as_square_matrix(m), transversal, tol or DEFAULT_TOL)
     return q @ f @ q.conj().T
@@ -721,26 +705,30 @@ def log_transversal(m, transversal, tol=None):
 
 def _log_schur(m, transversal, tol, svals=None):
     """``(f, q)`` with ``log_transversal(m) = q f q^H``: ``q`` the Schur
-    vectors of ``m`` and ``f`` exactly upper triangular, the block function
-    of unit triangular factors and triangular blocks.  ``svals`` are the
-    singular values of ``m`` if the caller has them; an empty ``m`` is
-    refused as singular whatever they are."""
+    vectors of ``m`` grouped by ``_bounded_groups``, ``f`` exactly upper
+    triangular, a log series per group at its mean joined by ``_decouple``'s
+    factors.  ``svals`` are the singular values of ``m`` if the caller has
+    them; an empty ``m`` is refused as singular whatever they are."""
     if not m.size:
         svals = np.zeros(1)
     elif svals is None:
         svals = np.linalg.svd(m, compute_uv=False)
     if svals[-1] <= tol.eps_res * svals[0]:
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
-    t, q, blocks = _clustered_schur(m, tol)
+    _, t, q, groups, v, w = _bounded_groups(*_clustered_schur(m, tol), tol)
     scale = transversal.tau / TWO_PI_I
-    shifts = _cluster_shifts(t, blocks, transversal, lambda values: np.array(
+    shifts = _cluster_shifts(t, groups, transversal, lambda values: np.array(
         [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
-    # on each block, scale times the branch of its log lowered by shift turns
-    diagonal = [scale * ((cmath.log(lam) - TWO_PI_I * shift) * np.eye(s1 - s0)
-                         + _atomic_log_series(t[s0:s1, s0:s1], lam))
-                for (s0, s1, lam), shift in zip(blocks, shifts)]
-    v, w = _decouple(t, [(s0, s1) for s0, s1, _ in blocks], strict=True)
-    return _block_function(v, w, blocks, diagonal), q
+    # on each block, scale times the branch of its log lowered by shift turns,
+    # plus its log series; blocks of one have none, and take one array op
+    logs = [cmath.log(lam) - TWO_PI_I * shift for (_, _, lam), shift in zip(groups, shifts)]
+    if len(groups) == len(t):
+        return _block_function(v, w, np.diag(scale * (np.array(logs) + 0.0))), q
+    d = np.zeros(t.shape, dtype=complex)
+    for (s0, s1, lam), z in zip(groups, logs):
+        d[s0:s1, s0:s1] = scale * (z * np.eye(s1 - s0)
+                                   + _atomic_log_series(t[s0:s1, s0:s1], lam))
+    return _block_function(v, w, d), q
 
 
 def _group_blocks(t, q, blocks, keys):
@@ -784,54 +772,118 @@ def _group_blocks(t, q, blocks, keys):
     return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))
 
 
-def _decouple(t, bounds, strict=False):
+def _decouple(t, bounds):
     """Block diagonalize the upper triangular ``t`` on the contiguous
-    diagonal blocks ``bounds = [(start, stop), ...]`` that cover it in order.
+    diagonal blocks ``bounds = [(start, stop, key), ...]`` covering it.
 
-    Returns ``(v, w)`` with ``w = v^-1`` and ``w t v`` block diagonal, equal
-    to ``t`` on the blocks: columns i of ``v`` and rows i of ``w`` are the
-    right and left factors of the spectral projector on block i.  Row block i
-    of ``w`` is ``[0, I, -r_i]``, where ``t_ii r_i - r_i t_rest = -t_(i,
-    rest)`` splits block i from all the blocks after it; a split leaves the
-    blocks after it unchanged, so each is one ztrsyl call on ``t`` itself.
-    ``v`` is the inverse of the unit triangular ``w``: for two blocks it is
-    ``[[I, -w_01], [0, I]]``, written down, and for more LAPACK's ztrtri.
-    Blocks too close to split (ztrsyl info 1, which perturbs the coinciding
-    eigenvalues) give factors of huge norm: callers check the norms, or pass
-    ``strict`` to have ``NumericFailure`` raised.  A single block, or none,
-    gives ``v = w = I``.
+    Returns ``(v, w, unresolved)``, ``w = v^-1``, ``w t v`` block diagonal
+    and equal to ``t`` on the blocks, the columns of ``v`` and rows of ``w``
+    on block i the factors of its spectral projector.  Row block i of ``w``
+    is ``[0, I, -r_i]``, one ztrsyl ``t_ii r_i - r_i t_rest = -t_(i, rest)``
+    on ``t`` itself; ``v`` is ``[[I, -w_01], [0, I]]`` for two blocks, else
+    ztrtri's inverse.  ``unresolved`` lists the splits ztrsyl found too
+    close to resolve (info 1: it perturbs the eigenvalues, and the factors
+    get a huge norm).  One block, or none, gives ``v = w = I``.
     """
     n = t.shape[0]
-    w = np.eye(n, dtype=complex)
+    w, unresolved = np.eye(n, dtype=complex), []
     if len(bounds) < 2:
-        return np.eye(n, dtype=complex), w
-    for start, stop in bounds[:-1]:
+        return np.eye(n, dtype=complex), w, unresolved
+    for i, (start, stop, _) in enumerate(bounds[:-1]):
         y, scale, info = scipy.linalg.lapack.ztrsyl(
             t[start:stop, start:stop], t[stop:, stop:], t[start:stop, stop:], isgn=-1)
-        if info < 0 or (strict and info):
+        if info < 0:
             raise NumericFailure("Sylvester solve failed (ztrsyl info %d)" % info)
+        if info:
+            unresolved.append(i)
         w[start:stop, stop:] = y if scale == 1.0 else y / scale
     if len(bounds) == 2:
-        v = np.eye(n, dtype=complex)
-        stop = bounds[0][1]
+        v, stop = np.eye(n, dtype=complex), bounds[0][1]
         np.negative(w[:stop, stop:], out=v[:stop, stop:])
-        return v, w
-    v, info = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
-    if info != 0:
+        return v, w, unresolved
+    v, trtri = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
+    if trtri != 0:
         raise NumericFailure("inverting the projector factors failed (ztrtri info %d)"
-                             % info)
-    return v, w
+                             % trtri)
+    return v, w, unresolved
 
 
-def _block_function(v, w, blocks, diagonal):
-    """``f(t) = v diag(f(t_ii)) w`` from ``diagonal = [f(t_ii), ...]`` on the
-    ``blocks`` of a triangular ``t`` and ``(v, w) = _decouple(t, ...)``; the
-    mean of ``f(t_ii)`` is added after the products, which then round with
+# The projectors of the pieces of a Jordan block that rounding splits reach
+# 1e8 and more; those of well separated eigenvalues stay near 1.
+_PROJECTOR_BOUND = 1e4
+
+
+def _projector_norms(v, w, groups, bound):
+    """The squares of ``|v_g|_F |w_g|_F``, bounds on the norms of the
+    projectors ``v_g w_g`` on the ``groups = [(start, ...), ...]``; or None,
+    for one ``vdot`` each, when ``|v|_F |w|_F`` is at most ``bound``."""
+    if np.vdot(v, v).real * np.vdot(w, w).real <= bound * bound:
+        return None
+    starts = [g[0] for g in groups]
+    return (np.add.reduceat(np.einsum("ij,ij->j", v.conj(), v).real, starts)
+            * np.add.reduceat(np.einsum("ij,ij->i", w.conj(), w).real, starts))
+
+
+def _bounded_groups(t, q, blocks, tol):
+    """Group the clusters of a clustered Schur form ``(t, q, blocks)`` until
+    each group's spectral projector has Frobenius norm at most
+    ``_PROJECTOR_BOUND`` (Bavely & Stewart, SIAM J. Numer. Anal. 1979): a
+    group above it, or one ztrsyl could not split off, joins its nearest
+    cluster, and the groups are made contiguous by ``_group_blocks`` and
+    split again by ``_decouple``.  A join is one eigenvalue within
+    tolerance: a gap of at most P eps_res |t|_F, P the projector norm,
+    which a perturbation of t within eps_res closes to first order, and at
+    most 4 (n u)^(1/n) |t|_F, twice as far as the Schur form's backward
+    error moves an eigenvalue (Elsner, Linear Algebra Appl. 1985).  A split
+    ztrsyl could not make and no join mends raises ``NumericFailure``.
+    Returns ``(group, t, q, groups, v, w)``: each cluster's group, numbered
+    in order, the Schur form with the block ``(start, stop, mean)`` of each
+    group (its clusters' means weighted by size), and ``(v, w)`` over the
+    groups; ``t``, ``q``, ``blocks`` as they are when no clusters join.
+    """
+    form, groups, group = (t, q), blocks, None
+    while True:
+        v, w, unresolved = _decouple(t, groups)
+        norms = _projector_norms(v, w, groups, _PROJECTOR_BOUND) if len(groups) > 1 else None
+        ill = {} if norms is None else {g: math.sqrt(norms[g]) for g in np.flatnonzero(
+            ~(norms <= _PROJECTOR_BOUND ** 2)).tolist()}
+        for g in unresolved:   # ztrsyl's info 1: eigenvalues within its rounding
+            ill.setdefault(g, 1.0)
+        if not ill:
+            break
+        if group is None:
+            _, sizes, values = _block_arrays(blocks)
+            n, scale = len(t), np.linalg.norm(t)
+            group, reach = np.arange(len(blocks)), tol.eps_res * scale
+            radius = 4 * (n * np.finfo(float).eps / 2) ** (1 / n) * scale
+        near = group[:, None] == group
+        for g, norm in ill.items():
+            inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
+            gaps = np.abs(values[inside, None] - values[outside])
+            i, j = np.unravel_index(gaps.argmin(), gaps.shape)
+            if gaps[i, j] <= radius and not gaps[i, j] > norm * reach:   # nan: unbounded
+                near[inside[i], outside[j]] = near[outside[j], inside[i]] = True
+        joined = np.array(_connected_components(near))
+        if joined.max() == group.max():   # no join within reach
+            if unresolved:
+                raise NumericFailure("Sylvester solve failed (ztrsyl info 1)")
+            break
+        group = joined
+        t, q, groups = _group_blocks(*form, blocks, group.tolist())
+    if len(groups) == len(blocks):
+        return list(range(len(blocks))), t, q, blocks, v, w
+    start, size, _ = _block_arrays(groups)
+    means = ((np.bincount(group, values.real * sizes)
+              + 1j * np.bincount(group, values.imag * sizes)) / size).tolist()
+    return group.tolist(), t, q, list(zip(start.tolist(), (start + size).tolist(), means)), v, w
+
+
+def _block_function(v, w, d):
+    """``f(t) = v d w`` for ``d = diag(f(t_ii))``, block diagonal on the
+    blocks of a triangular ``t``, and ``(v, w) = _decouple(t, ...)``; the
+    mean of d's diagonal is added after the products, which then round with
     the spread of the values, not their size.
     """
-    d = np.zeros(v.shape, dtype=complex)
-    for (s0, s1, _), block in zip(blocks, diagonal):
-        d[s0:s1, s0:s1] = block
     mean = np.trace(d) / len(d)
     d[np.diag_indices_from(d)] -= mean
     f = v @ d @ w
@@ -861,18 +913,15 @@ def _fold(t, q, blocks, transversal, tol):
     ``(t, q, blocks)`` of the matrix, whose Schur form the caller may know
     without a Schur iteration.
 
-    Returns ``(f, q, shifts)``: the folded matrix is ``q f q^H``, with ``f``
-    upper triangular and ``q`` the Schur vectors reordered by shift, and
-    shifts as ``reduce_to_transversal`` lists them; ``(t, q)`` come back as
-    they are when no cluster shifts.  The result is a constant shift on each
-    group of clusters sharing a shift (``_shift_groups``, which raises
-    ``NumericFailure`` when those groups are too close to split accurately).
-    A function of the block diagonalized ``t`` is fixed by its values on the
-    blocks (Higham, *Functions of Matrices*, SIAM 2008, ch. 1), and ``t``
-    itself is ``v diag(t_gg) w``, so the fold is one projector update, ``f
-    = t - tau v K w`` with ``K`` the shifts on the columns of their groups,
-    over the columns that move.  ``v`` and ``w`` are upper triangular, so
-    ``f`` is exactly upper triangular, as ``t`` is.
+    Returns ``(f, q, shifts)``: the folded matrix is ``q f q^H``, ``q``
+    the Schur vectors reordered by shift, and shifts as
+    ``reduce_to_transversal`` lists them; ``(t, q)`` come back as they are
+    when no cluster shifts.  The fold is a constant shift on each group of
+    clusters sharing a shift (``_shift_groups``), and a function of the
+    block diagonalized ``t = v diag(t_gg) w`` is fixed by its values on the
+    blocks (Higham, *Functions of Matrices*, SIAM 2008, ch. 1), so it is
+    one projector update, ``f = t - tau v K w`` with ``K`` the shifts of the
+    columns that move: exactly upper triangular, as ``t``, ``v``, ``w`` are.
     """
     t, q, groups, v, w, pairs = _shift_groups(t, q, blocks, transversal, tol)
     if not groups:
@@ -891,17 +940,21 @@ def _shift_groups(t, q, blocks, transversal, tol):
     the groups, so that ``(q v)^-1 M (q v)`` is block diagonal over them,
     and pairs ``(cluster eigenvalue, shift)``.  When no cluster shifts,
     ``(t, q)`` come back as they are, with no groups and ``v = w = None``.
-    Raises ``NumericFailure`` when a group's projector norm tops eps_res
-    over the unit roundoff, as for a Jordan block split by the edge.
+    Raises ``NumericFailure`` when ztrsyl cannot split two groups, and when
+    a group's projector norm (``_projector_norms``) tops eps_res over the
+    unit roundoff, as for a Jordan block split by the edge.
     """
     shifts = _cluster_shifts(t, blocks, transversal, lambda values: values)
     pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
     if all(s == 0 for s in shifts):
         return t, q, [], None, None, pairs
     t, q, groups = _group_blocks(t, q, blocks, shifts)
-    v, w = _decouple(t, [(g0, g1) for g0, g1, _ in groups], strict=True)
-    # |v_g|_F |w_g|_F bounds the norm of group g's spectral projector
-    norm = max(np.linalg.norm(v[:, a:b]) * np.linalg.norm(w[a:b]) for a, b, _ in groups)
-    if norm * np.finfo(float).eps / 2 > tol.eps_res:
-        raise NumericFailure("projector norm %.1e: shift groups too close" % norm)
+    v, w, unresolved = _decouple(t, groups)
+    if unresolved:
+        raise NumericFailure("Sylvester solve failed (ztrsyl info 1)")
+    limit = tol.eps_res / (np.finfo(float).eps / 2)
+    norms = _projector_norms(v, w, groups, limit)
+    if norms is not None and not norms.max() <= limit * limit:
+        raise NumericFailure("projector norm %.1e: shift groups too close"
+                             % math.sqrt(norms.max()))
     return t, q, groups, v, w, pairs

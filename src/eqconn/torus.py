@@ -23,8 +23,8 @@ import numpy as np
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
-from .numkit import (DEFAULT_TOL, _clustered_schur, _lex_order, _merge_keys, _snap,
-                     as_square_matrix)
+from .numkit import (DEFAULT_TOL, _bounded_groups, _clustered_schur, _is_singular,
+                     _lex_order, _merge_keys, _snap, as_square_matrix)
 
 TWO_PI_I = 2j * math.pi
 
@@ -560,26 +560,24 @@ def divisor_equivalent(d1, d2, tol=None):
 def is_nori_finite(rep_or_matrix, d_max=64, tol=None):
     """Whether the monodromy factors through a finite group: every matrix is
     diagonalizable and every eigenvalue is a root of unity of order <= d_max.
+
+    When the clusters of each matrix pass, clusters that ``_bounded_groups``
+    joins, as the pieces of a Jordan block that rounding splits, are defective.
     """
     tol = tol or DEFAULT_TOL
     if d_max < 1:
         raise ValidationFailure("order bound must be at least 1")
-    if isinstance(rep_or_matrix, MonodromyPair):
-        mats = [rep_or_matrix.M1, rep_or_matrix.M2]
-    else:
-        mats = [rep_or_matrix]
-    for m in mats:
+    pair = isinstance(rep_or_matrix, MonodromyPair)
+    for m in (rep_or_matrix.M1, rep_or_matrix.M2) if pair else (rep_or_matrix,):
         m = as_square_matrix(m)
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals.size and svals[-1] <= tol.eps_res * max(1.0, svals[0]):
+        if _is_singular(np.linalg.svd(m, compute_uv=False), tol):
             raise ValidationFailure("monodromy matrix is singular")
-        t, _, blocks = _clustered_schur(m, tol)
+        t, q, blocks = _clustered_schur(m, tol)
         scale = max(1.0, float(np.linalg.norm(m)))
         for start, stop, lam in blocks:
             nilpotent = t[start:stop, start:stop] - lam * np.eye(stop - start)
-            if float(np.linalg.norm(nilpotent)) > tol.eps_spec * scale:
-                return False
-            if abs(abs(lam) - 1.0) > tol.eps_spec:
+            if (float(np.linalg.norm(nilpotent)) > tol.eps_spec * scale
+                    or abs(abs(lam) - 1.0) > tol.eps_spec):
                 return False
             power = 1.0 + 0.0j
             for _ in range(d_max):
@@ -588,4 +586,6 @@ def is_nori_finite(rep_or_matrix, d_max=64, tol=None):
                     break
             else:
                 return False
+        if len(_bounded_groups(t, q, blocks, tol)[3]) < len(blocks):
+            return False
     return True

@@ -12,6 +12,12 @@ move when the library's fold does, and the fold tests use it as the oracle.
 ``frozen_fold`` is the library's fold as it once finished, the block
 function ``v diag(t_gg - k_g tau I) w`` over the shift groups; the fold's
 projector update ``t - tau v K w`` must match it to rounding.
+``frozen_projector_groups`` is ``category._projector_groups`` as it stood
+when Hom alone grouped clusters by the norms of their spectral projectors,
+with frozen copies of the ztrsyl split, the ztrsen reorder and the
+Cholesky factors it called; on the Hom tests' inputs
+``numkit._bounded_groups`` must give the same groups and, orthonormalized
+by the same Cholesky factors, the same projector factors, to the bit.
 ``reference_log_transversal`` is the branch-chosen logarithm on them, with
 ``scipy.linalg.logm`` on each cluster's block.  ``reference_tensor`` and
 ``reference_dual`` fold the dense Kronecker sum of two normal forms, and
@@ -30,9 +36,10 @@ element for element.  ``reference_divisor_equivalent`` is
 ``divisor_equivalent`` as it stood when negating a divisor reduced and
 merged its points again, so that the difference took two merges.
 
-``reference_spectral`` is ``eqconn.numkit.spectral`` as it stands on the
-Givens-sorted Schur form above: ``scramble`` takes its shears from it, so the
-scrambled inputs do not move when the library's spectral code does.
+``reference_spectral`` is ``eqconn.numkit.spectral`` as it stood, one block
+per ``eps_spec`` cluster, on the Givens-sorted Schur form above: ``scramble``
+takes its shears from it, so the scrambled inputs do not move when the
+library's spectral code does.
 ``reference_spectral_diagnostics`` computes the residuals ``spectral`` once
 computed eagerly.
 
@@ -42,7 +49,8 @@ computed eagerly.
 ``eqconn.numkit.solve_sylvester`` must match it to the bit, and the series
 gauge's solves on one Schur form must match it to rounding.
 The library's ``spectral`` block diagonalizes the same Schur form with one
-ztrsyl per cluster instead, and matches ``reference_spectral`` to rounding.
+ztrsyl per projector-bounded group instead, and matches ``reference_spectral``
+to rounding wherever no clusters join.
 
 ``reference_hom_basis`` and ``reference_hom_mode_dims`` take the kernel of
 the whole stacked Kronecker system of the intertwining equations, one SVD
@@ -50,8 +58,9 @@ per Hom or mode; the library's Hom by eigenvalue component must match their
 dimensions and spaces.
 
 ``reference_is_nori_finite`` is ``eqconn.torus.is_nori_finite`` on the
-block diagonal form of ``eqconn.numkit.spectral``, where the library reads
-the diagonal blocks of the clustered Schur form, which are that form's.
+block diagonal form of ``eqconn.numkit.spectral``, whose blocks are the
+groups of ``numkit._bounded_groups``; the library tests each cluster of
+the clustered Schur form first and groups only when all of them pass.
 
 ``reference_normalize`` is ``eqconn.category.normalize`` as it stood when it
 sheared every cluster into the strip and formed every power: B sheared
@@ -280,6 +289,124 @@ def frozen_fold(t, v, w, groups, tau):
     f = v @ d @ w
     f[np.diag_indices_from(f)] += mean
     return f
+
+
+def frozen_projector_groups(t, q, blocks):
+    """``eqconn.category._projector_groups`` as it stood when Hom alone
+    grouped clusters: clusters are grouped until the spectral projector of
+    each group has Frobenius norm at most 1e4, a group whose projector
+    exceeds it joined to the nearest cluster outside it and the groups made
+    contiguous by ztrsen (``_frozen_group_blocks``) and split by ztrsyl
+    (``_frozen_decouple``) again.  Returns ``(group, t, q, runs, u, lh)``:
+    the group of each cluster, the grouped Schur form with the block
+    ``(start, stop)`` of each group, and ``u = v rho^-1``, ``lh = rho w`` for
+    the ``(v, w)`` of the last split and the Cholesky factor ``rho`` of each
+    group's Gram matrix of ``v``.  Every LAPACK step is a frozen copy of the
+    library's as it stood then, so no change to the library moves it."""
+    n = t.shape[0]
+    if len(blocks) < 2:
+        eye = np.eye(n, dtype=complex)
+        return [0] * len(blocks), t, q, [(0, n)] * len(blocks), eye, eye
+    form = t, q
+    runs = [(start, stop) for start, stop, _ in blocks]
+    group = list(range(len(blocks)))
+    near = None
+    while True:
+        v, w = _frozen_decouple(t, runs)
+        starts = [start for start, _ in runs]
+        within = (np.add.reduceat(np.einsum("ij,ij->j", v.conj(), v).real, starts)
+                  * np.add.reduceat(np.einsum("ij,ij->i", w.conj(), w).real, starts)
+                  <= 1e4 ** 2)
+        if within.all() or len(runs) == 1:
+            owner = np.repeat(np.arange(len(runs)), np.diff(starts + [n]))
+            gram = (v.conj().T @ v) * (owner[:, None] == owner)
+            rho, info = scipy.linalg.lapack.zpotrf(gram)
+            assert info == 0
+            rho_inv = scipy.linalg.lapack.ztrtri(rho)[0]
+            return group, t, q, runs, v @ rho_inv, rho @ w
+        if near is None:
+            values = np.array([lam for _, _, lam in blocks], dtype=complex)
+            near = np.eye(len(blocks), dtype=bool)
+        ill = np.flatnonzero(~within)
+        group = np.array(group)
+        for g in ill:
+            inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
+            gaps = np.abs(values[inside, None] - values[outside])
+            i, j = np.unravel_index(gaps.argmin(), gaps.shape)
+            near[inside[i], outside[j]] = near[outside[j], inside[i]] = True
+        group = _frozen_components(near)
+        t, q, runs = _frozen_group_blocks(*form, blocks, group)
+
+
+def _frozen_decouple(t, runs):
+    """``(v, w)``, ``w = v^-1`` block diagonalizing the triangular ``t`` on
+    the contiguous ``runs = [(start, stop), ...]``: row block i of ``w`` is
+    ``[0, I, -r_i]``, r_i one ztrsyl splitting block i from the blocks after
+    it, and ``v`` is ``[[I, -w_01], [0, I]]`` for two blocks, else ztrtri's
+    inverse of ``w``."""
+    n = t.shape[0]
+    w = np.eye(n, dtype=complex)
+    if len(runs) < 2:
+        return np.eye(n, dtype=complex), w
+    for start, stop in runs[:-1]:
+        y, scale, info = scipy.linalg.lapack.ztrsyl(
+            t[start:stop, start:stop], t[stop:, stop:], t[start:stop, stop:], isgn=-1)
+        assert info >= 0
+        w[start:stop, stop:] = y if scale == 1.0 else y / scale
+    if len(runs) == 2:
+        v = np.eye(n, dtype=complex)
+        stop = runs[0][1]
+        np.negative(w[:stop, stop:], out=v[:stop, stop:])
+        return v, w
+    v, info = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
+    assert info == 0
+    return v, w
+
+
+def _frozen_components(near):
+    """Connected components of the graph with adjacency matrix ``near``,
+    labelled in order of first appearance."""
+    label, count = [-1] * len(near), 0
+    for first in range(len(near)):
+        if label[first] < 0:
+            label[first], stack = count, [first]
+            while stack:
+                for k in np.flatnonzero(near[stack.pop()]).tolist():
+                    if label[k] < 0:
+                        label[k] = count
+                        stack.append(k)
+            count += 1
+    return label
+
+
+def _frozen_group_blocks(t, q, blocks, keys):
+    """The Schur form ``q t q^H`` reordered so that the clusters ``blocks``
+    sharing a key sit in one contiguous run, runs in increasing key: keys
+    already increasing need no reordering; otherwise one ztrsen per key
+    boundary selects every cluster up to it, skipped where the selection
+    already sits on top.  Returns ``(t, q, runs)``, runs ``(start, stop)``."""
+    if all(a <= b for a, b in zip(keys, keys[1:])):
+        runs = []
+        for (start, stop, _), key in zip(blocks, keys):
+            if runs and runs[-1][2] == key:
+                runs[-1] = (runs[-1][0], stop, key)
+            else:
+                runs.append((start, stop, key))
+        return t, q, [run[:2] for run in runs]
+    member = np.repeat(keys, [s1 - s0 for s0, s1, _ in blocks])
+    own = False
+    for level in sorted(set(keys))[:-1]:
+        select = member <= level
+        if select[:np.count_nonzero(select)].all():
+            continue
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
+            select, t, q, job="N", overwrite_t=own, overwrite_q=own)
+        assert info == 0
+        own = True
+        member = np.concatenate([member[select], member[~select]])
+    _, counts = np.unique(member, return_counts=True)
+    stops = np.cumsum(counts)
+    return t, q, list(zip((stops - counts).tolist(), stops.tolist()))
 
 
 def reference_log_transversal(m, transversal, eps_spec=1e-8):

@@ -64,7 +64,9 @@ from eqconn.numkit import (
 from eqconn.serialize import encode_normal_form
 from eqconn.torus import is_nori_finite, psi_star
 from reference import (
+    _cluster_indices as reference_cluster_indices,
     frozen_lex_key,
+    frozen_projector_groups,
     reference_balance,
     reference_decompose,
     reference_dual,
@@ -1013,7 +1015,7 @@ def _check_handed_over_form(nf):
     assert not np.tril(t, -1).any()
     assert not (t.flags.writeable or q.flags.writeable or nf.A0.flags.writeable)
     assert np.linalg.norm(q @ t @ q.conj().T - nf.A0) <= 1e-13 * scale
-    labels = eqconn.numkit._cluster_indices(np.diag(t), DEFAULT_TOL.eps_spec)
+    labels = reference_cluster_indices(list(np.diag(t)), DEFAULT_TOL.eps_spec)
     assert [s0 for s0, _, _ in blocks] + [len(t)] == [0] + [s1 for _, s1, _ in blocks]
     assert [labels[s0:s1] for s0, s1, _ in blocks] == [[i] * (s1 - s0)
                                                        for i, (s0, s1, _) in enumerate(blocks)]
@@ -1372,8 +1374,9 @@ def test_hom_groups_clusters_with_ill_conditioned_projectors(monkeypatch):
     # group, made one block of the Schur form, and a conjugate of the
     # object, split otherwise by rounding, still meets it
     x = split_cluster_form(1e-6, 0.5)
-    group, t, q, runs, v, w = eqconn.category._projector_groups(*x.schur_form())
-    assert group == [0, 1, 0] and runs == [(0, 2), (2, 3)]
+    group, t, q, groups, v, w = eqconn.numkit._bounded_groups(*x.schur_form(), DEFAULT_TOL)
+    assert group == [0, 1, 0] and [g[:2] for g in groups] == [(0, 2), (2, 3)]
+    assert np.allclose([g[2] for g in groups], [0.3 * TAU + 5e-7, 0.6 * TAU], atol=1e-12)
     assert np.allclose(q @ t @ q.conj().T, x.A0, atol=1e-14)
     block = w @ t @ v
     assert np.linalg.norm(block[:2, 2:]) + np.linalg.norm(block[2:, :2]) < 1e-13
@@ -1386,14 +1389,52 @@ def test_hom_groups_clusters_with_ill_conditioned_projectors(monkeypatch):
     assert len(assert_hom_matches_oracle(x, y)) == len(assert_hom_matches_oracle(y, x)) == 3
 
 
+def hom_grouping_inputs(rng):
+    """The normal forms the Hom tests group: split clusters, coupled and
+    not, the factors and products of the tensor cases, and defective forms
+    with conjugates of them."""
+    yield split_cluster_form(1e-6, 0.5)
+    yield split_cluster_form(1e-5, -1.0 / (0.3 * TAU + 1e-5 - 0.6 * TAU))
+    for _, make in TENSOR_CASES:
+        x, y = make(rng)
+        yield from (x, y, tensor(x, y))
+    for groups in (1, 2, 3):
+        x = util.random_defective_normal_form(rng, groups)
+        yield from (x, util.conjugate(x, util.well_conditioned(rng, x.n)))
+
+
+def test_bounded_groups_are_the_frozen_hom_grouping_to_the_bit():
+    """``numkit._bounded_groups`` is the grouping Hom once made itself: the
+    same groups, the same grouped Schur form and, orthonormalized by the
+    Cholesky factors of its Gram matrices as Hom does, the same projector
+    factors, to the bit; and the Hom side's means are the groups'."""
+    merged = 0
+    for x in hom_grouping_inputs(np.random.default_rng(53)):
+        t, q, blocks = x.schur_form()
+        group, gt, gq, groups, v, w = eqconn.numkit._bounded_groups(t, q, blocks, DEFAULT_TOL)
+        want_group, want_t, want_q, runs, want_u, want_lh = frozen_projector_groups(t, q, blocks)
+        assert list(group) == list(want_group) and [g[:2] for g in groups] == runs
+        for got, want in ((gt, want_t), (gq, want_q)):
+            assert got.tobytes() == want.tobytes()
+        sizes = [stop - start for start, stop in runs]
+        rho, rho_inv = eqconn.category._cholesky_pair(
+            v, np.repeat(np.arange(len(runs)), sizes))
+        assert (v @ rho_inv).tobytes() == want_u.tobytes()
+        assert (rho @ w).tobytes() == want_lh.tobytes()
+        side = eqconn.category._hom_side(x, DEFAULT_TOL)
+        assert side.means.tolist() == [groups[g][2] for g in group]
+        merged += len(groups) < len(blocks)
+    assert merged >= 4
+
+
 def test_hom_restricts_both_sides_to_orthonormal_bases():
     # components of several sizes: each basis block is orthonormal, the left
     # factor inverts it, and A0 on it is the compression u^H A0 u
     rng = np.random.default_rng(51)
     x = util.random_defective_normal_form(rng, 3)
     side = eqconn.category._hom_side(x, DEFAULT_TOL)
-    keys = tuple(eqconn.numkit._cluster_indices(
-        side.means, 1e-4 * eqconn.category._data_scale(x, x)))
+    keys = tuple(eqconn.numkit._connected_components(
+        np.abs(side.means[:, None] - side.means) <= 1e-4 * eqconn.category._data_scale(x, x)))
     # components of one group each, and a component of all groups
     for keys in (keys, (0,) * len(keys)):
         u, lh, ab, at, size = eqconn.category._component_bases(side, keys)

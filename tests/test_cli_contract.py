@@ -8,7 +8,11 @@ subcommand with valid inputs, then at most one fault: a non-finite,
 non-numeric or out-of-int64 option value, an unknown command or option, a
 missing positional or required option, or a malformed input; a batch adds
 ``-h`` inside a job and unreadable or ill-shaped manifests.  They run in
-process, and three of them in a subprocess as a user runs them.
+process, and three of them in a subprocess as a user runs them.  The
+matrix payloads of ``rh-from-rep`` and ``nori`` are fuzzed the same way:
+wrong types, ragged and empty matrices, M1 and M2 of different sizes,
+singular and defective matrices and entries near 1e300, in process and two
+of them in a subprocess.
 """
 
 import contextlib
@@ -20,6 +24,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,3 +240,74 @@ def run_subprocess(argv):
 def test_a_faulty_command_line_is_one_report_in_a_subprocess(argv, expect):
     code, report = run_subprocess(argv)
     assert code == 2 and expect in report["error"]["message"]
+
+
+# matrix entries: plain values, and values near the top of the float range
+VALUES = (0.0, 1.0, -2.5, 0.3, 1e-3)
+HUGE = (1e300, -1e300, 1.7e308)
+NOT_AN_ENTRY = ("x", None, True, [1.0], [1.0, 2.0, 3.0], {"re": 1.0}, 5)
+
+
+def encode(m):
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+@st.composite
+def monodromy_payloads(draw):
+    """``(argv, expect)``: a ``rh-from-rep`` or ``nori`` command line with
+    a drawn payload, and the exit code it must end with, or None where any
+    of 0, 1 and 2 may do (entries near 1e300)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("generic", "defective", "singular", "huge", "entry",
+                                 "row", "ragged", "empty", "mismatch", "not-a-pair")))
+    entries = draw(st.lists(st.sampled_from(VALUES), min_size=n * n, max_size=n * n))
+    m1 = np.array(entries, dtype=complex).reshape(n, n) + 3.0 * np.eye(n)
+    if kind == "defective":
+        m1 = draw(st.sampled_from((1.0, -1.0, 1j, 1.3))) * np.eye(n) + np.eye(n, k=1)
+    elif kind == "singular":
+        m1[draw(st.integers(0, n - 1))] = 0.0
+    elif kind == "huge":
+        m1 = draw(st.sampled_from((m1, np.eye(n) + np.eye(n, k=1))))
+        m1 = m1 / np.abs(m1).max() * draw(st.sampled_from(HUGE))
+    m2 = draw(st.sampled_from(("identity", "same")))
+    m2 = m1.copy() if m2 == "same" else np.eye(n)
+    a, b = encode(m1), encode(m2)
+    if kind == "entry":
+        a[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from(NOT_AN_ENTRY))
+    elif kind == "row":
+        a[draw(st.integers(0, n - 1))] = draw(st.sampled_from(("row", 3.0, None, {})))
+    elif kind == "ragged":
+        a[draw(st.integers(0, n - 1))].append([1.0, 0.0])
+    elif kind == "empty":
+        a = draw(st.sampled_from(([], [[]], [[]] * n)))
+    elif kind == "mismatch":
+        b = encode(np.eye(n + draw(st.sampled_from((-1, 1))) or 2))
+    elif kind == "not-a-pair":
+        a = draw(st.sampled_from(("M", 1.0, None, {"rows": a})))
+    command = draw(st.sampled_from(("rh-from-rep", "nori", "nori-one")))
+    # a lone M has no M2 to mismatch
+    expect = {"generic": 0, "defective": 0, "singular": 2, "huge": None}.get(
+        kind, 0 if (command, kind) == ("nori-one", "mismatch") else 2)
+    payload = {"M": a} if command == "nori-one" else {"M1": a, "M2": b}
+    return ["--json", command.replace("-one", ""), json.dumps(payload)], expect
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(monodromy_payloads())
+def test_every_monodromy_payload_ends_in_one_report(case):
+    argv, expect = case
+    code, report = one_report(argv)
+    assert expect is None or code == expect, report
+    if code == 0:
+        assert set(report["result"]) >= ({"nori_finite"} if argv[1] == "nori" else {"A0"})
+
+
+@pytest.mark.parametrize("payload, expect", [
+    ({"M1": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]], "M2": [[[1.0, 0.0]]]}, 2),
+    # a double eigenvalue whose cluster mean is past the float range
+    ({"M1": encode(np.diag([1.7e308, 1.7e308])), "M2": encode(np.eye(2))}, 1),
+], ids=["ragged-pair", "cluster-near-1e308"])
+def test_a_monodromy_payload_is_one_report_in_a_subprocess(payload, expect):
+    code, report = run_subprocess(["--json", "rh-from-rep", json.dumps(payload)])
+    assert code == expect and report["error"]["message"]

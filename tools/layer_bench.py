@@ -37,7 +37,13 @@ The numkit points time two public kernels at n in {2, 4, 8, 12}:
 ``well_conditioned`` and the eigenvalues spread over five strip widths
 (strip positions in (0, 1) shifted by -2 to 2 widths), and
 ``numkit.log_transversal`` of the M1 of ``random_commuting_pair``; both
-run on the clustered Schur form, and the first on the fold.
+run on the clustered Schur form, and the first on the fold.  The
+``[defective]`` points time ``numkit.log_transversal`` and
+``numkit.spectral`` at n in {4, 8, 12} on ``exp(2 pi i A0 / tau)`` of
+``random_defective_normal_form``, Jordan blocks of sizes
+``DEFECTIVE_PATTERNS[n]`` conjugated by a well conditioned matrix: rounding
+splits each block into clusters, which the projector-bounded grouping joins
+again, so these points carry the cost of its merge path.
 
 The round-trip points take a seeded commuting pair of
 ``random_commuting_pair`` at n in {4, 8, 12} and time the steps of a
@@ -86,6 +92,8 @@ SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
 GROUPS = ("laurent", "tensor", "roundtrip", "numkit")
 ROUNDTRIP_SIZES = (4, 8, 12)
 NUMKIT_SIZES = (2, 4, 8, 12)
+# Jordan block sizes per eigenvalue of the [defective] numkit points, by n
+DEFECTIVE_PATTERNS = {4: ((2,), (2,)), 8: ((3, 1), (4,)), 12: ((4, 2), (3, 1), (2,))}
 HOM_MAX_DIM = 16
 ORDER = 16
 SEED = 15
@@ -184,8 +192,9 @@ def roundtrip_points(n):
 def numkit_points(n):
     """The numkit points at ``n``, ``{"numkit.<entry>": fn}``."""
     import numpy as np
-    from eqconn.numkit import log_transversal, reduce_to_transversal
-    from util import STRIP, TAU, random_commuting_pair, well_conditioned
+    from eqconn.numkit import log_transversal, mat_exp, reduce_to_transversal, spectral
+    from util import (STRIP, TAU, random_commuting_pair, random_defective_normal_form,
+                      well_conditioned)
 
     rng = np.random.default_rng((SEED, n))
     spread = TAU * (rng.uniform(0.05, 0.95, n) + rng.integers(-2, 3, n)
@@ -193,8 +202,14 @@ def numkit_points(n):
     s = well_conditioned(rng, n)
     a = s @ np.diag(spread) @ np.linalg.inv(s)
     m1, _ = random_commuting_pair(rng, n)
-    return {"numkit.reduce_to_transversal": lambda: reduce_to_transversal(a, STRIP),
-            "numkit.log_transversal": lambda: log_transversal(m1, STRIP)}
+    points = {"numkit.reduce_to_transversal": lambda: reduce_to_transversal(a, STRIP),
+              "numkit.log_transversal": lambda: log_transversal(m1, STRIP)}
+    if n in DEFECTIVE_PATTERNS:
+        x = random_defective_normal_form(rng, patterns=DEFECTIVE_PATTERNS[n])
+        m = mat_exp(2j * np.pi * x.A0 / x.tau)
+        points["numkit.log_transversal[defective]"] = lambda: log_transversal(m, STRIP)
+        points["numkit.spectral[defective]"] = lambda: spectral(m)
+    return points
 
 
 def timing(fn, repeats):
@@ -301,6 +316,8 @@ def main(argv=None):
                          "tensor_dims": [n * n for n in TENSOR_SIZES],
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
                          "numkit_sizes": list(NUMKIT_SIZES),
+                         "defective_patterns": {str(n): p
+                                                for n, p in DEFECTIVE_PATTERNS.items()},
                          "groups": list(GROUPS), "process": "fresh per group and side",
                          "repeats": args.repeats, "unit": "ms per call",
                          "statistic": "[q1, median, q3] of the timings"},
