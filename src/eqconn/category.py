@@ -359,12 +359,8 @@ def validate_normal_form(nf, tol=None):
             if outside:
                 raise ValidationFailure("normal form has %d eigenvalue(s) outside the strip"
                                         % outside)
-        comm = float(np.linalg.norm(nf.A0 @ nf.B0 - nf.B0 @ nf.A0))
-        bound = tol.eps_res * (np.linalg.norm(nf.A0) + 1.0) * (np.linalg.norm(nf.B0) + 1.0)
-        diag["commutator_residual"] = comm
-        if comm > bound:
-            raise EquivarianceViolation(
-                "constant pair does not commute: residual %.3e" % comm)
+        diag["commutator_residual"] = _commutator_residual(
+            nf.A0, nf.B0, tol, EquivarianceViolation, "constant pair does not commute")
         svals = nf._memo.get("b_singular_values")
         if svals is None:
             svals = np.linalg.svd(nf.B0, compute_uv=False)
@@ -414,11 +410,10 @@ def normalize(obj, transversal=None, order=16, tol=None):
     that shear):
 
     * the clustered Schur form ``q t q^H`` of the constant term A(0), its
-      clusters grouped by the shift that reduces them into the strip
-      (``numkit._shift_groups``, which raises ``NumericFailure`` when the
-      groups are too close to split accurately), and ``S = q v`` the
-      similarity that block diagonalizes A(0) over the groups (``S = q``
-      when no cluster shifts);
+      clusters grouped by the shift that reduces them into the strip and
+      joined where their projectors are ill conditioned
+      (``numkit._shift_groups``), and ``S = q v`` the similarity that block
+      diagonalizes A(0) over the groups (``S = q`` when no cluster shifts);
     * the series gauge ``P = I + P_1 z + ...`` with A(0) kept, solved in the
       basis S: each order is one ztrsyl on the block diagonal form ``D + k
       tau`` against D (``numkit._triangular_sylvester``).  It kills every
@@ -501,18 +496,20 @@ def _series_gauge(a, form, fold, tau, order, tol):
     Order k solves ``(A0 + k tau) P_k - P_k A0 = -(A_1 P_(k-1) + ... + A_k
     P_0)``, plus the kept couplings' terms (``laurent._series``), in the
     basis ``S = q v`` of the fold, inverse ``w q^H``, where A0 is D, the
-    block diagonal part of ``t`` over the groups (without a fold S is q and
-    D is ``t``): one ztrsyl on ``(D + k tau, D)``.  The gaps ``|d_i + k tau
-    - d_j|`` over the diagonal ``d`` of ``t`` are formed once for every
-    order, the kept blocks masked, and so is the stack of the triangles ``D
-    + k tau``.  A right-hand side is scanned for zero only at an order whose
-    smallest gap is within ``max(eps_spec, rounding)``, where a zero one is
-    skipped rather than refused; elsewhere ztrsyl solves it to zero."""
-    t, q, _, _, w, _ = form
+    block diagonal part of ``t`` over the groups, several of which may
+    share a shift (without a fold S is q and D is ``t``): one ztrsyl on
+    ``(D + k tau, D)``.  The gaps ``|d_i + k tau - d_j|`` over the diagonal
+    ``d`` of ``t`` are formed once for every order, the kept blocks masked,
+    and so is the stack of the triangles ``D + k tau``.  A right-hand side
+    is scanned for zero only at an order whose smallest gap is within
+    ``max(eps_spec, rounding)``, where a zero one is skipped rather than
+    refused; elsewhere ztrsyl solves it to zero."""
+    t, q, groups, _, w, _ = form
     d, levels, basis = np.diag(t), None, (q, q.conj().T)
     if fold is not None:
         levels = -np.array(fold.exponents)
-        t = np.where(levels[:, None] == levels, t, 0.0)
+        owner = np.repeat(np.arange(len(groups)), [g1 - g0 for g0, g1, _ in groups])
+        t = np.where(owner[:, None] == owner, t, 0.0)
         basis = (fold.similarity, w @ q.conj().T)
     ks = np.arange(1, order + 1)[:, None, None]
     gaps = np.abs(d[:, None] - d[None, :] + tau * ks)
@@ -549,8 +546,7 @@ def _fold_step(form):
     """The fold into the strip as one recorded shear, or None when no
     cluster shifts: for ``form = (t, q, groups, v, w, pairs)`` of
     ``numkit._shift_groups``, the similarity ``q v`` that block diagonalizes
-    the constant term over the groups of clusters sharing a shift, and
-    exponent ``-shift`` on each group."""
+    the constant term over its groups, and exponent ``-shift`` on each."""
     _, q, groups, v, _, _ = form
     if not groups:
         return None
@@ -597,13 +593,27 @@ def _validated_monodromy(rep, tol):
         diag[name + "_smallest_singular_value"] = float(svals[-1]) if svals.size else 0.0
         if _is_singular(svals, tol):
             raise ValidationFailure("%s is singular" % name)
-    comm = float(np.linalg.norm(rep.M1 @ rep.M2 - rep.M2 @ rep.M1))
-    bound = tol.eps_res * max(1.0, np.linalg.norm(rep.M1)) \
-        * max(1.0, np.linalg.norm(rep.M2))
-    diag["commutator_residual"] = comm
-    if comm > bound:
-        raise ValidationFailure("matrices do not commute: residual %.3e" % comm)
+    diag["commutator_residual"] = _commutator_residual(
+        rep.M1, rep.M2, tol, ValidationFailure, "matrices do not commute")
     return diag, svals_of
+
+
+def _commutator_residual(a, b, tol, error, message):
+    """``||ab - ba||_F``, inf past the float range, raising ``error`` above
+    ``eps_res max(1, ||a||_F) max(1, ||b||_F)``: tested on a and b divided by
+    those factors, each reached through its largest part, so nothing overflows."""
+    unit, factor = [], 1.0
+    for m in (a, b):
+        m = np.ascontiguousarray(m, dtype=complex)
+        part = max(1.0, np.abs(m.view(float)).max(initial=0.0))
+        m = m / part
+        size = max(1.0, math.sqrt(np.vdot(m, m).real))
+        unit.append(m / size)
+        factor *= float(part) * size
+    comm = float(np.linalg.norm(unit[0] @ unit[1] - unit[1] @ unit[0]))
+    if not comm <= tol.eps_res:   # nan too
+        raise error("%s: residual %.3e" % (message, comm * factor))
+    return comm * factor if comm else 0.0
 
 
 def from_monodromy(rep, transversal, theta, tol=None):
@@ -811,25 +821,23 @@ def hom_basis(x, y, tol=None):
     return [Morphism(x, y, phi) for phi in basis.T.reshape(-1, y.n, x.n)]
 
 
-# Eigenvalues of the two objects of a Hom whose clusters, or whose groups
-# (``numkit._bounded_groups``), lie within this radius of each other,
-# relative to their data scale, are solved together as one component.
+# Groups of the two objects of a Hom whose means lie within this radius of
+# each other, relative to the scale of A0, are solved as one component.
 _COMPONENT_RADIUS = 1e-4
 
 
 def _data_scale(x, y):
-    return max(1.0, np.linalg.norm(x.A0), np.linalg.norm(y.A0),
-               np.linalg.norm(x.B0), np.linalg.norm(y.B0))
+    """``(A0's scale, the data's)``: max(1, ||A0||_F of both), and with both ||B0||_F."""
+    scale = max(1.0, np.linalg.norm(x.A0), np.linalg.norm(y.A0))
+    return scale, max(scale, np.linalg.norm(x.B0), np.linalg.norm(y.B0))
 
 
-class _HomSide(namedtuple("_HomSide", "values means group start size u lh ab")):
-    """What ``_hom_components`` reads of one object: per cluster of its
-    shared Schur form, the eigenvalue, the mean eigenvalue of its group and
-    the group (``numkit._bounded_groups``); per group g, the ``size[g]`` columns
-    of ``u`` from ``start[g]`` on, an orthonormal basis of its invariant
-    subspace, and those rows of ``lh``, the left factor of its spectral
-    projector; and ``ab = [lh A0 u, lh B0 u]``, which holds the groups'
-    blocks on its diagonal."""
+class _HomSide(namedtuple("_HomSide", "means start size u lh ab")):
+    """What ``_hom_components`` reads of one object, per group g of its
+    shared Schur form (``numkit._bounded_groups``): the mean, the ``size[g]``
+    columns of ``u`` from ``start[g]`` on, an orthonormal basis of its
+    invariant subspace, and those rows of ``lh``, the left factor of its
+    spectral projector; and ``ab = [lh A0 u, lh B0 u]``, block by block."""
 
 
 def _hom_side(nf, tol):
@@ -847,15 +855,12 @@ def _hom_side(nf, tol):
 def _new_hom_side(nf, tol):
     """The ``_HomSide`` of ``nf``: its ``_bounded_groups``, each right projector
     factor orthonormalized by its Gram matrix's (well conditioned) Cholesky factor."""
-    t, q, blocks = nf.schur_form(tol)
-    group, t, q, groups, v, w = _bounded_groups(t, q, blocks, tol)
+    _, t, q, groups, v, w, _ = _bounded_groups(*nf.schur_form(tol), tol)
     start, size, means = _block_arrays(groups)
     rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
     u, lh = v @ rho_inv, rho @ w
     ab = lh @ np.stack([t, q.conj().T @ nf.B0 @ q]) @ u
-    values, group = _block_arrays(blocks)[2], np.array(group, dtype=int)
-    means = values if len(groups) == len(blocks) else means[group]
-    return _HomSide(values, means, group, start, size, q @ u, lh @ q.conj().T, ab)
+    return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab)
 
 
 def _hom_components(x, side_x, y, side_y, k, tol):
@@ -863,34 +868,27 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     ``phi B_x = q^k B_y phi``, one eigenvalue component at a time, from the
     ``_hom_side`` data of both objects.
 
-    The components are the connected parts of one graph over the clusters
-    of both Schur forms: an edge joins two clusters whose eigenvalues, or
-    whose groups' mean eigenvalues, lie within ``_COMPONENT_RADIUS`` times
-    the data scale.  So a component is a union of groups, each of bounded
-    spectral projector, and the pieces of a Jordan block that rounding split
-    apart meet the eigenvalue they came from.  A component holding
-    eigenvalues of one side only carries no intertwiner.  On the others both
-    sides are restricted to orthonormal bases of their invariant subspaces
-    (``_component_bases``), and the kernel of that small Kronecker system,
-    ranked by ``_nullspace_scaled`` as the whole system would be, is the
-    component's part of the space.  With a single component this is the
-    whole system.
+    The components are the connected parts of one graph over the groups
+    (``numkit._bounded_groups``) of both Schur forms: an edge joins two
+    groups whose means lie within ``_COMPONENT_RADIUS`` times the scale of
+    A0.  A component holding groups of one side only carries no
+    intertwiner.  On the others both sides are restricted to orthonormal
+    bases of their invariant subspaces (``_component_bases``), and the
+    kernel of that small Kronecker system, ranked by ``_nullspace_scaled``
+    against the data scale, B0 included, as the whole system would be, is
+    the component's part of the space.
 
     Returns stacks ``(y_basis, kernel, x_left)``, one per shape of the
     components' systems: the morphisms are ``y_basis[j] @ kernel[j] @
     x_left[j]``, ``y_basis[j]`` an orthonormal basis on y's side and
     ``x_left[j]`` the left factor of x's spectral projector.
     """
-    scale = _data_scale(x, y) + abs(x.tau) * abs(k)
-    shift = x.tau * k
-    radius = _COMPONENT_RADIUS * scale
-    values = np.concatenate([side_x.values, side_y.values + shift])
-    near = np.abs(values[:, None] - values) <= radius
-    if side_x.means is not side_x.values or side_y.means is not side_y.values:
-        means = np.concatenate([side_x.means, side_y.means + shift])
-        near |= np.abs(means[:, None] - means) <= radius
-    component = _connected_components(near)
-    split = len(side_x.values)
+    shift, step = x.tau * k, abs(x.tau) * abs(k)
+    a_scale, scale = _data_scale(x, y)
+    means = np.concatenate([side_x.means, side_y.means + shift])
+    component = _connected_components(
+        np.abs(means[:, None] - means) <= _COMPONENT_RADIUS * (a_scale + step))
+    split = len(side_x.means)
     live = set(component[:split]) & set(component[split:])
     if not live:
         return []
@@ -915,7 +913,7 @@ def _hom_components(x, side_x, y, side_y, k, tol):
         system = (_kron(_blocks(abx, ix).transpose(0, 1, 3, 2), np.eye(my))
                   - _kron(np.eye(mx), diag_y))
         which, kernel = _nullspace_scaled(system.reshape(len(starts), -1, mx * my),
-                                          scale, tol)
+                                          scale + step, tol)
         if len(kernel):
             # phi vectorized in column-major order
             kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
@@ -936,12 +934,11 @@ def _cholesky_pair(v, owner):
 
 
 def _side_keys(component, live):
-    """Per cluster of one side, its live component numbered in order of
+    """Per group of one side, its live component numbered in order of
     first appearance on that side, or -1; and that numbering."""
     index = {}
-    keys = tuple(index.setdefault(c, len(index)) if c in live else -1
-                 for c in component)
-    return keys, index
+    keys = [index.setdefault(c, len(index)) if c in live else -1 for c in component]
+    return np.array(keys), index
 
 
 def _blocks(ab, rows):
@@ -960,7 +957,7 @@ def _kron(a, b):
 
 def _component_bases(side, keys):
     """One side of ``_hom_components``: for the components numbered 0, 1,
-    ... by ``keys`` (one per cluster, -1 for none), orthonormal bases ``u``
+    ... by ``keys`` (one per group, -1 for none), orthonormal bases ``u``
     of their invariant subspaces, the left factors ``lh`` of their spectral
     projectors, and ``ab``, A0 and B0 on them.
 
@@ -972,18 +969,16 @@ def _component_bases(side, keys):
     columns of ``u`` from ``at[i]`` on, and ``ab = [lh A0 u, lh B0 u]``
     holds its blocks on the diagonal.
     """
-    count = max(keys) + 1
-    key_of = np.full(len(side.start), -1)
-    key_of[side.group] = keys
-    live = np.flatnonzero(key_of >= 0)
+    count = keys.max() + 1
+    live = np.flatnonzero(keys >= 0)
     if len(live) == count:
         at, size = np.empty(count, dtype=int), np.empty(count, dtype=int)
-        at[key_of[live]], size[key_of[live]] = side.start[live], side.size[live]
+        at[keys[live]], size[keys[live]] = side.start[live], side.size[live]
         return side.u, side.lh, side.ab, at.tolist(), size.tolist()
-    live = live[np.argsort(key_of[live], kind="stable")]
+    live = live[np.argsort(keys[live], kind="stable")]
     cols = np.concatenate([np.arange(side.start[g], side.start[g] + side.size[g])
                            for g in live])
-    owner = np.repeat(key_of[live], side.size[live])
+    owner = np.repeat(keys[live], side.size[live])
     rho, rho_inv = _cholesky_pair(side.u[:, cols], owner)
     u, lh = side.u[:, cols] @ rho_inv, rho @ side.lh[cols]
     size = np.bincount(owner, minlength=count)

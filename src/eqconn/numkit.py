@@ -617,7 +617,7 @@ def spectral(m, tol=None):
     """
     tol = tol or DEFAULT_TOL
     m = as_square_matrix(m)
-    _, t, q, groups, v, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
+    _, t, q, groups, v, _, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
     owner = np.repeat(np.arange(len(groups)), _block_arrays(groups)[1])
     similarity = q @ v
     clusters = tuple(SpectralCluster(lam, stop - start, similarity[:, start:stop])
@@ -715,7 +715,7 @@ def _log_schur(m, transversal, tol, svals=None):
         svals = np.linalg.svd(m, compute_uv=False)
     if svals[-1] <= tol.eps_res * svals[0]:
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
-    _, t, q, groups, v, w = _bounded_groups(*_clustered_schur(m, tol), tol)
+    _, t, q, groups, v, w, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
     scale = transversal.tau / TWO_PI_I
     shifts = _cluster_shifts(t, groups, transversal, lambda values: np.array(
         [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
@@ -824,24 +824,26 @@ def _projector_norms(v, w, groups, bound):
             * np.add.reduceat(np.einsum("ij,ij->i", w.conj(), w).real, starts))
 
 
-def _bounded_groups(t, q, blocks, tol):
-    """Group the clusters of a clustered Schur form ``(t, q, blocks)`` until
-    each group's spectral projector has Frobenius norm at most
-    ``_PROJECTOR_BOUND`` (Bavely & Stewart, SIAM J. Numer. Anal. 1979): a
-    group above it, or one ztrsyl could not split off, joins its nearest
-    cluster, and the groups are made contiguous by ``_group_blocks`` and
-    split again by ``_decouple``.  A join is one eigenvalue within
-    tolerance: a gap of at most P eps_res |t|_F, P the projector norm,
-    which a perturbation of t within eps_res closes to first order, and at
-    most 4 (n u)^(1/n) |t|_F, twice as far as the Schur form's backward
-    error moves an eigenvalue (Elsner, Linear Algebra Appl. 1985).  A split
-    ztrsyl could not make and no join mends raises ``NumericFailure``.
-    Returns ``(group, t, q, groups, v, w)``: each cluster's group, numbered
-    in order, the Schur form with the block ``(start, stop, mean)`` of each
-    group (its clusters' means weighted by size), and ``(v, w)`` over the
-    groups; ``t``, ``q``, ``blocks`` as they are when no clusters join.
+def _bounded_groups(t, q, blocks, tol, keys=None):
+    """Group the clusters of a clustered Schur form ``(t, q, blocks)``, one
+    group per cluster or per integer of ``keys``, until each spectral
+    projector has Frobenius norm at most ``_PROJECTOR_BOUND`` (Bavely &
+    Stewart, SIAM J. Numer. Anal. 1979): a group above it, or one ztrsyl
+    could not split off, joins its nearest cluster, the clusters joined to
+    none staying grouped by key, and the groups are made contiguous
+    (``_group_blocks``) and split (``_decouple``) again.  A join closes a
+    gap of at most P eps_res |t|_F, P the projector norm, as an eps_res
+    perturbation of t does to first order, and at most 4 (n u)^(1/n) |t|_F,
+    twice the reach of the Schur form's backward error (Elsner, Linear
+    Algebra Appl. 1985).  A split ztrsyl could not make and no join mends
+    raises ``NumericFailure``.  Returns ``(group, t, q, groups, v, w,
+    norms)``: each cluster's group, the grouped form with blocks ``(start,
+    stop, mean)``, means weighted by size, ``(v, w)`` over them and
+    ``_projector_norms``; without a join, None and the first groups.
     """
-    form, groups, group = (t, q), blocks, None
+    form, groups, group, link = (t, q), blocks, None, None
+    if keys is not None:
+        t, q, groups = _group_blocks(t, q, blocks, keys)
     while True:
         v, w, unresolved = _decouple(t, groups)
         norms = _projector_norms(v, w, groups, _PROJECTOR_BOUND) if len(groups) > 1 else None
@@ -851,31 +853,35 @@ def _bounded_groups(t, q, blocks, tol):
             ill.setdefault(g, 1.0)
         if not ill:
             break
-        if group is None:
+        if link is None:   # set up at the first ill group
             _, sizes, values = _block_arrays(blocks)
             n, scale = len(t), np.linalg.norm(t)
-            group, reach = np.arange(len(blocks)), tol.eps_res * scale
+            reach, link = tol.eps_res * scale, np.eye(len(blocks), dtype=bool)
             radius = 4 * (n * np.finfo(float).eps / 2) ** (1 / n) * scale
-        near = group[:, None] == group
+            group = key = np.unique(range(len(blocks)) if keys is None else keys,
+                                    return_inverse=True)[1]
+        joins = 0
         for g, norm in ill.items():
             inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
             gaps = np.abs(values[inside, None] - values[outside])
             i, j = np.unravel_index(gaps.argmin(), gaps.shape)
             if gaps[i, j] <= radius and not gaps[i, j] > norm * reach:   # nan: unbounded
-                near[inside[i], outside[j]] = near[outside[j], inside[i]] = True
-        joined = np.array(_connected_components(near))
-        if joined.max() == group.max():   # no join within reach
+                link[inside[i], outside[j]] = link[outside[j], inside[i]] = True
+                joins += 1
+        if not joins:
             if unresolved:
                 raise NumericFailure("Sylvester solve failed (ztrsyl info 1)")
             break
-        group = joined
+        alone = np.count_nonzero(link, axis=1) == 1
+        group = np.array(_connected_components(
+            link | (key[:, None] == key) & alone[:, None] & alone))
         t, q, groups = _group_blocks(*form, blocks, group.tolist())
-    if len(groups) == len(blocks):
-        return list(range(len(blocks))), t, q, blocks, v, w
+    if group is None or group is key:   # no clusters joined
+        return None, t, q, groups, v, w, norms
     start, size, _ = _block_arrays(groups)
-    means = ((np.bincount(group, values.real * sizes)
-              + 1j * np.bincount(group, values.imag * sizes)) / size).tolist()
-    return group.tolist(), t, q, list(zip(start.tolist(), (start + size).tolist(), means)), v, w
+    means = np.bincount(group, values.real * sizes) + 1j * np.bincount(group, values.imag * sizes)
+    groups = list(zip(start.tolist(), (start + size).tolist(), (means / size).tolist()))
+    return group, t, q, groups, v, w, norms
 
 
 def _block_function(v, w, d):
@@ -917,11 +923,11 @@ def _fold(t, q, blocks, transversal, tol):
     the Schur vectors reordered by shift, and shifts as
     ``reduce_to_transversal`` lists them; ``(t, q)`` come back as they are
     when no cluster shifts.  The fold is a constant shift on each group of
-    clusters sharing a shift (``_shift_groups``), and a function of the
-    block diagonalized ``t = v diag(t_gg) w`` is fixed by its values on the
-    blocks (Higham, *Functions of Matrices*, SIAM 2008, ch. 1), so it is
-    one projector update, ``f = t - tau v K w`` with ``K`` the shifts of the
-    columns that move: exactly upper triangular, as ``t``, ``v``, ``w`` are.
+    ``_shift_groups``, and a function of the block diagonalized ``t = v
+    diag(t_gg) w`` is fixed by its values on the blocks (Higham, *Functions
+    of Matrices*, SIAM 2008, ch. 1), so it is one projector update, ``f = t
+    - tau v K w`` with ``K`` the shifts of the columns that move: exactly
+    upper triangular, as ``t``, ``v``, ``w`` are.
     """
     t, q, groups, v, w, pairs = _shift_groups(t, q, blocks, transversal, tol)
     if not groups:
@@ -932,29 +938,28 @@ def _fold(t, q, blocks, transversal, tol):
 
 
 def _shift_groups(t, q, blocks, transversal, tol):
-    """The groups of clusters that the fold moves by one shift each.
-
-    Returns ``(t, q, groups, v, w, pairs)``: the Schur form reordered so
-    that clusters sharing a shift sit in one contiguous group ``(start,
-    stop, shift)`` (``_group_blocks``), ``(v, w)`` from ``_decouple`` over
-    the groups, so that ``(q v)^-1 M (q v)`` is block diagonal over them,
-    and pairs ``(cluster eigenvalue, shift)``.  When no cluster shifts,
-    ``(t, q)`` come back as they are, with no groups and ``v = w = None``.
-    Raises ``NumericFailure`` when ztrsyl cannot split two groups, and when
-    a group's projector norm (``_projector_norms``) tops eps_res over the
-    unit roundoff, as for a Jordan block split by the edge.
+    """The groups of clusters that the fold moves by one shift each: the
+    clusters sharing a shift, joined by ``_bounded_groups``.  Where clusters
+    join, each group folds whole by the shift of its mean, one joined across
+    shifts (a Jordan block that rounding spreads over the strip edge) with a
+    ``TransversalBranchWarning``.  Returns ``(t, q, groups, v, w, pairs)``:
+    the Schur form with each group a contiguous block ``(start, stop,
+    shift)``, ``(v, w)`` from ``_decouple`` over them, and pairs ``(cluster
+    eigenvalue, shift)``; ``(t, q)``, no groups and ``v = w = None`` when no
+    cluster shifts.  Raises ``NumericFailure`` when ztrsyl cannot split two
+    groups, and when a projector no join mends tops eps_res over u.
     """
     shifts = _cluster_shifts(t, blocks, transversal, lambda values: values)
-    pairs = [(lam, shift) for (_, _, lam), shift in zip(blocks, shifts)]
-    if all(s == 0 for s in shifts):
-        return t, q, [], None, None, pairs
-    t, q, groups = _group_blocks(t, q, blocks, shifts)
-    v, w, unresolved = _decouple(t, groups)
-    if unresolved:
-        raise NumericFailure("Sylvester solve failed (ztrsyl info 1)")
-    limit = tol.eps_res / (np.finfo(float).eps / 2)
-    norms = _projector_norms(v, w, groups, limit)
-    if norms is not None and not norms.max() <= limit * limit:
-        raise NumericFailure("projector norm %.1e: shift groups too close"
-                             % math.sqrt(norms.max()))
-    return t, q, groups, v, w, pairs
+    if any(shifts):
+        group, t, q, groups, v, w, norms = _bounded_groups(t, q, blocks, tol, shifts)
+        limit = tol.eps_res / (np.finfo(float).eps / 2)
+        if norms is not None and not norms.max() <= limit * limit:
+            raise NumericFailure("projector norm %.1e: shift groups too close"
+                                 % math.sqrt(norms.max()))
+        if group is not None:   # each group folds by the shift of its mean
+            shifts = _cluster_shifts(t, groups, transversal, lambda values: values)
+            groups = [(start, stop, s) for (start, stop, _), s in zip(groups, shifts)]
+            shifts = [shifts[g] for g in group.tolist()]
+    else:
+        groups, v, w = [], None, None
+    return t, q, groups, v, w, [(lam, s) for (_, _, lam), s in zip(blocks, shifts)]

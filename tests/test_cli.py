@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from eqconn import cli
-from eqconn.category import MonodromyPair, tensor
+from eqconn.category import MonodromyPair, NormalForm, tensor
 from eqconn.cli import main, parse_complex
 from eqconn.numkit import TransversalBranchWarning, mat_exp
 from eqconn.serialize import (
@@ -38,6 +38,7 @@ from reference import (
 from util import (
     STRIP,
     TAU,
+    THETA,
     plant_non_equivariant_term,
     plant_pole,
     random_commuting_pair,
@@ -482,25 +483,48 @@ def test_non_finite_result_is_a_numeric_failure(capsys, monkeypatch):
     assert report["error"]["kind"] == "NumericFailure"
 
 
-def test_tensor_of_a_jordan_block_split_across_the_strip_edge_exits_1(capsys, tmp_path):
-    # the split cluster raises on seeds 1 and 2; on seed 0 the Schur form
-    # tensor builds from the factor's keeps it whole (test_category)
-    for seed in (1, 2):
+def test_tensor_of_a_jordan_block_split_across_the_strip_edge_exits_0(capsys, tmp_path):
+    # the fold joins the pieces of the square's split Jordan cluster and
+    # moves them whole, with a branch warning (test_category); seeds 1 and 2
+    # split it in the Schur form tensor builds, seed 0 does not
+    for seed in (0, 1, 2):
         x = straddling_jordan_form(np.random.default_rng(seed))
         path = write(tmp_path, "x.json", encode_normal_form(x))
-        code, out = run(capsys, ["--json", "tensor", path, path])
-        assert code == 1
+        with pytest.warns(TransversalBranchWarning):
+            code, out = run(capsys, ["--json", "tensor", path, path])
+        assert code == 0
+        xx = decode_normal_form(json.loads(out, parse_constant=pytest.fail)["result"])
+        m1 = mat_exp(2j * np.pi * x.A0 / x.tau)
+        assert (np.linalg.norm(mat_exp(2j * np.pi * xx.A0 / xx.tau) - np.kron(m1, m1))
+                < 1e-12 * np.linalg.norm(np.kron(m1, m1)))
+
+
+def test_a_non_commuting_pair_near_the_float_range_exits_2(capsys, tmp_path):
+    """The commutator of M1 = 1e300 [[1, 1], [0, 2]] and M2 = [[1, 0], [1,
+    1]], and its bound, overflow to inf, and ``inf > inf`` accepted the
+    pair; the test on the pair divided by max(1, ||M||) refuses it."""
+    pair = MonodromyPair(1e300 * np.array([[1.0, 1.0], [0.0, 2.0]]),
+                         np.array([[1.0, 0.0], [1.0, 1.0]]))
+    path = write(tmp_path, "pair.json", encode_monodromy(pair))
+    for command in ("rh-from-rep", "nori"):
+        code, out = run(capsys, ["--json", command, path])
+        assert code == 2
         report = json.loads(out, parse_constant=pytest.fail)
-        assert report["error"]["kind"] == "NumericFailure"
-    x = straddling_jordan_form(np.random.default_rng(0))
-    path = write(tmp_path, "x.json", encode_normal_form(x))
-    with pytest.warns(TransversalBranchWarning):
-        code, out = run(capsys, ["--json", "tensor", path, path])
-    assert code == 0
-    xx = decode_normal_form(json.loads(out, parse_constant=pytest.fail)["result"])
-    m1 = mat_exp(2j * np.pi * x.A0 / x.tau)
-    assert (np.linalg.norm(mat_exp(2j * np.pi * xx.A0 / xx.tau) - np.kron(m1, m1))
-            < 1e-12 * np.linalg.norm(np.kron(m1, m1)))
+        assert report["error"]["kind"] == "ValidationFailure"
+        assert "do not commute" in report["error"]["message"]
+
+
+def test_a_non_commuting_normal_form_with_a_nan_commutator_exits_2(capsys, tmp_path):
+    """A0 = [[0.3 - 0.3i, 1e300], [0, 0.5 - 0.5i]] and B0 = 1e20 diag(1, 2)
+    do not commute, but A0 B0 - B0 A0 is inf - inf = nan, and ``nan >
+    bound`` accepted the form; scaled first, the commutator is finite."""
+    a0 = np.array([[0.3 - 0.3j, 1e300], [0.0, 0.5 - 0.5j]])
+    nf = NormalForm(a0, 1e20 * np.diag([1.0, 2.0]).astype(complex), STRIP, THETA, STRIP.tau)
+    path = write(tmp_path, "nf.json", encode_normal_form(nf))
+    code, out = run(capsys, ["--json", "tensor", path, path])
+    assert code == 2
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["error"]["kind"] == "EquivarianceViolation"
 
 
 def test_normalize_refuses_a_truncation_below_1_exits_2(capsys):
@@ -519,15 +543,19 @@ def test_normalize_refuses_a_truncation_below_1_exits_2(capsys):
         assert "truncation order" in report["error"]["message"]
 
 
-def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_1(capsys, tmp_path):
+def test_normalize_of_a_jordan_block_on_the_strip_edge_exits_0(capsys, tmp_path):
+    # rounding spreads the block over the edge; the fold moves it whole,
+    # with a branch warning, onto the strip's left edge
     for seed in (0, 1):
         obj = strip_edge_jordan_object(np.random.default_rng(seed))
         path = write(tmp_path, "edge.json", encode_object(obj))
-        code, out = run(capsys, ["--json", "normalize", path])
-        assert code == 1
-        report = json.loads(out, parse_constant=pytest.fail)
-        assert report["error"]["kind"] == "NumericFailure"
-        assert "projector" in report["error"]["message"]
+        with pytest.warns(TransversalBranchWarning):
+            code, out = run(capsys, ["--json", "normalize", path])
+        assert code == 0
+        result = json.loads(out, parse_constant=pytest.fail)["result"]
+        assert result["diagnostics"]["gauge_residual"] <= 1e-12
+        positions = sorted(result["strip_positions"])
+        assert np.allclose(positions, [0.0, 0.0, 0.0, 0.4], atol=1e-4)
 
 
 def run_cli_normalize(obj, options=(), address_space=None):

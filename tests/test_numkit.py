@@ -736,6 +736,17 @@ def test_fold_of_two_shift_groups_makes_one_sylvester_solve(monkeypatch):
     assert calls == [(2, 2)]
 
 
+def test_fold_refuses_an_ill_group_no_join_can_mend():
+    """[[0.5 tau, 2e7], [0, 1.5 tau]] takes shifts 0 and 1, and its
+    projectors have norm 1.4e7, above eps_res over the unit roundoff (9e6);
+    its eigenvalues are |tau| apart, beyond the 2x2 join radius 4 (2
+    u)^(1/2) ||t||_F (1.2), so no join mends the group and the fold
+    refuses it."""
+    a = np.array([[0.5 * TAU, 2e7], [0.0, 1.5 * TAU]])
+    with pytest.raises(NumericFailure, match="projector norm 1.4e"):
+        reduce_to_transversal(a, Transversal(TAU))
+
+
 def test_fold_and_log_raise_where_lapack_perturbs_the_spectra(monkeypatch):
     """The fold refuses shift groups that ztrsyl reports it could not
     split, and so does the logarithm: its grouping joins no clusters

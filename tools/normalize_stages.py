@@ -25,9 +25,9 @@ repeat, in process on one BLAS thread, timing the stages through the names
 
 ``other`` is the rest of ``normalize``.  A stage called inside another
 (the Schur form of A0 inside ``check``) counts in the outer one only.  A
-name a checkout lacks is skipped and its stage reads 0, so the one script
-prints the table of a checkout before and after a stage changes.  A job
-that raises is timed up to the raise.  Prints one JSON object: per n, the
+name that neither module defines is refused before anything runs, so that
+a rename cannot leave its stage reading 0.  A job that raises is timed up
+to the raise.  Prints one JSON object: per n, the
 median over the repeats of each stage's milliseconds summed over that n's
 jobs, with the job count and the machine; and per n, the median over the
 repeats of the minor page faults per job (``ru_minflt`` of
@@ -97,12 +97,16 @@ def one_pass(jobs, spent_by_n):
     spent = dict.fromkeys(list(STAGES) + ["total"], 0.0)
     running = []
     originals = {}
-    for stage, names in STAGES.items():
-        for module in (category, laurent):
-            for name in names:
-                if hasattr(module, name):
-                    originals[module, name] = fn = getattr(module, name)
-                    setattr(module, name, timed(fn, stage, spent, running))
+    owners = {(stage, name): [module for module in (category, laurent) if hasattr(module, name)]
+              for stage, names in STAGES.items() for name in names}
+    for (stage, name), modules in owners.items():
+        if not modules:
+            raise SystemExit("normalize_stages: stage %r names %s, which neither "
+                             "eqconn.category nor eqconn.laurent defines" % (stage, name))
+    for (stage, name), modules in owners.items():
+        for module in modules:
+            originals[module, name] = fn = getattr(module, name)
+            setattr(module, name, timed(fn, stage, spent, running))
     try:
         for n, obj in jobs:
             for key in spent:
