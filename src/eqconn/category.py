@@ -44,11 +44,11 @@ from .laurent import (
     ShearStep,
     _balancing_radius,
     _commutator,
+    _equivariance_norm,
     _gauged_pair,
     _rescaled,
     _residual_norms,
     _series,
-    _sum_norm,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -159,10 +159,15 @@ def equivariance_residual(a, b):
 
 def _residual_terms(a, b):
     """``(delta(B), [A, B])`` of ``equivariance_residual``, the commutator
-    on the orders the presentation determines."""
-    lo = min(b.min_power, 0)
-    hi = max(a.max_power, b.max_power, 0)
-    return b.delta(), _commutator(a, b, lo, hi)
+    on the orders the presentation determines (``_residual_orders``)."""
+    return b.delta(), _commutator(a, b, *_residual_orders(a, b))
+
+
+def _residual_orders(a, b):
+    """The orders ``lo..hi`` the presentation determines; the largest
+    coefficient norm of ``equivariance_residual`` on them is
+    ``laurent._equivariance_norm``, which forms no value."""
+    return min(b.min_power, 0), max(a.max_power, b.max_power, 0)
 
 
 def validate(obj, tol=None, strict=True):
@@ -192,7 +197,7 @@ def validate(obj, tol=None, strict=True):
     diag, _, _ = _validated(obj, tol or DEFAULT_TOL, strict)
     unit = diag["equivariance_residual"]
     if diag["radius"] != 1.0:
-        unit = _sum_norm(*_residual_terms(obj.A, obj.B))
+        unit = _equivariance_norm(obj.A, obj.B, *_residual_orders(obj.A, obj.B))
     diag["equivariance_residual_unit"] = unit
     diag["pole_residual_unit"] = obj.A.norm(hi=-1)
     return diag
@@ -219,7 +224,7 @@ def _validated(obj, tol, strict):
         raise SingularB("constant term of the dilation matrix is singular "
                         "(smallest singular value %.3e)" % smin)
 
-    res = _sum_norm(*_residual_terms(a, b))
+    res = _equivariance_norm(a, b, *_residual_orders(a, b))
     diag["equivariance_residual"] = res
     diag["radius"] = radius
     if strict and res > tol.eps_res * max(1.0, a.norm()) * max(1.0, b.norm()):
@@ -428,13 +433,15 @@ def normalize(obj, transversal=None, order=16, tol=None):
       eigenvalue there and its smallest lies below the rounding ``eps/2
       max(1, ||A(0)||)`` of A(0);
     * P and the fold are recorded, and A and B go through the record as
-      ``apply_gauge_record`` replays it (``laurent._gauged_pair``): P in one
-      transport, normwise accurate on the circle when P is balanced, each
-      cut at ``order`` (a constant P keeps every power); then the fold
-      (``GaugeRecord.fold``): ``S``, then ``diag(z**-shift)`` on each
-      group.  A0 is then block upper triangular over the groups, the kept
-      couplings above the diagonal blocks, and B must come out constant up
-      to the truncation residual.
+      ``apply_gauge_record`` replays it (``laurent._gauged_pair``), in one
+      pass: P's transport, normwise accurate on the circle when P is
+      balanced, hands each window cut at ``order`` (a constant P keeps
+      every power) straight to the fold (``GaugeRecord.fold``): ``S``, then
+      ``diag(z**-shift)`` on each group, A checked for regularity off the
+      window's own norms, and one value built per operand.  A0 is then
+      block upper triangular over the groups, the kept couplings above the
+      diagonal blocks, and B must come out constant up to the truncation
+      residual.
 
     A0 is power 0 of the gauged and folded A, which the circle leaves
     equal to A(0) only within rounding; ``strip_margin`` is read off the
@@ -642,7 +649,13 @@ def from_monodromy(rep, transversal, theta, tol=None):
     exp = mat_exp(TWO_PI_I * nf.A0 / transversal.tau)
     exp.flags.writeable = False
     nf._memo.update(monodromy=exp, b_singular_values=svals_m2)
-    nf.diagnostics["log_residual"] = float(np.linalg.norm(exp - rep.M1))
+    miss = exp - rep.M1
+    residual = float(np.linalg.norm(miss))
+    if math.isinf(residual) and np.isfinite(miss).all():
+        # its squares overflow: the norm through its largest part
+        part = max(np.abs(miss.real).max(), np.abs(miss.imag).max())
+        residual = float(part * np.linalg.norm(miss / part))
+    nf.diagnostics["log_residual"] = residual
     validate_normal_form(nf, tol)
     return nf
 

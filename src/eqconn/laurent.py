@@ -21,26 +21,32 @@ constructor that drops exact-zero slices with one ``np.any``.  Sums run in
 BLAS order, so results agree with a matmul per pair of powers within
 rounding.  Two kernels evaluate on the circle instead, when that forms
 fewer products, with a normwise error: the windowed commutator
-``_commutator``, and the series transport, for a gauge balanced along with
-its truncated inverse.  The public constructor copies its input and refuses
+(``_commutator_circle``, which ``_commutator`` and the validation residual
+``_equivariance_norm`` share), and the series transport, for a gauge
+balanced along with its truncated inverse.  The public constructor copies its input and refuses
 a coefficient of the wrong shape or with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``.
 One function, ``_transport``, does both for every caller, with one policy:
 ``gauge_transform`` and ``dilation_transform`` one operand at a time,
-normalization A and B together.  A constant gauge C and a diagonal monomial
-gauge ``diag(v_i z**e_i)`` are exact and take the path of a recorded shear,
-``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``: one conjugation of
-the stack and one array shift by the exponents, its drift added inside
-that shift; normalization folds A and B through one recorded shear in one
-call (``_sheared``), the similarity inverted once.  A product, commutator
-or shift whose landing powers leave int64 raises ``NumericFailure``.
-Series gauges go through a truncated inverse and record the first
-discarded order in ``diagnostics``; a series transport cut at ``order``
-forms only the powers up to ``order + 1``.  A similarity (a constant
-gauge, the values of a monomial, a step's or a series lead term) whose
-1-norm reciprocal condition number is below machine epsilon is refused as
-singular, and a transport that overflows raises ``NumericFailure``.
+normalization A and B with the recorded fold in one pass (``_gauged_pair``).
+Every transport and shear ends in one step on slabs, ``_finished``: a
+series transport hands it each operand's window of powers up to ``order``
+and the norm of power ``order + 1``, from the circle or the block
+products, and it checks the window finite, conjugates it by S (inverted
+once), shifts it by the exponents with the drift added inside the shift
+(``_shift``), checks a connection matrix's regularity off the window's own
+norms and builds one value per operand.  A constant gauge C and a diagonal
+monomial ``diag(v_i z**e_i)`` are exact recorded shears (``_sheared``),
+``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``.  A product,
+commutator or shift whose landing powers leave int64 raises
+``NumericFailure``.  Series gauges go through a truncated inverse and,
+unless a fold follows, record the first discarded order in
+``diagnostics``; a series transport cut at ``order`` forms only the powers
+up to ``order + 1``.  A similarity (a constant gauge, the values of a
+monomial, a step's or a series lead term other than I) whose 1-norm
+reciprocal condition number is below machine epsilon is refused as
+singular, and a result that overflows raises ``NumericFailure``.
 
 The kernels that make large temporaries write them into one workspace per
 thread (``_scratch``): the circle commutator's transforms and products, the
@@ -50,7 +56,7 @@ a slot; a larger request gets a fresh array that is not kept, so one large
 object pins no memory.  Reusing the buffers spares the allocator handing
 such arrays back to the system and paging them in again on every call.
 No value returned aliases the workspace: each kernel copies out the window
-it keeps.  The transforms write in place through ``out=`` of ``numpy.fft``,
+it keeps, or ``_finished`` does.  The transforms write in place through ``out=`` of ``numpy.fft``,
 which needs numpy 2.0 or later.
 """
 
@@ -165,9 +171,7 @@ class PolyMat:
         ``stack[i]`` is the coefficient of ``powers[i]`` (an int array),
         which ascend.  Exact-zero slices are dropped, both arrays are made
         read-only, and nothing else is checked."""
-        kept = np.any(stack, axis=(1, 2))
-        if not kept.all():
-            powers, stack = powers[kept], stack[kept]
+        powers, stack = _nonzero(powers, stack)
         powers.flags.writeable = stack.flags.writeable = False
         return self._slab(powers, stack, None)
 
@@ -187,8 +191,7 @@ class PolyMat:
         is inf, without numpy's overflow warning: ``_balancing_radius``
         rescales it, and the finite norms keep their bits."""
         if self._norms is None:
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(self._coeffs, axis=(1, 2))
+            norms = _norms(self._coeffs)
             norms.flags.writeable = False
             self._norms = norms
         return self._norms
@@ -200,6 +203,14 @@ class PolyMat:
         inside = (lo <= self._powers) & (self._powers <= hi)
         out[self._powers[inside] - lo] = self._coeffs[inside]
         return out
+
+    def _transform(self, base, out):
+        """``np.fft.fft`` along the power axis of the coefficients placed at
+        ``power - base`` in ``out`` and zero elsewhere, in place: the bits of
+        the transform of the dense window padded to ``len(out)``."""
+        out.fill(0)
+        out[self._powers - base] = self._coeffs
+        return np.fft.fft(out, axis=0, out=out)
 
     # -- constructors -------------------------------------------------------
 
@@ -367,6 +378,15 @@ class PolyMat:
         return self._slab(self._powers[start:stop], self._coeffs[start:stop], norms)
 
 
+def _nonzero(powers, stack):
+    """The slab ``(powers, stack)`` without its exact-zero slices, found
+    with one ``np.any``; the arrays themselves when none is zero."""
+    kept = np.any(stack, axis=(1, 2))
+    if not kept.all():
+        powers, stack = powers[kept], stack[kept]
+    return powers, stack
+
+
 def _summed(x, y):
     """``(powers, stack)`` of ``x + y`` before its exact-zero slices are
     dropped: y's coefficients added into x's on the union of their
@@ -435,7 +455,40 @@ def _circle_length(span, counts):
 
 
 def _commutator(a, b, lo, hi):
-    """``a * b - b * a``, its powers ``lo..hi`` only.
+    """``a * b - b * a``, its powers ``lo..hi`` only: on the circle
+    (``_commutator_circle``) or, for gapped powers or a narrow window, by
+    the two windowed ``_product`` calls, with their error per coefficient."""
+    a._check_compatible(b)
+    circle = _commutator_circle(a, b, lo, hi)
+    if circle is None:
+        return a._product(b, lo, hi) - b._product(a, lo, hi)
+    start, window = circle
+    return a._derive(np.arange(start, start + len(window)), window.copy())
+
+
+def _equivariance_norm(a, b, lo, hi):
+    """``(b.delta() + _commutator(a, b, lo, hi)).norm()``, to the bit: on
+    the circle no value is formed, ``tau k B_k`` is added into the window
+    at each power k it shares (the sums of ``_summed``, terms swapped), and
+    the norms are taken there and at the other powers of ``delta(B)``."""
+    a._check_compatible(b)
+    circle = _commutator_circle(a, b, lo, hi)
+    if circle is None:
+        return _sum_norm(b.delta(), a._product(b, lo, hi) - b._product(a, lo, hi))
+    start, window = circle
+    powers = b._powers
+    drift = (b.tau * powers)[:, None, None] * b._coeffs
+    inside = (start <= powers) & (powers < start + len(window))
+    window[powers[inside] - start] += drift[inside]
+    norms = [np.linalg.norm(part, axis=(1, 2)) for part in (window, drift[~inside])]
+    return float(max(n.max(initial=0.0) for n in norms))
+
+
+def _commutator_circle(a, b, lo, hi):
+    """``(start, window)``: ``a * b - b * a`` evaluated on the circle,
+    ``window[i]`` its coefficient of power ``start + i`` over the powers in
+    ``lo..hi`` the full product reaches, a view of this thread's workspace;
+    None where the circle forms more products than the block products.
 
     By evaluation on the circle (Cooley & Tukey, Math. Comp. 1965): each
     dense slab is transformed once along the power axis, at a length M no
@@ -446,25 +499,22 @@ def _commutator(a, b, lo, hi):
     coefficient (Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 24).  The circle is taken only when M is below the number of
     coefficient products the two windowed block-Toeplitz products would
-    form, one per pair of powers landing in the window for each; otherwise
-    (gapped powers, a narrow window) the two ``_product`` calls run, with
-    their error per coefficient."""
-    a._check_compatible(b)
+    form, one per pair of powers landing in the window for each."""
     base = a.min_power + b.min_power
     _check_landing(base, a.max_power + b.max_power)
     span = a.max_power + b.max_power - base + 1
     sums = a._powers[:, None] + b._powers
     m = _circle_length(span, [2 * np.count_nonzero((lo <= sums) & (sums <= hi))])
     if m is None:
-        return a._product(b, lo, hi) - b._product(a, lo, hi)
+        return None
     shape = (m, a.dim, a.dim)
-    fa = np.fft.fft(a._dense(a.min_power, a.max_power), n=m, axis=0, out=_scratch(0, shape))
-    fb = np.fft.fft(b._dense(b.min_power, b.max_power), n=m, axis=0, out=_scratch(1, shape))
+    fa = a._transform(a.min_power, _scratch(0, shape))
+    fb = b._transform(b.min_power, _scratch(1, shape))
     full = np.matmul(fa, fb, out=_scratch(2, shape))
     full -= np.matmul(fb, fa, out=_scratch(3, shape))
     np.fft.ifft(full, axis=0, out=full)
     start, stop = max(lo, base), min(hi, base + span - 1)
-    return a._derive(np.arange(start, stop + 1), full[start - base:stop - base + 1].copy())
+    return start, full[start - base:stop - base + 1]
 
 
 def _series(f, order, first, solve, basis=None, levels=None):
@@ -473,7 +523,9 @@ def _series(f, order, first, solve, basis=None, levels=None):
     one GEMM: ``f_1 .. f_order`` side by side as one ``(n, order n)`` row
     against the solved ``g`` stacked highest order first, whose last k are
     ``g_(k-1) .. g_0``.  The recurrence of a series inverse and of the
-    series gauge of formal reduction (Barkatou, AAECC 1997).
+    series gauge of formal reduction (Barkatou, AAECC 1997).  A ``solve``
+    of None keeps each right-hand side as it is: the inverse of a series
+    whose lead term is the identity.
 
     Given a ``basis`` ``(s, s_inv)``, a similarity and its inverse, the
     recurrence runs on ``s_inv f_k s``, the powers it reads conjugated once,
@@ -499,9 +551,11 @@ def _series(f, order, first, solve, basis=None, levels=None):
     kept_orders = set(np.ravel(steps).tolist())
     solved = np.empty((order + 1, n, n), dtype=complex)
     solved[order] = first
-    kept = []
+    rows, kept = solved.reshape(-1, n), []
     for k in range(1, order + 1):
-        rhs = -(lead[:, :k * n] @ solved[order - k + 1:].reshape(k * n, n))
+        # the right-hand side is formed in the slot of g_k
+        rhs = np.matmul(lead[:, :k * n], rows[(order - k + 1) * n:], out=solved[order - k])
+        np.negative(rhs, out=rhs)
         for j, r in kept:
             rhs += solved[order - k + j] @ r
         if k in kept_orders:
@@ -509,7 +563,8 @@ def _series(f, order, first, solve, basis=None, levels=None):
             if np.any(rhs[mask]):
                 kept.append((k, np.where(mask, -rhs, 0.0)))
                 rhs[mask] = 0.0
-        solved[order - k] = solve(k, rhs)
+        if solve is not None:
+            solved[order - k] = solve(k, rhs)
     if basis is not None:
         solved[:order] = s @ solved[:order] @ s_inv
     return f._derive(np.arange(order + 1), solved[::-1].copy())
@@ -521,12 +576,17 @@ def truncated_inverse(f, order):
     Requires the lowest-order term to sit at power 0 and be invertible;
     the result g satisfies ``f * g = I`` up to and including power ``order``:
     ``g_k = -f_0^-1 (f_1 g_(k-1) + ... + f_k g_0)``.  A negative ``order``
-    is refused with ``ValidationFailure``.
+    is refused with ``ValidationFailure``.  A lead term equal to I, as in
+    every recorded gauge, is not inverted and no order is multiplied by it,
+    which changes no bit but the sign of a zero entry.
     """
     if order < 0:
         raise ValidationFailure("series inverse needs an order of at least 0, got %d" % order)
     if f.is_zero() or f.min_power < 0:
         raise ValidationFailure("series inverse needs lowest power at 0")
+    eye = np.eye(f.dim, dtype=complex)
+    if f.min_power == 0 and (f._coeffs[0] == eye).all():
+        return _series(f, order, eye, None)
     c0_inv = _checked_inverse(f.term(0), "constant term of the series")
     return _series(f, order, c0_inv, lambda k, rhs: c0_inv @ rhs)
 
@@ -538,10 +598,13 @@ def truncated_inverse(f, order):
 def _gauge_step(p):
     """``p`` as a recorded step when it is not a series: ``ShearStep(C,
     zeros)`` for a constant gauge C, ``ShearStep(diag(v), e)`` for a
-    diagonal monomial ``diag(v_i z**e_i)``, else None."""
+    diagonal monomial ``diag(v_i z**e_i)``, else None, at once for a gauge
+    ``I + P_1 z + ...``: no monomial has a full diagonal beside a power."""
     if p.is_constant():
         return ShearStep(p.term(0), (0,) * p.dim)
     stack = p._coeffs
+    if p._powers[0] == 0 and np.diagonal(stack[0]).all():
+        return None
     diags = np.diagonal(stack, axis1=1, axis2=2)
     hits = diags != 0
     if np.any(stack - diags[:, :, None] * np.eye(p.dim)) or np.any(hits.sum(axis=0) != 1):
@@ -551,52 +614,61 @@ def _gauge_step(p):
                      tuple(p._powers[slot].tolist()))
 
 
-def _shift(a, exps, drift=False):
-    """Entrywise map ``A_ij(z) -> A_ij(z) z**(e_j - e_i)``, plus ``diag(tau
-    e)`` at power 0 when ``drift`` is set: one scatter of the whole stack
-    into the distinct powers it lands on, each output entry taken from one
-    input entry, and the drift added into the slice of power 0.  A landing
+def _shift(powers, stack, exps, drift=None):
+    """The slab through ``X_ij(z) -> X_ij(z) z**(e_j - e_i)``, plus
+    ``diag(drift)`` added at power 0 when given: one scatter of the stack
+    into the powers it lands on, each the sum of a power and a difference
+    of the G distinct exponents, so one sort of K G**2 sums finds them and
+    no power in between is held.  Exact-zero slices are kept; a landing
     power with no int64 value raises ``NumericFailure``."""
-    spread = int(exps.max()) - int(exps.min())
-    _check_landing(a.min_power - spread, a.max_power + spread)
-    landing = (a._powers[:, None, None] + (exps[None, :] - exps[:, None])).ravel()
-    found, slot = np.unique(np.append(landing, 0) if drift else landing, return_inverse=True)
-    out = np.zeros((len(found), a.dim, a.dim), dtype=complex)
-    rows, cols = np.indices((a.dim, a.dim))
-    out[slot[:len(landing)].reshape(a._coeffs.shape), rows, cols] = a._coeffs
-    if drift:
-        zero = slot[-1]
+    n = stack.shape[1]
+    levels = np.unique(exps)
+    spread = int(levels[-1]) - int(levels[0])
+    lo, hi = (int(powers[0]), int(powers[-1])) if len(powers) else (0, 0)
+    _check_landing(lo - spread, hi + spread)
+    group = np.searchsorted(levels, exps)
+    sums = (powers[:, None] + (levels - levels[:, None]).ravel()).ravel()
+    found = np.unique(sums if drift is None else np.append(sums, 0))
+    slot = np.searchsorted(found, sums).reshape(len(powers), len(levels) ** 2)
+    out = np.zeros((len(found), n, n), dtype=complex)
+    entries = np.arange(n)
+    out[slot[:, group[:, None] * len(levels) + group], entries[:, None], entries] = stack
+    if drift is not None:
+        zero = np.searchsorted(found, 0)
         if not out[zero].any():
             # a slice of signed zeros is dropped before a sum: start from +0
             out[zero] = 0.0
-        out[zero] += np.diag(a.tau * exps)
-    return a._derive(found, out)
+        out[zero] += np.diag(drift)
+    return found, out
 
 
-def _transport(p, pairs, order):
+def _transport(p, pairs, order, fold=None, tol=None):
     """``P^-1 X P``, plus ``P^-1 delta(P)`` where ``drift`` is set, for each
-    ``(X, drift)`` of ``pairs``: every gauge transport.  A constant or
-    diagonal monomial gauge (``_gauge_step``) takes each X through
-    ``_sheared``.  A series gauge needs an ``order``, each X is cut there
-    with its ``truncation_residual``, and all share one truncated inverse
-    and one decision: evaluation on the circle, as ``_commutator``, of each
-    X on their common powers ``min(lowest, 0)`` to ``order + 1``, of P, its
-    inverse and ``delta(P)``, at a length M no shorter than the triple
-    product's span; then ``F(P^-1) (F(X) F(P) + F(delta P))`` pointwise,
-    the drift only where it is set, one inverse transform and each cut to
-    its window, with an error about the unit roundoff times ``||P^-1|| ||X||
-    ||P||``.  The circle is taken only when M is below the number of
-    coefficient products the windowed block-Toeplitz products would form,
-    and P and its inverse are balanced (``_balancing_radius`` 1), so that no
-    product outgrows the data; otherwise (a near-resonant gauge whose
-    inverse grows, gapped powers) each X goes through ``_block_transport``,
-    with its error per coefficient.  A result that is not finite raises
-    ``NumericFailure``."""
+    ``(X, drift)`` of ``pairs``, then the recorded ``fold`` if given (see
+    ``_finished``, ``tol`` its regularity check): every gauge transport.
+    A constant or diagonal monomial gauge (``_gauge_step``) takes each X
+    through ``_sheared``.  A series gauge needs an ``order``, and all X
+    share one truncated inverse and one decision: evaluation on
+    the circle, as ``_commutator``, of each X on their common powers
+    ``min(lowest, 0)`` to ``order + 1``, of P, its inverse and
+    ``delta(P)``, at a length M no shorter than the triple product's span;
+    then ``F(P^-1) (F(X) F(P) + F(delta P))`` pointwise, the drift only
+    where it is set, and one inverse transform, with an error about the
+    unit roundoff times ``||P^-1|| ||X|| ||P||``.  The circle is taken only
+    when M is below the number of coefficient products the windowed
+    block-Toeplitz products would form, and P and its inverse are balanced
+    (``_balancing_radius`` 1), so that no product outgrows the data;
+    otherwise (a near-resonant gauge whose inverse grows, gapped powers)
+    each X goes through ``_block_transport``, with its error per
+    coefficient.  Either way ``_finished`` gets each window of powers up to
+    ``order`` and the norm of power ``order + 1``."""
     for x, _ in pairs:
         x._check_compatible(p)
     step = _gauge_step(p)
     if step is not None:
-        return _finite(_sheared(pairs, step))
+        out = _sheared(pairs, step)
+        return out if fold is None else _sheared(
+            [(x, drift) for x, (_, drift) in zip(out, pairs)], fold, tol)
     if order is None:
         raise ValidationFailure("series gauge needs an explicit truncation order")
     p_inv, hi = truncated_inverse(p, order), order + 1
@@ -621,54 +693,109 @@ def _transport(p, pairs, order):
 
     m = _circle_length(p_inv.max_power + hi + p.max_power - base + 1, counts())
     if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
-        return _finite([_block_transport(x, p, p_inv, order, drift)
-                        for x, drift in zip(xs, drifts)])
-    one, stacked = (m, p.dim, p.dim), (len(xs), m, p.dim, p.dim)
-    f_x = np.fft.fft(np.stack([x._dense(base, hi) for x in xs]), n=m, axis=1,
-                     out=_scratch(0, stacked))
-    f_p = np.fft.fft(p._dense(0, p.max_power), n=m, axis=0, out=_scratch(1, one))
-    f_inv = np.fft.fft(p_inv._dense(0, p_inv.max_power), n=m, axis=0, out=_scratch(2, one))
-    inner = np.matmul(f_x, f_p, out=_scratch(3, stacked))
-    if any(drifts):
-        # f_p is spent: its slot takes the drift's transform
-        f_delta = np.fft.fft(delta._dense(base, p.max_power), n=m, axis=0, out=f_p)
-        for i in np.flatnonzero(drifts):
-            inner[i] += f_delta
-    # f_x is spent: its slot takes the product and its inverse transform
-    full = np.matmul(f_inv, inner, out=f_x)
-    np.fft.ifft(full, axis=1, out=full)
-    return _finite([_cut(x._derive(np.arange(lo, hi + 1), piece[lo - base:hi - base + 1].copy()),
-                         order)
-                    for x, piece, lo in zip(xs, full, lows)])
+        cuts = [_block_transport(x, p, p_inv, order, drift) for x, drift in zip(xs, drifts)]
+    else:
+        one, stacked = (m, p.dim, p.dim), (len(xs), m, p.dim, p.dim)
+        f_x = _scratch(0, stacked)
+        for x, out in zip(xs, f_x):
+            x._transform(base, out)
+        f_p = p._transform(0, _scratch(1, one))
+        f_inv = p_inv._transform(0, _scratch(2, one))
+        inner = np.matmul(f_x, f_p, out=_scratch(3, stacked))
+        if any(drifts):
+            # f_p is spent: its slot takes the drift's transform
+            f_delta = delta._transform(base, f_p)
+            for i in np.flatnonzero(drifts):
+                inner[i] += f_delta
+        # f_x is spent: its slot takes the product and its inverse transform
+        full = np.matmul(f_inv, inner, out=f_x)
+        np.fft.ifft(full, axis=1, out=full)
+        cuts = [(np.arange(lo, hi), piece[lo - base:hi - base],
+                 float(np.linalg.norm(piece[hi - base])))
+                for piece, lo in zip(full, lows)]
+    return _finished([(x, powers, stack, drift, tail)
+                      for x, drift, (powers, stack, tail) in zip(xs, drifts, cuts)], fold, tol)
 
 
 def _block_transport(x, p, p_inv, order, drift):
-    """``x`` through a series gauge ``p`` with its truncated inverse
-    ``p_inv``, by windowed block-Toeplitz products.  P and its inverse hold
-    no negative powers, so powers above order + 1 of X reach no power kept;
-    each kept power sums what the full products sum.  The drift ``P^-1
-    delta(P)`` starts at power 1, which may lie below X's lowest power."""
+    """``(powers, stack, tail)``: ``x`` through a series gauge ``p`` with
+    its truncated inverse ``p_inv`` by windowed block-Toeplitz products,
+    cut at ``order``, and the norm of power ``order + 1``.  P and its
+    inverse hold no negative powers, so powers above order + 1 of X reach
+    no power kept.  The drift ``P^-1 delta(P)`` starts at power 1, which
+    may lie below X's lowest power."""
     lo, hi = min(x.min_power, 0), order + 1
     full = p_inv._product(x.truncate(hi)._product(p, lo, hi), lo, hi)
     if drift:
         full = full + p_inv._product(p.delta(), lo, hi)
-    return _cut(full, order)
+    stop = np.searchsorted(full._powers, order, side="right")
+    return full._powers[:stop], full._coeffs[:stop], float(np.linalg.norm(full.term(hi)))
 
 
-def _cut(full, order):
-    """``full`` cut at ``order``, its first discarded power's norm recorded
-    as ``truncation_residual``."""
-    result = full.truncate(order)
-    result.diagnostics["truncation_residual"] = float(np.linalg.norm(full.term(order + 1)))
-    return result
+def _finished(parts, step=None, tol=None):
+    """One value per ``(x, powers, stack, drift, tail)`` of ``parts``: the
+    slab with the parameters of ``x``, through the recorded ``step`` if
+    given.  A stack may hold exact-zero slices, dropped on the way in and at
+    the end, or be a view of the workspace, which no result aliases.
 
-
-def _finite(results):
-    """``results``, refused with ``NumericFailure`` unless all finite."""
-    for x in results:
-        if not (np.isfinite(x._coeffs).all() and np.isfinite(list(x.diagnostics.values())).all()):
+    A ``tail`` marks a series transport's window cut at its order and is
+    the norm of the first power cut off: window and tail must be finite,
+    and without a step the tail is ``truncation_residual``.  A step is
+    ``S^-1 X_k S`` at each power, S inverted once for all parts, then the
+    monomial ``diag(z**k_i)`` of its exponents (``_shift``), its drift
+    ``diag(tau k_i)`` at power 0 where ``drift`` is set; a result that is
+    not finite or an exponent with no int64 value raises ``NumericFailure``.
+    Given ``tol``, the first part is a connection matrix whose negative
+    powers after the step must be rounding: only its powers below ``max k -
+    min k`` can land there, and a coefficient there whose norm exceeds
+    ``eps_res`` times one plus their largest norm is a pole (the norm of the
+    whole series would let one through beside large high powers), which
+    raises ``RegularityViolation``."""
+    for _, _, stack, _, tail in parts:
+        if tail is not None and not (math.isfinite(tail) and np.isfinite(stack).all()):
             raise NumericFailure("the gauge transport overflows")
-    return results
+    if step is None:
+        out = [x._derive(powers, stack.copy()) for x, powers, stack, _, _ in parts]
+        for value, (_, _, _, _, tail) in zip(out, parts):
+            if tail is not None:
+                value.diagnostics["truncation_residual"] = tail
+        return out
+    s = step.similarity
+    s_inv = _checked_inverse(s, "constant gauge")
+    try:
+        exps = np.array(step.exponents, dtype=np.int64)
+    except OverflowError:
+        raise NumericFailure("a shear exponent has no int64 value")
+    reach = max(step.exponents, default=0) - min(step.exponents, default=0)
+    out = []
+    for x, powers, stack, drift, _ in parts:
+        powers, stack = _nonzero(powers, stack)
+        if tol is not None and not out:
+            below = _norms(stack[:np.searchsorted(powers, reach - 1, side="right")])
+            threshold = tol.eps_res * (float(below.max(initial=0.0)) + 1.0)
+        stack = s_inv @ stack @ s
+        if np.any(exps):
+            powers, stack = _shift(powers, stack, exps, x.tau * exps if drift else None)
+        if not np.isfinite(stack).all():
+            raise NumericFailure("the gauge transport overflows")
+        out.append(x._derive(powers, stack))
+    if tol is not None:
+        a = out[0]
+        sizes = a._power_norms()[a._powers < 0]
+        poles = np.flatnonzero(sizes > threshold)
+        if poles.size:
+            raise RegularityViolation(
+                "shear would create a pole: coefficient of z**%d has norm %.3e"
+                % (a._powers[poles[0]], sizes[poles[0]]))
+        out[0] = a.truncate(a.max_power, lo=0)
+    return out
+
+
+def _norms(stack):
+    """The Frobenius norm of each slice of ``stack``; one whose squares
+    overflow is inf, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(stack, axis=(1, 2))
 
 
 def gauge_transform(a, p, order=None):
@@ -734,54 +861,23 @@ def shear(a, sdata, cluster_shifts, tol=None):
     return apply_shear(a, step, tol=tol), step
 
 
-def _sheared(pairs, step):
-    """Each ``(X, drift)`` of ``pairs`` through a recorded step: ``S^-1 X_k
-    S`` at each power, S inverted once for all of them, then the monomial
-    ``diag(z**k_i)`` of the step's exponents as an array shift, with its
-    drift ``diag(tau k_i)`` at power 0 where ``drift`` is set (``_shift``).
-    An exponent with no int64 value raises ``NumericFailure``."""
-    s = step.similarity
-    s_inv = _checked_inverse(s, "constant gauge")
-    try:
-        exps = np.array(step.exponents, dtype=np.int64)
-    except OverflowError:
-        raise NumericFailure("a shear exponent has no int64 value")
-    out = [x._derive(x._powers, s_inv @ x._coeffs @ s) for x, _ in pairs]
-    if not np.any(exps):
-        return out
-    return [_shift(x, exps, drift) for x, (_, drift) in zip(out, pairs)]
+def _sheared(pairs, step, tol=None):
+    """Each ``(X, drift)`` of ``pairs`` through a recorded step, the first
+    X checked for regularity at ``tol`` if given (``_finished``)."""
+    return _finished([(x, x._powers, x._coeffs, drift, None) for x, drift in pairs], step, tol)
 
 
 def apply_shear(a, step, tol=None):
     """Apply a recorded shear to a connection matrix, checked for
     regularity: a coefficient the step moves below power 0 is a pole when
     its norm exceeds ``eps_res`` times one plus the largest norm among the
-    powers it can move there (``_checked_regular``)."""
-    return _checked_regular(_sheared([(a, True)], step)[0], a, step, tol or DEFAULT_TOL)
+    powers it can move there (``_finished``)."""
+    return _sheared([(a, True)], step, tol or DEFAULT_TOL)[0]
 
 
 def apply_shear_dilation(b, step, tol=None):
     """Apply a recorded shear to a dilation matrix (no regularity demanded)."""
     return _sheared([(b, False)], step)[0]
-
-
-def _checked_regular(out, a, step, tol):
-    """``out``, the connection matrix ``a`` through ``step``, without its
-    negative powers, which must be rounding.  A unit monomial moves a power
-    by at most ``max k - min k``, so only the powers of ``a`` below that can
-    land below zero: a coefficient there is a pole when its norm exceeds
-    ``eps_res`` times one plus the largest norm among them (the norm of the
-    whole series would let a pole through beside large high powers), and
-    raises ``RegularityViolation``."""
-    reach = max(step.exponents, default=0) - min(step.exponents, default=0)
-    threshold = tol.eps_res * (a.norm(hi=reach - 1) + 1.0)
-    sizes = out._power_norms()[out._powers < 0]
-    poles = np.flatnonzero(sizes > threshold)
-    if poles.size:
-        raise RegularityViolation(
-            "shear would create a pole: coefficient of z**%d has norm %.3e"
-            % (out._powers[poles[0]], sizes[poles[0]]))
-    return out.truncate(out.max_power, lo=0)
 
 
 def _balancing_radius(a):
@@ -793,15 +889,19 @@ def _balancing_radius(a):
     two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969).  A
     kept norm that overflows, while its coefficient is finite, is taken
     here as the coefficient's norm scaled by its largest entry, so that
-    the radius follows the norm and not the overflow of its squares."""
+    the radius follows the norm and not the overflow of its squares.  No
+    norm above ``max(1, ||A_0||)`` is radius 1 without the roots."""
     norms = a._power_norms()
+    top = max(1.0, norms[a._powers == 0].max(initial=0.0))
+    if norms.max(initial=0.0) <= top < math.inf:
+        return 1.0
     wide = np.flatnonzero(~np.isfinite(norms))
     if wide.size:
         norms = norms.copy()
         for i in wide.tolist():
             big = np.abs(a._coeffs[i]).max()
             norms[i] = big * np.linalg.norm(a._coeffs[i] / big)
-    top = max(1.0, norms[a._powers == 0].max(initial=0.0))
+        top = max(1.0, norms[a._powers == 0].max(initial=0.0))
     up = a._powers > 0
     rho = float(np.min((top / norms[up]) ** (1.0 / a._powers[up]), initial=1.0))
     return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
@@ -839,13 +939,13 @@ def apply_gauge_record(a, b, record, tol=None):
 
 
 def _gauged_pair(a, b, record, tol):
-    """A balanced connection/dilation pair through a ``GaugeRecord``: the
-    series gauge, one ``_transport`` call unless it is constant, then the
-    fold, if any: one ``_sheared`` call for both, A checked for regularity
-    as ``apply_shear`` checks it."""
+    """A balanced connection/dilation pair through a ``GaugeRecord`` in one
+    pass: the series gauge, unless it is constant, and the fold, if any,
+    are one ``_transport`` call, A checked for regularity as
+    ``apply_shear`` checks it."""
+    pairs = [(a, True), (b, False)]
     if record.series is not None and not record.series.is_constant():
-        a, b = _transport(record.series, [(a, True), (b, False)], record.truncation)
+        return _transport(record.series, pairs, record.truncation, record.fold, tol)
     if record.fold is not None:
-        folded, b = _sheared([(a, True), (b, False)], record.fold)
-        a = _checked_regular(folded, a, record.fold, tol)
-    return a, b
+        return _sheared(pairs, record.fold, tol)
+    return [a, b]

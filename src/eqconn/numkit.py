@@ -591,7 +591,9 @@ def _cluster_triangular(t, q, tol):
     ordered by first appearance by ``_group_blocks`` (nothing moves unless
     one has members apart), and the means are one ``np.add.reduceat`` over
     the diagonal, which sums a cluster of three or more in another order
-    than ``np.mean``.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
+    than ``np.mean``; a mean whose sum leaves the float range is summed
+    again from its members divided by the cluster size.  Returns ``(t, q,
+    blocks)`` as ``_clustered_schur``.
     """
     diagonal = np.diag(t)
     if _apart(diagonal.real, tol.eps_spec):
@@ -600,7 +602,13 @@ def _cluster_triangular(t, q, tol):
     labels = _connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
     t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
     starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
-    means = np.add.reduceat(np.diag(t), starts) / (stops - starts)
+    sizes = stops - starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduceat(np.diag(t), starts) / sizes
+        wide = ~np.isfinite(means)
+        if wide.any():
+            # a sum past the float range: each member divided by the size first
+            means[wide] = np.add.reduceat(np.diag(t) / np.repeat(sizes, sizes), starts)[wide]
     return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
 
 

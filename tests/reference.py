@@ -104,6 +104,15 @@ public constructor.  The benchmark's inputs come from them, so the
 library's gauge calculus can change without moving those inputs; they stay
 as they are.  ``reference_transport`` remains the oracle of the transports.
 
+``frozen_gauged_pair`` is, in the same way, ``laurent._gauged_pair`` as it
+stood when normalization's gauge pass was three passes over values: the
+series transport (on the circle or by block products, through the series
+inverse of the checked lead term and ``frozen_balancing_radius``, the
+balancing radius by its full formula), each result cut and checked, then
+the fold and its array shift (one ``np.unique`` over every entry's landing
+power), then the regularity check.  The one pass must give the same
+values, to the bit, and the same exceptions.
+
 The frozen label kernels, ``frozen_position``, ``frozen_reduce``,
 ``frozen_boundary_distance``, ``frozen_cluster_shifts``, ``frozen_canon``,
 ``frozen_reduce_mod_lattice`` and ``frozen_lex_key``, are the scalar code
@@ -1245,6 +1254,189 @@ def frozen_shear(a, b, sdata, cluster_shifts, tol=DEFAULT_TOL):
     return (_frozen_value(a, (powers[start:], stack[start:])),
             _frozen_value(b, _frozen_sheared(_stacked(b), s, exponents, b.tau, False)))
 
+
+# ---------------------------------------------------------------------------
+# the frozen gauge pass of normalization
+# ---------------------------------------------------------------------------
+# Not oracles either: bit-exact copies of ``laurent._gauged_pair`` as it
+# stood when the series transport, the fold and the regularity check were
+# three passes over PolyMat values, each cut, checked, conjugated and
+# shifted apart (``_transport``, ``_cut``, ``_finite``, ``_sheared``,
+# ``_shift``, ``_checked_regular``), with the balancing radius and the
+# series inverse taken by their full formulas.  On slabs, as the generator
+# kernels above; the one pass must give the same values, to the bit.
+
+def _frozen_norms(stack):
+    """The Frobenius norm of each slice, inf without a warning where its
+    squares overflow."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(stack, axis=(1, 2))
+
+
+def frozen_balancing_radius(slab):
+    """``laurent._balancing_radius`` of the slab by its full formula: the
+    largest power of two at most ``min(1, min_k (max(1, ||A_0||) /
+    ||A_k||)^(1/k))`` over the powers ``k >= 1``, a norm that overflows
+    taken through the coefficient's largest entry."""
+    powers, stack = slab
+    norms = _frozen_norms(stack)
+    wide = np.flatnonzero(~np.isfinite(norms))
+    if wide.size:
+        norms = norms.copy()
+        for i in wide.tolist():
+            big = np.abs(stack[i]).max()
+            norms[i] = big * np.linalg.norm(stack[i] / big)
+    top = max(1.0, norms[powers == 0].max(initial=0.0))
+    up = powers > 0
+    with np.errstate(divide="ignore"):
+        rho = float(np.min((top / norms[up]) ** (1.0 / powers[up]), initial=1.0))
+    return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
+
+
+def _frozen_fast_length(m):
+    """The smallest ``2**i 3**j 5**k`` of at least ``m``."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            q = p
+            while q < m:
+                q *= 2
+            best, p = min(best, q), p * 3
+        p5 *= 5
+    return best
+
+
+def _frozen_circle_length(span, counts):
+    """The transform length of a product spanning ``span`` powers when it
+    is below the coefficient products ``counts`` yields in parts, else
+    None."""
+    total, m = 0, None
+    for count in counts:
+        total += count
+        if span < total:
+            m = m or _frozen_fast_length(span)
+            if m < total:
+                return m
+    return None
+
+
+def _frozen_cut(full, order):
+    """``(powers, stack, tail)``: the slab cut at ``order`` and the norm of
+    its power ``order + 1``, refused unless all finite."""
+    stop = np.searchsorted(full[0], order, side="right")
+    cut = (full[0][:stop], full[1][:stop], float(np.linalg.norm(_frozen_term(full, order + 1))))
+    if not (np.isfinite(cut[1]).all() and np.isfinite(cut[2])):
+        raise NumericFailure("the gauge transport overflows")
+    return cut
+
+
+def _frozen_series_pair(slabs, drifts, p, order):
+    """Each slab through the series gauge ``p`` cut at ``order``, as
+    ``(powers, stack, tail)``: evaluation on the circle when that forms
+    fewer products and P and its inverse are balanced, else windowed
+    block-Toeplitz products."""
+    ps, hi = _stacked(p), order + 1
+    p_inv = _frozen_inverse_series(ps, order)
+    xs = [(powers[:np.searchsorted(powers, hi, side="right")],
+           stack[:np.searchsorted(powers, hi, side="right")]) for powers, stack in slabs]
+    lows = [min(int(powers[0]) if len(powers) else 0, 0) for powers, _ in xs]
+    base = min(lows)
+    delta = _frozen_kept(ps[0], np.asarray(p.tau * ps[0], dtype=complex)[:, None, None]
+                         * ps[1])
+    top, inv_top = int(ps[0][-1]), int(p_inv[0][-1])
+
+    def window(left, right, lo):
+        sums = (left[:, None] + right).ravel()
+        return sums[(lo <= sums) & (sums <= hi)]
+
+    def counts():
+        landed = [window(x[0], ps[0], lo) for x, lo in zip(xs, lows)]
+        yield sum(map(len, landed))
+        for drift, lo in zip(drifts, lows):
+            if drift:
+                yield len(window(p_inv[0], delta[0], lo))
+        for sums, lo in zip(landed, lows):
+            yield len(window(p_inv[0], np.unique(sums), lo))
+
+    m = _frozen_circle_length(inv_top + hi + top - base + 1, counts())
+    if m is None or frozen_balancing_radius(ps) != 1.0 or frozen_balancing_radius(p_inv) != 1.0:
+        out = []
+        for x, lo, drift in zip(xs, lows, drifts):
+            full = _frozen_product(p_inv, _frozen_product(x, ps, lo, hi), lo, hi)
+            if drift:
+                full = _frozen_sum(full, _frozen_product(p_inv, delta, lo, hi))
+            out.append(_frozen_cut(full, order))
+        return out
+    f_x = np.fft.fft(np.stack([_frozen_dense(x, base, hi) for x in xs]), n=m, axis=1)
+    f_p = np.fft.fft(_frozen_dense(ps, 0, top), n=m, axis=0)
+    f_inv = np.fft.fft(_frozen_dense(p_inv, 0, inv_top), n=m, axis=0)
+    inner = np.matmul(f_x, f_p)
+    if any(drifts):
+        f_delta = np.fft.fft(_frozen_dense(delta, base, top), n=m, axis=0)
+        for i in np.flatnonzero(drifts):
+            inner[i] += f_delta
+    full = np.fft.ifft(np.matmul(f_inv, inner), axis=1)
+    return [_frozen_cut(_frozen_kept(np.arange(lo, hi + 1),
+                                     piece[lo - base:hi - base + 1].copy()), order)
+            for piece, lo in zip(full, lows)]
+
+
+def _frozen_shift(slab, exps, tau, drift):
+    """``X_ij(z) -> X_ij(z) z**(e_j - e_i)`` as one scatter into the
+    distinct powers landed on, one ``np.unique`` over every entry's landing
+    power, plus ``diag(tau e)`` added into the slice of power 0 with
+    ``drift``, which starts from +0 when it holds only signed zeros."""
+    powers, stack = slab
+    n = stack.shape[1]
+    landing = (powers[:, None, None] + (exps[None, :] - exps[:, None])).ravel()
+    found, slot = np.unique(np.append(landing, 0) if drift else landing, return_inverse=True)
+    out = np.zeros((len(found), n, n), dtype=complex)
+    rows, cols = np.indices((n, n))
+    out[slot[:len(landing)].reshape(stack.shape), rows, cols] = stack
+    if drift:
+        zero = slot[-1]
+        if not out[zero].any():
+            out[zero] = 0.0
+        out[zero] += np.diag(tau * exps)
+    return _frozen_kept(found, out)
+
+
+def frozen_gauged_pair(a, b, record, tol=DEFAULT_TOL):
+    """``(A, B)`` through a ``GaugeRecord`` as ``laurent._gauged_pair`` took
+    them in three passes: the series gauge unless it is constant, each
+    result cut at the truncation with its ``truncation_residual`` and
+    checked finite; then the fold, if any, ``S^-1 X_k S`` at each power and
+    the shift; then A's regularity check, a coefficient the fold moves
+    below power 0 a pole above ``eps_res`` times one plus the largest norm
+    among the powers up to ``max k - min k - 1`` of A before the fold."""
+    slabs, drifts = [_stacked(a), _stacked(b)], [True, False]
+    tails = [None, None]
+    if record.series is not None and not record.series.is_constant():
+        cuts = _frozen_series_pair(slabs, drifts, record.series, record.truncation)
+        slabs, tails = [cut[:2] for cut in cuts], [cut[2] for cut in cuts]
+    if record.fold is None:
+        return [_frozen_value(x, slab, None if tail is None else {"truncation_residual": tail})
+                for x, slab, tail in zip((a, b), slabs, tails)]
+    s = record.fold.similarity
+    s_inv = _frozen_inverse(s, "constant gauge")
+    exps = np.array(record.fold.exponents, dtype=np.int64)
+    folded = [_frozen_kept(powers, s_inv @ stack @ s) for powers, stack in slabs]
+    if np.any(exps):
+        folded = [_frozen_shift(slab, exps, a.tau, drift) for slab, drift in zip(folded, drifts)]
+    reach = max(record.fold.exponents, default=0) - min(record.fold.exponents, default=0)
+    powers, stack = slabs[0]
+    below = _frozen_norms(stack[:np.searchsorted(powers, reach - 1, side="right")])
+    threshold = tol.eps_res * (float(below.max(initial=0.0)) + 1.0)
+    powers, stack = folded[0]
+    sizes = _frozen_norms(stack)[powers < 0]
+    poles = np.flatnonzero(sizes > threshold)
+    if poles.size:
+        raise RegularityViolation(
+            "shear would create a pole: coefficient of z**%d has norm %.3e"
+            % (powers[poles[0]], sizes[poles[0]]))
+    start = np.searchsorted(powers, 0)
+    return [_frozen_value(a, (powers[start:], stack[start:])), _frozen_value(b, folded[1])]
 
 # ---------------------------------------------------------------------------
 # frozen label kernels: the scalar code labels were once reduced, keyed and

@@ -2,10 +2,12 @@
 
 import functools
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,25 @@ def test_rh_from_rep_refuses_matrices_of_different_sizes_exits_2(capsys, tmp_pat
     report = json.loads(out, parse_constant=pytest.fail)
     assert report["error"]["kind"] == "ValidationFailure"
     assert "of one size" in report["error"]["message"]
+
+
+def test_rh_from_rep_of_a_double_eigenvalue_at_the_float_limit_exits_0(capsys, tmp_path):
+    """M1 = diag(1.7e308, 1.7e308): the cluster's sum leaves the float
+    range, so its mean is summed from the members divided by the size, and
+    the squares of ``exp(2 pi i A0/tau) - M1`` overflow, so its norm is
+    taken through its largest part.  Exit 0 with A0 = tau log(1.7e308) /
+    (2 pi i) I and a finite ``log_residual``, where the pair used to end in
+    ``NumericFailure``, exit 1; no warning is raised on the way."""
+    rep_path = write(tmp_path, "rep.json", encode_monodromy(
+        MonodromyPair(np.diag([1.7e308, 1.7e308]).astype(complex), np.eye(2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_json(capsys, ["rh-from-rep", rep_path])
+    assert code == 0
+    a0 = np.array([[complex(re, im) for re, im in row] for row in report["result"]["A0"]])
+    want = TAU * math.log(1.7e308) / (2j * math.pi)
+    assert np.allclose(a0, want * np.eye(2), rtol=1e-12, atol=0.0)
+    assert 0.0 < report["result"]["diagnostics"]["log_residual"] < math.inf
 
 
 def test_hom_and_tensor_commands(capsys, tmp_path):

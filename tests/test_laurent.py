@@ -31,7 +31,7 @@ from eqconn.laurent import (
     shear,
     truncated_inverse,
 )
-from eqconn.numkit import DEFAULT_TOL, spectral
+from eqconn.numkit import DEFAULT_TOL, Tolerances, spectral
 import reference
 import util
 from reference import (
@@ -935,7 +935,7 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
                        x.norm() + y.norm())
 
     e = np.array(exps)
-    assert_close_terms(_shift(x, e).terms, _reference_shift(x, e, np.ones(dim)).terms,
+    assert_close_terms(shifted(x, e).terms, _reference_shift(x, e, np.ones(dim)).terms,
                        x.norm())
     s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
     step = ShearStep(s, tuple(exps))
@@ -953,6 +953,11 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
             assert_close_to_rounding(dict(transport(x, p, order).terms),
                                      dict(reference_transport(x, p, order, drift).terms),
                                      transport_scale(x, p, order))
+
+
+def shifted(x, exps):
+    """``x`` through ``_shift``, the array shift of its slab, as a value."""
+    return x._derive(*_shift(x._powers, x._coeffs, exps))
 
 
 def same_slab(value, slab):
@@ -1050,6 +1055,196 @@ def test_the_one_fold_is_apply_shear_and_apply_shear_dilation_to_the_bit(n, shea
     assert same_slab(got_a, (powers[start:], stack[start:]))
 
 
+def frozen_pass_agrees(a, b, record, tol=DEFAULT_TOL):
+    """``_gauged_pair`` of the pair is ``reference.frozen_gauged_pair``, to
+    the bit, values and diagnostics; returns the pair."""
+    got = _gauged_pair(a, b, record, tol)
+    want = reference.frozen_gauged_pair(a, b, record, tol)
+    assert len(got) == 2 and all(same_bits(x, y) for x, y in zip(got, want))
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_gauge_pass_is_the_frozen_three_passes_to_the_bit(n, monkeypatch):
+    """Scrambled objects with 0, 1 and 2 shears, balanced as ``normalize``
+    takes them, through the record ``normalize`` made: the one pass, whose
+    series transport hands its windows to the fold and the regularity check
+    with no value in between, gives what the three passes gave, to the bit.
+    Each of these gauges is balanced, so every transport runs on the circle;
+    the block products are taken by a constructed record below."""
+    rng = np.random.default_rng(600 + n)
+    block, calls, folds = eqconn.laurent._block_transport, [], []
+    monkeypatch.setattr(eqconn.laurent, "_block_transport",
+                        lambda *args: calls.append(1) or block(*args))
+    for shears in (0, 1, 2, 2):
+        obj = util.scramble(util.random_normal_form(rng, n), rng, shears=shears)
+        record = normalize(obj, util.STRIP, 16).gauge
+        _, a, b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+        frozen_pass_agrees(a, b, record)
+        folds.append(record.fold is not None and any(record.fold.exponents))
+    assert any(folds) and not calls
+
+
+def test_the_gauge_pass_of_an_input_gauged_by_a_far_power_is_the_frozen_one():
+    """A resonant object gauged by ``z**400``: its record's fold moves
+    every group down by 400 or more, and the one pass still gives what the
+    three passes gave, to the bit."""
+    _, obj = util.resonant_object(np.random.default_rng(900))
+    obj = util.gauged_by_power(obj, 400)
+    record = normalize(obj, util.STRIP, 16).gauge
+    assert record.fold is not None and max(record.fold.exponents) <= -400
+    _, a, b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+    frozen_pass_agrees(a, b, record)
+
+
+def test_the_gauge_pass_of_constructed_records_is_the_frozen_one(monkeypatch):
+    """Records ``normalize`` would not make, through the one pass and the
+    frozen three passes: a fold whose exponents are all 0, to the bit; an
+    unbalanced gauge, which takes the block products, to the bit (at an
+    ``eps_res`` that lets its fold's negative powers through); a fold
+    that moves a coefficient below power 0, ``RegularityViolation`` with
+    the same message; a gauge whose inverse overflows, ``NumericFailure``;
+    and a fold whose drift lands on a slice of power 0 that holds only
+    signed zeros, one of them -0.0, which starts from +0 on both sides.  A
+    monomial series, a recorded step, is its shear and then the fold: what
+    ``apply_shear`` of ``gauge_transform`` gives, to the bit."""
+    rng = np.random.default_rng(610)
+    a, b = rand_pm(rng, 3, range(0, 12)), rand_pm(rng, 3, range(-2, 12))
+    s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    series = balanced_gauge(rng, 3, 6)
+    still = GaugeRecord(series, 6, fold=ShearStep(s, (0, 0, 0)))
+    frozen_pass_agrees(a, b, still)
+
+    steep = PolyMat(3, {0: np.eye(3), 1: 1e4 * np.eye(3, k=1), 2: 0.1 * np.eye(3)}, TAU, Q)
+    block, calls = eqconn.laurent._block_transport, []
+    monkeypatch.setattr(eqconn.laurent, "_block_transport",
+                        lambda *args: calls.append(1) or block(*args))
+    frozen_pass_agrees(a, b, GaugeRecord(steep, 6, fold=ShearStep(s, (0, 1, 1))),
+                       Tolerances(eps_res=1e3))
+    assert calls == [1, 1]
+
+    pole = PolyMat(2, {0: np.diag([0.3, 0.4]), 1: [[0.0, 5.0], [0.0, 0.0]]}, TAU, Q)
+    lift = GaugeRecord(balanced_gauge(rng, 2, 4), 4, fold=ShearStep(np.eye(2), (2, 0)))
+    messages = []
+    for run in (_gauged_pair, lambda *args: reference.frozen_gauged_pair(*args[:3])):
+        with pytest.raises(RegularityViolation, match="pole") as raised:
+            run(pole, pole, lift, DEFAULT_TOL)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+    huge = PolyMat(2, {0: np.eye(2), 1: 1e300 * np.ones((2, 2))}, TAU, Q)
+    over = GaugeRecord(huge, 4, fold=ShearStep(np.eye(2), (1, 0)))
+    small = rand_pm(rng, 2, [0, 1])
+    for run in (_gauged_pair, lambda *args: reference.frozen_gauged_pair(*args[:3])):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericFailure, match="overflows"):
+            run(small, small, over, DEFAULT_TOL)
+
+    # a monomial series is a recorded step: its shear, then the fold
+    mono = PolyMat(2, {0: np.diag([2.0, 0.0]), 1: np.diag([0.0, 3.0])}, TAU, Q)
+    back = ShearStep(np.diag([1.0, 2.0]).astype(complex), (1, 0))
+    a2, b2 = rand_pm(rng, 2, [0, 1, 2]), rand_pm(rng, 2, [-1, 0, 1])
+    got = _gauged_pair(a2, b2, GaugeRecord(mono, 4, fold=back), DEFAULT_TOL)
+    assert same_bits(got[0], apply_shear(gauge_transform(a2, mono), back))
+    assert same_bits(got[1], apply_shear_dilation(dilation_transform(b2, mono), back))
+
+    tau = -1.0 + 1.0j
+    x = PolyMat(2, {0: [[-0.0, 1j], [0, -0.0]], 1: [[0, 1], [-0.0, 1]]}, tau, Q)
+    got = frozen_pass_agrees(x, x, GaugeRecord(None, 0, fold=ShearStep(
+        np.diag([-1.0, 2.0]).astype(complex), (-1, 0))))
+    assert 0 in got[0].terms and not np.signbit(got[0].term(0)[1, 1].real)
+
+
+def test_the_balancing_radius_exit_is_the_full_formula_to_the_bit():
+    """The exact exit, taken when no norm exceeds ``max(1, ||A_0||)``, and
+    the formula past it give the radius of the full formula
+    (``reference.frozen_balancing_radius``), to the bit: for a power k
+    whose norm equals the top, is one ulp above it, is 0 (entries whose
+    squares underflow) or is inf (entries whose squares overflow), beside
+    a power 0 below 1 and above it."""
+    one_up = np.nextafter(1.0, 2.0)
+    radii = []
+    for a0 in ([[0.0]], [[0.5]], [[3.0]]):
+        top = max(1.0, abs(a0[0][0]))
+        for value in (top, np.nextafter(top, 2 * top), 1e-200, 1e300, 0.25):
+            for k in (1, 2, 5):
+                a = pm({0: a0, k: [[value]], k + 1: [[0.1]]} if a0[0][0] else
+                       {k: [[value]], k + 1: [[0.1]]})
+                with np.errstate(over="ignore"):
+                    want = reference.frozen_balancing_radius(reference._stacked(a))
+                    got = _balancing_radius(a)
+                assert got == want and type(got) is float
+                radii.append(got)
+    assert pm({1: [[one_up]]})._power_norms()[0] == one_up
+    assert pm({1: [[1e-200]]})._power_norms()[0] == 0.0
+    assert 1.0 in radii and min(radii) < 2.0 ** -900
+
+
+def test_an_identity_lead_series_inverse_is_the_checked_route_to_the_bit(monkeypatch):
+    """A series whose lead term is I is inverted without inverting I or
+    multiplying by it: with ``_checked_inverse`` patched to raise, its
+    truncated inverse equals, to the bit, the recurrence through the checked
+    inverse of the lead term (``reference._frozen_inverse_series``) on
+    dense coefficients, and a block diagonal series, whose zero entries may
+    differ in sign, to the value.  A lead term that is not I still takes
+    the checked route."""
+    rng = np.random.default_rng(620)
+    for dim in (1, 2, 3, 5, 12):
+        p = balanced_gauge(rng, dim, 16)
+        wants = [reference._frozen_inverse_series(reference._stacked(p), order)
+                 for order in (0, 1, 4, 16)]
+        with monkeypatch.context() as patched:
+            patched.setattr(eqconn.laurent, "_checked_inverse", no_library_call)
+            for order, want in zip((0, 1, 4, 16), wants):
+                assert same_slab(truncated_inverse(p, order), want)
+    blocks = PolyMat(4, {0: np.eye(4), 1: np.kron(np.eye(2), [[0.2, 0.1], [0.0, 0.3]]),
+                         3: np.kron([[0.0, 0.0], [0.0, 1.0]], [[0.1, 0.0], [0.2, 0.1]])},
+                     TAU, Q)
+    powers, stack = reference._frozen_inverse_series(reference._stacked(blocks), 8)
+    got = truncated_inverse(blocks, 8)
+    assert got.powers() == powers.tolist()
+    assert np.array_equal(np.array(list(got.terms.values())), stack)
+    with pytest.raises(AssertionError, match="gauge calculus"):
+        with monkeypatch.context() as patched:
+            patched.setattr(eqconn.laurent, "_checked_inverse", no_library_call)
+            truncated_inverse(PolyMat(2, {0: 2.0 * np.eye(2), 1: np.eye(2)}, TAU, Q), 3)
+
+
+def test_the_validation_residual_is_the_summed_residual_to_the_bit(monkeypatch):
+    """``_equivariance_norm`` adds ``delta(B)`` into the commutator's window
+    on the circle and takes the norms there: it equals, to the bit,
+    ``_sum_norm(*_residual_terms(a, b))``, the residual summed as values,
+    for scrambled objects balanced and as given, where the commutator is
+    taken on the circle, and for gapped powers, where it takes the block
+    products; ``validate``'s unit-radius residual is that norm too."""
+    from eqconn.category import _residual_orders, _residual_terms, validate
+    from eqconn.laurent import _equivariance_norm, _sum_norm
+
+    circle, taken = eqconn.laurent._commutator_circle, []
+    monkeypatch.setattr(eqconn.laurent, "_commutator_circle",
+                        lambda *args: taken.append(circle(*args)) or taken[-1])
+    rng = np.random.default_rng(630)
+    pairs = []
+    for n, shears in ((1, 0), (2, 2), (4, 1), (8, 2)):
+        obj = util.scramble(util.random_normal_form(rng, n), rng, shears=shears)
+        _, a, b = eqconn.category._validated(obj, DEFAULT_TOL, strict=True)
+        pairs += [(obj.A, obj.B), (a, b)]
+    pairs.append((sparse_pm(rng, 3, [0, 1, 40]), sparse_pm(rng, 3, [-3, 0, 17])))
+    blocked = []
+    for a, b in pairs:
+        del taken[:]
+        got = _equivariance_norm(a, b, *_residual_orders(a, b))
+        blocked.append(taken[0] is None)
+        assert got == _sum_norm(*_residual_terms(a, b)) and type(got) is float
+    assert blocked == [False] * (len(pairs) - 1) + [True]
+    steep = util.scramble(util.random_normal_form(rng, 3), rng, shears=1)
+    steep = EquivariantConnection(steep.A + PolyMat(3, {3: 1e6 * np.eye(3)}, TAU, Q),
+                                  steep.B, steep.theta, steep.tau, steep.transversal)
+    diag = validate(steep, strict=False)
+    assert diag["radius"] < 1.0
+    assert diag["equivariance_residual_unit"] == _sum_norm(*_residual_terms(steep.A, steep.B))
+
+
 def test_power_sums_beyond_int64_raise():
     """A product, a commutator or a shear whose landing powers leave int64
     raises ``NumericFailure`` instead of wrapping around; the powers at the
@@ -1076,7 +1271,7 @@ def test_shift_holds_only_the_powers_it_lands_on():
     rng = np.random.default_rng(342)
     x = PolyMat.constant(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), TAU, Q)
     e = np.array([0, 10 ** 12])
-    got, want = _shift(x, e), _reference_shift(x, e, np.ones(2))
+    got, want = shifted(x, e), _reference_shift(x, e, np.ones(2))
     assert got.powers() == want.powers() == [-10 ** 12, 0, 10 ** 12]
     assert_same_terms(got.terms, want.terms)
 

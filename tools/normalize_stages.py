@@ -14,12 +14,10 @@ repeat, in process on one BLAS thread, timing the stages through the names
 * ``schur + groups``: ``_clustered_schur`` and ``_shift_groups`` (the
   Schur form of A(0), reordered and block diagonalized over its shift
   groups);
-* ``series gauge`` (``_series_gauge``) and ``series transport``
-  (``_transport``, A and B in one call);
-* ``fold``: ``_fold_step`` and the one fold of A and B, ``_sheared`` and
-  the regularity check ``_checked_regular`` (a checkout that folds A and
-  B one at a time, through ``apply_shear`` and ``apply_shear_dilation``,
-  is timed through those names: the stage sums both);
+* ``series gauge`` (``_series_gauge``);
+* ``transport + fold``: ``_fold_step`` (the fold as one recorded shear)
+  and ``_gauged_pair``, the one pass that takes A and B through the series
+  transport and the fold, with A's regularity check;
 * ``check``: ``validate_normal_form`` (the result's invariants, with the
   Schur form of A0 it takes);
 
@@ -52,9 +50,7 @@ STAGES = {
     "validate": ("_validated",),
     "schur + groups": ("_clustered_schur", "_shift_groups"),
     "series gauge": ("_series_gauge",),
-    "series transport": ("_transport",),
-    "fold": ("_fold_step", "_sheared", "_checked_regular", "apply_shear",
-             "apply_shear_dilation"),
+    "transport + fold": ("_fold_step", "_gauged_pair"),
     "check": ("validate_normal_form",),
 }
 
