@@ -249,6 +249,10 @@ class Context:
     def to_morphism(self, data):
         m = serialize.decode_morphism(data)
         self._checked(m.source), self._checked(m.target)
+        if not m.is_valid(self.tol):
+            raise ValidationFailure(
+                "phi does not intertwine source and target: A residual %.3e, "
+                "B residual %.3e" % m.residuals())
         return m
 
     def _checked(self, nf):

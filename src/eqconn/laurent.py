@@ -888,22 +888,30 @@ def _balancing_radius(a):
     power k by ``rho**k`` is exact, as LAPACK's gebal balances by powers of
     two before an eigensolver (Parlett & Reinsch, Numer. Math. 1969).  A
     kept norm that overflows, while its coefficient is finite, is taken
-    here as the coefficient's norm scaled by its largest entry, so that
-    the radius follows the norm and not the overflow of its squares.  No
-    norm above ``max(1, ||A_0||)`` is radius 1 without the roots."""
+    here in units of the coefficient's largest real or imaginary part, and
+    each quotient ``top / ||A_k||`` as the quotient of the units times that
+    of the norms in them, so that neither a norm nor a quotient overflows
+    and the radius follows the norms and not the overflow of their squares.
+    No norm above ``max(1, ||A_0||)`` is radius 1 without the roots."""
     norms = a._power_norms()
     top = max(1.0, norms[a._powers == 0].max(initial=0.0))
     if norms.max(initial=0.0) <= top < math.inf:
         return 1.0
+    up = a._powers > 0
     wide = np.flatnonzero(~np.isfinite(norms))
     if wide.size:
-        norms = norms.copy()
+        units, norms = np.ones_like(norms), norms.copy()
         for i in wide.tolist():
-            big = np.abs(a._coeffs[i]).max()
-            norms[i] = big * np.linalg.norm(a._coeffs[i] / big)
-        top = max(1.0, norms[a._powers == 0].max(initial=0.0))
-    up = a._powers > 0
-    rho = float(np.min((top / norms[up]) ** (1.0 / a._powers[up]), initial=1.0))
+            c = a._coeffs[i]
+            units[i] = max(np.abs(c.real).max(), np.abs(c.imag).max())
+            norms[i] = np.linalg.norm(c / units[i])
+        zero = a._powers == 0
+        top_unit = units[zero].max(initial=1.0)
+        top = max(1.0 / top_unit, norms[zero].max(initial=0.0))
+        ratios = top_unit / units[up] * top / norms[up]
+    else:
+        ratios = top / norms[up]
+    rho = float(np.min(ratios ** (1.0 / a._powers[up]), initial=1.0))
     return 1.0 if rho >= 1.0 else math.ldexp(0.5, math.frexp(rho)[1])
 
 

@@ -255,7 +255,7 @@ def as_square_matrix(m, name="matrix"):
     arr = np.atleast_2d(np.asarray(m, dtype=complex))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationFailure("%s must be square, got shape %s" % (name, arr.shape))
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValidationFailure("%s contains non-finite entries" % name)
     return arr
 

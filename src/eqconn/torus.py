@@ -27,6 +27,7 @@ from .numkit import (DEFAULT_TOL, _bounded_groups, _clustered_schur, _is_singula
                      _lex_order, _merge_keys, _snap, as_square_matrix)
 
 TWO_PI_I = 2j * math.pi
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class TorusPoly:
@@ -557,12 +558,29 @@ def divisor_equivalent(d1, d2, tol=None):
 # finite monodromy
 # ---------------------------------------------------------------------------
 
+# The multiple of the determinant test's slack past which ``is_nori_finite``
+# answers from the singular values: it covers the Schur form's rounding beside
+# theirs, and the first-order expansions of both.
+_DET_SAFETY = 4.0
+
+
 def is_nori_finite(rep_or_matrix, d_max=64, tol=None):
     """Whether the monodromy factors through a finite group: every matrix is
     diagonalizable and every eigenvalue is a root of unity of order <= d_max.
 
-    When the clusters of each matrix pass, clusters that ``_bounded_groups``
-    joins, as the pieces of a Jordan block that rounding splits, are defective.
+    Each matrix M of order n is tested by the cluster blocks of its
+    clustered Schur form: a block's mean lies within eps_spec of the unit
+    circle and its nilpotent part within eps_spec scale, scale = max(1,
+    ||M||_F).  So every diagonal entry of a passing form lies within delta =
+    eps_spec (1 + scale) of the circle, and |log |det M|| <= n (-log(1 -
+    delta)).  The singular values that decide that M is invertible give
+    log |det M| = sum log s_i, with an error of about n^2 u s_1 / s_n (u the
+    unit roundoff).  Before any Schur form, a matrix with delta < 1/2 whose
+    |sum log s_i| exceeds ``_DET_SAFETY`` (4) times the two added together,
+    n (-log(1 - delta) + n u s_1 / s_n), is answered False, which the
+    cluster tests would answer too.  When the clusters of each matrix pass,
+    clusters that ``_bounded_groups`` joins, as the pieces of a Jordan block
+    that rounding splits, are defective.
     """
     tol = tol or DEFAULT_TOL
     if d_max < 1:
@@ -570,10 +588,17 @@ def is_nori_finite(rep_or_matrix, d_max=64, tol=None):
     pair = isinstance(rep_or_matrix, MonodromyPair)
     for m in (rep_or_matrix.M1, rep_or_matrix.M2) if pair else (rep_or_matrix,):
         m = as_square_matrix(m)
-        if _is_singular(np.linalg.svd(m, compute_uv=False), tol):
+        svals = np.linalg.svd(m, compute_uv=False)
+        if _is_singular(svals, tol):
             raise ValidationFailure("monodromy matrix is singular")
-        t, q, blocks = _clustered_schur(m, tol)
         scale = max(1.0, float(np.linalg.norm(m)))
+        delta = tol.eps_spec * (1.0 + scale)
+        if svals.size and delta < 0.5:
+            n = svals.size
+            slack = n * (-math.log1p(-delta) + n * _UNIT_ROUNDOFF * svals[0] / svals[-1])
+            if abs(float(np.log(svals).sum())) > _DET_SAFETY * slack:
+                return False
+        t, q, blocks = _clustered_schur(m, tol)
         for start, stop, lam in blocks:
             nilpotent = t[start:stop, start:stop] - lam * np.eye(stop - start)
             if (float(np.linalg.norm(nilpotent)) > tol.eps_spec * scale

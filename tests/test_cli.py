@@ -257,7 +257,11 @@ def test_kernel_reports_its_rank_split_in_strict_json(capsys, tmp_path):
     x = random_normal_form(np.random.default_rng(5), 3)
     from eqconn.category import Morphism
     from eqconn.serialize import encode_morphism
-    for phi in (np.zeros((3, 3)), np.eye(3), np.diag([1.0, 1e-13, 0.0])):
+    # a morphism of rank 2 with a singular value near 1e-13: x's eigenvectors,
+    # on which an endomorphism of x is diagonal
+    v = np.linalg.eig(x.A0)[1]
+    near_rank_one = v @ np.diag([1.0, 1e-13, 0.0]) @ np.linalg.inv(v)
+    for phi in (np.zeros((3, 3)), np.eye(3), near_rank_one):
         mp = write(tmp_path, "m.json", encode_morphism(Morphism(x, x, phi.astype(complex))))
         for command in ("kernel", "cokernel"):
             code, out = run(capsys, ["--json", command, mp])
@@ -266,6 +270,29 @@ def test_kernel_reports_its_rank_split_in_strict_json(capsys, tmp_path):
             diagnostics = report["result"]["object"]["diagnostics"]
             assert sorted(diagnostics) == ["dropped_singular_ratio", "invariance_residual",
                                            "kept_singular_ratio", "phi_rank"]
+
+
+def test_kernel_of_a_phi_that_does_not_intertwine_exits_2(capsys, tmp_path):
+    """Source A0 = diag(0.25, 0.3), target A0 = 0.25, B0 = 2 on both and
+    phi = [1, 1]: both endpoints are valid normal forms, but phi A0 - A0 phi
+    has norm 0.05, so ``kernel`` and ``cokernel`` refuse it with one
+    strict-JSON report naming both residuals, and nothing on stderr."""
+    def normal_form(a0):
+        n = len(a0)
+        return {"tau": [1.0, -1.0], "theta": 0.5, "A0": [[[a, 0.0] for a in row] for row in a0],
+                "B0": [[[2.0 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]}
+    payload = {"source": normal_form([[0.25, 0.0], [0.0, 0.3]]),
+               "target": normal_form([[0.25]]), "phi": [[[1.0, 0.0], [1.0, 0.0]]]}
+    mp = write(tmp_path, "m.json", payload)
+    for command in ("kernel", "cokernel"):
+        code = main(["--json", command, mp])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        report = json.loads(out, parse_constant=_refuse)
+        assert report["error"]["kind"] == "ValidationFailure"
+        assert report["error"]["message"] == (
+            "phi does not intertwine source and target: A residual 5.000e-02, "
+            "B residual 0.000e+00")
 
 
 def _refuse(token):

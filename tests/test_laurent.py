@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1406,6 +1407,23 @@ def test_balancing_radius_reads_a_norm_whose_squares_overflow():
         with np.errstate(over="ignore"):
             assert np.isinf(a._power_norms()).any()
             assert _balancing_radius(a) == radius
+
+
+def test_balancing_radius_of_a_coefficient_whose_modulus_passes_the_float_range():
+    """``A = 0.1 + (1.5e308 + 1.5e308i) z``: both parts are finite but the
+    modulus is not, so the norm is taken in units of the largest part and
+    the radius is the formula's with ||A_1|| = 1.5e308 sqrt(2), 2**-1025,
+    with no warning.  The real ``A = 0.1 +
+    1.5e308 z``, whose norm is finite, stays at 2**-1024, to the bit."""
+    want = 2.0 ** math.floor(-math.log2(1.5e308) - 0.5)
+    assert want == 2.0 ** -1025
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _balancing_radius(pm({0: [[0.1]], 1: [[1.5e308 + 1.5e308j]]})) == want
+        real = pm({0: [[0.1]], 1: [[1.5e308]]})
+        assert _balancing_radius(real) == 2.0 ** -1024
+        assert _balancing_radius(real) == reference.frozen_balancing_radius(
+            reference._stacked(real))
 
 
 # --- the workspace -------------------------------------------------------------

@@ -1140,3 +1140,20 @@ def test_decouple_shows_blocks_that_share_an_eigenvalue_by_the_factor_norms():
     assert np.linalg.norm(v) * np.linalg.norm(w) > 1e12
     assert unresolved == [0]
 
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                 complex(0.5, math.nan), complex(1.0, -math.inf),
+                                 complex(math.nan, math.nan), complex(math.inf, -math.inf)],
+                         ids=["nan-real", "inf-real", "nan-imag", "inf-imag",
+                              "nan-both", "inf-both"])
+def test_a_non_finite_entry_in_either_part_is_refused(bad):
+    """nan or inf in the real part, the imaginary part or both of one entry
+    is refused by ``as_square_matrix``, one finiteness test on the complex
+    array, through each caller that takes a matrix from the user."""
+    from eqconn.torus import is_nori_finite
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    for call in (is_nori_finite, lambda x: log_transversal(x, Transversal(TAU)), mat_exp):
+        with pytest.raises(ValidationFailure, match="contains non-finite entries"):
+            call(m)

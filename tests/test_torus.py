@@ -677,3 +677,93 @@ def test_nori_finite_matches_the_spectral_reference():
                 lam = np.linalg.eigvals(m)
                 m = m / np.exp(np.mean(np.log(np.abs(lam))))
                 assert is_nori_finite(m) is reference_is_nori_finite(m)
+
+
+def _schur_counter(monkeypatch):
+    """A list whose length counts the clustered Schur forms ``is_nori_finite``
+    takes, through the name ``eqconn.torus`` imports."""
+    calls = []
+    clustered_schur = eqconn.torus._clustered_schur
+
+    def counted(m, tol):
+        calls.append(len(m))
+        return clustered_schur(m, tol)
+
+    monkeypatch.setattr(eqconn.torus, "_clustered_schur", counted)
+    return calls
+
+
+def _with_condition(rng, n, cond):
+    """A random similarity with singular values spread evenly on a log
+    scale from 1 to ``cond``."""
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return u @ np.diag(np.logspace(0.0, math.log10(cond), n)) @ v.conj().T
+
+
+def _conjugated_roots(seed, n, cond, diagonal=None):
+    """``S diag(d) S^-1``, S of ``_with_condition`` drawn from ``seed`` and
+    d the n-th roots of unity unless ``diagonal`` is given, so two calls on
+    one seed commute."""
+    s = _with_condition(np.random.default_rng(seed), n, cond)
+    d = np.exp(TWO_PI_I * np.arange(n) / n) if diagonal is None else diagonal
+    return s @ np.diag(d) @ np.linalg.inv(s)
+
+
+def test_the_determinant_exit_answers_the_commuting_draws(monkeypatch):
+    """Every ``random_commuting_pair`` draw, as a pair and as single
+    matrices, has |log |det M|| above 0.1: the determinant exit answers
+    False with no clustered Schur form, as the dense oracle does."""
+    calls = _schur_counter(monkeypatch)
+    for n in (2, 4, 8, 12):
+        for seed in range(20):
+            m1, m2 = util.random_commuting_pair(np.random.default_rng(seed), n)
+            for arg in (MonodromyPair(m1, m2), m1, m2):
+                assert is_nori_finite(arg) is reference_is_nori_finite(arg) is False
+            assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_conjugated_roots_of_unity_pass_the_cluster_tests(monkeypatch, n):
+    """Roots of unity conjugated by S with cond(S) 1e2 and 1e4, so cond(M)
+    up to about 5e7: the determinant is 1 within the slack, each matrix
+    takes one clustered Schur form, and the answer is True, as the dense
+    oracle's; so is it for (1 + 0.9 eps_spec) I, nearer the slack.  At
+    cond(S) 1e6 both refuse the matrix as singular."""
+    calls = _schur_counter(monkeypatch)
+    for cond in (1e2, 1e4):
+        for seed in range(20):
+            m = _conjugated_roots(seed, n, cond)
+            assert is_nori_finite(m) is reference_is_nori_finite(m) is True
+    assert calls == [n] * 40
+    # every eigenvalue 0.9 eps_spec off the circle: |log |det M|| is 0.9 n
+    # eps_spec, within a third of the slack, and the cluster tests pass it
+    near = (1.0 + 0.9 * eqconn.numkit.DEFAULT_TOL.eps_spec) * np.eye(n)
+    assert is_nori_finite(near) is reference_is_nori_finite(near) is True
+    for seed in range(20):
+        m = _conjugated_roots(seed, n, 1e6)
+        for test in (is_nori_finite, reference_is_nori_finite):
+            with pytest.raises(ValidationFailure, match="singular"):
+                test(m)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_a_determinant_off_the_circle_takes_no_schur_form(monkeypatch, n):
+    """A unit-circle matrix scaled so that |log |det M|| is 0.01 is answered
+    False from its singular values, with no clustered Schur form; the
+    unscaled matrix still takes one.  In a pair whose M1 passes, an M2 with
+    |det M2| = 1.2 decides the answer with its exit: one Schur form, M1's."""
+    calls = _schur_counter(monkeypatch)
+    for seed in range(20):
+        roots = np.exp(TWO_PI_I * np.arange(n) / n)
+        scaled = _conjugated_roots(seed, n, 1e2, math.exp(0.01 / n) * roots)
+        assert is_nori_finite(scaled) is reference_is_nori_finite(scaled) is False
+        assert calls == []
+        assert is_nori_finite(_conjugated_roots(seed, n, 1e2)) is True
+        assert calls == [n]
+        calls.clear()
+        rep = MonodromyPair(_conjugated_roots(seed, n, 1e2),
+                            _conjugated_roots(seed, n, 1e2, np.r_[1.2, np.ones(n - 1)]))
+        assert is_nori_finite(rep) is reference_is_nori_finite(rep) is False
+        assert calls == [n]
+        calls.clear()
