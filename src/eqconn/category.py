@@ -55,9 +55,11 @@ from .numkit import (
     Transversal,
     _block_arrays,
     _bounded_groups,
+    _cluster_shifts,
     _cluster_triangular,
     _clustered_schur,
     _connected_components,
+    _decouple,
     _fold,
     _group_blocks,
     _is_singular,
@@ -248,9 +250,16 @@ class NormalForm:
     in-place change cannot leave it stale:
 
     * per ``Tolerances``, the clustered Schur form of A0 (``schur_form``),
-      that form ordered along the strip (``_strip_form``, which ``tensor``
-      reads), both read-only with A0, and what ``hom_basis`` reads of the
-      object (``_hom_side``), read-only with A0 and B0;
+      read-only with A0; what ``tensor`` reads of the object as a factor
+      (``_strip_form``: that form grouped by ``numkit._bounded_groups`` and
+      ordered along the strip, the groups' projector factors and B0 in its
+      basis), and what ``hom_basis`` reads of it (``_hom_side``), both
+      read-only with A0 and B0;
+    * for a result of ``tensor`` whose Schur basis is the permuted
+      Kronecker basis of its factors', B0 in that basis (the kept dilation,
+      a gather of the factors' ``q^H B0 q``), read-only with B0, which
+      ``decompose``, ``k0_class`` and ``hom_basis`` read
+      (``_schur_dilation``);
     * for a result of ``from_monodromy``, which is born with A0 and B0
       read-only: ``exp(2 pi i A0/tau)``, which ``monodromy`` copies, and
       the singular values of B0, which ``validate_normal_form`` reads."""
@@ -263,9 +272,10 @@ class NormalForm:
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
     # derived data, computed on first use or held from birth: keyed by the
-    # Tolerances the clustered Schur form, by (Tolerances, "strip") and
-    # (Tolerances, "hom") the strip-ordered form and the _HomSide; by
-    # "monodromy" and "b_singular_values" what from_monodromy held
+    # Tolerances the clustered Schur form, by (Tolerances, "strip"),
+    # (Tolerances, "hom") and (Tolerances, "dilation") the _StripForm, the
+    # _HomSide and the dilation tensor kept; by "monodromy" and
+    # "b_singular_values" what from_monodromy held
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -278,15 +288,16 @@ class NormalForm:
         mean)``.
 
         The result of ``tensor``, ``dual`` and ``from_monodromy`` holds it
-        from birth, without a Schur iteration of A0 (``_from_schur_form``);
-        any other normal form computes it with ``numkit._clustered_schur`` on
+        from birth, without a Schur iteration of A0 (``_from_schur_form``,
+        whose A0 is ``q t q^H``; ``tensor`` builds A0 and the form side by
+        side from its factors, so there they agree to rounding); any other
+        normal form computes it with ``numkit._clustered_schur`` on
         first use.  It is kept once per ``Tolerances``, and every read of
         the spectrum of A0 is its diagonal.  Its arrays are read-only, and
         so is A0 from then on.
 
-        The memo's second entry per ``Tolerances`` is this form with its
-        clusters ordered by the strip position of their means
-        (``_strip_form``), which ``tensor`` reads.
+        ``tensor`` reads this form grouped and ordered along the strip
+        (``_strip_form``).
         """
         tol = tol or DEFAULT_TOL
         form = self._memo.get(tol)
@@ -295,26 +306,16 @@ class NormalForm:
         return form
 
     def _strip_form(self, tol):
-        """``(t, q, key)``: the clustered Schur form of A0 (``schur_form``)
-        with its clusters ordered by the strip position of their means, and
-        for each diagonal entry of ``t`` that position of its cluster's mean,
-        so ``key`` does not decrease along the diagonal.
-
-        ``_group_blocks`` moves whole clusters, so no ztrsen swap is made
-        within one, and makes no call when they are already in order.  Kept
-        read-only beside ``schur_form``, so that ``tensor(x, y)`` and
-        ``tensor(y, x)`` share it.
-        """
+        """The ``_StripForm`` that ``tensor`` reads of this object as a
+        factor: kept beside ``schur_form`` with its arrays read-only, and
+        B0 made read-only too, so that ``tensor(x, y)`` and ``tensor(y,
+        x)`` share it."""
         form = self._memo.get((tol, "strip"))
         if form is None:
-            t, q, blocks = self.schur_form(tol)
-            position = np.array([self.transversal.position(lam) for _, _, lam in blocks])
-            order = np.argsort(position, kind="stable")
-            t, q, _ = _group_blocks(t, q, blocks, np.argsort(order).tolist())
-            sizes = np.array([stop - start for start, stop, _ in blocks], dtype=int)
-            key = np.repeat(position[order], sizes[order])
-            t.flags.writeable = q.flags.writeable = key.flags.writeable = False
-            form = self._memo[(tol, "strip")] = (t, q, key)
+            form = _new_strip_form(self, tol)
+            for array in (self.B0,) + form:
+                array.flags.writeable = False
+            self._memo[(tol, "strip")] = form
         return form
 
     @classmethod
@@ -685,31 +686,158 @@ def tensor(x, y, tol=None):
     """Tensor product: connection matrices add across the factors, the sum
     of spectra is folded back into the strip, dilations multiply.
 
-    With ``q_x t_x q_x^H`` and ``q_y t_y q_y^H`` the factors' Schur forms
-    ordered along the strip (``NormalForm._strip_form``, which makes
-    ``x.A0`` and ``y.A0`` read-only), the Kronecker sum ``A_x (x) I + I (x)
-    A_y`` has the Schur form ``(q_x (x) q_y) (t_x (x) I + I (x) t_y) (q_x
-    (x) q_y)^H``.  Its basis is permuted by a stable argsort of ``key_x[i]
-    + key_y[j]``, the strip positions of the factors' cluster means: that
-    sum does not decrease along either factor, so the permuted form stays
-    exactly upper triangular, and it follows the strip position of the
-    product's eigenvalues, so each cluster of the product and each group
-    the fold shifts alike lie contiguous already.  The permuted form is
-    folded as ``numkit.reduce_to_transversal`` folds, and the result keeps
-    the clustered Schur form of its A0.  No Schur iteration runs on the
-    product, and for generic factors no ztrsen either: one runs only for a
-    product cluster whose members the order leaves apart, as when sums of
-    two factor eigenvalues meet by chance, or for a cluster that crosses the
-    fold's groups.
+    Everything is built from the factors' ``_strip_form``s, which make
+    their A0 and B0 read-only: with ``q t q^H`` each factor's Schur form,
+    grouped by ``numkit._bounded_groups`` and ordered along the strip, the
+    Kronecker sum ``A_x (x) I + I (x) A_y`` has the Schur vectors ``Q =
+    (q_x (x) q_y) P`` and triangle ``t = P^T (t_x (x) I + I (x) t_y) P``,
+    ``P`` a stable argsort of ``key_x[i] + key_y[j]``, the strip positions
+    of the group means.  That sum does not decrease along either factor, so
+    ``t`` is exactly upper triangular, and it follows the strip, so each
+    cluster of the product lies contiguous.
+
+    The product's spectral projectors are the Kronecker products of the
+    factors' (Van Loan, J. Comput. Appl. Math. 123, 2000), so each pair of
+    groups folds whole by the strip shift ``K`` of its mean
+    (``_pair_shifts``), in one projector update as in ``numkit._fold``:
+    ``f = t - tau P^T (V_x (x) V_y) diag(vec K) (W_x (x) W_y) P`` and ``A0
+    = A_x (x) I + I (x) A_y`` less the same update in A0's basis
+    (``_kron_update``).  No Schur iteration, Sylvester solve or product of
+    two N x N matrices runs on the product, N = n_x n_y.
+
+    The result keeps ``_cluster_triangular`` of ``(f, Q)`` as its clustered
+    Schur form, with a ztrsen only for a cluster whose members the order
+    leaves apart, as when two folded eigenvalues meet.  Where none runs,
+    ``Q`` is the permuted Kronecker basis, and the result also keeps ``Q^H
+    B0 Q = P^T (b_x (x) b_y) P``, ``b = q^H B0 q`` of each factor
+    (``_schur_dilation``), read-only with B0.
     """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
-    tx, qx, kx = x._strip_form(tol)
-    ty, qy, ky = y._strip_form(tol)
-    order = np.argsort((kx[:, None] + ky[None, :]).ravel(), kind="stable")
-    t = _kron(tx, np.eye(y.n)) + _kron(np.eye(x.n), ty)
-    return _folded(x, t[order[:, None], order], _kron(qx, qy)[:, order],
-                   _kron(x.B0, y.B0), tol)
+    fx, fy = x._strip_form(tol), y._strip_form(tol)
+    order = np.argsort((fx.key[:, None] + fy.key).ravel(), kind="stable")
+    # entry p of the product's basis is entry (ix[p], iy[p]) of Kronecker's
+    ix, iy = np.divmod(order, y.n)
+    q = (fx.q[:, None, ix] * fy.q[None, :, iy]).reshape(len(order), len(order))
+    # [t, A0] of the product, in Kronecker order until t is permuted in place
+    ta = _kron_sum(fx.ta, fy.ta)
+    shifts, fold_shifts = _pair_shifts(fx, fy, order, x.transversal)
+    if shifts.any():
+        k = x.transversal.tau * shifts
+        ta.reshape((2,) + k.shape * 2)[...] -= _kron_update(fx.vv, fy.vv, k, fx.ww, fy.ww)
+    ta[0].take(order, 0).take(order, 1, out=ta[0])
+    form = _cluster_triangular(ta[0], q, tol)
+    nf = NormalForm(ta[1], _kron(x.B0, y.B0), x.transversal, x.theta, x.tau,
+                    diagnostics={"fold_shifts": fold_shifts})
+    nf._keep(form, tol)
+    if form[1] is q:
+        b = (fx.b[ix, :, None] * fy.b[iy, None, :]).reshape(q.shape).take(order, 1)
+        b.flags.writeable = nf.B0.flags.writeable = False
+        nf._memo[(tol, "dilation")] = b
+    return nf
+
+
+class _StripForm(namedtuple("_StripForm", "q key owner means ta vv ww b")):
+    """What ``tensor`` reads of one factor: its clustered Schur form ``q t
+    q^H`` with the groups of ``numkit._bounded_groups`` contiguous and
+    ordered by the strip position of their means, ``owner`` the group of
+    each diagonal entry of ``t`` and ``key`` the position of its group's
+    mean, which does not decrease along the diagonal; ``ta = [t, A0]``,
+    ``vv = [v, q v]`` and ``ww = [w, w q^H]``, ``(v, w)`` the factors of
+    the groups' spectral projectors (``numkit._decouple``), upper
+    triangular as ``t``, and ``(q v, w q^H)`` those of A0; and ``b = q^H B0
+    q``."""
+
+
+def _new_strip_form(nf, tol):
+    """The ``_StripForm`` of ``nf``: its clusters ordered along the strip
+    (``_along_strip``), then grouped by ``_bounded_groups``; groups that
+    join clusters apart along the strip, as the pieces of a Jordan block
+    that rounding spreads over its edge, are ordered again by their means
+    and split again."""
+    form = _along_strip(*nf.schur_form(tol), nf.transversal)
+    group, t, q, groups, v, w, _ = _bounded_groups(*form, tol)
+    if group is not None:
+        ordered = _along_strip(t, q, groups, nf.transversal)
+        if ordered[0] is not t:
+            t, q, groups = ordered
+            v, w, _ = _decouple(t, groups)
+    _, size, means = _block_arrays(groups)
+    owner = np.repeat(np.arange(len(size)), size)
+    qh = q.conj().T
+    return _StripForm(q, nf.transversal.position(means)[owner], owner, means,
+                      np.array([t, nf.A0]), np.array([v, q @ v]), np.array([w, w @ qh]),
+                      qh @ nf.B0 @ q)
+
+
+def _along_strip(t, q, blocks, transversal):
+    """The Schur form ``(t, q, blocks)``, its blocks contiguous, with the
+    blocks ordered by the strip position of their means: ``_group_blocks``
+    moves whole blocks, so no ztrsen swap is made within one, and makes no
+    call when they are in order already."""
+    means = np.array([lam for _, _, lam in blocks], dtype=complex)
+    order = np.argsort(transversal.position(means), kind="stable")
+    t, q, moved = _group_blocks(t, q, blocks, np.argsort(order).tolist())
+    return t, q, [(start, stop, lam) for (start, stop, _), lam
+                  in zip(moved, means[order].tolist())]
+
+
+def _pair_shifts(fx, fy, order, transversal):
+    """``(shifts, fold_shifts)`` of ``tensor(x, y)`` from the ``_StripForm``s
+    of its factors and the order ``order`` of its basis: per entry ``(i,
+    j)`` of ``x.n x y.n`` the strip shift of the mean of the pair of groups
+    that holds ``i`` and ``j``, one ``numkit._cluster_shifts`` over the
+    pairs, which warns for a pair whose entries ``t_x[i, i] + t_y[j, j]``
+    straddle a strip edge; and ``(mean, shift)`` per pair in the order of
+    its first entry in ``order``, pairs of equal mean (``(g, h)`` and ``(h,
+    g)`` of ``x (x) x``) once."""
+    gy = len(fy.means)
+    pair = (fx.owner[:, None] * gy + fy.owner).ravel()
+    means = (fx.means[:, None] + fy.means).ravel()
+    # a pair of one entry each is its own mean and has no members to check
+    blocks = list(zip(range(len(means)), range(1, len(means) + 1), means.tolist()))
+    d = means
+    if len(means) < len(pair):
+        # the product's eigenvalues pair by pair, each pair's in Kronecker order
+        sizes = np.bincount(pair, minlength=len(means))
+        stops = np.cumsum(sizes)
+        blocks = list(zip((stops - sizes).tolist(), stops.tolist(), means.tolist()))
+        d = (fx.ta[0].diagonal()[:, None] + fy.ta[0].diagonal()).ravel()
+        d = d[np.argsort(pair, kind="stable")]
+    shifts = np.array(_cluster_shifts(d, blocks, transversal, lambda values: values),
+                      dtype=int)[pair]
+    pair = pair[order]
+    fold_shifts = dict(zip(means[pair].tolist(), shifts[order].tolist()))
+    return shifts.reshape(len(fx.owner), len(fy.owner)), list(fold_shifts.items())
+
+
+def _kron_sum(a, b):
+    """``a[s] (x) I + I (x) b[s]`` for the stacks ``a`` and ``b`` of two
+    matrices each, their entries scattered into zeros: ``O(n_a n_b (n_a +
+    n_b))`` stores, where ``np.kron`` of each term takes ``(n_a n_b)**2``
+    products."""
+    na, nb = a.shape[-1], b.shape[-1]
+    out = np.zeros((2, na, nb, na, nb), dtype=complex)
+    out[:, :, np.arange(nb), :, np.arange(nb)] = a
+    out[:, np.arange(na), :, np.arange(na), :] += b
+    return out.reshape(2, na * nb, na * nb)
+
+
+def _kron_update(vx, vy, k, wx, wy):
+    """``(vx[s] (x) vy[s]) diag(vec k) (wx[s] (x) wy[s])`` for ``k`` of
+    shape ``(n_x, n_y)`` and the stacks ``vx``, ``vy``, ``wx``, ``wy`` of
+    two matrices each, as a ``(2, n_x, n_y, n_x, n_y)`` view: the sum over
+    x's index ``a`` of the Kronecker products ``(vx[s, :, a] wx[s, a]) (x)
+    (vy[s] diag(k[a]) wy[s])``, one GEMM with inner dimension n_x per
+    stack entry, where the product of the Kronecker matrices costs ``(n_x
+    n_y)**3``.  Upper triangular factors give an update that is exactly
+    upper triangular in Kronecker order, the order of both indices, with
+    ``k`` on its diagonal exactly."""
+    nx, ny = k.shape
+    r = (vy[:, None] * k[:, None, :]) @ wy[:, None]
+    m = ((vx[:, :, None, :] * np.swapaxes(wx, 1, 2)[:, None]).reshape(2, nx * nx, nx)
+         @ r.reshape(2, nx, ny * ny))
+    return m.reshape(2, nx, nx, ny, ny).transpose(0, 1, 3, 2, 4)
 
 
 def dual(x, tol=None):
@@ -718,8 +846,8 @@ def dual(x, tol=None):
 
     With ``q t q^H`` the Schur form of ``x.A0`` (``NormalForm.schur_form``,
     which makes ``x.A0`` read-only), ``-A0^T`` has the Schur form ``(conj(q) P) (-P t^T P) (conj(q) P)^H``,
-    ``P`` the reversal permutation; it is folded as in ``tensor``, and the
-    result keeps the clustered Schur form of its A0.
+    ``P`` the reversal permutation; it is folded by ``numkit._fold``, and
+    the result keeps the clustered Schur form of its A0.
     """
     tol = tol or DEFAULT_TOL
     t, q, _ = x.schur_form(tol)
@@ -867,12 +995,13 @@ def _hom_side(nf, tol):
 
 def _new_hom_side(nf, tol):
     """The ``_HomSide`` of ``nf``: its ``_bounded_groups``, each right projector
-    factor orthonormalized by its Gram matrix's (well conditioned) Cholesky factor."""
+    factor orthonormalized by its Gram matrix's (well conditioned) Cholesky
+    factor, and B0 in their Schur basis from ``_schur_dilation``."""
     _, t, q, groups, v, w, _ = _bounded_groups(*nf.schur_form(tol), tol)
     start, size, means = _block_arrays(groups)
     rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
     u, lh = v @ rho_inv, rho @ w
-    ab = lh @ np.stack([t, q.conj().T @ nf.B0 @ q]) @ u
+    ab = lh @ np.stack([t, _schur_dilation(nf, q, tol)]) @ u
     return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab)
 
 
@@ -1076,10 +1205,14 @@ def is_isomorphic(x, y, tol=None, seed=0, trials=32):
 def kernel(m, tol=None):
     """Kernel object and its inclusion into the source.
 
-    The object's diagnostics record the rank decision on ``phi`` and how
-    far the kernel is from invariant (see ``_subobject``).
+    A ``phi`` that does not intertwine source and target
+    (``Morphism.is_valid``) is refused with ``ValidationFailure`` naming
+    both residuals, here and in ``cokernel`` and ``image``.  The object's
+    diagnostics record the rank decision on ``phi`` and how far the kernel
+    is from invariant (see ``_subobject``).
     """
     tol = tol or DEFAULT_TOL
+    _check_intertwines(m, tol)
     v, _, s, rank = _svd_split(m.phi, tol)
     ker = _subobject(m.source, v, s, rank)
     return ker, Morphism(ker, m.source, v)
@@ -1089,6 +1222,7 @@ def cokernel(m, tol=None):
     """Cokernel object and the projection from the target, with the
     diagnostics of ``kernel``."""
     tol = tol or DEFAULT_TOL
+    _check_intertwines(m, tol)
     w, _, s, rank = _svd_split(m.phi.conj().T, tol)
     cok = _subobject(m.target, w, s, rank, quotient=True)
     return cok, Morphism(m.target, cok, w.conj().T)
@@ -1098,10 +1232,19 @@ def image(m, tol=None):
     """Image object inside the target, with its inclusion and the
     diagnostics of ``kernel``."""
     tol = tol or DEFAULT_TOL
+    _check_intertwines(m, tol)
     _, u, s, rank = _svd_split(m.phi, tol)
     basis = u[:, :rank] if m.phi.size else np.zeros((m.target.n, 0), dtype=complex)
     img = _subobject(m.target, basis, s, rank)
     return img, Morphism(img, m.target, basis)
+
+
+def _check_intertwines(m, tol):
+    """Refuse ``m`` with ``ValidationFailure`` naming the A and B residuals
+    unless it is a morphism (``Morphism.is_valid``)."""
+    if not m.is_valid(tol):
+        raise ValidationFailure("phi does not intertwine source and target: A residual "
+                                "%.3e, B residual %.3e" % m.residuals())
 
 
 def _subobject(nf, v, s, rank, quotient=False):
@@ -1154,11 +1297,12 @@ def decompose(nf, tol=None):
 
 def _labels(nf, tol):
     """The labels of ``decompose`` as an ``(m, 2)`` complex array of rows
-    ``(lam, b)``, in its order: the blocks of B0 of one size take one
-    batched ``eigvals`` call, bit for bit the values of one call per block,
-    and the labels are held, keyed and ordered as arrays."""
+    ``(lam, b)``, in its order: B0 in the Schur basis is
+    ``_schur_dilation``'s, the blocks of it of one size take one batched
+    ``eigvals`` call, bit for bit the values of one call per block, and the
+    labels are held, keyed and ordered as arrays."""
     t, q, blocks = nf.schur_form(tol)
-    b = q.conj().T @ nf.B0 @ q
+    b = _schur_dilation(nf, q, tol)
     starts, sizes, means = _block_arrays(blocks)
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))
@@ -1172,6 +1316,16 @@ def _labels(nf, tol):
         rows = starts[sizes == size][:, None] + np.arange(size)
         labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
     return labels[_lex_order(labels)]
+
+
+def _schur_dilation(nf, q, tol):
+    """B0 in the Schur basis ``q`` of a form of ``nf.A0`` at ``tol``: the
+    Kronecker product of the factors' that ``tensor`` kept, when ``q`` is
+    the basis of the form it kept, else ``q^H B0 q``."""
+    kept = nf._memo.get((tol, "dilation"))
+    if kept is not None and q is nf._memo[tol][1]:
+        return kept
+    return q.conj().T @ nf.B0 @ q
 
 
 class K0Class:
@@ -1229,6 +1383,15 @@ class K0Class:
     def __add__(self, other):
         self._check(other)
         return K0Class(self.transversal, self.entries + other.entries, self.tol)
+
+    def __mul__(self, other):
+        """The class of a tensor product: every entry of one times every
+        entry of the other, b labels multiplied, z' labels added and reduced
+        into the strip, multiplicities multiplied."""
+        self._check(other)
+        return K0Class(self.transversal, [(b1 * b2, z1 + z2, m1 * m2)
+                                          for b1, z1, m1 in self.entries
+                                          for b2, z2, m2 in other.entries], self.tol)
 
     def __neg__(self):
         return K0Class(self.transversal,

@@ -247,12 +247,10 @@ class Context:
         raise ValidationFailure("input is neither an object nor a normal form")
 
     def to_morphism(self, data):
+        """A morphism payload with both endpoints checked; ``kernel`` and
+        ``cokernel`` refuse a phi that does not intertwine them."""
         m = serialize.decode_morphism(data)
         self._checked(m.source), self._checked(m.target)
-        if not m.is_valid(self.tol):
-            raise ValidationFailure(
-                "phi does not intertwine source and target: A residual %.3e, "
-                "B residual %.3e" % m.residuals())
         return m
 
     def _checked(self, nf):

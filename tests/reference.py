@@ -24,6 +24,13 @@ by the same Cholesky factors, the same projector factors, to the bit.
 ``-A0^T`` of one, with ``reference_fold``: the library builds their Schur
 forms from the factors' instead.
 
+``frozen_tensor`` is ``eqconn.category.tensor`` as it stood before it
+built a product from its factors' spectral projectors: the factors' Schur
+forms ordered along the strip by their cluster means, the permuted
+Kronecker sum folded by ``numkit._fold`` (a ztrsyl split over the
+product's shift groups and an N x m x N projector update), and ``A0 = Q f
+Q^H``.  The factor route must match its A0 and its shifts to rounding.
+
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
 
@@ -169,6 +176,9 @@ from eqconn.numkit import (
     SpectralCluster,
     SpectralData,
     TransversalBranchWarning,
+    _cluster_triangular,
+    _fold,
+    _group_blocks,
     mat_norm,
     nullspace,
     spectral,
@@ -441,6 +451,32 @@ def reference_tensor(x, y, eps_spec=1e-8):
     Kronecker sum ``A_x (x) I + I (x) A_y`` through ``reference_fold``."""
     raw = np.kron(x.A0, np.eye(y.n)) + np.kron(np.eye(x.n), y.A0)
     return reference_fold(raw, x.transversal, eps_spec)
+
+
+def frozen_tensor(x, y, tol=DEFAULT_TOL):
+    """``(A0, (t, q, blocks), shifts)``: the A0, clustered Schur form and
+    ``fold_shifts`` of ``x (x) y`` by the dense product fold."""
+    tx, qx, kx = _frozen_strip_form(x, tol)
+    ty, qy, ky = _frozen_strip_form(y, tol)
+    order = np.argsort((kx[:, None] + ky[None, :]).ravel(), kind="stable")
+    t = np.kron(tx, np.eye(y.n)) + np.kron(np.eye(x.n), ty)
+    f, q, shifts = _fold(*_cluster_triangular(t[order[:, None], order],
+                                              np.kron(qx, qy)[:, order], tol),
+                         x.transversal, tol)
+    t, q, blocks = _cluster_triangular(f, q, tol)
+    return q @ t @ q.conj().T, (t, q, blocks), shifts
+
+
+def _frozen_strip_form(nf, tol):
+    """``(t, q, key)``: the clustered Schur form of ``nf.A0`` with its
+    clusters ordered by the strip position of their means, ``key`` that
+    position per diagonal entry."""
+    t, q, blocks = nf.schur_form(tol)
+    position = np.array([nf.transversal.position(lam) for _, _, lam in blocks])
+    order = np.argsort(position, kind="stable")
+    t, q, _ = _group_blocks(t, q, blocks, np.argsort(order).tolist())
+    sizes = np.array([stop - start for start, stop, _ in blocks], dtype=int)
+    return t, q, np.repeat(position[order], sizes[order])
 
 
 def reference_dual(x, eps_spec=1e-8):

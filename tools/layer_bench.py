@@ -16,17 +16,18 @@ Points are keyed ``<module>.<entry point>``.
 The tensor points take seeded normal forms x, y of ``random_normal_form``
 at n in {2, 4, 8, 12}, tensor dims {4, 16, 64, 144}, and time, for ``[xy]``
 the product x (x) y and for ``[xx]`` the square x (x) x: ``category.tensor``,
-each call on fresh copies of the factors, so that the factor's memoized
-Schur forms are paid for as a tensor-decompose job pays for them; then, on
-that product, which holds its Schur form from birth as the job's does,
-``category.decompose``, ``category.k0_class``, ``torus.k0_to_divisor`` of
-its class and ``torus.psi_star``; ``torus.divisor_equivalent`` of the
-divisors of that product's class and of the reversed product's, as a
-tensor-decompose job compares them; and at dims 4 and 16 only
+each call on fresh copies of the factors, so that the factors' memoized
+Schur and strip forms are paid for as a tensor-decompose job pays for
+them; then, on that product, which holds its Schur form from birth as the
+job's does, ``category.decompose``, ``category.k0_class``,
+``torus.k0_to_divisor`` of its class and ``torus.psi_star``;
+``torus.divisor_equivalent`` of the divisors of that product's class and
+of the reversed product's, as a tensor-decompose job compares them; and
+at dims 4 and 16, and for ``[xx]`` at dim 64 (``HOM_SQUARE_DIMS``),
 ``category.hom_basis(t, t)``, each call on a fresh copy of the product
-holding what it held at birth (its Schur form, in ``_memo``) and nothing
-that an earlier call kept, so that its Hom side is built as a
-tensor-decompose job builds it, once per object.  At dim 4, the xy/4 job
+holding what it held at birth (its Schur form and kept dilation, in
+``_memo``) and nothing that an earlier call kept, so that its Hom side is
+built as a tensor-decompose job builds it, once per object.  At dim 4, the xy/4 job
 of the benchmark, only the ``[xy]`` points of the calls that job makes
 but ``psi_star`` are timed: ``tensor``, ``decompose``, ``k0_class``,
 ``k0_to_divisor``, ``divisor_equivalent`` and ``hom_basis``.  These are
@@ -95,6 +96,8 @@ NUMKIT_SIZES = (2, 4, 8, 12)
 # Jordan block sizes per eigenvalue of the [defective] numkit points, by n
 DEFECTIVE_PATTERNS = {4: ((2,), (2,)), 8: ((3, 1), (4,)), 12: ((4, 2), (3, 1), (2,))}
 HOM_MAX_DIM = 16
+# hom_basis of the square is timed at these dims too (about 65 ms a call at 64)
+HOM_SQUARE_DIMS = (64,)
 ORDER = 16
 SEED = 15
 TARGET_S = 0.02
@@ -162,7 +165,7 @@ def tensor_points(n):
         points["torus.psi_star[%s]" % kind] = lambda t=t: psi_star(t)
         points["torus.divisor_equivalent[%s]" % kind] = \
             lambda divisors=divisors: divisor_equivalent(*divisors)
-        if n * n <= HOM_MAX_DIM:
+        if n * n <= HOM_MAX_DIM or (kind == "xx" and n * n in HOM_SQUARE_DIMS):
             def hom(t=t, born=born):
                 fresh = dataclasses.replace(t)
                 fresh._memo.update(born)
@@ -314,6 +317,7 @@ def main(argv=None):
 
     report = {"method": {"sizes": list(SIZES), "order": ORDER, "seed": SEED,
                          "tensor_dims": [n * n for n in TENSOR_SIZES],
+                         "hom_square_dims": list(HOM_SQUARE_DIMS),
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
                          "numkit_sizes": list(NUMKIT_SIZES),
                          "defective_patterns": {str(n): p
