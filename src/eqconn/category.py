@@ -55,7 +55,6 @@ from .numkit import (
     Transversal,
     _block_arrays,
     _bounded_groups,
-    _cluster_shifts,
     _cluster_triangular,
     _clustered_schur,
     _connected_components,
@@ -70,12 +69,14 @@ from .numkit import (
     _shift_groups,
     _svd_split,
     _triangular_sylvester,
+    _warn_straddle,
     as_square_matrix,
     mat_exp,
     spectral,  # noqa: F401  no longer called here; kept as category.spectral for callers
 )
 
 TWO_PI_I = 2j * math.pi
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # normalize's series gauge holds a few arrays of order x n x n entries (the
 # gaps, the shifted triangles, the coefficients); an order at which one of
 # them would top this many entries is refused before any is allocated
@@ -252,9 +253,9 @@ class NormalForm:
     * per ``Tolerances``, the clustered Schur form of A0 (``schur_form``),
       read-only with A0; what ``tensor`` reads of the object as a factor
       (``_strip_form``: that form grouped by ``numkit._bounded_groups`` and
-      ordered along the strip, the groups' projector factors and B0 in its
-      basis), and what ``hom_basis`` reads of it (``_hom_side``), both
-      read-only with A0 and B0;
+      ordered along the strip, the factor groups' projector factors and B0
+      in its basis), kept with A0 and B0 read-only; and what ``hom_basis``
+      reads of it (``_hom_side``), read-only with A0 and B0;
     * for a result of ``tensor`` whose Schur basis is the permuted
       Kronecker basis of its factors', B0 in that basis (the kept dilation,
       a gather of the factors' ``q^H B0 q``), read-only with B0, which
@@ -307,15 +308,13 @@ class NormalForm:
 
     def _strip_form(self, tol):
         """The ``_StripForm`` that ``tensor`` reads of this object as a
-        factor: kept beside ``schur_form`` with its arrays read-only, and
-        B0 made read-only too, so that ``tensor(x, y)`` and ``tensor(y,
-        x)`` share it."""
+        factor, kept beside ``schur_form`` with B0 made read-only, so that
+        ``tensor(x, y)`` and ``tensor(y, x)`` share it; ``tensor`` hands
+        none of its arrays out."""
         form = self._memo.get((tol, "strip"))
         if form is None:
-            form = _new_strip_form(self, tol)
-            for array in (self.B0,) + form:
-                array.flags.writeable = False
-            self._memo[(tol, "strip")] = form
+            form = self._memo[(tol, "strip")] = _new_strip_form(self, tol)
+            self.B0.flags.writeable = False
         return form
 
     @classmethod
@@ -703,7 +702,10 @@ def tensor(x, y, tol=None):
     ``f = t - tau P^T (V_x (x) V_y) diag(vec K) (W_x (x) W_y) P`` and ``A0
     = A_x (x) I + I (x) A_y`` less the same update in A0's basis
     (``_kron_update``).  No Schur iteration, Sylvester solve or product of
-    two N x N matrices runs on the product, N = n_x n_y.
+    two N x N matrices runs on the product, N = n_x n_y.  A pair that
+    shifts with a projector too ill conditioned for the update's rounding
+    is refused (``_check_pair_projectors``), as ``numkit._fold`` refuses a
+    shift group.
 
     The result keeps ``_cluster_triangular`` of ``(f, Q)`` as its clustered
     Schur form, with a ztrsen only for a cluster whose members the order
@@ -720,11 +722,13 @@ def tensor(x, y, tol=None):
     ix, iy = np.divmod(order, y.n)
     q = (fx.q[:, None, ix] * fy.q[None, :, iy]).reshape(len(order), len(order))
     # [t, A0] of the product, in Kronecker order until t is permuted in place
-    ta = _kron_sum(fx.ta, fy.ta)
+    ta = _kron_sum(np.array([fx.t, x.A0]), np.array([fy.t, y.A0]))
     shifts, fold_shifts = _pair_shifts(fx, fy, order, x.transversal)
     if shifts.any():
-        k = x.transversal.tau * shifts
-        ta.reshape((2,) + k.shape * 2)[...] -= _kron_update(fx.vv, fy.vv, k, fx.ww, fy.ww)
+        _check_pair_projectors(fx, fy, shifts, tol)
+        ex = _pieces(fx)
+        ta.reshape((2,) + shifts.shape * 2)[...] -= _kron_update(
+            ex, x.transversal.tau * shifts, ex if fy is fx else _pieces(fy))
     ta[0].take(order, 0).take(order, 1, out=ta[0])
     form = _cluster_triangular(ta[0], q, tol)
     nf = NormalForm(ta[1], _kron(x.B0, y.B0), x.transversal, x.theta, x.tau,
@@ -737,16 +741,18 @@ def tensor(x, y, tol=None):
     return nf
 
 
-class _StripForm(namedtuple("_StripForm", "q key owner means ta vv ww b")):
+class _StripForm(namedtuple("_StripForm", "q t key owner means vv ww b norm")):
     """What ``tensor`` reads of one factor: its clustered Schur form ``q t
     q^H`` with the groups of ``numkit._bounded_groups`` contiguous and
-    ordered by the strip position of their means, ``owner`` the group of
-    each diagonal entry of ``t`` and ``key`` the position of its group's
-    mean, which does not decrease along the diagonal; ``ta = [t, A0]``,
-    ``vv = [v, q v]`` and ``ww = [w, w q^H]``, ``(v, w)`` the factors of
-    the groups' spectral projectors (``numkit._decouple``), upper
-    triangular as ``t``, and ``(q v, w q^H)`` those of A0; and ``b = q^H B0
-    q``."""
+    ordered by the strip position of their means (``means``); per diagonal
+    entry of ``t`` its group (``owner``) and the position of that group's
+    mean (``key``, which does not decrease along the diagonal); ``vv = [v,
+    q v]`` and ``ww = [w, w q^H]``, ``(v, w)`` the factors of the groups'
+    spectral projectors (``numkit._decouple``), upper triangular as ``t``,
+    and ``(q v, w q^H)`` those of A0; ``b = q^H B0 q``; and ``norm =
+    |v|_F^2 |w|_F^2``, which bounds the square of each group's projector
+    norm.  The projectors' rank-one pieces, ``n**3`` entries, each product
+    builds for itself (``_pieces``)."""
 
 
 def _new_strip_form(nf, tol):
@@ -755,88 +761,110 @@ def _new_strip_form(nf, tol):
     join clusters apart along the strip, as the pieces of a Jordan block
     that rounding spreads over its edge, are ordered again by their means
     and split again."""
-    form = _along_strip(*nf.schur_form(tol), nf.transversal)
-    group, t, q, groups, v, w, _ = _bounded_groups(*form, tol)
+    t, q, blocks, means, position = _along_strip(*nf.schur_form(tol), nf.transversal)
+    group, t, q, groups, v, w, _ = _bounded_groups(t, q, blocks, tol)
     if group is not None:
         ordered = _along_strip(t, q, groups, nf.transversal)
         if ordered[0] is not t:
-            t, q, groups = ordered
-            v, w, _ = _decouple(t, groups)
-    _, size, means = _block_arrays(groups)
-    owner = np.repeat(np.arange(len(size)), size)
+            v, w, _ = _decouple(ordered[0], ordered[2])
+        t, q, groups, means, position = ordered
+    owner = np.repeat(np.arange(len(groups)), [stop - start for start, stop, _ in groups])
     qh = q.conj().T
-    return _StripForm(q, nf.transversal.position(means)[owner], owner, means,
-                      np.array([t, nf.A0]), np.array([v, q @ v]), np.array([w, w @ qh]),
-                      qh @ nf.B0 @ q)
+    return _StripForm(q, t, position[owner], owner, means, np.array([v, q @ v]),
+                      np.array([w, w @ qh]), qh @ nf.B0 @ q,
+                      np.vdot(v, v).real * np.vdot(w, w).real)
+
+
+def _pieces(f):
+    """The rank-one pieces of the spectral projectors of the factor whose
+    ``_StripForm`` is ``f``: ``e[0, a] = v[:, a] w[a]`` in its Schur basis
+    and ``e[1, a] = q v[:, a] w[a] q^H`` in A0's."""
+    return f.vv.transpose(0, 2, 1)[..., None] * f.ww[:, :, None]
 
 
 def _along_strip(t, q, blocks, transversal):
-    """The Schur form ``(t, q, blocks)``, its blocks contiguous, with the
-    blocks ordered by the strip position of their means: ``_group_blocks``
-    moves whole blocks, so no ztrsen swap is made within one, and makes no
-    call when they are in order already."""
+    """``(t, q, blocks, means, position)``: the Schur form ``(t, q,
+    blocks)``, its blocks contiguous, with the blocks ordered by the strip
+    position of their means, and those means and positions in that order:
+    ``_group_blocks`` moves whole blocks, so no ztrsen swap is made within
+    one, and makes no call when they are in order already."""
     means = np.array([lam for _, _, lam in blocks], dtype=complex)
-    order = np.argsort(transversal.position(means), kind="stable")
+    position = transversal.position(means)
+    order = np.argsort(position, kind="stable")
     t, q, moved = _group_blocks(t, q, blocks, np.argsort(order).tolist())
-    return t, q, [(start, stop, lam) for (start, stop, _), lam
-                  in zip(moved, means[order].tolist())]
+    means = means[order]
+    return (t, q, [(start, stop, lam) for (start, stop, _), lam in zip(moved, means.tolist())],
+            means, position[order])
 
 
 def _pair_shifts(fx, fy, order, transversal):
     """``(shifts, fold_shifts)`` of ``tensor(x, y)`` from the ``_StripForm``s
     of its factors and the order ``order`` of its basis: per entry ``(i,
     j)`` of ``x.n x y.n`` the strip shift of the mean of the pair of groups
-    that holds ``i`` and ``j``, one ``numkit._cluster_shifts`` over the
-    pairs, which warns for a pair whose entries ``t_x[i, i] + t_y[j, j]``
-    straddle a strip edge; and ``(mean, shift)`` per pair in the order of
-    its first entry in ``order``, pairs of equal mean (``(g, h)`` and ``(h,
-    g)`` of ``x (x) x``) once."""
-    gy = len(fy.means)
-    pair = (fx.owner[:, None] * gy + fy.owner).ravel()
-    means = (fx.means[:, None] + fy.means).ravel()
-    # a pair of one entry each is its own mean and has no members to check
-    blocks = list(zip(range(len(means)), range(1, len(means) + 1), means.tolist()))
-    d = means
-    if len(means) < len(pair):
-        # the product's eigenvalues pair by pair, each pair's in Kronecker order
-        sizes = np.bincount(pair, minlength=len(means))
-        stops = np.cumsum(sizes)
-        blocks = list(zip((stops - sizes).tolist(), stops.tolist(), means.tolist()))
-        d = (fx.ta[0].diagonal()[:, None] + fy.ta[0].diagonal()).ravel()
-        d = d[np.argsort(pair, kind="stable")]
-    shifts = np.array(_cluster_shifts(d, blocks, transversal, lambda values: values),
-                      dtype=int)[pair]
-    pair = pair[order]
-    fold_shifts = dict(zip(means[pair].tolist(), shifts[order].tolist()))
+    that holds ``i`` and ``j``, with a ``TransversalBranchWarning``, as
+    ``numkit._cluster_shifts`` gives for a cluster, for each pair whose
+    entries ``t_x[i, i] + t_y[j, j]`` would shift otherwise; and ``(mean,
+    shift)`` per pair in the order of its first entry in ``order``, pairs
+    of equal mean (``(g, h)`` and ``(h, g)`` of ``x (x) x``) once."""
+    means = (fx.means[fx.owner][:, None] + fy.means[fy.owner]).ravel()
+    shifts = transversal.shift(means)
+    if not np.isfinite(shifts).all():
+        raise NumericFailure("a cluster mean has no strip shift in the float range")
+    shifts = shifts.astype(int)
+    # a pair of one entry is its own mean, and cannot straddle an edge
+    if len(fx.means) < len(fx.owner) or len(fy.means) < len(fy.owner):
+        d = (fx.t.diagonal()[:, None] + fy.t.diagonal()).ravel()
+        first = {}
+        for i in np.flatnonzero(transversal.shift(d) != shifts).tolist():
+            first.setdefault((fx.owner[i // len(fy.owner)], fy.owner[i % len(fy.owner)]), i)
+        for _, i in sorted(first.items()):
+            mean = means[i].item()
+            _warn_straddle(mean, shifts[i], transversal.boundary_distance(mean))
+    fold_shifts = dict(zip(means[order].tolist(), shifts[order].tolist()))
     return shifts.reshape(len(fx.owner), len(fy.owner)), list(fold_shifts.items())
+
+
+def _check_pair_projectors(fx, fy, shifts, tol):
+    """Refuse with ``NumericFailure``, as ``numkit._shift_groups`` refuses
+    a fold, a product in which a pair of groups that shifts has a projector
+    norm above eps_res over the unit roundoff, where the update's rounding
+    would pass eps_res.  A pair's projector norm is the product of its
+    groups', each at most ``|v_g|_F |w_g|_F``; the factors' ``norm`` clear
+    well separated groups at once."""
+    limit = (tol.eps_res / _UNIT_ROUNDOFF) ** 2
+    if fx.norm * fy.norm <= limit:
+        return
+    nx, ny = (np.bincount(f.owner, np.einsum("ij,ij->j", f.vv[0].conj(), f.vv[0]).real)[f.owner]
+              * np.bincount(f.owner, np.einsum("ij,ij->i", f.ww[0].conj(), f.ww[0]).real)[f.owner]
+              for f in (fx, fy))
+    worst = (nx[:, None] * ny)[shifts != 0].max()
+    if not worst <= limit:
+        raise NumericFailure("projector norm %.1e: shift groups too close" % math.sqrt(worst))
 
 
 def _kron_sum(a, b):
     """``a[s] (x) I + I (x) b[s]`` for the stacks ``a`` and ``b`` of two
-    matrices each, their entries scattered into zeros: ``O(n_a n_b (n_a +
-    n_b))`` stores, where ``np.kron`` of each term takes ``(n_a n_b)**2``
-    products."""
+    matrices each, their entries written into zeros through ``einsum``'s
+    writeable diagonal views: ``O(n_a n_b (n_a + n_b))`` stores, where
+    ``np.kron`` of each term takes ``(n_a n_b)**2`` products."""
     na, nb = a.shape[-1], b.shape[-1]
     out = np.zeros((2, na, nb, na, nb), dtype=complex)
-    out[:, :, np.arange(nb), :, np.arange(nb)] = a
-    out[:, np.arange(na), :, np.arange(na), :] += b
+    np.einsum("sijkj->sijk", out)[...] = a[:, :, None]
+    np.einsum("sijil->sijl", out)[...] += b[:, None]
     return out.reshape(2, na * nb, na * nb)
 
 
-def _kron_update(vx, vy, k, wx, wy):
-    """``(vx[s] (x) vy[s]) diag(vec k) (wx[s] (x) wy[s])`` for ``k`` of
-    shape ``(n_x, n_y)`` and the stacks ``vx``, ``vy``, ``wx``, ``wy`` of
-    two matrices each, as a ``(2, n_x, n_y, n_x, n_y)`` view: the sum over
-    x's index ``a`` of the Kronecker products ``(vx[s, :, a] wx[s, a]) (x)
-    (vy[s] diag(k[a]) wy[s])``, one GEMM with inner dimension n_x per
-    stack entry, where the product of the Kronecker matrices costs ``(n_x
-    n_y)**3``.  Upper triangular factors give an update that is exactly
-    upper triangular in Kronecker order, the order of both indices, with
-    ``k`` on its diagonal exactly."""
+def _kron_update(ex, k, ey):
+    """``sum_ab k[a, b] ex[s, a] (x) ey[s, b]`` for the rank-one pieces
+    ``ex`` and ``ey`` of two factors (``_pieces``), so ``(v_x (x) v_y)
+    diag(vec k) (w_x (x) w_y)`` and its A0-basis twin, as a ``(2, n_x,
+    n_y, n_x, n_y)`` view: two GEMMs per stack entry, ``k`` times ``ey``
+    and ``ex`` transposed times that, where the product of the Kronecker
+    matrices costs ``(n_x n_y)**3``.  Upper triangular ``v`` and ``w`` give
+    an update that is exactly upper triangular in Kronecker order, the
+    order of both indices, with ``k`` on its diagonal exactly."""
     nx, ny = k.shape
-    r = (vy[:, None] * k[:, None, :]) @ wy[:, None]
-    m = ((vx[:, :, None, :] * np.swapaxes(wx, 1, 2)[:, None]).reshape(2, nx * nx, nx)
-         @ r.reshape(2, nx, ny * ny))
+    m = np.swapaxes(ex.reshape(2, nx, nx * nx), 1, 2) @ (k @ ey.reshape(2, ny, ny * ny))
     return m.reshape(2, nx, nx, ny, ny).transpose(0, 1, 3, 2, 4)
 
 

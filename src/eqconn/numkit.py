@@ -658,11 +658,11 @@ def _atomic_log_series(block, lam):
                          % (n, n, lam))
 
 
-def _cluster_shifts(d, blocks, transversal, to_strip):
-    """One strip shift per cluster of the eigenvalues ``d``, the diagonal
-    of a cluster-ordered triangular form, whose ``blocks`` cover it in
-    order: the shift that reduces ``to_strip`` of the cluster's mean
-    eigenvalue.  ``to_strip`` maps an array of values to an array.
+def _cluster_shifts(t, blocks, transversal, to_strip):
+    """One strip shift per cluster of the cluster-ordered triangular ``t``,
+    whose ``blocks`` cover it in order: the shift that reduces ``to_strip``
+    of the cluster's mean eigenvalue.  ``to_strip`` maps an array of values
+    to an array.
 
     A cluster whose members would individually reduce by other shifts is
     flagged with a ``TransversalBranchWarning`` giving the boundary
@@ -671,11 +671,11 @@ def _cluster_shifts(d, blocks, transversal, to_strip):
     one is its own mean.  Returns the shifts as ints.
     """
     values = np.array([lam for _, _, lam in blocks], dtype=complex)
-    if len(blocks) < len(d):
+    if len(blocks) < len(t):
         # the members of the clusters of two or more, after the means
         _, sizes, _ = _block_arrays(blocks)
         several = sizes > 1
-        values = np.concatenate([values, d[np.repeat(several, sizes)]])
+        values = np.concatenate([values, t.diagonal()[np.repeat(several, sizes)]])
     values = to_strip(values)
     shifts = transversal.shift(values)
     own = shifts[:len(blocks)]
@@ -683,18 +683,23 @@ def _cluster_shifts(d, blocks, transversal, to_strip):
         ints = [int(shift) for shift in own.tolist()]
     except (ValueError, OverflowError):   # a shift of inf or nan
         raise NumericFailure("a cluster mean has no strip shift in the float range")
-    if len(blocks) < len(d):
+    if len(blocks) < len(t):
         apart = shifts[len(blocks):] != np.repeat(own[several], sizes[several])
         offsets = np.cumsum(sizes[several]) - sizes[several]
         straddle = np.flatnonzero(several)[np.logical_or.reduceat(apart, offsets)]
         for c in straddle.tolist():
-            warnings.warn(
-                "cluster at %s straddles a strip boundary; shift forced to %d "
-                "(boundary distance %.3e)"
-                % (blocks[c][2], ints[c], transversal.boundary_distance(values[c].item())),
-                TransversalBranchWarning,
-            )
+            _warn_straddle(blocks[c][2], ints[c],
+                           transversal.boundary_distance(values[c].item()))
     return ints
+
+
+def _warn_straddle(mean, shift, distance):
+    """The ``TransversalBranchWarning`` for a cluster at ``mean`` whose
+    members would reduce by other shifts than ``shift``, its mean's, at
+    ``distance`` from the strip boundary."""
+    warnings.warn("cluster at %s straddles a strip boundary; shift forced to %d "
+                  "(boundary distance %.3e)" % (mean, shift, distance),
+                  TransversalBranchWarning)
 
 
 def log_transversal(m, transversal, tol=None):
@@ -725,7 +730,7 @@ def _log_schur(m, transversal, tol, svals=None):
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     _, t, q, groups, v, w, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
     scale = transversal.tau / TWO_PI_I
-    shifts = _cluster_shifts(t.diagonal(), groups, transversal, lambda values: np.array(
+    shifts = _cluster_shifts(t, groups, transversal, lambda values: np.array(
         [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
     # on each block, scale times the branch of its log lowered by shift turns,
     # plus its log series; blocks of one have none, and take one array op
@@ -752,8 +757,7 @@ def _group_blocks(t, q, blocks, keys):
     already sits on top is skipped.  The first call copies ``t`` and ``q``,
     which may be read-only memoized forms, and the later ones overwrite that
     copy.  A cluster moves whole, each of its members past the same
-    eigenvalues, so no swap is made within a cluster.  The groups are then
-    read off the keys in plain Python too, their sizes summed per key.
+    eigenvalues, so no swap is made within a cluster.
     Returns ``(t, q, groups)`` with groups a list of ``(start, stop, key)``.
     """
     if all(a <= b for a, b in zip(keys, keys[1:])):
@@ -776,14 +780,9 @@ def _group_blocks(t, q, blocks, keys):
             raise NumericFailure("Schur reordering failed (info %d)" % info)
         own = True
         member = np.concatenate([member[select], member[~select]])
-    sizes = {}
-    for (start, stop, _), key in zip(blocks, keys):
-        sizes[key] = sizes.get(key, 0) + stop - start
-    groups, stop = [], 0
-    for key in sorted(sizes):
-        groups.append((stop, stop + sizes[key], key))
-        stop += sizes[key]
-    return t, q, groups
+    levels, counts = np.unique(member, return_counts=True)
+    stops = np.cumsum(counts)
+    return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))
 
 
 def _decouple(t, bounds):
@@ -963,7 +962,7 @@ def _shift_groups(t, q, blocks, transversal, tol):
     cluster shifts.  Raises ``NumericFailure`` when ztrsyl cannot split two
     groups, and when a projector no join mends tops eps_res over u.
     """
-    shifts = _cluster_shifts(t.diagonal(), blocks, transversal, lambda values: values)
+    shifts = _cluster_shifts(t, blocks, transversal, lambda values: values)
     if any(shifts):
         group, t, q, groups, v, w, norms = _bounded_groups(t, q, blocks, tol, shifts)
         limit = tol.eps_res / (np.finfo(float).eps / 2)
@@ -971,7 +970,7 @@ def _shift_groups(t, q, blocks, transversal, tol):
             raise NumericFailure("projector norm %.1e: shift groups too close"
                                  % math.sqrt(norms.max()))
         if group is not None:   # each group folds by the shift of its mean
-            shifts = _cluster_shifts(t.diagonal(), groups, transversal, lambda values: values)
+            shifts = _cluster_shifts(t, groups, transversal, lambda values: values)
             groups = [(start, stop, s) for (start, stop, _), s in zip(groups, shifts)]
             shifts = [shifts[g] for g in group.tolist()]
     else:

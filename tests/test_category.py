@@ -1173,6 +1173,38 @@ def test_k0_of_a_tensor_is_the_product_of_the_factors_classes(n):
             assert np.linalg.norm(monodromy(pq).M1 - m1) <= 1e-12 * np.linalg.norm(m1)
 
 
+def test_tensor_refuses_a_shifting_pair_whose_projector_no_join_mends():
+    """x = [[0.2 tau, 7e6], [0, 0.6 tau]] has projectors of norm 1.2e7,
+    above eps_res over the unit roundoff (9e6), and its eigenvalues lie
+    beyond the join radius 4 (2 u)^(1/2) ||t||_F (0.42) apart, so its
+    groups stay apart.  With y = [[0.5 tau]] the pair at 1.1 tau shifts and
+    the one at 0.7 tau does not, so the update would round by 1.2e7 u |tau|:
+    the product is refused, either way round, as the dense fold refuses it.
+    With 7e3 in place of 7e6 it is not, and matches the dense fold."""
+    y = NormalForm(np.array([[0.5 * TAU]]), np.eye(1, dtype=complex), STRIP, THETA, TAU)
+    for top, refused in ((7e6, True), (7e3, False)):
+        x = NormalForm(np.array([[0.2 * TAU, top], [0.0, 0.6 * TAU]]),
+                       np.eye(2, dtype=complex), STRIP, THETA, TAU)
+        for p, q in ((x, y), (y, x)):
+            if refused:
+                for fn in (tensor, frozen_tensor):
+                    with pytest.raises(NumericFailure, match="projector norm 1.2e"):
+                        fn(p, q)
+            else:
+                assert _check_factor_route(p, q)
+                assert sorted(s for _, s in tensor(p, q).diagnostics["fold_shifts"]) == [0, 1]
+
+
+def test_tensor_with_the_zero_object_is_zero():
+    zero = NormalForm(np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
+                      STRIP, THETA, TAU)
+    x = random_normal_form(np.random.default_rng(55), 2)
+    for p, q in ((zero, x), (x, zero), (zero, zero)):
+        pq = tensor(p, q)
+        assert pq.n == 0 and pq.diagnostics["fold_shifts"] == []
+        assert k0_class(pq) == K0Class(STRIP, [])
+
+
 def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
     ``bench/workloads.py``, each of the 414 products keeps the permuted
@@ -1199,7 +1231,8 @@ def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
 def test_tensor_makes_no_schur_reorder_on_the_product(monkeypatch, n):
     # the factors' forms are ordered along the strip, each cluster moved
     # whole, and the product's basis is a permutation of their Kronecker
-    # basis, so every ztrsen call is factor sized
+    # basis, so every ztrsen call is factor sized; A0 is built beside the
+    # form from the factors, not as u t u^H, so the two agree to rounding
     rng = np.random.default_rng(54 + n)
     x, y = random_normal_form(rng, n), random_normal_form(rng, n)
     shapes = []
@@ -1212,6 +1245,8 @@ def test_tensor_makes_no_schur_reorder_on_the_product(monkeypatch, n):
         t, u, blocks = pq.schur_form()
         assert not np.tril(t, -1).any()
         assert np.linalg.norm(u.conj().T @ u - np.eye(n * n)) <= 1e-13
+        scale = max(1.0, np.linalg.norm(pq.A0))
+        assert np.linalg.norm(u @ t @ u.conj().T - pq.A0) <= 1e-13 * scale
         _check_handed_over_form(pq)
     assert set(shapes) <= {(n, n)}
 

@@ -258,14 +258,14 @@ def recorded(fn, *args):
 @given(straddling_forms())
 def test_cluster_shifts_and_warnings_equal_the_frozen_loop(case):
     t, blocks, transversal = case
-    got = recorded(_cluster_shifts, np.diag(t), blocks, transversal, lambda values: values)
+    got = recorded(_cluster_shifts, t, blocks, transversal, lambda values: values)
     assert got == recorded(frozen_cluster_shifts, t, blocks, transversal, lambda z: z)
     assert all(type(shift) is int for shift in got[0])
     # the logarithm's branch: the same strip, reached through 2 pi i / tau
     scale = transversal.tau / (2j * math.pi)
     m = np.triu(t, 1) + np.diag(np.exp(np.diag(t) / scale))
     m, _, blocks = _cluster_triangular(m, np.eye(len(m), dtype=complex), DEFAULT_TOL)
-    got = recorded(_cluster_shifts, np.diag(m), blocks, transversal, lambda values: np.array(
+    got = recorded(_cluster_shifts, m, blocks, transversal, lambda values: np.array(
         [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
     assert got == recorded(frozen_cluster_shifts, m, blocks, transversal,
                            lambda z: scale * cmath.log(z))
