@@ -808,8 +808,9 @@ def _pair_shifts(fx, fy, order, transversal):
     of equal mean (``(g, h)`` and ``(h, g)`` of ``x (x) x``) once."""
     means = (fx.means[fx.owner][:, None] + fy.means[fy.owner]).ravel()
     shifts = transversal.shift(means)
-    if not np.isfinite(shifts).all():
-        raise NumericFailure("a cluster mean has no strip shift in the float range")
+    # the shifts are ints: nan, inf and a float past int64 have none
+    if not np.abs(shifts).max(initial=0.0) < 2.0 ** 63:
+        raise NumericFailure("a pair mean has no strip shift below 2**63")
     shifts = shifts.astype(int)
     # a pair of one entry is its own mean, and cannot straddle an edge
     if len(fx.means) < len(fx.owner) or len(fy.means) < len(fy.owner):

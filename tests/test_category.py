@@ -1205,6 +1205,19 @@ def test_tensor_with_the_zero_object_is_zero():
         assert k0_class(pq) == K0Class(STRIP, [])
 
 
+def test_tensor_refuses_a_pair_mean_whose_shift_passes_int64():
+    # a factor far outside its strip: shift 1e10 folds, 1e20 has no int64 shift
+    y = NormalForm(np.array([[0.5 * TAU]]), np.eye(1, dtype=complex), STRIP, THETA, TAU)
+    for far, refused in ((1e10, False), (1e20, True)):
+        x = NormalForm(np.array([[far * TAU]]), np.eye(1, dtype=complex), STRIP, THETA, TAU)
+        if refused:
+            with pytest.raises(NumericFailure, match="no strip shift below 2"):
+                tensor(x, y)
+        else:
+            assert tensor(x, y).diagnostics["fold_shifts"] == [(complex(far + 0.5) * TAU,
+                                                                int(far))]
+
+
 def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
     ``bench/workloads.py``, each of the 414 products keeps the permuted
