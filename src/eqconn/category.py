@@ -52,6 +52,7 @@ from .laurent import (
 )
 from .numkit import (
     DEFAULT_TOL,
+    _PROJECTOR_BOUND,
     Transversal,
     _block_arrays,
     _bounded_groups,
@@ -260,7 +261,9 @@ class NormalForm:
       Kronecker basis of its factors', B0 in that basis (the kept dilation,
       a gather of the factors' ``q^H B0 q``), read-only with B0, which
       ``decompose``, ``k0_class`` and ``hom_basis`` read
-      (``_schur_dilation``);
+      (``_schur_dilation``), and the factors' ``_StripForm``s with the
+      basis's index maps, from which ``hom_basis`` reads the projector
+      factors of a product of simple spectra (``_kron_projectors``);
     * for a result of ``from_monodromy``, which is born with A0 and B0
       read-only: ``exp(2 pi i A0/tau)``, which ``monodromy`` copies, and
       the singular values of B0, which ``validate_normal_form`` reads."""
@@ -274,8 +277,9 @@ class NormalForm:
     diagnostics: dict = field(default_factory=dict)
     # derived data, computed on first use or held from birth: keyed by the
     # Tolerances the clustered Schur form, by (Tolerances, "strip"),
-    # (Tolerances, "hom") and (Tolerances, "dilation") the _StripForm, the
-    # _HomSide and the dilation tensor kept; by "monodromy" and
+    # (Tolerances, "hom"), (Tolerances, "dilation") and (Tolerances,
+    # "factors") the _StripForm, the _HomSide, the dilation tensor kept and
+    # its factors' _StripForms with (ix, iy); by "monodromy" and
     # "b_singular_values" what from_monodromy held
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -738,6 +742,7 @@ def tensor(x, y, tol=None):
         b = (fx.b[ix, :, None] * fy.b[iy, None, :]).reshape(q.shape).take(order, 1)
         b.flags.writeable = nf.B0.flags.writeable = False
         nf._memo[(tol, "dilation")] = b
+        nf._memo[(tol, "factors")] = (fx, fy, ix, iy)
     return nf
 
 
@@ -1023,15 +1028,42 @@ def _hom_side(nf, tol):
 
 
 def _new_hom_side(nf, tol):
-    """The ``_HomSide`` of ``nf``: its ``_bounded_groups``, each right projector
-    factor orthonormalized by its Gram matrix's (well conditioned) Cholesky
-    factor, and B0 in their Schur basis from ``_schur_dilation``."""
-    _, t, q, groups, v, w, _ = _bounded_groups(*nf.schur_form(tol), tol)
+    """The ``_HomSide`` of ``nf``: its ``_bounded_groups`` (for a product,
+    ``_kron_projectors`` where they apply), each right projector factor
+    orthonormalized by its Gram matrix's (well conditioned) Cholesky factor,
+    and B0 in their Schur basis from ``_schur_dilation``."""
+    t, q, groups = nf.schur_form(tol)
+    vw = _kron_projectors(nf, t, groups, tol)
+    if vw is None:
+        _, t, q, groups, *vw, _ = _bounded_groups(t, q, groups, tol)
+    v, w = vw
     start, size, means = _block_arrays(groups)
     rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
     u, lh = v @ rho_inv, rho @ w
     ab = lh @ np.stack([t, _schur_dilation(nf, q, tol)]) @ u
     return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab)
+
+
+def _kron_projectors(nf, t, blocks, tol):
+    """``(v, w)`` of ``numkit._bounded_groups`` on the kept Schur form ``t``
+    of a product, from its factors', or None where they may differ.  When
+    every cluster of the product and every group of its factors is one
+    eigenvalue, ``v`` is the unit upper triangular eigenvector matrix of
+    ``t``, which is unique, and so the permuted Kronecker product ``P^T (v_x
+    (x) v_y) P`` of the factors' (the fold moves no eigenvector), to
+    rounding, and ``w = v^-1`` likewise; ``|v|_F^2 |w|_F^2`` is the product
+    of the factors' ``norm``, so where it is at most ``_PROJECTOR_BOUND**2``
+    no group joins another.  Gathers of ``N**2`` entries replace a ztrsyl
+    per cluster and a ztrtri on the product."""
+    kept = nf._memo.get((tol, "factors"))
+    if kept is None or len(blocks) < len(t):
+        return None
+    fx, fy, ix, iy = kept
+    if (len(fx.means) < len(fx.owner) or len(fy.means) < len(fy.owner)
+            or not fx.norm * fy.norm <= _PROJECTOR_BOUND ** 2):
+        return None
+    return tuple(a[0].take(ix, 0).take(ix, 1) * b[0].take(iy, 0).take(iy, 1)
+                 for a, b in ((fx.vv, fy.vv), (fx.ww, fy.ww)))
 
 
 def _hom_components(x, side_x, y, side_y, k, tol):

@@ -1218,6 +1218,34 @@ def test_tensor_refuses_a_pair_mean_whose_shift_passes_int64():
                                                                 int(far))]
 
 
+def test_hom_side_of_a_product_reads_its_factors_projectors(monkeypatch):
+    """x (x) y of simple spectra: its projector factors are the permuted
+    Kronecker products of the factors' (the fold moves no eigenvector), so
+    its Hom side makes no ztrsyl and matches, within rounding, the side
+    ``_bounded_groups`` gives on the same form, Hom bases included."""
+    sizes = []
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", lambda *args, **kwargs: sizes.append(
+        len(args[0]) + len(args[1])) or ztrsyl(*args, **kwargs))
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x, y = random_normal_form(rng, 3), random_normal_form(rng, 3)
+        xy, yx = tensor(x, y), tensor(y, x)
+        dense = []
+        for nf in (xy, yx):
+            copy = NormalForm(nf.A0, nf.B0, nf.transversal, nf.theta, nf.tau)
+            copy._memo[DEFAULT_TOL] = nf.schur_form()
+            dense.append(copy)
+        del sizes[:]
+        sides = [eqconn.category._hom_side(nf, DEFAULT_TOL) for nf in (xy, yx)]
+        assert (DEFAULT_TOL, "factors") in xy._memo and 9 not in sizes
+        for side, copy in zip(sides, dense):
+            want = eqconn.category._hom_side(copy, DEFAULT_TOL)
+            for got, ref in zip(side[3:], want[3:]):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert len(hom_basis(xy, yx)) == len(hom_basis(*dense)) == len(hom_basis(xy, xy))
+
+
 def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
     ``bench/workloads.py``, each of the 414 products keeps the permuted
