@@ -54,6 +54,7 @@ from .numkit import (
     DEFAULT_TOL,
     _PROJECTOR_BOUND,
     Transversal,
+    _apart,
     _block_arrays,
     _bounded_groups,
     _cluster_triangular,
@@ -66,6 +67,7 @@ from .numkit import (
     _lex_order,
     _log_schur,
     _merge_keys,
+    _orthonormal_columns,
     _schur,
     _shift_groups,
     _svd_split,
@@ -978,7 +980,8 @@ def hom_basis(x, y, tol=None):
     Sylvester equation is uniquely solvable; so the space is solved one
     eigenvalue component at a time on the shared Schur forms of both objects
     (``_hom_components``), and the morphisms of all components are
-    orthonormalized together by one QR factorization.  Completeness of
+    orthonormalized together by one QR factorization, LAPACK's zgeqrf and
+    zungqr called directly (``numkit._orthonormal_columns``).  Completeness of
     constant intertwiners is exactly the mode-exclusion argument checked by
     ``hom_mode_dims``.
     """
@@ -992,7 +995,7 @@ def hom_basis(x, y, tol=None):
     if not phis:
         return []
     phis = np.concatenate(phis)
-    basis = np.linalg.qr(phis.reshape(phis.shape[0], -1).T)[0]
+    basis = _orthonormal_columns(phis.reshape(phis.shape[0], -1).T)
     return [Morphism(x, y, phi) for phi in basis.T.reshape(-1, y.n, x.n)]
 
 
@@ -1001,27 +1004,30 @@ def hom_basis(x, y, tol=None):
 _COMPONENT_RADIUS = 1e-4
 
 
-def _data_scale(x, y):
-    """``(A0's scale, the data's)``: max(1, ||A0||_F of both), and with both ||B0||_F."""
-    scale = max(1.0, np.linalg.norm(x.A0), np.linalg.norm(y.A0))
-    return scale, max(scale, np.linalg.norm(x.B0), np.linalg.norm(y.B0))
+def _data_scale(side_x, side_y):
+    """``(A0's scale, the data's)`` of the objects of two ``_HomSide``s:
+    max(1, ||A0||_F of both), and with both ||B0||_F."""
+    scale = max(1.0, side_x.a_norm, side_y.a_norm)
+    return scale, max(scale, side_x.b_norm, side_y.b_norm)
 
 
-class _HomSide(namedtuple("_HomSide", "means start size u lh ab")):
+class _HomSide(namedtuple("_HomSide", "means start size u lh ab a_norm b_norm")):
     """What ``_hom_components`` reads of one object, per group g of its
     shared Schur form (``numkit._bounded_groups``): the mean, the ``size[g]``
     columns of ``u`` from ``start[g]`` on, an orthonormal basis of its
     invariant subspace, and those rows of ``lh``, the left factor of its
-    spectral projector; and ``ab = [lh A0 u, lh B0 u]``, block by block."""
+    spectral projector; ``ab = [lh A0 u, lh B0 u]``, block by block; and
+    ||A0||_F and ||B0||_F, which ``_data_scale`` reads."""
 
 
 def _hom_side(nf, tol):
     """The ``_HomSide`` of a normal form, from its shared Schur form: kept
-    in its memo with its arrays read-only, and B0 made read-only too."""
+    in its memo with its arrays read-only, and B0 made read-only too (A0
+    already is, with the form), so that the norms it keeps stay true."""
     side = nf._memo.get((tol, "hom"))
     if side is None:
         side = _new_hom_side(nf, tol)
-        for array in (nf.B0,) + side:
+        for array in (nf.B0,) + side[:-2]:
             array.flags.writeable = False
         nf._memo[(tol, "hom")] = side
     return side
@@ -1041,7 +1047,8 @@ def _new_hom_side(nf, tol):
     rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
     u, lh = v @ rho_inv, rho @ w
     ab = lh @ np.stack([t, _schur_dilation(nf, q, tol)]) @ u
-    return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab)
+    return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab,
+                    np.linalg.norm(nf.A0), np.linalg.norm(nf.B0))
 
 
 def _kron_projectors(nf, t, blocks, tol):
@@ -1075,11 +1082,13 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     (``numkit._bounded_groups``) of both Schur forms: an edge joins two
     groups whose means lie within ``_COMPONENT_RADIUS`` times the scale of
     A0.  A component holding groups of one side only carries no
-    intertwiner.  On the others both sides are restricted to orthonormal
-    bases of their invariant subspaces (``_component_bases``), and the
-    kernel of that small Kronecker system, ranked by ``_nullspace_scaled``
-    against the data scale, B0 included, as the whole system would be, is
-    the component's part of the space.
+    intertwiner.  When each side's means are apart, the components are
+    pairs found by a sorted match, with no graph (``_matched_components``);
+    else ``_graph_components`` builds the graph.  On the components both
+    sides are restricted to orthonormal bases of their invariant subspaces
+    (``_component_bases``), and the kernel of that small Kronecker system,
+    ranked by ``_nullspace_scaled`` against the data scale, B0 included, as
+    the whole system would be, is the component's part of the space.
 
     Returns stacks ``(y_basis, kernel, x_left)``, one per shape of the
     components' systems: the morphisms are ``y_basis[j] @ kernel[j] @
@@ -1087,22 +1096,11 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     ``x_left[j]`` the left factor of x's spectral projector.
     """
     shift, step = x.tau * k, abs(x.tau) * abs(k)
-    a_scale, scale = _data_scale(x, y)
-    means = np.concatenate([side_x.means, side_y.means + shift])
-    component = _connected_components(
-        np.abs(means[:, None] - means) <= _COMPONENT_RADIUS * (a_scale + step))
-    split = len(side_x.means)
-    live = set(component[:split]) & set(component[split:])
-    if not live:
-        return []
-    keys_x, index_x = _side_keys(component[:split], live)
-    keys_y, index_y = _side_keys(component[split:], live)
-    _, lhx, abx, x_at, x_size = _component_bases(side_x, keys_x)
-    uy, _, aby, y_at, y_size = _component_bases(side_y, keys_y)
-    classes = {}
-    for c in sorted(live):
-        i, j = index_x[c], index_y[c]
-        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
+    a_scale, scale = _data_scale(side_x, side_y)
+    radius = _COMPONENT_RADIUS * (a_scale + step)
+    means_y = side_y.means + shift
+    lhx, abx, uy, aby, classes = (_matched_components(side_x, side_y, means_y, radius)
+                                  or _graph_components(side_x, side_y, means_y, radius))
     out = []
     for (mx, my), starts in sorted(classes.items()):
         starts = np.array(starts)
@@ -1122,6 +1120,61 @@ def _hom_components(x, side_x, y, side_y, k, tol):
             kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
             out.append((uy[:, iy[which]].transpose(1, 0, 2), kernel, lhx[ix[which]]))
     return out
+
+
+def _matched_components(side_x, side_y, means_y, radius):
+    """``_graph_components`` without the graph, when each side's means have
+    real parts more than ``3 * radius`` apart (``numkit._apart``); else
+    None.
+
+    Then no edge joins two groups of one side, and no group has two edges:
+    two groups of the other side within ``radius`` of it would lie within
+    twice that, and the margin covers the rounding of the graph's ``abs``
+    test.  So each component is one group or a pair of groups whose means
+    lie within ``radius``, one per side; an x-group's partner, if any, is
+    one of the two y-groups whose real parts surround its own (one
+    ``searchsorted``), and takes the graph's own test.  The graph numbers
+    the pairs in the order of their x-groups, and the side's own arrays
+    are the bases of ``_component_bases`` on components of one group."""
+    means_x = side_x.means
+    if not (_apart(means_x.real, 3 * radius) and _apart(means_y.real, 3 * radius)):
+        return None
+    order = np.argsort(means_y.real)
+    at = means_y.real[order].searchsorted(means_x.real)
+    below, above = order.take(at - 1, mode="clip"), order.take(at, mode="clip")
+    near_below = np.abs(means_x - means_y[below]) <= radius
+    near_above = np.abs(means_x - means_y[above]) <= radius
+    hit = np.flatnonzero(near_below | near_above)
+    x_at, x_size = side_x.start.tolist(), side_x.size.tolist()
+    y_at, y_size = side_y.start.tolist(), side_y.size.tolist()
+    classes = {}
+    for i, j in zip(hit.tolist(), np.where(near_below, below, above)[hit].tolist()):
+        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
+    return side_x.lh, side_x.ab, side_y.u, side_y.ab, classes
+
+
+def _graph_components(side_x, side_y, means_y, radius):
+    """The components of the graph of ``_hom_components`` over the groups
+    of ``side_x`` and of ``side_y`` (means ``means_y``), an edge joining two
+    groups whose means lie within ``radius``: ``(lhx, abx, uy, aby,
+    classes)``, the bases of ``_component_bases`` on x's and y's side, and
+    per shape ``(m_x, m_y)`` the starts in them of the components that join
+    both sides, in the order of the components."""
+    means = np.concatenate([side_x.means, means_y])
+    component = _connected_components(np.abs(means[:, None] - means) <= radius)
+    split = len(side_x.means)
+    live = set(component[:split]) & set(component[split:])
+    if not live:
+        return None, None, None, None, {}
+    keys_x, index_x = _side_keys(component[:split], live)
+    keys_y, index_y = _side_keys(component[split:], live)
+    _, lhx, abx, x_at, x_size = _component_bases(side_x, keys_x)
+    uy, _, aby, y_at, y_size = _component_bases(side_y, keys_y)
+    classes = {}
+    for c in sorted(live):
+        i, j = index_x[c], index_y[c]
+        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
+    return lhx, abx, uy, aby, classes
 
 
 def _cholesky_pair(v, owner):
@@ -1350,7 +1403,9 @@ def decompose(nf, tol=None):
     eigenvalue with each eigenvalue of its diagonal block of B0, and the
     multiset of labels is the joint spectrum with multiplicity.  A part of
     B0 below the blocks larger than ``eps_key`` relative to B0 means the pair
-    does not commute to that accuracy and raises ``NumericFailure``.
+    does not commute to that accuracy and raises ``NumericFailure``, as does
+    a diagonal block of B0 in that basis with an entry that is not finite.  Where every cluster
+    is one eigenvalue, the labels of B0 are its diagonal in that basis.
     """
     labels = _labels(nf, tol or DEFAULT_TOL)
     return list(zip(labels[:, 0].tolist(), labels[:, 1].tolist()))
@@ -1361,7 +1416,11 @@ def _labels(nf, tol):
     ``(lam, b)``, in its order: B0 in the Schur basis is
     ``_schur_dilation``'s, the blocks of it of one size take one batched
     ``eigvals`` call, bit for bit the values of one call per block, and the
-    labels are held, keyed and ordered as arrays."""
+    labels are held, keyed and ordered as arrays.  When every block is one
+    entry, the b-labels are read off the diagonal: ``eigvals`` of a 1 x 1
+    matrix is its entry, except that beyond about 1e+-140 LAPACK's zgeev
+    scales the matrix first and may move the last bit, where the entry is
+    the exact value."""
     t, q, blocks = nf.schur_form(tol)
     b = _schur_dilation(nf, q, tol)
     starts, sizes, means = _block_arrays(blocks)
@@ -1372,10 +1431,20 @@ def _labels(nf, tol):
                              "clusters of A0: below-block norm %.3e" % below)
     labels = np.empty((len(cluster), 2), dtype=complex)
     labels[:, 0] = np.repeat(means, sizes)
-    for size in np.unique(sizes).tolist():
-        # a cluster's labels sit at its rows of the diagonal
-        rows = starts[sizes == size][:, None] + np.arange(size)
-        labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
+    if len(blocks) == len(b):
+        labels[:, 1] = b.diagonal()
+        if not np.isfinite(labels[:, 1]).all():
+            raise NumericFailure("no labels: the dilation in the Schur basis of A0 has "
+                                 "diagonal entries that are not finite")
+    else:
+        for size in np.unique(sizes).tolist():
+            # a cluster's labels sit at its rows of the diagonal
+            rows = starts[sizes == size][:, None] + np.arange(size)
+            try:
+                labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
+            except np.linalg.LinAlgError as exc:   # entries not finite, or no convergence
+                raise NumericFailure("no labels: the diagonal blocks of the dilation in "
+                                     "the Schur basis of A0: %s" % exc)
     return labels[_lex_order(labels)]
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import lapack_lite
 
 from .exceptions import NumericFailure, SpectrumCollision, ValidationFailure
 
@@ -396,6 +397,39 @@ def _schur(m):
     return t, z
 
 
+@functools.cache
+def _qr_lwork(m, n):
+    """The optimal workspace size of zgeqrf and zungqr for an ``m x n``
+    matrix: their queries read the shape alone, so they are asked once per
+    shape, on an uninitialized array that neither query touches."""
+    a, tau = np.empty((n, m), dtype=complex), np.empty(n, dtype=complex)
+    work = np.ones(1, dtype=complex)
+    lapack_lite.zgeqrf(m, n, a, m, tau, work, -1, 0)
+    lwork = work[0].real
+    lapack_lite.zungqr(m, n, n, a, m, tau, work, -1, 0)
+    return int(max(lwork, work[0].real, 1))
+
+
+def _orthonormal_columns(a):
+    """The ``Q`` of the reduced QR factorization of the Fortran-ordered
+    complex ``m x n`` array ``a``, ``m >= n``, which it overwrites: one
+    LAPACK ``zgeqrf`` and one ``zungqr`` call through numpy's
+    ``lapack_lite``, with the optimal workspace kept per shape
+    (``_qr_lwork``).  These are the calls and workspaces of
+    ``np.linalg.qr(a)[0]`` on numpy's own LAPACK, so they give its bits,
+    without its wrappers, copies and workspace queries.  A nonzero ``info``
+    raises ``NumericFailure``."""
+    m, n = a.shape
+    at, tau = a.T, np.empty(n, dtype=complex)   # at: a's memory, C-ordered
+    work = np.empty(_qr_lwork(m, n), dtype=complex)
+    info = lapack_lite.zgeqrf(m, n, at, m, tau, work, len(work), 0)["info"]
+    if info == 0:
+        info = lapack_lite.zungqr(m, n, n, at, m, tau, work, len(work), 0)["info"]
+    if info:
+        raise NumericFailure("QR factorization failed (info %d)" % info)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # clustered Schur machinery
 # ---------------------------------------------------------------------------
@@ -449,6 +483,22 @@ def _apart(reals, radius):
     reals.sort()
     gaps = reals[1:] - reals[:-1]
     return np.count_nonzero(gaps > radius) == gaps.size
+
+
+def _equal_classes(values, radius):
+    """The classes of equal ``values``, labelled in order of first
+    appearance, when every two of them whose real parts are neighbours
+    within ``radius`` in sorted order are equal; else None.  The classes are
+    then the connected components of the graph ``|v_i - v_j| <= radius``:
+    two unequal values have some neighbour gap between them above
+    ``radius``, so their difference is above it (``_apart``), and two equal
+    ones differ by 0."""
+    ordered = values[np.argsort(values.real)]
+    near = ordered.real[1:] - ordered.real[:-1] <= radius
+    if not (ordered[1:][near] == ordered[:-1][near]).all():
+        return None
+    index = {}
+    return [index.setdefault(v, len(index)) for v in values.tolist()]
 
 
 def _connected_components(near):
@@ -592,14 +642,19 @@ def _cluster_triangular(t, q, tol):
     one has members apart), and the means are one ``np.add.reduceat`` over
     the diagonal, which sums a cluster of three or more in another order
     than ``np.mean``; a mean whose sum leaves the float range is summed
-    again from its members divided by the cluster size.  Returns ``(t, q,
-    blocks)`` as ``_clustered_schur``.
+    again from its members divided by the cluster size.  The components are
+    the classes of exactly equal entries, and no graph is built either,
+    when the entries that are neighbours in real part within eps_spec are
+    equal (``_equal_classes``), as the pairs (g, h) and (h, g) of a tensor
+    square are.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
     """
     diagonal = np.diag(t)
     if _apart(diagonal.real, tol.eps_spec):
         n = len(diagonal)
         return t, q, list(zip(range(n), range(1, n + 1), (diagonal / 1).tolist()))
-    labels = _connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
+    labels = _equal_classes(diagonal, tol.eps_spec)
+    if labels is None:
+        labels = _connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
     t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
     starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
     sizes = stops - starts
@@ -757,7 +812,9 @@ def _group_blocks(t, q, blocks, keys):
     already sits on top is skipped.  The first call copies ``t`` and ``q``,
     which may be read-only memoized forms, and the later ones overwrite that
     copy.  A cluster moves whole, each of its members past the same
-    eigenvalues, so no swap is made within a cluster.
+    eigenvalues, so no swap is made within a cluster.  The keys of the
+    eigenvalues then increase down the diagonal, and one pass over them
+    reads off the groups, as ``np.unique(..., return_counts=True)`` would.
     Returns ``(t, q, groups)`` with groups a list of ``(start, stop, key)``.
     """
     if all(a <= b for a, b in zip(keys, keys[1:])):
@@ -780,9 +837,12 @@ def _group_blocks(t, q, blocks, keys):
             raise NumericFailure("Schur reordering failed (info %d)" % info)
         own = True
         member = np.concatenate([member[select], member[~select]])
-    levels, counts = np.unique(member, return_counts=True)
-    stops = np.cumsum(counts)
-    return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))
+    member, groups, start = member.tolist(), [], 0
+    for stop in range(1, len(member) + 1):
+        if stop == len(member) or member[stop] != member[start]:
+            groups.append((start, stop, member[start]))
+            start = stop
+    return t, q, groups
 
 
 def _decouple(t, bounds):

@@ -31,6 +31,17 @@ Kronecker sum folded by ``numkit._fold`` (a ztrsyl split over the
 product's shift groups and an N x m x N projector update), and ``A0 = Q f
 Q^H``.  The factor route must match its A0 and its shifts to rounding.
 
+``frozen_group_blocks``, ``frozen_cluster_triangular``,
+``frozen_hom_components``, ``frozen_hom_basis`` and ``frozen_label_array`` are
+the library's paths as they stood before each took an exit on a property
+of its input: the ``np.unique`` read-off of the groups after a ztrsen
+reorder, the eps_spec graph over every pair of diagonal entries, the
+component graph over every pair of Hom groups, ``np.linalg.qr`` for the
+Hom basis, and ``eigvals`` for the labels of every cluster, one entry
+included.  The library keeps the graphs and ``eigvals`` as the fallback
+where an exit's condition fails, and must give these bits on both sides of
+each exit.
+
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
 
@@ -156,6 +167,13 @@ from eqconn.category import (
     equivariance_residual,
     MonodromyPair,
     NormalForm,
+    _blocks,
+    _component_bases,
+    _hom_side,
+    _kron,
+    _nullspace_scaled,
+    _schur_dilation,
+    _side_keys,
     validate,
     validate_normal_form,
 )
@@ -176,9 +194,11 @@ from eqconn.numkit import (
     SpectralCluster,
     SpectralData,
     TransversalBranchWarning,
+    _block_arrays,
     _cluster_triangular,
     _fold,
     _group_blocks,
+    _lex_order,
     mat_norm,
     nullspace,
     spectral,
@@ -399,11 +419,19 @@ def _frozen_components(near):
 
 
 def _frozen_group_blocks(t, q, blocks, keys):
-    """The Schur form ``q t q^H`` reordered so that the clusters ``blocks``
-    sharing a key sit in one contiguous run, runs in increasing key: keys
-    already increasing need no reordering; otherwise one ztrsen per key
-    boundary selects every cluster up to it, skipped where the selection
-    already sits on top.  Returns ``(t, q, runs)``, runs ``(start, stop)``."""
+    """``frozen_group_blocks`` with runs ``(start, stop)``."""
+    t, q, runs = frozen_group_blocks(t, q, blocks, keys)
+    return t, q, [run[:2] for run in runs]
+
+
+def frozen_group_blocks(t, q, blocks, keys):
+    """``numkit._group_blocks`` as it stood when it read its groups off with
+    ``np.unique``: the Schur form ``q t q^H`` reordered so that the clusters
+    ``blocks`` sharing a key sit in one contiguous run, runs in increasing
+    key: keys already increasing need no reordering; otherwise one ztrsen
+    per key boundary selects every cluster up to it, skipped where the
+    selection already sits on top.  Returns ``(t, q, runs)``, runs
+    ``(start, stop, key)``."""
     if all(a <= b for a, b in zip(keys, keys[1:])):
         runs = []
         for (start, stop, _), key in zip(blocks, keys):
@@ -411,7 +439,7 @@ def _frozen_group_blocks(t, q, blocks, keys):
                 runs[-1] = (runs[-1][0], stop, key)
             else:
                 runs.append((start, stop, key))
-        return t, q, [run[:2] for run in runs]
+        return t, q, runs
     member = np.repeat(keys, [s1 - s0 for s0, s1, _ in blocks])
     own = False
     for level in sorted(set(keys))[:-1]:
@@ -423,9 +451,108 @@ def _frozen_group_blocks(t, q, blocks, keys):
         assert info == 0
         own = True
         member = np.concatenate([member[select], member[~select]])
-    _, counts = np.unique(member, return_counts=True)
+    levels, counts = np.unique(member, return_counts=True)
     stops = np.cumsum(counts)
-    return t, q, list(zip((stops - counts).tolist(), stops.tolist()))
+    return t, q, list(zip((stops - counts).tolist(), stops.tolist(), levels.tolist()))
+
+
+def frozen_cluster_triangular(t, q, tol=DEFAULT_TOL):
+    """``numkit._cluster_triangular`` as it stood with the graph alone:
+    each eigenvalue its own cluster when the real parts of the diagonal are
+    more than eps_spec apart, else the connected components of the graph
+    ``|t_ii - t_jj| <= eps_spec`` (``_frozen_components``) made contiguous
+    by ``frozen_group_blocks``, their means one ``np.add.reduceat``."""
+    diagonal = np.diag(t)
+    reals = np.sort(diagonal.real)
+    if (reals[1:] - reals[:-1] > tol.eps_spec).all():
+        n = len(diagonal)
+        return t, q, list(zip(range(n), range(1, n + 1), (diagonal / 1).tolist()))
+    labels = _frozen_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
+    t, q, groups = frozen_group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
+    starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
+    sizes = stops - starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduceat(np.diag(t), starts) / sizes
+        wide = ~np.isfinite(means)
+        if wide.any():
+            means[wide] = np.add.reduceat(np.diag(t) / np.repeat(sizes, sizes), starts)[wide]
+    return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
+
+
+def frozen_hom_components(x, side_x, y, side_y, k, tol=DEFAULT_TOL):
+    """``category._hom_components`` as it stood with the graph alone: the
+    components are the connected parts of the graph over both sides' groups
+    whose edges join means within ``1e-4 (a_scale + |k tau|)``, the scales
+    read off ``x`` and ``y`` per call; returns its stacks ``(y_basis,
+    kernel, x_left)``."""
+    shift, step = x.tau * k, abs(x.tau) * abs(k)
+    a_scale = max(1.0, np.linalg.norm(x.A0), np.linalg.norm(y.A0))
+    scale = max(a_scale, np.linalg.norm(x.B0), np.linalg.norm(y.B0))
+    means = np.concatenate([side_x.means, side_y.means + shift])
+    component = _frozen_components(np.abs(means[:, None] - means) <= 1e-4 * (a_scale + step))
+    split = len(side_x.means)
+    live = set(component[:split]) & set(component[split:])
+    if not live:
+        return []
+    keys_x, index_x = _side_keys(component[:split], live)
+    keys_y, index_y = _side_keys(component[split:], live)
+    _, lhx, abx, x_at, x_size = _component_bases(side_x, keys_x)
+    uy, _, aby, y_at, y_size = _component_bases(side_y, keys_y)
+    classes = {}
+    for c in sorted(live):
+        i, j = index_x[c], index_y[c]
+        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
+    out = []
+    for (mx, my), starts in sorted(classes.items()):
+        starts = np.array(starts)
+        ix = starts[:, :1] + np.arange(mx)
+        iy = starts[:, 1:] + np.arange(my)
+        diag_y = _blocks(aby, iy)
+        if k:
+            diag_y[:, 0] += shift * np.eye(my)
+            diag_y[:, 1] *= x.q ** k
+        system = (_kron(_blocks(abx, ix).transpose(0, 1, 3, 2), np.eye(my))
+                  - _kron(np.eye(mx), diag_y))
+        which, kernel = _nullspace_scaled(system.reshape(len(starts), -1, mx * my),
+                                          scale + step, tol)
+        if len(kernel):
+            kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
+            out.append((uy[:, iy[which]].transpose(1, 0, 2), kernel, lhx[ix[which]]))
+    return out
+
+
+def frozen_hom_basis(x, y, tol=DEFAULT_TOL):
+    """The ``phi`` of ``category.hom_basis(x, y)`` as it stood: the
+    morphisms of ``frozen_hom_components`` on both objects' Hom sides,
+    orthonormalized by ``np.linalg.qr``."""
+    side_x, side_y = _hom_side(x, tol), _hom_side(y, tol)
+    phis = [y_basis @ kernel @ x_left for y_basis, kernel, x_left
+            in frozen_hom_components(x, side_x, y, side_y, 0, tol)]
+    if not phis:
+        return []
+    phis = np.concatenate(phis)
+    basis = np.linalg.qr(phis.reshape(phis.shape[0], -1).T)[0]
+    return list(basis.T.reshape(-1, y.n, x.n))
+
+
+def frozen_label_array(nf, tol=DEFAULT_TOL):
+    """``category._labels`` as it stood: the b-labels of every cluster of
+    the Schur form from batched ``np.linalg.eigvals`` of its diagonal
+    blocks of the dilation (``_schur_dilation``), blocks of one size in one
+    call, one-entry blocks included."""
+    t, q, blocks = nf.schur_form(tol)
+    b = _schur_dilation(nf, q, tol)
+    starts, sizes, means = _block_arrays(blocks)
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))
+    if below > tol.eps_key * max(1.0, float(np.linalg.norm(nf.B0))):
+        raise NumericFailure("dilation is not block triangular")
+    labels = np.empty((len(cluster), 2), dtype=complex)
+    labels[:, 0] = np.repeat(means, sizes)
+    for size in np.unique(sizes).tolist():
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
+    return labels[_lex_order(labels)]
 
 
 def reference_log_transversal(m, transversal, eps_spec=1e-8):
