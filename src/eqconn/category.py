@@ -62,6 +62,7 @@ from .numkit import (
     _connected_components,
     _decouple,
     _fold,
+    _frobenius,
     _group_blocks,
     _is_singular,
     _lex_order,
@@ -75,6 +76,7 @@ from .numkit import (
     _warn_straddle,
     as_square_matrix,
     mat_exp,
+    same_context,
     spectral,  # noqa: F401  no longer called here; kept as category.spectral for callers
 )
 
@@ -84,14 +86,16 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # gaps, the shifted triangles, the coefficients); an order at which one of
 # them would top this many entries is refused before any is allocated
 MAX_GAUGE_ENTRIES = 1 << 20
+# eps_res bounds one product's rounding; a map made by a chain of products,
+# solves and bases carries several, so ``Morphism.is_valid`` allows this many
+_MORPHISM_SLACK = 100
+# ``h0_dim``'s radius on -tau Z and on zero singular values, in eps_spec: wider
+# than a cluster, so that the spread of a defective cluster still counts
+_FLAT_SLACK = 10
 
 
 def theta_to_q(theta):
     return cmath.exp(TWO_PI_I * theta)
-
-
-def same_transversal(t1, t2, tol=1e-12):
-    return abs(t1.tau - t2.tau) <= tol and abs(t1.offset - t2.offset) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,7 @@ class EquivariantConnection:
             raise ValidationFailure("connection and dilation dimensions differ")
         q = theta_to_q(theta)
         for name, p in (("A", A), ("B", B)):
-            if abs(p.tau - tau) > 1e-9 or abs(p.q - q) > 1e-9:
+            if not same_context((p.tau, tau), (p.q, q)):
                 raise ValidationFailure(
                     "%s carries parameters inconsistent with (tau, theta)" % name)
         self.A = A
@@ -354,8 +358,12 @@ def validate_normal_form(nf, tol=None):
     size, the eigenvalues of A0 (``nf.schur_form(tol)``, else the means of
     their ``_bounded_groups``) in the strip, A0 and B0 commuting
     (``EquivarianceViolation``), B0 invertible (``SingularB``) by its
-    singular values, those ``from_monodromy`` held if it made the form."""
+    singular values, those ``from_monodromy`` held if it made the form.  A
+    strip of another modulus than the form's tau is refused with
+    ``TransversalMismatch``."""
     tol = tol or DEFAULT_TOL
+    if not same_context((nf.transversal.tau, nf.tau)):
+        raise TransversalMismatch("transversal modulus differs from the normal form's tau")
     n = nf.A0.shape[0]
     if nf.A0.shape != (n, n) or nf.B0.shape != (n, n):
         raise ValidationFailure("normal form needs square A0 and B0 of one size, got "
@@ -467,7 +475,7 @@ def normalize(obj, transversal=None, order=16, tol=None):
             "truncation order %d is too large at n = %d: the series gauge would "
             "hold more than %d entries per array" % (order, obj.n, MAX_GAUGE_ENTRIES))
     transversal = transversal or obj.transversal or Transversal(obj.tau)
-    if abs(transversal.tau - obj.tau) > 1e-9:
+    if not same_context((transversal.tau, obj.tau)):
         raise TransversalMismatch("transversal modulus differs from the object's tau")
     diag, a, b = _validated(obj, tol, strict=True)
     radius = diag["radius"]
@@ -655,13 +663,7 @@ def from_monodromy(rep, transversal, theta, tol=None):
     exp = mat_exp(TWO_PI_I * nf.A0 / transversal.tau)
     exp.flags.writeable = False
     nf._memo.update(monodromy=exp, b_singular_values=svals_m2)
-    miss = exp - rep.M1
-    residual = float(np.linalg.norm(miss))
-    if math.isinf(residual) and np.isfinite(miss).all():
-        # its squares overflow: the norm through its largest part
-        part = max(np.abs(miss.real).max(), np.abs(miss.imag).max())
-        residual = float(part * np.linalg.norm(miss / part))
-    nf.diagnostics["log_residual"] = residual
+    nf.diagnostics["log_residual"] = _frobenius(exp - rep.M1)
     validate_normal_form(nf, tol)
     return nf
 
@@ -681,10 +683,14 @@ def monodromy(nf):
 # ---------------------------------------------------------------------------
 
 def _check_same_context(x, y):
-    if abs(x.tau - y.tau) > 1e-12 or abs(x.theta - y.theta) > 1e-12:
+    if not same_context((x.tau, y.tau), (x.theta, y.theta)):
         raise ValidationFailure("objects live over different (tau, theta)")
-    if not same_transversal(x.transversal, y.transversal):
+    if not _same_strip(x.transversal, y.transversal):
         raise TransversalMismatch("objects are normalized to different strips")
+
+
+def _same_strip(s1, s2):
+    return same_context((s1.tau, s2.tau), (s1.offset, s2.offset))
 
 
 def tensor(x, y, tol=None):
@@ -968,7 +974,8 @@ class Morphism:
         ra, rb = self.residuals()
         sa = scale * max(1.0, np.linalg.norm(self.source.A0), np.linalg.norm(self.target.A0))
         sb = scale * max(1.0, np.linalg.norm(self.source.B0), np.linalg.norm(self.target.B0))
-        return ra <= 100 * tol.eps_res * sa and rb <= 100 * tol.eps_res * sb
+        slack = _MORPHISM_SLACK * tol.eps_res
+        return ra <= slack * sa and rb <= slack * sb
 
 
 def hom_basis(x, y, tol=None):
@@ -1354,8 +1361,10 @@ def image(m, tol=None):
 
 
 def _check_intertwines(m, tol):
-    """Refuse ``m`` with ``ValidationFailure`` naming the A and B residuals
-    unless it is a morphism (``Morphism.is_valid``)."""
+    """Refuse ``m`` unless source and target live over one context
+    (``_check_same_context``) and it is a morphism (``Morphism.is_valid``),
+    with ``ValidationFailure`` naming the A and B residuals."""
+    _check_same_context(m.source, m.target)
     if not m.is_valid(tol):
         raise ValidationFailure("phi does not intertwine source and target: A residual "
                                 "%.3e, B residual %.3e" % m.residuals())
@@ -1425,8 +1434,8 @@ def _labels(nf, tol):
     b = _schur_dilation(nf, q, tol)
     starts, sizes, means = _block_arrays(blocks)
     cluster = np.repeat(np.arange(len(sizes)), sizes)
-    below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))
-    if below > tol.eps_key * max(1.0, float(np.linalg.norm(nf.B0))):
+    below = _frobenius(b[cluster[:, None] > cluster[None, :]])
+    if below > tol.eps_key * max(1.0, _frobenius(nf.B0)):
         raise NumericFailure("dilation is not block triangular on the eigenvalue "
                              "clusters of A0: below-block norm %.3e" % below)
     labels = np.empty((len(cluster), 2), dtype=complex)
@@ -1531,7 +1540,7 @@ class K0Class:
         return self + (-other)
 
     def _check(self, other):
-        if not same_transversal(self.transversal, other.transversal):
+        if not _same_strip(self.transversal, other.transversal):
             raise TransversalMismatch("K-classes live over different strips")
 
     def total_degree(self):
@@ -1541,9 +1550,10 @@ class K0Class:
         return not (self - other).entries
 
     def __eq__(self, other):
+        """Equal classes over one strip; classes over two strips differ."""
         if not isinstance(other, K0Class):
             return NotImplemented
-        return self.same_class(other)
+        return _same_strip(self.transversal, other.transversal) and self.same_class(other)
 
     def __repr__(self):
         return "K0Class(%s)" % (list(self.entries),)
@@ -1577,15 +1587,16 @@ def h0_dim(nf_or_matrix, tau=None, tol=None):
         return 0
     total = 0
     seen = set()
+    slack = _FLAT_SLACK * tol.eps_spec
     scale = max(1.0, float(np.linalg.norm(a0)), abs(tau))
     for lam in np.diag(schur):
         t = -lam / tau
         k = round(t.real)
-        if abs(t - k) > 10 * tol.eps_spec * scale / abs(tau) or k in seen:
+        if abs(t - k) > slack * scale / abs(tau) or k in seen:
             continue
         seen.add(k)
         shifted = a0 + (k * tau) * np.eye(a0.shape[0])
         svals = np.linalg.svd(shifted, compute_uv=False)
         smax = max(float(svals[0]), 1.0)
-        total += int(np.sum(svals <= 10 * tol.eps_spec * smax))
+        total += int(np.sum(svals <= slack * smax))
     return total

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import category, serialize, torus
 from .exceptions import NumericFailure, SpectrumCollision, ValidationFailure
-from .numkit import SL2Z, Tolerances, Transversal, find_small_width, moebius, wd
+from .numkit import DEFAULT_TOL, SL2Z, Tolerances, Transversal, find_small_width, moebius, wd
 from .torus import Omega, TorusPoly
 
 DEFAULT_TAU = 1.0 - 1.0j
@@ -66,9 +66,9 @@ def _add_knobs(parser, suppress):
                         help="left edge of the strip in Re(z/tau) units")
     parser.add_argument("--truncation", type=int, default=d(16),
                         help="series gauge truncation order")
-    parser.add_argument("--tol-spec", type=parse_real, default=d(1e-8))
-    parser.add_argument("--tol-res", type=parse_real, default=d(1e-9))
-    parser.add_argument("--tol-key", type=parse_real, default=d(1e-7))
+    parser.add_argument("--tol-spec", type=parse_real, default=d(DEFAULT_TOL.eps_spec))
+    parser.add_argument("--tol-res", type=parse_real, default=d(DEFAULT_TOL.eps_res))
+    parser.add_argument("--tol-key", type=parse_real, default=d(DEFAULT_TOL.eps_key))
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--d-max", type=int, default=d(64),
                         help="order bound for the finite-monodromy test")

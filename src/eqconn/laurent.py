@@ -69,9 +69,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .exceptions import NumericFailure, RegularityViolation, ValidationFailure
-from .numkit import DEFAULT_TOL
+from .numkit import DEFAULT_TOL, same_context
 
-_PARAM_TOL = 1e-12
 _MACHINE_EPS = np.finfo(float).eps
 # the byte budget of one slab of a product's block-Toeplitz GEMM
 _SLAB_BYTES = 512 * 1024
@@ -143,7 +142,7 @@ class PolyMat:
     def __init__(self, dim, terms, tau, q, diagnostics=None):
         if dim < 1:
             raise ValidationFailure("dimension must be positive")
-        if abs(abs(q) - 1.0) > _PARAM_TOL:
+        if not same_context((abs(q), 1.0)):
             raise ValidationFailure("dilation parameter q must be unimodular")
         self.dim = int(dim)
         self.tau = complex(tau)
@@ -283,7 +282,7 @@ class PolyMat:
         if self.dim != other.dim:
             raise ValidationFailure("dimension mismatch: %d vs %d"
                                     % (self.dim, other.dim))
-        if abs(self.tau - other.tau) > _PARAM_TOL or abs(self.q - other.q) > _PARAM_TOL:
+        if not same_context((self.tau, other.tau), (self.q, other.q)):
             raise ValidationFailure("parameter (tau, q) mismatch")
 
     def __add__(self, other):

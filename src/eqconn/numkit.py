@@ -60,6 +60,14 @@ class Tolerances:
     eps_spec : eigenvalue clustering radius,
     eps_res  : residual acceptance threshold,
     eps_key  : identification radius for K-class keys and lattice points.
+
+    Other thresholds are named module constants beside their decisions:
+    one context (numkit ``_CONTEXT_TOL``), a coordinate on an integer
+    (``_SNAP_TOL``), the log series' last term (``_SERIES_STOP``), grouping
+    (``_PROJECTOR_BOUND``); ``Morphism.is_valid`` (category
+    ``_MORPHISM_SLACK`` x eps_res), ``h0_dim`` (``_FLAT_SLACK`` x eps_spec),
+    Hom components (``_COMPONENT_RADIUS``); ``build_extension`` (torus
+    ``_EXTENSION_TOL``) and ``is_nori_finite`` (``_DET_SAFETY``).
     """
 
     eps_spec: float = 1e-8
@@ -75,6 +83,23 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Both sides of a context comparison read tau, theta, q or a strip offset from
+# one float; a gap larger than this means another curve, torus or strip.
+_CONTEXT_TOL = 1e-12
+# A strip or lattice coordinate this close to an integer, relative, is that
+# integer: a value built on an edge reaches it to a few roundings.
+_SNAP_TOL = 1e-12
+# The log series of a cluster stops at a term this small relative to 1 plus
+# the sum: far below the unit roundoff, 1.1e-16, it no longer moves the sum.
+_SERIES_STOP = 1e-18
+
+
+def same_context(*pairs):
+    """Whether each ``(a, b)`` pair of context parameters -- moduli tau,
+    twists theta or q, strip offsets -- agrees within ``_CONTEXT_TOL``; a
+    nan never agrees."""
+    return all(abs(a - b) <= _CONTEXT_TOL for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -127,7 +152,7 @@ class Transversal:
         elementwise on an array, one vectorized snap-and-floor of the
         positions.
 
-        Positions within 1e-12 relative of an integer are snapped to it
+        Positions within ``_SNAP_TOL`` relative of an integer are snapped to it
         before taking the floor (``_snap``), so values landing exactly on
         the half-open right edge fold deterministically to the left edge.
         A position past the float range is inf or nan, without numpy's
@@ -158,11 +183,11 @@ class Transversal:
 
 
 def _snap(x):
-    """``x`` with each value within 1e-12 relative (1e-12 absolute below
+    """``x`` with each value within ``_SNAP_TOL`` relative (absolute below
     1) of an integer replaced by that integer, elementwise; the nearest
     integer is ``np.rint``'s, ties to even as Python's ``round``."""
     nearest = np.rint(x)
-    return np.where(np.abs(x - nearest) < 1e-12 * np.maximum(1.0, np.abs(x)), nearest, x)
+    return np.where(np.abs(x - nearest) < _SNAP_TOL * np.maximum(1.0, np.abs(x)), nearest, x)
 
 
 @dataclass(frozen=True)
@@ -267,6 +292,18 @@ def mat_norm(m):
     if arr.size == 0:
         return 0.0
     return float(np.linalg.norm(arr, 2))
+
+
+def _frobenius(m):
+    """``||m||_F`` as a float; where its squares overflow but the entries
+    are finite, the norm taken in units of the largest real or imaginary
+    part, finite up to the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+        if math.isinf(norm) and np.isfinite(m).all():
+            part = max(np.abs(m.real).max(), np.abs(m.imag).max())
+            norm = float(part * np.linalg.norm(m / part))
+    return norm
 
 
 def mat_exp(m):
@@ -707,7 +744,7 @@ def _atomic_log_series(block, lam):
         term = term @ m
         contrib = ((-1) ** (k + 1) / k) * term
         out += contrib
-        if mat_norm(contrib) < 1e-18 * (1.0 + mat_norm(out)):
+        if mat_norm(contrib) < _SERIES_STOP * (1.0 + mat_norm(out)):
             return out
     raise NumericFailure("log series of a %d x %d block at %s did not converge"
                          % (n, n, lam))

@@ -24,10 +24,13 @@ import numpy as np
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
 from .numkit import (DEFAULT_TOL, _bounded_groups, _clustered_schur, _is_singular,
-                     _lex_order, _merge_keys, _snap, as_square_matrix)
+                     _lex_order, _merge_keys, _snap, as_square_matrix, same_context)
 
 TWO_PI_I = 2j * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# ``build_extension`` copies every coefficient into place, so its residuals
+# are exactly zero; any larger than this means the construction is broken
+_EXTENSION_TOL = 1e-12
 
 
 class TorusPoly:
@@ -79,7 +82,7 @@ class TorusPoly:
     # -- ring structure -----------------------------------------------------------
 
     def _check(self, other):
-        if abs(self.theta - other.theta) > 1e-12:
+        if not same_context((self.theta, other.theta)):
             raise ValidationFailure("twist parameters theta differ")
 
     def __add__(self, other):
@@ -271,7 +274,7 @@ def _stack(theta, rows, width):
     c})`` entries, rows of ``width`` and twist ``theta`` or ValidationFailure."""
     if any(len(row) != width for row in rows):
         raise ValidationFailure("connection matrix must be square")
-    if any(abs(entry_theta - theta) > 1e-12 for row in rows for entry_theta, _ in row):
+    if not same_context(*((entry_theta, theta) for row in rows for entry_theta, _ in row)):
         raise ValidationFailure("entry twist parameter differs")
     placed = [(i, j, key, value) for i, row in enumerate(rows)
               for j, (_, terms) in enumerate(row)
@@ -348,7 +351,7 @@ def extension_morphism_residuals(total, sub, zprime):
     projection ``pi`` onto the rest, the largest coefficients of ``conn . iota
     - iota . zprime`` and ``pi . conn - conn_sub . pi``: as 0/1 matrices each
     product is a slice of a stack.  Both vanish on ``build_extension``'s output."""
-    if abs(total.theta - sub.theta) > 1e-12:
+    if not same_context((total.theta, sub.theta)):
         raise ValidationFailure("twist parameters theta differ")
     supports = sorted(set(total.supports) | set(sub.supports) | {(0, 0)})
     conn = np.zeros((len(supports), total.n, total.n), dtype=complex)
@@ -381,7 +384,7 @@ def build_extension(zprime, row, sub):
     coeffs[[supports.index(key) for key in keys], :1, 1:] = top
     coeffs[[supports.index(key) for key in sub.supports], 1:, 1:] = sub.coeffs
     total = FreeBundle._from_stack(sub.theta, sub.tau, supports, coeffs)
-    if max(extension_morphism_residuals(total, sub, zprime)) > 1e-12:
+    if max(extension_morphism_residuals(total, sub, zprime)) > _EXTENSION_TOL:
         raise ValidationFailure("extension morphisms fail to commute with the "
                                 "connections")
     return total
@@ -436,8 +439,8 @@ def reduce_mod_lattice(z, tau):
 
     ``z`` is a number or an array, reduced elementwise in one pass; returns
     ``(s + t*tau, st)`` with ``st`` the array of ``(s, t)`` stacked on its
-    first axis, so that it unpacks as ``s, t``.  A coordinate within 1e-12
-    relative of an integer is snapped to it (``numkit._snap``), so it
+    first axis, so that it unpacks as ``s, t``.  A coordinate within
+    ``numkit._SNAP_TOL`` relative of an integer is snapped to it (``numkit._snap``), so it
     reduces to 0.  Each value has, to the bit, the point and coordinates
     Python's float and complex arithmetic give it one number at a time.  A
     real tau is refused when there is a value to reduce.  A coordinate past
@@ -498,7 +501,7 @@ class Divisor:
         return sum(p * m for p, m in self.points)
 
     def _check(self, other):
-        if abs(self.tau - other.tau) > 1e-12:
+        if not same_context((self.tau, other.tau)):
             raise ValidationFailure("divisors live on different curves")
 
     def __add__(self, other):
@@ -522,7 +525,7 @@ class Divisor:
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return abs(self.tau - other.tau) <= 1e-12 and not (self - other).points
+        return same_context((self.tau, other.tau)) and not (self - other).points
 
     def __repr__(self):
         return "Divisor(tau=%s, %s)" % (self.tau, list(self.points))
@@ -542,11 +545,10 @@ def divisor_equivalent(d1, d2, tol=None):
     """Abel-type linear equivalence: equal total degree and lattice-trivial
     weighted point sum of the difference."""
     tol = tol or DEFAULT_TOL
-    if abs(d1.tau - d2.tau) > 1e-12:
-        raise ValidationFailure("divisors live on different curves")
-    if d1.degree() != d2.degree():
+    diff = d1 - d2
+    if diff.degree():
         return False
-    w = (d1 - d2).weighted_sum()
+    w = diff.weighted_sum()
     tau = d1.tau
     t = w.imag / tau.imag
     s = w.real - t * tau.real

@@ -464,7 +464,7 @@ def test_divisor_equivalence_criterion():
     d3 = Divisor(TAU, [(a, 1)])
     d4 = Divisor(TAU, [(a + 0.5, 1)])
     assert not divisor_equivalent(d3, d4)
-    # degree mismatch short-circuits
+    # a degree mismatch is never equivalent
     assert not divisor_equivalent(d1, d3)
 
 
