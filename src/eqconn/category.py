@@ -54,12 +54,11 @@ from .numkit import (
     DEFAULT_TOL,
     _PROJECTOR_BOUND,
     Transversal,
-    _apart,
     _block_arrays,
     _bounded_groups,
     _cluster_triangular,
     _clustered_schur,
-    _connected_components,
+    _components,
     _decouple,
     _fold,
     _frobenius,
@@ -68,9 +67,11 @@ from .numkit import (
     _lex_order,
     _log_schur,
     _merge_keys,
+    _near_pairs,
     _orthonormal_columns,
     _schur,
     _shift_groups,
+    _straddling,
     _svd_split,
     _triangular_sylvester,
     _warn_straddle,
@@ -816,7 +817,8 @@ def _pair_shifts(fx, fy, order, transversal):
     j)`` of ``x.n x y.n`` the strip shift of the mean of the pair of groups
     that holds ``i`` and ``j``, with a ``TransversalBranchWarning``, as
     ``numkit._cluster_shifts`` gives for a cluster, for each pair whose
-    entries ``t_x[i, i] + t_y[j, j]`` would shift otherwise; and ``(mean,
+    entries ``t_x[i, i] + t_y[j, j]`` would shift otherwise (one
+    ``numkit._straddling`` test, as for a cluster); and ``(mean,
     shift)`` per pair in the order of its first entry in ``order``, pairs
     of equal mean (``(g, h)`` and ``(h, g)`` of ``x (x) x``) once."""
     means = (fx.means[fx.owner][:, None] + fy.means[fy.owner]).ravel()
@@ -828,10 +830,8 @@ def _pair_shifts(fx, fy, order, transversal):
     # a pair of one entry is its own mean, and cannot straddle an edge
     if len(fx.means) < len(fx.owner) or len(fy.means) < len(fy.owner):
         d = (fx.t.diagonal()[:, None] + fy.t.diagonal()).ravel()
-        first = {}
-        for i in np.flatnonzero(transversal.shift(d) != shifts).tolist():
-            first.setdefault((fx.owner[i // len(fy.owner)], fy.owner[i % len(fy.owner)]), i)
-        for _, i in sorted(first.items()):
+        pair = (fx.owner[:, None] * len(fy.means) + fy.owner).ravel()
+        for _, i in _straddling(transversal.shift(d), shifts, pair):
             mean = means[i].item()
             _warn_straddle(mean, shifts[i], transversal.boundary_distance(mean))
     fold_shifts = dict(zip(means[order].tolist(), shifts[order].tolist()))
@@ -1088,10 +1088,8 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     The components are the connected parts of one graph over the groups
     (``numkit._bounded_groups``) of both Schur forms: an edge joins two
     groups whose means lie within ``_COMPONENT_RADIUS`` times the scale of
-    A0.  A component holding groups of one side only carries no
-    intertwiner.  When each side's means are apart, the components are
-    pairs found by a sorted match, with no graph (``_matched_components``);
-    else ``_graph_components`` builds the graph.  On the components both
+    A0, found by one sort (``numkit._near_pairs``).  A component holding
+    groups of one side only carries no intertwiner.  On the components both
     sides are restricted to orthonormal bases of their invariant subspaces
     (``_component_bases``), and the kernel of that small Kronecker system,
     ranked by ``_nullspace_scaled`` against the data scale, B0 included, as
@@ -1106,8 +1104,7 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     a_scale, scale = _data_scale(side_x, side_y)
     radius = _COMPONENT_RADIUS * (a_scale + step)
     means_y = side_y.means + shift
-    lhx, abx, uy, aby, classes = (_matched_components(side_x, side_y, means_y, radius)
-                                  or _graph_components(side_x, side_y, means_y, radius))
+    lhx, abx, uy, aby, classes = _graph_components(side_x, side_y, means_y, radius)
     out = []
     for (mx, my), starts in sorted(classes.items()):
         starts = np.array(starts)
@@ -1129,37 +1126,6 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     return out
 
 
-def _matched_components(side_x, side_y, means_y, radius):
-    """``_graph_components`` without the graph, when each side's means have
-    real parts more than ``3 * radius`` apart (``numkit._apart``); else
-    None.
-
-    Then no edge joins two groups of one side, and no group has two edges:
-    two groups of the other side within ``radius`` of it would lie within
-    twice that, and the margin covers the rounding of the graph's ``abs``
-    test.  So each component is one group or a pair of groups whose means
-    lie within ``radius``, one per side; an x-group's partner, if any, is
-    one of the two y-groups whose real parts surround its own (one
-    ``searchsorted``), and takes the graph's own test.  The graph numbers
-    the pairs in the order of their x-groups, and the side's own arrays
-    are the bases of ``_component_bases`` on components of one group."""
-    means_x = side_x.means
-    if not (_apart(means_x.real, 3 * radius) and _apart(means_y.real, 3 * radius)):
-        return None
-    order = np.argsort(means_y.real)
-    at = means_y.real[order].searchsorted(means_x.real)
-    below, above = order.take(at - 1, mode="clip"), order.take(at, mode="clip")
-    near_below = np.abs(means_x - means_y[below]) <= radius
-    near_above = np.abs(means_x - means_y[above]) <= radius
-    hit = np.flatnonzero(near_below | near_above)
-    x_at, x_size = side_x.start.tolist(), side_x.size.tolist()
-    y_at, y_size = side_y.start.tolist(), side_y.size.tolist()
-    classes = {}
-    for i, j in zip(hit.tolist(), np.where(near_below, below, above)[hit].tolist()):
-        classes.setdefault((x_size[i], y_size[j]), []).append((x_at[i], y_at[j]))
-    return side_x.lh, side_x.ab, side_y.u, side_y.ab, classes
-
-
 def _graph_components(side_x, side_y, means_y, radius):
     """The components of the graph of ``_hom_components`` over the groups
     of ``side_x`` and of ``side_y`` (means ``means_y``), an edge joining two
@@ -1168,7 +1134,7 @@ def _graph_components(side_x, side_y, means_y, radius):
     per shape ``(m_x, m_y)`` the starts in them of the components that join
     both sides, in the order of the components."""
     means = np.concatenate([side_x.means, means_y])
-    component = _connected_components(np.abs(means[:, None] - means) <= radius)
+    component = _components(len(means), *_near_pairs(means, radius))
     split = len(side_x.means)
     live = set(component[:split]) & set(component[split:])
     if not live:

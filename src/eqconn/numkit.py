@@ -510,50 +510,63 @@ class SpectralData:
                 "reassembly_residual": res / norm_m if norm_m else res}
 
 
-def _apart(reals, radius):
-    """Whether every two of ``reals`` differ by more than ``radius``: each
-    gap between neighbours in sorted order does.  Exact for the tests of
-    ``_cluster_triangular`` and ``_merge_keys``: rounding is monotone, so a
-    rounded difference of two values is at least that of two neighbours
-    between them, and ``|z| >= |Re z|`` holds for ``abs`` as computed."""
-    reals = reals.copy()
+def _near_pairs(values, radius):
+    """The index pairs ``(i, j)``, ``i > j``, of the complex array
+    ``values`` with ``abs(values[i] - values[j]) <= radius``, as two int
+    arrays: the pairs of the dense test ``np.abs(values[:, None] - values)
+    <= radius``, to the bit, in no particular order.
+
+    The real parts are sorted, and each gap between neighbours above
+    ``radius`` cuts them into runs; only the pairs within a run take the
+    dense ``abs`` test, those ``d`` apart in sorted order in the ``d``-th
+    pass, the first pass the neighbours.  No pair across a cut passes it:
+    rounding is monotone, so the rounded difference of their real parts is
+    at least that of the neighbours at the cut, and ``|z| >= |Re z|`` holds
+    for ``abs`` as computed.  With every gap cut, no pair is formed after
+    that one sort.
+    """
+    reals = values.real.copy()
     reals.sort()
-    gaps = reals[1:] - reals[:-1]
-    return np.count_nonzero(gaps > radius) == gaps.size
+    cut = reals[1:] - reals[:-1] > radius
+    if np.count_nonzero(cut) == cut.size:
+        none = np.zeros(0, dtype=int)
+        return none, none
+    # the cuts fall between the same sorted positions whatever the order of ties
+    order = values.real.argsort()
+    near = ~cut
+    k = near.nonzero()[0]
+    a, b, span, d = order[k], order[k + 1], near[:-1] & near[1:], 2
+    while np.count_nonzero(span):
+        # span[k]: sorted positions k and k + d lie in one run
+        k = span.nonzero()[0]
+        a, b = np.concatenate([a, order[k]]), np.concatenate([b, order[k + d]])
+        span, d = span[:-1] & near[d:], d + 1
+    near = (np.abs(values[a] - values[b]) <= radius).nonzero()[0]
+    a, b = a[near], b[near]
+    return np.maximum(a, b), np.minimum(a, b)
 
 
-def _equal_classes(values, radius):
-    """The classes of equal ``values``, labelled in order of first
-    appearance, when every two of them whose real parts are neighbours
-    within ``radius`` in sorted order are equal; else None.  The classes are
-    then the connected components of the graph ``|v_i - v_j| <= radius``:
-    two unequal values have some neighbour gap between them above
-    ``radius``, so their difference is above it (``_apart``), and two equal
-    ones differ by 0."""
-    ordered = values[np.argsort(values.real)]
-    near = ordered.real[1:] - ordered.real[:-1] <= radius
-    if not (ordered[1:][near] == ordered[:-1][near]).all():
-        return None
-    index = {}
-    return [index.setdefault(v, len(index)) for v in values.tolist()]
-
-
-def _connected_components(near):
-    """Connected components of the graph with symmetric adjacency matrix
-    ``near`` (its diagonal set), labelled in order of first appearance."""
-    n = near.shape[0]
-    if np.count_nonzero(near) == n:
-        return list(range(n))
-    root = near.argmax(axis=1)
+def _components(n, i, j):
+    """Connected components of the graph on ``n`` vertices with the edges
+    ``(i[k], j[k])``, labelled in order of first appearance, as a list.
+    Each vertex points at a smaller one of its component, and a root, its
+    smallest vertex, at itself: per round the larger root of each edge whose
+    ends have two roots is pointed at the smaller, and every pointer then
+    jumps to its root, until no edge joins two roots."""
+    root = np.arange(n)
     while True:
-        # each vertex takes the smallest root among its neighbours; the fixed
-        # point is each component's first index
-        new = np.where(near, root[None, :], n).min(axis=1)
-        if (new == root).all():
+        ri, rj = root[i], root[j]
+        apart = (ri != rj).nonzero()[0]
+        if not apart.size:
             break
-        root = new
-    first = root == np.arange(n)
-    return (np.cumsum(first) - 1)[root].tolist()
+        ri, rj = ri[apart], rj[apart]
+        root[np.maximum(ri, rj)] = np.minimum(ri, rj)
+        while True:
+            up = root[root]
+            if not np.count_nonzero(up != root):
+                break
+            root = up
+    return ((root == np.arange(n)).cumsum() - 1)[root].tolist()
 
 
 def _merge_keys(keys, mults, radius):
@@ -564,32 +577,26 @@ def _merge_keys(keys, mults, radius):
 
     ``keys`` is ``(m, k)`` complex, one row per key; ``radius`` is a scalar
     or the ``(m, k)`` radii each key has as a representative.  The pairs
-    within the radius are found at once: a box test on the real and
-    imaginary parts of the gaps, then ``abs`` on the pairs in the box only.
-    A key with no near key before it is a representative, and a key whose
-    first near key is one of those joins it; only the others, as along a
-    chain, are looked at one by one.  Keys whose first coordinates have
-    real parts more than the largest radius of that coordinate apart
-    (``_apart``) merge with none, and are returned with no pair formed.
+    within the radius are found at once: the near pairs of the first
+    coordinates at its largest radius (``_near_pairs``), then ``abs`` in
+    every coordinate on those only.  A key with no near key before it is a
+    representative, and a key whose first near key is one of those joins
+    it; only the others, as along a chain, are looked at one by one.
     Returns ``(representatives, multiplicities)`` in the order the
     representatives were made; a multiplicity that sums to 0 is kept.
     """
     m = len(keys)
-    if m < 2 or _apart(keys[:, 0].real,
-                       radius[:, 0].max() if isinstance(radius, np.ndarray) else radius):
-        return keys, np.array(mults, dtype=np.int64)
-    radius = np.broadcast_to(radius, keys.shape)
-    box = np.ones((m, m), dtype=bool)
-    for c in range(keys.shape[1]):
-        # |gap| <= r needs |Re gap| <= r and |Im gap| <= r
-        gap = keys[:, c, None] - keys[:, c]
-        box &= (np.abs(gap.real) <= radius[:, c]) & (np.abs(gap.imag) <= radius[:, c])
-    i, j = np.nonzero(box)
-    # the pairs (i, j), j < i, in the order of i, then of j, within j's radius
-    pair = i > j
-    i, j = i[pair], j[pair]
-    pair = (np.abs(keys[i] - keys[j]) <= radius[j]).all(axis=1)
-    i, j = i[pair], j[pair]
+    if np.ndim(radius):
+        # a nan radius forms no pair; the others' near pairs hold the pairs
+        i, j = _near_pairs(keys[:, 0], np.fmax.reduce(radius[:, 0], initial=-np.inf))
+        radius = radius[j]
+    else:
+        i, j = _near_pairs(keys[:, 0], radius)
+    if i.size:
+        pair = (np.abs(keys[i] - keys[j]) <= radius).all(axis=1)
+        # the pairs (i, j), j < i, in the order of i, then of j, within j's radius
+        pair = pair.nonzero()[0][np.lexsort((j[pair], i[pair]))]
+        i, j = i[pair], j[pair]
     if not i.size:
         return keys, np.array(mults, dtype=np.int64)
     owner = np.arange(m)
@@ -669,29 +676,25 @@ def _cluster_triangular(t, q, tol):
     """Cluster the eigenvalues of a Schur form ``q t q^H``, ``t`` upper
     triangular, and make each cluster a contiguous diagonal block.
 
-    When the real parts of the diagonal are more than eps_spec apart
-    (``_apart``), every eigenvalue is its own cluster: ``t``, ``q`` come
-    back as they are with the blocks ``(i, i + 1, t_ii / 1)``, the graph
-    path's to the bit (the division by 1 sets the signs of zero parts as the
-    means' division does), and no graph is built.  Otherwise the clusters
-    are the connected components of the graph |t_ii - t_jj| <= eps_spec,
-    ordered by first appearance by ``_group_blocks`` (nothing moves unless
-    one has members apart), and the means are one ``np.add.reduceat`` over
-    the diagonal, which sums a cluster of three or more in another order
-    than ``np.mean``; a mean whose sum leaves the float range is summed
-    again from its members divided by the cluster size.  The components are
-    the classes of exactly equal entries, and no graph is built either,
-    when the entries that are neighbours in real part within eps_spec are
-    equal (``_equal_classes``), as the pairs (g, h) and (h, g) of a tensor
-    square are.  Returns ``(t, q, blocks)`` as ``_clustered_schur``.
+    The clusters are the connected components of the graph |t_ii - t_jj|
+    <= eps_spec over the near pairs of the diagonal (``_near_pairs``).
+    With no pair, every eigenvalue is its own cluster: ``t``, ``q`` come
+    back as they are with the blocks ``(i, i + 1, t_ii / 1)`` (the division
+    by 1 sets the signs of zero parts as the means' division does).
+    Otherwise the clusters are ordered by first appearance by
+    ``_group_blocks`` (nothing moves unless one has members apart), and
+    the means are one ``np.add.reduceat`` over the diagonal, which sums a
+    cluster of three or more in another order than ``np.mean``; a mean
+    whose sum leaves the float range is summed again from its members
+    divided by the cluster size.  Returns ``(t, q, blocks)`` as
+    ``_clustered_schur``.
     """
     diagonal = np.diag(t)
-    if _apart(diagonal.real, tol.eps_spec):
-        n = len(diagonal)
+    n = len(diagonal)
+    i, j = _near_pairs(diagonal, tol.eps_spec)
+    if not i.size:
         return t, q, list(zip(range(n), range(1, n + 1), (diagonal / 1).tolist()))
-    labels = _equal_classes(diagonal, tol.eps_spec)
-    if labels is None:
-        labels = _connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
+    labels = _components(n, i, j)
     t, q, groups = _group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
     starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
     sizes = stops - starts
@@ -756,11 +759,11 @@ def _cluster_shifts(t, blocks, transversal, to_strip):
     of the cluster's mean eigenvalue.  ``to_strip`` maps an array of values
     to an array.
 
-    A cluster whose members would individually reduce by other shifts is
-    flagged with a ``TransversalBranchWarning`` giving the boundary
-    distance, clusters in order.  The means and the members of clusters
-    of two or more take one ``Transversal.shift`` together; a cluster of
-    one is its own mean.  Returns the shifts as ints.
+    A cluster whose members would individually reduce by other shifts
+    (``_straddling``) is flagged with a ``TransversalBranchWarning`` giving
+    the boundary distance, clusters in order.  The means and the members of
+    clusters of two or more take one ``Transversal.shift`` together; a
+    cluster of one is its own mean.  Returns the shifts as ints.
     """
     values = np.array([lam for _, _, lam in blocks], dtype=complex)
     if len(blocks) < len(t):
@@ -776,13 +779,21 @@ def _cluster_shifts(t, blocks, transversal, to_strip):
     except (ValueError, OverflowError):   # a shift of inf or nan
         raise NumericFailure("a cluster mean has no strip shift in the float range")
     if len(blocks) < len(t):
-        apart = shifts[len(blocks):] != np.repeat(own[several], sizes[several])
-        offsets = np.cumsum(sizes[several]) - sizes[several]
-        straddle = np.flatnonzero(several)[np.logical_or.reduceat(apart, offsets)]
-        for c in straddle.tolist():
+        cluster = np.repeat(np.flatnonzero(several), sizes[several])
+        for c, _ in _straddling(shifts[len(blocks):], own[cluster], cluster):
             _warn_straddle(blocks[c][2], ints[c],
                            transversal.boundary_distance(values[c].item()))
     return ints
+
+
+def _straddling(shifts, expected, group):
+    """The groups whose members shift other than their mean: ``(g, i)``
+    per such group ``g``, in increasing order, ``i`` its first member whose
+    strip shift ``shifts[i]`` is not ``expected[i]``, its group's;
+    ``group[i]`` is member i's group."""
+    member = np.flatnonzero(shifts != expected)
+    groups, first = np.unique(group[member], return_index=True)
+    return zip(groups.tolist(), member[first].tolist())
 
 
 def _warn_straddle(mean, shift, distance):
@@ -966,25 +977,29 @@ def _bounded_groups(t, q, blocks, tol, keys=None):
         if link is None:   # set up at the first ill group
             _, sizes, values = _block_arrays(blocks)
             n, scale = len(t), np.linalg.norm(t)
-            reach, link = tol.eps_res * scale, np.eye(len(blocks), dtype=bool)
+            reach, link = tol.eps_res * scale, []
             radius = 4 * (n * np.finfo(float).eps / 2) ** (1 / n) * scale
             group = key = np.unique(range(len(blocks)) if keys is None else keys,
                                     return_inverse=True)[1]
-        joins = 0
+        linked = len(link)
         for g, norm in ill.items():
             inside, outside = np.flatnonzero(group == g), np.flatnonzero(group != g)
             gaps = np.abs(values[inside, None] - values[outside])
             i, j = np.unravel_index(gaps.argmin(), gaps.shape)
             if gaps[i, j] <= radius and not gaps[i, j] > norm * reach:   # nan: unbounded
-                link[inside[i], outside[j]] = link[outside[j], inside[i]] = True
-                joins += 1
-        if not joins:
+                link.append((inside[i], outside[j]))
+        if len(link) == linked:   # no join
             if unresolved:
                 raise NumericFailure("Sylvester solve failed (ztrsyl info 1)")
             break
-        alone = np.count_nonzero(link, axis=1) == 1
-        group = np.array(_connected_components(
-            link | (key[:, None] == key) & alone[:, None] & alone))
+        # the clusters linked to none stay grouped by key, each to its key's first
+        alone = np.ones(len(blocks), dtype=bool)
+        alone[np.ravel(link)] = False
+        alone = np.flatnonzero(alone)
+        _, first, inverse = np.unique(key[alone], return_index=True, return_inverse=True)
+        i, j = np.array(link).T
+        group = np.array(_components(len(blocks), np.concatenate([i, alone]),
+                                     np.concatenate([j, alone[first][inverse]])))
         t, q, groups = _group_blocks(*form, blocks, group.tolist())
     if group is None or group is key:   # no clusters joined
         return None, t, q, groups, v, w, norms

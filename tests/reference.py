@@ -38,9 +38,11 @@ of its input: the ``np.unique`` read-off of the groups after a ztrsen
 reorder, the eps_spec graph over every pair of diagonal entries, the
 component graph over every pair of Hom groups, ``np.linalg.qr`` for the
 Hom basis, and ``eigvals`` for the labels of every cluster, one entry
-included.  The library keeps the graphs and ``eigvals`` as the fallback
-where an exit's condition fails, and must give these bits on both sides of
-each exit.
+included.  ``frozen_merge_keys`` is ``numkit._merge_keys`` as it stood
+with the m x m box test over every pair of keys.  The library finds the
+near pairs by one sort instead (``numkit._near_pairs``), keeps ``eigvals``
+as the fallback where the diagonal's exit fails, and must give these bits
+on every input.
 
 ``reference_decompose`` peels joint eigenvectors off a commuting pair one at
 a time; the ``decompose`` tests match the library's labels to it.
@@ -553,6 +555,53 @@ def frozen_label_array(nf, tol=DEFAULT_TOL):
         rows = starts[sizes == size][:, None] + np.arange(size)
         labels[rows, 1] = np.linalg.eigvals(b[rows[:, :, None], rows[:, None, :]])
     return labels[_lex_order(labels)]
+
+
+def _frozen_apart(reals, radius):
+    """Whether each gap between neighbours of ``reals`` in sorted order is
+    above ``radius``."""
+    reals = np.sort(reals)
+    gaps = reals[1:] - reals[:-1]
+    return np.count_nonzero(gaps > radius) == gaps.size
+
+
+def frozen_merge_keys(keys, mults, radius):
+    """``numkit._merge_keys`` as it stood with the m x m box test: keys
+    whose first coordinates have real parts more than the largest radius
+    of that coordinate apart are returned as they are; otherwise the pairs
+    within the radius are a box test on the real and imaginary parts of
+    every gap, then ``abs`` on the pairs in the box, and each key joins the
+    first representative before it within that representative's radius."""
+    m = len(keys)
+    if m < 2 or _frozen_apart(keys[:, 0].real,
+                              radius[:, 0].max() if isinstance(radius, np.ndarray) else radius):
+        return keys, np.array(mults, dtype=np.int64)
+    radius = np.broadcast_to(radius, keys.shape)
+    box = np.ones((m, m), dtype=bool)
+    for c in range(keys.shape[1]):
+        gap = keys[:, c, None] - keys[:, c]
+        box &= (np.abs(gap.real) <= radius[:, c]) & (np.abs(gap.imag) <= radius[:, c])
+    i, j = np.nonzero(box)
+    pair = i > j
+    i, j = i[pair], j[pair]
+    pair = (np.abs(keys[i] - keys[j]) <= radius[j]).all(axis=1)
+    i, j = i[pair], j[pair]
+    if not i.size:
+        return keys, np.array(mults, dtype=np.int64)
+    owner = np.arange(m)
+    first = np.flatnonzero(np.diff(i, prepend=-1))
+    rows = i[first]
+    owner[rows] = j[first]
+    joined = np.zeros(m, dtype=bool)
+    joined[rows] = True
+    for row in rows[joined[j[first]]]:
+        before = j[i == row]
+        before = before[owner[before] == before]
+        owner[row] = before[0] if before.size else row
+    total = np.zeros(m, dtype=np.int64)
+    np.add.at(total, owner, mults)
+    kept = owner == np.arange(m)
+    return keys[kept], total[kept]
 
 
 def reference_log_transversal(m, transversal, eps_spec=1e-8):

@@ -1672,8 +1672,8 @@ def test_hom_restricts_both_sides_to_orthonormal_bases():
     rng = np.random.default_rng(51)
     x = util.random_defective_normal_form(rng, 3)
     side = eqconn.category._hom_side(x, DEFAULT_TOL)
-    keys = tuple(eqconn.numkit._connected_components(
-        np.abs(side.means[:, None] - side.means) <= 1e-4 * eqconn.category._data_scale(side, side)[0]))
+    keys = tuple(reference_cluster_indices(
+        list(side.means), 1e-4 * eqconn.category._data_scale(side, side)[0]))
     # components of one group each, and a component of all groups
     for keys in (keys, (0,) * len(keys)):
         u, lh, ab, at, size = eqconn.category._component_bases(side, np.array(keys))

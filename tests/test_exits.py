@@ -1,22 +1,24 @@
-"""Each exit that skips a graph, a workspace query or an eigenvalue solve
-gives the bits of the path it skips, on both sides of its condition.
+"""Each exit that skips a workspace query or an eigenvalue solve, and each
+near-value sweep that stands in for an N x N proximity graph, gives the bits
+of the path it replaced.
 
-- ``category._matched_components`` finds the Hom components by a sorted
-  match when each side's group means are more than 3 component radii
-  apart; ``_graph_components`` builds the graph otherwise.  Both must give
-  the stacks of ``frozen_hom_components``.
+- ``category._hom_components`` finds the Hom components over the near
+  pairs of the group means (``numkit._near_pairs``, one sort); it must
+  give the stacks of ``frozen_hom_components``, the graph over every pair.
 - ``hom_basis`` orthonormalizes by LAPACK's zgeqrf and zungqr; the basis
   must be ``np.linalg.qr``'s (``frozen_hom_basis``).
 - ``_labels`` reads the b-labels off the diagonal when every cluster is one
   entry; they must be ``eigvals``' (``frozen_label_array``).
 - ``numkit._group_blocks`` reads its groups off in one pass; they must be
   ``np.unique``'s (``frozen_group_blocks``).
-- ``numkit._cluster_triangular`` takes the classes of equal entries as its
-  clusters when every near pair is equal; they must be the graph's
-  (``frozen_cluster_triangular``).
+- ``numkit._cluster_triangular`` clusters the diagonal over its near pairs;
+  the clusters must be the graph's (``frozen_cluster_triangular``).
+- ``numkit._merge_keys`` merges keys over the near pairs of their first
+  coordinates; the result must be the box test's (``frozen_merge_keys``).
 
 The last test pins how often each exit is taken on the tensor-decompose
-benchmark's inputs, so that a change that loses one shows.
+benchmark's inputs, so that a change that loses one shows, and checks the
+three sweeps against their frozen paths on every call those inputs make.
 """
 
 import importlib.util
@@ -29,6 +31,7 @@ import scipy.linalg
 
 import eqconn.category
 import eqconn.numkit
+import eqconn.torus
 from eqconn.category import NormalForm, decompose, hom_basis, hom_mode_dims, k0_class, tensor
 from eqconn.exceptions import NumericFailure
 from eqconn.numkit import DEFAULT_TOL, _cluster_triangular, _group_blocks, _schur
@@ -38,6 +41,7 @@ from reference import (
     frozen_hom_basis,
     frozen_hom_components,
     frozen_label_array,
+    frozen_merge_keys,
 )
 from util import STRIP, TAU, THETA, conjugate, random_defective_normal_form, \
     random_normal_form, well_conditioned
@@ -75,20 +79,6 @@ def diagonal_form(lams, bs):
                       np.diag(np.array(bs, dtype=complex)), STRIP, THETA, TAU)
 
 
-def count_routes(monkeypatch):
-    """Wrap ``_matched_components`` to count its matches and refusals."""
-    routes = {"matched": 0, "graph": 0}
-    matched = eqconn.category._matched_components
-
-    def counted(*args):
-        out = matched(*args)
-        routes["matched" if out is not None else "graph"] += 1
-        return out
-
-    monkeypatch.setattr(eqconn.category, "_matched_components", counted)
-    return routes
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tensor_hom_and_labels_are_the_frozen_paths(n):
     for seed in range(20):
@@ -114,19 +104,17 @@ def test_defective_forms_take_the_frozen_paths():
             assert_labels_are_frozen(y)
 
 
-@pytest.mark.parametrize("apart, route", [(2.9, "graph"), (3.1, "matched")])
+@pytest.mark.parametrize("apart", [2.9, 3.1])
 @pytest.mark.parametrize("side", ["x", "y"])
-def test_groups_either_side_of_three_radii_match_the_graph(monkeypatch, apart, route, side):
+def test_groups_either_side_of_three_radii_match_the_graph(apart, side):
     # the norms of A0 stay below 1, so the component radius is 1e-4; the
     # two groups of one side lie ``apart`` radii from each other, the other
     # side's group on the first of them
     lam, radius = 0.3 * TAU, 1e-4
-    routes = count_routes(monkeypatch)
     pair = diagonal_form([lam, lam + apart * radius], [2.0, 2.0])
     one = diagonal_form([lam + 0.5 * radius], [2.0])
     x, y = (pair, one) if side == "x" else (one, pair)
     assert_components_are_frozen(x, y, 0)
-    assert routes == {"matched": 0, "graph": 0, route: 1}
     # and the same with the lone group on the pair's eigenvalue, where
     # there is a morphism
     one = diagonal_form([lam], [2.0])
@@ -135,11 +123,10 @@ def test_groups_either_side_of_three_radii_match_the_graph(monkeypatch, apart, r
     assert_hom_is_frozen(x, y)
 
 
-def test_hom_mode_dims_at_nonzero_modes_are_the_frozen_components(monkeypatch):
+def test_hom_mode_dims_at_nonzero_modes_are_the_frozen_components():
     # y's eigenvalues one and two strip widths off x's, so that modes
     # -1 and -2 have components on both sides; the dims are those of the
     # frozen components
-    routes = count_routes(monkeypatch)
     x = diagonal_form([0.3 * TAU, 0.6 * TAU], [2.0, 3.0])
     y = diagonal_form([1.3 * TAU, 2.6 * TAU], [2.0 * x.q, 3.0 * x.q ** 2])
     dims = hom_mode_dims(x, y, k_range=3)
@@ -155,7 +142,6 @@ def test_hom_mode_dims_at_nonzero_modes_are_the_frozen_components(monkeypatch):
         for k in (-2, -1, 1, 2):
             assert_components_are_frozen(a, b, k)
             assert_components_are_frozen(b, a, k)
-    assert routes["matched"] > 0
 
 
 def test_group_blocks_reads_off_the_frozen_groups():
@@ -178,28 +164,23 @@ def test_group_blocks_reads_off_the_frozen_groups():
 
 
 def test_cluster_triangular_exits_match_the_frozen_graph(monkeypatch):
-    calls = []
-    graph = eqconn.numkit._connected_components
-    monkeypatch.setattr(eqconn.numkit, "_connected_components",
-                        lambda near: calls.append(1) or graph(near))
     eps = DEFAULT_TOL.eps_spec
     rng = np.random.default_rng(36)
     a, b = 0.2 + 0.1j, 0.25 - 0.3j
-    for diagonal, graphs in (([a, b, a, b, a], 0),   # equal classes
-                             ([a, b, a + 0.5 * eps, b], 1),   # near but unequal
-                             ([a, a + 0.5j * eps, b], 1)):    # equal real parts
+    for diagonal in ([a, b, a, b, a],   # equal classes
+                     [a, b, a + 0.5 * eps, b],   # near but unequal
+                     [a, a + 0.5j * eps, b],   # equal real parts
+                     [a, a + 1.5j * eps, b]):   # equal real parts, apart
         n = len(diagonal)
         t = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
         t += np.diag(diagonal)
         q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        del calls[:]
         got = _cluster_triangular(t, q, DEFAULT_TOL)
         want = frozen_cluster_triangular(t, q)
-        assert len(calls) == graphs
         assert got[2] == want[2]
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     # the Schur forms of tensor squares, whose (g, h) and (h, g) entries are
-    # equal, cluster as the graph does without it
+    # equal, cluster as the graph does
     seen = []
     form = eqconn.category._cluster_triangular
     monkeypatch.setattr(eqconn.category, "_cluster_triangular",
@@ -207,12 +188,10 @@ def test_cluster_triangular_exits_match_the_frozen_graph(monkeypatch):
     for seed in range(10):
         x = random_normal_form(np.random.default_rng(seed), (4, 8, 12)[seed % 3])
         tensor(x, x)
-    del calls[:]
     for t, q in seen:
         got, want = _cluster_triangular(t, q, DEFAULT_TOL), frozen_cluster_triangular(t, q)
         assert got[2] == want[2]
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-    assert not calls
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -233,11 +212,12 @@ def test_labels_refuse_a_dilation_that_is_not_finite(bad):
 
 def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
-    ``bench/workloads.py`` and run as its jobs: 494 of the 504 Hom
-    component searches match, 10 build the graph; 522 label reads take the
-    diagonal and 144, of the tensor squares, ``eigvals``; 444 of the 828
-    ``_group_blocks`` calls reorder; and each of the 144 clusterings with
-    near diagonal entries takes the classes of equal entries."""
+    ``bench/workloads.py`` and run as its jobs: 522 label reads take the
+    diagonal and 144, of the tensor squares, ``eigvals``; and 444 of the 828
+    ``_group_blocks`` calls reorder.  On every call of those jobs, the 504
+    Hom component searches, the 2322 clusterings of Schur forms and the
+    1584 key merges of K0 and the divisors give the bits of their frozen
+    paths on the same inputs."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -257,23 +237,38 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
         def call(*args):
             before = calls.copy()
             out = inner(*args)
-            counts[route(out, calls - before)] += 1
+            counts[route(args, out, calls - before)] += 1
             return out
         for module in modules:
             monkeypatch.setattr(module, name, call)
 
-    spy([eqconn.category], "_matched_components",
-        lambda out, made: "graph" if out is None else "matched")
+    def frozen(name, oracle, bits):
+        return lambda args, out, made: name if bits(out, oracle(*args)) else name + " differs"
+
+    def same_stacks(got, want):
+        return len(got) == len(want) and all(
+            same_bits(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+
+    def same_form(got, want):
+        return got[2] == want[2] and same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def same_merge(got, want):
+        return same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
     spy([eqconn.category], "_labels",
-        lambda out, made: "eigvals" if made["eigvals"] else "diagonal")
+        lambda args, out, made: "eigvals" if made["eigvals"] else "diagonal")
     spy([eqconn.numkit, eqconn.category], "_group_blocks",
-        lambda out, made: "reorders" if made["ztrsen"] else "in_order")
-    spy([eqconn.numkit], "_equal_classes",
-        lambda out, made: "unequal" if out is None else "equal")
+        lambda args, out, made: "reorders" if made["ztrsen"] else "in_order")
+    spy([eqconn.category], "_hom_components",
+        frozen("hom", frozen_hom_components, same_stacks))
+    spy([eqconn.numkit, eqconn.category], "_cluster_triangular",
+        frozen("cluster", frozen_cluster_triangular, same_form))
+    spy([eqconn.numkit, eqconn.category, eqconn.torus], "_merge_keys",
+        frozen("merge", frozen_merge_keys, same_merge))
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         for _ in range(6):
             for job in workloads.tensor_round(rng):
                 job.run()
-    assert counts == {"matched": 494, "graph": 10, "diagonal": 522, "eigvals": 144,
-                      "reorders": 444, "in_order": 384, "equal": 144}
+    assert counts == {"diagonal": 522, "eigvals": 144, "reorders": 444, "in_order": 384,
+                      "hom": 504, "cluster": 2322, "merge": 1584}

@@ -33,7 +33,9 @@ import util
 from reference import (
     _cluster_indices as reference_cluster_indices,
     _clustered_schur as reference_clustered_schur,
+    frozen_cluster_triangular,
     frozen_fold,
+    frozen_merge_keys,
     reference_fold,
     reference_log_transversal,
     reference_spectral,
@@ -809,10 +811,11 @@ def test_fold_is_the_frozen_block_function_to_rounding(case):
 
 
 def graph_cluster_triangular(t, q, tol):
-    """``numkit._cluster_triangular`` without its exit for simple spectra:
-    the proximity graph, ``_group_blocks`` and the means by reduceat."""
+    """``numkit._cluster_triangular`` without its return for simple
+    spectra: the clusters of the pairwise loop, ``_group_blocks`` and the
+    means by reduceat."""
     diagonal = np.diag(t)
-    labels = numkit._connected_components(np.abs(diagonal[:, None] - diagonal) <= tol.eps_spec)
+    labels = reference_cluster_indices(list(diagonal), tol.eps_spec)
     t, q, groups = numkit._group_blocks(t, q, [(i, i + 1, 0) for i in range(len(t))], labels)
     if not groups:
         return t, q, []
@@ -825,31 +828,24 @@ def block_bits(blocks):
     return [(start, stop, np.complex128(mean).tobytes()) for start, stop, mean in blocks]
 
 
-def test_cluster_triangular_exit_gives_the_graph_path_blocks_to_the_bit(monkeypatch):
-    """A spectrum whose real parts are more than eps_spec apart takes the
-    exit, with no graph built, and gets the graph path's ``t``, ``q`` and
-    blocks to the bit; one with a near pair still takes the graph."""
+def test_cluster_triangular_exit_gives_the_graph_path_blocks_to_the_bit():
+    """A spectrum with no pair within eps_spec comes back as it is, ``t``
+    and ``q`` themselves, with the graph path's blocks to the bit; one with
+    a near pair gets the graph path's form and blocks too."""
     rng = np.random.default_rng(41)
-    graphs = []
-    components = numkit._connected_components
-    monkeypatch.setattr(numkit, "_connected_components",
-                        lambda *args: graphs.append(1) or components(*args))
     for n in (0, 1, 2, 5, 12, 64):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         t, q = numkit._schur(m)
         t.imag[np.diag_indices(n)] = -0.0 if n % 2 else 0.0
         got = numkit._cluster_triangular(t, q, DEFAULT_TOL)
-        assert graphs == []
         want = graph_cluster_triangular(t, q, DEFAULT_TOL)
         assert got[0] is t and got[1] is q and want[0] is t and want[1] is q
         assert block_bits(got[2]) == block_bits(want[2])
         assert all(type(x) is int for start, stop, _ in got[2] for x in (start, stop))
-        graphs.clear()
     t = np.triu(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     t[np.diag_indices(5)] = [0.3, 2.0, 0.3 + 1e-10j, -1.0, 0.3 + 5e-9]
     q = np.eye(5, dtype=complex)
     got = numkit._cluster_triangular(t, q, DEFAULT_TOL)
-    assert graphs == [1]
     want = graph_cluster_triangular(t, q, DEFAULT_TOL)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert block_bits(got[2]) == block_bits(want[2])
@@ -999,6 +995,8 @@ def test_clustered_schur_moves_nothing_on_distinct_eigenvalues(monkeypatch):
 # --- components, projector factors --------------------------------------------
 
 def test_cluster_indices_match_the_pairwise_loop():
+    """``_components`` over ``_near_pairs`` labels the clusters of the
+    pairwise loop, in order of first appearance."""
     rng = np.random.default_rng(60)
     chain = [0.0, 0.9e-8, 1.8e-8, 5.0, 2.7e-8, 5.0 + 1e-9, 3.0j]
     cases = [[], [1.0], chain, list(reversed(chain)), [0.1] * 4]
@@ -1007,46 +1005,66 @@ def test_cluster_indices_match_the_pairwise_loop():
         cases.append(list(np.concatenate([base, base + 1e-9 * rng.normal(size=n)])))
         cases.append(list(rng.permutation(np.repeat(base[:3], 4))))
     for values in cases:
-        gaps = np.abs(np.subtract.outer(values, values)).reshape(len(values), len(values))
         for radius in (1e-8, 1e-4, 0.0):
-            assert numkit._connected_components(gaps <= radius) == \
+            pairs = numkit._near_pairs(np.array(values, dtype=complex), radius)
+            assert numkit._components(len(values), *pairs) == \
                 reference_cluster_indices(values, radius)
 
 
-def both_paths(monkeypatch, fn, *args):
-    """``(result, dense result, exits)``: ``fn(*args)`` as it runs, again
-    with ``numkit._apart`` answering False, so that the N x N proximity
-    test runs, and how many times the first run took the early exit."""
-    apart, exits = numkit._apart, []
+@st.composite
+def near_value_cases(draw):
+    """``(values, radius)``: parts on a grid of the radius, one radius or
+    just off it, or half of one, so that gaps fall exactly at the radius,
+    real parts tie and chains of near values outrun it; parts near the
+    float range, whose differences overflow to inf, and infinite ones; and
+    repeated values.  The radius may be 0 or inf."""
+    radius = draw(st.sampled_from([0.0, 1e-8, 0.25, 1.0, math.inf]))
+    unit = (radius if 0.0 < radius < math.inf else 1.0) * draw(st.sampled_from(
+        [1.0, 0.5, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 3.0]))
+    part = st.one_of(st.integers(-4, 4).map(lambda k: k * unit),
+                     st.sampled_from([1.7e308, -1.7e308, 9e307, -9e307, math.inf, -math.inf]),
+                     st.floats(-2.0, 2.0))
+    values = draw(st.lists(st.builds(complex, part, part), max_size=12))
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=4))
+    return np.array(draw(st.permutations(values)), dtype=complex), radius
 
-    def spy(reals, radius):
-        exits.append(apart(reals, radius))
-        return exits[-1]
 
-    monkeypatch.setattr(numkit, "_apart", spy)
-    fast = fn(*args)
-    monkeypatch.setattr(numkit, "_apart", lambda reals, radius: False)
-    dense = fn(*args)
-    monkeypatch.setattr(numkit, "_apart", apart)
-    return fast, dense, sum(exits)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_value_cases())
+def test_near_pairs_are_the_dense_pairs_and_components_the_pairwise_loop(case):
+    """``_near_pairs`` gives the pairs ``i > j`` of the dense test
+    ``np.abs(v[:, None] - v) <= radius``, each once, and ``_components``
+    over them the clusters of the pairwise loop, in order of first
+    appearance."""
+    values, radius = case
+    n = len(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        i, j = numkit._near_pairs(values, radius)
+        dense = np.tril(np.abs(values[:, None] - values) <= radius, -1).nonzero()
+        # numpy's scalars, whose differences overflow to inf as the arrays' do
+        loop = reference_cluster_indices(list(values), radius)
+    assert (i > j).all()
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(*(k.tolist() for k in dense)))
+    assert numkit._components(n, i, j) == loop
 
 
 def near_pairs(rng, n, radius):
-    """Seeded values with whether the early exit must be taken on them:
-    values whose neighbours' real parts are 3 to 4 radii apart (taken), and
+    """Seeded values with whether they hold no pair within ``radius``:
+    values whose neighbours' real parts are 3 to 4 radii apart (none), and
     for n >= 2 the same with one value moved next to another, its real
-    part just within the radius (not taken), just outside it (taken), on
-    it (either, as the sum rounds), and just within it with the imaginary
-    part apart (not taken, and no pair either)."""
+    part just within the radius (a pair), just outside it (none), on it
+    (either, as the sum rounds), and just within it with the imaginary
+    part apart (none)."""
     re = np.cumsum(rng.uniform(3.0, 4.0, size=n)) * radius
     base = rng.permutation(re + 1j * rng.normal(size=n) * radius)
     cases = [(base, True)]
-    for gap, exit in ((radius * (1 - 1e-6), False), (radius * (1 + 1e-6), True),
-                      (radius, None), (radius * (1 - 1e-6) + 2j * radius, False)):
+    for gap, alone in ((radius * (1 - 1e-6), False), (radius * (1 + 1e-6), True),
+                       (radius, None), (radius * (1 - 1e-6) + 2j * radius, True)):
         if n >= 2:
             moved = base.copy()
             moved[-1] = moved[0] + gap
-            cases.append((moved, exit))
+            cases.append((moved, alone))
     return cases
 
 
@@ -1055,62 +1073,64 @@ def parts(values):
     return sorted(zip(values.real.tolist(), values.imag.tolist()))
 
 
-def test_cluster_early_exit_matches_the_dense_path(monkeypatch):
-    """A triangular matrix whose diagonal's real parts are more than
-    eps_spec apart has clusters of one without the N x N graph
-    (``_cluster_triangular``'s exit): its form and blocks are the dense
-    path's to the bit, each block's values are a cluster of the pairwise
-    loop, and the exit is taken on every input that has no pair within
-    eps_spec in the real part."""
+def test_cluster_early_exit_matches_the_dense_path():
+    """A triangular matrix whose diagonal has no pair within eps_spec has
+    clusters of one, ``t`` and ``q`` as they are; with or without a pair,
+    its form and blocks are those of ``frozen_cluster_triangular``, the
+    N x N graph, to the bit, and each block's values are a cluster of the
+    pairwise loop."""
     rng = np.random.default_rng(81)
     for radius in (1e-8, 1e-3):
         tol = Tolerances(eps_spec=radius)
         for n in (1, 2, 5, 16):
-            for values, exit in near_pairs(rng, n, radius):
+            for values, alone in near_pairs(rng, n, radius):
                 t = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
                 t += np.diag(values)
-                (ft, fq, fast), (dt, dq, dense), exits = both_paths(
-                    monkeypatch, numkit._cluster_triangular, t, np.eye(n, dtype=complex), tol)
+                q = np.eye(n, dtype=complex)
+                ft, fq, fast = numkit._cluster_triangular(t, q, tol)
+                dt, dq, dense = frozen_cluster_triangular(t, q, tol)
                 assert same_bits(ft, dt) and same_bits(fq, dq)
                 assert block_bits(fast) == block_bits(dense)
                 labels = np.array(reference_cluster_indices(list(values), radius))
                 assert sorted(parts(np.diag(ft)[s0:s1]) for s0, s1, _ in fast) == \
                     sorted(parts(values[labels == label]) for label in set(labels))
-                assert exit is None or exits == exit
-                if exits:
+                assert alone is None or alone == (len(set(labels.tolist())) == n)
+                if len(set(labels.tolist())) == n:
+                    assert ft is t and fq is q
                     assert [b[:2] for b in fast] == [(i, i + 1) for i in range(n)]
 
 
-def test_merge_early_exit_matches_the_dense_path(monkeypatch):
-    """Keys whose first coordinates have real parts more than the largest
-    radius of that coordinate apart come back as given, with their
-    multiplicities, as the dense path returns them; on the others the
-    dense path runs.  Keys of one and two columns (the second apart, or
-    equal to the first), a scalar radius and one per key, and no key or
-    one key, which return at once."""
+def test_merge_early_exit_matches_the_dense_path():
+    """``_merge_keys`` gives the keys and multiplicities of
+    ``frozen_merge_keys``, the m x m box test, to the bit; keys with no
+    near pair in their first coordinates come back as given, the array
+    itself, with their multiplicities.  Keys of one and two columns (the
+    second apart, or equal to the first), a scalar radius and one per key,
+    and no key or one key."""
     rng = np.random.default_rng(82)
     eps = 1e-7
     for n in (0, 1, 3, 12):
-        for first, exit in near_pairs(rng, n, eps):
+        for first, alone in near_pairs(rng, n, eps):
             second = rng.normal(size=n) + 1j * rng.normal(size=n)
             for keys in (first[:, None], np.stack([first, second], axis=1),
                          np.stack([first, first], axis=1)):
                 mults = rng.integers(-2, 3, size=n).tolist()
                 for radius in (eps, eps * np.maximum(1.0, np.abs(keys))):
-                    (got, total), (want, want_total), exits = both_paths(
-                        monkeypatch, numkit._merge_keys, keys, mults, radius)
-                    assert got.shape == want.shape and np.array_equal(got, want)
+                    got, total = numkit._merge_keys(keys, mults, radius)
+                    want, want_total = frozen_merge_keys(keys, mults, radius)
+                    assert same_bits(got, want)
                     assert total.dtype == want_total.dtype == np.int64
                     assert total.tolist() == want_total.tolist()
-                    assert n < 2 or exit is None or exits == exit
-                    if exits or n < 2:
+                    assert (got is keys) == (want is keys)
+                    if alone or n < 2:
                         assert got is keys and total.tolist() == mults
     # radii that grow with the keys: the two near 1000 are within theirs,
     # 1e-4, but not within the smallest, 1e-7
     keys = np.array([0.1, 0.5, 1000.0, 1000.0 + 0.9e-4], dtype=complex)[:, None]
-    (got, total), (want, want_total), exits = both_paths(
-        monkeypatch, numkit._merge_keys, keys, [1, 1, 1, 1], eps * np.maximum(1.0, np.abs(keys)))
-    assert not exits and got.tolist() == want.tolist() == keys[:3].tolist()
+    radius = eps * np.maximum(1.0, np.abs(keys))
+    (got, total), (want, want_total) = (merge(keys, [1, 1, 1, 1], radius) for merge
+                                        in (numkit._merge_keys, frozen_merge_keys))
+    assert got.tolist() == want.tolist() == keys[:3].tolist()
     assert total.tolist() == want_total.tolist() == [1, 1, 2]
 
 
