@@ -52,7 +52,6 @@ from .laurent import (
 )
 from .numkit import (
     DEFAULT_TOL,
-    _PROJECTOR_BOUND,
     Transversal,
     _block_arrays,
     _bounded_groups,
@@ -262,15 +261,11 @@ class NormalForm:
       read-only with A0; what ``tensor`` reads of the object as a factor
       (``_strip_form``: that form grouped by ``numkit._bounded_groups`` and
       ordered along the strip, the factor groups' projector factors and B0
-      in its basis), kept with A0 and B0 read-only; and what ``hom_basis``
-      reads of it (``_hom_side``), read-only with A0 and B0;
-    * for a result of ``tensor`` whose Schur basis is the permuted
-      Kronecker basis of its factors', B0 in that basis (the kept dilation,
-      a gather of the factors' ``q^H B0 q``), read-only with B0, which
-      ``decompose``, ``k0_class`` and ``hom_basis`` read
-      (``_schur_dilation``), and the factors' ``_StripForm``s with the
-      basis's index maps, from which ``hom_basis`` reads the projector
-      factors of a product of simple spectra (``_kron_projectors``);
+      in its basis), kept with A0 and B0 read-only; and, read-only with A0
+      and B0, the ``_HomSide`` read off that strip form and the K0 class;
+    * for a result of ``tensor``, its factors and the strip shift of each
+      pair of their groups, from which its ``_HomSide``, labels and class
+      are read, and that ``_HomSide``;
     * for a result of ``from_monodromy``, which is born with A0 and B0
       read-only: ``exp(2 pi i A0/tau)``, which ``monodromy`` copies, and
       the singular values of B0, which ``validate_normal_form`` reads."""
@@ -283,11 +278,10 @@ class NormalForm:
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
     # derived data, computed on first use or held from birth: keyed by the
-    # Tolerances the clustered Schur form, by (Tolerances, "strip"),
-    # (Tolerances, "hom"), (Tolerances, "dilation") and (Tolerances,
-    # "factors") the _StripForm, the _HomSide, the dilation tensor kept and
-    # its factors' _StripForms with (ix, iy); by "monodromy" and
-    # "b_singular_values" what from_monodromy held
+    # Tolerances the clustered Schur form; by (Tolerances, name) the
+    # _StripForm ("strip"), the _HomSides ("side", "hom"), the K0Class
+    # ("k0") and a product's factors with their pair shifts ("factors"); by
+    # "monodromy" and "b_singular_values" what from_monodromy held
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -722,10 +716,9 @@ def tensor(x, y, tol=None):
 
     The result keeps ``_cluster_triangular`` of ``(f, Q)`` as its clustered
     Schur form, with a ztrsen only for a cluster whose members the order
-    leaves apart, as when two folded eigenvalues meet.  Where none runs,
-    ``Q`` is the permuted Kronecker basis, and the result also keeps ``Q^H
-    B0 Q = P^T (b_x (x) b_y) P``, ``b = q^H B0 q`` of each factor
-    (``_schur_dilation``), read-only with B0.
+    leaves apart, as when two folded eigenvalues meet.  It also keeps its
+    factors and ``K``, from which its Hom side (``_product_side``), labels
+    (``_labels``) and class (``k0_class``) are read, with no grouping of it.
     """
     tol = tol or DEFAULT_TOL
     _check_same_context(x, y)
@@ -735,7 +728,9 @@ def tensor(x, y, tol=None):
     ix, iy = np.divmod(order, y.n)
     q = (fx.q[:, None, ix] * fy.q[None, :, iy]).reshape(len(order), len(order))
     # [t, A0] of the product, in Kronecker order until t is permuted in place
-    ta = _kron_sum(np.array([fx.t, x.A0]), np.array([fy.t, y.A0]))
+    eye_x, eye_y = np.eye(x.n), np.eye(y.n)
+    ta = _kron(np.array([fx.t, x.A0, eye_x, eye_x]), np.array([eye_y, eye_y, fy.t, y.A0]))
+    ta = ta[:2] + ta[2:]
     shifts, fold_shifts = _pair_shifts(fx, fy, order, x.transversal)
     if shifts.any():
         _check_pair_projectors(fx, fy, shifts, tol)
@@ -743,15 +738,10 @@ def tensor(x, y, tol=None):
         ta.reshape((2,) + shifts.shape * 2)[...] -= _kron_update(
             ex, x.transversal.tau * shifts, ex if fy is fx else _pieces(fy))
     ta[0].take(order, 0).take(order, 1, out=ta[0])
-    form = _cluster_triangular(ta[0], q, tol)
     nf = NormalForm(ta[1], _kron(x.B0, y.B0), x.transversal, x.theta, x.tau,
                     diagnostics={"fold_shifts": fold_shifts})
-    nf._keep(form, tol)
-    if form[1] is q:
-        b = (fx.b[ix, :, None] * fy.b[iy, None, :]).reshape(q.shape).take(order, 1)
-        b.flags.writeable = nf.B0.flags.writeable = False
-        nf._memo[(tol, "dilation")] = b
-        nf._memo[(tol, "factors")] = (fx, fy, ix, iy)
+    nf._keep(_cluster_triangular(ta[0], q, tol), tol)
+    nf._memo[(tol, "factors")] = (x, y, shifts)
     return nf
 
 
@@ -854,18 +844,6 @@ def _check_pair_projectors(fx, fy, shifts, tol):
     worst = (nx[:, None] * ny)[shifts != 0].max()
     if not worst <= limit:
         raise NumericFailure("projector norm %.1e: shift groups too close" % math.sqrt(worst))
-
-
-def _kron_sum(a, b):
-    """``a[s] (x) I + I (x) b[s]`` for the stacks ``a`` and ``b`` of two
-    matrices each, their entries written into zeros through ``einsum``'s
-    writeable diagonal views: ``O(n_a n_b (n_a + n_b))`` stores, where
-    ``np.kron`` of each term takes ``(n_a n_b)**2`` products."""
-    na, nb = a.shape[-1], b.shape[-1]
-    out = np.zeros((2, na, nb, na, nb), dtype=complex)
-    np.einsum("sijkj->sijk", out)[...] = a[:, :, None]
-    np.einsum("sijil->sijl", out)[...] += b[:, None]
-    return out.reshape(2, na * nb, na * nb)
 
 
 def _kron_update(ex, k, ey):
@@ -985,7 +963,7 @@ def hom_basis(x, y, tol=None):
     each generalized eigenspace of ``x.A0`` into the one of ``y.A0`` with the
     same eigenvalue and vanishes between different eigenvalues, whose
     Sylvester equation is uniquely solvable; so the space is solved one
-    eigenvalue component at a time on the shared Schur forms of both objects
+    eigenvalue component at a time on the groups of both objects' strip forms
     (``_hom_components``), and the morphisms of all components are
     orthonormalized together by one QR factorization, LAPACK's zgeqrf and
     zungqr called directly (``numkit._orthonormal_columns``).  Completeness of
@@ -1020,64 +998,68 @@ def _data_scale(side_x, side_y):
 
 class _HomSide(namedtuple("_HomSide", "means start size u lh ab a_norm b_norm")):
     """What ``_hom_components`` reads of one object, per group g of its
-    shared Schur form (``numkit._bounded_groups``): the mean, the ``size[g]``
-    columns of ``u`` from ``start[g]`` on, an orthonormal basis of its
-    invariant subspace, and those rows of ``lh``, the left factor of its
-    spectral projector; ``ab = [lh A0 u, lh B0 u]``, block by block; and
-    ||A0||_F and ||B0||_F, which ``_data_scale`` reads."""
+    ``_StripForm`` (of a product, per pair of its factors' groups): the
+    mean, the ``size[g]`` columns of ``u`` from ``start[g]`` on, an
+    orthonormal basis of its invariant subspace, and those rows of ``lh``,
+    the left factor of its spectral projector; ``ab = [lh A0 u, lh B0
+    u]``, block by block; and ||A0||_F and ||B0||_F, which ``_data_scale``
+    reads."""
 
 
-def _hom_side(nf, tol):
-    """The ``_HomSide`` of a normal form, from its shared Schur form: kept
-    in its memo with its arrays read-only, and B0 made read-only too (A0
-    already is, with the form), so that the norms it keeps stay true."""
-    side = nf._memo.get((tol, "hom"))
+def _hom_side(nf, tol, strip=False):
+    """The ``_HomSide`` of a normal form, kept in its memo with its arrays
+    read-only, and B0 too (A0 already is, with the Schur form), so that the
+    norms it keeps stay true: of a result of ``tensor``, the one read off
+    its factors' (``_product_side``); with ``strip``, as a product reads
+    each factor, or of any other object, the one read off its
+    ``_StripForm`` (``_strip_side``)."""
+    kept = None if strip else nf._memo.get((tol, "factors"))
+    key = (tol, "side" if kept is None else "hom")
+    side = nf._memo.get(key)
     if side is None:
-        side = _new_hom_side(nf, tol)
+        parts = _strip_side(nf, tol) if kept is None else _product_side(nf, *kept, tol)
+        side = nf._memo[key] = _HomSide(*parts, np.linalg.norm(nf.A0), np.linalg.norm(nf.B0))
         for array in (nf.B0,) + side[:-2]:
             array.flags.writeable = False
-        nf._memo[(tol, "hom")] = side
     return side
 
 
-def _new_hom_side(nf, tol):
-    """The ``_HomSide`` of ``nf``: its ``_bounded_groups`` (for a product,
-    ``_kron_projectors`` where they apply), each right projector factor
-    orthonormalized by its Gram matrix's (well conditioned) Cholesky factor,
-    and B0 in their Schur basis from ``_schur_dilation``."""
-    t, q, groups = nf.schur_form(tol)
-    vw = _kron_projectors(nf, t, groups, tol)
-    if vw is None:
-        _, t, q, groups, *vw, _ = _bounded_groups(t, q, groups, tol)
-    v, w = vw
-    start, size, means = _block_arrays(groups)
-    rho, rho_inv = _cholesky_pair(v, np.repeat(np.arange(len(groups)), size))
-    u, lh = v @ rho_inv, rho @ w
-    ab = lh @ np.stack([t, _schur_dilation(nf, q, tol)]) @ u
-    return _HomSide(means, start, size, q @ u, lh @ q.conj().T, ab,
-                    np.linalg.norm(nf.A0), np.linalg.norm(nf.B0))
+def _strip_side(nf, tol):
+    """The parts of the ``_HomSide`` read off the ``_StripForm`` of ``nf``:
+    its groups, projector factors and dilation, each right factor
+    orthonormalized by its Gram matrix's (well conditioned) Cholesky
+    factor."""
+    f = nf._strip_form(tol)
+    size = np.bincount(f.owner)
+    rho, rho_inv = _cholesky_pair(f.vv[0], f.owner)
+    u, lh = f.vv @ rho_inv, rho @ f.ww   # in the Schur basis and in A0's
+    ab = lh[0] @ np.array([f.t, f.b]) @ u[0]
+    return f.means, np.cumsum(size) - size, size, u[1], lh[1], ab
 
 
-def _kron_projectors(nf, t, blocks, tol):
-    """``(v, w)`` of ``numkit._bounded_groups`` on the kept Schur form ``t``
-    of a product, from its factors', or None where they may differ.  When
-    every cluster of the product and every group of its factors is one
-    eigenvalue, ``v`` is the unit upper triangular eigenvector matrix of
-    ``t``, which is unique, and so the permuted Kronecker product ``P^T (v_x
-    (x) v_y) P`` of the factors' (the fold moves no eigenvector), to
-    rounding, and ``w = v^-1`` likewise; ``|v|_F^2 |w|_F^2`` is the product
-    of the factors' ``norm``, so where it is at most ``_PROJECTOR_BOUND**2``
-    no group joins another.  Gathers of ``N**2`` entries replace a ztrsyl
-    per cluster and a ztrtri on the product."""
-    kept = nf._memo.get((tol, "factors"))
-    if kept is None or len(blocks) < len(t):
-        return None
-    fx, fy, ix, iy = kept
-    if (len(fx.means) < len(fx.owner) or len(fy.means) < len(fy.owner)
-            or not fx.norm * fy.norm <= _PROJECTOR_BOUND ** 2):
-        return None
-    return tuple(a[0].take(ix, 0).take(ix, 1) * b[0].take(iy, 0).take(iy, 1)
-                 for a, b in ((fx.vv, fy.vv), (fx.ww, fy.ww)))
+def _product_side(nf, x, y, shifts, tol):
+    """The parts of the ``_HomSide`` of ``nf = tensor(x, y)`` from its
+    factors' strip sides, with no grouping or factorization at its dimension:
+    its projectors are the Kronecker products of theirs (Horn & Johnson,
+    Topics in Matrix Analysis, 1991, section 4.4), so each pair ``(g, h)``
+    of their groups is one group, of mean ``mean_g + mean_h - tau K``, ``K``
+    the strip shift the fold gave it, basis ``u_g (x) u_h`` and left factor
+    ``lh_g (x) lh_h``; on it A0 is ``a_g (x) I + I (x) a_h - tau K`` and B0
+    ``b_g (x) b_h``.  Pairs of equal mean, as ``(g, h)`` and ``(h, g)`` of
+    ``x (x) x``, stay two groups, which ``_hom_components`` joins."""
+    sx, sy = _hom_side(x, tol, strip=True), _hom_side(y, tol, strip=True)
+    # [a (x) I, I (x) a, b (x) b, u (x) u, lh (x) lh]
+    k = _kron(np.array([sx.ab[0], np.eye(x.n), sx.ab[1], sx.u, sx.lh]),
+              np.array([np.eye(y.n), sy.ab[0], sy.ab[1], sy.u, sy.lh]))
+    k[1] += k[0]
+    k[1].flat[::len(k[1]) + 1] -= nf.tau * shifts.ravel()
+    fx, fy = x._strip_form(tol), y._strip_form(tol)
+    # the columns of each pair of groups together, in Kronecker order within
+    order = np.argsort((fx.owner[:, None] * len(fy.means) + fy.owner).ravel(), kind="stable")
+    size = (sx.size[:, None] * sy.size).ravel()
+    means = sx.means[:, None] + sy.means - nf.tau * shifts[sx.start][:, sy.start]
+    return (means.ravel(), np.cumsum(size) - size, size, k[3][:, order], k[4][order],
+            k[1:3][:, order[:, None], order])
 
 
 def _hom_components(x, side_x, y, side_y, k, tol):
@@ -1086,7 +1068,7 @@ def _hom_components(x, side_x, y, side_y, k, tol):
     ``_hom_side`` data of both objects.
 
     The components are the connected parts of one graph over the groups
-    (``numkit._bounded_groups``) of both Schur forms: an edge joins two
+    of both ``_HomSide``s (a product's, pairs of groups): an edge joins two
     groups whose means lie within ``_COMPONENT_RADIUS`` times the scale of
     A0, found by one sort (``numkit._near_pairs``).  A component holding
     groups of one side only carries no intertwiner.  On the components both
@@ -1150,11 +1132,13 @@ def _graph_components(side_x, side_y, means_y, radius):
     return lhx, abx, uy, aby, classes
 
 
-def _cholesky_pair(v, owner):
+def _cholesky_pair(v, owner=None):
     """``(rho, rho^-1)`` for the Cholesky factor ``rho`` of the Gram matrix
-    of ``v`` restricted to the blocks of columns with equal ``owner``: each
-    block of ``v rho^-1`` is orthonormal."""
-    gram = (v.conj().T @ v) * (owner[:, None] == owner)
+    of ``v``, restricted to the blocks of columns with equal ``owner`` if
+    given: each block of ``v rho^-1`` is orthonormal."""
+    gram = v.conj().T @ v
+    if owner is not None:
+        gram *= owner[:, None] == owner
     rho, info = scipy.linalg.lapack.zpotrf(gram)
     if info != 0:
         raise NumericFailure("invariant subspace basis is degenerate (zpotrf info %d)"
@@ -1192,11 +1176,12 @@ def _component_bases(side, keys):
 
     A component is a union of groups.  When each is a single group, these
     are the side's own arrays; otherwise the factors of each component's
-    groups are taken side by side and orthonormalized together.
+    groups are taken side by side and orthonormalized together, one
+    Cholesky factor per component.
 
     Returns ``(u, lh, ab, at, size)``: component i has the ``size[i]``
     columns of ``u`` from ``at[i]`` on, and ``ab = [lh A0 u, lh B0 u]``
-    holds its blocks on the diagonal.
+    holds its blocks on the diagonal (those off it are left as they were).
     """
     count = keys.max() + 1
     live = np.flatnonzero(keys >= 0)
@@ -1207,12 +1192,15 @@ def _component_bases(side, keys):
     live = live[np.argsort(keys[live], kind="stable")]
     cols = np.concatenate([np.arange(side.start[g], side.start[g] + side.size[g])
                            for g in live])
-    owner = np.repeat(keys[live], side.size[live])
-    rho, rho_inv = _cholesky_pair(side.u[:, cols], owner)
-    u, lh = side.u[:, cols] @ rho_inv, rho @ side.lh[cols]
-    size = np.bincount(owner, minlength=count)
+    size = np.bincount(np.repeat(keys[live], side.size[live]), minlength=count)
     at = np.cumsum(size) - size
-    return u, lh, rho @ side.ab[:, cols[:, None], cols] @ rho_inv, at.tolist(), size.tolist()
+    u, lh, ab = side.u[:, cols], side.lh[cols], side.ab[:, cols[:, None], cols]
+    for start, m in zip(at.tolist(), size.tolist()):
+        c = slice(start, start + m)
+        rho, rho_inv = _cholesky_pair(u[:, c])
+        u[:, c], lh[c] = u[:, c] @ rho_inv, rho @ lh[c]
+        ab[:, c, c] = rho @ ab[:, c, c] @ rho_inv
+    return u, lh, ab, at.tolist(), size.tolist()
 
 
 def _nullspace_scaled(m, scale, tol):
@@ -1388,20 +1376,28 @@ def decompose(nf, tol=None):
 
 def _labels(nf, tol):
     """The labels of ``decompose`` as an ``(m, 2)`` complex array of rows
-    ``(lam, b)``, in its order: B0 in the Schur basis is
-    ``_schur_dilation``'s, the blocks of it of one size take one batched
-    ``eigvals`` call, bit for bit the values of one call per block, and the
-    labels are held, keyed and ordered as arrays.  When every block is one
-    entry, the b-labels are read off the diagonal: ``eigvals`` of a 1 x 1
-    matrix is its entry, except that beyond about 1e+-140 LAPACK's zgeev
-    scales the matrix first and may move the last bit, where the entry is
-    the exact value."""
+    ``(lam, b)``, in its order.  A result of ``tensor`` has the pairwise
+    rows ``(lam_i + mu_j, b_i c_j)`` of its factors' labels, the sum reduced
+    into the strip.  Otherwise B0 in the Schur basis is ``q^H B0 q``, the
+    blocks of it of one size take one batched ``eigvals`` call, bit for bit
+    the values of one call per block, and the labels are held, keyed and
+    ordered as arrays.  When every block is one entry, the b-labels are
+    read off the diagonal: ``eigvals`` of a 1 x 1 matrix is its entry,
+    except that beyond about 1e+-140 LAPACK's zgeev scales the matrix first
+    and may move the last bit, where the entry is the exact value."""
+    kept = nf._memo.get((tol, "factors"))
+    if kept is not None:
+        lx, ly = (_labels(f, tol) for f in kept[:2])
+        lam = (lx[:, :1] + ly[:, 0]).ravel()
+        labels = np.stack([lam - nf.transversal.shift(lam) * nf.tau,
+                           (lx[:, 1:] * ly[:, 1]).ravel()], axis=1)
+        return labels[_lex_order(labels)]
     t, q, blocks = nf.schur_form(tol)
-    b = _schur_dilation(nf, q, tol)
+    b = q.conj().T @ nf.B0 @ q
     starts, sizes, means = _block_arrays(blocks)
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     below = _frobenius(b[cluster[:, None] > cluster[None, :]])
-    if below > tol.eps_key * max(1.0, _frobenius(nf.B0)):
+    if below > tol.eps_key and below > tol.eps_key * max(1.0, _frobenius(nf.B0)):
         raise NumericFailure("dilation is not block triangular on the eigenvalue "
                              "clusters of A0: below-block norm %.3e" % below)
     labels = np.empty((len(cluster), 2), dtype=complex)
@@ -1421,16 +1417,6 @@ def _labels(nf, tol):
                 raise NumericFailure("no labels: the diagonal blocks of the dilation in "
                                      "the Schur basis of A0: %s" % exc)
     return labels[_lex_order(labels)]
-
-
-def _schur_dilation(nf, q, tol):
-    """B0 in the Schur basis ``q`` of a form of ``nf.A0`` at ``tol``: the
-    Kronecker product of the factors' that ``tensor`` kept, when ``q`` is
-    the basis of the form it kept, else ``q^H B0 q``."""
-    kept = nf._memo.get((tol, "dilation"))
-    if kept is not None and q is nf._memo[tol][1]:
-        return kept
-    return q.conj().T @ nf.B0 @ q
 
 
 class K0Class:
@@ -1527,9 +1513,18 @@ class K0Class:
 
 def k0_class(nf, tol=None):
     """Class of an object in the Grothendieck group: the multiset of its
-    simple labels, additive along exact sequences."""
+    simple labels, additive along exact sequences; of a result of
+    ``tensor``, the product of its factors' classes (``K0Class.__mul__``),
+    so that K0 is multiplicative by construction."""
     tol = tol or DEFAULT_TOL
-    return K0Class._of_labels(nf.transversal, _labels(nf, tol), tol)
+    cls = nf._memo.get((tol, "k0"))
+    if cls is None:
+        kept = nf._memo.get((tol, "factors"))
+        cls = nf._memo[(tol, "k0")] = (
+            K0Class._of_labels(nf.transversal, _labels(nf, tol), tol) if kept is None
+            else k0_class(kept[0], tol) * k0_class(kept[1], tol))
+        nf.B0.flags.writeable = False
+    return cls
 
 
 def h0_dim(nf_or_matrix, tau=None, tol=None):

@@ -174,7 +174,6 @@ from eqconn.category import (
     _hom_side,
     _kron,
     _nullspace_scaled,
-    _schur_dilation,
     _side_keys,
     validate,
     validate_normal_form,
@@ -540,10 +539,10 @@ def frozen_hom_basis(x, y, tol=DEFAULT_TOL):
 def frozen_label_array(nf, tol=DEFAULT_TOL):
     """``category._labels`` as it stood: the b-labels of every cluster of
     the Schur form from batched ``np.linalg.eigvals`` of its diagonal
-    blocks of the dilation (``_schur_dilation``), blocks of one size in one
-    call, one-entry blocks included."""
+    blocks of the dilation ``q^H B0 q`` in the Schur basis, blocks of one
+    size in one call, one-entry blocks included."""
     t, q, blocks = nf.schur_form(tol)
-    b = _schur_dilation(nf, q, tol)
+    b = q.conj().T @ nf.B0 @ q
     starts, sizes, means = _block_arrays(blocks)
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     below = float(np.linalg.norm(b[cluster[:, None] > cluster[None, :]]))

@@ -3,6 +3,7 @@ rigid tensor structure."""
 
 import functools
 import importlib.util
+import itertools
 import math
 import os
 import resource
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -903,30 +905,33 @@ def test_b0_is_read_only_once_hom_basis_or_from_monodromy_holds_data_of_it():
     hom_basis(x, x)
     with pytest.raises(ValueError, match="read-only"):
         x.B0[0, 0] = 1.0
-    side = x._memo[(DEFAULT_TOL, "hom")]
+    side = x._memo[(DEFAULT_TOL, "side")]
     assert not any(array.flags.writeable for array in side)
 
 
 def test_each_object_builds_its_hom_side_once(monkeypatch):
     """A tensor-decompose job's ``hom_basis(t, y (x) x)`` and ``hom_basis(t,
-    t)`` build t's ``_HomSide`` once, two builds where there were three, and
-    the morphisms are to the bit those of sides built afresh for each call,
-    as they were."""
+    t)`` build each product's ``_HomSide`` once, read off its factors', and
+    each factor's side once, which ``t`` and ``y (x) x`` share; the
+    morphisms are to the bit those of sides built afresh for each call."""
     rng = np.random.default_rng(69)
     x, y = random_normal_form(rng, 2), random_normal_form(rng, 2)
     t, yx = tensor(x, y), tensor(y, x)
-    build, built = eqconn.category._new_hom_side, []
-    monkeypatch.setattr(eqconn.category, "_new_hom_side",
-                        lambda nf, tol: built.append(nf) or build(nf, tol))
+    built = []
+    for name in ("_strip_side", "_product_side"):
+        monkeypatch.setattr(eqconn.category, name, functools.partial(
+            lambda name, inner, nf, *args: built.append((id(nf), name)) or inner(nf, *args),
+            name, getattr(eqconn.category, name)))
     hom, end = hom_basis(t, yx), hom_basis(t, t)
-    assert [id(nf) for nf in built] == [id(t), id(yx)]
+    assert built == [(id(t), "_product_side"), (id(x), "_strip_side"), (id(y), "_strip_side"),
+                     (id(yx), "_product_side")]
     assert len(hom) == len(end) > 0
     for got, (src, tgt) in ((hom, (t, yx)), (end, (t, t))):
-        for nf in (src, tgt):
-            nf._memo.pop((DEFAULT_TOL, "hom"), None)
+        for nf, kind in itertools.product((src, tgt, x, y), ("hom", "side")):
+            nf._memo.pop((DEFAULT_TOL, kind), None)
         fresh = hom_basis(src, tgt)
         assert [m.phi.tobytes() for m in got] == [m.phi.tobytes() for m in fresh]
-    assert len(built) == 5
+    assert len(built) == 4 + 4 + 3
 
 
 def test_normalize_refuses_an_order_whose_gauge_would_not_fit(monkeypatch):
@@ -1100,10 +1105,10 @@ FACTOR_ROUTE_CASES = TENSOR_CASES + [
 def _check_factor_route(x, y, radius=1e-8):
     """``tensor(x, y)`` against ``frozen_tensor``: A0 within 1e-12 of the
     scale, the kept Schur form exactly upper triangular and reassembling
-    A0 within 1e-13, the kept dilation, if any, ``Q^H B0 Q`` within 1e-13
-    of ``||B0||``, and the shifts of each fold matched to the other's
-    (``_same_shifts`` with ``radius``).  Returns whether the dilation was
-    kept."""
+    A0 within 1e-13, the factors kept with a strip shift per pair of their
+    entries, and the shifts of each fold matched to the other's
+    (``_same_shifts`` with ``radius``).  Returns whether the product keeps
+    its factors' Kronecker basis (``_keeps_kronecker_basis``)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TransversalBranchWarning)
         xy = tensor(x, y)
@@ -1113,11 +1118,19 @@ def _check_factor_route(x, y, radius=1e-8):
     t, q, _ = xy.schur_form()
     assert not np.tril(t, -1).any()
     assert np.linalg.norm(q @ t @ q.conj().T - xy.A0) <= 1e-13 * scale
-    b = xy._memo.get((DEFAULT_TOL, "dilation"))
-    if b is not None:
-        assert np.linalg.norm(b - q.conj().T @ xy.B0 @ q) <= 1e-13 * np.linalg.norm(xy.B0)
+    kept = xy._memo[(DEFAULT_TOL, "factors")]
+    assert kept[0] is x and kept[1] is y and kept[2].shape == (x.n, y.n)
     _same_shifts(xy.diagnostics["fold_shifts"], shifts, scale, radius)
-    return b is not None
+    return _keeps_kronecker_basis(xy, x, y)
+
+
+def _keeps_kronecker_basis(xy, x, y):
+    """Whether the Schur basis that ``xy = tensor(x, y)`` keeps is, to the
+    bit, the Kronecker product of its factors' strip form bases, its
+    columns ordered along the strip: no ztrsen ran on the product."""
+    fx, fy = x._strip_form(DEFAULT_TOL), y._strip_form(DEFAULT_TOL)
+    order = np.argsort((fx.key[:, None] + fy.key).ravel(), kind="stable")
+    return np.kron(fx.q, fy.q)[:, order].tobytes() == xy.schur_form()[1].tobytes()
 
 
 @pytest.mark.parametrize("make", [m for _, m in FACTOR_ROUTE_CASES],
@@ -1161,8 +1174,8 @@ def test_tensor_of_a_factor_whose_jordan_group_spans_another_cluster(monkeypatch
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_k0_of_a_tensor_is_the_product_of_the_factors_classes(n):
-    # generic draws only: K0 is not yet multiplicative on defective forms,
-    # whose labels are read per eps_spec cluster (ROADMAP item 1)
+    # generic draws of dim n, and defective draws of n - 1 groups: pairs on
+    # seeds 100-119, and x (x) dual(x) on seeds 0-19
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x, y = random_normal_form(rng, n), random_normal_form(rng, n)
@@ -1171,6 +1184,58 @@ def test_k0_of_a_tensor_is_the_product_of_the_factors_classes(n):
             assert k0_class(pq) == k0_class(p) * k0_class(q)
             m1 = np.kron(monodromy(p).M1, monodromy(q).M1)
             assert np.linalg.norm(monodromy(pq).M1 - m1) <= 1e-12 * np.linalg.norm(m1)
+        rng = np.random.default_rng(100 + seed)
+        x = util.random_defective_normal_form(np.random.default_rng(seed), n - 1)
+        for p, q in ((util.random_defective_normal_form(rng, n - 1),
+                      util.random_defective_normal_form(rng, n - 1)), (x, dual(x))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TransversalBranchWarning)
+                pq = tensor(p, q)
+            assert k0_class(pq) == k0_class(p) * k0_class(q)
+
+
+def test_hom_of_x_tensor_dual_x_to_a_conjugate_is_its_endomorphisms():
+    """p = x (x) dual(x), x a defective form of two groups (seed 19, N =
+    49).  Grouped at its own dimension, p's group at 0 joined the one at
+    lam_1 - lam_2, 0.76 from it, and Hom(p, S p S^-1) had 20 morphisms
+    where End(p) has 143; read off its factors' groups, it has them all,
+    and p is isomorphic to its conjugate."""
+    x = util.random_defective_normal_form(np.random.default_rng(19), groups=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransversalBranchWarning)
+        p = tensor(x, dual(x))
+    sp = util.conjugate(p, util.well_conditioned(np.random.default_rng(119), p.n))
+    assert len(hom_basis(p, sp)) == len(hom_basis(p, p)) == 143
+    iso = is_isomorphic(p, sp)
+    assert iso is not None and iso.is_valid()
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_a_product_is_grouped_and_factored_at_its_factors_order_only(monkeypatch, n):
+    """``tensor``, ``k0_class``, ``decompose`` and ``hom_basis`` of x (x) y
+    and x (x) x make no ``_bounded_groups``, ztrsyl or zpotrf call on an
+    order above the factors' n: a product's groups, Hom side and labels are
+    read off its factors', and its Hom components are orthonormalized one
+    component at a time."""
+    calls = Counter()
+
+    def counting(name, f):
+        return lambda *args, **kwargs: calls.update(
+            [(name, max(len(a) for a in args[:2] if np.ndim(a) == 2))]) or f(*args, **kwargs)
+
+    groups = counting("_bounded_groups", eqconn.numkit._bounded_groups)
+    for module in (eqconn.numkit, eqconn.category):
+        monkeypatch.setattr(module, "_bounded_groups", groups)
+    for name in ("ztrsyl", "zpotrf"):
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            counting(name, getattr(scipy.linalg.lapack, name)))
+    rng = np.random.default_rng(70 + n)
+    x, y = random_normal_form(rng, n), random_normal_form(rng, n)
+    for p, q in ((x, y), (x, x)):
+        pq = tensor(p, q)
+        k0_class(pq), decompose(pq), hom_basis(pq, pq)
+    assert {name for name, _ in calls} == {"_bounded_groups", "ztrsyl", "zpotrf"}
+    assert max(order for _, order in calls) <= n
 
 
 def test_tensor_refuses_a_shifting_pair_whose_projector_no_join_mends():
@@ -1218,39 +1283,61 @@ def test_tensor_refuses_a_pair_mean_whose_shift_passes_int64():
                                                                 int(far))]
 
 
+def _projectors_by_mean(side, radius=1e-8):
+    """The spectral projectors ``u_g lh_g`` of the groups of a ``_HomSide``,
+    summed over groups whose means lie within ``radius``: ``[(mean, P)]``."""
+    out = []
+    for mean, start, size in zip(side.means, side.start, side.size):
+        p = side.u[:, start:start + size] @ side.lh[start:start + size]
+        near = [i for i, (m, _) in enumerate(out) if abs(m - mean) <= radius]
+        if near:
+            out[near[0]] = (out[near[0]][0], out[near[0]][1] + p)
+        else:
+            out.append((mean, p))
+    return out
+
+
 def test_hom_side_of_a_product_reads_its_factors_projectors(monkeypatch):
-    """x (x) y of simple spectra: its projector factors are the permuted
-    Kronecker products of the factors' (the fold moves no eigenvector), so
-    its Hom side makes no ztrsyl and matches, within rounding, the side
-    ``_bounded_groups`` gives on the same form, Hom bases included."""
-    sizes = []
-    ztrsyl = scipy.linalg.lapack.ztrsyl
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", lambda *args, **kwargs: sizes.append(
-        len(args[0]) + len(args[1])) or ztrsyl(*args, **kwargs))
+    """x (x) y and x (x) x of simple spectra: the product's Hom side is read
+    off its factors', with no ztrsyl or zpotrf of its own order.  It
+    reassembles A0 and B0 as ``u ab lh``, and its projectors, summed over
+    groups of one mean as ``(g, h)`` and ``(h, g)`` of x (x) x, match
+    within rounding those of the side that a plain copy of the product
+    reads off its own strip form, Hom dimensions included."""
+    orders = []
+    for name in ("ztrsyl", "zpotrf"):
+        inner = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name, functools.partial(
+            lambda inner, *args, **kwargs: orders.append(len(args[0])) or inner(*args, **kwargs),
+            inner))
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x, y = random_normal_form(rng, 3), random_normal_form(rng, 3)
-        xy, yx = tensor(x, y), tensor(y, x)
-        dense = []
-        for nf in (xy, yx):
-            copy = NormalForm(nf.A0, nf.B0, nf.transversal, nf.theta, nf.tau)
-            copy._memo[DEFAULT_TOL] = nf.schur_form()
-            dense.append(copy)
-        del sizes[:]
-        sides = [eqconn.category._hom_side(nf, DEFAULT_TOL) for nf in (xy, yx)]
-        assert (DEFAULT_TOL, "factors") in xy._memo and 9 not in sizes
-        for side, copy in zip(sides, dense):
-            want = eqconn.category._hom_side(copy, DEFAULT_TOL)
-            for got, ref in zip(side[3:], want[3:]):
-                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert len(hom_basis(xy, yx)) == len(hom_basis(*dense)) == len(hom_basis(xy, xy))
+        for p, q in ((x, y), (x, x)):
+            pq = tensor(p, q)
+            copy = NormalForm(pq.A0, pq.B0, pq.transversal, pq.theta, pq.tau)
+            copy._memo[DEFAULT_TOL] = pq.schur_form()
+            del orders[:]
+            side = eqconn.category._hom_side(pq, DEFAULT_TOL)
+            assert max(orders, default=0) <= 3
+            scale = max(1.0, np.linalg.norm(pq.A0), np.linalg.norm(pq.B0))
+            for m, ab in zip((pq.A0, pq.B0), side.ab):
+                assert np.linalg.norm(side.u @ ab @ side.lh - m) <= 1e-12 * scale
+            got = _projectors_by_mean(side)
+            want = _projectors_by_mean(eqconn.category._hom_side(copy, DEFAULT_TOL))
+            assert len(got) == len(want) < len(side.means) + (p is not q)
+            for mean, proj in got:
+                (ref,) = [r for m, r in want if abs(m - mean) <= 1e-8]
+                assert np.linalg.norm(proj - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert len(hom_basis(pq, copy)) == len(hom_basis(copy, copy)) == len(
+                hom_basis(pq, pq))
 
 
 def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
     ``bench/workloads.py``, each of the 414 products keeps the permuted
-    Kronecker basis of its factors' Schur forms as its Schur basis, and so
-    its dilation in that basis; 378 of them fold."""
+    Kronecker basis of its factors' strip forms as its Schur basis
+    (``_keeps_kronecker_basis``); 378 of them fold."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -1262,7 +1349,7 @@ def test_every_product_of_the_tensor_benchmark_keeps_its_kronecker_basis():
             for job in workloads.tensor_round(rng):
                 if job.kind.startswith(("xy", "xx")):
                     xy = tensor(*job.inputs)
-                    assert (DEFAULT_TOL, "dilation") in xy._memo
+                    assert _keeps_kronecker_basis(xy, *job.inputs)
                     products += 1
                     folds += any(shift for _, shift in xy.diagnostics["fold_shifts"])
     assert (products, folds) == (414, 378)
@@ -1292,22 +1379,29 @@ def test_tensor_makes_no_schur_reorder_on_the_product(monkeypatch, n):
     assert set(shapes) <= {(n, n)}
 
 
+def _lex_sorted(labels):
+    return sorted(labels, key=lambda label: (frozen_lex_key(label[0]), frozen_lex_key(label[1])))
+
+
 def test_decompose_batched_labels_are_bit_identical():
     # one eigvals call per block size gives the bits of one call per block;
     # on seed 61 rounding leaves clusters of 1, 2 and 3 (most seeds split
-    # each Jordan block into clusters of one); the square reads the
-    # dilation tensor kept in its Schur basis
-    x = random_normal_form(np.random.default_rng(58), 8)
-    defective = util.random_defective_normal_form(np.random.default_rng(61), groups=3)
-    for nf in (defective, tensor(x, x)):
-        t, q, blocks = nf.schur_form()
-        assert len({s1 - s0 for s0, s1, _ in blocks}) > 1
-        b = eqconn.category._schur_dilation(nf, q, DEFAULT_TOL)
-        want = sorted([(lam, complex(v)) for s0, s1, lam in blocks
-                       for v in np.linalg.eigvals(b[s0:s1, s0:s1])],
-                      key=lambda label: (frozen_lex_key(label[0]), frozen_lex_key(label[1])))
-        got = decompose(nf)
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    # each Jordan block into clusters of one); the labels of its square are
+    # the pairwise rows of its own, each sum reduced into the strip
+    nf = util.random_defective_normal_form(np.random.default_rng(61), groups=3)
+    t, q, blocks = nf.schur_form()
+    assert len({s1 - s0 for s0, s1, _ in blocks}) > 1
+    b = q.conj().T @ nf.B0 @ q
+    want = _lex_sorted([(lam, complex(v)) for s0, s1, lam in blocks
+                        for v in np.linalg.eigvals(b[s0:s1, s0:s1])])
+    got = decompose(nf)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    lam, b = np.array(got).T
+    lam = (lam[:, None] + lam).ravel()
+    want = _lex_sorted(zip((lam - STRIP.shift(lam) * TAU).tolist(),
+                           (b[:, None] * b).ravel().tolist()))
+    got = decompose(tensor(nf, nf))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_tensor_and_psi_star_take_no_schur_form_of_the_product(monkeypatch):
@@ -1549,20 +1643,23 @@ def split_cluster_form(gap, t13):
 def test_hom_solves_a_component_split_across_the_schur_form(monkeypatch):
     # with this coupling the eigenvectors are well conditioned, so the two
     # clusters are groups of their own, but one component: its basis is
-    # taken from both groups' projector factors, with no reordering
+    # taken from both groups' projector factors.  The Hom side is the strip
+    # form's, whose groups follow the strip, moved by reorders of the
+    # object's own order
     lam = 0.3 * TAU
     x = split_cluster_form(1e-5, -1.0 / (lam + 1e-5 - 0.6 * TAU))
     assert [lam for _, _, lam in x.schur_form()[2]] == [lam, 0.6 * TAU, lam + 1e-5]
-    calls = []
+    shapes = []
     reorder = eqconn.category._group_blocks
     monkeypatch.setattr(eqconn.category, "_group_blocks",
-                        lambda *args: calls.append(1) or reorder(*args))
-    assert len(eqconn.category._hom_side(x, DEFAULT_TOL).means) == 3
+                        lambda t, *args: shapes.append(t.shape) or reorder(t, *args))
+    means = eqconn.category._hom_side(x, DEFAULT_TOL).means
+    assert np.abs(means - [lam, lam + 1e-5, 0.6 * TAU]).max() <= 1e-14
     y = one_dim(lam, 1.0)
     assert len(assert_hom_matches_oracle(x, y)) == 1
     assert len(assert_hom_matches_oracle(y, x)) == 1
     assert len(assert_hom_matches_oracle(x, x)) == 3
-    assert not calls
+    assert (3, 3) in shapes and max(shapes) == (3, 3)
 
 
 def test_hom_groups_clusters_with_ill_conditioned_projectors(monkeypatch):
@@ -1603,7 +1700,8 @@ def test_bounded_groups_are_the_frozen_hom_grouping_to_the_bit():
     """``numkit._bounded_groups`` is the grouping Hom once made itself: the
     same groups, the same grouped Schur form and, orthonormalized by the
     Cholesky factors of its Gram matrices as Hom does, the same projector
-    factors, to the bit; and the Hom side's means are the groups'."""
+    factors, to the bit; and the Hom side's means are those of the groups of
+    the object's strip form, of a product of each pair of its factors'."""
     merged = 0
     for x in hom_grouping_inputs(np.random.default_rng(53)):
         t, q, blocks = x.schur_form()
@@ -1621,7 +1719,12 @@ def test_bounded_groups_are_the_frozen_hom_grouping_to_the_bit():
         assert (v @ rho_inv).tobytes() == want_u.tobytes()
         assert (rho @ w).tobytes() == want_lh.tobytes()
         side = eqconn.category._hom_side(x, DEFAULT_TOL)
-        assert side.means.tolist() == [lam for _, _, lam in groups]
+        kept = x._memo.get((DEFAULT_TOL, "factors"))
+        if kept is None:
+            assert side.means.tobytes() == x._strip_form(DEFAULT_TOL).means.tobytes()
+        else:
+            assert len(side.means) == math.prod(len(f._strip_form(DEFAULT_TOL).means)
+                                                for f in kept[:2])
         merged += len(groups) < len(blocks)
     assert merged >= 4
 

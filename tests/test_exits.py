@@ -8,7 +8,8 @@ of the path it replaced.
 - ``hom_basis`` orthonormalizes by LAPACK's zgeqrf and zungqr; the basis
   must be ``np.linalg.qr``'s (``frozen_hom_basis``).
 - ``_labels`` reads the b-labels off the diagonal when every cluster is one
-  entry; they must be ``eigvals``' (``frozen_label_array``).
+  entry; they must be ``eigvals``' (``frozen_label_array``), and a
+  product's must be the pairwise rows of its factors' frozen labels.
 - ``numkit._group_blocks`` reads its groups off in one pass; they must be
   ``np.unique``'s (``frozen_group_blocks``).
 - ``numkit._cluster_triangular`` clusters the diagonal over its near pairs;
@@ -41,6 +42,7 @@ from reference import (
     frozen_hom_basis,
     frozen_hom_components,
     frozen_label_array,
+    frozen_lex_key,
     frozen_merge_keys,
 )
 from util import STRIP, TAU, THETA, conjugate, random_defective_normal_form, \
@@ -74,6 +76,17 @@ def assert_labels_are_frozen(nf):
     assert same_bits(eqconn.category._labels(nf, DEFAULT_TOL), frozen_label_array(nf))
 
 
+def assert_product_labels_are_frozen(xy, x, y):
+    """The labels of ``xy = tensor(x, y)`` are ``(lam_i + mu_j, b_i c_j)``
+    over the rows of the factors' frozen labels, each sum reduced into the
+    strip, in ``decompose``'s order."""
+    lx, ly = frozen_label_array(x), frozen_label_array(y)
+    lam = (lx[:, :1] + ly[:, 0]).ravel()
+    want = np.stack([lam - STRIP.shift(lam) * TAU, (lx[:, 1:] * ly[:, 1]).ravel()], axis=1)
+    order = sorted(range(len(want)), key=lambda i: tuple(map(frozen_lex_key, want[i])))
+    assert same_bits(eqconn.category._labels(xy, DEFAULT_TOL), want[order])
+
+
 def diagonal_form(lams, bs):
     return NormalForm(np.diag(np.array(lams, dtype=complex)),
                       np.diag(np.array(bs, dtype=complex)), STRIP, THETA, TAU)
@@ -88,8 +101,8 @@ def test_tensor_hom_and_labels_are_the_frozen_paths(n):
         assert_hom_is_frozen(xy, yx)
         assert_hom_is_frozen(xy, xy)
         assert_hom_is_frozen(xx, xx)
-        for nf in (xy, yx, xx):
-            assert_labels_are_frozen(nf)
+        for nf, factors in ((xy, (x, y)), (yx, (y, x)), (xx, (x, x))):
+            assert_product_labels_are_frozen(nf, *factors)
 
 
 def test_defective_forms_take_the_frozen_paths():
@@ -212,12 +225,12 @@ def test_labels_refuse_a_dilation_that_is_not_finite(bad):
 
 def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
-    ``bench/workloads.py`` and run as its jobs: 522 label reads take the
-    diagonal and 144, of the tensor squares, ``eigvals``; and 444 of the 828
-    ``_group_blocks`` calls reorder.  On every call of those jobs, the 504
-    Hom component searches, the 2322 clusterings of Schur forms and the
-    1584 key merges of K0 and the divisors give the bits of their frozen
-    paths on the same inputs."""
+    ``bench/workloads.py`` and run as its jobs: the 684 label reads, one per
+    factor, as a product's class is the product of its factors' kept ones,
+    take the diagonal; and 444 of the 828 ``_group_blocks`` calls reorder.
+    On every call of those jobs, the 504 Hom component searches, the 2322
+    clusterings of Schur forms and the 2268 key merges of K0 and the
+    divisors give the bits of their frozen paths on the same inputs."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -270,5 +283,5 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
         for _ in range(6):
             for job in workloads.tensor_round(rng):
                 job.run()
-    assert counts == {"diagonal": 522, "eigvals": 144, "reorders": 444, "in_order": 384,
-                      "hom": 504, "cluster": 2322, "merge": 1584}
+    assert counts == {"diagonal": 684, "reorders": 444, "in_order": 384,
+                      "hom": 504, "cluster": 2322, "merge": 2268}

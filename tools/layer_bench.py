@@ -20,14 +20,18 @@ each call on fresh copies of the factors, so that the factors' memoized
 Schur and strip forms are paid for as a tensor-decompose job pays for
 them; then, on that product, which holds its Schur form from birth as the
 job's does, ``category.decompose``, ``category.k0_class``,
-``torus.k0_to_divisor`` of its class and ``torus.psi_star``;
+``torus.k0_to_divisor`` of its class and ``torus.psi_star``, ``k0_class``
+on a fresh copy of the product as ``hom_basis`` below takes it, as the
+class is kept once made;
 ``torus.divisor_equivalent`` of the divisors of that product's class and
 of the reversed product's, as a tensor-decompose job compares them; and
 at dims 4 and 16, and for ``[xx]`` at dim 64 (``HOM_SQUARE_DIMS``),
 ``category.hom_basis(t, t)``, each call on a fresh copy of the product
-holding what it held at birth (its Schur form and kept dilation, in
-``_memo``) and nothing that an earlier call kept, so that its Hom side is
-built as a tensor-decompose job builds it, once per object.  At dim 4, the xy/4 job
+holding what it held at birth (its Schur form and its factors, in
+``_memo``), each factor in it a fresh copy holding what it held then, and
+nothing that an earlier call kept, so that its Hom side, and the factors'
+it is read off, are built as a tensor-decompose job builds them, once per
+object.  At dim 4, the xy/4 job
 of the benchmark, only the ``[xy]`` points of the calls that job makes
 but ``psi_star`` are timed: ``tensor``, ``decompose``, ``k0_class``,
 ``k0_to_divisor``, ``divisor_equivalent`` and ``hom_basis``.  These are
@@ -155,26 +159,46 @@ def tensor_points(n):
 
         t = product()
         born = dict(t._memo)
+        # what each factor of the product held when the product was made
+        held = {id(v): (v, dict(v._memo)) for value in born.values()
+                if isinstance(value, tuple) for v in value if hasattr(v, "_memo")}
         k0 = k0_class(t)
         swapped = tensor(x if kind == "xx" else y, x)
         divisors = k0_to_divisor(k0), k0_to_divisor(k0_class(swapped))
         points["category.tensor[%s]" % kind] = product
         points["category.decompose[%s]" % kind] = lambda t=t: decompose(t)
-        points["category.k0_class[%s]" % kind] = lambda t=t: k0_class(t)
+        points["category.k0_class[%s]" % kind] = lambda t=t, born=born, held=held: k0_class(
+            _fresh(t, born, held))
         points["torus.k0_to_divisor[%s]" % kind] = lambda k0=k0: k0_to_divisor(k0)
         points["torus.psi_star[%s]" % kind] = lambda t=t: psi_star(t)
         points["torus.divisor_equivalent[%s]" % kind] = \
             lambda divisors=divisors: divisor_equivalent(*divisors)
         if n * n <= HOM_MAX_DIM or (kind == "xx" and n * n in HOM_SQUARE_DIMS):
-            def hom(t=t, born=born):
-                fresh = dataclasses.replace(t)
-                fresh._memo.update(born)
+            def hom(t=t, born=born, held=held):
+                fresh = _fresh(t, born, held)
                 return hom_basis(fresh, fresh)
 
             points["category.hom_basis[%s]" % kind] = hom
     if n == 2:
         return {key: fn for key, fn in points.items() if key.split("[")[0] in SMALL_POINTS}
     return points
+
+
+def _fresh(t, born, held):
+    """A fresh copy of the product ``t`` holding ``born``, what it held at
+    birth, each factor in it a fresh copy holding what ``held`` says it
+    held then, so that what a call keeps is paid for on every call."""
+    import dataclasses
+
+    copies = {}
+    for nf, memo in held.values():
+        copies[id(nf)] = dataclasses.replace(nf)
+        copies[id(nf)]._memo.update(memo)
+    fresh = dataclasses.replace(t)
+    for key, value in born.items():
+        fresh._memo[key] = tuple(copies.get(id(v), v) for v in value) \
+            if isinstance(value, tuple) else value
+    return fresh
 
 
 def roundtrip_points(n):
