@@ -258,14 +258,10 @@ class NormalForm:
     in-place change cannot leave it stale:
 
     * per ``Tolerances``, the clustered Schur form of A0 (``schur_form``),
-      read-only with A0; what ``tensor`` reads of the object as a factor
-      (``_strip_form``: that form grouped by ``numkit._bounded_groups`` and
-      ordered along the strip, the factor groups' projector factors and B0
-      in its basis), kept with A0 and B0 read-only; and, read-only with A0
-      and B0, the ``_HomSide`` read off that strip form and the K0 class;
-    * for a result of ``tensor``, its factors and the strip shift of each
-      pair of their groups, from which its ``_HomSide``, labels and class
-      are read, and that ``_HomSide``;
+      read-only with A0; read-only with A0 and B0, what ``tensor`` reads
+      of the object as a factor (``_strip_form``), its ``_HomSide`` and
+      its K0 class; and for a result of ``tensor``, its factors and the
+      strip shift of each pair of their groups, which those are read off;
     * for a result of ``from_monodromy``, which is born with A0 and B0
       read-only: ``exp(2 pi i A0/tau)``, which ``monodromy`` copies, and
       the singular values of B0, which ``validate_normal_form`` reads."""
@@ -277,11 +273,8 @@ class NormalForm:
     tau: complex
     gauge: GaugeRecord = None
     diagnostics: dict = field(default_factory=dict)
-    # derived data, computed on first use or held from birth: keyed by the
-    # Tolerances the clustered Schur form; by (Tolerances, name) the
-    # _StripForm ("strip"), the _HomSides ("side", "hom"), the K0Class
-    # ("k0") and a product's factors with their pair shifts ("factors"); by
-    # "monodromy" and "b_singular_values" what from_monodromy held
+    # derived data (see above), keyed by a Tolerances, by (Tolerances, name) for the
+    # names "strip", "side", "hom", "k0" and "factors", by "monodromy" and "b_singular_values"
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -313,9 +306,9 @@ class NormalForm:
 
     def _strip_form(self, tol):
         """The ``_StripForm`` that ``tensor`` reads of this object as a
-        factor, kept beside ``schur_form`` with B0 made read-only, so that
-        ``tensor(x, y)`` and ``tensor(y, x)`` share it; ``tensor`` hands
-        none of its arrays out."""
+        factor, kept beside ``schur_form`` and shared by ``tensor(x, y)``
+        and ``tensor(y, x)``, with B0 made read-only: a product reads its
+        labels, class and Hom side off its factors later."""
         form = self._memo.get((tol, "strip"))
         if form is None:
             form = self._memo[(tol, "strip")] = _new_strip_form(self, tol)
@@ -728,9 +721,7 @@ def tensor(x, y, tol=None):
     ix, iy = np.divmod(order, y.n)
     q = (fx.q[:, None, ix] * fy.q[None, :, iy]).reshape(len(order), len(order))
     # [t, A0] of the product, in Kronecker order until t is permuted in place
-    eye_x, eye_y = np.eye(x.n), np.eye(y.n)
-    ta = _kron(np.array([fx.t, x.A0, eye_x, eye_x]), np.array([eye_y, eye_y, fy.t, y.A0]))
-    ta = ta[:2] + ta[2:]
+    ta = _kron_sum(np.array([fx.t, x.A0]), np.array([fy.t, y.A0]))
     shifts, fold_shifts = _pair_shifts(fx, fy, order, x.transversal)
     if shifts.any():
         _check_pair_projectors(fx, fy, shifts, tol)
@@ -745,7 +736,7 @@ def tensor(x, y, tol=None):
     return nf
 
 
-class _StripForm(namedtuple("_StripForm", "q t key owner means vv ww b norm")):
+class _StripForm(namedtuple("_StripForm", "q t key owner means vv ww norm")):
     """What ``tensor`` reads of one factor: its clustered Schur form ``q t
     q^H`` with the groups of ``numkit._bounded_groups`` contiguous and
     ordered by the strip position of their means (``means``); per diagonal
@@ -753,10 +744,9 @@ class _StripForm(namedtuple("_StripForm", "q t key owner means vv ww b norm")):
     mean (``key``, which does not decrease along the diagonal); ``vv = [v,
     q v]`` and ``ww = [w, w q^H]``, ``(v, w)`` the factors of the groups'
     spectral projectors (``numkit._decouple``), upper triangular as ``t``,
-    and ``(q v, w q^H)`` those of A0; ``b = q^H B0 q``; and ``norm =
+    and ``(q v, w q^H)`` those of A0; and ``norm =
     |v|_F^2 |w|_F^2``, which bounds the square of each group's projector
-    norm.  The projectors' rank-one pieces, ``n**3`` entries, each product
-    builds for itself (``_pieces``)."""
+    norm; each product builds the projectors' rank-one pieces (``_pieces``)."""
 
 
 def _new_strip_form(nf, tol):
@@ -775,8 +765,7 @@ def _new_strip_form(nf, tol):
     owner = np.repeat(np.arange(len(groups)), [stop - start for start, stop, _ in groups])
     qh = q.conj().T
     return _StripForm(q, t, position[owner], owner, means, np.array([v, q @ v]),
-                      np.array([w, w @ qh]), qh @ nf.B0 @ q,
-                      np.vdot(v, v).real * np.vdot(w, w).real)
+                      np.array([w, w @ qh]), np.vdot(v, v).real * np.vdot(w, w).real)
 
 
 def _pieces(f):
@@ -844,6 +833,17 @@ def _check_pair_projectors(fx, fy, shifts, tol):
     worst = (nx[:, None] * ny)[shifts != 0].max()
     if not worst <= limit:
         raise NumericFailure("projector norm %.1e: shift groups too close" % math.sqrt(worst))
+
+
+def _kron_sum(a, b):
+    """``a[s] (x) I + I (x) b[s]`` for stacks of as many matrices, written
+    into zeros through ``einsum``'s writeable diagonal views: ``O(n_a n_b
+    (n_a + n_b))`` stores, where ``np.kron`` takes ``(n_a n_b)**2``."""
+    (s, na), nb = a.shape[:2], b.shape[-1]
+    out = np.zeros((s, na, nb, na, nb), dtype=complex)
+    np.einsum("sijkj->sijk", out)[...] = a[:, :, None]
+    np.einsum("sijil->sijl", out)[...] += b[:, None]
+    return out.reshape(s, na * nb, na * nb)
 
 
 def _kron_update(ex, k, ey):
@@ -998,21 +998,16 @@ def _data_scale(side_x, side_y):
 
 class _HomSide(namedtuple("_HomSide", "means start size u lh ab a_norm b_norm")):
     """What ``_hom_components`` reads of one object, per group g of its
-    ``_StripForm`` (of a product, per pair of its factors' groups): the
-    mean, the ``size[g]`` columns of ``u`` from ``start[g]`` on, an
-    orthonormal basis of its invariant subspace, and those rows of ``lh``,
-    the left factor of its spectral projector; ``ab = [lh A0 u, lh B0
-    u]``, block by block; and ||A0||_F and ||B0||_F, which ``_data_scale``
-    reads."""
+    ``_StripForm`` (of a product, per pair of factor groups): the mean; the
+    ``size[g]`` columns of ``u`` from ``start[g]`` on, an orthonormal basis
+    of its invariant subspace, and those rows of ``lh``, the left factor of
+    its projector; ``ab = [lh A0 u, lh B0 u]``; ||A0||_F and ||B0||_F."""
 
 
 def _hom_side(nf, tol, strip=False):
-    """The ``_HomSide`` of a normal form, kept in its memo with its arrays
-    read-only, and B0 too (A0 already is, with the Schur form), so that the
-    norms it keeps stay true: of a result of ``tensor``, the one read off
-    its factors' (``_product_side``); with ``strip``, as a product reads
-    each factor, or of any other object, the one read off its
-    ``_StripForm`` (``_strip_side``)."""
+    """The ``_HomSide`` of a normal form, kept with its arrays and B0 read-only so
+    that its norms stay true: read off a product's factors (``_product_side``),
+    else, or with ``strip`` as a product reads a factor, off its ``_StripForm``."""
     kept = None if strip else nf._memo.get((tol, "factors"))
     key = (tol, "side" if kept is None else "hom")
     side = nf._memo.get(key)
@@ -1025,41 +1020,40 @@ def _hom_side(nf, tol, strip=False):
 
 
 def _strip_side(nf, tol):
-    """The parts of the ``_HomSide`` read off the ``_StripForm`` of ``nf``:
-    its groups, projector factors and dilation, each right factor
-    orthonormalized by its Gram matrix's (well conditioned) Cholesky
-    factor."""
+    """The parts of the ``_HomSide`` read off the ``_StripForm`` of ``nf``,
+    each right factor orthonormalized by its Gram matrix's Cholesky factor."""
     f = nf._strip_form(tol)
     size = np.bincount(f.owner)
     rho, rho_inv = _cholesky_pair(f.vv[0], f.owner)
     u, lh = f.vv @ rho_inv, rho @ f.ww   # in the Schur basis and in A0's
-    ab = lh[0] @ np.array([f.t, f.b]) @ u[0]
+    ab = lh @ np.array([f.t, nf.B0]) @ u   # [lh A0 u, lh B0 u]: A0 as t, B0 in A0's basis
     return f.means, np.cumsum(size) - size, size, u[1], lh[1], ab
 
 
 def _product_side(nf, x, y, shifts, tol):
     """The parts of the ``_HomSide`` of ``nf = tensor(x, y)`` from its
-    factors' strip sides, with no grouping or factorization at its dimension:
+    factors' strip sides, with no grouping or factorization at its order:
     its projectors are the Kronecker products of theirs (Horn & Johnson,
-    Topics in Matrix Analysis, 1991, section 4.4), so each pair ``(g, h)``
-    of their groups is one group, of mean ``mean_g + mean_h - tau K``, ``K``
-    the strip shift the fold gave it, basis ``u_g (x) u_h`` and left factor
-    ``lh_g (x) lh_h``; on it A0 is ``a_g (x) I + I (x) a_h - tau K`` and B0
-    ``b_g (x) b_h``.  Pairs of equal mean, as ``(g, h)`` and ``(h, g)`` of
-    ``x (x) x``, stay two groups, which ``_hom_components`` joins."""
+    Topics in Matrix Analysis, section 4.4), so each pair ``(g, h)`` of
+    their groups is one group, of mean ``mean_g + mean_h - tau K`` (``K``
+    the pair's strip shift), basis ``u_g (x) u_h``, left factor ``lh_g (x)
+    lh_h``, A0 ``a_g (x) I + I (x) a_h - tau K`` and B0 ``b_g (x) b_h``;
+    ``(g, h)`` and ``(h, g)`` of x (x) x are two groups, which
+    ``_hom_components`` joins."""
     sx, sy = _hom_side(x, tol, strip=True), _hom_side(y, tol, strip=True)
-    # [a (x) I, I (x) a, b (x) b, u (x) u, lh (x) lh]
-    k = _kron(np.array([sx.ab[0], np.eye(x.n), sx.ab[1], sx.u, sx.lh]),
-              np.array([np.eye(y.n), sy.ab[0], sy.ab[1], sy.u, sy.lh]))
-    k[1] += k[0]
-    k[1].flat[::len(k[1]) + 1] -= nf.tau * shifts.ravel()
-    fx, fy = x._strip_form(tol), y._strip_form(tol)
-    # the columns of each pair of groups together, in Kronecker order within
-    order = np.argsort((fx.owner[:, None] * len(fy.means) + fy.owner).ravel(), kind="stable")
+    a = _kron_sum(sx.ab[:1], sy.ab[:1])
+    a.reshape(-1)[::len(a[0]) + 1] -= nf.tau * shifts.ravel()
+    # [b (x) b, u (x) u, lh (x) lh]
+    k = _kron(np.array([sx.ab[1], sx.u, sx.lh]), np.array([sy.ab[1], sy.u, sy.lh]))
+    ab, u, lh = np.concatenate([a, k[:1]]), k[1], k[2]
+    if len(sx.size) < x.n and len(sy.size) > 1:
+        # the columns of each pair of groups together, in Kronecker order within
+        fx, fy = x._strip_form(tol), y._strip_form(tol)
+        order = np.argsort((fx.owner[:, None] * len(fy.means) + fy.owner).ravel(), kind="stable")
+        u, lh, ab = u[:, order], lh[order], ab[:, order[:, None], order]
     size = (sx.size[:, None] * sy.size).ravel()
     means = sx.means[:, None] + sy.means - nf.tau * shifts[sx.start][:, sy.start]
-    return (means.ravel(), np.cumsum(size) - size, size, k[3][:, order], k[4][order],
-            k[1:3][:, order[:, None], order])
+    return means.ravel(), np.cumsum(size) - size, size, u, lh, ab
 
 
 def _hom_components(x, side_x, y, side_y, k, tol):
@@ -1391,6 +1385,8 @@ def _labels(nf, tol):
         lam = (lx[:, :1] + ly[:, 0]).ravel()
         labels = np.stack([lam - nf.transversal.shift(lam) * nf.tau,
                            (lx[:, 1:] * ly[:, 1]).ravel()], axis=1)
+        if not np.isfinite(labels[:, 1]).all():
+            raise NumericFailure("no labels: a product of the factors' labels is not finite")
         return labels[_lex_order(labels)]
     t, q, blocks = nf.schur_form(tol)
     b = q.conj().T @ nf.B0 @ q
@@ -1478,11 +1474,17 @@ class K0Class:
     def __mul__(self, other):
         """The class of a tensor product: every entry of one times every
         entry of the other, b labels multiplied, z' labels added and reduced
-        into the strip, multiplicities multiplied."""
+        into the strip, multiplicities multiplied; a product of labels that
+        overflows raises ``NumericFailure``."""
         self._check(other)
-        return K0Class(self.transversal, [(b1 * b2, z1 + z2, m1 * m2)
-                                          for b1, z1, m1 in self.entries
-                                          for b2, z2, m2 in other.entries], self.tol)
+        pairs = [(b1 * b2, z1 + z2) for b1, z1, _ in self.entries for b2, z2, _ in other.entries]
+        keys = np.array(pairs, dtype=complex).reshape(-1, 2)
+        if not np.isfinite(keys).all():
+            raise NumericFailure("no labels: a product of the factors' labels is not finite")
+        out = K0Class.__new__(K0Class)
+        out._set(self.transversal, keys,
+                 [m1 * m2 for _, _, m1 in self.entries for _, _, m2 in other.entries], self.tol)
+        return out
 
     def __neg__(self):
         return K0Class(self.transversal,
@@ -1513,9 +1515,12 @@ class K0Class:
 
 def k0_class(nf, tol=None):
     """Class of an object in the Grothendieck group: the multiset of its
-    simple labels, additive along exact sequences; of a result of
-    ``tensor``, the product of its factors' classes (``K0Class.__mul__``),
-    so that K0 is multiplicative by construction."""
+    simple labels, additive along exact sequences, kept in its memo with B0
+    read-only; of a result of ``tensor``, the product of its factors'
+    classes (``K0Class.__mul__``), so that K0 is multiplicative by
+    construction.  Keys merge within a radius, so where a factor's labels
+    merge, as the rounded eigenvalues of a Jordan block, the class of the
+    product's own labels may merge otherwise."""
     tol = tol or DEFAULT_TOL
     cls = nf._memo.get((tol, "k0"))
     if cls is None:

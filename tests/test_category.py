@@ -74,6 +74,7 @@ from eqconn.serialize import encode_normal_form
 from eqconn.torus import is_nori_finite, psi_star
 from reference import (
     _cluster_indices as reference_cluster_indices,
+    frozen_label_array,
     frozen_lex_key,
     frozen_projector_groups,
     frozen_tensor,
@@ -1172,26 +1173,46 @@ def test_tensor_of_a_factor_whose_jordan_group_spans_another_cluster(monkeypatch
     assert calls
 
 
+# per n, the defective pairs and x (x) dual(x) of the test below whose
+# pairwise labels, merged once, have the class of the factors' product
+_OWN_CLASS_AGREES = {2: (20, 18), 3: (15, 14), 4: (10, 13)}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_k0_of_a_tensor_is_the_product_of_the_factors_classes(n):
-    # generic draws of dim n, and defective draws of n - 1 groups: pairs on
-    # seeds 100-119, and x (x) dual(x) on seeds 0-19
+    """The class of a product is the product of its factors' classes.  On
+    generic draws of dim n, that is the class of the labels read off the
+    product's own Schur form and dilation (``frozen_label_array``).  On
+    defective draws of n - 1 groups (pairs on seeds 100-119, x (x)
+    dual(x) on seeds 0-19) it need not be the class of the product's
+    pairwise labels merged once: where a factor's labels merge, as the
+    rounded eigenvalues of a Jordan block, their pairs spread over both
+    factors' rounding and may merge otherwise; the draws that agree are
+    pinned, and every class counts the product's dimension."""
+    agree = [0, 0]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x, y = random_normal_form(rng, n), random_normal_form(rng, n)
         for p, q in ((x, y), (x, x)):
             pq = tensor(p, q)
             assert k0_class(pq) == k0_class(p) * k0_class(q)
+            assert k0_class(pq) == K0Class._of_labels(STRIP, frozen_label_array(pq), DEFAULT_TOL)
             m1 = np.kron(monodromy(p).M1, monodromy(q).M1)
             assert np.linalg.norm(monodromy(pq).M1 - m1) <= 1e-12 * np.linalg.norm(m1)
         rng = np.random.default_rng(100 + seed)
         x = util.random_defective_normal_form(np.random.default_rng(seed), n - 1)
-        for p, q in ((util.random_defective_normal_form(rng, n - 1),
-                      util.random_defective_normal_form(rng, n - 1)), (x, dual(x))):
+        for i, (p, q) in enumerate(((util.random_defective_normal_form(rng, n - 1),
+                                     util.random_defective_normal_form(rng, n - 1)),
+                                    (x, dual(x)))):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TransversalBranchWarning)
                 pq = tensor(p, q)
             assert k0_class(pq) == k0_class(p) * k0_class(q)
+            assert k0_class(pq).total_degree() == pq.n
+            own = K0Class._of_labels(STRIP, np.array(decompose(pq)), DEFAULT_TOL)
+            assert own.total_degree() == pq.n
+            agree[i] += own == k0_class(pq)
+    assert tuple(agree) == _OWN_CLASS_AGREES[n]
 
 
 def test_hom_of_x_tensor_dual_x_to_a_conjugate_is_its_endomorphisms():

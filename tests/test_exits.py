@@ -9,7 +9,8 @@ of the path it replaced.
   must be ``np.linalg.qr``'s (``frozen_hom_basis``).
 - ``_labels`` reads the b-labels off the diagonal when every cluster is one
   entry; they must be ``eigvals``' (``frozen_label_array``), and a
-  product's must be the pairwise rows of its factors' frozen labels.
+  product's must be the pairwise rows of its factors' frozen labels and
+  match, within rounding, the frozen labels of its own Schur form.
 - ``numkit._group_blocks`` reads its groups off in one pass; they must be
   ``np.unique``'s (``frozen_group_blocks``).
 - ``numkit._cluster_triangular`` clusters the diagonal over its near pairs;
@@ -29,11 +30,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import eqconn.category
 import eqconn.numkit
 import eqconn.torus
-from eqconn.category import NormalForm, decompose, hom_basis, hom_mode_dims, k0_class, tensor
+from eqconn.category import (
+    K0Class,
+    NormalForm,
+    decompose,
+    hom_basis,
+    hom_mode_dims,
+    k0_class,
+    tensor,
+)
 from eqconn.exceptions import NumericFailure
 from eqconn.numkit import DEFAULT_TOL, _cluster_triangular, _group_blocks, _schur
 from reference import (
@@ -87,6 +97,17 @@ def assert_product_labels_are_frozen(xy, x, y):
     assert same_bits(eqconn.category._labels(xy, DEFAULT_TOL), want[order])
 
 
+def assert_labels_are_the_products_own(nf):
+    """The labels of a product match, as a multiset within 1e-12 of their
+    scale, those read off its own Schur form and dilation
+    (``frozen_label_array``), and its class is their class."""
+    got, want = eqconn.category._labels(nf, DEFAULT_TOL), frozen_label_array(nf)
+    cost = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert k0_class(nf) == K0Class._of_labels(STRIP, want, DEFAULT_TOL)
+
+
 def diagonal_form(lams, bs):
     return NormalForm(np.diag(np.array(lams, dtype=complex)),
                       np.diag(np.array(bs, dtype=complex)), STRIP, THETA, TAU)
@@ -103,6 +124,7 @@ def test_tensor_hom_and_labels_are_the_frozen_paths(n):
         assert_hom_is_frozen(xx, xx)
         for nf, factors in ((xy, (x, y)), (yx, (y, x)), (xx, (x, x))):
             assert_product_labels_are_frozen(nf, *factors)
+            assert_labels_are_the_products_own(nf)
 
 
 def test_defective_forms_take_the_frozen_paths():
@@ -221,6 +243,12 @@ def test_labels_refuse_a_dilation_that_is_not_finite(bad):
         # a large finite dilation keeps its labels, read off exactly
         nf = diagonal_form([0.2 * TAU, 0.5 * TAU], [1e200, 1e200 * (2 + 1j)])
         assert decompose(nf) == [(0.2 * TAU, 1e200), (0.5 * TAU, 1e200 * (2 + 1j))]
+        # its square's labels, the products of its own, overflow
+        square = tensor(nf, nf)
+        with pytest.raises(NumericFailure, match="no labels"):
+            decompose(square)
+        with pytest.raises(NumericFailure, match="no labels"):
+            k0_class(square)
 
 
 def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
