@@ -51,6 +51,7 @@ from .laurent import (
     _series,
 )
 from .numkit import (
+    _SNAP_TOL,
     DEFAULT_TOL,
     Transversal,
     _block_arrays,
@@ -1001,21 +1002,28 @@ class _HomSide(namedtuple("_HomSide", "means start size u lh ab a_norm b_norm"))
     ``_StripForm`` (of a product, per pair of factor groups): the mean; the
     ``size[g]`` columns of ``u`` from ``start[g]`` on, an orthonormal basis
     of its invariant subspace, and those rows of ``lh``, the left factor of
-    its projector; ``ab = [lh A0 u, lh B0 u]``; ||A0||_F and ||B0||_F."""
+    its projector; ``ab = [lh A0 u, lh B0 u]``; ||A0||_F and ||B0||_F, or
+    None while only a product has read the side: a product's Hom reads
+    none of its factors' norms, so they wait for the object's own Hom, and
+    A0 and B0, read-only since the side was built, still hold their data."""
 
 
 def _hom_side(nf, tol, strip=False):
     """The ``_HomSide`` of a normal form, kept with its arrays and B0 read-only so
     that its norms stay true: read off a product's factors (``_product_side``),
-    else, or with ``strip`` as a product reads a factor, off its ``_StripForm``."""
+    else, or with ``strip`` as a product reads a factor, off its ``_StripForm``;
+    with ``strip``, without the norms if they are not taken yet."""
     kept = None if strip else nf._memo.get((tol, "factors"))
     key = (tol, "side" if kept is None else "hom")
     side = nf._memo.get(key)
     if side is None:
         parts = _strip_side(nf, tol) if kept is None else _product_side(nf, *kept, tol)
-        side = nf._memo[key] = _HomSide(*parts, np.linalg.norm(nf.A0), np.linalg.norm(nf.B0))
-        for array in (nf.B0,) + side[:-2]:
+        side = nf._memo[key] = _HomSide(*parts, None, None)
+        for array in (nf.B0,) + parts:
             array.flags.writeable = False
+    if side.a_norm is None and not strip:
+        side = nf._memo[key] = side._replace(a_norm=np.linalg.norm(nf.A0),
+                                             b_norm=np.linalg.norm(nf.B0))
     return side
 
 
@@ -1090,9 +1098,11 @@ def _hom_components(x, side_x, y, side_y, k, tol):
         if k:
             diag_y[:, 0] += shift * np.eye(my)
             diag_y[:, 1] *= x.q ** k
-        # the rows of phi A_x - A_y phi, then those of phi B_x - B_y phi
-        system = (_kron(_blocks(abx, ix).transpose(0, 1, 3, 2), np.eye(my))
-                  - _kron(np.eye(mx), diag_y))
+        diag_x = _blocks(abx, ix).transpose(0, 1, 3, 2)
+        # the rows of phi A_x - A_y phi, then those of phi B_x - B_y phi; in a
+        # one-column system the Kronecker factors are 1, and it is their difference
+        system = (diag_x - diag_y if mx * my == 1
+                  else _kron(diag_x, np.eye(my)) - _kron(np.eye(mx), diag_y))
         which, kernel = _nullspace_scaled(system.reshape(len(starts), -1, mx * my),
                                           scale + step, tol)
         if len(kernel):
@@ -1108,10 +1118,26 @@ def _graph_components(side_x, side_y, means_y, radius):
     groups whose means lie within ``radius``: ``(lhx, abx, uy, aby,
     classes)``, the bases of ``_component_bases`` on x's and y's side, and
     per shape ``(m_x, m_y)`` the starts in them of the components that join
-    both sides, in the order of the components."""
-    means = np.concatenate([side_x.means, means_y])
-    component = _components(len(means), *_near_pairs(means, radius))
+    both sides, in the order of the components.
+
+    When each near pair joins a group of x to one of y, and no group is in
+    two pairs, the components that join both sides are those pairs, one
+    group on each side, read straight off them: their bases are the sides'
+    own arrays, and they are in the order of their groups of x, their
+    first vertices.  Otherwise the pairs are labelled into components
+    (``numkit._components``)."""
     split = len(side_x.means)
+    i, j = _near_pairs(np.concatenate([side_x.means, means_y]), radius)
+    gx, gy = j.tolist(), (i - split).tolist()
+    if min(gy, default=0) >= 0 and max(gx, default=-1) < split \
+            and len(set(gx)) == len(set(gy)) == len(gx):
+        start_x, size_x, start_y, size_y = (
+            a.tolist() for a in (side_x.start, side_x.size, side_y.start, side_y.size))
+        classes = {}
+        for g, h in sorted(zip(gx, gy)):
+            classes.setdefault((size_x[g], size_y[h]), []).append((start_x[g], start_y[h]))
+        return side_x.lh, side_x.ab, side_y.u, side_y.ab, classes
+    component = _components(split + len(means_y), i, j)
     live = set(component[:split]) & set(component[split:])
     if not live:
         return None, None, None, None, {}
@@ -1126,13 +1152,12 @@ def _graph_components(side_x, side_y, means_y, radius):
     return lhx, abx, uy, aby, classes
 
 
-def _cholesky_pair(v, owner=None):
+def _cholesky_pair(v, owner):
     """``(rho, rho^-1)`` for the Cholesky factor ``rho`` of the Gram matrix
-    of ``v``, restricted to the blocks of columns with equal ``owner`` if
-    given: each block of ``v rho^-1`` is orthonormal."""
+    of ``v`` restricted to the blocks of columns with equal ``owner``: each
+    block of ``v rho^-1`` is orthonormal."""
     gram = v.conj().T @ v
-    if owner is not None:
-        gram *= owner[:, None] == owner
+    gram *= owner[:, None] == owner
     rho, info = scipy.linalg.lapack.zpotrf(gram)
     if info != 0:
         raise NumericFailure("invariant subspace basis is degenerate (zpotrf info %d)"
@@ -1169,9 +1194,11 @@ def _component_bases(side, keys):
     projectors, and ``ab``, A0 and B0 on them.
 
     A component is a union of groups.  When each is a single group, these
-    are the side's own arrays; otherwise the factors of each component's
-    groups are taken side by side and orthonormalized together, one
-    Cholesky factor per component.
+    are the side's own arrays; otherwise the columns of each component's
+    groups are taken side by side, and those of a component of several
+    groups are orthonormalized together by the Cholesky factor of their
+    Gram matrix, the components of one size in one batched factorization
+    and inversion.
 
     Returns ``(u, lh, ab, at, size)``: component i has the ``size[i]``
     columns of ``u`` from ``at[i]`` on, and ``ab = [lh A0 u, lh B0 u]``
@@ -1184,16 +1211,26 @@ def _component_bases(side, keys):
         at[keys[live]], size[keys[live]] = side.start[live], side.size[live]
         return side.u, side.lh, side.ab, at.tolist(), size.tolist()
     live = live[np.argsort(keys[live], kind="stable")]
-    cols = np.concatenate([np.arange(side.start[g], side.start[g] + side.size[g])
-                           for g in live])
-    size = np.bincount(np.repeat(keys[live], side.size[live]), minlength=count)
+    sizes = side.size[live]
+    ends = np.cumsum(sizes)
+    taken = np.arange(ends[-1]) + np.repeat(side.start[live] - ends + sizes, sizes)
+    size = np.bincount(keys[live], sizes, minlength=count).astype(int)
     at = np.cumsum(size) - size
-    u, lh, ab = side.u[:, cols], side.lh[cols], side.ab[:, cols[:, None], cols]
-    for start, m in zip(at.tolist(), size.tolist()):
-        c = slice(start, start + m)
-        rho, rho_inv = _cholesky_pair(u[:, c])
-        u[:, c], lh[c] = u[:, c] @ rho_inv, rho @ lh[c]
-        ab[:, c, c] = rho @ ab[:, c, c] @ rho_inv
+    joined = np.bincount(keys[live], minlength=count) > 1
+    u, lh, ab = side.u[:, taken], side.lh[taken], side.ab[:, taken[:, None], taken]
+    for m in np.unique(size[joined]).tolist():
+        # the columns of the joined components of size m, one row each
+        c = at[joined & (size == m)][:, None] + np.arange(m)
+        uc = u[:, c].transpose(1, 0, 2)
+        try:
+            # the upper factors rho of the Gram matrices, gram = rho^H rho
+            rho = np.linalg.cholesky(uc.conj().transpose(0, 2, 1) @ uc).conj().transpose(0, 2, 1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure("invariant subspace basis is degenerate: %s" % exc)
+        rho_inv = np.linalg.inv(rho)
+        u[:, c], lh[c] = (uc @ rho_inv).transpose(1, 0, 2), rho @ lh[c]
+        rows, cols = c[:, :, None], c[:, None, :]
+        ab[:, rows, cols] = rho @ ab[:, rows, cols] @ rho_inv
     return u, lh, ab, at.tolist(), size.tolist()
 
 
@@ -1204,19 +1241,28 @@ def _nullspace_scaled(m, scale, tol):
     Singular values above ``eps_res * scale`` count to each rank: the
     decision is scaled by the object data, not by the matrices themselves,
     which are pure noise for numerically equal objects.
+
+    A stack of one-column matrices, the systems of components of one group
+    on each side, takes no SVD: a column's singular value is its 2-norm
+    (``np.hypot``, which neither overflows nor underflows), and zgesdd's
+    right singular vector of one column is exactly 1.
     """
-    try:
-        _, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError:
-        # the divide-and-conquer SVD can fail to converge where plain QR
-        # iteration does not
+    if m.shape[-1] == 1:
+        s = np.hypot.reduce(np.abs(m), axis=-2)
+        vh = np.ones(s.shape + (1,), dtype=complex)
+    else:
         try:
-            parts = [scipy.linalg.svd(mk, lapack_driver="gesvd") for mk in m]
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure("SVD of the intertwining system did not "
-                                 "converge: %s" % exc)
-        s = np.array([part[1] for part in parts])
-        vh = np.array([part[2] for part in parts])
+            _, s, vh = np.linalg.svd(m)
+        except np.linalg.LinAlgError:
+            # the divide-and-conquer SVD can fail to converge where plain QR
+            # iteration does not
+            try:
+                parts = [scipy.linalg.svd(mk, lapack_driver="gesvd") for mk in m]
+            except np.linalg.LinAlgError as exc:
+                raise NumericFailure("SVD of the intertwining system did not "
+                                     "converge: %s" % exc)
+            s = np.array([part[1] for part in parts])
+            vh = np.array([part[2] for part in parts])
     rank = (s > tol.eps_res * scale).sum(axis=-1)
     null = np.arange(vh.shape[-1]) >= rank[:, None]
     return np.nonzero(null)[0], vh[null].conj()
@@ -1434,61 +1480,101 @@ class K0Class:
     def __init__(self, transversal, entries=(), tol=None):
         entries = list(entries)
         keys = np.array([(b, zp) for b, zp, _ in entries], dtype=complex).reshape(-1, 2)
-        self._set(transversal, keys, [int(m) for _, _, m in entries], tol)
+        self._set(transversal, keys, np.array([int(m) for _, _, m in entries], dtype=np.int64),
+                  tol)
 
     @classmethod
     def _of_labels(cls, transversal, labels, tol):
-        """The class of the rows ``(z', b)`` of a complex array, each once."""
+        """The class of the rows ``(z', b)`` of a complex array, each once,
+        in ``_labels``' order, which ``_set`` keeps when no z' moves."""
         self = cls.__new__(cls)
-        self._set(transversal, labels[:, ::-1], np.ones(len(labels), dtype=np.int64), tol)
+        self._set(transversal, labels[:, ::-1], np.ones(len(labels), dtype=np.int64), tol,
+                  ordered=True)
         return self
 
-    def _set(self, transversal, keys, mults, tol):
+    def _set(self, transversal, keys, mults, tol, ordered=False):
         """Reduce the z' of the rows ``(b, z')`` of ``keys``, merge the keys
-        and keep the entries."""
+        and keep the entries as arrays: ``_keys``, rows ``(b, z')`` in order,
+        and their nonzero multiplicities ``_mults``.  Rows ``ordered`` on
+        z', then b, as ``_labels`` gives them, keep their order when no z'
+        moves: the representatives of the merge are then a subsequence of
+        rows sorted on their own keys, and a stable sort of them is the
+        identity, so ``numkit._lex_order`` is skipped."""
         self.transversal = transversal
         self.tol = tol or DEFAULT_TOL
+        rep, inside = self._canon(keys[:, 1])
+        ordered = ordered and (inside or (rep == keys[:, 1]).all())
         keys = keys.copy()
-        keys[:, 1] = self._canon(keys[:, 1])
-        keys, mults = _merge_keys(keys, mults,
-                                  self.tol.eps_key * np.maximum(1.0, np.abs(keys)))
-        order = _lex_order(keys[:, ::-1])
-        self.entries = tuple((b, zp, m) for b, zp, m in zip(
-            keys[order, 0].tolist(), keys[order, 1].tolist(), mults[order].tolist()) if m)
+        keys[:, 1] = rep
+        merged, mults = _merge_keys(keys, mults,
+                                    self.tol.eps_key * np.maximum(1.0, np.abs(keys)))
+        if not ordered:
+            order = _lex_order(merged[:, ::-1])
+            merged, mults = merged[order], mults[order]
+        if not mults.all():
+            kept = mults != 0
+            merged, mults = merged[kept], mults[kept]
+        self._keys, self._mults = merged, mults
+
+    @property
+    def entries(self):
+        """The entries ``(b, z', multiplicity)`` in order, as Python numbers."""
+        return tuple(zip(self._keys[:, 0].tolist(), self._keys[:, 1].tolist(),
+                         self._mults.tolist()))
 
     def _canon(self, zp):
-        """The array ``zp`` reduced into the strip, values within
-        ``eps_key / |tau|`` of its right edge folded to the left edge, each
-        to the bits its reduction alone gives."""
-        tau = self.transversal.tau
-        rep = zp - self.transversal.shift(zp) * tau
-        far = self.transversal.position(rep) > 1.0 - self.tol.eps_key / abs(tau)
+        """``(rep, inside)``: the array ``zp`` reduced into the strip, values
+        within ``eps_key / |tau|`` of its right edge folded to the left
+        edge, each to the bits its reduction alone gives; and whether every
+        position lies ``_SNAP_TOL`` inside the left edge and inside the
+        fold, where no value snaps, shifts or folds: each shift is 0.0, and
+        no value moves but for the sign of a zero part."""
+        strip, tau = self.transversal, self.transversal.tau
+        edge = 1.0 - self.tol.eps_key / abs(tau)
+        pos = strip.position(zp)
+        if pos.max(initial=0.0) <= min(edge, 1.0 - 2 * _SNAP_TOL) \
+                and pos.min(initial=1.0) >= _SNAP_TOL:
+            return zp - np.zeros(len(zp)) * tau, True
+        rep = zp - strip.shift_at(pos) * tau
+        far = strip.position(rep) > edge
         if np.count_nonzero(far):
             np.subtract(rep, tau, out=rep, where=far)
-        return rep
+        return rep, False
+
+    def _of_keys(self, keys, mults):
+        """The class over this one's strip of the rows ``(b, z')`` of
+        ``keys`` with multiplicities ``mults``."""
+        out = K0Class.__new__(K0Class)
+        out._set(self.transversal, keys, mults, self.tol)
+        return out
 
     def __add__(self, other):
         self._check(other)
-        return K0Class(self.transversal, self.entries + other.entries, self.tol)
+        return self._of_keys(np.concatenate([self._keys, other._keys]),
+                             np.concatenate([self._mults, other._mults]))
 
     def __mul__(self, other):
         """The class of a tensor product: every entry of one times every
         entry of the other, b labels multiplied, z' labels added and reduced
         into the strip, multiplicities multiplied; a product of labels that
-        overflows raises ``NumericFailure``."""
+        overflows raises ``NumericFailure``.  The b products are rounded as
+        Python's complex product rounds them, each real product and sum on
+        its own, where numpy's complex loop may fuse them."""
         self._check(other)
-        pairs = [(b1 * b2, z1 + z2) for b1, z1, _ in self.entries for b2, z2, _ in other.entries]
-        keys = np.array(pairs, dtype=complex).reshape(-1, 2)
+        k1, k2 = self._keys, other._keys
+        # [re, im] x [re, im] of every pair of b labels, one product each
+        p = (k1.view(float).reshape(-1, 2, 2)[:, None, 0, :, None]
+             * k2.view(float).reshape(-1, 2, 2)[None, :, 0, None, :])
+        keys = np.empty((len(k1), len(k2), 2), dtype=complex)
+        np.subtract(p[..., 0, 0], p[..., 1, 1], out=keys.view(float)[..., 0])
+        np.add(p[..., 0, 1], p[..., 1, 0], out=keys.view(float)[..., 1])
+        np.add(k1[:, None, 1], k2[:, 1], out=keys[..., 1])
         if not np.isfinite(keys).all():
             raise NumericFailure("no labels: a product of the factors' labels is not finite")
-        out = K0Class.__new__(K0Class)
-        out._set(self.transversal, keys,
-                 [m1 * m2 for _, _, m1 in self.entries for _, _, m2 in other.entries], self.tol)
-        return out
+        return self._of_keys(keys.reshape(-1, 2), (self._mults[:, None] * other._mults).ravel())
 
     def __neg__(self):
-        return K0Class(self.transversal,
-                       [(b, zp, -m) for b, zp, m in self.entries], self.tol)
+        return self._of_keys(self._keys, -self._mults)
 
     def __sub__(self, other):
         return self + (-other)
@@ -1498,10 +1584,10 @@ class K0Class:
             raise TransversalMismatch("K-classes live over different strips")
 
     def total_degree(self):
-        return sum(m for _, _, m in self.entries)
+        return sum(self._mults.tolist())
 
     def same_class(self, other):
-        return not (self - other).entries
+        return not len((self - other)._mults)
 
     def __eq__(self, other):
         """Equal classes over one strip; classes over two strips differ."""

@@ -80,6 +80,11 @@ class Tolerances:
                 raise ValidationFailure("%s must be strictly positive" % name)
         if self.eps_spec >= 1e-2:
             raise ValidationFailure("eps_spec must be below 1e-2")
+        # the memo keys of every normal form hold one: hash it once
+        object.__setattr__(self, "_hash", hash((self.eps_spec, self.eps_res, self.eps_key)))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT_TOL = Tolerances()
@@ -158,8 +163,13 @@ class Transversal:
         A position past the float range is inf or nan, without numpy's
         warning.
         """
+        return self.shift_at(self.position(z))
+
+    @staticmethod
+    def shift_at(pos):
+        """``shift`` of the values at the strip positions ``pos``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.floor(_snap(self.position(z)))
+            return np.floor(_snap(pos))
 
     def reduce(self, lam):
         """Return ``(representative, shift)`` for a number ``lam``, with

@@ -488,17 +488,28 @@ class Divisor:
         self._set(reduced, mults)
 
     def _set(self, reduced, mults):
-        """Merge the reduced points, an array, and keep them in order."""
+        """Merge the reduced points, an array, and keep them in order as
+        arrays: the points ``_points`` and their nonzero multiplicities
+        ``_mults``."""
         keys, mults = _merge_keys(reduced.reshape(-1, 1), mults, self.tol.eps_key)
         order = _lex_order(keys)
-        self.points = tuple((p, m) for p, m in zip(keys[order, 0].tolist(),
-                                                   mults[order].tolist()) if m)
+        points, mults = keys[order, 0], mults[order]
+        if not mults.all():
+            kept = mults != 0
+            points, mults = points[kept], mults[kept]
+        self._points, self._mults = points, mults
+
+    @property
+    def points(self):
+        """The points ``(p, multiplicity)`` in order, as Python numbers."""
+        return tuple(zip(self._points.tolist(), self._mults.tolist()))
 
     def degree(self):
-        return sum(m for _, m in self.points)
+        return sum(self._mults.tolist())
 
     def weighted_sum(self):
-        return sum(p * m for p, m in self.points)
+        # a Python sum, term by term in order, as of the points one by one
+        return sum((self._points * self._mults).tolist())
 
     def _check(self, other):
         if not same_context((self.tau, other.tau)):
@@ -508,15 +519,15 @@ class Divisor:
         self._check(other)
         total = Divisor.__new__(Divisor)
         total.tau, total.tol = self.tau, self.tol
-        points = self.points + other.points
-        total._set(np.array([p for p, _ in points], dtype=complex), [m for _, m in points])
+        total._set(np.concatenate([self._points, other._points]),
+                   np.concatenate([self._mults, other._mults]))
         return total
 
     def __neg__(self):
         # the points stay reduced, merged and sorted: only multiplicities turn
         neg = Divisor.__new__(Divisor)
         neg.tau, neg.tol = self.tau, self.tol
-        neg.points = tuple((p, -m) for p, m in self.points)
+        neg._points, neg._mults = self._points, -self._mults
         return neg
 
     def __sub__(self, other):
@@ -525,7 +536,7 @@ class Divisor:
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return same_context((self.tau, other.tau)) and not (self - other).points
+        return same_context((self.tau, other.tau)) and not len((self - other)._mults)
 
     def __repr__(self):
         return "Divisor(tau=%s, %s)" % (self.tau, list(self.points))
@@ -536,8 +547,7 @@ def k0_to_divisor(cls):
     maps to the point ``-z'`` on the curve; the ``b`` coordinate carries no
     divisor information and is forgotten."""
     div = Divisor.__new__(Divisor)
-    div._reduce(cls.transversal.tau, [-zp for _, zp, _ in cls.entries],
-                [m for _, _, m in cls.entries], cls.tol)
+    div._reduce(cls.transversal.tau, -cls._keys[:, 1], cls._mults, cls.tol)
     return div
 
 

@@ -36,7 +36,8 @@ Q^H``.  The factor route must match its A0 and its shifts to rounding.
 the library's paths as they stood before each took an exit on a property
 of its input: the ``np.unique`` read-off of the groups after a ztrsen
 reorder, the eps_spec graph over every pair of diagonal entries, the
-component graph over every pair of Hom groups, ``np.linalg.qr`` for the
+component graph over every pair of Hom groups with an SVD of every
+component's system (``frozen_nullspace_scaled``), ``np.linalg.qr`` for the
 Hom basis, and ``eigvals`` for the labels of every cluster, one entry
 included.  ``frozen_merge_keys`` is ``numkit._merge_keys`` as it stood
 with the m x m box test over every pair of keys.  The library finds the
@@ -173,7 +174,6 @@ from eqconn.category import (
     _component_bases,
     _hom_side,
     _kron,
-    _nullspace_scaled,
     _side_keys,
     validate,
     validate_normal_form,
@@ -514,12 +514,23 @@ def frozen_hom_components(x, side_x, y, side_y, k, tol=DEFAULT_TOL):
             diag_y[:, 1] *= x.q ** k
         system = (_kron(_blocks(abx, ix).transpose(0, 1, 3, 2), np.eye(my))
                   - _kron(np.eye(mx), diag_y))
-        which, kernel = _nullspace_scaled(system.reshape(len(starts), -1, mx * my),
-                                          scale + step, tol)
+        which, kernel = frozen_nullspace_scaled(system.reshape(len(starts), -1, mx * my),
+                                                scale + step, tol)
         if len(kernel):
             kernel = kernel.reshape(-1, mx, my).transpose(0, 2, 1)
             out.append((uy[:, iy[which]].transpose(1, 0, 2), kernel, lhx[ix[which]]))
     return out
+
+
+def frozen_nullspace_scaled(m, scale, tol=DEFAULT_TOL):
+    """``category._nullspace_scaled`` as it stood with the SVD alone: the
+    kernels of a stack of matrices, one-column ones included, as ``(which,
+    rows)``, singular values above ``eps_res * scale`` counted to each
+    rank."""
+    _, s, vh = np.linalg.svd(m)
+    rank = (s > tol.eps_res * scale).sum(axis=-1)
+    null = np.arange(vh.shape[-1]) >= rank[:, None]
+    return np.nonzero(null)[0], vh[null].conj()
 
 
 def frozen_hom_basis(x, y, tol=DEFAULT_TOL):

@@ -910,6 +910,31 @@ def test_b0_is_read_only_once_hom_basis_or_from_monodromy_holds_data_of_it():
     assert not any(array.flags.writeable for array in side)
 
 
+def test_a_factor_reads_its_norms_after_a_product_built_its_hom_side():
+    """A product reads its factors' Hom sides without their norms; the
+    factor's own ``hom_basis`` then takes the true ||A0||_F and ||B0||_F.
+    Here ||B0||_F is about 1e12 and ||A0||_F about 1: the rounding of the
+    intertwining system, about 1e-4, passes eps_res at the scale of A0, so
+    a side without B0's norm would lose part of End(x), of dim 3."""
+    rng = np.random.default_rng(3)
+    s = util.well_conditioned(rng, 3)
+    s_inv = np.linalg.inv(s)
+    a0 = s @ np.diag([0.3 * TAU, 0.3 * TAU, 0.6 * TAU]) @ s_inv
+    x = NormalForm(a0, 1e12 * s @ np.diag([1.0, 2.0 + 1.0j, 0.5]) @ s_inv, STRIP, THETA, TAU)
+    fresh = NormalForm(x.A0.copy(), x.B0.copy(), STRIP, THETA, TAU)
+    t = tensor(x, random_normal_form(rng, 2))
+    hom_basis(t, t)
+    built = x._memo[(DEFAULT_TOL, "side")]
+    assert built.a_norm is None and built.b_norm is None
+    assert len(hom_basis(x, x)) == len(hom_basis(fresh, fresh)) == 3
+    side = eqconn.category._hom_side(x, DEFAULT_TOL)
+    assert side.a_norm == np.linalg.norm(x.A0) and side.b_norm == np.linalg.norm(x.B0)
+    assert side.u is built.u
+    blind = side._replace(a_norm=0.0, b_norm=0.0)
+    kernels = eqconn.category._hom_components(x, blind, x, blind, 0, DEFAULT_TOL)
+    assert sum(len(kernel) for _, kernel, _ in kernels) < 3
+
+
 def test_each_object_builds_its_hom_side_once(monkeypatch):
     """A tensor-decompose job's ``hom_basis(t, y (x) x)`` and ``hom_basis(t,
     t)`` build each product's ``_HomSide`` once, read off its factors', and
@@ -1546,11 +1571,25 @@ def test_hom_retries_a_failed_svd_with_qr_iteration(monkeypatch):
 
 
 def test_hom_reports_an_svd_that_fails_twice(monkeypatch):
+    # the components of x (x) x join (g, h) and (h, g): systems of four
+    # columns, which take the SVD (a one-column system takes none)
+    x = random_normal_form(np.random.default_rng(40), 2)
+    xx = tensor(x, x)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or _svd_fails())
+    monkeypatch.setattr(scipy.linalg, "svd", _svd_fails)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        hom_basis(xx, xx)
+    assert calls and calls[0][0].shape[-1] == 4
+
+
+def test_hom_of_a_one_dim_object_takes_no_svd(monkeypatch):
+    # its one component is one column: its norm decides the kernel
     x = one_dim(0.2 * TAU, 2.0)
     monkeypatch.setattr(np.linalg, "svd", _svd_fails)
     monkeypatch.setattr(scipy.linalg, "svd", _svd_fails)
-    with pytest.raises(NumericFailure, match="did not converge"):
-        hom_basis(x, x)
+    assert [m.phi.tolist() for m in hom_basis(x, x)] == [[[1.0]]]
+    assert hom_basis(x, one_dim(0.3 * TAU, 2.0)) == []
 
 
 def span_distance(basis, other):
@@ -1651,6 +1690,22 @@ def test_hom_of_tensors_of_defective_forms_matches_the_dense_oracle(patterns):
     iso = is_isomorphic(xx, xs)
     assert iso is not None and iso.is_valid()
     assert is_isomorphic(xx, NormalForm(xs.A0, xs.B0 * 1.5, STRIP, THETA, TAU)) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_hom_of_a_square_factors_its_components_of_one_size_at_once(monkeypatch, n):
+    """x (x) x joins (g, h) and (h, g): components of one and of two groups;
+    those of two are orthonormalized in one batched Cholesky factorization
+    per side, those of one keep their orthonormal columns; the basis spans
+    the dense oracle's space within eps_res."""
+    x = random_normal_form(np.random.default_rng(70 + n), n)
+    xx = tensor(x, x)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda g: calls.append(g.shape) or cholesky(g))
+    got = assert_hom_matches_oracle(xx, xx, span_tol=DEFAULT_TOL.eps_res)
+    assert len(got) == n * n + n * (n - 1)
+    assert calls == [(n * (n - 1) // 2, 2, 2)] * 2
 
 
 def split_cluster_form(gap, t13):

@@ -3,8 +3,15 @@ near-value sweep that stands in for an N x N proximity graph, gives the bits
 of the path it replaced.
 
 - ``category._hom_components`` finds the Hom components over the near
-  pairs of the group means (``numkit._near_pairs``, one sort); it must
-  give the stacks of ``frozen_hom_components``, the graph over every pair.
+  pairs of the group means (``numkit._near_pairs``, one sort), reads those
+  of one group per side straight off the pairs (``_graph_components``)
+  and decides a one-column system's kernel by its norm
+  (``_nullspace_scaled``); it must give the stacks of
+  ``frozen_hom_components``, the graph over every pair and an SVD of
+  every system (``frozen_nullspace_scaled``).
+- ``K0Class._of_labels`` keeps the order of labels that ``_canon`` does
+  not move; its entries must be the pairwise loop's
+  (``reference_k0_entries``).
 - ``hom_basis`` orthonormalizes by LAPACK's zgeqrf and zungqr; the basis
   must be ``np.linalg.qr``'s (``frozen_hom_basis``).
 - ``_labels`` reads the b-labels off the diagonal when every cluster is one
@@ -54,6 +61,8 @@ from reference import (
     frozen_label_array,
     frozen_lex_key,
     frozen_merge_keys,
+    frozen_nullspace_scaled,
+    reference_k0_entries,
 )
 from util import STRIP, TAU, THETA, conjugate, random_defective_normal_form, \
     random_normal_form, well_conditioned
@@ -158,6 +167,21 @@ def test_groups_either_side_of_three_radii_match_the_graph(apart, side):
     assert_hom_is_frozen(x, y)
 
 
+def test_a_group_near_two_groups_apart_is_one_component_of_three():
+    """x's one group lies within the component radius, 1e-4 at scale 1, of
+    both groups of y, which lie 1e-4 (1 + 4e-6) apart: every near pair
+    joins x to y, but x is in two, so the pairs are no components of one
+    group per side; the graph's component of three groups holds the one
+    morphism (x matches y's first group to 5e-10)."""
+    lam = 0.3 * TAU
+    x = diagonal_form([lam], [1.5])
+    y = diagonal_form([lam + 5e-10, lam - 0.9999999e-4], [1.5, 2.0])
+    assert eqconn.category._data_scale(_hom_side(x, DEFAULT_TOL),
+                                       _hom_side(y, DEFAULT_TOL))[0] == 1.0
+    assert_components_are_frozen(x, y, 0)
+    assert len(hom_basis(x, y)) == 1
+
+
 def test_hom_mode_dims_at_nonzero_modes_are_the_frozen_components():
     # y's eigenvalues one and two strip widths off x's, so that modes
     # -1 and -2 have components on both sides; the dims are those of the
@@ -255,10 +279,15 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     """Over the tensor-decompose benchmark's seeds 1-3, rounds 0-5, drawn by
     ``bench/workloads.py`` and run as its jobs: the 684 label reads, one per
     factor, as a product's class is the product of its factors' kept ones,
-    take the diagonal; and 444 of the 828 ``_group_blocks`` calls reorder.
-    On every call of those jobs, the 504 Hom component searches, the 2322
-    clusterings of Schur forms and the 2268 key merges of K0 and the
-    divisors give the bits of their frozen paths on the same inputs."""
+    take the diagonal; 444 of the 828 ``_group_blocks`` calls reorder;
+    every one of the 504 component searches finds components of one group
+    per side only, read off the near pairs, and every one of their 504
+    systems is one column, whose kernel its norm decides; and 684 of the
+    684 factor classes keep their labels' order, with no second sort.  On
+    every call of those jobs, the 504 Hom component searches, the 504
+    kernels, the 684 factor classes, the 2322 clusterings of Schur forms and
+    the 2268 key merges of K0 and the divisors give the bits of their
+    frozen paths on the same inputs."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -271,6 +300,8 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(scipy.linalg.lapack, "ztrsen",
                         counting("ztrsen", scipy.linalg.lapack.ztrsen))
+    for name in ("_components", "_lex_order"):
+        monkeypatch.setattr(eqconn.category, name, counting(name, getattr(eqconn.category, name)))
 
     def spy(modules, name, route):
         inner = getattr(modules[0], name)
@@ -296,12 +327,26 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     def same_merge(got, want):
         return same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
+    def kernel_route(args, out, made):
+        route = "one_column" if args[0].shape[-1] == 1 else "svd"
+        return route if same_merge(out, frozen_nullspace_scaled(*args)) else route + " differs"
+
+    def class_route(args, out, made):
+        route = "sorted" if made["_lex_order"] else "kept_order"
+        transversal, labels, tol = args
+        want = reference_k0_entries(transversal, [(b, zp, 1) for zp, b in labels.tolist()], tol)
+        return route if repr(out.entries) == repr(want) else route + " differs"
+
     spy([eqconn.category], "_labels",
         lambda args, out, made: "eigvals" if made["eigvals"] else "diagonal")
     spy([eqconn.numkit, eqconn.category], "_group_blocks",
         lambda args, out, made: "reorders" if made["ztrsen"] else "in_order")
     spy([eqconn.category], "_hom_components",
         frozen("hom", frozen_hom_components, same_stacks))
+    spy([eqconn.category], "_graph_components",
+        lambda args, out, made: "graph" if made["_components"] else "one_group")
+    spy([eqconn.category], "_nullspace_scaled", kernel_route)
+    spy([K0Class], "_of_labels", class_route)
     spy([eqconn.numkit, eqconn.category], "_cluster_triangular",
         frozen("cluster", frozen_cluster_triangular, same_form))
     spy([eqconn.numkit, eqconn.category, eqconn.torus], "_merge_keys",
@@ -312,4 +357,5 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
             for job in workloads.tensor_round(rng):
                 job.run()
     assert counts == {"diagonal": 684, "reorders": 444, "in_order": 384,
-                      "hom": 504, "cluster": 2322, "merge": 2268}
+                      "hom": 504, "one_group": 504, "one_column": 504, "kept_order": 684,
+                      "cluster": 2322, "merge": 2268}

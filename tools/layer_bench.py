@@ -56,14 +56,24 @@ round-trip job: ``category.from_monodromy`` of the pair,
 ``category.monodromy`` of the normal form it returned, and
 ``torus.is_nori_finite`` of that pair.
 
+The job points time whole tensor-decompose jobs, ``job.run()`` of a job
+made by ``bench/workloads.py``'s constructors (``tensor_job``,
+``roundtrip_job``), which is loaded read-only from the checkout's
+``bench/``: ``job[xy/4]``, ``job[xy/16]`` and ``job[xx/16]`` on seeded
+factors of ``random_normal_form``, each call on fresh copies of them, so
+that every memoized form is paid for as the benchmark's job pays for it,
+and ``job[rt/12]`` on a seeded pair of ``random_commuting_pair``.  They
+are keyed by the job's dim (n for ``rt``), so that per-step and per-job
+ratios come from one paired run.
+
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
 
-The points fall in four groups, timed each in a fresh process of its own:
+The points fall in five groups, timed each in a fresh process of its own:
 laurent and category at n (``laurent``), the tensor points (``tensor``),
-the round-trip points (``roundtrip``) and the numkit points (``numkit``),
-so that no point's time depends on what an earlier group left in the heap
-or the caches.
+the round-trip points (``roundtrip``), the numkit points (``numkit``) and
+the job points (``job``), so that no point's time depends on what an
+earlier group left in the heap or the caches.
 
 Writes ``BENCH_<label>.json`` at the repo root with the method, the machine
 and the points.  With ``--compare PARENT_DIR`` the same points are timed on
@@ -94,7 +104,9 @@ TENSOR_SIZES = (2, 4, 8, 12)
 # the points of the xy/4 job, the only ones timed at n = 2
 SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
                 "torus.k0_to_divisor", "torus.divisor_equivalent", "category.hom_basis")
-GROUPS = ("laurent", "tensor", "roundtrip", "numkit")
+GROUPS = ("laurent", "tensor", "roundtrip", "numkit", "job")
+# the whole-job points: (kind, factor n) of the tensor-decompose job
+JOBS = (("xy", 2), ("xy", 4), ("xx", 4), ("rt", 12))
 ROUNDTRIP_SIZES = (4, 8, 12)
 NUMKIT_SIZES = (2, 4, 8, 12)
 # Jordan block sizes per eigenvalue of the [defective] numkit points, by n
@@ -239,6 +251,39 @@ def numkit_points(n):
     return points
 
 
+def job_points(checkout):
+    """The job points, ``{"job[<kind>/<dim>]": (dim, fn)}``, each call of
+    ``fn`` one run of a fresh job of ``bench/workloads.py``."""
+    import dataclasses
+    import importlib.util
+
+    import numpy as np
+    from util import random_commuting_pair, random_normal_form
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(checkout, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = {}
+    for kind, n in JOBS:
+        rng = np.random.default_rng((SEED, n, len(kind)))
+        if kind == "rt":
+            m1, m2 = random_commuting_pair(rng, n)
+            points["job[rt/%d]" % n] = (n, lambda m1=m1, m2=m2: workloads.roundtrip_job(
+                m1, m2, None).run())
+            continue
+        x = random_normal_form(rng, n)
+        y = x if kind == "xx" else random_normal_form(rng, n)
+
+        def run(x=x, y=y, kind=kind):
+            fx = dataclasses.replace(x)
+            return workloads.tensor_job(fx, fx if y is x else dataclasses.replace(y),
+                                        kind, None).run()
+
+        points["job[%s/%d]" % (kind, n * n)] = (n * n, run)
+    return points
+
+
 def timing(fn, repeats):
     """``repeats`` means in ms, each over a batch of calls."""
     fn()
@@ -277,10 +322,13 @@ def measure(checkout, repeats, group):
         for n in ROUNDTRIP_SIZES:
             for name, fn in roundtrip_points(n).items():
                 points.setdefault(name, {})[str(n)] = timing(fn, repeats)
-    else:
+    elif group == "numkit":
         for n in NUMKIT_SIZES:
             for name, fn in numkit_points(n).items():
                 points.setdefault(name, {})[str(n)] = timing(fn, repeats)
+    else:
+        for name, (n, fn) in job_points(checkout).items():
+            points[name] = {str(n): timing(fn, repeats)}
     return points
 
 
@@ -344,6 +392,8 @@ def main(argv=None):
                          "hom_square_dims": list(HOM_SQUARE_DIMS),
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
                          "numkit_sizes": list(NUMKIT_SIZES),
+                         "jobs": ["%s/%d" % (kind, n if kind == "rt" else n * n)
+                                  for kind, n in JOBS],
                          "defective_patterns": {str(n): p
                                                 for n, p in DEFECTIVE_PATTERNS.items()},
                          "groups": list(GROUPS), "process": "fresh per group and side",

@@ -56,11 +56,17 @@ def leaves(x, dense=False):
     digests compare values across changes of their storage.  With
     ``dense``, a ``FreeBundle`` is walked by its fields instead, its
     coefficients one stack, so that a coefficient that is zero on one side
-    only is a deviation, not a change of the encoding's structure."""
+    only is a deviation, not a change of the encoding's structure.  A
+    ``K0Class`` is walked by its public view (``entries``, ``tol``,
+    ``transversal``) and a ``Divisor`` by its (``points``, ``tau``,
+    ``tol``), the names in the order of the attributes they once were."""
     import numpy as np
+    from eqconn.category import K0Class
     from eqconn.laurent import PolyMat
     from eqconn.serialize import encode_free_bundle
-    from eqconn.torus import FreeBundle
+    from eqconn.torus import Divisor, FreeBundle
+
+    public = {K0Class: ("entries", "tol", "transversal"), Divisor: ("points", "tau", "tol")}
 
     if isinstance(x, FreeBundle):
         yield b"FreeBundle"
@@ -85,7 +91,9 @@ def leaves(x, dense=False):
         yield b"]"
     else:
         yield type(x).__name__.encode()
-        if dataclasses.is_dataclass(x):
+        if type(x) in public:
+            names = public[type(x)]
+        elif dataclasses.is_dataclass(x):
             # memoized derived data (compare=False) is not part of the value
             names = [f.name for f in dataclasses.fields(x) if f.compare]
         elif hasattr(x, "__slots__"):
