@@ -345,7 +345,8 @@ class NormalForm:
 def validate_normal_form(nf, tol=None):
     """Check a normal form, returning its residuals: square A0 and B0 of one
     size, the eigenvalues of A0 (``nf.schur_form(tol)``, else the means of
-    their ``_bounded_groups``) in the strip, A0 and B0 commuting
+    their ``_bounded_groups``) in the strip, each array tested by one
+    ``Transversal.contains`` as each value alone, A0 and B0 commuting
     (``EquivarianceViolation``), B0 invertible (``SingularB``) by its
     singular values, those ``from_monodromy`` held if it made the form.  A
     strip of another modulus than the form's tau is refused with
@@ -360,10 +361,10 @@ def validate_normal_form(nf, tol=None):
     diag = {}
     if n:
         t, q, blocks = nf.schur_form(tol)
-        if not all(nf.transversal.contains(lam, margin=tol.eps_spec) for lam in np.diag(t)):
+        if not nf.transversal.contains(t.diagonal(), tol.eps_spec).all():
             # rounding may spread a Jordan block over an edge: its group's mean decides
-            outside = sum(s1 - s0 for s0, s1, lam in _bounded_groups(t, q, blocks, tol)[3]
-                          if not nf.transversal.contains(lam, margin=tol.eps_spec))
+            _, sizes, means = _block_arrays(_bounded_groups(t, q, blocks, tol)[3])
+            outside = sizes[~nf.transversal.contains(means, tol.eps_spec)].sum()
             if outside:
                 raise ValidationFailure("normal form has %d eigenvalue(s) outside the strip"
                                         % outside)
@@ -411,7 +412,8 @@ def normalize(obj, transversal=None, order=16, tol=None):
     balanced frame (``GaugeRecord.radius``).  ``gauge_residual`` and
     ``b_residual`` are the largest coefficient norms left there beside A0
     and B0, the norm weighted by ``rho**k``; their ``*_unit`` values
-    reweight power k by ``rho**-k``.
+    reweight power k by ``rho**-k``, and one that has no float value there
+    raises ``NumericFailure``.
 
     Then one pipeline, for every input (Poincare-Dulac-Levelt: one series
     gauge that kills every coupling but those one shear makes constant, then
@@ -480,6 +482,9 @@ def normalize(obj, transversal=None, order=16, tol=None):
         raise NonConstantB(
             "dilation matrix retains non-constant terms of norm %.3e at "
             "truncation order %d" % (b_residual, order))
+    for name, unit in (("gauge_residual_unit", gauge_unit), ("b_residual_unit", b_unit)):
+        if not math.isfinite(unit):   # power k weighted by radius**-k past the float range
+            raise NumericFailure("%s has no float value at radius %g" % (name, radius))
 
     nf = NormalForm(gauged.term(0), b_final.term(0), transversal, obj.theta, obj.tau, record)
     validate_normal_form(nf, tol)
@@ -589,18 +594,21 @@ def validate_monodromy(rep, tol=None):
 
 def _validated_monodromy(rep, tol):
     """``(residuals, singular values of M1 and of M2)`` of
-    ``validate_monodromy``; an empty pair has the singular values
-    ``[1.0]``.  A pair of matrices of different shapes, or one that is
-    not square, is refused with ``ValidationFailure``."""
+    ``validate_monodromy``, from one SVD call on the pair stacked in their
+    common type, which makes one LAPACK call per matrix; an empty pair has
+    the singular values ``[1.0]``.  A pair of matrices of different shapes,
+    one that is not square, or an entry that is not finite is refused with
+    ``ValidationFailure``."""
     shape = np.shape(rep.M1)
     if len(shape) != 2 or shape[0] != shape[1] or np.shape(rep.M2) != shape:
         raise ValidationFailure("M1 and M2 must be square matrices of one size, "
                                 "got shapes %s and %s" % (shape, np.shape(rep.M2)))
-    diag, svals_of = {}, []
-    for name, m in (("M1", rep.M1), ("M2", rep.M2)):
-        svals = np.linalg.svd(m, compute_uv=False) if rep.n else np.array([1.0])
-        svals_of.append(svals)
-        diag[name + "_smallest_singular_value"] = float(svals[-1]) if svals.size else 0.0
+    pair = np.array([rep.M1, rep.M2])
+    if not np.isfinite(pair).all():
+        raise ValidationFailure("M1 and M2 must have finite entries")
+    diag, svals_of = {}, np.linalg.svd(pair, compute_uv=False) if shape[0] else np.ones((2, 1))
+    for name, svals in zip(("M1", "M2"), svals_of):
+        diag[name + "_smallest_singular_value"] = float(svals[-1])
         if _is_singular(svals, tol):
             raise ValidationFailure("%s is singular" % name)
     diag["commutator_residual"] = _commutator_residual(
@@ -616,9 +624,10 @@ def _commutator_residual(a, b, tol, error, message):
     for m in (a, b):
         m = np.ascontiguousarray(m, dtype=complex)
         part = max(1.0, np.abs(m.view(float)).max(initial=0.0))
-        m = m / part
+        if part != 1.0:   # x / 1.0 is x
+            m = m / part
         size = max(1.0, math.sqrt(np.vdot(m, m).real))
-        unit.append(m / size)
+        unit.append(m / size if size != 1.0 else m)
         factor *= float(part) * size
     comm = float(np.linalg.norm(unit[0] @ unit[1] - unit[1] @ unit[0]))
     if not comm <= tol.eps_res:   # nan too
@@ -1414,11 +1423,24 @@ def decompose(nf, tol=None):
     return list(zip(labels[:, 0].tolist(), labels[:, 1].tolist()))
 
 
+def _products(a, b):
+    """The products ``a_i b_j`` of two complex vectors as a matrix, each
+    rounded as Python's complex product rounds it, each real product and
+    sum on its own, where numpy's complex loop may fuse them: the b labels
+    of a tensor product's labels and of its K0 class, which so agree."""
+    re, im = a.real[:, None], a.imag[:, None]
+    out = np.empty((len(a), len(b)), dtype=complex)
+    np.subtract(re * b.real, im * b.imag, out=out.real)
+    np.add(re * b.imag, im * b.real, out=out.imag)
+    return out
+
+
 def _labels(nf, tol):
     """The labels of ``decompose`` as an ``(m, 2)`` complex array of rows
     ``(lam, b)``, in its order.  A result of ``tensor`` has the pairwise
     rows ``(lam_i + mu_j, b_i c_j)`` of its factors' labels, the sum reduced
-    into the strip.  Otherwise B0 in the Schur basis is ``q^H B0 q``, the
+    into the strip and the product rounded as its K0 class rounds it
+    (``_products``).  Otherwise B0 in the Schur basis is ``q^H B0 q``, the
     blocks of it of one size take one batched ``eigvals`` call, bit for bit
     the values of one call per block, and the labels are held, keyed and
     ordered as arrays.  When every block is one entry, the b-labels are
@@ -1430,7 +1452,7 @@ def _labels(nf, tol):
         lx, ly = (_labels(f, tol) for f in kept[:2])
         lam = (lx[:, :1] + ly[:, 0]).ravel()
         labels = np.stack([lam - nf.transversal.shift(lam) * nf.tau,
-                           (lx[:, 1:] * ly[:, 1]).ravel()], axis=1)
+                           _products(lx[:, 1], ly[:, 1]).ravel()], axis=1)
         if not np.isfinite(labels[:, 1]).all():
             raise NumericFailure("no labels: a product of the factors' labels is not finite")
         return labels[_lex_order(labels)]
@@ -1555,19 +1577,13 @@ class K0Class:
 
     def __mul__(self, other):
         """The class of a tensor product: every entry of one times every
-        entry of the other, b labels multiplied, z' labels added and reduced
-        into the strip, multiplicities multiplied; a product of labels that
-        overflows raises ``NumericFailure``.  The b products are rounded as
-        Python's complex product rounds them, each real product and sum on
-        its own, where numpy's complex loop may fuse them."""
+        entry of the other, b labels multiplied (``_products``), z' labels
+        added and reduced into the strip, multiplicities multiplied; a
+        product of labels that overflows raises ``NumericFailure``."""
         self._check(other)
         k1, k2 = self._keys, other._keys
-        # [re, im] x [re, im] of every pair of b labels, one product each
-        p = (k1.view(float).reshape(-1, 2, 2)[:, None, 0, :, None]
-             * k2.view(float).reshape(-1, 2, 2)[None, :, 0, None, :])
         keys = np.empty((len(k1), len(k2), 2), dtype=complex)
-        np.subtract(p[..., 0, 0], p[..., 1, 1], out=keys.view(float)[..., 0])
-        np.add(p[..., 0, 1], p[..., 1, 0], out=keys.view(float)[..., 1])
+        keys[..., 0] = _products(k1[:, 0], k2[:, 0])
         np.add(k1[:, None, 1], k2[:, 1], out=keys[..., 1])
         if not np.isfinite(keys).all():
             raise NumericFailure("no labels: a product of the factors' labels is not finite")

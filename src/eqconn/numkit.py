@@ -183,8 +183,9 @@ class Transversal:
         return lam - shift * self.tau, shift
 
     def contains(self, z, margin=0.0):
+        """Whether ``z`` is in the strip widened by ``margin``; elementwise on an array."""
         t = self.position(z)
-        return -margin <= t < 1.0 + margin
+        return (t >= -margin) & (t < 1.0 + margin)
 
     def boundary_distance(self, z):
         """Distance of the strip coordinate to the nearest boundary {0, 1}."""
@@ -287,8 +288,10 @@ def find_small_width(tau):
 # ---------------------------------------------------------------------------
 
 def as_square_matrix(m, name="matrix"):
-    """Coerce to a finite square complex ndarray."""
-    arr = np.atleast_2d(np.asarray(m, dtype=complex))
+    """Coerce to a finite square complex ndarray, ``m`` itself if it is one."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2:
+        arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationFailure("%s must be square, got shape %s" % (name, arr.shape))
     if not np.isfinite(arr).all():
@@ -699,7 +702,7 @@ def _cluster_triangular(t, q, tol):
     divided by the cluster size.  Returns ``(t, q, blocks)`` as
     ``_clustered_schur``.
     """
-    diagonal = np.diag(t)
+    diagonal = t.diagonal()
     n = len(diagonal)
     i, j = _near_pairs(diagonal, tol.eps_spec)
     if not i.size:
@@ -709,11 +712,11 @@ def _cluster_triangular(t, q, tol):
     starts, stops = np.array([(start, stop) for start, stop, _ in groups]).T
     sizes = stops - starts
     with np.errstate(over="ignore", invalid="ignore"):
-        means = np.add.reduceat(np.diag(t), starts) / sizes
+        means = np.add.reduceat(t.diagonal(), starts) / sizes
         wide = ~np.isfinite(means)
         if wide.any():
             # a sum past the float range: each member divided by the size first
-            means[wide] = np.add.reduceat(np.diag(t) / np.repeat(sizes, sizes), starts)[wide]
+            means[wide] = np.add.reduceat(t.diagonal() / np.repeat(sizes, sizes), starts)[wide]
     return t, q, list(zip(starts.tolist(), stops.tolist(), means.tolist()))
 
 
@@ -843,11 +846,13 @@ def _log_schur(m, transversal, tol, svals=None):
         raise ValidationFailure("matrix logarithm requested for a singular matrix")
     _, t, q, groups, v, w, _ = _bounded_groups(*_clustered_schur(m, tol), tol)
     scale = transversal.tau / TWO_PI_I
+    logs = [cmath.log(lam) for _, _, lam in groups]   # the means lead the values
     shifts = _cluster_shifts(t, groups, transversal, lambda values: np.array(
-        [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
+        [scale * z for z in logs + [cmath.log(z) for z in values[len(logs):].tolist()]],
+        dtype=complex))
     # on each block, scale times the branch of its log lowered by shift turns,
     # plus its log series; blocks of one have none, and take one array op
-    logs = [cmath.log(lam) - TWO_PI_I * shift for (_, _, lam), shift in zip(groups, shifts)]
+    logs = [z - TWO_PI_I * shift for z, shift in zip(logs, shifts)]
     if len(groups) == len(t):
         return _block_function(v, w, np.diag(scale * (np.array(logs) + 0.0))), q
     d = np.zeros(t.shape, dtype=complex)
@@ -1020,15 +1025,18 @@ def _bounded_groups(t, q, blocks, tol, keys=None):
 
 
 def _block_function(v, w, d):
-    """``f(t) = v d w`` for ``d = diag(f(t_ii))``, block diagonal on the
-    blocks of a triangular ``t``, and ``(v, w) = _decouple(t, ...)``; the
-    mean of d's diagonal is added after the products, which then round with
-    the spread of the values, not their size.
+    """``f(t) = v d w`` for ``d = diag(f(t_ii))``, C-contiguous and block
+    diagonal on the blocks of a triangular ``t``, and ``(v, w) =
+    _decouple(t, ...)``; the mean of d's diagonal, read and written through
+    the strided view ``d.reshape(-1)[::n + 1]``, is added after the
+    products, which then round with the spread of the values, not their size.
     """
-    mean = np.trace(d) / len(d)
-    d[np.diag_indices_from(d)] -= mean
+    n = len(d)
+    diagonal = d.reshape(-1)[::n + 1]
+    mean = diagonal.sum() / n
+    diagonal -= mean
     f = v @ d @ w
-    f[np.diag_indices_from(f)] += mean
+    f.reshape(-1)[::n + 1] += mean
     return f
 
 

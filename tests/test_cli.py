@@ -767,6 +767,17 @@ def test_normalize_of_a0_past_the_float_range_writes_nothing_to_stderr():
     assert "int64" in report["error"]["message"]
 
 
+def test_normalize_whose_unit_residuals_have_no_float_value_exits_1():
+    """``A = 0.1 + 1.5e308 z`` balances at radius 2**-1024, where its form
+    is fine, but the residuals weighted back to unit radius have no float
+    value: exit 1 with a NumericFailure report naming the first, in strict
+    JSON with stderr empty, as for ``A = 0.1 + 1e300 z``."""
+    code, report = run_cli_normalize(scalar_a(0.1, 1.5e308))
+    assert code == 1
+    assert report["error"]["kind"] == "NumericFailure"
+    assert "gauge_residual_unit has no float value" in report["error"]["message"]
+
+
 def test_kmap_of_a_label_past_the_float_range_writes_nothing_to_stderr():
     """A K-class term with z' = [1e308, -1e308], whose strip position and
     lattice coordinates overflow: exit 1 with the NumericFailure report,

@@ -25,9 +25,17 @@ of the path it replaced.
 - ``numkit._merge_keys`` merges keys over the near pairs of their first
   coordinates; the result must be the box test's (``frozen_merge_keys``).
 
-The last test pins how often each exit is taken on the tensor-decompose
-benchmark's inputs, so that a change that loses one shows, and checks the
-three sweeps against their frozen paths on every call those inputs make.
+- The round trip (``from_monodromy``, ``monodromy``, ``is_nori_finite``)
+  cuts fixed costs in ``numkit._log_schur``, ``_block_function``,
+  ``category._validated_monodromy`` (one stacked SVD call),
+  ``_commutator_residual`` and ``validate_normal_form``; with their frozen
+  copies patched in (``frozen_log_schur`` and the rest) it must give the
+  same bits.
+
+The last two tests run the tensor-decompose benchmark's inputs: one pins
+how often each exit is taken, so that a change that loses one shows, and
+checks the three sweeps against their frozen paths on every call those
+inputs make; the other checks every round trip against its frozen steps.
 """
 
 import importlib.util
@@ -64,6 +72,12 @@ from reference import (
     frozen_nullspace_scaled,
     reference_k0_entries,
 )
+from reference_roundtrip import (
+    frozen_commutator_residual,
+    frozen_log_schur,
+    frozen_validate_normal_form,
+    frozen_validated_monodromy,
+)
 from util import STRIP, TAU, THETA, conjugate, random_defective_normal_form, \
     random_normal_form, well_conditioned
 
@@ -98,10 +112,12 @@ def assert_labels_are_frozen(nf):
 def assert_product_labels_are_frozen(xy, x, y):
     """The labels of ``xy = tensor(x, y)`` are ``(lam_i + mu_j, b_i c_j)``
     over the rows of the factors' frozen labels, each sum reduced into the
-    strip, in ``decompose``'s order."""
+    strip and each product Python's complex product, in ``decompose``'s
+    order."""
     lx, ly = frozen_label_array(x), frozen_label_array(y)
     lam = (lx[:, :1] + ly[:, 0]).ravel()
-    want = np.stack([lam - STRIP.shift(lam) * TAU, (lx[:, 1:] * ly[:, 1]).ravel()], axis=1)
+    b = np.array([bx * by for bx in lx[:, 1].tolist() for by in ly[:, 1].tolist()])
+    want = np.stack([lam - STRIP.shift(lam) * TAU, b], axis=1)
     order = sorted(range(len(want)), key=lambda i: tuple(map(frozen_lex_key, want[i])))
     assert same_bits(eqconn.category._labels(xy, DEFAULT_TOL), want[order])
 
@@ -115,6 +131,15 @@ def assert_labels_are_the_products_own(nf):
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert k0_class(nf) == K0Class._of_labels(STRIP, want, DEFAULT_TOL)
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded read-only as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def diagonal_form(lams, bs):
@@ -288,10 +313,7 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     kernels, the 684 factor classes, the 2322 clusterings of Schur forms and
     the 2268 key merges of K0 and the divisors give the bits of their
     frozen paths on the same inputs."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     calls, counts = Counter(), Counter()
 
     def counting(name, f):
@@ -359,3 +381,35 @@ def test_exits_taken_on_the_tensor_benchmark(monkeypatch):
     assert counts == {"diagonal": 684, "reorders": 444, "in_order": 384,
                       "hom": 504, "one_group": 504, "one_column": 504, "kept_order": 684,
                       "cluster": 2322, "merge": 2268}
+
+
+def test_round_trips_on_the_tensor_benchmark_keep_the_frozen_bits(monkeypatch):
+    """Each of the 486 round trips of the tensor-decompose benchmark's seeds
+    1-3, rounds 0-5 (``bench/workloads.py``'s rt jobs): ``from_monodromy``
+    with the frozen steps patched in gives the same A0, B0, kept Schur form,
+    diagnostics and residuals of ``validate_monodromy`` and
+    ``validate_normal_form`` as the library, to the bit, and ``monodromy``
+    and ``is_nori_finite`` then give the same pair and answer."""
+    workloads, category = bench_workloads(), eqconn.category
+
+    def round_trip(m1, m2):
+        rep = category.MonodromyPair(m1, m2)
+        nf = category.from_monodromy(rep, STRIP, THETA)
+        back = category.monodromy(nf)
+        t, q, blocks = nf.schur_form(DEFAULT_TOL)
+        return ([nf.A0, nf.B0, t, q, back.M1, back.M2],
+                repr((blocks, nf.diagnostics, category.validate_monodromy(rep),
+                      category.validate_normal_form(nf), eqconn.torus.is_nori_finite(back))))
+
+    jobs = [job.inputs for seed in (1, 2, 3) for rng in [np.random.default_rng(seed)]
+            for _ in range(6) for job in workloads.tensor_round(rng) if job.kind.startswith("rt")]
+    got = [round_trip(*inputs) for inputs in jobs]
+    monkeypatch.setattr(category, "_log_schur", frozen_log_schur)
+    monkeypatch.setattr(category, "_validated_monodromy", frozen_validated_monodromy)
+    monkeypatch.setattr(category, "_commutator_residual", frozen_commutator_residual)
+    monkeypatch.setattr(category, "validate_normal_form", frozen_validate_normal_form)
+    want = [round_trip(*inputs) for inputs in jobs]
+    assert len(jobs) == 486
+    for (arrays, text), (frozen_arrays, frozen_text) in zip(got, want):
+        assert text == frozen_text
+        assert all(same_bits(a, b) for a, b in zip(arrays, frozen_arrays))

@@ -62,7 +62,9 @@ made by ``bench/workloads.py``'s constructors (``tensor_job``,
 ``bench/``: ``job[xy/4]``, ``job[xy/16]`` and ``job[xx/16]`` on seeded
 factors of ``random_normal_form``, each call on fresh copies of them, so
 that every memoized form is paid for as the benchmark's job pays for it,
-and ``job[rt/12]`` on a seeded pair of ``random_commuting_pair``.  They
+and ``job[rt/4]``, ``job[rt/8]`` and ``job[rt/12]`` on seeded pairs of
+``random_commuting_pair``: the round trips are 27 of the 50 jobs of a
+tensor-decompose round, rt/8 the most of them, and hold its median.  They
 are keyed by the job's dim (n for ``rt``), so that per-step and per-job
 ratios come from one paired run.
 
@@ -106,7 +108,7 @@ SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
                 "torus.k0_to_divisor", "torus.divisor_equivalent", "category.hom_basis")
 GROUPS = ("laurent", "tensor", "roundtrip", "numkit", "job")
 # the whole-job points: (kind, factor n) of the tensor-decompose job
-JOBS = (("xy", 2), ("xy", 4), ("xx", 4), ("rt", 12))
+JOBS = (("xy", 2), ("xy", 4), ("xx", 4), ("rt", 4), ("rt", 8), ("rt", 12))
 ROUNDTRIP_SIZES = (4, 8, 12)
 NUMKIT_SIZES = (2, 4, 8, 12)
 # Jordan block sizes per eigenvalue of the [defective] numkit points, by n
