@@ -594,10 +594,9 @@ def validate_monodromy(rep, tol=None):
 
 def _validated_monodromy(rep, tol):
     """``(residuals, singular values of M1 and of M2)`` of
-    ``validate_monodromy``, from one SVD call on the pair stacked in their
-    common type, which makes one LAPACK call per matrix; an empty pair has
-    the singular values ``[1.0]``.  A pair of matrices of different shapes,
-    one that is not square, or an entry that is not finite is refused with
+    ``validate_monodromy``, from one SVD call on the stacked pair; an empty
+    pair has the singular values ``[1.0]``.  Matrices of different shapes,
+    not square, or with an entry not finite are refused with
     ``ValidationFailure``."""
     shape = np.shape(rep.M1)
     if len(shape) != 2 or shape[0] != shape[1] or np.shape(rep.M2) != shape:
@@ -1424,10 +1423,9 @@ def decompose(nf, tol=None):
 
 
 def _products(a, b):
-    """The products ``a_i b_j`` of two complex vectors as a matrix, each
-    rounded as Python's complex product rounds it, each real product and
-    sum on its own, where numpy's complex loop may fuse them: the b labels
-    of a tensor product's labels and of its K0 class, which so agree."""
+    """The products ``a_i b_j`` as a matrix, rounded as Python's complex
+    product rounds them, where numpy's may fuse a product and a sum: the b
+    labels of a tensor product's labels and of its K0 class alike."""
     re, im = a.real[:, None], a.imag[:, None]
     out = np.empty((len(a), len(b)), dtype=complex)
     np.subtract(re * b.real, im * b.imag, out=out.real)
