@@ -492,8 +492,8 @@ def normalize(obj, transversal=None, order=16, tol=None):
         "gauge_residual": gauge_residual,
         "b_residual": b_residual,
         "shear_passes": 0,
-        "strip_margin": min([transversal.boundary_distance(lam)
-                             for lam in np.diag(nf.schur_form(tol)[0])], default=1.0),
+        "strip_margin": transversal.boundary_distance(
+            nf.schur_form(tol)[0].diagonal()).min(initial=1.0),
         "radius": radius,
         "gauge_residual_unit": gauge_unit,
         "b_residual_unit": b_unit,
@@ -532,11 +532,12 @@ def _series_gauge(a, form, fold, tau, order, tol):
         gaps[levels[None, :] - levels[:, None] == ks] = np.inf
     smallest = gaps.min(axis=(1, 2))
     with np.errstate(over="ignore"):   # a norm past the float range is inf
-        rounding = np.finfo(float).eps / 2 * max(1.0, np.linalg.norm(a.term(0)))
+        rounding = _UNIT_ROUNDOFF * max(1.0, np.linalg.norm(a.term(0)))
     # ztrsyl solves a zero right-hand side to zero; only an order whose gap
     # is within eps_spec or the rounding refuses a nonzero one, so only
     # there is it scanned
-    watched = smallest <= max(tol.eps_spec, rounding)
+    watched = (smallest <= max(tol.eps_spec, rounding)).tolist()
+    close_ok = (smallest > rounding).tolist()
     # t and each D + k tau once, in the column order ztrsyl reads
     t = np.asfortranarray(t)
     shifted = np.repeat(t.T[None], order, axis=0).transpose(0, 2, 1)
@@ -551,7 +552,7 @@ def _series_gauge(a, form, fold, tau, order, tol):
             if smallest[k - 1] <= tol.eps_spec:
                 i, j = np.unravel_index(np.argmin(gaps[k - 1]), t.shape)
                 raise SpectrumCollision(d[i] + k * tau, d[j], float(smallest[k - 1]))
-        return _triangular_sylvester(shifted[k - 1], t, rhs, close_ok=smallest[k - 1] > rounding)
+        return _triangular_sylvester(shifted[k - 1], t, rhs, close_ok=close_ok[k - 1])
 
     series = _series(a, order, np.eye(a.dim), solve, basis=basis, levels=levels)
     return series, float(smallest.min())

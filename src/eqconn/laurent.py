@@ -16,15 +16,17 @@ subtraction or rescaled copy.  A product is block Toeplitz: one GEMM per
 chunk of the powers it lands on, each chunk's slab of left coefficients
 within a fixed byte budget; a conjugation covers the whole stack, the one
 series recurrence (``_series``: series inverses and normalization's series
-gauge) is one GEMM per order, and every result goes through one internal
-constructor that drops exact-zero slices with one ``np.any``.  Sums run in
-BLAS order, so results agree with a matmul per pair of powers within
-rounding.  Two kernels evaluate on the circle instead, when that forms
-fewer products, with a normwise error: the windowed commutator
-(``_commutator_circle``, which ``_commutator`` and the validation residual
-``_equivariance_norm`` share), and the series transport, for a gauge
-balanced along with its truncated inverse.  The public constructor copies its input and refuses
-a coefficient of the wrong shape or with a non-finite entry.
+gauge) is one GEMM per order on lead coefficients negated once, and every
+result goes through one internal constructor that drops exact-zero slices
+with one ``np.any``.  Sums run in BLAS order, so results agree with a
+matmul per pair of powers within rounding.  Two kernels evaluate on the
+circle instead, when that forms fewer products, with a normwise error: the
+windowed commutator (``_commutator_circle``, which ``_commutator`` and the
+validation residual ``_equivariance_norm`` share), and the series
+transport, for a gauge balanced along with its truncated inverse, each
+transforming all it reads by one FFT call (``_transforms``).  The public
+constructor copies its input and refuses a coefficient of the wrong shape
+or with a non-finite entry.
 
 A gauge P sends A to ``P^-1 A P + P^-1 delta(P)`` and B to ``P^-1 B P``.
 One function, ``_transport``, does both for every caller, with one policy:
@@ -34,9 +36,10 @@ Every transport and shear ends in one step on slabs, ``_finished``: a
 series transport hands it each operand's window of powers up to ``order``
 and the norm of power ``order + 1``, from the circle or the block
 products, and it checks the window finite, conjugates it by S (inverted
-once), shifts it by the exponents with the drift added inside the shift
-(``_shift``), checks a connection matrix's regularity off the window's own
-norms and builds one value per operand.  A constant gauge C and a diagonal
+once), shifts it by the exponents, what the shift reads of them built once
+(``_levels``), with the drift added inside the shift (``_shift``), checks a
+connection matrix's regularity off the window's own norms and builds one
+value per operand.  A constant gauge C and a diagonal
 monomial ``diag(v_i z**e_i)`` are exact recorded shears (``_sheared``),
 ``ShearStep(C, zeros)`` and ``ShearStep(diag(v), e)``.  A product,
 commutator or shift whose landing powers leave int64 raises
@@ -199,17 +202,10 @@ class PolyMat:
         """The coefficients of the powers ``lo..hi`` as one ``(hi - lo + 1,
         dim, dim)`` array, zero where no term is stored."""
         out = np.zeros((max(hi - lo + 1, 0), self.dim, self.dim), dtype=complex)
-        inside = (lo <= self._powers) & (self._powers <= hi)
-        out[self._powers[inside] - lo] = self._coeffs[inside]
+        start = self._powers.searchsorted(lo)
+        stop = self._powers.searchsorted(hi, side="right")
+        out[self._powers[start:stop] - lo] = self._coeffs[start:stop]
         return out
-
-    def _transform(self, base, out):
-        """``np.fft.fft`` along the power axis of the coefficients placed at
-        ``power - base`` in ``out`` and zero elsewhere, in place: the bits of
-        the transform of the dense window padded to ``len(out)``."""
-        out.fill(0)
-        out[self._powers - base] = self._coeffs
-        return np.fft.fft(out, axis=0, out=out)
 
     # -- constructors -------------------------------------------------------
 
@@ -245,7 +241,7 @@ class PolyMat:
         return self._powers.tolist()
 
     def term(self, k):
-        i = int(np.searchsorted(self._powers, int(k)))
+        i = int(self._powers.searchsorted(int(k)))
         if i < len(self._powers) and self._powers[i] == k:
             return self._coeffs[i].copy()
         return np.zeros((self.dim, self.dim), dtype=complex)
@@ -267,7 +263,7 @@ class PolyMat:
     def norm(self, hi=None):
         """Largest coefficient Frobenius norm, among the powers up to ``hi``
         when it is given."""
-        stop = None if hi is None else np.searchsorted(self._powers, hi, side="right")
+        stop = None if hi is None else self._powers.searchsorted(hi, side="right")
         return float(self._power_norms()[:stop].max(initial=0.0))
 
     def copy(self):
@@ -371,8 +367,8 @@ class PolyMat:
 
     def truncate(self, hi, lo=None):
         """Keep powers k with lo <= k <= hi (lo unbounded when omitted)."""
-        start = 0 if lo is None else np.searchsorted(self._powers, lo)
-        stop = np.searchsorted(self._powers, hi, side="right")
+        start = 0 if lo is None else self._powers.searchsorted(lo)
+        stop = self._powers.searchsorted(hi, side="right")
         norms = None if self._norms is None else self._norms[start:stop]
         return self._slab(self._powers[start:stop], self._coeffs[start:stop], norms)
 
@@ -380,7 +376,7 @@ class PolyMat:
 def _nonzero(powers, stack):
     """The slab ``(powers, stack)`` without its exact-zero slices, found
     with one ``np.any``; the arrays themselves when none is zero."""
-    kept = np.any(stack, axis=(1, 2))
+    kept = stack.any(axis=(1, 2))
     if not kept.all():
         powers, stack = powers[kept], stack[kept]
     return powers, stack
@@ -453,6 +449,20 @@ def _circle_length(span, counts):
     return None
 
 
+def _transforms(placed, m):
+    """``np.fft.fft`` along the power axis, at length ``m``, of each value
+    of ``placed = [(x, base), ...]`` with its coefficients at ``power -
+    base`` and zero elsewhere: one ``(len(placed), m, dim, dim)`` stack in
+    workspace slot 0, transformed by one call, each lane to the bits of its
+    own transform of the dense window padded to ``m``."""
+    x = placed[0][0]
+    out = _scratch(0, (len(placed), m, x.dim, x.dim))
+    out.fill(0)
+    for lanes, (x, base) in zip(out, placed):
+        lanes[x._powers - base] = x._coeffs
+    return np.fft.fft(out, axis=1, out=out)
+
+
 def _commutator(a, b, lo, hi):
     """``a * b - b * a``, its powers ``lo..hi`` only: on the circle
     (``_commutator_circle``) or, for gapped powers or a narrow window, by
@@ -479,8 +489,7 @@ def _equivariance_norm(a, b, lo, hi):
     drift = (b.tau * powers)[:, None, None] * b._coeffs
     inside = (start <= powers) & (powers < start + len(window))
     window[powers[inside] - start] += drift[inside]
-    norms = [np.linalg.norm(part, axis=(1, 2)) for part in (window, drift[~inside])]
-    return float(max(n.max(initial=0.0) for n in norms))
+    return float(max(_norms(window).max(initial=0.0), _norms(drift[~inside]).max(initial=0.0)))
 
 
 def _commutator_circle(a, b, lo, hi):
@@ -507,10 +516,9 @@ def _commutator_circle(a, b, lo, hi):
     if m is None:
         return None
     shape = (m, a.dim, a.dim)
-    fa = a._transform(a.min_power, _scratch(0, shape))
-    fb = b._transform(b.min_power, _scratch(1, shape))
-    full = np.matmul(fa, fb, out=_scratch(2, shape))
-    full -= np.matmul(fb, fa, out=_scratch(3, shape))
+    fa, fb = _transforms([(a, a.min_power), (b, b.min_power)], m)
+    full = np.matmul(fa, fb, out=_scratch(1, shape))
+    full -= np.matmul(fb, fa, out=_scratch(2, shape))
     np.fft.ifft(full, axis=0, out=full)
     start, stop = max(lo, base), min(hi, base + span - 1)
     return start, full[start - base:stop - base + 1]
@@ -518,13 +526,14 @@ def _commutator_circle(a, b, lo, hi):
 
 def _series(f, order, first, solve, basis=None, levels=None):
     """The series ``g_0 + g_1 z + ... + g_order z**order`` with ``g_0 =
-    first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the sum
-    one GEMM: ``f_1 .. f_order`` side by side as one ``(n, order n)`` row
-    against the solved ``g`` stacked highest order first, whose last k are
-    ``g_(k-1) .. g_0``.  The recurrence of a series inverse and of the
-    series gauge of formal reduction (Barkatou, AAECC 1997).  A ``solve``
-    of None keeps each right-hand side as it is: the inverse of a series
-    whose lead term is the identity.
+    first`` and ``g_k = solve(k, -(f_1 g_(k-1) + ... + f_k g_0))``, the
+    right-hand side one GEMM: ``-f_1 .. -f_order``, negated once, side by
+    side as one ``(n, order n)`` row against the solved ``g`` stacked
+    highest order first, whose last k are ``g_(k-1) .. g_0``.  The
+    recurrence of a series inverse and of the series gauge of formal
+    reduction (Barkatou, AAECC 1997).  A ``solve`` of None keeps each
+    right-hand side as it is: the inverse of a series whose lead term is
+    the identity.
 
     Given a ``basis`` ``(s, s_inv)``, a similarity and its inverse, the
     recurrence runs on ``s_inv f_k s``, the powers it reads conjugated once,
@@ -536,32 +545,32 @@ def _series(f, order, first, solve, basis=None, levels=None):
     ``k = l_j - l_i`` is kept, not solved: ``solve`` sees a zero there, and
     ``R_k``, the right-hand side there negated, stays in power k of the
     gauged connection matrix, so each later order's right-hand side adds
-    ``g_(k-j) R_j`` over the orders j whose ``R_j`` is nonzero.  These are
-    the entries a shear by ``z**-l`` moves to power 0; ``solve`` must leave
-    ``g_k`` zero there, as a Sylvester solve on an ``f_0`` block diagonal
-    over equal levels does."""
+    ``g_(k-j) R_j`` over the orders j whose ``R_j`` is nonzero, one product
+    and one sum each, in the order of j.  These are the entries a shear by
+    ``z**-l`` moves to power 0; ``solve`` must leave ``g_k`` zero there, as
+    a Sylvester solve on an ``f_0`` block diagonal over equal levels does."""
     n = f.dim
     lead = f._dense(1, order)
     if basis is not None:
         s, s_inv = basis
         lead = s_inv @ lead @ s
-    lead = lead.transpose(1, 0, 2).reshape(n, -1)
-    steps = 0 if levels is None else levels[None, :] - levels[:, None]
-    kept_orders = set(np.ravel(steps).tolist())
+    lead = np.negative(lead, out=lead).transpose(1, 0, 2).reshape(n, -1)
+    masks = {}
+    if levels is not None:
+        steps = levels[None, :] - levels[:, None]
+        masks = {k: steps == k for k in set(steps[steps > 0].tolist())}
     solved = np.empty((order + 1, n, n), dtype=complex)
     solved[order] = first
     rows, kept = solved.reshape(-1, n), []
     for k in range(1, order + 1):
         # the right-hand side is formed in the slot of g_k
-        rhs = np.matmul(lead[:, :k * n], rows[(order - k + 1) * n:], out=solved[order - k])
-        np.negative(rhs, out=rhs)
+        rhs = np.matmul(lead[:, :k * n], rows[(order - k + 1) * n:], solved[order - k])
         for j, r in kept:
-            rhs += solved[order - k + j] @ r
-        if k in kept_orders:
-            mask = steps == k
-            if np.any(rhs[mask]):
-                kept.append((k, np.where(mask, -rhs, 0.0)))
-                rhs[mask] = 0.0
+            rhs += np.dot(solved[order - k + j], r)
+        mask = masks.get(k)
+        if mask is not None and rhs[mask].any():
+            kept.append((k, np.where(mask, -rhs, 0.0)))
+            rhs[mask] = 0.0
         if solve is not None:
             solved[order - k] = solve(k, rhs)
     if basis is not None:
@@ -613,27 +622,38 @@ def _gauge_step(p):
                      tuple(p._powers[slot].tolist()))
 
 
-def _shift(powers, stack, exps, drift=None):
-    """The slab through ``X_ij(z) -> X_ij(z) z**(e_j - e_i)``, plus
-    ``diag(drift)`` added at power 0 when given: one scatter of the stack
-    into the powers it lands on, each the sum of a power and a difference
-    of the G distinct exponents, so one sort of K G**2 sums finds them and
-    no power in between is held.  Exact-zero slices are kept; a landing
-    power with no int64 value raises ``NumericFailure``."""
-    n = stack.shape[1]
+def _levels(exps):
+    """What ``_shift`` reads of a step's exponents e, built once per step:
+    ``(diffs, index, spread)``, the differences of the G distinct
+    exponents, ``diffs[g G + h] = level_h - level_g``, the one
+    ``index[i, j]`` that entry (i, j) moves by, ``e_j - e_i``, and the
+    spread of the levels."""
     levels = np.unique(exps)
-    spread = int(levels[-1]) - int(levels[0])
+    group = levels.searchsorted(exps)
+    return ((levels - levels[:, None]).ravel(), group[:, None] * len(levels) + group,
+            int(levels[-1]) - int(levels[0]))
+
+
+def _shift(powers, stack, levels, drift=None):
+    """The slab through ``X_ij(z) -> X_ij(z) z**(e_j - e_i)``, for the
+    ``_levels`` of the exponents e, plus ``diag(drift)`` added at power 0
+    when given: one scatter of the stack into the powers it lands on, each
+    the sum of a power and a difference of the G distinct exponents, so one
+    sort of K G**2 sums finds them and no power in between is held.
+    Exact-zero slices are kept; a landing power with no int64 value raises
+    ``NumericFailure``."""
+    diffs, index, spread = levels
+    n = stack.shape[1]
     lo, hi = (int(powers[0]), int(powers[-1])) if len(powers) else (0, 0)
     _check_landing(lo - spread, hi + spread)
-    group = np.searchsorted(levels, exps)
-    sums = (powers[:, None] + (levels - levels[:, None]).ravel()).ravel()
-    found = np.unique(sums if drift is None else np.append(sums, 0))
-    slot = np.searchsorted(found, sums).reshape(len(powers), len(levels) ** 2)
+    sums = (powers[:, None] + diffs).ravel()
+    found = np.unique(sums if drift is None else np.concatenate((sums, [0])))
+    slot = found.searchsorted(sums).reshape(len(powers), len(diffs))
     out = np.zeros((len(found), n, n), dtype=complex)
     entries = np.arange(n)
-    out[slot[:, group[:, None] * len(levels) + group], entries[:, None], entries] = stack
+    out[slot[:, index], entries[:, None], entries] = stack
     if drift is not None:
-        zero = np.searchsorted(found, 0)
+        zero = found.searchsorted(0)
         if not out[zero].any():
             # a slice of signed zeros is dropped before a sum: start from +0
             out[zero] = 0.0
@@ -650,7 +670,8 @@ def _transport(p, pairs, order, fold=None, tol=None):
     share one truncated inverse and one decision: evaluation on
     the circle, as ``_commutator``, of each X on their common powers
     ``min(lowest, 0)`` to ``order + 1``, of P, its inverse and
-    ``delta(P)``, at a length M no shorter than the triple product's span;
+    ``delta(P)``, all transformed by one call (``_transforms``), at a
+    length M no shorter than the triple product's span;
     then ``F(P^-1) (F(X) F(P) + F(delta P))`` pointwise, the drift only
     where it is set, and one inverse transform, with an error about the
     unit roundoff times ``||P^-1|| ||X|| ||P||``.  The circle is taken only
@@ -694,19 +715,16 @@ def _transport(p, pairs, order, fold=None, tol=None):
     if m is None or _balancing_radius(p) != 1.0 or _balancing_radius(p_inv) != 1.0:
         cuts = [_block_transport(x, p, p_inv, order, drift) for x, drift in zip(xs, drifts)]
     else:
-        one, stacked = (m, p.dim, p.dim), (len(xs), m, p.dim, p.dim)
-        f_x = _scratch(0, stacked)
-        for x, out in zip(xs, f_x):
-            x._transform(base, out)
-        f_p = p._transform(0, _scratch(1, one))
-        f_inv = p_inv._transform(0, _scratch(2, one))
-        inner = np.matmul(f_x, f_p, out=_scratch(3, stacked))
-        if any(drifts):
-            # f_p is spent: its slot takes the drift's transform
-            f_delta = delta._transform(base, f_p)
-            for i in np.flatnonzero(drifts):
-                inner[i] += f_delta
-        # f_x is spent: its slot takes the product and its inverse transform
+        count = len(xs)
+        placed = [(x, base) for x in xs] + [(p, 0), (p_inv, 0)]
+        # the drift's transform, where one is set, comes last
+        f = _transforms(placed + [(delta, base)] if any(drifts) else placed, m)
+        f_x, f_p, f_inv = f[:count], f[count], f[count + 1]
+        inner = np.matmul(f_x, f_p, out=_scratch(1, f_x.shape))
+        for lanes, drift in zip(inner, drifts):
+            if drift:
+                lanes += f[-1]
+        # f_x is spent: its lanes take the product and its inverse transform
         full = np.matmul(f_inv, inner, out=f_x)
         np.fft.ifft(full, axis=1, out=full)
         cuts = [(np.arange(lo, hi), piece[lo - base:hi - base],
@@ -741,7 +759,8 @@ def _finished(parts, step=None, tol=None):
     the norm of the first power cut off: window and tail must be finite,
     and without a step the tail is ``truncation_residual``.  A step is
     ``S^-1 X_k S`` at each power, S inverted once for all parts, then the
-    monomial ``diag(z**k_i)`` of its exponents (``_shift``), its drift
+    monomial ``diag(z**k_i)`` of its exponents (``_shift``, on their
+    ``_levels``, built once for all parts), its drift
     ``diag(tau k_i)`` at power 0 where ``drift`` is set; a result that is
     not finite or an exponent with no int64 value raises ``NumericFailure``.
     Given ``tol``, the first part is a connection matrix whose negative
@@ -766,15 +785,16 @@ def _finished(parts, step=None, tol=None):
     except OverflowError:
         raise NumericFailure("a shear exponent has no int64 value")
     reach = max(step.exponents, default=0) - min(step.exponents, default=0)
+    levels = _levels(exps) if exps.any() else None
     out = []
     for x, powers, stack, drift, _ in parts:
         powers, stack = _nonzero(powers, stack)
         if tol is not None and not out:
-            below = _norms(stack[:np.searchsorted(powers, reach - 1, side="right")])
+            below = _norms(stack[:powers.searchsorted(reach - 1, side="right")])
             threshold = tol.eps_res * (float(below.max(initial=0.0)) + 1.0)
         stack = s_inv @ stack @ s
-        if np.any(exps):
-            powers, stack = _shift(powers, stack, exps, x.tau * exps if drift else None)
+        if levels is not None:
+            powers, stack = _shift(powers, stack, levels, x.tau * exps if drift else None)
         if not np.isfinite(stack).all():
             raise NumericFailure("the gauge transport overflows")
         out.append(x._derive(powers, stack))
@@ -791,10 +811,11 @@ def _finished(parts, step=None, tol=None):
 
 
 def _norms(stack):
-    """The Frobenius norm of each slice of ``stack``; one whose squares
+    """The Frobenius norm of each slice of ``stack``, formed as
+    ``np.linalg.norm(stack, axis=(1, 2))`` forms it; one whose squares
     overflow is inf, without numpy's overflow warning."""
     with np.errstate(over="ignore"):
-        return np.linalg.norm(stack, axis=(1, 2))
+        return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
 
 
 def gauge_transform(a, p, order=None):

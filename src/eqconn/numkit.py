@@ -188,9 +188,10 @@ class Transversal:
         return (t >= -margin) & (t < 1.0 + margin)
 
     def boundary_distance(self, z):
-        """Distance of the strip coordinate to the nearest boundary {0, 1}."""
+        """Distance of the strip coordinate to the nearest boundary {0, 1};
+        elementwise on an array, each value to the bits it gets alone."""
         t = self.position(z) % 1.0
-        return min(t, 1.0 - t)
+        return np.minimum(t, 1.0 - t)
 
 
 def _snap(x):

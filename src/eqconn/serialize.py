@@ -102,8 +102,10 @@ def decode_polymat_terms(data, dim, tau, q, field="terms"):
     terms = {}
     for entry in _array(data, field):
         power, coef = required_fields(entry, ("pow", "coef"), field + " entry")
-        terms[_number(power, field + " pow", integer=True)] = decode_matrix(
-            coef, field + " coef")
+        power = _number(power, field + " pow", integer=True)
+        if power in terms:
+            raise ValidationFailure("%s lists power %d twice" % (field, power))
+        terms[power] = decode_matrix(coef, field + " coef")
     return PolyMat(dim, terms, tau, q)
 
 
@@ -289,8 +291,11 @@ def _torus_terms(data):
     coeffs = {}
     for entry in _array(entries, "algebra element coeffs"):
         n1, n2, c = required_fields(entry, ("n1", "n2", "c"), "algebra coefficient")
-        coeffs[(_number(n1, "n1", integer=True), _number(n2, "n2", integer=True))] = \
-            decode_complex(c, "c")
+        key = (_number(n1, "n1", integer=True), _number(n2, "n2", integer=True))
+        if key in coeffs:
+            raise ValidationFailure("algebra element coeffs list monomial (n1, n2) = "
+                                    "(%d, %d) twice" % key)
+        coeffs[key] = decode_complex(c, "c")
     return _number(theta, "theta"), coeffs
 
 

@@ -12,7 +12,12 @@ process, and three of them in a subprocess as a user runs them.  The
 matrix payloads of ``rh-from-rep`` and ``nori`` are fuzzed the same way:
 wrong types, ragged and empty matrices, M1 and M2 of different sizes,
 singular and defective matrices and entries near 1e300, in process and two
-of them in a subprocess.
+of them in a subprocess.  So are the object payloads of ``normalize`` and
+``validate``: powers near +-2**62 and at the ends of int64, coefficients
+of 1e+-308, tau of 1e+-300 (1 - i), theta of +-1e300, a transversal offset
+of +-1e308, ragged, empty and wrong-shape coefficients, dim 0, and a power
+listed twice, which is refused with exit code 2, as is an algebra
+element's monomial listed twice.
 """
 
 import contextlib
@@ -313,3 +318,82 @@ def test_a_monodromy_payload_is_one_report_in_a_subprocess(payload, expect):
     code, report = run_subprocess(["--json", "rh-from-rep", json.dumps(payload)])
     assert code == expect
     assert report["result"]["A0"] if code == 0 else report["error"]["message"]
+
+
+# object payloads: the values of a commuting diagonal A0, A1 and B0, and
+# the extremes drawn into them
+OBJECT_VALUES = (0.0, 0.1, -0.25, 0.3)
+B_VALUES = (1.0, -2.5, 0.3)
+BIG_POWERS = (2 ** 62, -2 ** 62, 2 ** 62 + 7, -2 ** 62 - 7, 2 ** 63 - 1, -2 ** 63)
+EXTREME_COEFFICIENTS = (1e308, -1e308, 1.7e308, 1e-308)
+# the text each malformed payload's error names
+MALFORMED = {"ragged": "inconsistent lengths", "empty": "", "shape": "shape",
+             "dim": "dimension must be positive", "repeat": "twice"}
+
+
+@st.composite
+def object_payloads(draw):
+    """``(argv, expect, fault)``: a ``normalize`` or ``validate`` command
+    line with a drawn object, the exit code it must end with, or None where
+    any of 0, 1 and 2 may do (the extremes), and the text its error must
+    hold.  The object is diagonal, A = A0 + A1 z and B = B0, so that it is
+    valid until a fault is drawn into it."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("generic", "power", "coefficient", "tau", "theta", "offset")
+                                + tuple(MALFORMED)))
+    a0, a1, b0 = (np.diag(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+                  for pool in (OBJECT_VALUES, OBJECT_VALUES, B_VALUES))
+    payload = {"tau": [1.0, -1.0], "theta": 0.5, "dim": n,
+               "A": [{"pow": 0, "coef": encode(a0)}, {"pow": 1, "coef": encode(a1)}],
+               "B": [{"pow": 0, "coef": encode(b0)}]}
+    terms = payload[draw(st.sampled_from(("A", "B")))]
+    term = terms[draw(st.integers(0, len(terms) - 1))]
+    if kind == "power":
+        terms.append({"pow": draw(st.sampled_from(BIG_POWERS)),
+                      "coef": encode(draw(st.sampled_from((1e-3, 1.0))) * np.eye(n))})
+    elif kind == "coefficient":
+        term["coef"] = encode(draw(st.sampled_from(EXTREME_COEFFICIENTS)) * np.eye(n))
+    elif kind == "tau":
+        payload["tau"] = [draw(st.sampled_from((1e300, 1e-300))) * s for s in (1.0, -1.0)]
+    elif kind == "theta":
+        payload["theta"] = draw(st.sampled_from((1e300, -1e300)))
+    elif kind == "offset":
+        payload["transversal_offset"] = draw(st.sampled_from((1e308, -1e308)))
+    elif kind == "ragged":
+        term["coef"].insert(draw(st.integers(0, n)), [[1.0, 0.0]] * (n + 1))
+    elif kind == "empty":
+        term["coef"] = draw(st.sampled_from(([], [[]], [[]] * n)))
+    elif kind == "shape":
+        term["coef"] = encode(np.eye(n + 1))
+    elif kind == "dim":
+        payload["dim"] = 0
+    elif kind == "repeat":
+        terms.insert(draw(st.integers(0, len(terms))),
+                     {"pow": term["pow"], "coef": encode(draw(st.sampled_from((0.2, 1.5)))
+                                                         * np.eye(n))})
+    expect = 0 if kind == "generic" else 2 if kind in MALFORMED else None
+    command = draw(st.sampled_from(("normalize", "validate")))
+    return ["--json", command, json.dumps(payload)], expect, MALFORMED.get(kind, "")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(object_payloads())
+def test_every_object_payload_ends_in_one_report(case):
+    argv, expect, fault = case
+    code, report = one_report(argv)
+    assert expect is None or code == expect, report
+    assert_names_fault(code, report, None if code == 0 else fault)
+    if code == 0:
+        assert set(report["result"]) >= ({"A0", "B0"} if argv[1] == "normalize" else
+                                         {"valid", "residuals"})
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["normalize", json.dumps(dict(OBJECT, A=OBJECT["A"] * 2))], "A lists power 0 twice"),
+    (["extension", json.dumps(dict(BUNDLE, conn=[[{"theta": 0.3, "coeffs": [
+        {"n1": 0, "n2": 0, "c": [0.0, 1.5]}, {"n1": 0, "n2": 0, "c": [0.0, 2.5]}]}]])),
+      "--zprime", "0.5,0"], "(n1, n2) = (0, 0) twice"),
+], ids=["power", "monomial"])
+def test_a_repeated_key_is_one_report_in_a_subprocess(argv, expect):
+    code, report = run_subprocess(["--json"] + argv)
+    assert code == 2 and expect in report["error"]["message"]

@@ -31,11 +31,18 @@ of the path it replaced.
   ``_commutator_residual`` and ``validate_normal_form``; with their frozen
   copies patched in (``frozen_log_schur`` and the rest) it must give the
   same bits.
+- ``normalize`` cuts the per-order and per-operand numpy overhead of
+  ``laurent._series`` (the series gauge and the truncated inverse),
+  ``category._series_gauge`` and ``laurent._finished`` with its
+  ``_shift``; with their frozen copies patched in (``frozen_series`` and
+  the rest, ``tests/reference_normalize.py``) it must give the same bits.
 
-The last two tests run the tensor-decompose benchmark's inputs: one pins
-how often each exit is taken, so that a change that loses one shows, and
-checks the three sweeps against their frozen paths on every call those
-inputs make; the other checks every round trip against its frozen steps.
+The last three tests run the benchmark's inputs.  On tensor-decompose's,
+one pins how often each exit is taken, so that a change that loses one
+shows, and checks the three sweeps against their frozen paths on every call
+those inputs make, and the next checks every round trip against its frozen
+steps; the last checks every normalize-scrambled job against its frozen
+steps.
 """
 
 import importlib.util
@@ -48,6 +55,7 @@ import scipy.linalg
 import scipy.optimize
 
 import eqconn.category
+import eqconn.laurent
 import eqconn.numkit
 import eqconn.torus
 from eqconn.category import (
@@ -71,6 +79,12 @@ from reference import (
     frozen_merge_keys,
     frozen_nullspace_scaled,
     reference_k0_entries,
+)
+from reference_normalize import (
+    frozen_finished,
+    frozen_series,
+    frozen_series_gauge,
+    frozen_truncated_inverse,
 )
 from reference_roundtrip import (
     frozen_commutator_residual,
@@ -412,4 +426,42 @@ def test_round_trips_on_the_tensor_benchmark_keep_the_frozen_bits(monkeypatch):
     assert len(jobs) == 486
     for (arrays, text), (frozen_arrays, frozen_text) in zip(got, want):
         assert text == frozen_text
+        assert all(same_bits(a, b) for a, b in zip(arrays, frozen_arrays))
+
+
+def test_normalize_on_its_benchmark_keeps_the_frozen_bits(monkeypatch):
+    """Each of the 360 objects of the normalize-scrambled benchmark's seeds
+    1-3, rounds 0-5 (``bench/workloads.py``'s normalize jobs): ``normalize``
+    with the frozen series and fold steps patched in gives the same A0, B0,
+    diagnostics and gauge record, its series and its fold, as the library,
+    to the bit, or the same exception."""
+    workloads, category, laurent = bench_workloads(), eqconn.category, eqconn.laurent
+
+    def normalized(obj):
+        try:
+            nf = category.normalize(obj, workloads.STRIP, workloads.TRUNCATION)
+        except Exception as exc:  # an exception must be the frozen path's too
+            return [], repr(exc)
+        record = nf.gauge
+        series, fold = record.series, record.fold
+        arrays = [nf.A0, nf.B0, series._powers, series._coeffs]
+        if fold is not None:
+            arrays.append(fold.similarity)
+        return arrays, repr((nf.diagnostics, series.diagnostics, record.truncation,
+                             record.radius, fold and fold.exponents))
+
+    objs = [job.inputs[1] for seed in (1, 2, 3) for rng in [np.random.default_rng(seed)]
+            for _ in range(6) for job in workloads.normalize_round(rng)]
+    got = [normalized(obj) for obj in objs]
+    monkeypatch.setattr(laurent, "_series", frozen_series)
+    monkeypatch.setattr(category, "_series", frozen_series)
+    monkeypatch.setattr(laurent, "truncated_inverse", frozen_truncated_inverse)
+    monkeypatch.setattr(category, "_series_gauge", frozen_series_gauge)
+    monkeypatch.setattr(laurent, "_finished", frozen_finished)
+    want = [normalized(obj) for obj in objs]
+    # most take the fold (a fifth array, its similarity), the path the cuts are in
+    assert len(objs) == 360 and sum(len(arrays) == 5 for arrays, _ in got) > 200
+    for (arrays, text), (frozen_arrays, frozen_text) in zip(got, want):
+        assert text == frozen_text
+        assert len(arrays) == len(frozen_arrays)
         assert all(same_bits(a, b) for a, b in zip(arrays, frozen_arrays))

@@ -21,8 +21,10 @@ from eqconn.laurent import (
     _balancing_radius,
     _commutator,
     _gauged_pair,
+    _levels,
     _sheared,
     _shift,
+    _transforms,
     _transport,
     apply_gauge_record,
     apply_shear,
@@ -957,8 +959,9 @@ def test_gapped_supports_stay_ascending_and_match_the_references(case):
 
 
 def shifted(x, exps):
-    """``x`` through ``_shift``, the array shift of its slab, as a value."""
-    return x._derive(*_shift(x._powers, x._coeffs, exps))
+    """``x`` through ``_shift``, the array shift of its slab by the
+    ``_levels`` of ``exps``, as a value."""
+    return x._derive(*_shift(x._powers, x._coeffs, _levels(exps)))
 
 
 def same_slab(value, slab):
@@ -1428,6 +1431,24 @@ def test_balancing_radius_of_a_coefficient_whose_modulus_passes_the_float_range(
 
 # --- the workspace -------------------------------------------------------------
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 12])
+def test_one_stacked_transform_is_each_value_transformed_alone(dim):
+    """``_transforms`` places each value at its own base in one stack and
+    transforms it by one ``np.fft.fft`` call: each lane is, to the bit, the
+    transform of that value's dense window padded to the length alone, for
+    lengths of radices 2, 3 and 5 and sparse values with signed zeros."""
+    rng = np.random.default_rng(366 + dim)
+    for m in (16, 27, 50, 54, 100):
+        values = [sparse_pm(rng, dim, rng.choice(m // 2, size=5, replace=False) - 3)
+                  for _ in range(3)]
+        placed = [(x, x.min_power - int(rng.integers(0, 3))) for x in values]
+        got = _transforms(placed, m)
+        for lanes, (x, base) in zip(got, placed):
+            dense = np.zeros((m, dim, dim), dtype=complex)
+            dense[:x.max_power - base + 1] = x._dense(base, x.max_power)
+            assert lanes.tobytes() == np.fft.fft(dense, axis=0).tobytes()
+
+
 def workspace_calls(n, seed):
     """``{name: call}``: each kernel that takes the workspace, on a scrambled
     object of dimension ``n`` and a balanced gauge, each on its circle path,
@@ -1464,8 +1485,9 @@ def test_no_result_aliases_the_workspace_and_none_reads_what_it_left(monkeypatch
     their bits.  Every result, with each workspace buffer filled with NaN
     before the call, is to the bit what fresh arrays of NaNs give, so no
     kernel reads an entry it did not write.  Each kernel takes the slots
-    it names: 4 for the commutator and the circle transports, 1 for the
-    product."""
+    it names: 3 for the commutator (its two transforms stacked in one), 2
+    for the circle transports (every operand's transform in one), 1 for
+    the product."""
     monkeypatch.setattr(eqconn.laurent, "_WORKSPACE", eqconn.laurent._Workspace())
     first = workspace_calls(12, 360)
     kept = {name: call() for name, call in first.items()}
@@ -1494,8 +1516,8 @@ def test_no_result_aliases_the_workspace_and_none_reads_what_it_left(monkeypatch
                 assert got == bits(call()), (n, current)
             if n == 12:
                 assert got == before[current]
-    assert slots["commutator"] == slots["gauge_transform"] == {0, 1, 2, 3}
-    assert slots["dilation_transform"] == {0, 1, 2, 3} and slots["product"] == {0}
+    assert slots["commutator"] == {0, 1, 2} and slots["product"] == {0}
+    assert slots["gauge_transform"] == slots["dilation_transform"] == {0, 1}
 
 
 def test_threads_normalizing_at_once_match_a_serial_run_to_the_bit():

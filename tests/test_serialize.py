@@ -110,3 +110,32 @@ def test_missing_fields_rejected():
         decode_monodromy({"M1": encode_matrix(np.eye(1))})
     with pytest.raises(ValidationFailure):
         decode_divisor({"points": []})
+
+
+def test_a_repeated_power_is_refused():
+    """A Laurent matrix that lists one power twice is refused, naming the
+    field and the power, rather than keeping the last coefficient."""
+    one = [[encode_complex(0.1)]]
+    for field in ("A", "B"):
+        data = {"tau": [1.0, -1.0], "theta": 0.5, "dim": 1,
+                "A": [{"pow": 0, "coef": one}], "B": [{"pow": 0, "coef": one}]}
+        data[field] = [{"pow": 3, "coef": one}, {"pow": 0, "coef": one},
+                       {"pow": 3, "coef": [[encode_complex(0.2)]]}]
+        with pytest.raises(ValidationFailure, match="%s lists power 3 twice" % field):
+            decode_object(data)
+    with pytest.raises(ValidationFailure, match="terms lists power -2 twice"):
+        decode_polymat({"dim": 1, "terms": [{"pow": -2, "coef": one}] * 2}, TAU, Q)
+
+
+def test_a_repeated_monomial_is_refused():
+    """An algebra element that lists one monomial twice is refused, naming
+    the monomial, in a lone element and in a bundle's connection."""
+    coeffs = [{"n1": 1, "n2": -2, "c": encode_complex(1.5)},
+              {"n1": 0, "n2": 0, "c": encode_complex(1.0)},
+              {"n1": 1, "n2": -2, "c": encode_complex(0.5)}]
+    with pytest.raises(ValidationFailure, match=r"\(n1, n2\) = \(1, -2\) twice"):
+        decode_torus_poly({"theta": THETA, "coeffs": coeffs})
+    bundle = {"theta": THETA, "tau": [1.0, -1.0], "dim": 1,
+              "conn": [[{"theta": THETA, "coeffs": coeffs}]]}
+    with pytest.raises(ValidationFailure, match=r"\(n1, n2\) = \(1, -2\) twice"):
+        decode_free_bundle(bundle)

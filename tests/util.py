@@ -5,12 +5,14 @@ tests, and resonant objects, whose normalization must shear.
 The benchmark draws its inputs from these generators too.  They fold with
 ``reference_fold``, take the shears' spectral data from
 ``reference_spectral``, shear and gauge with the frozen generator
-kernels ``frozen_shear`` and ``frozen_transport`` of ``tests/reference.py``,
-and measure strip margins with its ``frozen_boundary_distance``, rather
-than with the library, so a change to the library's fold, spectral code,
-gauge calculus or strip arithmetic does not change the inputs it is
-measured on.  Of
-``eqconn.laurent`` they use ``PolyMat``'s public constructor alone.
+kernels ``frozen_shear`` and ``frozen_transport``, and measure strip
+margins with ``frozen_boundary_distance``, all of
+``tests/generator_kernels.py``, rather than with the library, so a change
+to the library's fold, spectral code, gauge calculus or strip arithmetic
+does not change the inputs it is measured on.  That module holds nothing
+else, so a benchmark process does not compile the oracles of
+``tests/reference.py``.  Of ``eqconn.laurent`` they use ``PolyMat``'s
+public constructor alone.
 """
 
 import math
@@ -21,8 +23,8 @@ import scipy.linalg
 from eqconn.category import EquivariantConnection, NormalForm, validate
 from eqconn.laurent import PolyMat
 from eqconn.numkit import Transversal, mat_exp
-from reference import (frozen_boundary_distance, frozen_shear, frozen_transport, reference_fold,
-                       reference_spectral)
+from generator_kernels import (frozen_boundary_distance, frozen_shear, frozen_transport,
+                               reference_fold, reference_spectral)
 
 TAU = 1.0 - 1.0j
 THETA = (math.sqrt(5.0) - 1.0) / 2.0

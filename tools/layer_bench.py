@@ -66,7 +66,13 @@ and ``job[rt/4]``, ``job[rt/8]`` and ``job[rt/12]`` on seeded pairs of
 ``random_commuting_pair``: the round trips are 27 of the 50 jobs of a
 tensor-decompose round, rt/8 the most of them, and hold its median.  They
 are keyed by the job's dim (n for ``rt``), so that per-step and per-job
-ratios come from one paired run.
+ratios come from one paired run.  ``job[normalize/2]``, ``[/4]``, ``[/8]``
+and ``[/12]`` time normalize-scrambled jobs: one call makes a fresh
+``normalize_job`` for each of that n's objects of a normalize-scrambled
+round (``NORMALIZE_ROUND``, every shear count, drawn by ``scramble`` as
+``normalize_round`` draws them) and runs it once, so that the point is the
+summed time of that n's jobs of one round; the n = 4 jobs hold the
+workload's median, the n = 12 ones its 90th percentile.
 
 Each point is ``[q1, median, q3]`` of ``--repeats`` timings, each the mean
 over enough calls to take about 20 ms, on one BLAS thread.
@@ -107,8 +113,10 @@ TENSOR_SIZES = (2, 4, 8, 12)
 SMALL_POINTS = ("category.tensor", "category.decompose", "category.k0_class",
                 "torus.k0_to_divisor", "torus.divisor_equivalent", "category.hom_basis")
 GROUPS = ("laurent", "tensor", "roundtrip", "numkit", "job")
-# the whole-job points: (kind, factor n) of the tensor-decompose job
+# the whole-job points: (kind, factor n) of the tensor-decompose job, and
+# the n of the normalize-scrambled jobs
 JOBS = (("xy", 2), ("xy", 4), ("xx", 4), ("rt", 4), ("rt", 8), ("rt", 12))
+NORMALIZE_JOB_SIZES = (2, 4, 8, 12)
 ROUNDTRIP_SIZES = (4, 8, 12)
 NUMKIT_SIZES = (2, 4, 8, 12)
 # Jordan block sizes per eigenvalue of the [defective] numkit points, by n
@@ -260,7 +268,7 @@ def job_points(checkout):
     import importlib.util
 
     import numpy as np
-    from util import random_commuting_pair, random_normal_form
+    from util import random_commuting_pair, random_normal_form, scramble
 
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", os.path.join(checkout, "bench", "workloads.py"))
@@ -283,6 +291,15 @@ def job_points(checkout):
                                         kind, None).run()
 
         points["job[%s/%d]" % (kind, n * n)] = (n * n, run)
+    shear_counts = dict(workloads.NORMALIZE_ROUND)
+    for n in NORMALIZE_JOB_SIZES:
+        rng = np.random.default_rng((SEED, n, len("normalize")))
+        objs = []
+        for shears in shear_counts[n]:
+            nf = random_normal_form(rng, n)
+            objs.append((nf, scramble(nf, rng, shears=shears, degree=3)))
+        points["job[normalize/%d]" % n] = (n, lambda objs=objs: [
+            workloads.normalize_job(nf, obj, None).run() for nf, obj in objs])
     return points
 
 
@@ -395,7 +412,8 @@ def main(argv=None):
                          "roundtrip_sizes": list(ROUNDTRIP_SIZES),
                          "numkit_sizes": list(NUMKIT_SIZES),
                          "jobs": ["%s/%d" % (kind, n if kind == "rt" else n * n)
-                                  for kind, n in JOBS],
+                                  for kind, n in JOBS]
+                         + ["normalize/%d" % n for n in NORMALIZE_JOB_SIZES],
                          "defective_patterns": {str(n): p
                                                 for n, p in DEFECTIVE_PATTERNS.items()},
                          "groups": list(GROUPS), "process": "fresh per group and side",
