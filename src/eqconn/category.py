@@ -21,6 +21,7 @@ All operations are pure; randomized searches take explicit seeds.
 """
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -61,12 +62,12 @@ from .numkit import (
     _components,
     _decouple,
     _fold,
+    _FormalSum,
     _frobenius,
     _group_blocks,
     _is_singular,
     _lex_order,
     _log_schur,
-    _merge_keys,
     _near_pairs,
     _orthonormal_columns,
     _schur,
@@ -1423,15 +1424,21 @@ def decompose(nf, tol=None):
     return list(zip(labels[:, 0].tolist(), labels[:, 1].tolist()))
 
 
-def _products(a, b):
-    """The products ``a_i b_j`` as a matrix, rounded as Python's complex
-    product rounds them, where numpy's may fuse a product and a sum: the b
-    labels of a tensor product's labels and of its K0 class alike."""
-    re, im = a.real[:, None], a.imag[:, None]
-    out = np.empty((len(a), len(b)), dtype=complex)
-    np.subtract(re * b.real, im * b.imag, out=out.real)
-    np.add(re * b.imag, im * b.real, out=out.imag)
-    return out
+def _pairwise(x, y):
+    """The rows ``(x_i0 + y_j0, x_i1 y_j1)`` over the rows i of the complex
+    ``(m, 2)`` array ``x`` and j of ``y``, i-major: a tensor product's
+    labels ``(lam, b)`` and its K0 keys ``(z', b)`` from its factors'.  Each
+    product is rounded as Python's complex product rounds it, where numpy's
+    may fuse a product and a sum, so both carry the same bits; a row that is
+    not finite raises ``NumericFailure``."""
+    out = np.empty((len(x), len(y), 2), dtype=complex)
+    np.add(x[:, None, 0], y[:, 0], out=out[..., 0])
+    re, im, b = x[:, None, 1].real, x[:, None, 1].imag, y[:, 1]
+    np.subtract(re * b.real, im * b.imag, out=out[..., 1].real)
+    np.add(re * b.imag, im * b.real, out=out[..., 1].imag)
+    if not np.isfinite(out).all():
+        raise NumericFailure("no labels: a product of the factors' labels is not finite")
+    return out.reshape(-1, 2)
 
 
 def _labels(nf, tol):
@@ -1439,7 +1446,7 @@ def _labels(nf, tol):
     ``(lam, b)``, in its order.  A result of ``tensor`` has the pairwise
     rows ``(lam_i + mu_j, b_i c_j)`` of its factors' labels, the sum reduced
     into the strip and the product rounded as its K0 class rounds it
-    (``_products``).  Otherwise B0 in the Schur basis is ``q^H B0 q``, the
+    (``_pairwise``).  Otherwise B0 in the Schur basis is ``q^H B0 q``, the
     blocks of it of one size take one batched ``eigvals`` call, bit for bit
     the values of one call per block, and the labels are held, keyed and
     ordered as arrays.  When every block is one entry, the b-labels are
@@ -1448,12 +1455,8 @@ def _labels(nf, tol):
     and may move the last bit, where the entry is the exact value."""
     kept = nf._memo.get((tol, "factors"))
     if kept is not None:
-        lx, ly = (_labels(f, tol) for f in kept[:2])
-        lam = (lx[:, :1] + ly[:, 0]).ravel()
-        labels = np.stack([lam - nf.transversal.shift(lam) * nf.tau,
-                           _products(lx[:, 1], ly[:, 1]).ravel()], axis=1)
-        if not np.isfinite(labels[:, 1]).all():
-            raise NumericFailure("no labels: a product of the factors' labels is not finite")
+        labels = _pairwise(_labels(kept[0], tol), _labels(kept[1], tol))
+        labels[:, 0] -= nf.transversal.shift(labels[:, 0]) * nf.tau
         return labels[_lex_order(labels)]
     t, q, blocks = nf.schur_form(tol)
     b = q.conj().T @ nf.B0 @ q
@@ -1482,65 +1485,51 @@ def _labels(nf, tol):
     return labels[_lex_order(labels)]
 
 
-class K0Class:
+class K0Class(_FormalSum):
     """Formal integer combination of simple labels ``(b, z')`` with ``z'``
-    reduced into the ambient strip.
-
-    Keys within ``eps_key`` merge, the radius scaled by the size of each part
-    of the key above 1, so labels carrying rounding at their own scale still
-    collide; keys hugging the right strip edge fold to the left edge so equal
-    cosets always collide.  The merge is ``numkit._merge_keys``: each key
-    joins the first key before it that is a representative within that
-    representative's radius.  The labels are held as arrays: every z' is
-    reduced at once (``_canon``), and the entries are ordered on (Re, Im)
-    of z', then of b, each rounded to 9 decimals as Python's ``round``
-    rounds it, ties in the order the representatives were made
-    (``numkit._lex_order``).
+    reduced into the ambient strip (``_canon``), a ``numkit._FormalSum`` on
+    the rows ``(z', b)``, ordered on (Re, Im) of z', then of b, each rounded
+    to 9 decimals as Python's ``round`` rounds it.  Keys within ``eps_key``
+    merge, the radius scaled by the size of each part of the key above 1, so
+    labels carrying rounding at their own scale still collide; keys hugging
+    the right strip edge fold to the left edge so equal cosets collide.
     """
+
+    _mismatch = functools.partial(TransversalMismatch, "K-classes live over different strips")
 
     def __init__(self, transversal, entries=(), tol=None):
         entries = list(entries)
-        keys = np.array([(b, zp) for b, zp, _ in entries], dtype=complex).reshape(-1, 2)
+        keys = np.array([(zp, b) for b, zp, _ in entries], dtype=complex).reshape(-1, 2)
         self._set(transversal, keys, np.array([int(m) for _, _, m in entries], dtype=np.int64),
                   tol)
 
     @classmethod
     def _of_labels(cls, transversal, labels, tol):
-        """The class of the rows ``(z', b)`` of a complex array, each once,
-        in ``_labels``' order, which ``_set`` keeps when no z' moves."""
-        self = cls.__new__(cls)
-        self._set(transversal, labels[:, ::-1], np.ones(len(labels), dtype=np.int64), tol,
-                  ordered=True)
-        return self
+        """The class of ``_labels``' rows ``(z', b)``, each once."""
+        return cls.__new__(cls)._set(transversal, labels, np.ones(len(labels), dtype=np.int64),
+                                     tol, ordered=True)
 
     def _set(self, transversal, keys, mults, tol, ordered=False):
-        """Reduce the z' of the rows ``(b, z')`` of ``keys``, merge the keys
-        and keep the entries as arrays: ``_keys``, rows ``(b, z')`` in order,
-        and their nonzero multiplicities ``_mults``.  Rows ``ordered`` on
-        z', then b, as ``_labels`` gives them, keep their order when no z'
-        moves: the representatives of the merge are then a subsequence of
-        rows sorted on their own keys, and a stable sort of them is the
-        identity, so ``numkit._lex_order`` is skipped."""
+        """Reduce the z' of the rows ``(z', b)`` and keep them (``_keep``),
+        ``ordered`` while no z' moves; returns ``self``."""
         self.transversal = transversal
         self.tol = tol or DEFAULT_TOL
-        rep, inside = self._canon(keys[:, 1])
-        ordered = ordered and (inside or (rep == keys[:, 1]).all())
+        rep, inside = self._canon(keys[:, 0])
+        ordered = ordered and (inside or (rep == keys[:, 0]).all())
         keys = keys.copy()
-        keys[:, 1] = rep
-        merged, mults = _merge_keys(keys, mults,
-                                    self.tol.eps_key * np.maximum(1.0, np.abs(keys)))
-        if not ordered:
-            order = _lex_order(merged[:, ::-1])
-            merged, mults = merged[order], mults[order]
-        if not mults.all():
-            kept = mults != 0
-            merged, mults = merged[kept], mults[kept]
-        self._keys, self._mults = merged, mults
+        keys[:, 0] = rep
+        return self._keep(keys, mults, ordered)
+
+    def _radius(self, keys):
+        return self.tol.eps_key * np.maximum(1.0, np.abs(keys))
+
+    def _same(self, other):
+        return _same_strip(self.transversal, other.transversal)
 
     @property
     def entries(self):
         """The entries ``(b, z', multiplicity)`` in order, as Python numbers."""
-        return tuple(zip(self._keys[:, 0].tolist(), self._keys[:, 1].tolist(),
+        return tuple(zip(self._keys[:, 1].tolist(), self._keys[:, 0].tolist(),
                          self._mults.tolist()))
 
     def _canon(self, zp):
@@ -1562,53 +1551,18 @@ class K0Class:
             np.subtract(rep, tau, out=rep, where=far)
         return rep, False
 
-    def _of_keys(self, keys, mults):
-        """The class over this one's strip of the rows ``(b, z')`` of
-        ``keys`` with multiplicities ``mults``."""
-        out = K0Class.__new__(K0Class)
-        out._set(self.transversal, keys, mults, self.tol)
-        return out
-
-    def __add__(self, other):
-        self._check(other)
-        return self._of_keys(np.concatenate([self._keys, other._keys]),
-                             np.concatenate([self._mults, other._mults]))
-
     def __mul__(self, other):
-        """The class of a tensor product: every entry of one times every
-        entry of the other, b labels multiplied (``_products``), z' labels
-        added and reduced into the strip, multiplicities multiplied; a
-        product of labels that overflows raises ``NumericFailure``."""
+        """The class of a tensor product: the keys of every pair of entries
+        (``_pairwise``) with the product of their multiplicities."""
         self._check(other)
-        k1, k2 = self._keys, other._keys
-        keys = np.empty((len(k1), len(k2), 2), dtype=complex)
-        keys[..., 0] = _products(k1[:, 0], k2[:, 0])
-        np.add(k1[:, None, 1], k2[:, 1], out=keys[..., 1])
-        if not np.isfinite(keys).all():
-            raise NumericFailure("no labels: a product of the factors' labels is not finite")
-        return self._of_keys(keys.reshape(-1, 2), (self._mults[:, None] * other._mults).ravel())
+        return K0Class.__new__(K0Class)._set(self.transversal, _pairwise(self._keys, other._keys),
+                                             (self._mults[:, None] * other._mults).ravel(),
+                                             self.tol)
 
-    def __neg__(self):
-        return self._of_keys(self._keys, -self._mults)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def _check(self, other):
-        if not _same_strip(self.transversal, other.transversal):
-            raise TransversalMismatch("K-classes live over different strips")
-
-    def total_degree(self):
-        return sum(self._mults.tolist())
+    total_degree = _FormalSum._degree
 
     def same_class(self, other):
-        return not len((self - other)._mults)
-
-    def __eq__(self, other):
-        """Equal classes over one strip; classes over two strips differ."""
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        return _same_strip(self.transversal, other.transversal) and self.same_class(other)
+        return not (self - other)._mults.size
 
     def __repr__(self):
         return "K0Class(%s)" % (list(self.entries),)
@@ -1639,7 +1593,9 @@ def h0_dim(nf_or_matrix, tau=None, tol=None):
     A Laurent section ``sum f_k z^k`` is flat precisely when each ``f_k``
     lies in ``ker(A0 + tau k I)``, so only eigenvalues of A0 sitting on the
     ray ``-tau Z`` contribute; the sum is finite.  The eigenvalues are the
-    diagonal of a Schur form, for a normal form its ``schur_form(tol)``.
+    diagonal of a Schur form, for a normal form its ``schur_form(tol)``.  A
+    matrix that is not square or has an entry that is not finite raises
+    ``ValidationFailure``.
     """
     tol = tol or DEFAULT_TOL
     if isinstance(nf_or_matrix, NormalForm):
@@ -1648,7 +1604,7 @@ def h0_dim(nf_or_matrix, tau=None, tol=None):
     else:
         if tau is None:
             raise ValidationFailure("matrix input needs an explicit tau")
-        a0 = np.atleast_2d(np.asarray(nf_or_matrix, dtype=complex))
+        a0 = as_square_matrix(nf_or_matrix, "nf_or_matrix")
         schur = _schur(a0)[0]
     if a0.shape[0] == 0:
         return 0

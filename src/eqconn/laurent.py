@@ -80,6 +80,9 @@ _SLAB_BYTES = 512 * 1024
 # the byte cap of one workspace slot: a larger request gets a fresh array
 _SCRATCH_BYTES = 2 * _SLAB_BYTES
 _INT64 = np.iinfo(np.int64)
+# |e| <= 1074 for a radius 2**e: a power clipped to this size keeps its factor,
+# and 2.0 ** _MAX_EXP is the first power of two with no float value
+_POWER_CLIP, _MAX_EXP = 1 << 12, np.finfo(float).maxexp
 
 
 class _Workspace(threading.local):
@@ -946,13 +949,19 @@ def _rescaled(p, radius):
 
 
 def _radius_factors(powers, radius):
-    """``radius**k`` for each power k, as reals; one with no float value
-    raises ``NumericFailure``, as a gauge that overflows."""
-    try:
-        return np.array([radius ** k for k in powers.tolist()], dtype=float)
-    except OverflowError:
+    """``radius**k`` for each power k, as reals, Python's ``radius ** k`` to
+    the bit: for a radius 2**e, ``np.ldexp(1.0, e k)``, k clipped first so
+    that ``e k`` cannot wrap; for inf, the reciprocal of a radius below
+    2**-1023, inf, 1 or 0.  A finite radius with a power that has no float
+    value raises ``NumericFailure``, as a gauge that overflows."""
+    if radius == math.inf:
+        return np.float_power(radius, np.sign(powers))
+    exps = np.minimum(np.maximum(powers, -_POWER_CLIP), _POWER_CLIP)
+    exps *= math.frexp(radius)[1] - 1
+    if exps.size and exps.max() >= _MAX_EXP:
         raise NumericFailure("the gauge overflows at unit radius: a power of %g "
                              "has no float value" % radius)
+    return np.ldexp(1.0, exps)
 
 
 def apply_gauge_record(a, b, record, tol=None):
@@ -960,7 +969,11 @@ def apply_gauge_record(a, b, record, tol=None):
     is balanced by ``z -> radius z``, goes through the record there as
     ``normalize`` takes it through (``_gauged_pair``), and is mapped back by
     ``z -> z / radius``, so a power k of the result is ``radius**-k`` times
-    the balanced one."""
+    the balanced one.  A radius that is not a power of two raises
+    ``ValidationFailure``."""
+    if math.frexp(record.radius)[0] != 0.5:
+        raise ValidationFailure("a gauge record's radius must be a power of two, got %r"
+                                % (record.radius,))
     a, b = _gauged_pair(_rescaled(a, record.radius), _rescaled(b, record.radius),
                         record, tol or DEFAULT_TOL)
     return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)

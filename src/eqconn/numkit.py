@@ -8,7 +8,8 @@ supplies the primitives the rest of the package leans on:
   exactly one representative of each coset of ``tau*Z`` in the complex plane,
   plus reduction into it, of a number or of an array at once;
 * the order of label arrays (``_lex_order``), Python's sort on keys rounded
-  to 9 decimals, to the tie;
+  to 9 decimals, to the tie, and the formal sums over merged keys that
+  K-classes and divisors share (``_FormalSum``);
 * clustered spectral data (Schur form, eigenvalue clustering by proximity,
   clusters made contiguous by LAPACK's ztrsen, grouped until each spectral
   projector is bounded, block diagonalization with one ztrsyl per group);
@@ -295,6 +296,11 @@ def as_square_matrix(m, name="matrix"):
         arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationFailure("%s must be square, got shape %s" % (name, arr.shape))
+    return _finite(arr, name)
+
+
+def _finite(arr, name):
+    """``arr``, or ``ValidationFailure`` naming it when an entry is not finite."""
     if not np.isfinite(arr).all():
         raise ValidationFailure("%s contains non-finite entries" % name)
     return arr
@@ -327,8 +333,9 @@ def mat_exp(m):
 
 def nullspace(m, tol=None):
     """Orthonormal basis of the kernel, rank decided by a relative
-    singular-value threshold."""
-    return _svd_split(m, tol or DEFAULT_TOL)[0]
+    singular-value threshold; an entry that is not finite raises
+    ``ValidationFailure``."""
+    return _svd_split(_finite(np.asarray(m, dtype=complex), "m"), tol or DEFAULT_TOL)[0]
 
 
 def _svd_split(m, tol):
@@ -359,7 +366,9 @@ def solve_sylvester(a, b, c, tol=None):
     """Solve ``A X - X B = C`` for spectra separated beyond eps_spec.
 
     Raises ``SpectrumCollision`` naming the offending eigenvalue pair when
-    the spectra of A and B overlap within the clustering tolerance.
+    the spectra of A and B overlap within the clustering tolerance, and
+    ``ValidationFailure`` naming a matrix of the wrong shape or with an
+    entry that is not finite.
     """
     tol = tol or DEFAULT_TOL
     b = as_square_matrix(b, "B")
@@ -369,6 +378,7 @@ def solve_sylvester(a, b, c, tol=None):
         raise ValidationFailure(
             "C must be %d x %d, got %s" % (a.shape[0], b.shape[0], c.shape)
         )
+    _finite(c, "C")
     # Bartels-Stewart on a = u r u^H and -b^H = v s v^H, whose diagonals
     # are the spectra of a and -conj(b): ztrsyl on f = u^H c v, then
     # x = u y v^H, with scipy's products
@@ -666,6 +676,63 @@ def _lex_order(keys):
         for i, j in zip(*unsure):
             nearest[i, j] = round(parts[i, j].item(), 9)
     return np.lexsort(nearest.T[::-1])
+
+
+class _FormalSum:
+    """The free abelian group on keys under ``category.K0Class`` and
+    ``torus.Divisor``: ``_keys``, ``(m, k)`` complex rows of reduced keys in
+    ``_lex_order``, and ``_mults``, their nonzero int64 multiplicities.  A
+    subclass reduces its keys into its context and supplies ``_radius``, the
+    merge radius of given keys, ``_same``, whether another element shares
+    the context, and ``_mismatch``, the exception a sum across contexts
+    raises.  A sum merges both terms' reduced keys; a negation turns the
+    multiplicities only, so ``-(-a)`` is ``a`` entry for entry."""
+
+    def _keep(self, keys, mults, ordered=False):
+        """Merge the rows of ``keys`` with multiplicities ``mults`` within
+        ``_radius`` (``_merge_keys``), order them, drop zero multiplicities
+        and keep the rest; returns ``self``.  Rows that arrive ``ordered``
+        merge to a subsequence, already in order, so the sort is skipped."""
+        keys, mults = _merge_keys(keys, mults, self._radius(keys))
+        if not ordered:
+            order = _lex_order(keys)
+            keys, mults = keys[order], mults[order]
+        if not mults.all():
+            kept = mults != 0
+            keys, mults = keys[kept], mults[kept]
+        self._keys, self._mults = keys, mults
+        return self
+
+    def _check(self, other):
+        if not self._same(other):
+            raise self._mismatch()
+
+    def _copy(self):
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        return out
+
+    def __add__(self, other):
+        self._check(other)
+        return self._copy()._keep(np.concatenate([self._keys, other._keys]),
+                                  np.concatenate([self._mults, other._mults]))
+
+    def __neg__(self):
+        out = self._copy()
+        out._mults = -self._mults
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        """Equal elements in one context; elements in two contexts differ."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._same(other) and not (self - other)._mults.size
+
+    def _degree(self):
+        return sum(self._mults.tolist())
 
 
 def _block_arrays(blocks):

@@ -16,6 +16,7 @@ central charges and phases, and the finite-monodromy test.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from .category import MonodromyPair
 from .exceptions import ValidationFailure
-from .numkit import (DEFAULT_TOL, _bounded_groups, _clustered_schur, _is_singular,
-                     _lex_order, _merge_keys, _snap, as_square_matrix, same_context)
+from .numkit import (DEFAULT_TOL, _bounded_groups, _clustered_schur, _FormalSum, _is_singular,
+                     _snap, as_square_matrix, same_context)
 
 TWO_PI_I = 2j * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -459,17 +460,14 @@ def reduce_mod_lattice(z, tau):
         return st[0] + st[1] * tau, st
 
 
-class Divisor:
-    """Finite multiset of lattice-reduced points with integer multiplicities.
-
-    Points within ``eps_key`` merge, as the keys of a ``K0Class`` merge
-    (``numkit._merge_keys``), with one radius for every point.  The points
-    are held as arrays: all are reduced modulo the lattice at once, and
-    ordered on (Re, Im) rounded to 9 decimals as Python's ``round`` rounds
-    them, ties in the order the representatives were made
-    (``numkit._lex_order``).  A sum of divisors merges their points as they
-    are, already reduced, without reducing them again.
+class Divisor(_FormalSum):
+    """Finite multiset of lattice-reduced points with integer multiplicities,
+    a ``numkit._FormalSum`` on the points, all reduced modulo the lattice at
+    once and ordered on (Re, Im) rounded to 9 decimals as Python's ``round``
+    rounds them.  Points within ``eps_key`` merge, one radius for every point.
     """
+
+    _mismatch = functools.partial(ValidationFailure, "divisors live on different curves")
 
     def __init__(self, tau, points=(), tol=None):
         points = list(points)
@@ -485,58 +483,24 @@ class Divisor:
         if np.count_nonzero(far):
             np.subtract(reduced, 1.0, out=reduced, where=far[0])
             np.subtract(reduced, self.tau, out=reduced, where=far[1])
-        self._set(reduced, mults)
+        return self._keep(reduced.reshape(-1, 1), mults)
 
-    def _set(self, reduced, mults):
-        """Merge the reduced points, an array, and keep them in order as
-        arrays: the points ``_points`` and their nonzero multiplicities
-        ``_mults``."""
-        keys, mults = _merge_keys(reduced.reshape(-1, 1), mults, self.tol.eps_key)
-        order = _lex_order(keys)
-        points, mults = keys[order, 0], mults[order]
-        if not mults.all():
-            kept = mults != 0
-            points, mults = points[kept], mults[kept]
-        self._points, self._mults = points, mults
+    def _radius(self, keys):
+        return self.tol.eps_key
+
+    def _same(self, other):
+        return same_context((self.tau, other.tau))
 
     @property
     def points(self):
         """The points ``(p, multiplicity)`` in order, as Python numbers."""
-        return tuple(zip(self._points.tolist(), self._mults.tolist()))
+        return tuple(zip(self._keys[:, 0].tolist(), self._mults.tolist()))
 
-    def degree(self):
-        return sum(self._mults.tolist())
+    degree = _FormalSum._degree
 
     def weighted_sum(self):
         # a Python sum, term by term in order, as of the points one by one
-        return sum((self._points * self._mults).tolist())
-
-    def _check(self, other):
-        if not same_context((self.tau, other.tau)):
-            raise ValidationFailure("divisors live on different curves")
-
-    def __add__(self, other):
-        self._check(other)
-        total = Divisor.__new__(Divisor)
-        total.tau, total.tol = self.tau, self.tol
-        total._set(np.concatenate([self._points, other._points]),
-                   np.concatenate([self._mults, other._mults]))
-        return total
-
-    def __neg__(self):
-        # the points stay reduced, merged and sorted: only multiplicities turn
-        neg = Divisor.__new__(Divisor)
-        neg.tau, neg.tol = self.tau, self.tol
-        neg._points, neg._mults = self._points, -self._mults
-        return neg
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return same_context((self.tau, other.tau)) and not len((self - other)._mults)
+        return sum((self._keys[:, 0] * self._mults).tolist())
 
     def __repr__(self):
         return "Divisor(tau=%s, %s)" % (self.tau, list(self.points))
@@ -546,9 +510,8 @@ def k0_to_divisor(cls):
     """Divisor class of a K-group element: each simple label ``(b, z')``
     maps to the point ``-z'`` on the curve; the ``b`` coordinate carries no
     divisor information and is forgotten."""
-    div = Divisor.__new__(Divisor)
-    div._reduce(cls.transversal.tau, -cls._keys[:, 1], cls._mults, cls.tol)
-    return div
+    return Divisor.__new__(Divisor)._reduce(cls.transversal.tau, -cls._keys[:, 0], cls._mults,
+                                            cls.tol)
 
 
 def divisor_equivalent(d1, d2, tol=None):

@@ -1508,7 +1508,7 @@ def test_tensor_k0_commutes():
 
 def test_product_labels_and_k0_class_carry_the_same_b_bits():
     """``decompose`` of x (x) y and its K0 class round each b label b_i c_j
-    alike (``category._products``); numpy's complex product gave other
+    alike (``category._pairwise``); numpy's complex product gave other
     last bits on 193 of these 200 products."""
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -2351,3 +2351,9 @@ def test_h0_dimensions():
     y = one_dim(0.3 * TAU, 2.0)
     assert h0_dim(direct_sum(x, y)) == h0_dim(x) + h0_dim(y)
     assert h0_dim(unit_object(THETA, TAU, STRIP)) == 1
+
+
+def test_h0_dim_refuses_a_matrix_that_is_not_square_or_not_finite():
+    for bad in (np.ones((1, 2)), np.ones((2, 2, 2)), [[math.nan]], [[1.0, 0.0], [math.inf, 1.0]]):
+        with pytest.raises(ValidationFailure, match="nf_or_matrix"):
+            h0_dim(bad, tau=TAU)

@@ -269,3 +269,45 @@ def test_cluster_shifts_and_warnings_equal_the_frozen_loop(case):
         [scale * cmath.log(z) for z in values.tolist()], dtype=complex))
     assert got == recorded(frozen_cluster_shifts, m, blocks, transversal,
                            lambda z: scale * cmath.log(z))
+
+
+# --- the group laws ----------------------------------------------------------------
+
+def assert_group_laws(a, b, view, degree):
+    """``(a + b) - b == a``; ``-a`` is ``a`` with each multiplicity turned,
+    so ``-(-a)`` is ``a`` entry for entry; ``a - a`` is empty; and the
+    degree is additive."""
+    assert (a + b) - b == a
+    assert repr(view(-a)) == repr(tuple(e[:-1] + (-e[-1],) for e in view(a)))
+    assert repr(view(-(-a))) == repr(view(a))
+    assert view(a - a) == ()
+    assert degree(a + b) == degree(a) + degree(b)
+    assert degree(a - b) == degree(a) - degree(b)
+
+
+# The keys of this class lie within one another's radius only one way round,
+# the radius being relative to the representative's b: merged again in the
+# class's own order, as a negation once did, they become one entry.
+ONE_WAY = [(1000.0, 0.3 * (1 - 1j) + 5e-8, 1), (1000.0 + 1.000000005e-4, 0.3 * (1 - 1j), 1)]
+
+
+@SETTINGS
+@given(strip_labels(), strip_labels())
+@example((Transversal(TAUS[0]), ONE_WAY), (Transversal(TAUS[0]), ONE_WAY[:1]))
+def test_k0_classes_form_a_group_and_their_divisors_add(case, other):
+    """The group laws of K0 on ``strip_labels``, the second class's labels
+    taken over the first's strip, and ``k0_to_divisor`` of a sum or a
+    difference is the sum or difference of the divisors."""
+    transversal, entries = case
+    a, b = K0Class(transversal, entries), K0Class(transversal, other[1])
+    assert_group_laws(a, b, lambda x: x.entries, K0Class.total_degree)
+    assert k0_to_divisor(a + b) == k0_to_divisor(a) + k0_to_divisor(b)
+    assert k0_to_divisor(a - b) == k0_to_divisor(a) - k0_to_divisor(b)
+
+
+@SETTINGS
+@given(lattice_points())
+def test_divisors_form_a_group(case):
+    tau, points, more = case
+    assert_group_laws(Divisor(tau, points), Divisor(tau, more), lambda d: d.points,
+                      Divisor.degree)

@@ -22,6 +22,7 @@ from eqconn.laurent import (
     _commutator,
     _gauged_pair,
     _levels,
+    _radius_factors,
     _sheared,
     _shift,
     _transforms,
@@ -1427,6 +1428,40 @@ def test_balancing_radius_of_a_coefficient_whose_modulus_passes_the_float_range(
         assert _balancing_radius(real) == 2.0 ** -1024
         assert _balancing_radius(real) == reference.frozen_balancing_radius(
             reference._stacked(real))
+
+
+def test_radius_factors_are_python_powers_across_the_float_range():
+    """``_radius_factors`` gives ``radius ** k`` to the bit for radii 2**e
+    across the float range, their reciprocals and inf, at powers on the
+    overflow and subnormal edges and near +-2**62 and the ends of int64,
+    which must not wrap; where ``**`` overflows it raises
+    ``NumericFailure``."""
+    ks = [0, 1, -1, 2, -3, 511, 1022, 1023, 1024, 1025, 1074, 1075, 1076, -1073, -1074,
+          -1075, -1076, 4095, 4097, -4097, 2 ** 62, -2 ** 62, 2 ** 62 + 7, -2 ** 62 - 7,
+          2 ** 63 - 1, -2 ** 63]
+    radii = [math.inf] + [r for e in (-1074, -1073, -1025, -1024, -1023, -997, -512, -53, -1,
+                                      0, 1, 53, 511, 1023)
+                          for r in (2.0 ** e, 1.0 / 2.0 ** e) if r < math.inf]
+    for radius in radii:
+        for k in ks:
+            try:
+                want = radius ** k
+            except OverflowError:
+                with pytest.raises(NumericFailure, match="overflows at unit radius"):
+                    _radius_factors(np.array([k]), radius)
+                continue
+            got = _radius_factors(np.array([k]), radius)
+            assert got.dtype == float and got[0].hex() == want.hex(), (radius, k)
+
+
+def test_apply_gauge_record_refuses_a_radius_that_is_not_a_power_of_two():
+    a = PolyMat.constant(np.eye(2), TAU, Q)
+    series = PolyMat(2, {0: np.eye(2)}, TAU, Q)
+    for radius in (0.75, 3.0, 0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValidationFailure, match="power of two"):
+            apply_gauge_record(a, a, GaugeRecord(series, 4, radius=radius))
+    out = apply_gauge_record(a, a, GaugeRecord(series, 4, radius=2.0 ** -1074))
+    assert out[0].distance(a) == 0.0
 
 
 # --- the workspace -------------------------------------------------------------

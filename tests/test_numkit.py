@@ -187,6 +187,13 @@ def test_sylvester_collision_names_pair():
     assert "2" in str(err.value)
 
 
+def test_sylvester_refuses_a_right_hand_side_that_is_not_finite():
+    c = np.zeros((2, 2))
+    c[1, 0] = math.nan
+    with pytest.raises(ValidationFailure, match="C contains non-finite"):
+        solve_sylvester(np.eye(2), 3.0 * np.eye(2), c)
+
+
 def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -868,6 +875,12 @@ def test_nullspace_cases():
     v = basis[:, 0]
     expected = np.array([1.0, -1.0]) / math.sqrt(2.0)
     assert min(np.linalg.norm(v - expected), np.linalg.norm(v + expected)) < 1e-12
+
+
+def test_nullspace_refuses_entries_that_are_not_finite():
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValidationFailure, match="m contains non-finite"):
+            nullspace([[bad, 1.0]])
 
 
 # --- widths and the modular move ------------------------------------------------
