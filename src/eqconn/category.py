@@ -256,8 +256,8 @@ class NormalForm:
     dilation ``B0``, with ``spec(A0)`` inside ``transversal``.
 
     What is derived from A0 and B0 is kept in ``_memo`` once computed, and
-    the arrays it was read from are made read-only then, so that an
-    in-place change cannot leave it stale:
+    the arrays it was read from or holds are made read-only then
+    (``_derived``), so that an in-place change cannot leave it stale:
 
     * per ``Tolerances``, the clustered Schur form of A0 (``schur_form``),
       read-only with A0; read-only with A0 and B0, what ``tensor`` reads
@@ -303,7 +303,8 @@ class NormalForm:
         tol = tol or DEFAULT_TOL
         form = self._memo.get(tol)
         if form is None:
-            form = self._keep(_clustered_schur(self.A0, tol), tol)
+            form = self._derived(tol, lambda: _held_form(_clustered_schur(self.A0, tol)),
+                                 self.A0)
         return form
 
     def _strip_form(self, tol):
@@ -313,8 +314,7 @@ class NormalForm:
         labels, class and Hom side off its factors later."""
         form = self._memo.get((tol, "strip"))
         if form is None:
-            form = self._memo[(tol, "strip")] = _new_strip_form(self, tol)
-            self.B0.flags.writeable = False
+            form = self._derived((tol, "strip"), lambda: _new_strip_form(self, tol), self.B0)
         return form
 
     @classmethod
@@ -324,14 +324,21 @@ class NormalForm:
         other arguments are the constructor's after A0."""
         t, q, _ = form
         nf = cls(q @ t @ q.conj().T, *args, **kwargs)
-        nf._keep(form, tol)
+        nf._derived(tol, lambda: _held_form(form), nf.A0)
         return nf
 
-    def _keep(self, form, tol):
-        t, q, blocks = form
-        t.flags.writeable = q.flags.writeable = self.A0.flags.writeable = False
-        form = self._memo[tol] = (t, q, tuple(blocks))
-        return form
+    def _derived(self, key, build, *reads):
+        """The value kept under ``key``, ``build()`` on first use, when the
+        arrays ``reads`` it was read from and those a tuple value holds are
+        made read-only.  Each reader looks the key up before it builds a
+        closure, so that a hit costs one dict lookup."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+            for array in reads + (value if isinstance(value, tuple) else ()):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        return value
 
     @property
     def q(self):
@@ -341,6 +348,11 @@ class NormalForm:
         """Distance of each eigenvalue of A0 (``schur_form()``) to the strip boundary."""
         return [self.transversal.boundary_distance(lam)
                 for lam in np.diag(self.schur_form()[0])]
+
+
+def _held_form(form):
+    """A clustered Schur form ``(t, q, blocks)`` as a normal form keeps it."""
+    return form[0], form[1], tuple(form[2])
 
 
 def validate_normal_form(nf, tol=None):
@@ -742,8 +754,8 @@ def tensor(x, y, tol=None):
     ta[0].take(order, 0).take(order, 1, out=ta[0])
     nf = NormalForm(ta[1], _kron(x.B0, y.B0), x.transversal, x.theta, x.tau,
                     diagnostics={"fold_shifts": fold_shifts})
-    nf._keep(_cluster_triangular(ta[0], q, tol), tol)
-    nf._memo[(tol, "factors")] = (x, y, shifts)
+    nf._derived(tol, lambda: _held_form(_cluster_triangular(ta[0], q, tol)), nf.A0)
+    nf._derived((tol, "factors"), lambda: (x, y, shifts))
     return nf
 
 
@@ -1012,28 +1024,21 @@ class _HomSide(namedtuple("_HomSide", "means start size u lh ab a_norm b_norm"))
     ``_StripForm`` (of a product, per pair of factor groups): the mean; the
     ``size[g]`` columns of ``u`` from ``start[g]`` on, an orthonormal basis
     of its invariant subspace, and those rows of ``lh``, the left factor of
-    its projector; ``ab = [lh A0 u, lh B0 u]``; ||A0||_F and ||B0||_F, or
-    None while only a product has read the side: a product's Hom reads
-    none of its factors' norms, so they wait for the object's own Hom, and
-    A0 and B0, read-only since the side was built, still hold their data."""
+    its projector; ``ab = [lh A0 u, lh B0 u]``; ||A0||_F and ||B0||_F."""
 
 
 def _hom_side(nf, tol, strip=False):
-    """The ``_HomSide`` of a normal form, kept with its arrays and B0 read-only so
-    that its norms stay true: read off a product's factors (``_product_side``),
-    else, or with ``strip`` as a product reads a factor, off its ``_StripForm``;
-    with ``strip``, without the norms if they are not taken yet."""
+    """The ``_HomSide`` of a normal form, kept with its arrays, A0 and B0
+    read-only so that its norms stay true: read off a product's factors
+    (``_product_side``), else, or with ``strip`` as a product reads a
+    factor, off its ``_StripForm``."""
     kept = None if strip else nf._memo.get((tol, "factors"))
     key = (tol, "side" if kept is None else "hom")
     side = nf._memo.get(key)
     if side is None:
-        parts = _strip_side(nf, tol) if kept is None else _product_side(nf, *kept, tol)
-        side = nf._memo[key] = _HomSide(*parts, None, None)
-        for array in (nf.B0,) + parts:
-            array.flags.writeable = False
-    if side.a_norm is None and not strip:
-        side = nf._memo[key] = side._replace(a_norm=np.linalg.norm(nf.A0),
-                                             b_norm=np.linalg.norm(nf.B0))
+        side = nf._derived(key, lambda: _HomSide(
+            *(_strip_side(nf, tol) if kept is None else _product_side(nf, *kept, tol)),
+            np.linalg.norm(nf.A0), np.linalg.norm(nf.B0)), nf.A0, nf.B0)
     return side
 
 
@@ -1561,9 +1566,6 @@ class K0Class(_FormalSum):
 
     total_degree = _FormalSum._degree
 
-    def same_class(self, other):
-        return not (self - other)._mults.size
-
     def __repr__(self):
         return "K0Class(%s)" % (list(self.entries),)
 
@@ -1580,10 +1582,9 @@ def k0_class(nf, tol=None):
     cls = nf._memo.get((tol, "k0"))
     if cls is None:
         kept = nf._memo.get((tol, "factors"))
-        cls = nf._memo[(tol, "k0")] = (
+        cls = nf._derived((tol, "k0"), lambda: (
             K0Class._of_labels(nf.transversal, _labels(nf, tol), tol) if kept is None
-            else k0_class(kept[0], tol) * k0_class(kept[1], tol))
-        nf.B0.flags.writeable = False
+            else k0_class(kept[0], tol) * k0_class(kept[1], tol)), nf.B0)
     return cls
 
 

@@ -964,19 +964,32 @@ def _radius_factors(powers, radius):
     return np.ldexp(1.0, exps)
 
 
+def _unscaled(p, radius):
+    """``p(z / radius)``, a radius 2**e: each part of power k by ``np.ldexp``
+    with exponent -e k, k clipped as ``_radius_factors`` clips it, so no
+    factor ``radius**-k`` is formed; a coefficient past the float range
+    raises ``NumericFailure``."""
+    exps = np.clip(p._powers, -_POWER_CLIP, _POWER_CLIP) * (1 - math.frexp(radius)[1])
+    with np.errstate(over="ignore"):
+        parts = np.ldexp(p._coeffs.view(float), exps[:, None, None])
+    if not np.isfinite(parts).all():
+        raise NumericFailure("a replayed coefficient has no float value at unit radius")
+    return p._derive(p._powers, parts.view(complex))
+
+
 def apply_gauge_record(a, b, record, tol=None):
     """Replay a normalization gauge on a connection/dilation pair: the pair
     is balanced by ``z -> radius z``, goes through the record there as
     ``normalize`` takes it through (``_gauged_pair``), and is mapped back by
-    ``z -> z / radius``, so a power k of the result is ``radius**-k`` times
-    the balanced one.  A radius that is not a power of two raises
-    ``ValidationFailure``."""
+    ``z -> z / radius`` (``_unscaled``), so a power k of the result is
+    ``radius**-k`` times the balanced one.  A radius that is not a power of
+    two raises ``ValidationFailure``."""
     if math.frexp(record.radius)[0] != 0.5:
         raise ValidationFailure("a gauge record's radius must be a power of two, got %r"
                                 % (record.radius,))
     a, b = _gauged_pair(_rescaled(a, record.radius), _rescaled(b, record.radius),
                         record, tol or DEFAULT_TOL)
-    return _rescaled(a, 1.0 / record.radius), _rescaled(b, 1.0 / record.radius)
+    return _unscaled(a, record.radius), _unscaled(b, record.radius)
 
 
 def _gauged_pair(a, b, record, tol):

@@ -34,13 +34,24 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _EXTENSION_TOL = 1e-12
 
 
+def _twist(theta, k):
+    """``exp(2 pi i theta k)`` for an integer k, with ``theta k`` reduced mod 1
+    exactly: a float theta is the dyadic rational ``num / den``, so the
+    phase is that of ``(num k mod den) / den``, rounded once, at any k."""
+    num, den = theta.as_integer_ratio()
+    return cmath.exp(TWO_PI_I * (num * k % den / den))
+
+
 class TorusPoly:
-    """Finitely supported ``(n1, n2) -> coefficient`` in normal order."""
+    """Finitely supported ``(n1, n2) -> coefficient`` in normal order; a
+    theta that is not finite is refused with ``ValidationFailure``."""
 
     __slots__ = ("theta", "coeffs")
 
     def __init__(self, theta, coeffs=None):
         self.theta = float(theta)
+        if not math.isfinite(self.theta):
+            raise ValidationFailure("twist parameter theta must be finite, got %r" % self.theta)
         cleaned = {}
         for key, value in (coeffs or {}).items():
             value = complex(value)
@@ -106,10 +117,9 @@ class TorusPoly:
         coeffs = {}
         for (a, b), ca in self.coeffs.items():
             for (c, d), cc in other.coeffs.items():
-                # moving U2^b past U1^c costs the phase exp(2 pi i theta b c)
-                phase = cmath.exp(TWO_PI_I * self.theta * b * c)
+                # moving U2^b past U1^c costs the twist of b c
                 key = (a + c, b + d)
-                coeffs[key] = coeffs.get(key, 0.0) + ca * cc * phase
+                coeffs[key] = coeffs.get(key, 0.0) + ca * cc * _twist(self.theta, b * c)
         return TorusPoly(self.theta, coeffs)
 
     def __rmul__(self, scalar):
@@ -155,35 +165,14 @@ class Omega:
 # modular automorphisms
 # ---------------------------------------------------------------------------
 
-def _monomial_inverse(theta, key, coeff):
-    a, b = key
-    phase = cmath.exp(TWO_PI_I * theta * a * b)
-    return (-a, -b), phase / coeff
-
-
-def _monomial_power(theta, key, coeff, power):
-    """(c U1^a U2^b)^power computed by repeated products, power in Z."""
-    if power == 0:
-        return (0, 0), 1.0
-    if power < 0:
-        key, coeff = _monomial_inverse(theta, key, coeff)
-        power = -power
-    out_key, out_coeff = key, coeff
-    for _ in range(power - 1):
-        phase = cmath.exp(TWO_PI_I * theta * out_key[1] * key[0])
-        out_key = (out_key[0] + key[0], out_key[1] + key[1])
-        out_coeff = out_coeff * coeff * phase
-    return out_key, out_coeff
-
-
-# Per generator token: the exponents of the monomial images of U1 and U2,
-# each with coefficient 1, the inverse token, and the action on a direction
-# (w1, w2) of the derivation space.
+# Per generator token: its integer matrix ``((a, c), (b, d))``, whose columns
+# are the exponents of the images ``U1^a U2^b`` of U1 and ``U1^c U2^d`` of
+# U2, each with coefficient 1, and the inverse token.
 _GENERATORS = {
-    "g1": ((1, 1), (0, 1), "g1_inv", lambda w1, w2: (w1 + w2, w2)),
-    "g1_inv": ((1, -1), (0, 1), "g1", lambda w1, w2: (w1 - w2, w2)),
-    "g2": ((0, -1), (1, 0), "g2_inv", lambda w1, w2: (-w2, w1)),
-    "g2_inv": ((0, 1), (-1, 0), "g2", lambda w1, w2: (w2, -w1)),
+    "g1": (((1, 0), (1, 1)), "g1_inv"),
+    "g1_inv": (((1, 0), (-1, 1)), "g1"),
+    "g2": (((0, 1), (-1, 0)), "g2_inv"),
+    "g2_inv": (((0, -1), (1, 0)), "g2"),
 }
 
 
@@ -196,30 +185,25 @@ def _generator(token):
         raise ValidationFailure("unknown generator token %r" % (token,)) from None
 
 
-def _apply_generator(token, x):
-    key_u1, key_u2, _, _ = _generator(token)
-    out = TorusPoly(x.theta)
-    for (n1, n2), coeff in x.coeffs.items():
-        k1, c1 = _monomial_power(x.theta, key_u1, 1.0, n1)
-        k2, c2 = _monomial_power(x.theta, key_u2, 1.0, n2)
-        phase = cmath.exp(TWO_PI_I * x.theta * k1[1] * k2[0])
-        key = (k1[0] + k2[0], k1[1] + k2[1])
-        out = out + TorusPoly(x.theta, {key: coeff * c1 * c2 * phase})
-    return out
-
-
 def modular_apply(word, x):
     """Apply a word in the modular generator automorphisms, leftmost first.
 
     ``word`` is an iterable (or whitespace-separated string) of tokens
     ``g1, g2, g1_inv, g2_inv``: the generators act by ``U1 -> U1 U2``,
     ``U2 -> U2`` and ``U1 -> U2^-1``, ``U2 -> U1`` respectively, extended
-    multiplicatively through the twisted product.
+    multiplicatively through the twisted product: in closed form, the
+    generator of matrix ``((a, c), (b, d))`` maps ``U1^n1 U2^n2`` to ``(U1^a
+    U2^b)^n1 (U1^c U2^d)^n2``, ``U1^(a n1 + c n2) U2^(b n1 + d n2)`` times
+    the twist of ``ab n1(n1-1)/2 + cd n2(n2-1)/2 + bc n1 n2``, one to one.
     """
     if isinstance(word, str):
         word = word.split()
     for token in word:
-        x = _apply_generator(token, x)
+        ((a, c), (b, d)), _ = _generator(token)
+        x = TorusPoly(x.theta, {
+            (a * n1 + c * n2, b * n1 + d * n2): coeff * _twist(x.theta, (
+                a * b * (n1 * (n1 - 1) // 2) + c * d * (n2 * (n2 - 1) // 2) + b * c * n1 * n2))
+            for (n1, n2), coeff in x.coeffs.items()})
     return x
 
 
@@ -232,8 +216,9 @@ def check_intertwine(token, omega, bound=3, theta=0.37):
     chooses which algebra the check runs in.
     """
     worst = 0.0
-    _, _, inverse, action = _generator(token)
-    target = Omega(*action(omega.w1, omega.w2))
+    ((a, c), (b, d)), inverse = _generator(token)
+    # the transpose of the generator's matrix acts on the direction
+    target = Omega(a * omega.w1 + b * omega.w2, c * omega.w1 + d * omega.w2)
     for n1 in range(-bound, bound + 1):
         for n2 in range(-bound, bound + 1):
             x = TorusPoly.monomial(theta, n1, n2)

@@ -940,11 +940,12 @@ def test_b0_is_read_only_once_hom_basis_or_from_monodromy_holds_data_of_it():
 
 
 def test_a_factor_reads_its_norms_after_a_product_built_its_hom_side():
-    """A product reads its factors' Hom sides without their norms; the
-    factor's own ``hom_basis`` then takes the true ||A0||_F and ||B0||_F.
-    Here ||B0||_F is about 1e12 and ||A0||_F about 1: the rounding of the
-    intertwining system, about 1e-4, passes eps_res at the scale of A0, so
-    a side without B0's norm would lose part of End(x), of dim 3."""
+    """A product reads its factors' Hom sides, which hold their norms from
+    the start; the factor's own ``hom_basis`` then reads that side, with
+    the true ||A0||_F and ||B0||_F.  Here ||B0||_F is about 1e12 and
+    ||A0||_F about 1: the rounding of the intertwining system, about 1e-4,
+    passes eps_res at the scale of A0, so a side without B0's norm would
+    lose part of End(x), of dim 3."""
     rng = np.random.default_rng(3)
     s = util.well_conditioned(rng, 3)
     s_inv = np.linalg.inv(s)
@@ -954,7 +955,6 @@ def test_a_factor_reads_its_norms_after_a_product_built_its_hom_side():
     t = tensor(x, random_normal_form(rng, 2))
     hom_basis(t, t)
     built = x._memo[(DEFAULT_TOL, "side")]
-    assert built.a_norm is None and built.b_norm is None
     assert len(hom_basis(x, x)) == len(hom_basis(fresh, fresh)) == 3
     side = eqconn.category._hom_side(x, DEFAULT_TOL)
     assert side.a_norm == np.linalg.norm(x.A0) and side.b_norm == np.linalg.norm(x.B0)

@@ -1464,6 +1464,23 @@ def test_apply_gauge_record_refuses_a_radius_that_is_not_a_power_of_two():
     assert out[0].distance(a) == 0.0
 
 
+def test_apply_gauge_record_maps_back_from_a_radius_below_2_to_the_minus_1023():
+    """``normalize`` balances at 2**-1024 when |A_1| is near the float
+    maximum, where ``1 / radius`` is inf.  The identity record there
+    returns ``A = 0.1 + 1e10 z`` to the bit; with the series ``I + 0.5 z``
+    the gauged A's powers 2-4 have no float value at unit radius, which is
+    refused, with no warning."""
+    a, b = pm({0: [[0.1]], 1: [[1e10]]}), PolyMat.identity(1, TAU, Q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = apply_gauge_record(a, b, GaugeRecord(PolyMat.identity(1, TAU, Q), 4,
+                                                      radius=2.0 ** -1024))
+        assert out.terms[1][0, 0] == 1e10 and out.distance(a) == 0.0
+        series = pm({0: [[1.0]], 1: [[0.5]]})
+        with pytest.raises(NumericFailure, match="no float value at unit radius"):
+            apply_gauge_record(a, b, GaugeRecord(series, 4, radius=2.0 ** -1024))
+
+
 # --- the workspace -------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 12])
